@@ -119,6 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (SchemaError, InvalidGameError, GameFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -129,6 +130,24 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3
+
+
+# Numeric flags: (attribute, whether zero is allowed).
+_FLOAT_FLAGS = (("epsilon", False), ("delta", False), ("solver_regret", True))
+
+
+def _check_flags(args) -> None:
+    """Reject non-finite or out-of-range numeric flags before any work."""
+    for name, zero_ok in _FLOAT_FLAGS:
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if not (0.0 <= value < math.inf) or (value == 0.0 and not zero_ok):
+            kind = "nonnegative" if zero_ok else "positive"
+            flag = "--" + name.replace("_", "-")
+            raise GameFormatError(f"{flag} must be finite and {kind}")
+    if getattr(args, "seed", 0) < 0:
+        raise GameFormatError("--seed must be nonnegative")
 
 
 # -- report building --------------------------------------------------------
@@ -291,7 +310,7 @@ def _emit_report(report: dict, fmt: str, csv_text: str | None, out: str | None):
             raise GameFormatError("csv output is not available for this command")
         _emit(csv_text, out)
     else:
-        _emit(json.dumps(report, sort_keys=True, indent=2), out)
+        _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False), out)
 
 
 def _require_valid(game: NestedGame) -> None:
@@ -305,8 +324,6 @@ def _require_valid(game: NestedGame) -> None:
 
 def _solve_finite(game: NestedGame, mode: str, args) -> int:
     epsilon = args.epsilon
-    if not epsilon > 0.0:
-        raise GameFormatError("epsilon must be positive")
     _require_valid(game)
     bound = payoff_bound(game)
     profiles = 1
@@ -320,8 +337,6 @@ def _solve_finite(game: NestedGame, mode: str, args) -> int:
     target = args.solver_regret
     if target is None:
         target = epsilon / 2.0
-    if target < 0.0:
-        raise GameFormatError("solver regret target must be nonnegative")
 
     hier = build_hierarchy(game, delta)
     aux = build_auxiliary_game(game, hier)
@@ -370,8 +385,6 @@ def _solve_finite(game: NestedGame, mode: str, args) -> int:
 
 def _solve_continuous(compact, args) -> int:
     epsilon = args.epsilon
-    if not epsilon > 0.0:
-        raise GameFormatError("epsilon must be positive")
     disc = build_hat_game(compact, epsilon)
     gap = certify_sup_gap(disc)
     game = disc.game
@@ -388,8 +401,6 @@ def _solve_continuous(compact, args) -> int:
     target = args.solver_regret
     if target is None:
         target = epsilon / 2.0
-    if target < 0.0:
-        raise GameFormatError("solver regret target must be nonnegative")
 
     hier = build_hierarchy(game, delta)
     aux = build_auxiliary_game(game, hier)
@@ -487,8 +498,6 @@ def _cmd_verify(args) -> int:
         )
     game = loaded.game
     epsilon = args.epsilon
-    if not epsilon > 0.0:
-        raise GameFormatError("epsilon must be positive")
     _require_valid(game)
     profile = load_profile(args.profile)
     problems = validate_profile(game, profile)
@@ -521,8 +530,6 @@ def _cmd_hierarchy(args) -> int:
             "hierarchy works on finite and types games; solve handles continuous ones"
         )
     game = loaded.game
-    if not args.delta > 0.0 or not math.isfinite(args.delta):
-        raise GameFormatError("delta must be positive and finite")
     _require_valid(game)
     hier = build_hierarchy(game, args.delta)
     block = _hierarchy_block(game, hier)

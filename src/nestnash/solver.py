@@ -8,11 +8,15 @@ positive-mass coarse atom), each choosing a mixed action.
 
 Two-player zero-sum games with a common prior are solved exactly by
 linear programming over behavioral strategies.  Everything else runs
-iterated smoothed best response with an annealed temperature, a
-fictitious play average tracked alongside, and random restarts.
-Nothing downstream depends on the heuristics converging: the returned
-profile always ships with its exact regret, recomputed by the
-certification module, and callers decide what to do with a
+alternating predictive regret matching+ (Farina, Kroer & Sandholm,
+"Faster Game Solving via Predictive Blackwell Approachability", 2021):
+players update in turn against the others' latest strategies, and each
+agent plays proportionally to the positive part of its clipped
+cumulative regret plus its last instantaneous regret.  Both the last
+iterate and a quadratically weighted average are candidates, over
+seeded restarts.  Nothing downstream depends on the search converging:
+the returned profile always ships with its exact regret, recomputed by
+the certification module, and callers decide what to do with a
 non-converged result.
 """
 
@@ -142,6 +146,13 @@ class AgentFormGame:
         self.atom_index: list[np.ndarray] = []
         self.masses: list[np.ndarray] = []
         self.positive: list[np.ndarray] = []
+        # Per player: the (state, own action) -> (atom, own action) cell
+        # index used to sum state rows into atom rows, and the einsum
+        # contracting the payoff tensor with every other player's
+        # per-state strategy.
+        self._cells: list[np.ndarray] = []
+        self._contraction: list[str] = []
+        axes = "abcdefghijklmnopqrtuvwxyz"[: self.n]  # "s" indexes states
         for i in range(1, self.n + 1):
             part = game.partition_for(i)
             ids = list(part.atoms.keys())
@@ -153,6 +164,10 @@ class AgentFormGame:
             self.atom_index.append(idx)
             self.masses.append(mass)
             self.positive.append(mass > 0.0)
+            d = self.dims[i - 1]
+            self._cells.append((idx[:, None] * d + np.arange(d)).ravel())
+            others = ",".join("s" + axes[j] for j in range(self.n) if j != i - 1)
+            self._contraction.append(f"s{axes},{others}->s{axes[i - 1]}")
 
         self.agents: tuple[tuple[int, Atom], ...] = tuple(
             (i, atom)
@@ -194,39 +209,32 @@ class AgentFormGame:
 
     # -- payoff engine ----------------------------------------------------
 
-    def _state_strategies(self, strategies: list[np.ndarray]) -> list[np.ndarray]:
-        return [strategies[j][self.atom_index[j]] for j in range(self.n)]
+    def player_action_values(
+        self, i: int, strategies: list[np.ndarray]
+    ) -> np.ndarray:
+        """Player ``i``'s (atoms, own actions) conditional payoff matrix.
+
+        ``i`` is 0-based.  Entry [g, a] is the player's expected payoff
+        conditional on coarse atom g when playing a against the others'
+        strategies; rows for null atoms are zero.  One contraction of the
+        payoff tensor, so it costs 1/n of ``action_values``.
+        """
+        others = [
+            strategies[j][self.atom_index[j]] for j in range(self.n) if j != i
+        ]
+        by_state = np.einsum(self._contraction[i], self.payoff[i], *others)
+        weighted = by_state * self.priors[i][:, None]
+        rows, d = len(self.atom_ids[i]), self.dims[i]
+        m_atoms = np.bincount(
+            self._cells[i], weights=weighted.ravel(), minlength=rows * d
+        ).reshape(rows, d)
+        pos = self.positive[i]
+        m_atoms[pos] /= self.masses[i][pos, None]
+        return m_atoms
 
     def action_values(self, strategies: list[np.ndarray]) -> list[np.ndarray]:
-        """Per player: (atoms, own actions) conditional payoff matrix.
-
-        Rows for null atoms are zero.  Entry [g, a] is the player's
-        expected payoff conditional on coarse atom g when playing a
-        against the others' strategies.
-        """
-        per_state = self._state_strategies(strategies)
-        s_count = len(self.states)
-        out = []
-        for i in range(self.n):
-            shape = [s_count] + [1] * self.n
-            prod = np.ones(shape)
-            for j in range(self.n):
-                if j == i:
-                    continue
-                view = [s_count] + [1] * self.n
-                view[1 + j] = self.dims[j]
-                prod = prod * per_state[j].reshape(view)
-            weighted = self.payoff[i] * prod
-            axes = tuple(1 + j for j in range(self.n) if j != i)
-            m_states = weighted.sum(axis=axes)
-            contrib = m_states * self.priors[i][:, None]
-            m_atoms = np.zeros((len(self.atom_ids[i]), self.dims[i]))
-            np.add.at(m_atoms, self.atom_index[i], contrib)
-            pos = self.positive[i]
-            m_atoms[pos] /= self.masses[i][pos, None]
-            m_atoms[~pos] = 0.0
-            out.append(m_atoms)
-        return out
+        """``player_action_values`` for every player, in player order."""
+        return [self.player_action_values(i, strategies) for i in range(self.n)]
 
     def regret(
         self, strategies: list[np.ndarray], values: list[np.ndarray] | None = None
@@ -281,25 +289,6 @@ class AgentFormGame:
 
 def to_agent_form(aux: AuxGame) -> AgentFormGame:
     return AgentFormGame(aux)
-
-
-def _normalized_rows(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, None)
-    totals = x.sum(axis=1, keepdims=True)
-    totals[totals == 0.0] = 1.0
-    return x / totals
-
-
-def _softmax_rows(m: np.ndarray, tau: float) -> np.ndarray:
-    z = (m - m.max(axis=1, keepdims=True)) / tau
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _pure_rows(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    out[np.arange(values.shape[0]), values.argmax(axis=1)] = 1.0
-    return out
 
 
 def _zero_sum_lp_side(kernel: np.ndarray) -> np.ndarray | None:
@@ -391,96 +380,79 @@ class _Tracker:
         return self.best_regret <= self.margin
 
 
-def _run_regret_matching(
+def _predicted_rows(pressure: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Rows proportional to the positive part of ``pressure``.
+
+    A row with no positive entry has no action with positive regret
+    under the prediction, so its current play is a best response to the
+    last values; it is kept.  Null-atom rows never see regret and so
+    stay pinned.
+    """
+    positive = np.maximum(pressure, 0.0)
+    totals = positive.sum(axis=1, keepdims=True)
+    return np.where(
+        totals > 0.0, positive / np.where(totals > 0.0, totals, 1.0), current
+    )
+
+
+def _run_predictive_rm(
     agent_game: AgentFormGame,
     start: list[np.ndarray],
     tracker: _Tracker,
     max_iterations: int,
 ) -> bool:
-    """Regret matching with a positive-part accumulator, linear averaging."""
+    """Alternating predictive regret matching+ from ``start``.
+
+    Each iteration offers the current profile, then updates the players
+    in turn, each against the others' latest strategies: the cumulative
+    regret is clipped at zero and the next strategy is proportional to
+    the positive part of cumulative plus last instantaneous regret.  The
+    average weights iteration t by t^2 and is offered every 10
+    iterations and at the end.
+    """
     x = [v.copy() for v in start]
-    pressure = [np.zeros_like(v) for v in x]
+    cumulative = [np.zeros_like(v) for v in x]
     average = [v.copy() for v in x]
-    weight_sum = 1.0
-    label = "regret-matching"
-    for t in range(max_iterations):
+    weight_sum = 0.0
+    label = "predictive-rm+"
+    for t in range(1, max_iterations + 1):
         tracker.iterations += 1
         values = agent_game.action_values(x)
         if tracker.offer(agent_game.regret(x, values), x, label):
             return True
-        for i in range(agent_game.n):
-            cur = (values[i] * x[i]).sum(axis=1, keepdims=True)
-            pressure[i] = np.maximum(0.0, pressure[i] + values[i] - cur)
-            totals = pressure[i].sum(axis=1, keepdims=True)
-            x[i] = np.where(
-                totals > 0.0,
-                pressure[i] / np.where(totals > 0.0, totals, 1.0),
-                1.0 / agent_game.dims[i],
-            )
-            agent_game._pin_null(i + 1, x[i])
-        w = t + 1.0
-        for i in range(agent_game.n):
-            average[i] = average[i] + (x[i] - average[i]) * (w / (weight_sum + w))
+        w = float(t) * t
         weight_sum += w
-        if (t + 1) % 10 == 0:
+        for i in range(agent_game.n):
+            average[i] = average[i] + (x[i] - average[i]) * (w / weight_sum)
+        for i in range(agent_game.n):
+            # Player 0 faces the profile just evaluated; later players
+            # face the updates made earlier in this sweep.
+            v = values[0] if i == 0 else agent_game.player_action_values(i, x)
+            instant = v - (v * x[i]).sum(axis=1, keepdims=True)
+            cumulative[i] = np.maximum(cumulative[i] + instant, 0.0)
+            x[i] = _predicted_rows(cumulative[i] + instant, x[i])
+        if t % 10 == 0:
             if tracker.offer(agent_game.regret(average), average, label):
                 return True
     return tracker.offer(agent_game.regret(average), average, label)
 
 
-def _run_smoothed_response(
-    agent_game: AgentFormGame,
-    start: list[np.ndarray],
-    tracker: _Tracker,
-    max_iterations: int,
-) -> bool:
-    """Annealed smoothed best response plus a fictitious play average."""
-    scale = agent_game.scale
-    tau_start = 0.5 * scale
-    tau_end = min(1e-4 * scale, 0.05 * max(tracker.margin, 1e-12))
-    horizon = max(1, int(0.6 * max_iterations))
-    decay = (tau_end / tau_start) ** (1.0 / horizon)
-    current = [v.copy() for v in start]
-    average = [v.copy() for v in start]
-    label = "smoothed-best-response"
-    for t in range(max_iterations):
-        tracker.iterations += 1
-        values = agent_game.action_values(current)
-        if tracker.offer(agent_game.regret(current, values), current, label):
-            return True
-        tau = max(tau_end, tau_start * decay**t)
-        current = [
-            _normalized_rows(0.5 * x + 0.5 * _softmax_rows(v, tau))
-            for x, v in zip(current, values)
-        ]
-        for i in range(agent_game.n):
-            agent_game._pin_null(i + 1, current[i])
-
-        avg_values = agent_game.action_values(average)
-        if tracker.offer(agent_game.regret(average, avg_values), average, label):
-            return True
-        w = 1.0 / (t + 2)
-        average = [
-            _normalized_rows((1.0 - w) * av + w * _pure_rows(v))
-            for av, v in zip(average, avg_values)
-        ]
-        for i in range(agent_game.n):
-            agent_game._pin_null(i + 1, average[i])
-    return False
-
-
 def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
     """Search for a low-regret profile of the auxiliary game.
 
-    Deterministic given the seed.  Each restart runs regret matching
-    first and the smoothed best-response process when that stalls,
-    breaking out as soon as any candidate meets the target.  The best
-    profile seen anywhere wins, and the certification module recomputes
-    its exact regret; ``converged`` reports whether that certified
-    number meets the target.
+    Deterministic given the seed.  Two-player zero-sum common-prior
+    games try the exact LP first.  Otherwise each restart (uniform
+    first, then Dirichlet-random starts) runs up to ``max_iterations``
+    iterations of alternating predictive regret matching+, breaking out
+    as soon as the last iterate or the quadratically weighted average
+    meets the target.  The best profile seen anywhere wins, and the
+    certification module recomputes its exact regret; ``converged``
+    reports whether that certified number meets the target.
     """
-    if config.target_regret < 0:
-        raise GameFormatError("target regret must be nonnegative")
+    if not (0.0 <= config.target_regret < math.inf):
+        raise GameFormatError("target regret must be finite and nonnegative")
+    if config.seed < 0:
+        raise GameFormatError("seed must be nonnegative")
 
     tracker = _Tracker(config.target_regret)
     restarts_used = 0
@@ -497,11 +469,7 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
                 start = agent_game.uniform_strategies()
             else:
                 start = agent_game.random_strategies(rng)
-            if _run_regret_matching(
-                agent_game, start, tracker, config.max_iterations
-            ):
-                break
-            if _run_smoothed_response(
+            if _run_predictive_rm(
                 agent_game, start, tracker, config.max_iterations
             ):
                 break

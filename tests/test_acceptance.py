@@ -156,6 +156,29 @@ def test_criterion_3_end_to_end_regret(corpus):
     )
 
 
+# Corpus games that ran out the old solver's whole 32,000-iteration
+# budget (4 restarts of regret matching plus smoothed best response)
+# without reaching epsilon / 2.
+FORMERLY_CAPPED = (13, 30, 33, 41, 44, 54, 73, 79)
+
+
+def test_formerly_capped_games_converge_on_first_restart(corpus):
+    """The hardest corpus games reach the coarse target epsilon / 2 on
+    the first restart, within 2,000 iterations each."""
+    epsilon = 0.05
+    slow = []
+    for idx in FORMERLY_CAPPED:
+        result, _, _ = run_pipeline(corpus[idx], epsilon, seed=idx)
+        if not (
+            result.converged
+            and result.certified_regret <= epsilon / 2.0 + 1e-9
+            and result.restarts == 1
+            and result.iterations <= 2000
+        ):
+            slow.append((idx, result.restarts, result.iterations))
+    assert slow == [], f"(game, restarts, iterations) off target: {slow}"
+
+
 def _grouping(rng, count: int, groups: int) -> list[int]:
     """Surjective labels [0, count) -> [0, groups)."""
     labels = [int(x) for x in rng.integers(0, groups, size=count)]

@@ -213,6 +213,47 @@ class TestSolve:
         assert "epsilon" in capsys.readouterr().err
 
 
+def strict_json(text: str):
+    """Parse JSON, refusing the NaN and Infinity tokens Python allows."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestNumericFlags:
+    """Every numeric flag rejects out-of-range values with exit code 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--epsilon", "inf"],
+            ["solve", "--epsilon", "0.05", "--delta", "inf"],
+            ["solve", "--epsilon", "0.05", "--solver-regret", "nan"],
+            ["solve", "--epsilon", "0.05", "--seed", "-1"],
+            ["verify", "--profile", "unread.json", "--epsilon", "nan"],
+            ["hierarchy", "--delta", "nan"],
+        ],
+    )
+    def test_bad_value_exits_one(self, tmp_path, capsys, argv):
+        # A general-sum game, so a solve would leave the LP path and
+        # reach the seeded restarts.
+        path = write_json(tmp_path / "types.json", TYPES_GAME)
+        code = main(argv + ["--game", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert argv[-2] in captured.err
+        assert captured.out == ""
+
+    def test_solve_report_is_strict_json(self, tmp_path, capsys):
+        path = write_json(tmp_path / "types.json", TYPES_GAME)
+        code = main(["solve", "--game", path, "--epsilon", "0.05", "--seed", "3"])
+        assert code == 0
+        assert strict_json(capsys.readouterr().out)["config"]["seed"] == 3
+
+
 class TestVerify:
     def test_exact_equilibrium_passes(self, anchor_path, tmp_path, capsys):
         profile_path = write_json(tmp_path / "eq.json", ANCHOR_EQUILIBRIUM)

@@ -103,6 +103,28 @@ class TestAgentForm:
         assert computed[0] == pytest.approx(direct[0], abs=1e-12)
         assert computed[1] == pytest.approx(direct[1], abs=1e-12)
 
+    def test_player_action_values_match_the_full_sweep(self):
+        rng = np.random.default_rng(29)
+        for players in (2, 3, 4):
+            for _ in range(3):
+                game = random_nested_game(rng, max_states=20, players=(players,))
+                engine = agent_form_for(game, 0.2)
+                strategies = engine.random_strategies(rng)
+                full = engine.action_values(strategies)
+                for i in range(engine.n):
+                    one = engine.player_action_values(i, strategies)
+                    assert np.allclose(one, full[i], rtol=0.0, atol=1e-12)
+
+    def test_player_action_values_keep_null_rows_zero(self):
+        engine = agent_form_for(null_atom_game(), 0.3)
+        assert (~engine.positive[0]).sum() == 1
+        strategies = engine.random_strategies(np.random.default_rng(4))
+        full = engine.action_values(strategies)
+        for i in range(engine.n):
+            one = engine.player_action_values(i, strategies)
+            assert np.allclose(one, full[i], rtol=0.0, atol=1e-12)
+            assert np.all(one[~engine.positive[i]] == 0.0)
+
     def test_profile_round_trip(self, informed_anchor):
         engine = agent_form_for(informed_anchor, 0.2)
         rng = np.random.default_rng(3)
@@ -246,6 +268,17 @@ class TestSolver:
         engine = agent_form_for(matching_pennies, 0.2)
         with pytest.raises(GameFormatError):
             solve_nash(engine, SolverConfig(target_regret=-0.1))
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_rejects_non_finite_target(self, matching_pennies, target):
+        engine = agent_form_for(matching_pennies, 0.2)
+        with pytest.raises(GameFormatError, match="finite"):
+            solve_nash(engine, SolverConfig(target_regret=target))
+
+    def test_rejects_negative_seed(self):
+        engine = agent_form_for(two_state_game(), 0.2)
+        with pytest.raises(GameFormatError, match="seed"):
+            solve_nash(engine, SolverConfig(target_regret=0.05, seed=-1))
 
     def test_random_games_reach_modest_targets(self):
         rng = np.random.default_rng(88)

@@ -44,8 +44,8 @@ from .hierarchy import (
     check_properties,
     expectation_gap,
     grid_for,
-    round_to_net,
 )
+from .pipeline import Solution, solve
 from .regret import (
     ConsistencyError,
     RegretReport,
@@ -53,7 +53,6 @@ from .regret import (
     brute_force_check,
     certify,
     coarse_best_response_gap,
-    harsanyi_regret,
 )
 from .solver import (
     AuxGame,
@@ -84,6 +83,7 @@ __all__ = [
     "SchemaError",
     "SimplexGrid",
     "SimplexPoint",
+    "Solution",
     "SolveResult",
     "SolverConfig",
     "StateSpace",
@@ -104,14 +104,13 @@ __all__ = [
     "floor_to_multiple",
     "from_type_space",
     "grid_for",
-    "harsanyi_regret",
     "lift_strategy",
     "load_game",
     "load_profile",
     "payoff_bound",
     "payoff_classes",
     "probe_harsanyi_regret",
-    "round_to_net",
+    "solve",
     "solve_nash",
     "to_agent_form",
     "truncate_states",

@@ -31,7 +31,6 @@ from .game import (
     InvalidGameError,
     NestedGame,
     payoff_bound,
-    validate_game,
     validate_profile,
 )
 from .gamefile import (
@@ -40,16 +39,10 @@ from .gamefile import (
     load_profile,
     profile_to_json,
 )
-from .hierarchy import Hierarchy, build_hierarchy, check_properties
+from .hierarchy import Hierarchy, PropertyReport, build_hierarchy, check_properties
+from .pipeline import Solution, solve
 from .regret import CERT_SLACK, ConsistencyError, RegretReport, certify
-from .solver import (
-    SolveResult,
-    SolverConfig,
-    build_auxiliary_game,
-    lift_strategy,
-    solve_nash,
-    to_agent_form,
-)
+from .solver import SolveResult
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +164,9 @@ def _ingestion_block(game: NestedGame) -> dict:
     return block
 
 
-def _hierarchy_block(game: NestedGame, hier: Hierarchy) -> dict:
+def _hierarchy_block(
+    game: NestedGame, hier: Hierarchy, audit: PropertyReport
+) -> dict:
     levels = []
     for level in hier.levels:
         levels.append(
@@ -184,8 +179,7 @@ def _hierarchy_block(game: NestedGame, hier: Hierarchy) -> dict:
             }
         )
     checks = [
-        {"name": c.name, "player": c.player, "ok": c.ok}
-        for c in check_properties(game, hier).checks
+        {"name": c.name, "player": c.player, "ok": c.ok} for c in audit.checks
     ]
     atoms = {
         str(i): {
@@ -313,173 +307,100 @@ def _emit_report(report: dict, fmt: str, csv_text: str | None, out: str | None):
         _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False), out)
 
 
-def _require_valid(game: NestedGame) -> None:
-    report = validate_game(game)
-    if not report.ok:
-        raise InvalidGameError(report)
+def _solve_report(game: NestedGame, mode: str, args) -> tuple[Solution, dict]:
+    """Run the pipeline; return its solution and the report blocks that
+    finite and continuous solves share."""
+    sol = solve(
+        game,
+        args.epsilon,
+        delta=args.delta,
+        target=args.solver_regret,
+        seed=args.seed,
+    )
+    return sol, {
+        "config": {
+            "command": "solve",
+            "mode": mode,
+            "epsilon": args.epsilon,
+            "delta": sol.delta,
+            "solver_target": sol.target,
+            "seed": args.seed,
+            "format_version": 1,
+        },
+        "constants": {
+            "payoff_bound": sol.payoff_bound,
+            "action_profiles": sol.action_profiles,
+            "players": game.n,
+            "states": len(game.space.states),
+        },
+        "hierarchy": _hierarchy_block(game, sol.hierarchy, sol.checks),
+        "solver": _solver_block(sol.result),
+        "profile": profile_to_json(sol.profile),
+        "transfer": {
+            "delta": sol.delta,
+            "coarse_regret": sol.result.certified_regret,
+            "bound": sol.transfer_bound,
+            "measured_max_regret": sol.report.max_regret,
+            "within_bound": sol.report.max_regret <= sol.transfer_bound + CERT_SLACK,
+        },
+    }
 
 
 # -- commands ----------------------------------------------------------------
 
 
 def _solve_finite(game: NestedGame, mode: str, args) -> int:
-    epsilon = args.epsilon
-    _require_valid(game)
-    bound = payoff_bound(game)
-    profiles = 1
-    for acts in game.payoffs.actions:
-        profiles *= len(acts)
-    delta = args.delta
-    if delta is None:
-        delta = epsilon / (2.0 * bound * profiles)
-    if not delta > 0.0:
-        raise GameFormatError("delta must be positive")
-    target = args.solver_regret
-    if target is None:
-        target = epsilon / 2.0
-
-    hier = build_hierarchy(game, delta)
-    aux = build_auxiliary_game(game, hier)
-    agents = to_agent_form(aux)
-    result = solve_nash(
-        agents,
-        SolverConfig(target_regret=target, seed=args.seed),
-    )
-    lifted = lift_strategy(result.profile, game, hier)
-    report = certify(game, lifted, epsilon)
-    transfer_bound = delta * bound * profiles + result.certified_regret
-
-    doc = {
-        "config": {
-            "command": "solve",
-            "mode": mode,
-            "epsilon": epsilon,
-            "delta": delta,
-            "solver_target": target,
-            "seed": args.seed,
-            "format_version": 1,
-        },
-        "constants": {
-            "payoff_bound": bound,
-            "action_profiles": profiles,
-            "players": game.n,
-            "states": len(game.space.states),
-        },
-        "ingestion": _ingestion_block(game),
-        "hierarchy": _hierarchy_block(game, hier),
-        "solver": _solver_block(result),
-        "profile": profile_to_json(lifted),
-        "coarse_profile": profile_to_json(result.profile),
-        "regret": _regret_block(report),
-        "transfer": {
-            "delta": delta,
-            "coarse_regret": result.certified_regret,
-            "bound": transfer_bound,
-            "measured_max_regret": report.max_regret,
-            "within_bound": report.max_regret <= transfer_bound + CERT_SLACK,
-        },
-    }
-    _emit_report(doc, args.format, _regret_csv(report), args.out)
-    return 0 if report.passed else 2
+    sol, doc = _solve_report(game, mode, args)
+    doc["ingestion"] = _ingestion_block(game)
+    doc["coarse_profile"] = profile_to_json(sol.result.profile)
+    doc["regret"] = _regret_block(sol.report)
+    _emit_report(doc, args.format, _regret_csv(sol.report), args.out)
+    return 0 if sol.report.passed else 2
 
 
 def _solve_continuous(compact, args) -> int:
-    epsilon = args.epsilon
-    disc = build_hat_game(compact, epsilon)
+    disc = build_hat_game(compact, args.epsilon)
     gap = certify_sup_gap(disc)
     game = disc.game
-    _require_valid(game)
-    bound = payoff_bound(game)
-    profiles = 1
-    for acts in game.payoffs.actions:
-        profiles *= len(acts)
-    delta = args.delta
-    if delta is None:
-        delta = epsilon / (2.0 * bound * profiles)
-    if not delta > 0.0:
-        raise GameFormatError("delta must be positive")
-    target = args.solver_regret
-    if target is None:
-        target = epsilon / 2.0
-
-    hier = build_hierarchy(game, delta)
-    aux = build_auxiliary_game(game, hier)
-    agents = to_agent_form(aux)
-    result = solve_nash(
-        agents,
-        SolverConfig(target_regret=target, seed=args.seed),
-    )
-    lifted = lift_strategy(result.profile, game, hier)
-    hat_report = certify(game, lifted, epsilon)
-    audit = probe_harsanyi_regret(disc, lifted)
-
-    doc = {
-        "config": {
-            "command": "solve",
-            "mode": "continuous",
-            "epsilon": epsilon,
-            "delta": delta,
-            "solver_target": target,
-            "seed": args.seed,
-            "format_version": 1,
+    sol, doc = _solve_report(game, "continuous", args)
+    audit = probe_harsanyi_regret(disc, sol.profile)
+    doc["discretization"] = {
+        "epsilon": args.epsilon,
+        "eta0": disc.eta0,
+        "lipschitz": compact.lipschitz,
+        "payoff_bound": disc.bound_m,
+        "net_sizes": [len(net) for net in disc.nets],
+        "truncation": {
+            "kept": len(disc.truncation.omega_double_prime),
+            "dropped": len(game.space.states)
+            - len(disc.truncation.omega_double_prime),
+            "kept_mass": disc.truncation.kept_mass,
+            "tail_out": disc.truncation.tail_out,
         },
-        "discretization": {
-            "epsilon": epsilon,
-            "eta0": disc.eta0,
-            "lipschitz": compact.lipschitz,
-            "payoff_bound": disc.bound_m,
-            "net_sizes": [len(net) for net in disc.nets],
-            "truncation": {
-                "kept": len(disc.truncation.omega_double_prime),
-                "dropped": len(game.space.states)
-                - len(disc.truncation.omega_double_prime),
-                "kept_mass": disc.truncation.kept_mass,
-                "tail_out": disc.truncation.tail_out,
-            },
-            "gap_certificate": {
-                "budget": gap.budget,
-                "ok": gap.ok,
-                "players": [
-                    {
-                        "player": p.player,
-                        "rounding": p.rounding,
-                        "net": p.net,
-                        "tail_mid": p.tail_mid,
-                        "tail_out": p.tail_out,
-                        "total": p.total,
-                    }
-                    for p in gap.players
-                ],
-            },
-        },
-        "constants": {
-            "payoff_bound": bound,
-            "action_profiles": profiles,
-            "players": game.n,
-            "states": len(game.space.states),
-        },
-        "hierarchy": _hierarchy_block(game, hier),
-        "solver": _solver_block(result),
-        "profile": profile_to_json(lifted),
-        "hat_regret": _regret_block(hat_report),
-        "transfer": {
-            "delta": delta,
-            "coarse_regret": result.certified_regret,
-            "bound": delta * bound * profiles + result.certified_regret,
-            "measured_max_regret": hat_report.max_regret,
-            "within_bound": hat_report.max_regret
-            <= delta * bound * profiles + result.certified_regret + CERT_SLACK,
-        },
-        "probe_audit": {
-            "budget": audit.budget,
-            "max_regret": audit.max_regret,
-            "ok": audit.ok,
+        "gap_certificate": {
+            "budget": gap.budget,
+            "ok": gap.ok,
             "players": [
-                {"player": e.player, "regret": e.regret} for e in audit.entries
+                {
+                    "player": p.player,
+                    "rounding": p.rounding,
+                    "net": p.net,
+                    "tail_mid": p.tail_mid,
+                    "tail_out": p.tail_out,
+                    "total": p.total,
+                }
+                for p in gap.players
             ],
         },
     }
-    _emit_report(doc, args.format, _regret_csv(hat_report), args.out)
+    doc["hat_regret"] = _regret_block(sol.report)
+    doc["probe_audit"] = {
+        "budget": audit.budget,
+        "max_regret": audit.max_regret,
+        "ok": audit.ok,
+        "players": [{"player": e.player, "regret": e.regret} for e in audit.entries],
+    }
+    _emit_report(doc, args.format, _regret_csv(sol.report), args.out)
     return 0 if audit.ok else 2
 
 
@@ -498,7 +419,7 @@ def _cmd_verify(args) -> int:
         )
     game = loaded.game
     epsilon = args.epsilon
-    _require_valid(game)
+    game.require_valid()
     profile = load_profile(args.profile)
     problems = validate_profile(game, profile)
     if problems:
@@ -530,9 +451,8 @@ def _cmd_hierarchy(args) -> int:
             "hierarchy works on finite and types games; solve handles continuous ones"
         )
     game = loaded.game
-    _require_valid(game)
     hier = build_hierarchy(game, args.delta)
-    block = _hierarchy_block(game, hier)
+    block = _hierarchy_block(game, hier, check_properties(game, hier))
     doc = {
         "config": {
             "command": "hierarchy",

@@ -33,7 +33,6 @@ from .game import (
     State,
     StateSpace,
     StrategyProfile,
-    payoff_bound,
 )
 
 Monomial = tuple[float, tuple[int, ...]]
@@ -73,7 +72,6 @@ class CompactGameSpec:
 
 @dataclass(frozen=True)
 class StateTruncation:
-    omega_prime: tuple[State, ...]
     omega_double_prime: tuple[State, ...]
     bound_m: float
     kept_mass: float
@@ -213,7 +211,8 @@ def truncate_states(
         kept = states
     else:
         kept = [s for s in states if bounds[s] <= cap]
-    dropped = [s for s in states if s not in set(kept)]
+    kept_set = set(kept)
+    dropped = [s for s in states if s not in kept_set]
     tail_out = math.fsum(prior[s] * bounds[s] for s in dropped)
     kept_mass = math.fsum(prior[s] for s in kept)
     if cap is not None:
@@ -229,7 +228,6 @@ def truncate_states(
             )
     bound_m = max(1.0, max((bounds[s] for s in kept), default=1.0))
     return StateTruncation(
-        omega_prime=tuple(kept),
         omega_double_prime=tuple(kept),
         bound_m=bound_m,
         kept_mass=kept_mass,
@@ -467,7 +465,3 @@ def probe_harsanyi_regret(
         entries.append(ProbeEntry(player=i, regret=total))
         worst = max(worst, total)
     return ProbeAudit(entries=tuple(entries), max_regret=worst, budget=budget)
-
-
-def hat_payoff_bound(disc: DiscretizedGame) -> float:
-    return payoff_bound(disc.game)

@@ -137,6 +137,16 @@ class NestedGame:
     def actions_for(self, player: int) -> tuple[Action, ...]:
         return self.payoffs.actions[player - 1]
 
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """``validate_game(self)``, computed once per game."""
+        return validate_game(self)
+
+    def require_valid(self) -> None:
+        """Raise InvalidGameError unless the game passes validation."""
+        if not self.validation.ok:
+            raise InvalidGameError(self.validation)
+
 
 @dataclass(frozen=True)
 class StrategyProfile:
@@ -213,8 +223,9 @@ def _check_prior(
     prior: Mapping[State, float],
     states: tuple[State, ...],
 ) -> None:
+    known = set(states)
     missing = [s for s in states if s not in prior]
-    extra = [s for s in prior if s not in set(states)]
+    extra = [s for s in prior if s not in known]
     if missing:
         violations.append(
             Violation("prior", f"{label} missing mass for state {missing[0]!r}")

@@ -150,12 +150,12 @@ def _parse_actions(obj: Any, n: int) -> tuple[tuple[str, ...], ...]:
         labels = _expect_list(row, f"actions.{i}")
         if not labels:
             raise SchemaError(f"actions.{i} must be nonempty")
-        seen = []
+        seen: dict[str, None] = {}
         for k, label in enumerate(labels):
             label = _expect_string(label, f"actions.{i}[{k}]")
             if label in seen:
                 raise SchemaError(f"actions.{i}: duplicate action {label!r}")
-            seen.append(label)
+            seen[label] = None
         out.append(tuple(seen))
     return tuple(out)
 

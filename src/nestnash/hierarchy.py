@@ -24,16 +24,13 @@ from functools import cached_property
 from .game import (
     Atom,
     InformationPartition,
-    InvalidGameError,
     GameFormatError,
     NestedGame,
     PayoffClasses,
     State,
     MASS_TOL,
     payoff_classes,
-    refines,
     _refinement_witness,
-    validate_game,
 )
 
 # Slack for comparing float L1 gaps against exact rational grid bounds.
@@ -135,53 +132,6 @@ def grid_for(dim: int, delta: float) -> SimplexGrid:
     return SimplexGrid(dim=dim, resolution=k)
 
 
-def round_to_net(p: SimplexPoint | Sequence[float], delta: float) -> SimplexPoint:
-    """Round a simplex point to the delta-net grid."""
-    coords = p.coords if isinstance(p, SimplexPoint) else tuple(p)
-    grid = grid_for(len(coords), delta)
-    return grid.point(grid.round(coords))
-
-
-def conditional_distribution(
-    value_of: Mapping[State, int],
-    partition: InformationPartition,
-    prior: Mapping[State, float],
-    support: Sequence[int] | None = None,
-) -> dict[Atom, SimplexPoint]:
-    """Exact conditional distribution of a discrete map given each atom.
-
-    Only atoms with positive mass appear in the result.  ``support``
-    fixes the coordinate order; when omitted it is the first-occurrence
-    order of values over the partition's state order.
-    """
-    if support is None:
-        seen: dict[int, None] = {}
-        for s in partition.atom_of:
-            if prior.get(s, 0.0) > 0.0:
-                seen.setdefault(value_of[s])
-        support = list(seen.keys())
-    index = {v: i for i, v in enumerate(support)}
-    out: dict[Atom, SimplexPoint] = {}
-    for atom, members in partition.atoms.items():
-        mass = math.fsum(prior[s] for s in members)
-        if mass <= 0.0:
-            continue
-        weights = [[] for _ in support]
-        for s in members:
-            w = prior[s]
-            if w > 0.0:
-                v = value_of[s]
-                if v not in index:
-                    raise GameFormatError(
-                        f"state {s!r} maps to value {v!r} outside the support"
-                    )
-                weights[index[v]].append(w)
-        out[atom] = SimplexPoint(
-            coords=tuple(math.fsum(ws) / mass for ws in weights)
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class HierarchyLevel:
     """One player's rounded-belief layer.
@@ -244,9 +194,7 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
 
     Raises InvalidGameError when the game fails validation.
     """
-    report = validate_game(game)
-    if not report.ok:
-        raise InvalidGameError(report)
+    game.require_valid()
     if delta <= 0:
         raise GameFormatError("delta must be positive")
 

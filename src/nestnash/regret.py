@@ -177,15 +177,6 @@ def bayesian_regret(
     return out
 
 
-def harsanyi_regret(game: NestedGame, profile: StrategyProfile) -> dict[int, float]:
-    """Ex-ante regret per player: prior-weighted positive parts of atom regrets."""
-    table = bayesian_regret(game, profile)
-    return {
-        i: math.fsum(e.mass * max(0.0, e.regret) for e in entries.values())
-        for i, entries in table.items()
-    }
-
-
 def certify(game: NestedGame, profile: StrategyProfile, epsilon: float) -> RegretReport:
     """Full regret certificate against a target epsilon.
 
@@ -381,29 +372,12 @@ def coarse_best_response_gap(
     }
 
     own_actions = game.actions_for(player)
-    prior = game.prior_for(player)
     partition = game.partition_for(player)
-    profiles = tuple(game.payoffs.profiles())
 
     worst = 0.0
-    for atom, members in partition.atoms.items():
-        mass = math.fsum(prior[s] for s in members)
-        if mass <= 0.0:
-            continue
-        rep = members[0]
-        # Exact conditional value of each own action on this atom.
-        exact: dict[Action, float] = {}
-        for a in own_actions:
-            exact[a] = math.fsum(
-                prior[s]
-                * math.fsum(
-                    p * game.payoffs.values[(s, _merge(player, a, combo))][player - 1]
-                    for combo, p in _others_weight(game, eval_profile, s, player)
-                )
-                for s in members
-                if prior[s] > 0.0
-            ) / mass
-
+    # Exact conditional value of each own action, per positive-mass atom.
+    for atom, exact in best_response_values(game, eval_profile, player).items():
+        rep = partition.atoms[atom][0]
         # Rounded-belief reconstruction.  The own belief tuple at levels
         # player..n is constant on the atom.
         own_tail = tuple(
@@ -443,5 +417,5 @@ def coarse_best_response_gap(
                         )
                 recon[a].append(weight * math.fsum(acc))
         for a in own_actions:
-            worst = max(worst, abs(exact[a] - math.fsum(recon[a])))
+            worst = max(worst, abs(exact.values[a] - math.fsum(recon[a])))
     return worst

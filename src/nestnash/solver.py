@@ -37,7 +37,7 @@ from .game import (
     NestedGame,
     StrategyProfile,
 )
-from .hierarchy import Hierarchy, check_properties
+from .hierarchy import Hierarchy, PropertyReport, check_properties
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,15 @@ class AuxGame:
 
     ``null_atoms`` lists, per player, coarse atoms carrying zero mass
     under that player's prior; they hold no incentive content and are
-    pinned to a fixed pure action by the solver.
+    pinned to a fixed pure action by the solver.  ``checks`` is the
+    hierarchy's structural audit, which passed.
     """
 
     base: NestedGame
     hierarchy: Hierarchy
     coarse_game: NestedGame
     null_atoms: dict[int, tuple[Atom, ...]]
+    checks: PropertyReport
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,7 @@ def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
         hierarchy=hierarchy,
         coarse_game=coarse_game,
         null_atoms=null_atoms,
+        checks=report,
     )
 
 
@@ -251,14 +254,6 @@ class AgentFormGame:
             cur = (values[i][pos] * strategies[i][pos]).sum(axis=1)
             worst = max(worst, float((best - cur).max()))
         return worst
-
-    def player_payoffs(self, strategies: list[np.ndarray]) -> np.ndarray:
-        values = self.action_values(strategies)
-        out = np.zeros(self.n)
-        for i in range(self.n):
-            cur = (values[i] * strategies[i]).sum(axis=1)
-            out[i] = float((cur * self.masses[i]).sum())
-        return out
 
     # -- conversions --------------------------------------------------------
 

@@ -35,17 +35,10 @@ from nestnash.game import (
     PayoffTensor,
     StateSpace,
     expected_payoff,
-    payoff_bound,
 )
 from nestnash.hierarchy import build_hierarchy, check_properties, expectation_gap
+from nestnash.pipeline import solve
 from nestnash.regret import bayesian_regret, brute_force_check, certify
-from nestnash.solver import (
-    SolverConfig,
-    build_auxiliary_game,
-    lift_strategy,
-    solve_nash,
-    to_agent_form,
-)
 
 CORPUS_SEED = 20260819
 CORPUS_SIZE = 100
@@ -63,22 +56,10 @@ def corpus():
     return [random_nested_game(rng) for _ in range(CORPUS_SIZE)]
 
 
-def run_pipeline(game, epsilon, seed=0, max_iterations=4000):
-    """Hierarchy, coarse solve, and lift with the standard budget split."""
-    bound = payoff_bound(game)
-    profiles = 1
-    for acts in game.payoffs.actions:
-        profiles *= len(acts)
-    delta = epsilon / (2.0 * bound * profiles)
-    hierarchy = build_hierarchy(game, delta)
-    engine = to_agent_form(build_auxiliary_game(game, hierarchy))
-    config = SolverConfig(
-        target_regret=epsilon / 2.0, seed=seed, max_iterations=max_iterations
-    )
-    result = solve_nash(engine, config)
-    lifted = lift_strategy(result.profile, game, hierarchy)
-    transfer_bound = delta * bound * profiles + result.certified_regret
-    return result, lifted, transfer_bound
+def run_pipeline(game, epsilon, seed=0):
+    """The library pipeline's coarse result, lifted profile and transfer bound."""
+    solution = solve(game, epsilon, seed=seed)
+    return solution.result, solution.profile, solution.transfer_bound
 
 
 def test_criterion_1_hierarchy_soundness(corpus):

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import nestnash.game
+import nestnash.hierarchy
 from nestnash.cli import main
 
 MP_GAME = {
@@ -211,6 +213,30 @@ class TestSolve:
     def test_nonpositive_epsilon_is_invalid_input(self, mp_path, capsys):
         assert main(["solve", "--game", mp_path, "--epsilon", "0"]) == 1
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [ANCHOR_GAME, CONTINUOUS_GAME])
+    def test_validates_and_audits_once(self, doc, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "game.json", doc)
+        validations = count_calls(monkeypatch, nestnash.game, "validate_game")
+        audits = count_calls(monkeypatch, nestnash.hierarchy, "check_properties")
+        assert main(["solve", "--game", path, "--epsilon", "0.25"]) == 0
+        assert len(validations) == 1
+        assert len(audits) == 1
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Count calls of ``module.name`` through every nestnash module holding it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "nestnash" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def strict_json(text: str):

@@ -13,7 +13,6 @@ from nestnash.discretize import (
     certify_sup_gap,
     eta_net,
     floor_to_multiple,
-    hat_payoff_bound,
     net_spacing,
     poly_eval,
     poly_lipschitz_bound,
@@ -27,6 +26,7 @@ from nestnash.game import (
     StateSpace,
     StrategyProfile,
     expected_payoff,
+    payoff_bound,
     validate_profile,
 )
 from nestnash.hierarchy import build_hierarchy
@@ -120,7 +120,7 @@ class TestTruncation:
         trunc = truncate_states(
             {"w1": 3.0, "w2": 0.5}, {"w1": 0.5, "w2": 0.5}, epsilon=0.1
         )
-        assert trunc.omega_prime == ("w1", "w2")
+        assert trunc.omega_double_prime == ("w1", "w2")
         assert trunc.bound_m == 3.0
         assert trunc.tail_out == 0.0
         assert trunc.kept_mass == 1.0
@@ -130,7 +130,7 @@ class TestTruncation:
         trunc = truncate_states(
             {"w1": 1.0, "w2": 100.0}, prior, epsilon=0.1, cap=10.0
         )
-        assert trunc.omega_prime == ("w1",)
+        assert trunc.omega_double_prime == ("w1",)
         assert trunc.bound_m == 1.0
         assert trunc.tail_out == pytest.approx(0.01)
         assert trunc.kept_mass == pytest.approx(1.0 - 1e-4)
@@ -248,7 +248,7 @@ class TestHatGame:
         # 0.25-lattice values of a linear payoff on the 0.25 grid are exact.
         assert disc.game.payoffs.values[("w", ((1.0,), (0.5,)))] == (1.0, 0.5)
         assert disc.game.payoffs.values[("w", ((0.75,), (0.0,)))] == (0.75, 0.0)
-        assert hat_payoff_bound(disc) == 1.0
+        assert payoff_bound(disc.game) == 1.0
 
     def test_quantization_never_exceeds_the_true_value(self):
         rng = np.random.default_rng(47)
@@ -278,7 +278,7 @@ class TestHatGame:
             payoff_cap=10.0,
         )
         disc = build_hat_game(heavy, 0.5)
-        assert disc.truncation.omega_prime == ("w1",)
+        assert disc.truncation.omega_double_prime == ("w1",)
         profile = next(iter(disc.game.payoffs.profiles()))
         assert disc.game.payoffs.values[("w2", profile)] == (0.0, 0.0)
         cert = certify_sup_gap(disc)

@@ -22,10 +22,8 @@ from nestnash.hierarchy import (
     approx_expectation,
     build_hierarchy,
     check_properties,
-    conditional_distribution,
     expectation_gap,
     grid_for,
-    round_to_net,
 )
 
 
@@ -153,11 +151,6 @@ class TestGridSelection:
         with pytest.raises(GameFormatError):
             grid_for(0, 0.5)
 
-    def test_round_to_net_returns_grid_point(self):
-        point = round_to_net((0.21, 0.79), 0.2)
-        assert isinstance(point, SimplexPoint)
-        assert point.coords == (0.2, 0.8)
-
 
 class TestSimplexPoint:
     def test_rejects_negative_and_unnormalized(self):
@@ -173,30 +166,6 @@ class TestSimplexPoint:
         assert p.l1_distance((0.75, 0.25)) == pytest.approx(1.0)
         with pytest.raises(GameFormatError):
             p.l1_distance((1.0,))
-
-
-class TestConditionalDistribution:
-    def test_hand_computed_conditionals(self):
-        part = InformationPartition(
-            player=1, atom_of={"w1": "a", "w2": "a", "w3": "b"}
-        )
-        prior = {"w1": 0.2, "w2": 0.3, "w3": 0.5}
-        value_of = {"w1": 0, "w2": 1, "w3": 0}
-        cond = conditional_distribution(value_of, part, prior)
-        assert cond["a"].coords == pytest.approx((0.4, 0.6))
-        assert cond["b"].coords == pytest.approx((1.0, 0.0))
-
-    def test_zero_mass_atom_omitted(self):
-        part = InformationPartition(player=1, atom_of={"w1": "a", "w2": "b"})
-        cond = conditional_distribution(
-            {"w1": 0, "w2": 0}, part, {"w1": 1.0, "w2": 0.0}
-        )
-        assert set(cond) == {"a"}
-
-    def test_value_outside_support_rejected(self):
-        part = InformationPartition(player=1, atom_of={"w1": "a"})
-        with pytest.raises(GameFormatError):
-            conditional_distribution({"w1": 3}, part, {"w1": 1.0}, support=[0, 1])
 
 
 def anchor_with_prior(base: NestedGame, prior: dict) -> NestedGame:

@@ -23,7 +23,6 @@ from nestnash.regret import (
     brute_force_check,
     certify,
     coarse_best_response_gap,
-    harsanyi_regret,
 )
 from test_game import mixed_profile, two_state_game
 

@@ -94,15 +94,6 @@ class TestAgentForm:
                             br[atom].values[action], abs=1e-9
                         )
 
-    def test_player_payoffs_match_expected_payoff(self, informed_anchor):
-        engine = agent_form_for(informed_anchor, 0.2)
-        strategies = engine.uniform_strategies()
-        profile = engine.to_profile(strategies)
-        direct = expected_payoff(engine.aux.coarse_game, profile)
-        computed = engine.player_payoffs(strategies)
-        assert computed[0] == pytest.approx(direct[0], abs=1e-12)
-        assert computed[1] == pytest.approx(direct[1], abs=1e-12)
-
     def test_player_action_values_match_the_full_sweep(self):
         rng = np.random.default_rng(29)
         for players in (2, 3, 4):

@@ -8,9 +8,11 @@ accuracy target, producing a finite game whose equilibria carry an
 explicit sup-norm certificate back to the continuous game.
 
 All rounding here is exact: grid coordinates are short dyadic-free
-fractions j/(m-1) and payoff quantization runs through ``fractions``
-so the committed error window [0, epsilon) holds as a statement about
-the produced floats, not about ideal reals.
+fractions j/(m-1) and payoff quantization is the ``fractions`` floor of
+``floor_to_multiple`` (the grid game floors in numpy only where a
+proven error bound shows the two agree), so the committed error window
+[0, epsilon) holds as a statement about the produced floats, not about
+ideal reals.
 """
 
 from __future__ import annotations
@@ -160,9 +162,12 @@ def eta_net(dim: int, eta0: float) -> tuple[tuple[float, ...], ...]:
         raise GameFormatError("net dimension must be at least 1")
     if not eta0 > 0.0:
         raise GameFormatError("net resolution must be positive")
+    return tuple(itertools.product(_net_axis(eta0), repeat=dim))
+
+
+def _net_axis(eta0: float) -> tuple[float, ...]:
     per_axis = math.ceil(1.0 / eta0) + 1
-    axis = tuple(j / (per_axis - 1) for j in range(per_axis))
-    return tuple(itertools.product(axis, repeat=dim))
+    return tuple(j / (per_axis - 1) for j in range(per_axis))
 
 
 def net_spacing(eta0: float) -> float:
@@ -263,12 +268,26 @@ def _validate_spec(spec: CompactGameSpec) -> None:
                     raise GameFormatError("monomial exponents must be nonnegative")
                 if not math.isfinite(coef):
                     raise GameFormatError("monomial coefficients must be finite")
-            worst = max(worst, poly_lipschitz_bound(poly))
+            _finite_bound(poly_value_bound, poly, f"value bound for {key!r}")
+            worst = max(
+                worst,
+                _finite_bound(poly_lipschitz_bound, poly, f"Lipschitz sum for {key!r}"),
+            )
     if worst > spec.lipschitz + 1e-9:
         raise GameFormatError(
             f"declared Lipschitz constant {spec.lipschitz} is below the "
             f"coefficient bound {worst:.6g}"
         )
+
+
+def _finite_bound(bound, poly: Poly, what: str) -> float:
+    try:
+        value = bound(poly)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise GameFormatError(f"{what} overflows a float")
+    return value
 
 
 def state_payoff_bounds(spec: CompactGameSpec) -> dict[State, float]:
@@ -284,7 +303,11 @@ def build_hat_game(spec: CompactGameSpec, epsilon: float) -> DiscretizedGame:
     Action sets become uniform grids of mesh epsilon / lipschitz.
     Payoffs on kept states are floored to the epsilon lattice, so they
     sit within [0, epsilon) below the true value; discarded states pay
-    zero and are charged to the tail of the certificate.
+    zero and are charged to the tail of the certificate.  Each payoff
+    polynomial is evaluated over the whole joint net at once
+    (``_net_floors``), and every value equals the scalar
+    ``floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)``
+    bit for bit.
     """
     if not epsilon > 0.0:
         raise GameFormatError("epsilon must be positive")
@@ -296,20 +319,19 @@ def build_hat_game(spec: CompactGameSpec, epsilon: float) -> DiscretizedGame:
     )
     kept = set(truncation.omega_double_prime)
     bound_m = truncation.bound_m
+    grid = _joint_grid(spec, nets, _net_axis(eta0))
 
     values: dict[tuple[State, tuple[Action, ...]], tuple[float, ...]] = {}
     for s in spec.space.states:
-        polys = [spec.payoffs[(s, i)] for i in range(1, spec.n + 1)]
-        for profile in itertools.product(*nets):
-            point = tuple(x for block in profile for x in block)
-            if s in kept:
-                vals = tuple(
-                    floor_to_multiple(poly_eval(p, point), epsilon, bound_m)
-                    for p in polys
-                )
-            else:
-                vals = (0.0,) * spec.n
-            values[(s, profile)] = vals
+        keys = [(s, profile) for profile in grid.profiles]
+        if s in kept:
+            columns = [
+                _net_floors(spec.payoffs[(s, i)], grid, epsilon, bound_m)
+                for i in range(1, spec.n + 1)
+            ]
+            values.update(zip(keys, zip(*columns)))
+        else:
+            values.update(dict.fromkeys(keys, (0.0,) * spec.n))
 
     game = NestedGame(
         space=spec.space,
@@ -327,6 +349,136 @@ def build_hat_game(spec: CompactGameSpec, epsilon: float) -> DiscretizedGame:
     )
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_FLOAT = math.ulp(0.0)
+
+
+@dataclass(frozen=True)
+class _JointGrid:
+    """The joint net as one numpy grid with one axis per coordinate.
+
+    ``profiles`` lists the joint profiles in ``itertools.product(*nets)``
+    order, which is the C order of ``shape``.  ``powers[(d, e)]`` holds
+    ``x**e`` for every axis value x (Python's float power, as in
+    ``poly_eval``), shaped to broadcast along coordinate d; it is None
+    when some table entry falls outside [0, 1], which sends every value
+    to the scalar path.
+    """
+
+    profiles: list[tuple[Action, ...]]
+    shape: tuple[int, ...]
+    powers: dict[tuple[int, int], np.ndarray] | None
+
+
+def _joint_grid(
+    spec: CompactGameSpec,
+    nets: tuple[tuple[tuple[float, ...], ...], ...],
+    axis: tuple[float, ...],
+) -> _JointGrid:
+    dims = spec.total_dim
+    pairs = {
+        (d, e)
+        for poly in spec.payoffs.values()
+        for _, exps in poly
+        for d, e in enumerate(exps)
+        if e
+    }
+    tables = {e: np.array([x**e for x in axis]) for e in {e for _, e in pairs}}
+    powers = None
+    if all(t.min() >= 0.0 and t.max() <= 1.0 for t in tables.values()):
+        powers = {
+            (d, e): tables[e].reshape((1,) * d + (-1,) + (1,) * (dims - d - 1))
+            for d, e in pairs
+        }
+    return _JointGrid(
+        profiles=list(itertools.product(*nets)),
+        shape=(len(axis),) * dims,
+        powers=powers,
+    )
+
+
+def _net_floors(
+    poly: Poly, grid: _JointGrid, epsilon: float, bound_m: float
+) -> list[float]:
+    """``floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)`` at
+    every joint grid point, in profile order, bit for bit.
+
+    Values far from the epsilon lattice are floored in numpy; the rest
+    (a guard band of relative width about 2 (n + 2) u R, below) take
+    the scalar path.  Why a safe entry is exact, with u = 2**-53, eta
+    = 2**-1074, n = len(poly), C = sum |coef| (real),
+    P = ``poly_value_bound(poly)`` = fsum |coef| and R = P / epsilon:
+
+    - Terms.  Each term is ``coef`` times the table entries x**e,
+      multiplied left to right as ``poly_eval`` does, so the terms are
+      the scalar terms bit for bit.  The entries lie in [0, 1] (checked
+      in ``_joint_grid``), so each |term| <= |coef| by monotone
+      rounding.
+    - Sum.  Let T be the exact sum of the terms.  The scalar value is
+      V = fsum = fl(T), so |V - T| <= u C; the plain sum S has
+      |S - T| <= (n - 1) u C / (1 - (n - 1) u).  Hence
+      |S - V| <= E with E / epsilon <= n u R (1 + 2**-12) for any n
+      below 2**40.  2 P is finite, so no partial sum overflows.
+    - Clamp.  |T| <= C, so |V| <= fl(C) = P <= bound_m (P <= bound_m
+      is checked): the clamp is the identity and z = V.
+    - Quotient.  q = fl(S / epsilon) is within u |q| + eta of
+      S / epsilon, so |q - V / epsilon| <= u |q| + eta + E / epsilon.
+      k = floor(q) is exact and so is f = q - k (Sterbenz), except for
+      -1 < q < 0, where f = fl(q + 1) is off by at most u.
+    - Guard.  An entry is safe when tau < f < 1 - tau with
+      tau = 2 ((n + 2) u R + 2 u + 2 eta + eta / epsilon).  This
+      exceeds u + |q - V / epsilon| + g, g = u (|k| + 1) + eta / epsilon
+      (the factor 2 absorbs the second-order terms and the rounding of
+      tau itself), so V / epsilon lies strictly between k + g and
+      k + 1 - g: floor(V / epsilon) = k, and V is more than
+      g epsilon from the lattice.
+    - Result.  ``floor_to_multiple`` first forms
+      float(Fraction(k) * Fraction(epsilon)), the correctly rounded
+      product, which is exactly the float product k * epsilon
+      computed here (k = 0 gives +0.0 on both sides, since a safe
+      q = 0 is impossible).  It differs from the exact k epsilon by at
+      most u |k epsilon| + eta < g epsilon, so V minus it stays in
+      [0, epsilon) and neither nudge loop moves it.
+
+    tau < 1/2 forces R < 2**51, so no step overflows; otherwise, or
+    when the premises above fail, every entry takes the scalar path.
+    """
+    size = len(grid.profiles)
+    total = poly_value_bound(poly)
+    u, eta = _UNIT_ROUNDOFF, _SMALLEST_FLOAT
+    tau = 2.0 * (
+        (len(poly) + 2) * u * (total / epsilon) + 2 * u + 2 * eta + eta / epsilon
+    )
+    if (
+        grid.powers is not None
+        and total <= bound_m
+        and math.isfinite(2.0 * total)
+        and tau < 0.5
+    ):
+        acc = np.zeros(grid.shape)
+        for coef, exps in poly:
+            term = float(coef)
+            for d, e in enumerate(exps):
+                if e:
+                    term = term * grid.powers[(d, e)]
+            acc += term
+        q = acc.ravel()
+        q /= epsilon
+        k = np.floor(q)
+        frac = q - k
+        safe = (frac > tau) & (frac < 1.0 - tau)
+        k *= epsilon
+        out = k.tolist()
+        unsafe = np.flatnonzero(~safe).tolist()
+    else:
+        out = [0.0] * size
+        unsafe = range(size)
+    for r in unsafe:
+        point = tuple(x for block in grid.profiles[r] for x in block)
+        out[r] = floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)
+    return out
+
+
 def certify_sup_gap(disc: DiscretizedGame) -> GapCertificate:
     """Bound each player's payoff distortion between the two games.
 
@@ -339,15 +491,14 @@ def certify_sup_gap(disc: DiscretizedGame) -> GapCertificate:
     spec = disc.spec
     eps = disc.epsilon
     kept = set(disc.truncation.omega_double_prime)
+    dropped = [s for s in spec.space.states if s not in kept]
     net_term = spec.lipschitz * net_spacing(disc.eta0) / 2.0
-    bounds = state_payoff_bounds(spec)
+    bounds = state_payoff_bounds(spec) if dropped else {}
     players = []
     for i in range(1, spec.n + 1):
         prior = spec.space.prior_for(i)
         kept_mass = math.fsum(prior[s] for s in spec.space.states if s in kept)
-        tail_out = math.fsum(
-            prior[s] * bounds[s] for s in spec.space.states if s not in kept
-        )
+        tail_out = math.fsum(prior[s] * bounds[s] for s in dropped)
         rounding = eps * kept_mass
         total = rounding + net_term + tail_out
         players.append(
@@ -411,11 +562,10 @@ def probe_harsanyi_regret(
     worst = 0.0
     for i in range(1, spec.n + 1):
         prior = spec.space.prior_for(i)
-        probes = np.array(eta_net(spec.box_dims[i - 1], disc.eta0))
+        net = eta_net(spec.box_dims[i - 1], disc.eta0)
+        probes = np.array(net)
         offset = spec.block_offset(i)
-        probe_index = {
-            pt: r for r, pt in enumerate(eta_net(spec.box_dims[i - 1], disc.eta0))
-        }
+        probe_index = {pt: r for r, pt in enumerate(net)}
         others = [j for j in range(1, spec.n + 1) if j != i]
         atom_regrets = []
         for atom, members in spec.partitions[i - 1].atoms.items():

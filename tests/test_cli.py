@@ -181,6 +181,20 @@ class TestSolve:
         assert doc["discretization"]["gap_certificate"]["ok"] is True
         assert doc["probe_audit"]["ok"] is True
 
+    def test_overflowing_payoff_bound_exits_one(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONTINUOUS_GAME))
+        doc["payoffs"][0]["monomials"] = [
+            {"coef": 1e308, "exponents": [0, 0]},
+            {"coef": 1e308, "exponents": [0, 0]},
+        ]
+        path = write_json(tmp_path / "huge.json", doc)
+        code = main(["solve", "--game", path, "--epsilon", "0.25"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "value bound for ('w', 1) overflows" in captured.err
+
     def test_csv_format(self, mp_path, capsys):
         code = main(
             ["solve", "--game", mp_path, "--epsilon", "0.05", "--format", "csv"]

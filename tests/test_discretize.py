@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import random_compact_game
+import nestnash.discretize
+from generators import exact_prior, nested_partitions, random_compact_game
 from nestnash.discretize import (
     CompactGameSpec,
     build_hat_game,
@@ -277,7 +279,7 @@ class TestHatGame:
             lipschitz=50.0,
             payoff_cap=10.0,
         )
-        disc = build_hat_game(heavy, 0.5)
+        disc = assert_matches_scalar_oracle(heavy, 0.5)
         assert disc.truncation.omega_double_prime == ("w1",)
         profile = next(iter(disc.game.payoffs.profiles()))
         assert disc.game.payoffs.values[("w2", profile)] == (0.0, 0.0)
@@ -308,6 +310,135 @@ class TestHatGame:
                 assert gap.rounding <= eps + 1e-12
                 assert gap.net <= spec.lipschitz * disc.eta0 / 2.0 + 1e-12
                 assert gap.total <= 3.0 * eps + 1e-9
+
+
+def assert_matches_scalar_oracle(spec: CompactGameSpec, eps: float):
+    """Every value of the grid game is bit-identical to the scalar
+    floor of the scalar evaluation, in ``itertools.product`` order."""
+    disc = build_hat_game(spec, eps)
+    values = disc.game.payoffs.values
+    profiles = list(itertools.product(*disc.nets))
+    assert list(values) == [(s, p) for s in spec.space.states for p in profiles]
+    kept = set(disc.truncation.omega_double_prime)
+    m = disc.bound_m
+    for (s, profile), vals in values.items():
+        point = tuple(x for block in profile for x in block)
+        want = (0.0,) * spec.n
+        if s in kept:
+            want = tuple(
+                floor_to_multiple(poly_eval(spec.payoffs[(s, i)], point), eps, m)
+                for i in range(1, spec.n + 1)
+            )
+        assert [v.hex() for v in vals] == [w.hex() for w in want], (s, profile)
+    return disc
+
+
+def random_box_spec(rng: np.random.Generator, box_dims: tuple[int, ...]):
+    """Random sparse polynomials of degree <= 3 over every coordinate."""
+    n = len(box_dims)
+    dims = sum(box_dims)
+    states = ("w0", "w1", "w2")
+    payoffs = {}
+    for s in states:
+        for i in range(1, n + 1):
+            mono = []
+            for _ in range(int(rng.integers(2, 6))):
+                exps = [0] * dims
+                for _ in range(int(rng.integers(1, 4))):
+                    exps[int(rng.integers(0, dims))] += 1
+                mono.append((float(rng.uniform(-1.0, 1.0)), tuple(exps)))
+            mono.append((float(rng.uniform(-0.5, 0.5)), (0,) * dims))
+            payoffs[(s, i)] = tuple(mono)
+    prior = exact_prior(rng.dirichlet(np.ones(3)), states)
+    return CompactGameSpec(
+        space=StateSpace(states=states, prior=prior),
+        partitions=nested_partitions(rng, states, n),
+        box_dims=box_dims,
+        payoffs=payoffs,
+        lipschitz=max(poly_lipschitz_bound(p) for p in payoffs.values()),
+    )
+
+
+def two_state_spec(polys, lipschitz: float) -> CompactGameSpec:
+    """Two players on [0, 1], states w1 and w2, given polynomials."""
+    return CompactGameSpec(
+        space=StateSpace(states=("w1", "w2"), prior={"w1": 0.5, "w2": 0.5}),
+        partitions=(
+            InformationPartition(player=1, atom_of={"w1": "a1", "w2": "a2"}),
+            InformationPartition(player=2, atom_of={"w1": "b", "w2": "b"}),
+        ),
+        box_dims=(1, 1),
+        payoffs=polys,
+        lipschitz=lipschitz,
+    )
+
+
+class TestHatGameOracle:
+    """``build_hat_game`` against the scalar path it vectorises."""
+
+    def test_random_specs(self):
+        rng = np.random.default_rng(83)
+        for _ in range(6):
+            spec = random_compact_game(rng)
+            for eps in (0.5, 0.1, 0.07):
+                assert_matches_scalar_oracle(spec, eps)
+
+    @pytest.mark.parametrize("box_dims", [(2, 1), (1, 2), (1, 1, 1)])
+    def test_multi_dimensional_boxes_and_three_players(self, box_dims):
+        rng = np.random.default_rng(89)
+        spec = random_box_spec(rng, box_dims)
+        disc = assert_matches_scalar_oracle(spec, spec.lipschitz / 6.0)
+        assert [len(net) for net in disc.nets] == [7**d for d in box_dims]
+
+    @pytest.mark.parametrize("eps", [0.25, 0.1])
+    def test_values_on_the_lattice(self, eps):
+        # A constant k * eps at x = 0, monomials vanishing on the axes,
+        # and values equal to +-bound_m at the far corner.
+        spec = two_state_spec(
+            {
+                ("w1", 1): ((3 * eps, (0, 0)), (0.5, (1, 0))),
+                ("w1", 2): ((1.0, (1, 1)),),
+                ("w2", 1): ((1.0, (1, 0)), (0.5, (0, 1))),
+                ("w2", 2): ((-1.0, (1, 0)), (-0.5, (0, 1))),
+            },
+            lipschitz=2.0,
+        )
+        disc = assert_matches_scalar_oracle(spec, eps)
+        assert disc.bound_m == 1.5
+        assert poly_eval(spec.payoffs[("w2", 1)], (1.0, 1.0)) == disc.bound_m
+        assert poly_eval(spec.payoffs[("w2", 2)], (1.0, 1.0)) == -disc.bound_m
+        assert disc.game.payoffs.values[("w1", ((0.0,), (0.0,)))][1] == 0.0
+
+    @pytest.mark.parametrize("scale", [1e13, 1e16])
+    def test_guard_band_falls_back_to_the_scalar_path(self, monkeypatch, scale):
+        # A large constant makes eps tiny relative to the payoff bound:
+        # at 1e13 the guard band holds a share of the entries, at 1e16
+        # every entry.
+        calls = []
+        scalar = nestnash.discretize.floor_to_multiple
+
+        def counting(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        monkeypatch.setattr(nestnash.discretize, "floor_to_multiple", counting)
+        spec = two_state_spec(
+            {
+                (s, i): ((scale, (0, 0)), (0.3, (1, 0)), (-0.7, (0, 1)), (0.4, (1, 1)))
+                for s in ("w1", "w2")
+                for i in (1, 2)
+            },
+            lipschitz=2.0,
+        )
+        disc = build_hat_game(spec, 0.1)
+        entries = 2 * len(disc.game.payoffs.values)
+        fallback = len(calls)
+        monkeypatch.setattr(nestnash.discretize, "floor_to_multiple", scalar)
+        assert_matches_scalar_oracle(spec, 0.1)
+        if scale == 1e13:
+            assert 0 < fallback < entries
+        else:
+            assert fallback == entries
 
 
 class TestProbeAudit:

@@ -2,8 +2,12 @@
 
 A game couples an explicit finite state space with one information
 partition per player and a dense payoff tensor over states and joint
-action profiles.  Player 1 is the most informed: validity requires each
-player's partition to refine the next player's.  Strategies are maps
+action profiles.  The tensor's entries live in a dict keyed by
+``(state, profile)``; every stage that reads the whole table
+(validation, the payoff bound and classes, the agent form, the
+certifier) reads one float array built from it once per state order
+(``PayoffTensor.array``).  Player 1 is the most informed: validity
+requires each player's partition to refine the next player's.  Strategies are maps
 from partition atoms to mixed actions, so they are measurable with
 respect to the owning player's information by construction.
 
@@ -16,10 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable
+
+import numpy as np
 
 State = Hashable
 Atom = Hashable
@@ -82,6 +89,11 @@ class StateSpace:
         p = self.prior_for(player)
         return math.fsum(p[s] for s in states)
 
+    @cached_property
+    def position(self) -> dict[State, int]:
+        """Index of each state in ``states``."""
+        return {s: k for k, s in enumerate(self.states)}
+
 
 @dataclass(frozen=True)
 class InformationPartition:
@@ -117,6 +129,69 @@ class PayoffTensor:
     def payoff(self, state: State, profile: tuple[Action, ...], player: int) -> float:
         return self.values[(state, profile)][player - 1]
 
+    def array(self, states: tuple[State, ...]) -> np.ndarray:
+        """The payoffs as one read-only float array.
+
+        Shape ``(n, len(states), |A_1|, ..., |A_n|)``: axis 0 is the
+        player, axis 1 follows ``states`` and axis 1 + j follows player
+        j's actions.  Built on the first call for a state order; later
+        calls with that order return the same array, so every game that
+        shares this tensor and state space shares one array.  Raises
+        GameFormatError when an entry is missing or holds a number of
+        values other than n.
+        """
+        table = self._arrays.get(states)
+        if table is None:
+            table = self._arrays[states] = _dense_payoffs(self, states)
+        return table
+
+    @cached_property
+    def _arrays(self) -> dict[tuple[State, ...], np.ndarray]:
+        return {}
+
+
+def _dense_payoffs(payoffs: PayoffTensor, states: tuple[State, ...]) -> np.ndarray:
+    """Stack the values of every expected (state, profile) entry.
+
+    When the dict's keys already run through the expected entries in
+    array order, comparing them key by key is the completeness check
+    and the values are read as they stand; otherwise every expected
+    entry is looked up.
+    """
+    n = len(payoffs.actions)
+    values = payoffs.values
+
+    def expected():
+        # Every (state, profile) key in array order, made one at a time.
+        return itertools.chain.from_iterable(
+            zip(itertools.repeat(s), payoffs.profiles()) for s in states
+        )
+
+    count = len(states) * math.prod(len(acts) for acts in payoffs.actions)
+    if len(values) == count and all(map(operator.eq, values, expected())):
+        rows = values.values()
+    else:
+        try:
+            rows = list(map(values.__getitem__, expected()))
+        except KeyError as err:
+            s, prof = err.args[0]
+            raise GameFormatError(
+                f"payoff tensor misses the entry at ({s!r}, {prof!r})"
+            ) from None
+    if rows and set(map(len, rows)) != {n}:
+        (s, prof), vals = next(
+            (key, vals) for key, vals in zip(expected(), rows) if len(vals) != n
+        )
+        raise GameFormatError(
+            f"payoff entry at ({s!r}, {prof!r}) has {len(vals)} values"
+        )
+    table = np.empty((n, len(rows)))
+    for i in range(n):
+        table[i] = np.fromiter(map(operator.itemgetter(i), rows), float, len(rows))
+    table = table.reshape((n, len(states)) + tuple(map(len, payoffs.actions)))
+    table.flags.writeable = False
+    return table
+
 
 @dataclass(frozen=True)
 class NestedGame:
@@ -136,6 +211,12 @@ class NestedGame:
 
     def actions_for(self, player: int) -> tuple[Action, ...]:
         return self.payoffs.actions[player - 1]
+
+    @property
+    def payoff_array(self) -> np.ndarray:
+        """``payoffs.array(space.states)``, shared by every game with this
+        tensor and state space."""
+        return self.payoffs.array(self.space.states)
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -312,35 +393,38 @@ def validate_game(game: NestedGame) -> ValidationReport:
     if any(x.code in ("partition", "actions") for x in v):
         return ValidationReport(tuple(v))
 
-    # Payoff tensor completeness and finiteness.
-    expected = len(states)
-    for acts in game.payoffs.actions:
-        expected *= len(acts)
-    if len(game.payoffs.values) != expected:
+    # Payoff tensor.  Building the array looks up every expected entry
+    # and checks each one's length; with the entry count matching, the
+    # table holds exactly the expected entries.
+    values = game.payoffs.values
+    expected = len(states) * math.prod(len(acts) for acts in game.payoffs.actions)
+    complete = len(values) == expected
+    if not complete:
         v.append(
             Violation(
                 "payoffs",
-                f"payoff tensor has {len(game.payoffs.values)} entries, "
-                f"expected {expected}",
+                f"payoff tensor has {len(values)} entries, expected {expected}",
             )
         )
-    for (s, prof), vals in game.payoffs.values.items():
-        if s not in state_set:
-            v.append(Violation("payoffs", f"payoff entry for unknown state {s!r}"))
-            break
-        if len(vals) != game.n:
+    try:
+        table = game.payoff_array
+    except GameFormatError as err:
+        table = None
+        v.append(Violation("payoffs", str(err)))
+    if table is None or not complete:
+        stray = next((s for s, _ in values if s not in state_set), None)
+        if stray is not None:
+            v.append(Violation("payoffs", f"payoff entry for unknown state {stray!r}"))
+    else:
+        finite = np.isfinite(table).all(axis=0)
+        if not finite.all():
+            si, *cell = np.unravel_index(np.argmin(finite), finite.shape)
+            prof = tuple(acts[a] for acts, a in zip(game.payoffs.actions, cell))
             v.append(
                 Violation(
-                    "payoffs",
-                    f"payoff entry at ({s!r}, {prof!r}) has {len(vals)} values",
+                    "payoffs", f"non-finite payoff at ({states[si]!r}, {prof!r})"
                 )
             )
-            break
-        if any(not math.isfinite(x) for x in vals):
-            v.append(
-                Violation("payoffs", f"non-finite payoff at ({s!r}, {prof!r})")
-            )
-            break
 
     # Nestedness: player i's information refines player i+1's.
     for i in range(1, game.n):
@@ -360,20 +444,23 @@ def validate_game(game: NestedGame) -> ValidationReport:
 
 def payoff_bound(game: NestedGame) -> float:
     """Sup-norm bound on payoffs, floored at 1 so budget formulas stay sane."""
-    top = max(
-        (abs(x) for vals in game.payoffs.values.values() for x in vals), default=0.0
-    )
-    return max(1.0, top)
+    table = game.payoff_array
+    return max(1.0, float(table.max(initial=0.0)), -float(table.min(initial=0.0)))
 
 
 def payoff_classes(game: NestedGame) -> PayoffClasses:
-    """Enumerate distinct per-state payoff matrices in state order."""
-    profiles = tuple(game.payoffs.profiles())
+    """Enumerate distinct per-state payoff matrices in state order.
+
+    Each state's row of the payoff array, with ``+ 0.0`` turning -0.0
+    into 0.0, is keyed by its bytes: two finite rows have equal bytes
+    exactly when they are equal value by value.
+    """
+    table = game.payoff_array
     index_of: dict[State, int] = {}
     reps: list[State] = []
-    keys: dict[tuple, int] = {}
-    for s in game.space.states:
-        key = tuple(game.payoffs.values[(s, prof)] for prof in profiles)
+    keys: dict[bytes, int] = {}
+    for k, s in enumerate(game.space.states):
+        key = (table[:, k] + 0.0).tobytes()
         if key not in keys:
             keys[key] = len(reps)
             reps.append(s)
@@ -381,24 +468,105 @@ def payoff_classes(game: NestedGame) -> PayoffClasses:
     return PayoffClasses(count=len(reps), index_of=index_of, representatives=tuple(reps))
 
 
-def _state_cell(
-    game: NestedGame, profile: StrategyProfile, state: State, player: int
-) -> float:
-    """Expected payoff to ``player`` at ``state`` under the product measure."""
-    dists = [
-        profile.distribution(j, game.partitions[j - 1].atom_of[state])
-        for j in range(1, game.n + 1)
-    ]
-    terms = []
-    for prof in game.payoffs.profiles():
-        p = 1.0
-        for j, a in enumerate(prof):
-            p *= dists[j].get(a, 0.0)
-            if p == 0.0:
-                break
-        if p != 0.0:
-            terms.append(p * game.payoffs.values[(state, prof)][player - 1])
-    return math.fsum(terms)
+# -- expected payoffs ----------------------------------------------------------
+#
+# Every expectation is an fsum of products p * u, where p multiplies the
+# players' action probabilities left to right in player order and u is a
+# payoff.  fsum is correctly rounded, so its result depends only on the
+# multiset of its nonzero terms; forming the same products in numpy and
+# summing them in any order gives the same float as a loop would.  Zero
+# terms, such as those of a zero-probability action, never change it.
+
+
+def _strategies_at(
+    game: NestedGame,
+    profile: StrategyProfile,
+    states: Sequence[State],
+    players: Iterable[int],
+) -> list[np.ndarray]:
+    """Per player, a (len(states), |A_j|) array: the distribution the
+    profile plays at each state.
+
+    A missing strategy raises ``StrategyProfile.distribution``'s error
+    for the first (state, player) pair lacking one, states outermost.
+    """
+    players = tuple(players)
+    out = []
+    try:
+        for j in players:
+            atom_of = game.partitions[j - 1].atom_of
+            rows: dict[Atom, int] = {}
+            index = [rows.setdefault(atom_of[s], len(rows)) for s in states]
+            strategy = profile.strategies[j]
+            acts = game.actions_for(j)
+            dists = [[strategy[atom].get(a, 0.0) for a in acts] for atom in rows]
+            out.append(np.array(dists, float).reshape(len(rows), len(acts))[index])
+    except KeyError:
+        for s in states:
+            for j in players:
+                profile.distribution(j, game.partitions[j - 1].atom_of[s])
+        raise
+    return out
+
+
+def _joint(dists: list[np.ndarray]) -> np.ndarray:
+    """Per state, the probability of each joint action of the given
+    players in product order: ``((d_1 * d_2) * ...) * d_k``."""
+    joint = dists[0]
+    for d in dists[1:]:
+        joint = (joint[:, :, None] * d[:, None, :]).reshape(
+            len(d), joint.shape[1] * d.shape[1]
+        )
+    return joint
+
+
+def _expectations(
+    game: NestedGame,
+    profile: StrategyProfile,
+    player: int,
+    states: list[State],
+    keep: int | None = None,
+) -> np.ndarray:
+    """Expected payoffs to ``player``, one row per state.
+
+    Each entry is the fsum of p * u over joint actions.  With ``keep``
+    unset the joint actions are every player's and each row has one
+    entry; with ``keep`` a player, the joint actions are the others' and
+    each row has one entry per action of ``keep``, who plays it for sure.
+    An action that the profile plays at none of the states only adds
+    zero terms, so it is dropped before any product is formed.
+    """
+    players = [j for j in range(1, game.n + 1) if j != keep]
+    dists = _strategies_at(game, profile, states, players)
+    table = game.payoff_array[player - 1]
+    for k, j in enumerate(players):
+        live = dists[k].any(axis=0)
+        if not live.all():
+            table = table.compress(live, axis=j)
+            dists[k] = dists[k][:, live]
+    joint = _joint(dists)
+    index = [game.space.position[s] for s in states]
+    if keep is not None:
+        table = np.moveaxis(table, keep, 1)
+    rows = len(game.actions_for(keep)) if keep is not None else 1
+    table = table[index].reshape(len(states), rows, joint.shape[1])
+    terms = (table * joint[:, None, :]).reshape(len(states) * rows, joint.shape[1])
+    sums = [math.fsum(row) for row in terms.tolist()]
+    return np.array(sums).reshape(len(states), rows)
+
+
+def _support(
+    game: NestedGame, part: InformationPartition, player: int
+) -> list[tuple[Atom, float, list[State]]]:
+    """Positive-mass atoms of ``part`` under ``player``'s prior, in
+    partition order: (atom, mass, members with positive prior)."""
+    prior = game.prior_for(player)
+    out = []
+    for atom, members in part.atoms.items():
+        mass = math.fsum(prior[s] for s in members)
+        if mass > 0.0:
+            out.append((atom, mass, [s for s in members if prior[s] > 0.0]))
+    return out
 
 
 def expected_payoff(game: NestedGame, profile: StrategyProfile) -> tuple[float, ...]:
@@ -406,13 +574,10 @@ def expected_payoff(game: NestedGame, profile: StrategyProfile) -> tuple[float, 
     out = []
     for i in range(1, game.n + 1):
         prior = game.prior_for(i)
-        out.append(
-            math.fsum(
-                prior[s] * _state_cell(game, profile, s, i)
-                for s in game.space.states
-                if prior[s] > 0.0
-            )
-        )
+        states = [s for s in game.space.states if prior[s] > 0.0]
+        weights = np.array([prior[s] for s in states])
+        values = weights * _expectations(game, profile, i, states)[:, 0]
+        out.append(math.fsum(values.tolist()))
     return tuple(out)
 
 
@@ -430,17 +595,16 @@ def conditional_payoff(
     """
     part = partition if partition is not None else game.partition_for(player)
     prior = game.prior_for(player)
+    support = _support(game, part, player)
+    states = [s for _, _, members in support for s in members]
+    weights = np.array([prior[s] for s in states])
+    values = (weights * _expectations(game, profile, player, states)[:, 0]).tolist()
     out: dict[Atom, float] = {}
-    for atom, members in part.atoms.items():
-        mass = math.fsum(prior[s] for s in members)
-        if mass <= 0.0:
-            continue
-        total = math.fsum(
-            prior[s] * _state_cell(game, profile, s, player)
-            for s in members
-            if prior[s] > 0.0
-        )
-        out[atom] = total / mass
+    start = 0
+    for atom, mass, members in support:
+        stop = start + len(members)
+        out[atom] = math.fsum(values[start:stop]) / mass
+        start = stop
     return out
 
 

@@ -68,7 +68,10 @@ def _expect_string(value: Any, where: str) -> str:
 def _expect_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where} is too large to be a float") from None
 
 
 def _expect_int(value: Any, where: str) -> int:

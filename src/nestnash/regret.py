@@ -1,10 +1,22 @@
 """Exact regret certification.
 
-Everything here is written for auditability rather than speed: plain
-loops in a fixed order, compensated summation, and no shared state with
-the solver.  A certificate produced by this module depends only on the
-game, the profile, and float arithmetic; never on how the profile was
-found.
+A certificate produced by this module depends only on the game, the
+profile, and float arithmetic; never on how the profile was found.  It
+shares no state with the solver and imports nothing from it.
+
+Each conditional value is a nest of ``math.fsum`` calls: per state,
+the sum over the others' joint actions of p * u, where p multiplies
+their action probabilities left to right in player order and u is a
+payoff; then per atom, the sum of the prior-weighted state values;
+then a division by the atom's mass.  fsum returns the correctly rounded
+sum of its terms, so its result depends only on the multiset of terms,
+not on their order, and a zero term never changes it.  The evaluator
+(``game._expectations``) forms every term with the same float
+multiplications as a plain loop, for a whole array of states at once,
+so each certificate is the float that loop gives, bit for bit;
+``tests/data/certificates.json`` pins it.  ``brute_force_check``
+recomputes regrets from the payoff dict by plain enumeration,
+independently of this path.
 
 Per-atom (interim) regret for player i on an atom of their information
 is the gap between the best conditional payoff achievable with any
@@ -19,10 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
 from .game import (
+    DERIVED_TOL,
     Action,
     Atom,
     GameFormatError,
@@ -30,8 +44,9 @@ from .game import (
     NestedGame,
     State,
     StrategyProfile,
+    _expectations,
+    _support,
     conditional_payoff,
-    DERIVED_TOL,
 )
 from .hierarchy import Hierarchy
 
@@ -74,30 +89,6 @@ class RegretReport:
     passed: bool
 
 
-def _others_weight(
-    game: NestedGame,
-    profile: StrategyProfile,
-    state: State,
-    player: int,
-) -> list[tuple[tuple[Action, ...], float]]:
-    """Joint probabilities of the other players' action combinations."""
-    others = [j for j in range(1, game.n + 1) if j != player]
-    dists = [
-        profile.distribution(j, game.partitions[j - 1].atom_of[state]) for j in others
-    ]
-    actions = [game.actions_for(j) for j in others]
-    out = []
-    for combo in itertools.product(*actions):
-        p = 1.0
-        for d, a in zip(dists, combo):
-            p *= d.get(a, 0.0)
-            if p == 0.0:
-                break
-        if p != 0.0:
-            out.append((combo, p))
-    return out
-
-
 def _merge(player: int, own: Action, combo: tuple[Action, ...]) -> tuple[Action, ...]:
     return combo[: player - 1] + (own,) + combo[player - 1 :]
 
@@ -116,26 +107,21 @@ def best_response_values(
     part = partition if partition is not None else game.partition_for(player)
     prior = game.prior_for(player)
     own_actions = game.actions_for(player)
+    support = _support(game, part, player)
+    states = [s for _, _, members in support for s in members]
+    weights = np.array([prior[s] for s in states])
+    by_state = _expectations(game, profile, player, states, keep=player)
+    # One list per own action: its prior-weighted value at each state.
+    columns = (weights[:, None] * by_state).T.tolist()
     out: dict[Atom, BestResponse] = {}
-    for atom, members in part.atoms.items():
-        mass = math.fsum(prior[s] for s in members)
-        if mass <= 0.0:
-            continue
-        terms: dict[Action, list[float]] = {a: [] for a in own_actions}
-        for s in members:
-            w = prior[s]
-            if w <= 0.0:
-                continue
-            weights = _others_weight(game, profile, s, player)
-            for a in own_actions:
-                terms[a].append(
-                    w
-                    * math.fsum(
-                        p * game.payoffs.values[(s, _merge(player, a, combo))][player - 1]
-                        for combo, p in weights
-                    )
-                )
-        values = {a: math.fsum(ts) / mass for a, ts in terms.items()}
+    start = 0
+    for atom, mass, members in support:
+        stop = start + len(members)
+        values = {
+            a: math.fsum(col[start:stop]) / mass
+            for a, col in zip(own_actions, columns)
+        }
+        start = stop
         top = max(values.values())
         argmax = tuple(a for a in own_actions if values[a] >= top - DERIVED_TOL)
         out[atom] = BestResponse(values=values, value=top, actions=argmax)

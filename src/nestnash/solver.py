@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.optimize import linprog
@@ -36,6 +35,7 @@ from .game import (
     GameFormatError,
     NestedGame,
     StrategyProfile,
+    payoff_bound,
 )
 from .hierarchy import Hierarchy, PropertyReport, check_properties
 
@@ -112,12 +112,12 @@ def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
 class AgentFormGame:
     """Agent-form expansion with a vectorized payoff engine.
 
-    One agent per (player, positive-mass coarse atom).  The engine keeps
-    the payoff tensor as an ndarray indexed by state and one axis per
-    player, so a full sweep of conditional action values for every agent
-    is a handful of array operations.  Agent payoffs are the player's
-    prior-weighted payoff restricted to the atom; maximizing one is
-    equivalent to maximizing the player's conditional payoff there, so
+    One agent per (player, positive-mass coarse atom).  The engine reads
+    the game's payoff array, indexed by player, state and one axis per
+    player's actions, so a full sweep of conditional action values for
+    every agent is a handful of array operations.  Agent payoffs are the
+    player's prior-weighted payoff restricted to the atom; maximizing one
+    is equivalent to maximizing the player's conditional payoff there, so
     best-response sets match the underlying game.
     """
 
@@ -128,15 +128,7 @@ class AgentFormGame:
         self.states = list(game.space.states)
         self.dims = tuple(len(a) for a in game.payoffs.actions)
         self.actions = game.payoffs.actions
-        s_count = len(self.states)
-
-        self.payoff = np.empty((self.n, s_count) + self.dims)
-        for si, s in enumerate(self.states):
-            for multi in product(*(range(d) for d in self.dims)):
-                prof = tuple(self.actions[j][multi[j]] for j in range(self.n))
-                vals = game.payoffs.values[(s, prof)]
-                for i in range(self.n):
-                    self.payoff[(i, si) + multi] = vals[i]
+        self.payoff = game.payoff_array
 
         self.priors = np.array(
             [
@@ -178,7 +170,7 @@ class AgentFormGame:
             for r, atom in enumerate(self.atom_ids[i - 1])
             if self.positive[i - 1][r]
         )
-        self.scale = max(1.0, float(np.abs(self.payoff).max(initial=0.0)))
+        self.scale = payoff_bound(game)
 
     # -- strategy containers --------------------------------------------
 
@@ -339,11 +331,15 @@ def _try_zero_sum_lp(agent_game: AgentFormGame) -> list[np.ndarray] | None:
 
     g1, g2 = len(agent_game.atom_ids[0]), len(agent_game.atom_ids[1])
     d1, d2 = agent_game.dims
+    # ufunc.at adds in index order, so each kernel cell sums its states
+    # in state order.
+    si = np.nonzero(realized)[0]
     kernel = np.zeros((g1, d1, g2, d2))
-    for si in np.nonzero(realized)[0]:
-        g = agent_game.atom_index[0][si]
-        h = agent_game.atom_index[1][si]
-        kernel[g, :, h, :] += agent_game.priors[0][si] * agent_game.payoff[0, si]
+    np.add.at(
+        kernel,
+        (agent_game.atom_index[0][si], slice(None), agent_game.atom_index[1][si]),
+        agent_game.priors[0][si, None, None] * agent_game.payoff[0, si],
+    )
 
     x1 = _zero_sum_lp_side(kernel)
     x2 = _zero_sum_lp_side(-kernel.transpose(2, 3, 0, 1))

@@ -164,3 +164,56 @@ def random_compact_game(
         payoffs=payoffs,
         lipschitz=target * (1.0 + 1e-9) + 1e-9,
     )
+
+
+def redundant_game(rng: np.random.Generator, s_count: int) -> NestedGame:
+    """Belief-redundant two-player zero-sum game with a common prior.
+
+    Each player-1 atom holds three states, one per payoff class, weighted
+    by one of four belief types (a distribution over the classes).
+    Player 2 sees only which of four blocks the atom lies in, and each
+    block mixes the types in its own proportions.  Every state of a class
+    shares one 3x3 payoff matrix, so player 1's ``s_count / 3`` atoms
+    collapse to at most 16 coarse atoms.
+    """
+    classes, kinds, blocks = 3, 4, 4
+    if s_count % classes or s_count < classes * blocks:
+        raise ValueError("s_count must be a multiple of 3 and at least 12")
+    acts = ("r0", "r1", "r2")
+    cols = ("c0", "c1", "c2")
+    matrices = rng.integers(-2, 3, size=(classes, len(acts), len(cols)))
+    types = rng.dirichlet(np.ones(classes), size=kinds)
+    block_mix = rng.dirichlet(np.ones(kinds), size=blocks)
+
+    states: list[str] = []
+    weights: list[float] = []
+    atom_of_1: dict[str, str] = {}
+    atom_of_2: dict[str, str] = {}
+    state_class: list[int] = []
+    for k in range(s_count // classes):
+        block = k % blocks
+        kind = int(rng.choice(kinds, p=block_mix[block]))
+        scale = float(rng.uniform(0.5, 1.5))
+        for c in range(classes):
+            s = f"w{k}c{c}"
+            states.append(s)
+            weights.append(scale * float(types[kind][c]))
+            atom_of_1[s] = f"a{k}"
+            atom_of_2[s] = f"b{block}"
+            state_class.append(c)
+    state_ids = tuple(states)
+    prior = exact_prior(np.array(weights) / math.fsum(weights), state_ids)
+
+    values = {}
+    for s, c in zip(state_ids, state_class):
+        for a, row in zip(acts, matrices[c]):
+            for b, u in zip(cols, row):
+                values[(s, (a, b))] = (float(u), -float(u))
+    return NestedGame(
+        space=StateSpace(states=state_ids, prior=prior),
+        partitions=(
+            InformationPartition(player=1, atom_of=atom_of_1),
+            InformationPartition(player=2, atom_of=atom_of_2),
+        ),
+        payoffs=PayoffTensor(actions=(acts, cols), values=values),
+    )

@@ -1,0 +1,176 @@
+"""Golden certificates: ``certify`` reproduces pinned results bit for bit.
+
+``data/certificates.json`` holds, for seeded games, a few strategy
+profiles and their certificates: every field of every ``AtomRegret``
+together with ``harsanyi`` and ``max_regret``, floats written with
+``float.hex``.  The profiles are stored too, so the file pins the
+certifier alone; a change to the solver does not touch it.  A change to
+the certifier's arithmetic, however small, fails here.  Regenerate the
+file only for a deliberate change of the certificate's numbers:
+
+    PYTHONPATH=src:tests python tests/test_certificates.py --write
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from generators import (
+    exact_prior,
+    random_compact_game,
+    random_nested_game,
+    random_profile,
+    redundant_game,
+)
+from nestnash.discretize import build_hat_game
+from nestnash.game import NestedGame, StateSpace, StrategyProfile
+from nestnash.hierarchy import build_hierarchy
+from nestnash.pipeline import solve
+from nestnash.regret import certify
+from nestnash.solver import build_auxiliary_game
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "certificates.json")
+EPSILON = 0.05
+
+
+def _games():
+    """(name, game, epsilon) for every pinned game, in file order."""
+    rng = np.random.default_rng(515)
+    for players in (2, 3, 4):
+        game = random_nested_game(rng, max_states=24, players=(players,))
+        yield f"nested{players}", game, EPSILON
+    yield "priors", _with_player_priors(rng, game), EPSILON
+    yield "redundant", redundant_game(np.random.default_rng(516), 60), EPSILON
+    spec = random_compact_game(np.random.default_rng(517))
+    yield "hat", build_hat_game(spec, 0.1).game, 0.1
+
+
+def _with_player_priors(rng, game: NestedGame) -> NestedGame:
+    """``game`` with a common prior and a player-2 prior that each put
+    zero mass on a different third of the states."""
+    states = game.space.states
+
+    def sparse_prior(offset: int) -> dict:
+        kept = tuple(s for k, s in enumerate(states) if k % 3 != offset)
+        prior = dict.fromkeys(states, 0.0)
+        prior.update(exact_prior(rng.dirichlet(np.ones(len(kept))), kept))
+        return prior
+
+    space = StateSpace(
+        states=states, prior=sparse_prior(0), player_priors={2: sparse_prior(1)}
+    )
+    return NestedGame(space=space, partitions=game.partitions, payoffs=game.payoffs)
+
+
+def _coarse_game(game: NestedGame, delta: float) -> NestedGame:
+    return build_auxiliary_game(game, build_hierarchy(game, delta)).coarse_game
+
+
+def _certificate(game, profile, epsilon) -> dict:
+    report = certify(game, profile, epsilon)
+    return {
+        "atoms": [
+            {
+                "player": e.player,
+                "atom": repr(e.atom),
+                "mass": e.mass.hex(),
+                "regret": e.regret.hex(),
+                "best_value": e.best_value.hex(),
+                "current_value": e.current_value.hex(),
+                "best_actions": [repr(a) for a in e.best_actions],
+            }
+            for e in report.atoms
+        ],
+        "harsanyi": {str(i): v.hex() for i, v in report.harsanyi.items()},
+        "max_regret": report.max_regret.hex(),
+    }
+
+
+def _profile_doc(profile: StrategyProfile) -> dict:
+    return {
+        str(i): {
+            repr(atom): {repr(a): p.hex() for a, p in dist.items()}
+            for atom, dist in table.items()
+        }
+        for i, table in profile.strategies.items()
+    }
+
+
+def _profile(game: NestedGame, doc: dict, level: str) -> StrategyProfile:
+    """The profile ``_profile_doc`` wrote, with ``game``'s atoms and actions."""
+    strategies = {}
+    for i in range(1, game.n + 1):
+        atoms = {repr(a): a for a in game.partition_for(i).atoms}
+        actions = {repr(a): a for a in game.actions_for(i)}
+        strategies[i] = {
+            atoms[atom]: {actions[a]: float.fromhex(p) for a, p in dist.items()}
+            for atom, dist in doc[str(i)].items()
+        }
+    return StrategyProfile(strategies=strategies, field_level=level)
+
+
+def _write() -> dict:
+    """For each game: a random profile, the pipeline's lifted profile and
+    its coarse profile on the coarse game, each with its certificate."""
+    rng = np.random.default_rng(518)
+    out = {}
+    for name, game, epsilon in _games():
+        sol = solve(game, epsilon)
+        coarse = _coarse_game(game, sol.delta)
+        cases = {
+            "random": (game, random_profile(rng, game)),
+            "pipeline": (game, sol.profile),
+            "coarse": (coarse, sol.result.profile),
+        }
+        out[name] = {
+            "delta": sol.delta.hex(),
+            "profiles": {k: _profile_doc(p) for k, (_, p) in cases.items()},
+            "certificates": {
+                k: _certificate(g, p, epsilon) for k, (g, p) in cases.items()
+            },
+        }
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    with open(DATA, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_certificates_are_bit_identical(golden):
+    games = list(_games())
+    assert [name for name, _, _ in games] == list(golden)
+    for name, game, epsilon in games:
+        entry = golden[name]
+        coarse = _coarse_game(game, float.fromhex(entry["delta"]))
+        for kind, expected in entry["certificates"].items():
+            on, level = (coarse, "coarse") if kind == "coarse" else (game, "original")
+            profile = _profile(on, entry["profiles"][kind], level)
+            assert _certificate(on, profile, epsilon) == expected, f"{name}/{kind}"
+
+
+def test_golden_file_covers_every_game_kind(golden):
+    assert list(golden) == [
+        "nested2",
+        "nested3",
+        "nested4",
+        "priors",
+        "redundant",
+        "hat",
+    ]
+    for entry in golden.values():
+        assert list(entry["certificates"]) == ["random", "pipeline", "coarse"]
+        assert all(cert["atoms"] for cert in entry["certificates"].values())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    os.makedirs(os.path.dirname(DATA), exist_ok=True)
+    with open(DATA, "w", encoding="utf-8") as handle:
+        json.dump(_write(), handle, indent=1)
+        handle.write("\n")

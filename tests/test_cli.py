@@ -228,6 +228,31 @@ class TestSolve:
         assert main(["solve", "--game", mp_path, "--epsilon", "0"]) == 1
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["finite", "continuous"])
+    def test_huge_integer_exits_one(self, kind, tmp_path, capsys):
+        if kind == "finite":
+            doc = json.loads(json.dumps(MP_GAME))
+            doc["payoffs"][1]["values"][0] = 10**400
+            where = "payoffs[1].values[0]"
+        else:
+            doc = json.loads(json.dumps(CONTINUOUS_GAME))
+            doc["payoffs"][0]["monomials"][0]["coef"] = 10**400
+            where = "payoffs[0].monomials[0].coef"
+        path = write_json(tmp_path / "huge.json", doc)
+        code = main(["solve", "--game", path, "--epsilon", "0.25"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"error: {where} is too large to be a float" in captured.err
+
+    @pytest.mark.parametrize("doc", [ANCHOR_GAME, CONTINUOUS_GAME])
+    def test_builds_one_payoff_array(self, doc, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "game.json", doc)
+        builds = count_calls(monkeypatch, nestnash.game, "_dense_payoffs")
+        assert main(["solve", "--game", path, "--epsilon", "0.25"]) == 0
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("doc", [ANCHOR_GAME, CONTINUOUS_GAME])
     def test_validates_and_audits_once(self, doc, tmp_path, monkeypatch):
         path = write_json(tmp_path / "game.json", doc)

@@ -152,6 +152,114 @@ class TestValidation:
             assert validate_game(game).ok
 
 
+def with_values(game: NestedGame, values: dict) -> NestedGame:
+    return NestedGame(
+        space=game.space,
+        partitions=game.partitions,
+        payoffs=PayoffTensor(actions=game.payoffs.actions, values=values),
+    )
+
+
+def payoff_messages(game: NestedGame) -> list[str]:
+    return [v.message for v in validate_game(game).violations if v.code == "payoffs"]
+
+
+class TestPayoffArray:
+    def test_entries_follow_state_and_action_order(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            game = random_nested_game(rng, max_states=12)
+            table = game.payoff_array
+            dims = tuple(len(a) for a in game.payoffs.actions)
+            assert table.shape == (game.n, len(game.space.states)) + dims
+            for (s, prof), vals in game.payoffs.values.items():
+                si = game.space.states.index(s)
+                cell = tuple(
+                    acts.index(a) for acts, a in zip(game.payoffs.actions, prof)
+                )
+                assert tuple(table[(slice(None), si) + cell]) == vals
+
+    def test_entry_order_of_the_dict_does_not_matter(self):
+        game = two_state_game()
+        shuffled = with_values(game, dict(reversed(game.payoffs.values.items())))
+        assert np.array_equal(shuffled.payoff_array, game.payoff_array)
+
+    def test_built_once_and_read_only(self):
+        game = two_state_game()
+        table = game.payoff_array
+        assert game.payoffs.array(game.space.states) is table
+        assert not table.flags.writeable
+        assert table.flags.c_contiguous
+
+    def test_missing_entry_keeps_the_count_message(self):
+        game = two_state_game()
+        values = dict(game.payoffs.values)
+        del values[("w2", ("B", "B"))]
+        messages = payoff_messages(with_values(game, values))
+        assert messages[0] == "payoff tensor has 7 entries, expected 8"
+        assert "('w2', ('B', 'B'))" in messages[1]
+
+    def test_entry_replaced_by_an_unknown_profile_is_caught(self):
+        game = two_state_game()
+        values = dict(game.payoffs.values)
+        values[("w2", ("B", "C"))] = values.pop(("w2", ("B", "B")))
+        messages = payoff_messages(with_values(game, values))
+        assert messages == [
+            "payoff tensor misses the entry at ('w2', ('B', 'B'))"
+        ]
+
+    def test_entry_for_an_unknown_state(self):
+        game = two_state_game()
+        values = dict(game.payoffs.values)
+        values[("w9", ("A", "A"))] = (0.0, 0.0)
+        assert payoff_messages(with_values(game, values)) == [
+            "payoff tensor has 9 entries, expected 8",
+            "payoff entry for unknown state 'w9'",
+        ]
+
+    def test_entry_of_the_wrong_length(self):
+        game = two_state_game()
+        values = dict(game.payoffs.values)
+        values[("w2", ("A", "B"))] = (1.0,)
+        assert payoff_messages(with_values(game, values)) == [
+            "payoff entry at ('w2', ('A', 'B')) has 1 values"
+        ]
+        with pytest.raises(GameFormatError, match="has 1 values"):
+            with_values(game, values).payoff_array
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry(self, bad):
+        game = two_state_game()
+        values = dict(game.payoffs.values)
+        values[("w2", ("B", "A"))] = (1.0, bad)
+        assert payoff_messages(with_values(game, values)) == [
+            "non-finite payoff at ('w2', ('B', 'A'))"
+        ]
+
+    def test_payoff_bound_is_the_largest_absolute_value(self):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            game = random_nested_game(rng, max_states=10)
+            top = max(abs(x) for vals in game.payoffs.values.values() for x in vals)
+            assert payoff_bound(game) == max(1.0, top)
+        game = two_state_game()
+        values = dict(game.payoffs.values)
+        values[("w1", ("B", "A"))] = (-7.5, 0.5)
+        bound = payoff_bound(with_values(game, values))
+        assert bound == 7.5
+        assert type(bound) is float
+
+    def test_signed_zeros_share_a_payoff_class(self):
+        game = two_state_game()
+        values = {
+            (s, prof): (0.0 if s == "w1" else -0.0, 1.0)
+            for s, prof in game.payoffs.values
+        }
+        classes = payoff_classes(with_values(game, values))
+        assert classes.count == 1
+        assert classes.representatives == ("w1",)
+
+
 class TestRefinement:
     def test_refines_accepts_chain(self):
         fine = InformationPartition(

@@ -72,6 +72,12 @@ class TestAgentForm:
         assert all(p.all() for p in engine.positive)
         assert engine.scale == 2.0
 
+    def test_coarse_game_and_agent_form_share_the_payoff_array(self):
+        game = random_nested_game(np.random.default_rng(47), max_states=20)
+        engine = agent_form_for(game, 0.2)
+        assert engine.aux.coarse_game.payoff_array is game.payoff_array
+        assert engine.payoff is game.payoff_array
+
     def test_action_values_match_the_certifier(self):
         rng = np.random.default_rng(13)
         for _ in range(6):

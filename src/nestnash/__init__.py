@@ -1,10 +1,11 @@
 """Certified approximate equilibria for Bayesian games with nested information.
 
 The pipeline replaces each player's information with a finite belief
-hierarchy on a simplex grid, solves the resulting coarse game in agent
-form, lifts the profile back, and certifies its exact regret.  Games
-with compact box actions and polynomial payoffs are first discretized
-with an explicit sup-norm certificate.
+hierarchy, in which beliefs within delta of a common centre merge,
+solves the resulting coarse game in agent form, lifts the profile back,
+and certifies its exact regret.  Games with compact box actions and
+polynomial payoffs are first discretized with an explicit sup-norm
+certificate.
 """
 
 from .discretize import (
@@ -38,12 +39,9 @@ from .game import (
 from .gamefile import SchemaError, load_game, load_profile
 from .hierarchy import (
     Hierarchy,
-    SimplexGrid,
-    SimplexPoint,
     build_hierarchy,
     check_properties,
     expectation_gap,
-    grid_for,
 )
 from .pipeline import Solution, solve
 from .regret import (
@@ -81,8 +79,6 @@ __all__ = [
     "ProbeAudit",
     "RegretReport",
     "SchemaError",
-    "SimplexGrid",
-    "SimplexPoint",
     "Solution",
     "SolveResult",
     "SolverConfig",
@@ -103,7 +99,6 @@ __all__ = [
     "expected_payoff",
     "floor_to_multiple",
     "from_type_space",
-    "grid_for",
     "lift_strategy",
     "load_game",
     "load_profile",

@@ -35,6 +35,7 @@ from .game import (
 )
 from .gamefile import (
     SchemaError,
+    _key_string,
     load_game,
     load_profile,
     profile_to_json,
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--delta",
         type=float,
         default=None,
-        help="belief grid accuracy (default: epsilon / (2 M |A|))",
+        help="belief accuracy (default: epsilon / (2 M |A|))",
     )
     solve.add_argument(
         "--solver-regret",
@@ -98,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     hierarchy.add_argument("--game", required=True, help="game file (JSON)")
     hierarchy.add_argument(
-        "--delta", required=True, type=float, help="belief grid accuracy"
+        "--delta", required=True, type=float, help="belief accuracy"
     )
     hierarchy.add_argument("--out", default=None, help="write the report here")
     hierarchy.add_argument(
@@ -145,9 +146,9 @@ def _check_flags(args) -> None:
 
 # -- report building --------------------------------------------------------
 
-
-def _key_string(value) -> str:
-    return value if isinstance(value, str) else repr(value)
+# Version of the report schema; bumped whenever a report field is added,
+# removed or changes meaning.
+REPORT_VERSION = 2
 
 
 def _ingestion_block(game: NestedGame) -> dict:
@@ -174,7 +175,6 @@ def _hierarchy_block(
                 "player": level.player,
                 "signals": len(level.signal_support),
                 "beliefs": len(level.belief_support),
-                "grid_resolution": level.grid.resolution,
                 "max_l1_gap": level.max_l1_gap,
             }
         )
@@ -266,7 +266,6 @@ def _hierarchy_csv(game: NestedGame, hier: Hierarchy) -> str:
             "player",
             "signals",
             "beliefs",
-            "grid_resolution",
             "max_l1_gap",
             "original_atoms",
             "coarse_atoms",
@@ -279,7 +278,6 @@ def _hierarchy_csv(game: NestedGame, hier: Hierarchy) -> str:
                 i,
                 len(level.signal_support),
                 len(level.belief_support),
-                level.grid.resolution,
                 repr(level.max_l1_gap),
                 len(game.partition_for(i).atoms),
                 len(hier.coarse_partition(i).atoms),
@@ -325,7 +323,7 @@ def _solve_report(game: NestedGame, mode: str, args) -> tuple[Solution, dict]:
             "delta": sol.delta,
             "solver_target": sol.target,
             "seed": args.seed,
-            "format_version": 1,
+            "format_version": REPORT_VERSION,
         },
         "constants": {
             "payoff_bound": sol.payoff_bound,
@@ -385,7 +383,6 @@ def _solve_continuous(compact, args) -> int:
                     "player": p.player,
                     "rounding": p.rounding,
                     "net": p.net,
-                    "tail_mid": p.tail_mid,
                     "tail_out": p.tail_out,
                     "total": p.total,
                 }
@@ -421,6 +418,12 @@ def _cmd_verify(args) -> int:
     epsilon = args.epsilon
     game.require_valid()
     profile = load_profile(args.profile)
+    if profile.field_level != "original":
+        raise GameFormatError(
+            "verify needs a profile on the game's own information "
+            "(field_level \"original\"); a coarse profile refers to the "
+            "atoms of a belief hierarchy"
+        )
     problems = validate_profile(game, profile)
     if problems:
         raise GameFormatError("invalid profile: " + "; ".join(problems))
@@ -430,7 +433,7 @@ def _cmd_verify(args) -> int:
             "command": "verify",
             "mode": loaded.mode,
             "epsilon": epsilon,
-            "format_version": 1,
+            "format_version": REPORT_VERSION,
         },
         "constants": {
             "payoff_bound": payoff_bound(game),
@@ -458,7 +461,7 @@ def _cmd_hierarchy(args) -> int:
             "command": "hierarchy",
             "mode": loaded.mode,
             "delta": args.delta,
-            "format_version": 1,
+            "format_version": REPORT_VERSION,
         },
         "constants": {
             "payoff_bound": payoff_bound(game),

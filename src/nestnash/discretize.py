@@ -77,7 +77,6 @@ class StateTruncation:
     omega_double_prime: tuple[State, ...]
     bound_m: float
     kept_mass: float
-    tail_mid: float
     tail_out: float
 
 
@@ -97,7 +96,6 @@ class PlayerGap:
     player: int
     rounding: float
     net: float
-    tail_mid: float
     tail_out: float
     total: float
 
@@ -236,7 +234,6 @@ def truncate_states(
         omega_double_prime=tuple(kept),
         bound_m=bound_m,
         kept_mass=kept_mass,
-        tail_mid=0.0,
         tail_out=tail_out,
     )
 
@@ -506,7 +503,6 @@ def certify_sup_gap(disc: DiscretizedGame) -> GapCertificate:
                 player=i,
                 rounding=rounding,
                 net=net_term,
-                tail_mid=0.0,
                 tail_out=tail_out,
                 total=total,
             )

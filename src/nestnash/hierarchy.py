@@ -1,23 +1,27 @@
-"""Finite belief hierarchies over simplex grids.
+"""Finite belief hierarchies by delta-ball clustering.
 
 Level 1 of the hierarchy observes the state's payoff matrix.  Level i
-rounds player i's conditional distribution over the level-i observable
-(the lower-level rounded beliefs together with the payoff matrix) to a
-uniform rational grid on the simplex.  Because information is nested,
-each player's rounded belief is known to all better-informed players,
-which is what makes the induced coarse partitions well defined and
-finite.
+takes player i's exact conditional distribution over the level-i
+observable (the lower-level belief indices together with the payoff
+class) and clusters it: walking the atoms in partition order, each
+belief joins the first existing centre at L1 distance strictly below
+delta, or else opens a new centre.  The centre is the belief the level
+reports for the whole cluster.  Because information is nested, each
+player's belief index is known to all better-informed players, which is
+what makes the induced coarse partitions well defined and finite.
 
-The grid resolution k = ceil(2*(dim-1)/delta) guarantees that largest
-remainder rounding lands strictly within L1 distance delta of the exact
-conditional, which is the bound every downstream payoff-transfer
-argument leans on.
+Every payoff-transfer argument downstream leans on one fact, which the
+clustering guarantees by construction: each member atom's exact belief
+lies strictly within delta (L1) of its centre, and so does every
+mixture of member beliefs, such as the belief on a coarse atom, since
+the L1 ball is convex.  ``max_l1_gap`` records the largest member to
+centre distance per level.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,127 +32,38 @@ from .game import (
     NestedGame,
     PayoffClasses,
     State,
-    MASS_TOL,
     payoff_classes,
     _refinement_witness,
 )
 
-# Slack for comparing float L1 gaps against exact rational grid bounds.
-GRID_TOL = 1e-12
+# A belief over the level's signal support: signal index -> positive weight.
+Belief = dict[int, float]
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A probability vector; grid points carry exactly representable coords."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coords:
-            raise GameFormatError("empty simplex point")
-        if any(c < -GRID_TOL or not math.isfinite(c) for c in self.coords):
-            raise GameFormatError(f"negative simplex coordinate in {self.coords!r}")
-        total = math.fsum(self.coords)
-        if abs(total - 1.0) > MASS_TOL:
-            raise GameFormatError(f"simplex point sums to {total:.12g}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def l1_distance(self, other: Sequence[float]) -> float:
-        if len(other) != len(self.coords):
-            raise GameFormatError("dimension mismatch in l1_distance")
-        return math.fsum(abs(a - b) for a, b in zip(self.coords, other))
-
-
-@dataclass(frozen=True)
-class SimplexGrid:
-    """Uniform rational grid on the (dim-1)-simplex with denominator k."""
-
-    dim: int
-    resolution: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise GameFormatError("simplex grid needs dim >= 1")
-        if self.resolution < 1:
-            raise GameFormatError("simplex grid needs resolution >= 1")
-
-    def size(self) -> int:
-        """Number of grid points: compositions of k into dim parts."""
-        return math.comb(self.resolution + self.dim - 1, self.dim - 1)
-
-    @property
-    def covering_bound(self) -> float:
-        """L1 rounding error bound for largest remainder rounding."""
-        return 2.0 * (self.dim - 1) / self.resolution
-
-    def round(self, coords: Sequence[float]) -> tuple[int, ...]:
-        """Largest remainder rounding to integer numerators over k.
-
-        Returns an L1-nearest grid point.  Ties are resolved toward the
-        lexicographically smallest numerator sequence, which keeps the
-        whole construction deterministic.
-        """
-        if len(coords) != self.dim:
-            raise GameFormatError("dimension mismatch in grid rounding")
-        k = self.resolution
-        targets = [max(0.0, c) * k for c in coords]
-        nums = [math.floor(t) for t in targets]
-        fracs = [t - n for t, n in zip(targets, nums)]
-        rem = k - sum(nums)
-        if rem > 0:
-            # Bump the largest remainders; later indices first on ties so the
-            # resulting numerator sequence is lexicographically smallest.
-            order = sorted(range(self.dim), key=lambda i: (-fracs[i], -i))
-            for i in order[:rem]:
-                nums[i] += 1
-        elif rem < 0:
-            order = sorted(range(self.dim), key=lambda i: (fracs[i], -i))
-            for i in order:
-                if rem == 0:
-                    break
-                if nums[i] > 0:
-                    nums[i] -= 1
-                    rem += 1
-        assert sum(nums) == k
-        return tuple(nums)
-
-    def point(self, numerators: Sequence[int]) -> SimplexPoint:
-        if len(numerators) != self.dim or sum(numerators) != self.resolution:
-            raise GameFormatError("numerators do not form a grid point")
-        k = self.resolution
-        return SimplexPoint(coords=tuple(n / k for n in numerators))
-
-
-def grid_for(dim: int, delta: float) -> SimplexGrid:
-    """The coarsest grid whose rounding error is strictly below delta."""
-    if delta <= 0:
-        raise GameFormatError("delta must be positive")
-    if dim < 1:
-        raise GameFormatError("dim must be at least 1")
-    k = max(1, math.ceil(2 * (dim - 1) / delta))
-    return SimplexGrid(dim=dim, resolution=k)
+def _l1(p: Belief, q: Belief) -> float:
+    """L1 distance between two sparse beliefs, summed with fsum."""
+    return math.fsum(
+        [abs(w - q.get(z, 0.0)) for z, w in p.items()]
+        + [w for z, w in q.items() if z not in p]
+    )
 
 
 @dataclass(frozen=True)
 class HierarchyLevel:
-    """One player's rounded-belief layer.
+    """One player's belief layer.
 
     ``signal_support`` lists the realized values of the level-i
     observable as tuples (belief index at levels 1..i-1, payoff class).
     ``signal_of`` maps states to indices into that list, -1 for states
-    carrying no mass under any prior.  Beliefs are grid points over the
-    signal support; ``belief_of`` assigns one per state via its atom.
+    carrying no mass under any prior.  ``belief_support`` holds the
+    cluster centres, each a sparse map from signal index to weight;
+    ``belief_of`` assigns one per state via its atom.
     """
 
     player: int
     signal_support: tuple[tuple[int, ...], ...]
     signal_of: dict[State, int]
-    grid: SimplexGrid
-    belief_support: tuple[SimplexPoint, ...]
-    belief_numerators: tuple[tuple[int, ...], ...]
+    belief_support: tuple[Belief, ...]
     belief_of: dict[State, int]
     atom_belief: dict[Atom, int]
     max_l1_gap: float
@@ -183,14 +98,14 @@ class Hierarchy:
 
 
 def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
-    """Construct the rounded belief hierarchy, one level per player.
+    """Construct the clustered belief hierarchy, one level per player.
 
     Level i conditions on player i's information using player i's own
-    prior, rounds each positive-mass atom's conditional to the delta
-    grid, and dedups the resulting points.  Atoms with zero mass under
-    the level player's prior receive a point mass on the first support
-    element; they carry no mass, so any fixed convention works, and a
-    fixed one keeps construction deterministic.
+    prior and clusters each atom's exact conditional into the first
+    centre within L1 distance delta, in partition order.  Atoms with
+    zero mass under the level player's prior take a point mass on the
+    first support element; they carry no mass, so any fixed convention
+    works, and a fixed one keeps construction deterministic.
 
     Raises InvalidGameError when the game fails validation.
     """
@@ -223,38 +138,43 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
             s: (support_index[signal(s)] if realized[s] else -1) for s in states
         }
 
-        dim = len(support)
-        grid = grid_for(dim, delta)
         prior = priors[i - 1]
         partition = game.partition_for(i)
 
-        belief_index: dict[tuple[int, ...], int] = {}
-        belief_nums: list[tuple[int, ...]] = []
+        centres: list[Belief] = []
+        # Centres by signal index: a centre sharing no signal with a
+        # belief is at distance exactly 2, so below delta = 2 only these
+        # need a look.
+        centres_on: dict[int, list[int]] = {}
         atom_belief: dict[Atom, int] = {}
         max_gap = 0.0
         for atom, members in partition.atoms.items():
             mass = math.fsum(prior[s] for s in members)
             if mass > 0.0:
-                cond = [0.0] * dim
                 buckets: dict[int, list[float]] = {}
                 for s in members:
                     w = prior[s]
                     if w > 0.0:
                         buckets.setdefault(signal_of[s], []).append(w)
-                for z, ws in buckets.items():
-                    cond[z] = math.fsum(ws) / mass
-                nums = grid.round(cond)
-                gap = math.fsum(
-                    abs(c - n / grid.resolution) for c, n in zip(cond, nums)
-                )
-                max_gap = max(max_gap, gap)
+                belief = {z: math.fsum(ws) / mass for z, ws in buckets.items()}
             else:
                 # Zero-mass atom: point mass on the first support element.
-                nums = (grid.resolution,) + (0,) * (dim - 1)
-            if nums not in belief_index:
-                belief_index[nums] = len(belief_nums)
-                belief_nums.append(nums)
-            atom_belief[atom] = belief_index[nums]
+                belief = {0: 1.0}
+            if delta > 2.0:
+                near = range(len(centres))
+            else:
+                near = sorted({c for z in belief for c in centres_on.get(z, ())})
+            for c in near:
+                gap = _l1(belief, centres[c])
+                if gap < delta:
+                    break
+            else:
+                c, gap = len(centres), 0.0
+                centres.append(belief)
+                for z in belief:
+                    centres_on.setdefault(z, []).append(c)
+            max_gap = max(max_gap, gap)
+            atom_belief[atom] = c
 
         belief_of = {s: atom_belief[partition.atom_of[s]] for s in states}
         levels.append(
@@ -262,9 +182,7 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
                 player=i,
                 signal_support=tuple(support),
                 signal_of=signal_of,
-                grid=grid,
-                belief_support=tuple(grid.point(n) for n in belief_nums),
-                belief_numerators=tuple(belief_nums),
+                belief_support=tuple(centres),
                 belief_of=belief_of,
                 atom_belief=atom_belief,
                 max_l1_gap=max_gap,
@@ -303,20 +221,16 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
 def approx_expectation(
     level: HierarchyLevel, f: Mapping[tuple[int, ...], float], state: State
 ) -> float:
-    """Expectation of f under the state's rounded belief.
+    """Expectation of f under the centre of the state's belief cluster.
 
-    ``f`` must cover the whole signal support; this is the grid-side
+    ``f`` must cover the whole signal support; this is the hierarchy's
     stand-in for conditioning on the player's true information.
     """
-    point = level.belief_support[level.belief_of[state]]
-    terms = []
-    for idx, z in enumerate(level.signal_support):
+    for z in level.signal_support:
         if z not in f:
             raise GameFormatError(f"functional undefined on support value {z!r}")
-        c = point.coords[idx]
-        if c != 0.0:
-            terms.append(c * f[z])
-    return math.fsum(terms)
+    centre = level.belief_support[level.belief_of[state]]
+    return math.fsum(w * f[level.signal_support[z]] for z, w in centre.items())
 
 
 def expectation_gap(
@@ -326,12 +240,13 @@ def expectation_gap(
     f: Mapping[tuple[int, ...], float],
     bound: float,
 ) -> float:
-    """Max gap between exact conditional and rounded-belief expectations of f.
+    """Max gap between exact conditional and centre expectations of f.
 
     ``f`` must be bounded by ``bound`` in absolute value on the signal
     support.  The result is guaranteed strictly below bound * delta (up
-    to float noise) by the grid construction; this function measures the
-    realized gap over positive-mass atoms of the player's information.
+    to float noise) because every belief lies within delta of its
+    centre; this function measures the realized gap over positive-mass
+    atoms of the player's information.
     """
     if bound <= 0:
         raise GameFormatError("bound must be positive")
@@ -339,7 +254,7 @@ def expectation_gap(
     for z in level.signal_support:
         if z not in f:
             raise GameFormatError(f"functional undefined on support value {z!r}")
-        if abs(f[z]) > bound + GRID_TOL:
+        if abs(f[z]) > bound:
             raise GameFormatError(
                 f"functional exceeds its stated bound at {z!r}: {f[z]!r}"
             )

@@ -5,8 +5,11 @@ A coarse profile whose certified regret is rho lifts to a Bayesian
 the payoff bound and ``A`` the number of joint action profiles.  By
 default ``delta = epsilon / (2 M A)`` and the solver aims for
 ``rho = epsilon / 2``, which lands the lifted profile at ``epsilon``.
-The stages run in order: validation, belief hierarchy, auxiliary game
-and its structural audit, agent-form solve, lift, exact certificate.
+The bound needs one fact from the hierarchy: every original atom's
+belief, and hence every coarse atom's mixture of them, lies within
+``delta`` (L1) of one cluster centre.  The stages run in order:
+validation, belief hierarchy, auxiliary game and its structural audit,
+agent-form solve, lift, exact certificate.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def solve(
 ) -> Solution:
     """Solve ``game`` to a lifted profile certified against ``epsilon``.
 
-    ``delta`` (belief grid accuracy) defaults to ``epsilon / (2 M A)``
+    ``delta`` (belief accuracy) defaults to ``epsilon / (2 M A)``
     and ``target`` (the coarse solver's regret goal) to ``epsilon / 2``.
     Raises InvalidGameError before any arithmetic when the game fails
     validation, and GameFormatError when ``delta`` is not positive.

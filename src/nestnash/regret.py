@@ -230,16 +230,17 @@ def _naive_conditional_value(
 def brute_force_check(
     game: NestedGame,
     profile: StrategyProfile,
-    grid_resolution: int | None = None,
+    mixed_resolution: int | None = None,
     max_evaluations: int = 10**6,
 ) -> dict[tuple[int, Atom], float]:
     """Independent regret recomputation by enumerating deviations.
 
     Enumerates per-atom pure deviations, which suffice because payoffs
-    are linear in each atom's own distribution.  When ``grid_resolution``
-    is given, mixed deviations on that simplex grid are scanned as well,
-    confirming the linearity shortcut on small instances.  Refuses to
-    run past ``max_evaluations`` deviations.
+    are linear in each atom's own distribution.  When ``mixed_resolution``
+    is given, every mixed deviation whose probabilities are multiples of
+    1 / ``mixed_resolution`` is scanned as well, confirming the linearity
+    shortcut on small instances.  Refuses to run past ``max_evaluations``
+    deviations.
     """
     count = 0
     plans: list[tuple[int, Atom, list[dict[Action, float]]]] = []
@@ -250,11 +251,11 @@ def brute_force_check(
                 continue
             actions = game.actions_for(i)
             devs: list[dict[Action, float]] = [{a: 1.0} for a in actions]
-            if grid_resolution is not None and len(actions) > 1:
-                for nums in _compositions(grid_resolution, len(actions)):
+            if mixed_resolution is not None and len(actions) > 1:
+                for nums in _compositions(mixed_resolution, len(actions)):
                     devs.append(
                         {
-                            a: n / grid_resolution
+                            a: n / mixed_resolution
                             for a, n in zip(actions, nums)
                             if n > 0
                         }
@@ -301,8 +302,9 @@ def coarse_best_response_gap(
     profile: StrategyProfile,
     player: int,
 ) -> float:
-    """Gap between true conditional action values and their rounded-belief
-    reconstruction, maximized over positive-mass atoms and own actions.
+    """Gap between true conditional action values and their reconstruction
+    from the belief centre, maximized over positive-mass atoms and own
+    actions.
 
     The other players' strategies must be measurable with respect to
     their coarse partitions.  The reconstruction weighs, per signal
@@ -364,17 +366,15 @@ def coarse_best_response_gap(
     # Exact conditional value of each own action, per positive-mass atom.
     for atom, exact in best_response_values(game, eval_profile, player).items():
         rep = partition.atoms[atom][0]
-        # Rounded-belief reconstruction.  The own belief tuple at levels
-        # player..n is constant on the atom.
+        # Reconstruction from the belief centre.  The own belief tuple at
+        # levels player..n is constant on the atom.
         own_tail = tuple(
             hierarchy.level(j).belief_of[rep] for j in range(player, n + 1)
         )
-        belief = level.belief_support[level.belief_of[rep]]
+        centre = level.belief_support[level.belief_of[rep]]
         recon: dict[Action, list[float]] = {a: [] for a in own_actions}
-        for z_idx, z in enumerate(level.signal_support):
-            weight = belief.coords[z_idx]
-            if weight == 0.0:
-                continue
+        for z_idx, weight in centre.items():
+            z = level.signal_support[z_idx]
             # z = (belief indices at levels 1..player-1, payoff class).
             class_rep = hierarchy.classes.representatives[z[-1]]
             full_key = z[:-1] + own_tail

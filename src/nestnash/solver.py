@@ -261,18 +261,6 @@ class AgentFormGame:
             strat[i] = table
         return StrategyProfile(strategies=strat, field_level="coarse")
 
-    def from_profile(self, profile: StrategyProfile) -> list[np.ndarray]:
-        out = []
-        for i in range(1, self.n + 1):
-            rows = len(self.atom_ids[i - 1])
-            x = np.zeros((rows, self.dims[i - 1]))
-            for r, atom in enumerate(self.atom_ids[i - 1]):
-                dist = profile.distribution(i, atom)
-                for c, a in enumerate(self.actions[i - 1]):
-                    x[r, c] = dist.get(a, 0.0)
-            out.append(x)
-        return out
-
 
 def to_agent_form(aux: AuxGame) -> AgentFormGame:
     return AgentFormGame(aux)

@@ -217,3 +217,21 @@ def redundant_game(rng: np.random.Generator, s_count: int) -> NestedGame:
         ),
         payoffs=PayoffTensor(actions=(acts, cols), values=values),
     )
+
+
+def noisy_redundant_game(
+    rng: np.random.Generator, s_count: int, nu: float
+) -> NestedGame:
+    """``redundant_game`` with each prior weight multiplied by
+    exp(nu * N(0, 1)) and renormalised, so beliefs that were equal now
+    differ by a relative amount of order nu."""
+    game = redundant_game(rng, s_count)
+    states = game.space.states
+    noise = np.exp(nu * rng.standard_normal(len(states)))
+    weights = np.array([game.space.prior[s] for s in states]) * noise
+    prior = exact_prior(weights / math.fsum(weights), states)
+    return NestedGame(
+        space=StateSpace(states=states, prior=prior),
+        partitions=game.partitions,
+        payoffs=game.payoffs,
+    )

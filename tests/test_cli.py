@@ -6,7 +6,7 @@ import pytest
 
 import nestnash.game
 import nestnash.hierarchy
-from nestnash.cli import main
+from nestnash.cli import REPORT_VERSION, main
 
 MP_GAME = {
     "version": 1,
@@ -426,13 +426,44 @@ class TestVerify:
         assert "solve handles continuous" in capsys.readouterr().err
 
 
+    def test_coarse_profile_is_rejected(self, anchor_path, tmp_path, capsys):
+        # The coarse profile solve prints names hierarchy atoms, which are
+        # not the game's; verify says so instead of listing every atom.
+        assert main(["solve", "--game", anchor_path, "--epsilon", "0.05"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        profile_path = write_json(tmp_path / "coarse.json", doc["coarse_profile"])
+        code = main(
+            [
+                "verify",
+                "--game",
+                anchor_path,
+                "--profile",
+                profile_path,
+                "--epsilon",
+                "0.05",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "field_level" in captured.err
+        assert "atom '" not in captured.err
+
+
 class TestHierarchy:
     def test_reports_levels_and_checks(self, anchor_path, capsys):
         code = main(["hierarchy", "--game", anchor_path, "--delta", "0.2"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["hierarchy"]["ok"] is True
-        assert doc["hierarchy"]["levels"][0]["grid_resolution"] == 10
+        assert doc["hierarchy"]["levels"][0] == {
+            "player": 1,
+            "signals": 2,
+            "beliefs": 2,
+            "max_l1_gap": 0.0,
+        }
         assert doc["hierarchy"]["atoms"]["1"] == {"original": 2, "coarse": 2}
         assert doc["hierarchy"]["atoms"]["2"] == {"original": 1, "coarse": 1}
 
@@ -452,8 +483,7 @@ class TestHierarchy:
         assert code == 0
         header = out.split("\n", 1)[0]
         assert header == (
-            "player,signals,beliefs,grid_resolution,max_l1_gap,"
-            "original_atoms,coarse_atoms"
+            "player,signals,beliefs,max_l1_gap,original_atoms,coarse_atoms"
         )
 
     def test_continuous_games_are_rejected(self, tmp_path, capsys):
@@ -566,3 +596,169 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["regret"]["passed"] is True
+
+
+# Every key path of each report at the pinned version.  ``[]`` stands for
+# the items of a list and ``*`` for keys that are data: states, players,
+# atoms and actions.  A schema change bumps REPORT_VERSION and re-pins.
+PINNED_VERSION = 2
+
+DATA_KEYED = {
+    "ingestion.prior",
+    "hierarchy.atoms",
+    "regret.harsanyi",
+    "hat_regret.harsanyi",
+} | {
+    f"{name}.strategies{tail}"
+    for name in ("profile", "coarse_profile")
+    for tail in ("", ".*", ".*.*")
+}
+
+
+def key_paths(doc, prefix="") -> set[str]:
+    paths = set()
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            name = "*" if prefix in DATA_KEYED else key
+            path = f"{prefix}.{name}" if prefix else name
+            paths.add(path)
+            paths |= key_paths(value, path)
+    elif isinstance(doc, list):
+        for item in doc:
+            paths |= key_paths(item, prefix + "[]")
+    return paths
+
+
+def _paths(text: str) -> set[str]:
+    return set(text.split())
+
+
+def _regret_paths(block: str) -> set[str]:
+    return {block} | {
+        block + tail
+        for tail in _paths(
+            """
+            .epsilon .slack .max_regret .passed .harsanyi .harsanyi.*
+            .witness .witness.player .witness.atom .witness.action
+            .atoms .atoms[].player .atoms[].atom .atoms[].mass
+            .atoms[].regret .atoms[].best_value .atoms[].current_value
+            """
+        )
+    }
+
+
+def _profile_paths(block: str) -> set[str]:
+    return {block} | {
+        block + tail
+        for tail in _paths(
+            """
+            .version .field_level .strategies .strategies.*
+            .strategies.*.* .strategies.*.*.*
+            """
+        )
+    }
+
+
+_CONSTANTS = _paths(
+    "constants constants.payoff_bound constants.players constants.states"
+)
+_INGESTION = _paths("ingestion ingestion.prior ingestion.prior.* ingestion.payoff_values")
+_HIERARCHY = _paths(
+    """
+    hierarchy hierarchy.delta hierarchy.payoff_classes hierarchy.ok
+    hierarchy.levels hierarchy.levels[].player hierarchy.levels[].signals
+    hierarchy.levels[].beliefs hierarchy.levels[].max_l1_gap
+    hierarchy.atoms hierarchy.atoms.* hierarchy.atoms.*.original
+    hierarchy.atoms.*.coarse hierarchy.checks hierarchy.checks[].name
+    hierarchy.checks[].player hierarchy.checks[].ok
+    """
+)
+_SOLVE = (
+    _paths(
+        """
+        config config.command config.mode config.epsilon config.delta
+        config.solver_target config.seed config.format_version
+        constants.action_profiles
+        solver solver.method solver.iterations solver.restarts
+        solver.converged solver.coarse_regret
+        transfer transfer.delta transfer.coarse_regret transfer.bound
+        transfer.measured_max_regret transfer.within_bound
+        """
+    )
+    | _CONSTANTS
+    | _HIERARCHY
+    | _profile_paths("profile")
+)
+
+REPORT_KEYS = {
+    "solve-finite": _SOLVE
+    | _INGESTION
+    | _profile_paths("coarse_profile")
+    | _regret_paths("regret"),
+    "solve-continuous": _SOLVE
+    | _regret_paths("hat_regret")
+    | _paths(
+        """
+        discretization discretization.epsilon discretization.eta0
+        discretization.lipschitz discretization.payoff_bound
+        discretization.net_sizes discretization.truncation
+        discretization.truncation.kept discretization.truncation.dropped
+        discretization.truncation.kept_mass discretization.truncation.tail_out
+        discretization.gap_certificate discretization.gap_certificate.budget
+        discretization.gap_certificate.ok discretization.gap_certificate.players
+        discretization.gap_certificate.players[].player
+        discretization.gap_certificate.players[].rounding
+        discretization.gap_certificate.players[].net
+        discretization.gap_certificate.players[].tail_out
+        discretization.gap_certificate.players[].total
+        probe_audit probe_audit.budget probe_audit.max_regret probe_audit.ok
+        probe_audit.players probe_audit.players[].player
+        probe_audit.players[].regret
+        """
+    ),
+    "hierarchy": _paths(
+        "config config.command config.mode config.delta config.format_version"
+    )
+    | _CONSTANTS
+    | _INGESTION
+    | _HIERARCHY,
+    "verify": _paths(
+        "config config.command config.mode config.epsilon config.format_version"
+    )
+    | _CONSTANTS
+    | _INGESTION
+    | _regret_paths("regret"),
+}
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("report", sorted(REPORT_KEYS))
+    def test_key_sets_are_pinned_to_the_report_version(
+        self, report, tmp_path, capsys
+    ):
+        anchor = write_json(tmp_path / "anchor.json", ANCHOR_GAME)
+        argv = {
+            "solve-finite": ["solve", "--game", anchor, "--epsilon", "0.05"],
+            "solve-continuous": [
+                "solve",
+                "--game",
+                write_json(tmp_path / "cont.json", CONTINUOUS_GAME),
+                "--epsilon",
+                "0.1",
+            ],
+            "hierarchy": ["hierarchy", "--game", anchor, "--delta", "0.2"],
+            "verify": [
+                "verify",
+                "--game",
+                anchor,
+                "--profile",
+                write_json(tmp_path / "eq.json", ANCHOR_EQUILIBRIUM),
+                "--epsilon",
+                "0.05",
+            ],
+        }[report]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert REPORT_VERSION == PINNED_VERSION
+        assert doc["config"]["format_version"] == REPORT_VERSION
+        assert key_paths(doc) == REPORT_KEYS[report]

@@ -1,12 +1,9 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from generators import random_nested_game
+from generators import noisy_redundant_game, random_nested_game
 from nestnash.game import (
     GameFormatError,
     InformationPartition,
@@ -16,156 +13,11 @@ from nestnash.game import (
     StateSpace,
 )
 from nestnash.hierarchy import (
-    GRID_TOL,
-    SimplexGrid,
-    SimplexPoint,
     approx_expectation,
     build_hierarchy,
     check_properties,
     expectation_gap,
-    grid_for,
 )
-
-
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-class TestSimplexGrid:
-    def test_size_counts_compositions(self):
-        grid = SimplexGrid(dim=3, resolution=8)
-        assert grid.size() == math.comb(10, 2) == 45
-        assert grid.size() == len(list(compositions(8, 3)))
-
-    def test_covering_bound_formula(self):
-        assert SimplexGrid(dim=3, resolution=8).covering_bound == 0.5
-        assert SimplexGrid(dim=1, resolution=1).covering_bound == 0.0
-
-    def test_round_matches_brute_force_nearest(self):
-        grid = SimplexGrid(dim=3, resolution=8)
-        coords = (1 / 3, 1 / 3, 1 / 3)
-        nums = grid.round(coords)
-        mine = math.fsum(abs(c - n / 8) for c, n in zip(coords, nums))
-        best = min(
-            math.fsum(abs(c - n / 8) for c, n in zip(coords, cand))
-            for cand in compositions(8, 3)
-        )
-        assert mine <= best + 1e-12
-
-    def test_round_tie_breaks_to_lexicographically_smallest(self):
-        grid = SimplexGrid(dim=2, resolution=1)
-        assert grid.round((0.5, 0.5)) == (0, 1)
-        grid3 = SimplexGrid(dim=3, resolution=1)
-        assert grid3.round((1 / 3, 1 / 3, 1 / 3)) == (0, 0, 1)
-
-    def test_round_handles_mass_excess(self):
-        # Defensive path: input above the simplex still lands on the grid.
-        grid = SimplexGrid(dim=2, resolution=2)
-        nums = grid.round((1.0, 1.0))
-        assert sum(nums) == 2
-
-    def test_round_rejects_dimension_mismatch(self):
-        with pytest.raises(GameFormatError):
-            SimplexGrid(dim=2, resolution=2).round((1.0,))
-
-    def test_point_reconstructs_coordinates(self):
-        grid = SimplexGrid(dim=3, resolution=4)
-        point = grid.point((1, 0, 3))
-        assert point.coords == (0.25, 0.0, 0.75)
-        with pytest.raises(GameFormatError):
-            grid.point((1, 1, 1))
-
-    def test_degenerate_dimensions_rejected(self):
-        with pytest.raises(GameFormatError):
-            SimplexGrid(dim=0, resolution=1)
-        with pytest.raises(GameFormatError):
-            SimplexGrid(dim=2, resolution=0)
-
-    @given(
-        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(
-            lambda xs: sum(xs) > 1e-6
-        ),
-        st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_round_is_a_grid_point_within_the_covering_bound(self, raw, k):
-        total = math.fsum(raw)
-        coords = tuple(x / total for x in raw)
-        grid = SimplexGrid(dim=len(coords), resolution=k)
-        nums = grid.round(coords)
-        assert len(nums) == grid.dim
-        assert sum(nums) == k
-        assert all(n >= 0 for n in nums)
-        gap = math.fsum(abs(c - n / k) for c, n in zip(coords, nums))
-        assert gap < grid.covering_bound + GRID_TOL
-
-    @given(
-        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3).filter(
-            lambda xs: sum(xs) > 1e-6
-        ),
-        st.integers(min_value=1, max_value=9),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_round_is_l1_optimal(self, raw, k):
-        total = math.fsum(raw)
-        coords = tuple(x / total for x in raw)
-        grid = SimplexGrid(dim=len(coords), resolution=k)
-        nums = grid.round(coords)
-        mine = math.fsum(abs(c - n / k) for c, n in zip(coords, nums))
-        best = min(
-            math.fsum(abs(c - n / k) for c, n in zip(coords, cand))
-            for cand in compositions(k, len(coords))
-        )
-        assert mine <= best + 1e-12
-
-
-class TestGridSelection:
-    def test_resolution_formula(self):
-        assert grid_for(3, 0.5).resolution == 8
-        assert grid_for(2, 0.2).resolution == 10
-        assert grid_for(1, 0.01).resolution == 1
-        assert grid_for(5, 0.05).resolution == 160
-
-    def test_rounding_error_stays_strictly_below_delta(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            dim = int(rng.integers(2, 6))
-            delta = float(rng.uniform(0.02, 0.8))
-            coords = rng.dirichlet(np.ones(dim))
-            grid = grid_for(dim, delta)
-            nums = grid.round(tuple(coords))
-            gap = math.fsum(
-                abs(c - n / grid.resolution) for c, n in zip(coords, nums)
-            )
-            assert gap < delta
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(GameFormatError):
-            grid_for(2, 0.0)
-        with pytest.raises(GameFormatError):
-            grid_for(0, 0.5)
-
-
-class TestSimplexPoint:
-    def test_rejects_negative_and_unnormalized(self):
-        with pytest.raises(GameFormatError):
-            SimplexPoint(coords=(-0.1, 1.1))
-        with pytest.raises(GameFormatError):
-            SimplexPoint(coords=(0.5, 0.6))
-        with pytest.raises(GameFormatError):
-            SimplexPoint(coords=())
-
-    def test_l1_distance(self):
-        p = SimplexPoint(coords=(0.25, 0.75))
-        assert p.l1_distance((0.75, 0.25)) == pytest.approx(1.0)
-        with pytest.raises(GameFormatError):
-            p.l1_distance((1.0,))
 
 
 def anchor_with_prior(base: NestedGame, prior: dict) -> NestedGame:
@@ -176,22 +28,61 @@ def anchor_with_prior(base: NestedGame, prior: dict) -> NestedGame:
     )
 
 
+def anchor_copies(base: NestedGame, *first: float) -> NestedGame:
+    """The informed anchor repeated once per entry of ``first``.
+
+    Copy j has states ``w1.j`` and ``w2.j`` with the anchor's payoffs.
+    Player 1 observes the state; player 2 observes only the copy, in
+    which ``w1.j`` has conditional weight ``first[j]``.  The copies
+    split the prior equally.
+    """
+    share = 1.0 / len(first)
+    prior: dict[str, float] = {}
+    atoms1: dict[str, str] = {}
+    atoms2: dict[str, str] = {}
+    twin: dict[str, str] = {}
+    for j, p in enumerate(first):
+        for name, weight in (("w1", p), ("w2", 1.0 - p)):
+            s = f"{name}.{j}"
+            prior[s] = share * weight
+            atoms1[s] = f"a{name[1]}.{j}"
+            atoms2[s] = f"b.{j}"
+            twin[s] = name
+    states = tuple(prior)
+    return NestedGame(
+        space=StateSpace(states=states, prior=prior),
+        partitions=(
+            InformationPartition(player=1, atom_of=atoms1),
+            InformationPartition(player=2, atom_of=atoms2),
+        ),
+        payoffs=PayoffTensor(
+            actions=base.payoffs.actions,
+            values={
+                (s, prof): base.payoffs.values[(twin[s], prof)]
+                for s in states
+                for prof in base.payoffs.profiles()
+            },
+        ),
+    )
+
+
 class TestBuildHierarchy:
     def test_two_state_anchor_structure(self, informed_anchor):
-        h = build_hierarchy(informed_anchor, 0.2)
+        # Player 2's second atom, (0.45, 0.55), is 0.1 from the first.
+        game = anchor_copies(informed_anchor, 0.5, 0.45)
+        h = build_hierarchy(game, 0.2)
         assert h.classes.count == 2
         lvl1 = h.level(1)
         assert lvl1.signal_support == ((0,), (1,))
-        assert lvl1.grid.resolution == 10
-        assert set(lvl1.belief_numerators) == {(10, 0), (0, 10)}
+        assert lvl1.belief_support == ({0: 1.0}, {1: 1.0})
         assert lvl1.max_l1_gap == 0.0
         lvl2 = h.level(2)
         assert lvl2.signal_support == ((0, 0), (1, 1))
-        assert lvl2.belief_numerators == ((5, 5),)
-        assert lvl2.max_l1_gap == 0.0
+        assert lvl2.belief_support == ({0: 0.5, 1: 0.5},)
+        assert lvl2.max_l1_gap == pytest.approx(0.1, abs=1e-12)
         assert len(h.coarse_partition(1).atoms) == 2
         assert len(h.coarse_partition(2).atoms) == 1
-        assert check_properties(informed_anchor, h).ok
+        assert check_properties(game, h).ok
 
     def test_atom_for_key_lookup(self, informed_anchor):
         h = build_hierarchy(informed_anchor, 0.2)
@@ -200,14 +91,36 @@ class TestBuildHierarchy:
         assert h.atom_for_key(2, (99,)) is None
 
     def test_skewed_prior_rounding_gap(self, informed_anchor):
-        skewed = anchor_with_prior(
-            informed_anchor, {"w1": 1 / 3, "w2": 2 / 3}
-        )
+        skewed = anchor_copies(informed_anchor, 1 / 3, 0.3)
         h = build_hierarchy(skewed, 0.2)
-        # Exact conditional (1/3, 2/3) rounds to (3, 7) on the k=10 grid.
-        assert h.level(2).belief_numerators == ((3, 7),)
+        # (0.3, 0.7) lies 1/15 from the (1/3, 2/3) centre and joins it.
+        (centre,) = h.level(2).belief_support
+        assert centre == pytest.approx({0: 1 / 3, 1: 2 / 3}, abs=1e-15)
         assert h.level(2).max_l1_gap == pytest.approx(1 / 15, abs=1e-12)
         assert h.level(2).max_l1_gap < 0.2
+        assert len(h.coarse_partition(2).atoms) == 1
+        # Below the 1/15 gap each belief is its own centre.
+        tight = build_hierarchy(skewed, 0.05)
+        assert len(tight.level(2).belief_support) == 2
+        assert tight.level(2).max_l1_gap == 0.0
+        assert len(tight.coarse_partition(2).atoms) == 2
+
+    def test_beliefs_join_the_first_centre_within_delta(self, informed_anchor):
+        # 0.58 and 0.42 are each 0.16 from the 0.5 centre but 0.32 apart.
+        # 0.7 is 0.4 from it and opens a second centre.  0.66 is 0.08 from
+        # the second centre, yet joins the first, 0.32 away.
+        game = anchor_copies(informed_anchor, 0.5, 0.58, 0.42, 0.7, 0.66)
+        level = build_hierarchy(game, 0.35).level(2)
+        assert [level.atom_belief[f"b.{j}"] for j in range(5)] == [0, 0, 0, 1, 0]
+        assert level.belief_support[1] == pytest.approx({0: 0.7, 1: 0.3})
+        assert level.max_l1_gap == pytest.approx(0.32, abs=1e-12)
+
+    def test_delta_above_two_merges_disjoint_beliefs(self, informed_anchor):
+        # Player 1's point masses on the two classes are exactly 2 apart.
+        assert len(build_hierarchy(informed_anchor, 2.0).level(1).belief_support) == 2
+        level = build_hierarchy(informed_anchor, 2.5).level(1)
+        assert level.belief_support == ({0: 1.0},)
+        assert level.max_l1_gap == 2.0
 
     def test_identical_beliefs_collapse_coarse_atoms(self):
         # Two informative atoms with the same payoff class and belief merge.
@@ -259,7 +172,7 @@ class TestBuildHierarchy:
             b = build_hierarchy(game, 0.07)
             for i in range(1, game.n + 1):
                 assert a.level(i).signal_support == b.level(i).signal_support
-                assert a.level(i).belief_numerators == b.level(i).belief_numerators
+                assert a.level(i).belief_support == b.level(i).belief_support
                 assert a.level(i).max_l1_gap == b.level(i).max_l1_gap
             assert a.coarse_keys == b.coarse_keys
 
@@ -273,16 +186,44 @@ class TestBuildHierarchy:
                     assert h.level(i).max_l1_gap < delta
                 assert check_properties(game, h).ok
 
+    def test_centres_are_delta_apart_and_cover_every_belief(self):
+        # Noisy priors put beliefs near, but not at, each other, so the
+        # clustering has real merges to make.  Distances here are plain
+        # sums over a plainly recomputed conditional.
+        def l1(p, q):
+            return sum(abs(p.get(z, 0.0) - q.get(z, 0.0)) for z in p.keys() | q)
+
+        rng = np.random.default_rng(5)
+        for nu in (1e-2, 1e-1):
+            game = noisy_redundant_game(rng, 300, nu)
+            for delta in (0.3, 0.05):
+                h = build_hierarchy(game, delta)
+                assert len(h.level(1).belief_support) < 100
+                for i in range(1, game.n + 1):
+                    level = h.level(i)
+                    for a, b in itertools.combinations(level.belief_support, 2):
+                        assert l1(a, b) >= delta - 1e-12
+                    prior = game.prior_for(i)
+                    for atom, members in game.partition_for(i).atoms.items():
+                        mass = sum(prior[s] for s in members)
+                        exact: dict[int, float] = {}
+                        for s in members:
+                            z = level.signal_of[s]
+                            exact[z] = exact.get(z, 0.0) + prior[s] / mass
+                        centre = level.belief_support[level.atom_belief[atom]]
+                        assert l1(exact, centre) < delta + 1e-12
+
 
 class TestExpectations:
     def test_approx_expectation_uses_rounded_belief(self, informed_anchor):
-        skewed = anchor_with_prior(informed_anchor, {"w1": 1 / 3, "w2": 2 / 3})
+        skewed = anchor_copies(informed_anchor, 1 / 3, 0.3)
         h = build_hierarchy(skewed, 0.2)
         f = {(0, 0): 1.0, (1, 1): -1.0}
-        assert approx_expectation(h.level(2), f, "w1") == pytest.approx(-0.4)
+        # The second atom's own belief gives -0.4; its centre gives -1/3.
+        assert approx_expectation(h.level(2), f, "w1.1") == pytest.approx(-1 / 3)
 
     def test_expectation_gap_hand_computed(self, informed_anchor):
-        skewed = anchor_with_prior(informed_anchor, {"w1": 1 / 3, "w2": 2 / 3})
+        skewed = anchor_copies(informed_anchor, 1 / 3, 0.3)
         h = build_hierarchy(skewed, 0.2)
         f = {(0, 0): 1.0, (1, 1): -1.0}
         gap = expectation_gap(skewed, h, 2, f, 1.0)
@@ -300,7 +241,7 @@ class TestExpectations:
                 bound = 2.5
                 f = {z: float(rng.uniform(-bound, bound)) for z in support}
                 gap = expectation_gap(game, h, i, f, bound)
-                assert gap < bound * delta + GRID_TOL
+                assert gap < bound * delta + 1e-12
 
     def test_expectation_gap_validates_inputs(self, informed_anchor):
         h = build_hierarchy(informed_anchor, 0.2)

@@ -25,6 +25,7 @@ from nestnash.regret import (
     coarse_best_response_gap,
 )
 from test_game import mixed_profile, two_state_game
+from test_hierarchy import anchor_copies
 
 
 class TestBestResponse:
@@ -175,7 +176,7 @@ class TestBruteForce:
         game = two_state_game()
         profile = mixed_profile()
         pure = brute_force_check(game, profile)
-        gridded = brute_force_check(game, profile, grid_resolution=6)
+        gridded = brute_force_check(game, profile, mixed_resolution=6)
         for key in pure:
             assert gridded[key] <= pure[key] + 1e-9
             assert gridded[key] >= pure[key] - 1e-9
@@ -184,7 +185,7 @@ class TestBruteForce:
         game = two_state_game()
         with pytest.raises(GameFormatError, match="exceed"):
             brute_force_check(
-                game, mixed_profile(), grid_resolution=200, max_evaluations=10
+                game, mixed_profile(), mixed_resolution=200, max_evaluations=10
             )
 
 
@@ -222,18 +223,15 @@ class TestCoarseReconstruction:
             assert gap <= 1e-12
 
     def test_rounded_belief_gap_hand_computed(self, informed_anchor):
-        skewed = NestedGame(
-            space=StateSpace(
-                states=("w1", "w2"), prior={"w1": 1 / 3, "w2": 2 / 3}
-            ),
-            partitions=informed_anchor.partitions,
-            payoffs=informed_anchor.payoffs,
-        )
+        # Player 2's atoms hold (1/3, 2/3) and (0.3, 0.7); the second joins
+        # the first's centre.  Against L, action L is worth -0.6 on the
+        # second atom and -2/3 at the centre.
+        skewed = anchor_copies(informed_anchor, 1 / 3, 0.3)
         h = build_hierarchy(skewed, 0.2)
         profile = StrategyProfile(
             strategies={
-                1: {"a1": {"L": 1.0}, "a2": {"L": 1.0}},
-                2: {"b": {"L": 1.0}},
+                1: {atom: {"L": 1.0} for atom in skewed.partition_for(1).atoms},
+                2: {"b.0": {"L": 1.0}, "b.1": {"L": 1.0}},
             }
         )
         gap = coarse_best_response_gap(skewed, h, profile, 2)

@@ -88,7 +88,17 @@ class TestAgentForm:
             coarse_profile = type(profile)(
                 strategies=profile.strategies, field_level="coarse"
             )
-            strategies = engine.from_profile(coarse_profile)
+            strategies = [
+                np.array(
+                    [
+                        [coarse_profile.distribution(i, atom).get(a, 0.0) for a in acts]
+                        for atom in atoms
+                    ]
+                )
+                for i, (atoms, acts) in enumerate(
+                    zip(engine.atom_ids, engine.actions), start=1
+                )
+            ]
             values = engine.action_values(strategies)
             for i in range(1, engine.n + 1):
                 br = best_response_values(coarse, coarse_profile, i)
@@ -121,14 +131,6 @@ class TestAgentForm:
             one = engine.player_action_values(i, strategies)
             assert np.allclose(one, full[i], rtol=0.0, atol=1e-12)
             assert np.all(one[~engine.positive[i]] == 0.0)
-
-    def test_profile_round_trip(self, informed_anchor):
-        engine = agent_form_for(informed_anchor, 0.2)
-        rng = np.random.default_rng(3)
-        strategies = engine.random_strategies(rng)
-        back = engine.from_profile(engine.to_profile(strategies))
-        for a, b in zip(strategies, back):
-            assert np.allclose(a, b, atol=1e-15)
 
     def test_regret_agrees_with_certifier_on_anchor(self, informed_anchor):
         engine = agent_form_for(informed_anchor, 0.2)

@@ -613,7 +613,8 @@ def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:
 
     Coverage is required for every atom containing a state with positive
     mass under any player's prior; distributions must be over the owning
-    player's actions and normalize within MASS_TOL.
+    player's actions and normalize within MASS_TOL; every player named
+    must be one of the game's.
     """
     problems: list[str] = []
     priors = [game.prior_for(i) for i in range(1, game.n + 1)]
@@ -652,6 +653,9 @@ def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:
                 problems.append(
                     f"player {i} atom {atom!r} distribution sums to {total:.12g}"
                 )
+    for player in profile.strategies:
+        if player not in range(1, game.n + 1):
+            problems.append(f"strategies given for unknown player {player}")
     return problems
 
 

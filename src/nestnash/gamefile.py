@@ -415,13 +415,22 @@ def parse_game(obj: Any) -> LoadedGame:
     return _parse_continuous(obj)
 
 
-def load_game(path: str) -> LoadedGame:
+def _reject_constant(token: str) -> None:
+    raise SchemaError(f"not valid JSON: {token} is not a JSON number")
+
+
+def _read_json(path: str) -> Any:
+    """Parse a file as strict JSON: Python's ``NaN`` and ``Infinity``
+    extensions are rejected, naming the token."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            return json.load(handle, parse_constant=_reject_constant)
         except json.JSONDecodeError as err:
             raise SchemaError(f"not valid JSON: {err}") from err
-    return parse_game(obj)
+
+
+def load_game(path: str) -> LoadedGame:
+    return parse_game(_read_json(path))
 
 
 def parse_profile(obj: Any) -> StrategyProfile:
@@ -460,12 +469,7 @@ def parse_profile(obj: Any) -> StrategyProfile:
 
 
 def load_profile(path: str) -> StrategyProfile:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"not valid JSON: {err}") from err
-    return parse_profile(obj)
+    return parse_profile(_read_json(path))
 
 
 def profile_to_json(profile: StrategyProfile) -> dict:

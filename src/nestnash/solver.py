@@ -6,18 +6,19 @@ transfer back to the original game with a quantified regret penalty.
 The auxiliary game is solved in agent form: one agent per (player,
 positive-mass coarse atom), each choosing a mixed action.
 
-Two-player zero-sum games with a common prior are solved exactly by
-linear programming over behavioral strategies.  Everything else runs
-alternating predictive regret matching+ (Farina, Kroer & Sandholm,
-"Faster Game Solving via Predictive Blackwell Approachability", 2021):
-players update in turn against the others' latest strategies, and each
-agent plays proportionally to the positive part of its clipped
-cumulative regret plus its last instantaneous regret.  Both the last
-iterate and a quadratically weighted average are candidates, over
-seeded restarts.  Nothing downstream depends on the search converging:
-the returned profile always ships with its exact regret, recomputed by
-the certification module, and callers decide what to do with a
-non-converged result.
+Every coarse game is solved by alternating predictive regret
+matching+ (Farina, Kroer & Sandholm, "Faster Game Solving via Predictive
+Blackwell Approachability", 2021): players update in turn against the
+others' latest strategies, and each agent plays proportionally to the
+positive part of its clipped cumulative regret plus its last
+instantaneous regret.  Both the last iterate and a quadratically
+weighted average are candidates, over seeded restarts.  The pipeline
+asks only for an epsilon-equilibrium, so this one method serves
+zero-sum and general-sum games alike; a near-exact answer is a matter
+of a smaller target regret.  Nothing downstream depends on the search
+converging: the returned profile always ships with its exact regret,
+recomputed by the certification module, and callers decide what to do
+with a non-converged result.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import regret as regret_mod
 from .game import (
@@ -35,7 +35,6 @@ from .game import (
     GameFormatError,
     NestedGame,
     StrategyProfile,
-    payoff_bound,
 )
 from .hierarchy import Hierarchy, PropertyReport, check_properties
 
@@ -52,16 +51,11 @@ class SolverConfig:
 class AuxGame:
     """The original game with information coarsened to the hierarchy's atoms.
 
-    ``null_atoms`` lists, per player, coarse atoms carrying zero mass
-    under that player's prior; they hold no incentive content and are
-    pinned to a fixed pure action by the solver.  ``checks`` is the
-    hierarchy's structural audit, which passed.
+    ``checks`` is the hierarchy's structural audit, which passed.
     """
 
-    base: NestedGame
     hierarchy: Hierarchy
     coarse_game: NestedGame
-    null_atoms: dict[int, tuple[Atom, ...]]
     checks: PropertyReport
 
 
@@ -91,22 +85,7 @@ def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
         partitions=hierarchy.coarse,
         payoffs=game.payoffs,
     )
-    null_atoms: dict[int, tuple[Atom, ...]] = {}
-    for i in range(1, game.n + 1):
-        prior = game.prior_for(i)
-        nulls = [
-            atom
-            for atom, members in hierarchy.coarse_partition(i).atoms.items()
-            if math.fsum(prior[s] for s in members) <= 0.0
-        ]
-        null_atoms[i] = tuple(nulls)
-    return AuxGame(
-        base=game,
-        hierarchy=hierarchy,
-        coarse_game=coarse_game,
-        null_atoms=null_atoms,
-        checks=report,
-    )
+    return AuxGame(hierarchy=hierarchy, coarse_game=coarse_game, checks=report)
 
 
 class AgentFormGame:
@@ -170,7 +149,6 @@ class AgentFormGame:
             for r, atom in enumerate(self.atom_ids[i - 1])
             if self.positive[i - 1][r]
         )
-        self.scale = payoff_bound(game)
 
     # -- strategy containers --------------------------------------------
 
@@ -266,96 +244,19 @@ def to_agent_form(aux: AuxGame) -> AgentFormGame:
     return AgentFormGame(aux)
 
 
-def _zero_sum_lp_side(kernel: np.ndarray) -> np.ndarray | None:
-    """Maximizer's behavioral strategy for one side of a zero-sum game.
-
-    ``kernel[g, a, h, b]`` is the prior-weighted payoff to the
-    maximizer from own action a on own atom g against opponent action b
-    on opponent atom h.  Solves: maximize sum_h v_h subject to
-    v_h <= sum_{g,a} kernel[g,a,h,b] x[g,a] for all (h,b), each row of
-    x a distribution.  Returns x or None when the LP fails.
-    """
-    own_atoms, own_dim, opp_atoms, opp_dim = kernel.shape
-    nx = own_atoms * own_dim
-    c = np.zeros(nx + opp_atoms)
-    c[nx:] = -1.0
-    flat = kernel.reshape(nx, opp_atoms * opp_dim)
-    a_ub = np.zeros((opp_atoms * opp_dim, nx + opp_atoms))
-    a_ub[:, :nx] = -flat.T
-    for h in range(opp_atoms):
-        a_ub[h * opp_dim : (h + 1) * opp_dim, nx + h] = 1.0
-    a_eq = np.zeros((own_atoms, nx + opp_atoms))
-    for g in range(own_atoms):
-        a_eq[g, g * own_dim : (g + 1) * own_dim] = 1.0
-    b_eq = np.ones(own_atoms)
-    bounds = [(0.0, 1.0)] * nx + [(None, None)] * opp_atoms
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(opp_atoms * opp_dim),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:
-        return None
-    x = np.clip(res.x[:nx].reshape(own_atoms, own_dim), 0.0, None)
-    return x / x.sum(axis=1, keepdims=True)
-
-
-def _try_zero_sum_lp(agent_game: AgentFormGame) -> list[np.ndarray] | None:
-    """Exact behavioral solve of a two-player zero-sum common-prior game."""
-    if agent_game.n != 2:
-        return None
-    if not np.array_equal(agent_game.priors[0], agent_game.priors[1]):
-        return None
-    realized = agent_game.priors[0] > 0.0
-    total = agent_game.payoff[0] + agent_game.payoff[1]
-    if not np.allclose(
-        total[realized], 0.0, atol=1e-12 * agent_game.scale, rtol=0.0
-    ):
-        return None
-
-    g1, g2 = len(agent_game.atom_ids[0]), len(agent_game.atom_ids[1])
-    d1, d2 = agent_game.dims
-    # ufunc.at adds in index order, so each kernel cell sums its states
-    # in state order.
-    si = np.nonzero(realized)[0]
-    kernel = np.zeros((g1, d1, g2, d2))
-    np.add.at(
-        kernel,
-        (agent_game.atom_index[0][si], slice(None), agent_game.atom_index[1][si]),
-        agent_game.priors[0][si, None, None] * agent_game.payoff[0, si],
-    )
-
-    x1 = _zero_sum_lp_side(kernel)
-    x2 = _zero_sum_lp_side(-kernel.transpose(2, 3, 0, 1))
-    if x1 is None or x2 is None:
-        return None
-    strategies = [x1, x2]
-    for i in (1, 2):
-        agent_game._pin_null(i, strategies[i - 1])
-    return strategies
-
-
 class _Tracker:
-    """Best-profile bookkeeping shared by the search processes."""
+    """Best-profile bookkeeping shared by the restarts."""
 
     def __init__(self, target: float):
         self.margin = target * (1.0 - 1e-9)
         self.best_regret = math.inf
         self.best: list[np.ndarray] | None = None
-        self.method = "none"
         self.iterations = 0
 
-    def offer(
-        self, regret_value: float, strategies: list[np.ndarray], method: str
-    ) -> bool:
+    def offer(self, regret_value: float, strategies: list[np.ndarray]) -> bool:
         if regret_value < self.best_regret:
             self.best_regret = regret_value
             self.best = [x.copy() for x in strategies]
-            self.method = method
         return self.best_regret <= self.margin
 
 
@@ -393,11 +294,10 @@ def _run_predictive_rm(
     cumulative = [np.zeros_like(v) for v in x]
     average = [v.copy() for v in x]
     weight_sum = 0.0
-    label = "predictive-rm+"
     for t in range(1, max_iterations + 1):
         tracker.iterations += 1
         values = agent_game.action_values(x)
-        if tracker.offer(agent_game.regret(x, values), x, label):
+        if tracker.offer(agent_game.regret(x, values), x):
             return True
         w = float(t) * t
         weight_sum += w
@@ -411,22 +311,22 @@ def _run_predictive_rm(
             cumulative[i] = np.maximum(cumulative[i] + instant, 0.0)
             x[i] = _predicted_rows(cumulative[i] + instant, x[i])
         if t % 10 == 0:
-            if tracker.offer(agent_game.regret(average), average, label):
+            if tracker.offer(agent_game.regret(average), average):
                 return True
-    return tracker.offer(agent_game.regret(average), average, label)
+    return tracker.offer(agent_game.regret(average), average)
 
 
 def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
     """Search for a low-regret profile of the auxiliary game.
 
-    Deterministic given the seed.  Two-player zero-sum common-prior
-    games try the exact LP first.  Otherwise each restart (uniform
-    first, then Dirichlet-random starts) runs up to ``max_iterations``
-    iterations of alternating predictive regret matching+, breaking out
-    as soon as the last iterate or the quadratically weighted average
-    meets the target.  The best profile seen anywhere wins, and the
-    certification module recomputes its exact regret; ``converged``
-    reports whether that certified number meets the target.
+    Deterministic given the seed.  Each restart (uniform first, then
+    Dirichlet-random starts) runs up to ``max_iterations`` iterations of
+    alternating predictive regret matching+, breaking out as soon as the
+    last iterate or the quadratically weighted average meets the target.
+    The best profile seen anywhere wins, and the certification module
+    recomputes its exact regret; ``converged`` reports whether that
+    certified number meets the target.  ``method`` is always
+    ``"predictive-rm+"``.
     """
     if not (0.0 <= config.target_regret < math.inf):
         raise GameFormatError("target regret must be finite and nonnegative")
@@ -435,30 +335,18 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
 
     tracker = _Tracker(config.target_regret)
     restarts_used = 0
+    rng = np.random.default_rng(config.seed)
+    for restart in range(config.max_restarts):
+        restarts_used = restart + 1
+        if restart == 0:
+            start = agent_game.uniform_strategies()
+        else:
+            start = agent_game.random_strategies(rng)
+        if _run_predictive_rm(agent_game, start, tracker, config.max_iterations):
+            break
 
-    lp = _try_zero_sum_lp(agent_game)
-    if lp is not None:
-        tracker.offer(agent_game.regret(lp), lp, "zero-sum-lp")
-
-    if tracker.best is None or tracker.best_regret > tracker.margin:
-        rng = np.random.default_rng(config.seed)
-        for restart in range(config.max_restarts):
-            restarts_used = restart + 1
-            if restart == 0:
-                start = agent_game.uniform_strategies()
-            else:
-                start = agent_game.random_strategies(rng)
-            if _run_predictive_rm(
-                agent_game, start, tracker, config.max_iterations
-            ):
-                break
-
-    best_strategies = tracker.best
-    iterations_used = tracker.iterations
-    method = tracker.method
-
-    assert best_strategies is not None
-    profile = agent_game.to_profile(best_strategies)
+    assert tracker.best is not None
+    profile = agent_game.to_profile(tracker.best)
     table = regret_mod.bayesian_regret(agent_game.aux.coarse_game, profile)
     certified = max(
         (e.regret for entries in table.values() for e in entries.values()),
@@ -467,10 +355,10 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
     return SolveResult(
         profile=profile,
         certified_regret=certified,
-        iterations=iterations_used,
+        iterations=tracker.iterations,
         restarts=restarts_used,
         converged=certified <= config.target_regret + regret_mod.CERT_SLACK,
-        method=method,
+        method="predictive-rm+",
     )
 
 

@@ -367,7 +367,7 @@ def game_to_doc(game: NestedGame) -> dict:
 
 def test_criterion_8_deterministic_reports(corpus, tmp_path):
     """Two CLI solves with identical inputs and seed emit byte-identical
-    reports, including on a multi-player game off the exact-LP path."""
+    reports, including on a multi-player game."""
     game = next(
         (g for g in corpus if g.n == 3 and len(g.space.states) <= 50),
         corpus[0],

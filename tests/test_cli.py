@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -123,7 +124,7 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert doc["regret"]["passed"] is True
-        assert doc["solver"]["method"] == "zero-sum-lp"
+        assert doc["solver"]["method"] == "predictive-rm+"
         assert doc["profile"]["field_level"] == "original"
         assert doc["transfer"]["within_bound"] is True
 
@@ -156,7 +157,17 @@ class TestSolve:
         assert out_path.read_text() + "\n" == streamed
 
     def test_anchor_value_in_report(self, anchor_path, capsys):
-        code = main(["solve", "--game", anchor_path, "--epsilon", "0.05"])
+        code = main(
+            [
+                "solve",
+                "--game",
+                anchor_path,
+                "--epsilon",
+                "0.05",
+                "--solver-regret",
+                "1e-12",
+            ]
+        )
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         column = doc["profile"]["strategies"]["2"]["b"]
@@ -302,8 +313,6 @@ class TestNumericFlags:
         ],
     )
     def test_bad_value_exits_one(self, tmp_path, capsys, argv):
-        # A general-sum game, so a solve would leave the LP path and
-        # reach the seeded restarts.
         path = write_json(tmp_path / "types.json", TYPES_GAME)
         code = main(argv + ["--game", path])
         captured = capsys.readouterr()
@@ -425,6 +434,25 @@ class TestVerify:
         assert code == 1
         assert "solve handles continuous" in capsys.readouterr().err
 
+    def test_unknown_player_is_invalid_input(self, anchor_path, tmp_path, capsys):
+        doc = json.loads(json.dumps(ANCHOR_EQUILIBRIUM))
+        doc["strategies"]["7"] = {"zz": {"Q": 1.0}}
+        profile_path = write_json(tmp_path / "extra.json", doc)
+        code = main(
+            [
+                "verify",
+                "--game",
+                anchor_path,
+                "--profile",
+                profile_path,
+                "--epsilon",
+                "0.05",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "strategies given for unknown player 7" in captured.err
 
     def test_coarse_profile_is_rejected(self, anchor_path, tmp_path, capsys):
         # The coarse profile solve prints names hierarchy atoms, which are
@@ -545,6 +573,39 @@ class TestInputRejection:
         assert main(["solve", "--game", str(path), "--epsilon", "0.05"]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_number_in_game_file(self, token, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(ANCHOR_GAME).replace("2.0", token, 1))
+        assert main(["solve", "--game", str(path), "--epsilon", "0.05"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"{token} is not a JSON number" in captured.err
+
+    def test_non_standard_number_in_profile_file(
+        self, anchor_path, tmp_path, capsys
+    ):
+        doc = json.loads(json.dumps(ANCHOR_EQUILIBRIUM))
+        doc["strategies"]["2"]["b"]["R"] = math.nan
+        profile_path = write_json(tmp_path / "nan.json", doc)
+        code = main(
+            [
+                "verify",
+                "--game",
+                anchor_path,
+                "--profile",
+                profile_path,
+                "--epsilon",
+                "0.05",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "NaN is not a JSON number" in captured.err
+
     def test_bad_profile_field_level(self, anchor_path, tmp_path, capsys):
         doc = dict(ANCHOR_EQUILIBRIUM)
         doc["field_level"] = "weird"
@@ -586,6 +647,20 @@ class TestInputRejection:
 
 
 class TestEntryPoint:
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, nestnash; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self, tmp_path):
         path = write_json(tmp_path / "mp.json", MP_GAME)
         proc = subprocess.run(

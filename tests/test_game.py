@@ -384,6 +384,13 @@ class TestProfiles:
         problems = validate_profile(two_state_game(), bad)
         assert any("Z" in p for p in problems)
 
+    def test_validate_profile_flags_unknown_player(self):
+        bad = StrategyProfile(
+            strategies={**mixed_profile().strategies, 7: {"zz": {"Q": 1.0}}}
+        )
+        problems = validate_profile(two_state_game(), bad)
+        assert problems == ["strategies given for unknown player 7"]
+
 
 class TestTypeSpace:
     def test_states_are_positive_mass_profiles_in_product_order(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from generators import random_nested_game, random_profile
+from generators import random_nested_game, random_profile, redundant_game
 from nestnash.game import (
     GameFormatError,
     InformationPartition,
@@ -70,7 +70,6 @@ class TestAgentForm:
         assert len(engine.agents) == 3
         assert [len(ids) for ids in engine.atom_ids] == [2, 1]
         assert all(p.all() for p in engine.positive)
-        assert engine.scale == 2.0
 
     def test_coarse_game_and_agent_form_share_the_payoff_array(self):
         game = random_nested_game(np.random.default_rng(47), max_states=20)
@@ -144,10 +143,8 @@ class TestAgentForm:
     def test_null_atoms_are_pinned(self):
         game = null_atom_game()
         engine = agent_form_for(game, 0.3)
-        nulls = engine.aux.null_atoms[1]
-        assert len(nulls) == 1
+        (row,) = np.flatnonzero(~engine.positive[0])
         strategies = engine.uniform_strategies()
-        row = list(engine.atom_ids[0]).index(nulls[0])
         assert strategies[0][row, 0] == 1.0
         assert strategies[0][row, 1] == 0.0
 
@@ -170,9 +167,9 @@ class TestAuxiliaryGame:
 class TestSolver:
     def test_matching_pennies_solved_exactly(self, matching_pennies):
         engine = agent_form_for(matching_pennies, 0.1)
-        result = solve_nash(engine, SolverConfig(target_regret=0.01))
-        assert result.method == "zero-sum-lp"
+        result = solve_nash(engine, SolverConfig(target_regret=1e-12))
         assert result.converged
+        assert result.iterations <= 200
         assert result.certified_regret <= 1e-9
         for i in (1, 2):
             for dist in result.profile.strategies[i].values():
@@ -181,9 +178,9 @@ class TestSolver:
 
     def test_informed_anchor_value_and_strategy(self, informed_anchor):
         engine = agent_form_for(informed_anchor, 0.2)
-        result = solve_nash(engine, SolverConfig(target_regret=0.025))
-        assert result.method == "zero-sum-lp"
+        result = solve_nash(engine, SolverConfig(target_regret=1e-12))
         assert result.converged
+        assert result.iterations <= 200
         assert result.certified_regret <= 1e-9
         value = expected_payoff(engine.aux.coarse_game, result.profile)[0]
         assert value == pytest.approx(2 / 3, abs=1e-9)
@@ -191,14 +188,13 @@ class TestSolver:
         assert column["L"] == pytest.approx(1 / 3, abs=1e-9)
         assert column["R"] == pytest.approx(2 / 3, abs=1e-9)
 
-    def test_lp_skipped_for_general_sum(self):
+    def test_general_sum_converges(self):
         game = two_state_game()
         engine = agent_form_for(game, 0.2)
         result = solve_nash(engine, SolverConfig(target_regret=0.05))
-        assert result.method != "zero-sum-lp"
         assert result.converged
 
-    def test_lp_skipped_with_inconsistent_priors(self, informed_anchor):
+    def test_inconsistent_priors_converge(self, informed_anchor):
         skewed = NestedGame(
             space=StateSpace(
                 states=informed_anchor.space.states,
@@ -210,7 +206,7 @@ class TestSolver:
         )
         engine = agent_form_for(skewed, 0.2)
         result = solve_nash(engine, SolverConfig(target_regret=0.05))
-        assert result.method != "zero-sum-lp"
+        assert result.converged
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(71)
@@ -226,29 +222,34 @@ class TestSolver:
 
     def test_scaling_payoffs_scales_the_solution_exactly(self):
         rng = np.random.default_rng(101)
-        game = random_nested_game(rng, max_states=15, players=(3,))
-        assert payoff_bound(game) >= 1.0
-        doubled = NestedGame(
-            space=game.space,
-            partitions=game.partitions,
-            payoffs=PayoffTensor(
-                actions=game.payoffs.actions,
-                values={
-                    k: tuple(2.0 * x for x in v)
-                    for k, v in game.payoffs.values.items()
-                },
-            ),
+        games = (
+            random_nested_game(rng, max_states=15, players=(3,)),
+            redundant_game(rng, 60),  # zero-sum, common prior
         )
-        base = solve_nash(
-            agent_form_for(game, 0.15), SolverConfig(target_regret=0.05, seed=2)
-        )
-        scaled = solve_nash(
-            agent_form_for(doubled, 0.15), SolverConfig(target_regret=0.1, seed=2)
-        )
-        assert scaled.profile == base.profile
-        assert scaled.certified_regret == pytest.approx(
-            2.0 * base.certified_regret, abs=1e-12
-        )
+        for game in games:
+            assert payoff_bound(game) >= 1.0
+            doubled = NestedGame(
+                space=game.space,
+                partitions=game.partitions,
+                payoffs=PayoffTensor(
+                    actions=game.payoffs.actions,
+                    values={
+                        k: tuple(2.0 * x for x in v)
+                        for k, v in game.payoffs.values.items()
+                    },
+                ),
+            )
+            base = solve_nash(
+                agent_form_for(game, 0.15), SolverConfig(target_regret=0.05, seed=2)
+            )
+            scaled = solve_nash(
+                agent_form_for(doubled, 0.15),
+                SolverConfig(target_regret=0.1, seed=2),
+            )
+            assert scaled.profile == base.profile
+            assert scaled.certified_regret == pytest.approx(
+                2.0 * base.certified_regret, abs=1e-12
+            )
 
     def test_honest_report_when_budget_is_too_small(self):
         rng = np.random.default_rng(55)

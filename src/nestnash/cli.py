@@ -152,7 +152,9 @@ REPORT_VERSION = 2
 
 
 def _ingestion_block(game: NestedGame) -> dict:
-    distinct = sorted({v for vals in game.payoffs.values.values() for v in vals})
+    # The set keeps the first of 0.0 and -0.0 in the order the entries
+    # were given, so the reported zero's sign follows the file.
+    distinct = sorted(set(game.payoffs.entry_rows().ravel().tolist()))
     block = {
         "prior": {_key_string(s): game.space.prior[s] for s in game.space.states},
         "payoff_values": distinct,

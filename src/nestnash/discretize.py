@@ -26,8 +26,6 @@ from typing import Mapping
 import numpy as np
 
 from .game import (
-    Action,
-    Atom,
     GameFormatError,
     InformationPartition,
     NestedGame,
@@ -302,7 +300,8 @@ def build_hat_game(spec: CompactGameSpec, epsilon: float) -> DiscretizedGame:
     sit within [0, epsilon) below the true value; discarded states pay
     zero and are charged to the tail of the certificate.  Each payoff
     polynomial is evaluated over the whole joint net at once
-    (``_net_floors``), and every value equals the scalar
+    (``_net_floors``) and written straight into the game's payoff
+    array; every value equals the scalar
     ``floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)``
     bit for bit.
     """
@@ -316,24 +315,21 @@ def build_hat_game(spec: CompactGameSpec, epsilon: float) -> DiscretizedGame:
     )
     kept = set(truncation.omega_double_prime)
     bound_m = truncation.bound_m
-    grid = _joint_grid(spec, nets, _net_axis(eta0))
+    grid = _joint_grid(spec, _net_axis(eta0))
 
-    values: dict[tuple[State, tuple[Action, ...]], tuple[float, ...]] = {}
-    for s in spec.space.states:
-        keys = [(s, profile) for profile in grid.profiles]
+    states = spec.space.states
+    table = np.zeros((spec.n, len(states)) + tuple(map(len, nets)))
+    cells = table.reshape(spec.n, len(states), -1)
+    for k, s in enumerate(states):
         if s in kept:
-            columns = [
-                _net_floors(spec.payoffs[(s, i)], grid, epsilon, bound_m)
-                for i in range(1, spec.n + 1)
-            ]
-            values.update(zip(keys, zip(*columns)))
-        else:
-            values.update(dict.fromkeys(keys, (0.0,) * spec.n))
+            for i in range(1, spec.n + 1):
+                poly = spec.payoffs[(s, i)]
+                cells[i - 1, k] = _net_floors(poly, grid, epsilon, bound_m)
 
     game = NestedGame(
         space=spec.space,
         partitions=spec.partitions,
-        payoffs=PayoffTensor(actions=nets, values=values),
+        payoffs=PayoffTensor.from_array(nets, states, table),
     )
     return DiscretizedGame(
         game=game,
@@ -354,24 +350,21 @@ _SMALLEST_FLOAT = math.ulp(0.0)
 class _JointGrid:
     """The joint net as one numpy grid with one axis per coordinate.
 
-    ``profiles`` lists the joint profiles in ``itertools.product(*nets)``
-    order, which is the C order of ``shape``.  ``powers[(d, e)]`` holds
+    Every coordinate runs over ``axis``, so the joint profiles in
+    ``itertools.product(*nets)`` order are the points of ``shape`` in
+    C order.  ``powers[(d, e)]`` holds
     ``x**e`` for every axis value x (Python's float power, as in
     ``poly_eval``), shaped to broadcast along coordinate d; it is None
     when some table entry falls outside [0, 1], which sends every value
     to the scalar path.
     """
 
-    profiles: list[tuple[Action, ...]]
+    axis: tuple[float, ...]
     shape: tuple[int, ...]
     powers: dict[tuple[int, int], np.ndarray] | None
 
 
-def _joint_grid(
-    spec: CompactGameSpec,
-    nets: tuple[tuple[tuple[float, ...], ...], ...],
-    axis: tuple[float, ...],
-) -> _JointGrid:
+def _joint_grid(spec: CompactGameSpec, axis: tuple[float, ...]) -> _JointGrid:
     dims = spec.total_dim
     pairs = {
         (d, e)
@@ -387,16 +380,12 @@ def _joint_grid(
             (d, e): tables[e].reshape((1,) * d + (-1,) + (1,) * (dims - d - 1))
             for d, e in pairs
         }
-    return _JointGrid(
-        profiles=list(itertools.product(*nets)),
-        shape=(len(axis),) * dims,
-        powers=powers,
-    )
+    return _JointGrid(axis=axis, shape=(len(axis),) * dims, powers=powers)
 
 
 def _net_floors(
     poly: Poly, grid: _JointGrid, epsilon: float, bound_m: float
-) -> list[float]:
+) -> np.ndarray:
     """``floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)`` at
     every joint grid point, in profile order, bit for bit.
 
@@ -440,7 +429,7 @@ def _net_floors(
     tau < 1/2 forces R < 2**51, so no step overflows; otherwise, or
     when the premises above fail, every entry takes the scalar path.
     """
-    size = len(grid.profiles)
+    size = math.prod(grid.shape)
     total = poly_value_bound(poly)
     u, eta = _UNIT_ROUNDOFF, _SMALLEST_FLOAT
     tau = 2.0 * (
@@ -465,13 +454,14 @@ def _net_floors(
         frac = q - k
         safe = (frac > tau) & (frac < 1.0 - tau)
         k *= epsilon
-        out = k.tolist()
-        unsafe = np.flatnonzero(~safe).tolist()
+        out = k
+        unsafe = np.flatnonzero(~safe)
     else:
-        out = [0.0] * size
-        unsafe = range(size)
-    for r in unsafe:
-        point = tuple(x for block in grid.profiles[r] for x in block)
+        out = np.empty(size)
+        unsafe = np.arange(size)
+    coords = zip(*(c.tolist() for c in np.unravel_index(unsafe, grid.shape)))
+    for r, index in zip(unsafe.tolist(), coords):
+        point = tuple(grid.axis[c] for c in index)
         out[r] = floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)
     return out
 

@@ -2,12 +2,13 @@
 
 A game couples an explicit finite state space with one information
 partition per player and a dense payoff tensor over states and joint
-action profiles.  The tensor's entries live in a dict keyed by
-``(state, profile)``; every stage that reads the whole table
-(validation, the payoff bound and classes, the agent form, the
-certifier) reads one float array built from it once per state order
-(``PayoffTensor.array``).  Player 1 is the most informed: validity
-requires each player's partition to refine the next player's.  Strategies are maps
+action profiles.  Every stage that reads the whole table (validation,
+the payoff bound and classes, the agent form, the certifier) reads one
+float array per state order (``PayoffTensor.array``).  The game file
+loader and the grid game write that array directly; a tensor built
+from a dict keyed by ``(state, profile)`` stacks it from the dict once.
+Player 1 is the most informed: validity requires each player's
+partition to refine the next player's.  Strategies are maps
 from partition atoms to mixed actions, so they are measurable with
 respect to the owning player's information by construction.
 
@@ -111,12 +112,80 @@ class InformationPartition:
         return {a: tuple(ss) for a, ss in grouped.items()}
 
 
-@dataclass(frozen=True)
 class PayoffTensor:
-    """Dense payoffs: (state, joint action profile) -> one value per player."""
+    """Dense payoffs: (state, joint action profile) -> one value per player.
 
-    actions: tuple[tuple[Action, ...], ...]
-    values: dict[tuple[State, tuple[Action, ...]], tuple[float, ...]]
+    A tensor is built from a dict of entries keyed by ``(state,
+    profile)`` (``PayoffTensor(actions, values)``) or from the payoff
+    array itself (``PayoffTensor.from_array``), which is how the game
+    file loader and the grid game build it.  Every stage that reads the
+    whole table reads the array (``array``).  For an array-backed tensor
+    the dict ``values`` is a view built on first use; only ``payoff``,
+    the plain oracles and callers outside the solve read it.
+    """
+
+    def __init__(
+        self,
+        actions: tuple[tuple[Action, ...], ...],
+        values: dict[tuple[State, tuple[Action, ...]], tuple[float, ...]],
+    ):
+        self.actions = actions
+        self._values = values
+        self._arrays: dict[tuple[State, ...], np.ndarray] = {}
+        # Array-backed tensors only: the state order of ``_table`` and the
+        # flat (state, profile) cell of each entry in the order given.
+        self._states: tuple[State, ...] | None = None
+        self._table: np.ndarray | None = None
+        self._order: np.ndarray | None = None
+
+    @classmethod
+    def from_array(
+        cls,
+        actions: tuple[tuple[Action, ...], ...],
+        states: tuple[State, ...],
+        table: np.ndarray,
+        order: np.ndarray | None = None,
+    ) -> "PayoffTensor":
+        """The tensor whose array for ``states`` is ``table``.
+
+        ``table`` has the shape ``array`` describes, holds every entry
+        and is kept, made read-only.  ``order`` lists the flat (state,
+        profile) cell of each entry in the order the entries were given,
+        a permutation of all cells; ``values`` and ``entry_rows``
+        follow it.  Without it the entries run in array order.
+        """
+        tensor = cls(actions, None)
+        table.flags.writeable = False
+        tensor._arrays[states] = table
+        tensor._states, tensor._table, tensor._order = states, table, order
+        return tensor
+
+    @property
+    def values(self) -> dict[tuple[State, tuple[Action, ...]], tuple[float, ...]]:
+        """Every entry, keyed by ``(state, profile)``, in the order given."""
+        if self._values is None:
+            self._values = _entry_dict(self)
+        return self._values
+
+    @property
+    def entry_count(self) -> int:
+        """How many entries the tensor was given."""
+        if self._table is None:
+            return len(self._values)
+        return math.prod(self._table.shape[1:])
+
+    def entry_rows(self) -> np.ndarray:
+        """Each entry's n values as one row, in the order given."""
+        if self._table is None:
+            rows = np.array(list(self._values.values()), float)
+            return rows.reshape(len(self._values), self.num_players)
+        rows = self._table.reshape(self.num_players, -1).T
+        return rows if self._order is None else rows[self._order]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PayoffTensor):
+            return NotImplemented
+        return self.actions == other.actions and self.values == other.values
 
     @property
     def num_players(self) -> int:
@@ -134,8 +203,10 @@ class PayoffTensor:
 
         Shape ``(n, len(states), |A_1|, ..., |A_n|)``: axis 0 is the
         player, axis 1 follows ``states`` and axis 1 + j follows player
-        j's actions.  Built on the first call for a state order; later
-        calls with that order return the same array, so every game that
+        j's actions.  An array-backed tensor returns its own array for
+        its own state order; otherwise the array is stacked from
+        ``values`` on the first call for a state order, and later calls
+        with that order return the same array.  So every game that
         shares this tensor and state space shares one array.  Raises
         GameFormatError when an entry is missing or holds a number of
         values other than n.
@@ -145,9 +216,13 @@ class PayoffTensor:
             table = self._arrays[states] = _dense_payoffs(self, states)
         return table
 
-    @cached_property
-    def _arrays(self) -> dict[tuple[State, ...], np.ndarray]:
-        return {}
+
+def _entry_dict(payoffs: PayoffTensor) -> dict:
+    """The entries of an array-backed tensor as a dict, in the order given."""
+    keys = list(itertools.product(payoffs._states, payoffs.profiles()))
+    cells = range(len(keys)) if payoffs._order is None else payoffs._order.tolist()
+    rows = map(tuple, payoffs.entry_rows().tolist())
+    return dict(zip(map(keys.__getitem__, cells), rows))
 
 
 def _dense_payoffs(payoffs: PayoffTensor, states: tuple[State, ...]) -> np.ndarray:
@@ -393,17 +468,17 @@ def validate_game(game: NestedGame) -> ValidationReport:
     if any(x.code in ("partition", "actions") for x in v):
         return ValidationReport(tuple(v))
 
-    # Payoff tensor.  Building the array looks up every expected entry
-    # and checks each one's length; with the entry count matching, the
-    # table holds exactly the expected entries.
-    values = game.payoffs.values
+    # Payoff tensor.  An array-backed tensor holds exactly the expected
+    # entries of its own state order.  Otherwise building the array looks
+    # up every expected entry and checks each one's length; with the
+    # entry count matching, the table holds exactly the expected entries.
+    count = game.payoffs.entry_count
     expected = len(states) * math.prod(len(acts) for acts in game.payoffs.actions)
-    complete = len(values) == expected
+    complete = count == expected
     if not complete:
         v.append(
             Violation(
-                "payoffs",
-                f"payoff tensor has {len(values)} entries, expected {expected}",
+                "payoffs", f"payoff tensor has {count} entries, expected {expected}"
             )
         )
     try:
@@ -412,7 +487,7 @@ def validate_game(game: NestedGame) -> ValidationReport:
         table = None
         v.append(Violation("payoffs", str(err)))
     if table is None or not complete:
-        stray = next((s for s, _ in values if s not in state_set), None)
+        stray = next((s for s, _ in game.payoffs.values if s not in state_set), None)
         if stray is not None:
             v.append(Violation("payoffs", f"payoff entry for unknown state {stray!r}"))
     else:

@@ -7,12 +7,23 @@ polynomial payoffs).  Parsing is strict: unknown fields, missing
 fields, wrong shapes, and wrong primitive types are all rejected with
 a message naming the offending location.  Nothing is inferred
 silently; a file that parses differently tomorrow is a bug today.
+
+A finite game's payoff entries go straight into the game's payoff
+array (``PayoffTensor.from_array``): each check runs over a whole
+column of entries at once, and only when one fails are the entries
+rechecked one by one, so an error still names the first bad entry in
+file order, in the same words.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import operator
 from typing import Any
+
+import numpy as np
 
 from .discretize import CompactGameSpec, Poly
 from .game import (
@@ -196,7 +207,76 @@ def _parse_finite(obj: dict) -> LoadedGame:
                 s: _expect_number(row[s], f"{where}.{s}") for s in states
             }
 
+    space = StateSpace(states=states, prior=prior, player_priors=player_priors)
     entries = _expect_list(obj["payoffs"], "payoffs")
+    payoffs = _payoff_array(entries, space, actions)
+    if payoffs is None:
+        payoffs = PayoffTensor(actions, _payoff_dict(entries, prior, actions))
+    game = NestedGame(space=space, partitions=partitions, payoffs=payoffs)
+    return LoadedGame(mode="finite", game=game)
+
+
+def _payoff_array(
+    entries: list, space: StateSpace, actions: tuple[tuple[str, ...], ...]
+) -> PayoffTensor | None:
+    """The payoff tensor of a well-formed, complete ``payoffs`` list,
+    written straight into its array; None for any other list.
+
+    Each check of ``_payoff_dict`` runs over a whole column at once:
+    entries are dicts of exactly the three fields, profiles and values
+    are lists of n, every state id and action label maps to its index
+    (the index dicts hold only strings, so only a string can match),
+    every value is an int or a float within range, and the cells of
+    the entries cover the table once each, so no entry repeats one.
+    When any check fails, ``_payoff_dict`` reruns its entry-by-entry
+    checks from the first entry, so the error names the first bad entry
+    in file order, in that function's words; a list that passes them
+    but misses a cell is left to validation.
+    """
+    n = len(actions)
+    states = space.states
+    shape = (len(states),) + tuple(map(len, actions))
+    cells = math.prod(shape)
+    if (
+        len(entries) != cells
+        or set(map(type, entries)) != {dict}
+        or set(map(len, entries)) != {3}
+    ):
+        return None
+    try:
+        profiles = list(map(operator.itemgetter("profile"), entries))
+        rows = list(map(operator.itemgetter("values"), entries))
+        for column in (profiles, rows):
+            if set(map(type, column)) != {list} or set(map(len, column)) != {n}:
+                return None
+        ids = map(operator.itemgetter("state"), entries)
+        order = np.fromiter(map(space.position.__getitem__, ids), np.intp, cells)
+        for j, acts in enumerate(actions):
+            index = {a: k for k, a in enumerate(acts)}
+            labels = map(operator.itemgetter(j), profiles)
+            order *= len(acts)
+            order += np.fromiter(map(index.__getitem__, labels), np.intp, cells)
+        flat = list(itertools.chain.from_iterable(rows))
+        if not set(map(type, flat)) <= {float, int}:
+            return None
+        data = np.array(flat, float)
+    except (KeyError, TypeError, OverflowError):
+        return None
+    seen = np.zeros(cells, bool)
+    seen[order] = True
+    if not seen.all():
+        return None
+    table = np.empty((n, cells))
+    table[:, order] = data.reshape(cells, n).T
+    return PayoffTensor.from_array(actions, states, table.reshape((n,) + shape), order)
+
+
+def _payoff_dict(
+    entries: list, prior: dict[str, float], actions: tuple[tuple[str, ...], ...]
+) -> dict:
+    """The ``payoffs`` list as a dict keyed by (state, profile), checked
+    entry by entry in file order."""
+    n = len(actions)
     values: dict = {}
     for k, entry in enumerate(entries):
         where = f"payoffs[{k}]"
@@ -226,13 +306,7 @@ def _parse_finite(obj: dict) -> LoadedGame:
         if key in values:
             raise SchemaError(f"{where}: duplicate payoff entry for {key!r}")
         values[key] = vals
-
-    game = NestedGame(
-        space=StateSpace(states=states, prior=prior, player_priors=player_priors),
-        partitions=partitions,
-        payoffs=PayoffTensor(actions=actions, values=values),
-    )
-    return LoadedGame(mode="finite", game=game)
+    return values
 
 
 def _parse_types(obj: dict) -> LoadedGame:

@@ -332,6 +332,10 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
         raise GameFormatError("target regret must be finite and nonnegative")
     if config.seed < 0:
         raise GameFormatError("seed must be nonnegative")
+    if config.max_restarts < 1:
+        raise GameFormatError("max_restarts must be at least 1")
+    if config.max_iterations < 1:
+        raise GameFormatError("max_iterations must be at least 1")
 
     tracker = _Tracker(config.target_regret)
     restarts_used = 0

@@ -8,6 +8,7 @@ import pytest
 import nestnash.game
 import nestnash.hierarchy
 from nestnash.cli import REPORT_VERSION, main
+from nestnash.game import PayoffTensor
 
 MP_GAME = {
     "version": 1,
@@ -257,12 +258,45 @@ class TestSolve:
         assert "Traceback" not in captured.err
         assert f"error: {where} is too large to be a float" in captured.err
 
+    @pytest.mark.parametrize(
+        "reverse, listed", [(False, "[-1.0, -0.0, 1.0]"), (True, "[-1.0, 0.0, 1.0]")]
+    )
+    def test_signed_zeros_report_the_first_in_file(
+        self, reverse, listed, tmp_path, capsys
+    ):
+        doc = json.loads(json.dumps(MP_GAME))
+        for entry, vals in zip(
+            doc["payoffs"], [[1.0, -1.0], [-0.0, 0.0], [0.0, -0.0], [-1.0, 1.0]]
+        ):
+            entry["values"] = vals
+        if reverse:
+            doc["payoffs"].reverse()
+        path = write_json(tmp_path / "zeros.json", doc)
+        assert main(["solve", "--game", path, "--epsilon", "0.05"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert json.dumps(report["ingestion"]["payoff_values"]) == listed
+
     @pytest.mark.parametrize("doc", [ANCHOR_GAME, CONTINUOUS_GAME])
     def test_builds_one_payoff_array(self, doc, tmp_path, monkeypatch):
+        """The loader and the grid game write the payoff array itself:
+        the solve stacks no dict into an array, builds no ``values``
+        dict, and every stage reads the one array."""
         path = write_json(tmp_path / "game.json", doc)
-        builds = count_calls(monkeypatch, nestnash.game, "_dense_payoffs")
+        stacks = count_calls(monkeypatch, nestnash.game, "_dense_payoffs")
+        views = count_calls(monkeypatch, nestnash.game, "_entry_dict")
+        tables = []
+        array = PayoffTensor.array
+
+        def counted(self, states):
+            tables.append(array(self, states))
+            return tables[-1]
+
+        monkeypatch.setattr(PayoffTensor, "array", counted)
         assert main(["solve", "--game", path, "--epsilon", "0.25"]) == 0
-        assert len(builds) == 1
+        assert stacks == []
+        assert views == []
+        assert tables
+        assert all(table is tables[0] for table in tables)
 
     @pytest.mark.parametrize("doc", [ANCHOR_GAME, CONTINUOUS_GAME])
     def test_validates_and_audits_once(self, doc, tmp_path, monkeypatch):
@@ -525,7 +559,109 @@ class TestHierarchy:
         assert "delta" in capsys.readouterr().err
 
 
+def _entry_case(edit):
+    doc = json.loads(json.dumps(MP_GAME))
+    edit(doc["payoffs"])
+    return doc
+
+
+def _set(k, field, value):
+    def edit(entries):
+        entries[k][field] = value
+
+    return edit
+
+
+def _repeat_then(edit_later):
+    def edit(entries):
+        entries[2] = dict(entries[1])
+        if edit_later is not None:
+            edit_later(entries)
+
+    return edit
+
+
+MALFORMED_ENTRIES = {
+    "non-object": (
+        lambda e: e.__setitem__(1, 5),
+        "payoffs[1] must be an object",
+    ),
+    "unknown-field": (
+        _set(1, "extra", 1),
+        "payoffs[1]: unknown field 'extra'",
+    ),
+    "missing-field": (
+        lambda e: e[1].pop("values"),
+        "payoffs[1]: missing field 'values'",
+    ),
+    "non-string-state": (_set(1, "state", 1), "payoffs[1].state must be a string"),
+    "unknown-state": (_set(1, "state", "v"), "payoffs[1]: unknown state 'v'"),
+    "profile-not-list": (
+        _set(1, "profile", "HT"),
+        "payoffs[1].profile must be an array",
+    ),
+    "profile-length": (
+        _set(1, "profile", ["H"]),
+        "payoffs[1].profile must list 2 actions",
+    ),
+    "non-string-label": (
+        _set(1, "profile", ["H", 2]),
+        "payoffs[1].profile[1] must be a string",
+    ),
+    "unknown-action": (
+        _set(1, "profile", ["H", "X"]),
+        "payoffs[1]: action 'X' not in player 2's action set",
+    ),
+    "values-not-list": (
+        _set(1, "values", 1.0),
+        "payoffs[1].values must be an array",
+    ),
+    "values-length": (
+        _set(1, "values", [1.0]),
+        "payoffs[1].values must list 2 numbers",
+    ),
+    "bool-value": (
+        _set(1, "values", [True, 1.0]),
+        "payoffs[1].values[0] must be a number",
+    ),
+    "string-value": (
+        _set(1, "values", [-1.0, "1"]),
+        "payoffs[1].values[1] must be a number",
+    ),
+    "huge-value": (
+        _set(1, "values", [10**400, 1.0]),
+        "payoffs[1].values[0] is too large to be a float",
+    ),
+    "duplicate": (
+        _repeat_then(None),
+        "payoffs[2]: duplicate payoff entry for ('w', ('H', 'T'))",
+    ),
+    "duplicate-before-bad": (
+        _repeat_then(_set(3, "values", [True, 1.0])),
+        "payoffs[2]: duplicate payoff entry for ('w', ('H', 'T'))",
+    ),
+    "incomplete": (
+        lambda e: e.pop(),
+        "invalid game: payoff tensor has 3 entries, expected 4; "
+        "payoff tensor misses the entry at ('w', ('T', 'T'))",
+    ),
+}
+
+
 class TestInputRejection:
+    @pytest.mark.parametrize(
+        "edit, message",
+        list(MALFORMED_ENTRIES.values()),
+        ids=list(MALFORMED_ENTRIES),
+    )
+    def test_malformed_payoff_entry(self, edit, message, tmp_path, capsys):
+        path = write_json(tmp_path / "bad.json", _entry_case(edit))
+        code = main(["solve", "--game", path, "--epsilon", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unknown_field(self, tmp_path, capsys):
         doc = dict(MP_GAME)
         doc["extra"] = 1

@@ -191,6 +191,33 @@ class TestPayoffArray:
         assert not table.flags.writeable
         assert table.flags.c_contiguous
 
+    def test_array_backed_tensor_matches_its_dict(self):
+        game = two_state_game()
+        states = game.space.states
+        table = np.array(game.payoff_array)
+        order = np.arange(table[0].size)[::-1].copy()
+        tensor = PayoffTensor.from_array(game.payoffs.actions, states, table, order)
+        assert tensor.array(states) is table
+        assert not table.flags.writeable
+        assert tensor.entry_count == 8
+        assert tensor == game.payoffs
+        assert list(tensor.values) == list(reversed(game.payoffs.values))
+        assert tensor.entry_rows().tolist() == list(
+            map(list, reversed(game.payoffs.values.values()))
+        )
+        assert validate_game(
+            NestedGame(game.space, game.partitions, tensor)
+        ).ok
+
+    def test_array_backed_tensor_restacks_for_another_state_order(self):
+        game = two_state_game()
+        tensor = PayoffTensor.from_array(
+            game.payoffs.actions, game.space.states, np.array(game.payoff_array)
+        )
+        flipped = StateSpace(states=("w2", "w1"), prior=game.space.prior)
+        table = NestedGame(flipped, game.partitions, tensor).payoff_array
+        assert np.array_equal(table, game.payoff_array[:, ::-1])
+
     def test_missing_entry_keeps_the_count_message(self):
         game = two_state_game()
         values = dict(game.payoffs.values)

@@ -280,6 +280,20 @@ class TestSolver:
         with pytest.raises(GameFormatError, match="seed"):
             solve_nash(engine, SolverConfig(target_regret=0.05, seed=-1))
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_empty_restart_budget(self, budget):
+        engine = agent_form_for(two_state_game(), 0.2)
+        config = SolverConfig(target_regret=0.05, max_restarts=budget)
+        with pytest.raises(GameFormatError, match="max_restarts"):
+            solve_nash(engine, config)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_empty_iteration_budget(self, budget):
+        engine = agent_form_for(two_state_game(), 0.2)
+        config = SolverConfig(target_regret=0.05, max_iterations=budget)
+        with pytest.raises(GameFormatError, match="max_iterations"):
+            solve_nash(engine, config)
+
     def test_random_games_reach_modest_targets(self):
         rng = np.random.default_rng(88)
         for _ in range(5):

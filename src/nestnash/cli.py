@@ -20,6 +20,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Callable
 
 from .discretize import (
     build_hat_game,
@@ -298,11 +299,13 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _emit_report(report: dict, fmt: str, csv_text: str | None, out: str | None):
+def _emit_report(
+    report: dict, fmt: str, csv_text: Callable[[], str], out: str | None
+) -> None:
+    """Write ``report`` as JSON, or for ``--format csv`` the text
+    ``csv_text()`` builds."""
     if fmt == "csv":
-        if csv_text is None:
-            raise GameFormatError("csv output is not available for this command")
-        _emit(csv_text, out)
+        _emit(csv_text(), out)
     else:
         _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False), out)
 
@@ -354,7 +357,7 @@ def _solve_finite(game: NestedGame, mode: str, args) -> int:
     doc["ingestion"] = _ingestion_block(game)
     doc["coarse_profile"] = profile_to_json(sol.result.profile)
     doc["regret"] = _regret_block(sol.report)
-    _emit_report(doc, args.format, _regret_csv(sol.report), args.out)
+    _emit_report(doc, args.format, lambda: _regret_csv(sol.report), args.out)
     return 0 if sol.report.passed else 2
 
 
@@ -399,7 +402,7 @@ def _solve_continuous(compact, args) -> int:
         "ok": audit.ok,
         "players": [{"player": e.player, "regret": e.regret} for e in audit.entries],
     }
-    _emit_report(doc, args.format, _regret_csv(sol.report), args.out)
+    _emit_report(doc, args.format, lambda: _regret_csv(sol.report), args.out)
     return 0 if audit.ok else 2
 
 
@@ -445,7 +448,7 @@ def _cmd_verify(args) -> int:
         "ingestion": _ingestion_block(game),
         "regret": _regret_block(report),
     }
-    _emit_report(doc, args.format, _regret_csv(report), args.out)
+    _emit_report(doc, args.format, lambda: _regret_csv(report), args.out)
     return 0 if report.passed else 2
 
 
@@ -473,5 +476,5 @@ def _cmd_hierarchy(args) -> int:
         "ingestion": _ingestion_block(game),
         "hierarchy": block,
     }
-    _emit_report(doc, args.format, _hierarchy_csv(game, hier), args.out)
+    _emit_report(doc, args.format, lambda: _hierarchy_csv(game, hier), args.out)
     return 0 if block["ok"] else 2

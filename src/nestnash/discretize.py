@@ -13,6 +13,11 @@ fractions j/(m-1) and payoff quantization is the ``fractions`` floor of
 proven error bound shows the two agree), so the committed error window
 [0, epsilon) holds as a statement about the produced floats, not about
 ideal reals.
+
+The probe audit checks a grid profile against the true polynomials.  It
+runs the regret certifier on the true-value grid game, the grid game
+with each state's unfloored values, so the audit sums exactly as every
+certificate does and shares its negative-regret check.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .game import (
     StateSpace,
     StrategyProfile,
 )
+from .regret import bayesian_regret
 
 Monomial = tuple[float, tuple[int, ...]]
 Poly = tuple[Monomial, ...]
@@ -61,9 +67,6 @@ class CompactGameSpec:
     @property
     def n(self) -> int:
         return len(self.box_dims)
-
-    def block_offset(self, player: int) -> int:
-        return sum(self.box_dims[: player - 1])
 
     @property
     def total_dim(self) -> int:
@@ -161,14 +164,17 @@ def eta_net(dim: int, eta0: float) -> tuple[tuple[float, ...], ...]:
     return tuple(itertools.product(_net_axis(eta0), repeat=dim))
 
 
+def _per_axis(eta0: float) -> int:
+    return math.ceil(1.0 / eta0) + 1
+
+
 def _net_axis(eta0: float) -> tuple[float, ...]:
-    per_axis = math.ceil(1.0 / eta0) + 1
+    per_axis = _per_axis(eta0)
     return tuple(j / (per_axis - 1) for j in range(per_axis))
 
 
 def net_spacing(eta0: float) -> float:
-    per_axis = math.ceil(1.0 / eta0) + 1
-    return 1.0 / (per_axis - 1)
+    return 1.0 / (_per_axis(eta0) - 1)
 
 
 def floor_to_multiple(value: float, step: float, bound: float) -> float:
@@ -383,6 +389,26 @@ def _joint_grid(spec: CompactGameSpec, axis: tuple[float, ...]) -> _JointGrid:
     return _JointGrid(axis=axis, shape=(len(axis),) * dims, powers=powers)
 
 
+def _net_values(poly: Poly, grid: _JointGrid) -> np.ndarray:
+    """``poly`` at every joint grid point, in profile order, as a new array.
+
+    With the power tables, each term is ``poly_eval``'s term bit for bit
+    and the terms are summed in numpy; without them every point takes
+    ``poly_eval`` itself.
+    """
+    if grid.powers is None:
+        points = itertools.product(grid.axis, repeat=len(grid.shape))
+        return np.array([poly_eval(poly, point) for point in points])
+    acc = np.zeros(grid.shape)
+    for coef, exps in poly:
+        term = float(coef)
+        for d, e in enumerate(exps):
+            if e:
+                term = term * grid.powers[(d, e)]
+        acc += term
+    return acc.ravel()
+
+
 def _net_floors(
     poly: Poly, grid: _JointGrid, epsilon: float, bound_m: float
 ) -> np.ndarray:
@@ -441,14 +467,7 @@ def _net_floors(
         and math.isfinite(2.0 * total)
         and tau < 0.5
     ):
-        acc = np.zeros(grid.shape)
-        for coef, exps in poly:
-            term = float(coef)
-            for d, e in enumerate(exps):
-                if e:
-                    term = term * grid.powers[(d, e)]
-            acc += term
-        q = acc.ravel()
+        q = _net_values(poly, grid)
         q /= epsilon
         k = np.floor(q)
         frac = q - k
@@ -500,34 +519,6 @@ def certify_sup_gap(disc: DiscretizedGame) -> GapCertificate:
     return GapCertificate(epsilon=eps, players=tuple(players), budget=3.0 * eps)
 
 
-def _poly_probe_values(
-    poly: Poly,
-    probes: np.ndarray,
-    offset: int,
-    fixed: dict[int, float],
-) -> np.ndarray:
-    """Evaluate a polynomial over probe points in one player's block.
-
-    ``fixed`` supplies the coordinates of every other block; the
-    player's own block is swept over the rows of ``probes``.
-    """
-    out = np.zeros(len(probes))
-    width = probes.shape[1]
-    for coef, exps in poly:
-        scalar = coef
-        vec = None
-        for d, e in enumerate(exps):
-            if not e:
-                continue
-            if offset <= d < offset + width:
-                col = probes[:, d - offset] ** e
-                vec = col if vec is None else vec * col
-            else:
-                scalar *= fixed[d] ** e
-        out += scalar * vec if vec is not None else scalar
-    return out
-
-
 def probe_harsanyi_regret(
     disc: DiscretizedGame,
     profile: StrategyProfile,
@@ -535,69 +526,52 @@ def probe_harsanyi_regret(
 ) -> ProbeAudit:
     """Audit a grid-supported profile against grid deviations, exactly.
 
-    For each player, the best probe deviation per information atom is
-    computed in the continuous game (true polynomials, no quantization)
-    and aggregated with prior weights into an ex-ante regret.  The
-    default budget is 5 * epsilon plus the probe covering slack, which
-    a certified solve of the finite companion must meet.
+    The audit is the regret certificate (``regret.bayesian_regret``) of
+    the profile on the true-value grid game: the grid game's space,
+    partitions and nets, with the unfloored polynomial values at every
+    joint grid point for every state, dropped ones included.  Each
+    player's regret is the prior-weighted sum of their per-atom regrets,
+    clipped at zero, so the best grid deviation is taken per atom.  The
+    certifier would ignore mass on actions off the grid, so such a
+    profile is rejected first.  The default budget is 5 * epsilon plus
+    the probe covering slack, which a certified solve of the finite
+    companion must meet.
     """
     spec = disc.spec
     if budget is None:
         budget = 5.0 * disc.epsilon + spec.lipschitz * disc.eta0 / 2.0
-    entries = []
-    worst = 0.0
+    game = disc.game
     for i in range(1, spec.n + 1):
         prior = spec.space.prior_for(i)
-        net = eta_net(spec.box_dims[i - 1], disc.eta0)
-        probes = np.array(net)
-        offset = spec.block_offset(i)
-        probe_index = {pt: r for r, pt in enumerate(net)}
-        others = [j for j in range(1, spec.n + 1) if j != i]
-        atom_regrets = []
+        grid_actions = set(game.actions_for(i))
         for atom, members in spec.partitions[i - 1].atoms.items():
-            mass = math.fsum(prior[s] for s in members)
-            if mass <= 0.0:
+            if math.fsum(prior[s] for s in members) <= 0.0:
                 continue
-            dev_values = np.zeros(len(probes))
-            current_terms = []
-            own = profile.distribution(i, atom)
-            for a, p in own.items():
-                if p > 0.0 and a not in probe_index:
+            for a, p in profile.distribution(i, atom).items():
+                if p > 0.0 and a not in grid_actions:
                     raise GameFormatError(
                         f"player {i} plays off-grid action {a!r}; the audit "
                         f"covers grid-supported profiles only"
                     )
-            for s in members:
-                w_s = prior[s]
-                if w_s <= 0.0:
-                    continue
-                supports = []
-                for j in others:
-                    atom_j = spec.partitions[j - 1].atom_of[s]
-                    dist = profile.distribution(j, atom_j)
-                    supports.append(
-                        [(a, p) for a, p in dist.items() if p > 0.0]
-                    )
-                poly = spec.payoffs[(s, i)]
-                for combo in itertools.product(*supports):
-                    w = w_s
-                    fixed: dict[int, float] = {}
-                    for j, (a, p) in zip(others, combo):
-                        w *= p
-                        off_j = spec.block_offset(j)
-                        for d, x in enumerate(a):
-                            fixed[off_j + d] = x
-                    if w <= 0.0:
-                        continue
-                    vec = _poly_probe_values(poly, probes, offset, fixed)
-                    dev_values += w * vec
-                    for a, p in own.items():
-                        if p > 0.0:
-                            current_terms.append(w * p * vec[probe_index[a]])
-            best = float(dev_values.max()) / mass
-            current = math.fsum(current_terms) / mass
-            atom_regrets.append((mass, max(0.0, best - current)))
-        total = math.fsum(m * r for m, r in atom_regrets)
-        entries.append(ProbeEntry(player=i, regret=total))
-        worst = max(worst, total)
-    return ProbeAudit(entries=tuple(entries), max_regret=worst, budget=budget)
+    # The grid game with true values: every state's unfloored polynomials.
+    grid = _joint_grid(spec, _net_axis(disc.eta0))
+    states = spec.space.states
+    table = np.empty((spec.n, len(states)) + tuple(map(len, disc.nets)))
+    cells = table.reshape(spec.n, len(states), -1)
+    for k, s in enumerate(states):
+        for i in range(1, spec.n + 1):
+            cells[i - 1, k] = _net_values(spec.payoffs[(s, i)], grid)
+    true_game = NestedGame(
+        space=game.space,
+        partitions=game.partitions,
+        payoffs=PayoffTensor.from_array(disc.nets, states, table),
+    )
+    entries = tuple(
+        ProbeEntry(
+            player=i,
+            regret=math.fsum(e.mass * max(0.0, e.regret) for e in atoms.values()),
+        )
+        for i, atoms in sorted(bayesian_regret(true_game, profile).items())
+    )
+    worst = max(e.regret for e in entries)
+    return ProbeAudit(entries=entries, max_regret=worst, budget=budget)

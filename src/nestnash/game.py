@@ -348,15 +348,7 @@ def refines(fine: InformationPartition, coarse: InformationPartition) -> bool:
     """
     if set(fine.atom_of) != set(coarse.atom_of):
         raise GameFormatError("refines: partitions cover different state sets")
-    seen: dict[Atom, Atom] = {}
-    for state, atom in fine.atom_of.items():
-        parent = coarse.atom_of[state]
-        if atom in seen:
-            if seen[atom] != parent:
-                return False
-        else:
-            seen[atom] = parent
-    return True
+    return _refinement_witness(fine, coarse) is None
 
 
 def _refinement_witness(
@@ -602,17 +594,35 @@ def _expectations(
     states: list[State],
     keep: int | None = None,
 ) -> np.ndarray:
-    """Expected payoffs to ``player``, one row per state.
-
-    Each entry is the fsum of p * u over joint actions.  With ``keep``
-    unset the joint actions are every player's and each row has one
-    entry; with ``keep`` a player, the joint actions are the others' and
-    each row has one entry per action of ``keep``, who plays it for sure.
-    An action that the profile plays at none of the states only adds
-    zero terms, so it is dropped before any product is formed.
-    """
+    """Expected payoffs to ``player``, one row per state: ``_expectation_rows``
+    on the distributions the profile plays at each state."""
     players = [j for j in range(1, game.n + 1) if j != keep]
     dists = _strategies_at(game, profile, states, players)
+    index = [game.space.position[s] for s in states]
+    return _expectation_rows(game, player, dists, index, keep)
+
+
+def _expectation_rows(
+    game: NestedGame,
+    player: int,
+    dists: list[np.ndarray],
+    index: Sequence[int],
+    keep: int | None = None,
+) -> np.ndarray:
+    """Expected payoffs to ``player``, one row per entry of ``index``.
+
+    ``index[r]`` is a position on the payoff array's state axis, and
+    ``dists`` holds, per player other than ``keep`` in order, a
+    (len(index), |A_j|) array: the distribution that player plays in
+    row r.  Each entry is the fsum of p * u over joint actions.  With
+    ``keep`` unset the joint actions are every player's and each row has
+    one entry; with ``keep`` a player, the joint actions are the others'
+    and each row has one entry per action of ``keep``, who plays it for
+    sure.  An action played in no row only adds zero terms, so it is
+    dropped before any product is formed.
+    """
+    players = [j for j in range(1, game.n + 1) if j != keep]
+    dists = list(dists)
     table = game.payoff_array[player - 1]
     for k, j in enumerate(players):
         live = dists[k].any(axis=0)
@@ -620,14 +630,13 @@ def _expectations(
             table = table.compress(live, axis=j)
             dists[k] = dists[k][:, live]
     joint = _joint(dists)
-    index = [game.space.position[s] for s in states]
     if keep is not None:
         table = np.moveaxis(table, keep, 1)
     rows = len(game.actions_for(keep)) if keep is not None else 1
-    table = table[index].reshape(len(states), rows, joint.shape[1])
-    terms = (table * joint[:, None, :]).reshape(len(states) * rows, joint.shape[1])
+    table = table[index].reshape(len(index), rows, joint.shape[1])
+    terms = (table * joint[:, None, :]).reshape(len(index) * rows, joint.shape[1])
     sums = [math.fsum(row) for row in terms.tolist()]
-    return np.array(sums).reshape(len(states), rows)
+    return np.array(sums).reshape(len(index), rows)
 
 
 def _support(

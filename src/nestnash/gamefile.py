@@ -157,21 +157,34 @@ def _parse_partitions(
     return tuple(out)
 
 
+def _parse_labels(row: Any, where: str, noun: str) -> tuple[str, ...]:
+    """A nonempty list of distinct string labels (actions or types)."""
+    labels = _expect_list(row, where)
+    if not labels:
+        raise SchemaError(f"{where} must be nonempty")
+    seen: dict[str, None] = {}
+    for k, label in enumerate(labels):
+        label = _expect_string(label, f"{where}[{k}]")
+        if label in seen:
+            raise SchemaError(f"{where}: duplicate {noun} {label!r}")
+        seen[label] = None
+    return tuple(seen)
+
+
+def _parse_values(row: Any, n: int, where: str) -> tuple[float, ...]:
+    """A payoff entry's ``values``: a list of n numbers."""
+    row = _expect_list(row, where)
+    if len(row) != n:
+        raise SchemaError(f"{where} must list {n} numbers")
+    return tuple(_expect_number(v, f"{where}[{j}]") for j, v in enumerate(row))
+
+
 def _parse_actions(obj: Any, n: int) -> tuple[tuple[str, ...], ...]:
     rows = _parse_player_keyed(obj, n, "actions")
-    out = []
-    for i, row in enumerate(rows, start=1):
-        labels = _expect_list(row, f"actions.{i}")
-        if not labels:
-            raise SchemaError(f"actions.{i} must be nonempty")
-        seen: dict[str, None] = {}
-        for k, label in enumerate(labels):
-            label = _expect_string(label, f"actions.{i}[{k}]")
-            if label in seen:
-                raise SchemaError(f"actions.{i}: duplicate action {label!r}")
-            seen[label] = None
-        out.append(tuple(seen))
-    return tuple(out)
+    return tuple(
+        _parse_labels(row, f"actions.{i}", "action")
+        for i, row in enumerate(rows, start=1)
+    )
 
 
 def _count_players(obj: dict, where: str) -> int:
@@ -296,12 +309,7 @@ def _payoff_dict(
                     f"{where}: action {label!r} not in player {i}'s action set"
                 )
             prof.append(label)
-        vals_row = _expect_list(entry["values"], f"{where}.values")
-        if len(vals_row) != n:
-            raise SchemaError(f"{where}.values must list {n} numbers")
-        vals = tuple(
-            _expect_number(v, f"{where}.values[{j}]") for j, v in enumerate(vals_row)
-        )
+        vals = _parse_values(entry["values"], n, f"{where}.values")
         key = (s, tuple(prof))
         if key in values:
             raise SchemaError(f"{where}: duplicate payoff entry for {key!r}")
@@ -320,18 +328,9 @@ def _parse_types(obj: dict) -> LoadedGame:
     if len(type_rows) < 2:
         raise SchemaError("types must list at least two players")
     n = len(type_rows)
-    type_sets = []
-    for i, row in enumerate(type_rows, start=1):
-        labels = _expect_list(row, f"types[{i - 1}]")
-        if not labels:
-            raise SchemaError(f"types[{i - 1}] must be nonempty")
-        parsed = []
-        for k, label in enumerate(labels):
-            label = _expect_string(label, f"types[{i - 1}][{k}]")
-            if label in parsed:
-                raise SchemaError(f"types[{i - 1}]: duplicate type {label!r}")
-            parsed.append(label)
-        type_sets.append(tuple(parsed))
+    type_sets = [
+        _parse_labels(row, f"types[{k}]", "type") for k, row in enumerate(type_rows)
+    ]
 
     def parse_type_profile(row: Any, where: str) -> tuple[str, ...]:
         row = _expect_list(row, where)
@@ -362,20 +361,10 @@ def _parse_types(obj: dict) -> LoadedGame:
         action_rows = _expect_list(obj["actions"], "actions")
         if len(action_rows) != n:
             raise SchemaError(f"actions must list {n} players")
-        actions = []
-        for i, row in enumerate(action_rows, start=1):
-            labels = _expect_list(row, f"actions[{i - 1}]")
-            if not labels:
-                raise SchemaError(f"actions[{i - 1}] must be nonempty")
-            parsed = []
-            for k, label in enumerate(labels):
-                label = _expect_string(label, f"actions[{i - 1}][{k}]")
-                if label in parsed:
-                    raise SchemaError(
-                        f"actions[{i - 1}]: duplicate action {label!r}"
-                    )
-                parsed.append(label)
-            actions.append(tuple(parsed))
+        actions = [
+            _parse_labels(row, f"actions[{k}]", "action")
+            for k, row in enumerate(action_rows)
+        ]
 
     payoffs = {}
     for k, entry in enumerate(_expect_list(obj["payoffs"], "payoffs")):
@@ -390,12 +379,7 @@ def _parse_types(obj: dict) -> LoadedGame:
             _expect_string(a, f"{where}.profile[{i}]")
             for i, a in enumerate(prof_row)
         )
-        vals_row = _expect_list(entry["values"], f"{where}.values")
-        if len(vals_row) != n:
-            raise SchemaError(f"{where}.values must list {n} numbers")
-        vals = tuple(
-            _expect_number(v, f"{where}.values[{j}]") for j, v in enumerate(vals_row)
-        )
+        vals = _parse_values(entry["values"], n, f"{where}.values")
         key = (tp, prof)
         if key in payoffs:
             raise SchemaError(f"{where}: duplicate payoff entry for {key!r}")

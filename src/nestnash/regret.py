@@ -14,9 +14,13 @@ not on their order, and a zero term never changes it.  The evaluator
 (``game._expectations``) forms every term with the same float
 multiplications as a plain loop, for a whole array of states at once,
 so each certificate is the float that loop gives, bit for bit;
-``tests/data/certificates.json`` pins it.  ``brute_force_check``
-recomputes regrets from the payoff dict by plain enumeration,
-independently of this path.
+``tests/data/certificates.json`` pins it.  Its kernel
+(``game._expectation_rows``) takes the players' distributions per row
+directly, and ``coarse_best_response_gap`` evaluates its
+reconstruction from belief centres on it; the continuous probe audit
+(``discretize.probe_harsanyi_regret``) is ``bayesian_regret`` on a
+true-value grid game.  ``brute_force_check`` recomputes regrets from
+the payoff dict by plain enumeration, independently of this path.
 
 Per-atom (interim) regret for player i on an atom of their information
 is the gap between the best conditional payoff achievable with any
@@ -29,7 +33,6 @@ ex-ante deviation, so no extra search is needed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +47,7 @@ from .game import (
     NestedGame,
     State,
     StrategyProfile,
+    _expectation_rows,
     _expectations,
     _support,
     conditional_payoff,
@@ -87,10 +91,6 @@ class RegretReport:
     max_regret: float
     witness: tuple[int, Atom, Action] | None
     passed: bool
-
-
-def _merge(player: int, own: Action, combo: tuple[Action, ...]) -> tuple[Action, ...]:
-    return combo[: player - 1] + (own,) + combo[player - 1 :]
 
 
 def best_response_values(
@@ -361,47 +361,51 @@ def coarse_best_response_gap(
 
     own_actions = game.actions_for(player)
     partition = game.partition_for(player)
+    position = game.space.position
 
-    worst = 0.0
     # Exact conditional value of each own action, per positive-mass atom.
-    for atom, exact in best_response_values(game, eval_profile, player).items():
+    exact = best_response_values(game, eval_profile, player)
+    # Reconstruction from the belief centre: one row per (atom, centre
+    # signal), the signal's class representative against the others'
+    # play on the coarse atoms the signal induces.  The own belief tuple
+    # at levels player..n is constant on the atom.
+    counts: list[int] = []
+    weights: list[float] = []
+    index: list[int] = []
+    rows: dict[int, list[dict[Action, float]]] = {j: [] for j in others}
+    for atom in exact:
         rep = partition.atoms[atom][0]
-        # Reconstruction from the belief centre.  The own belief tuple at
-        # levels player..n is constant on the atom.
         own_tail = tuple(
             hierarchy.level(j).belief_of[rep] for j in range(player, n + 1)
         )
         centre = level.belief_support[level.belief_of[rep]]
-        recon: dict[Action, list[float]] = {a: [] for a in own_actions}
+        counts.append(len(centre))
         for z_idx, weight in centre.items():
             z = level.signal_support[z_idx]
             # z = (belief indices at levels 1..player-1, payoff class).
-            class_rep = hierarchy.classes.representatives[z[-1]]
+            weights.append(weight)
+            index.append(position[hierarchy.classes.representatives[z[-1]]])
             full_key = z[:-1] + own_tail
-            dists = []
             for j in others:
-                key_j = full_key[j - 1 :]
-                atom_j = hierarchy.atom_for_key(j, key_j)
-                if atom_j is None:
-                    dists.append(uniform[j])
-                else:
-                    dists.append(coarse_strats[j][atom_j])
-            for a in own_actions:
-                acc = []
-                for combo in itertools.product(*(game.actions_for(j) for j in others)):
-                    p = 1.0
-                    for d, act in zip(dists, combo):
-                        p *= d.get(act, 0.0)
-                        if p == 0.0:
-                            break
-                    if p != 0.0:
-                        acc.append(
-                            p
-                            * game.payoffs.values[
-                                (class_rep, _merge(player, a, combo))
-                            ][player - 1]
-                        )
-                recon[a].append(weight * math.fsum(acc))
-        for a in own_actions:
-            worst = max(worst, abs(exact.values[a] - math.fsum(recon[a])))
+                atom_j = hierarchy.atom_for_key(j, full_key[j - 1 :])
+                rows[j].append(
+                    uniform[j] if atom_j is None else coarse_strats[j][atom_j]
+                )
+    dists = [
+        np.array(
+            [[d.get(a, 0.0) for a in game.actions_for(j)] for d in rows[j]], float
+        ).reshape(len(index), len(game.actions_for(j)))
+        for j in others
+    ]
+    values = _expectation_rows(game, player, dists, index, keep=player)
+    # Each column: one own action's weighted value at every row.
+    columns = (np.array(weights)[:, None] * values).T.tolist()
+
+    worst = 0.0
+    start = 0
+    for br, count in zip(exact.values(), counts):
+        stop = start + count
+        for a, col in zip(own_actions, columns):
+            worst = max(worst, abs(br.values[a] - math.fsum(col[start:stop])))
+        start = stop
     return worst

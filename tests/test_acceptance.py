@@ -39,7 +39,7 @@ from nestnash.game import (
 )
 from nestnash.hierarchy import build_hierarchy, check_properties, expectation_gap
 from nestnash.pipeline import solve
-from nestnash.regret import bayesian_regret, brute_force_check, certify
+from nestnash.regret import bayesian_regret, brute_force_check
 
 CORPUS_SEED = 20260819
 CORPUS_SIZE = 100
@@ -55,12 +55,6 @@ def _verdict(number: int, name: str, ok: bool) -> bool:
 def corpus():
     rng = np.random.default_rng(CORPUS_SEED)
     return [random_nested_game(rng) for _ in range(CORPUS_SIZE)]
-
-
-def run_pipeline(game, epsilon, seed=0):
-    """The library pipeline's coarse result, lifted profile and transfer bound."""
-    solution = solve(game, epsilon, seed=seed)
-    return solution.result, solution.profile, solution.transfer_bound
 
 
 def test_criterion_1_hierarchy_soundness(corpus):
@@ -118,12 +112,12 @@ def test_criterion_3_end_to_end_regret(corpus):
     transfer_violations = 0
     unconverged = 0
     for idx, game in enumerate(corpus):
-        result, lifted, transfer_bound = run_pipeline(game, epsilon, seed=idx)
-        report = certify(game, lifted, epsilon=epsilon)
+        solution = solve(game, epsilon, seed=idx)
+        report = solution.report
         if report.max_regret <= epsilon + 1e-9:
             within_epsilon += 1
-        if result.converged:
-            if report.max_regret > transfer_bound + 1e-9:
+        if solution.result.converged:
+            if report.max_regret > solution.transfer_bound + 1e-9:
                 transfer_violations += 1
         else:
             unconverged += 1
@@ -151,7 +145,7 @@ def test_formerly_capped_games_converge_on_first_restart(corpus):
     epsilon = 0.05
     slow = []
     for idx in FORMERLY_CAPPED:
-        result, _, _ = run_pipeline(corpus[idx], epsilon, seed=idx)
+        result = solve(corpus[idx], epsilon, seed=idx).result
         if not (
             result.converged
             and result.certified_regret <= epsilon / 2.0 + 1e-9
@@ -265,22 +259,22 @@ def test_criterion_5_known_equilibria(matching_pennies, informed_anchor):
     """Matching pennies lands on the uniform profile within the solver
     target; the hand-solved two-state zero-sum anchor (fixture docstring
     records the derivation, value 2/3) is reproduced within epsilon."""
-    result, lifted, _ = run_pipeline(matching_pennies, epsilon=0.01)
+    solution = solve(matching_pennies, epsilon=0.01)
     target = 0.005
-    ok = result.converged
+    ok = solution.result.converged
     for player in (1, 2):
         for atom in matching_pennies.partition_for(player).atoms:
-            dist = lifted.distribution(player, atom)
+            dist = solution.profile.distribution(player, atom)
             for action in ("H", "T"):
                 if abs(dist.get(action, 0.0) - 0.5) > target:
                     ok = False
 
     epsilon = 0.05
-    result, lifted, _ = run_pipeline(informed_anchor, epsilon=epsilon)
-    value = expected_payoff(informed_anchor, lifted)[0]
-    if not (result.converged and abs(value - 2.0 / 3.0) <= epsilon):
+    solution = solve(informed_anchor, epsilon=epsilon)
+    value = expected_payoff(informed_anchor, solution.profile)[0]
+    if not (solution.result.converged and abs(value - 2.0 / 3.0) <= epsilon):
         ok = False
-    if not certify(informed_anchor, lifted, epsilon=epsilon).passed:
+    if not solution.report.passed:
         ok = False
     assert _verdict(5, "known equilibrium anchors", ok), f"anchor value {value}"
 
@@ -308,14 +302,14 @@ def test_criterion_6_compact_action_chain():
         if not cert.ok:
             ok = False
             detail = f"spec {idx}: sup-gap certificate failed"
-        result, lifted, _ = run_pipeline(disc.game, epsilon, seed=idx)
-        audit = probe_harsanyi_regret(disc, lifted)
+        solution = solve(disc.game, epsilon, seed=idx)
+        audit = probe_harsanyi_regret(disc, solution.profile)
         budget = 5.0 * epsilon + spec.lipschitz * disc.eta0 / 2.0
         if not (audit.ok and audit.max_regret <= budget + 1e-9):
             ok = False
             detail = (
                 f"spec {idx}: probe regret {audit.max_regret} over {budget} "
-                f"(converged: {result.converged})"
+                f"(converged: {solution.result.converged})"
             )
     assert _verdict(6, "compact action certificates", ok), detail
 

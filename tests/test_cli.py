@@ -280,7 +280,8 @@ class TestSolve:
     def test_builds_one_payoff_array(self, doc, tmp_path, monkeypatch):
         """The loader and the grid game write the payoff array itself:
         the solve stacks no dict into an array, builds no ``values``
-        dict, and every stage reads the one array."""
+        dict, and every stage reads the one array.  A continuous solve
+        reads one more, the probe audit's true-value table, built once."""
         path = write_json(tmp_path / "game.json", doc)
         stacks = count_calls(monkeypatch, nestnash.game, "_dense_payoffs")
         views = count_calls(monkeypatch, nestnash.game, "_entry_dict")
@@ -296,7 +297,8 @@ class TestSolve:
         assert stacks == []
         assert views == []
         assert tables
-        assert all(table is tables[0] for table in tables)
+        arrays = 2 if doc["mode"] == "continuous" else 1
+        assert len({id(table) for table in tables}) == arrays
 
     @pytest.mark.parametrize("doc", [ANCHOR_GAME, CONTINUOUS_GAME])
     def test_validates_and_audits_once(self, doc, tmp_path, monkeypatch):
@@ -648,7 +650,74 @@ MALFORMED_ENTRIES = {
 }
 
 
+def _types_case(edit):
+    doc = json.loads(json.dumps(TYPES_GAME))
+    edit(doc)
+    return doc
+
+
+def _types_set(path, value):
+    def edit(doc):
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = value
+
+    return edit
+
+
+MALFORMED_TYPES = {
+    "empty-types": (_types_set(("types", 1), []), "types[1] must be nonempty"),
+    "non-string-type": (
+        _types_set(("types", 0, 1), 2),
+        "types[0][1] must be a string",
+    ),
+    "duplicate-type": (
+        _types_set(("types", 0), ["t1", "t1"]),
+        "types[0]: duplicate type 't1'",
+    ),
+    "empty-actions": (
+        _types_set(("actions", 0), []),
+        "actions[0] must be nonempty",
+    ),
+    "non-string-action": (
+        _types_set(("actions", 1, 0), None),
+        "actions[1][0] must be a string",
+    ),
+    "duplicate-action": (
+        _types_set(("actions", 1), ["U", "D", "U"]),
+        "actions[1]: duplicate action 'U'",
+    ),
+    "values-not-list": (
+        _types_set(("payoffs", 3, "values"), "1"),
+        "payoffs[3].values must be an array",
+    ),
+    "short-values": (
+        _types_set(("payoffs", 3, "values"), [1.0]),
+        "payoffs[3].values must list 2 numbers",
+    ),
+    "string-value": (
+        _types_set(("payoffs", 3, "values"), [1.0, "0"]),
+        "payoffs[3].values[1] must be a number",
+    ),
+}
+
+
 class TestInputRejection:
+    @pytest.mark.parametrize(
+        "edit, message",
+        list(MALFORMED_TYPES.values()),
+        ids=list(MALFORMED_TYPES),
+    )
+    def test_malformed_types_game(self, edit, message, tmp_path, capsys):
+        path = write_json(tmp_path / "bad.json", _types_case(edit))
+        code = main(["solve", "--game", path, "--epsilon", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "edit, message",
         list(MALFORMED_ENTRIES.values()),

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestnash.discretize
-from generators import exact_prior, nested_partitions, random_compact_game
+from generators import (
+    exact_prior,
+    nested_partitions,
+    random_compact_game,
+    random_profile,
+)
 from nestnash.discretize import (
     CompactGameSpec,
     build_hat_game,
@@ -25,6 +30,8 @@ from nestnash.discretize import (
 from nestnash.game import (
     GameFormatError,
     InformationPartition,
+    NestedGame,
+    PayoffTensor,
     StateSpace,
     StrategyProfile,
     expected_payoff,
@@ -32,6 +39,7 @@ from nestnash.game import (
     validate_profile,
 )
 from nestnash.hierarchy import build_hierarchy
+from nestnash.regret import brute_force_check
 from nestnash.solver import (
     SolverConfig,
     build_auxiliary_game,
@@ -476,6 +484,82 @@ class TestProbeAudit:
         )
         audit = probe_harsanyi_regret(disc, profile, budget=0.1)
         assert not audit.ok
+
+
+def capped_spec(rng: np.random.Generator) -> CompactGameSpec:
+    """A random spec plus a state of prior 1e-4 whose payoffs exceed the
+    cap by a constant 50, so truncation drops it."""
+    base = random_compact_game(rng)
+    states = base.space.states + ("heavy",)
+    weights = [base.space.prior[s] * (1.0 - 1e-4) for s in base.space.states]
+    payoffs = dict(base.payoffs)
+    for i in (1, 2):
+        payoffs[("heavy", i)] = base.payoffs[(states[0], i)] + ((50.0, (0, 0)),)
+    return CompactGameSpec(
+        space=StateSpace(
+            states=states, prior=exact_prior(np.array(weights + [1e-4]), states)
+        ),
+        partitions=nested_partitions(rng, states, 2),
+        box_dims=base.box_dims,
+        payoffs=payoffs,
+        lipschitz=base.lipschitz,
+        payoff_cap=10.0,
+    )
+
+
+def true_value_game(disc) -> NestedGame:
+    """The grid game with ``poly_eval`` of every state's polynomials at
+    every joint grid point, dropped states included."""
+    spec = disc.spec
+    values = {}
+    for s in spec.space.states:
+        for prof in itertools.product(*disc.nets):
+            point = tuple(itertools.chain.from_iterable(prof))
+            values[(s, prof)] = tuple(
+                poly_eval(spec.payoffs[(s, i)], point) for i in (1, 2)
+            )
+    return NestedGame(
+        space=disc.game.space,
+        partitions=disc.game.partitions,
+        payoffs=PayoffTensor(actions=disc.nets, values=values),
+    )
+
+
+class TestProbeOracle:
+    """The probe audit against plain enumeration of grid deviations."""
+
+    def test_matches_brute_force_on_the_true_value_game(self):
+        rng = np.random.default_rng(71)
+        specs = [random_compact_game(rng) for _ in range(3)] + [capped_spec(rng)]
+        for spec in specs:
+            disc = build_hat_game(spec, 0.3)
+            truth = true_value_game(disc)
+            for _ in range(3):
+                profile = random_profile(rng, disc.game)
+                audit = probe_harsanyi_regret(disc, profile)
+                plain = brute_force_check(truth, profile)
+                for entry in audit.entries:
+                    i = entry.player
+                    prior = spec.space.prior_for(i)
+                    expected = math.fsum(
+                        math.fsum(prior[s] for s in members)
+                        * max(0.0, plain[(i, atom)])
+                        for atom, members in spec.partitions[i - 1].atoms.items()
+                    )
+                    assert entry.regret == pytest.approx(expected, rel=0, abs=1e-12)
+                assert audit.max_regret == max(e.regret for e in audit.entries)
+        assert "heavy" not in disc.truncation.omega_double_prime
+
+    def test_other_players_off_grid_mass_is_rejected(self):
+        disc = build_hat_game(one_state_linear_spec(), 0.25)
+        profile = StrategyProfile(
+            strategies={
+                1: {"a": {(1.0,): 1.0}},
+                2: {"b": {(1.0,): 0.5, (0.3,): 0.5}},
+            }
+        )
+        with pytest.raises(GameFormatError, match="player 2 plays off-grid"):
+            probe_harsanyi_regret(disc, profile)
 
 
 class TestEndToEnd:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from generators import random_nested_game, random_profile
+from generators import random_nested_game, random_profile, redundant_game
 from nestnash.game import (
     GameFormatError,
     InformationPartition,
@@ -15,6 +15,7 @@ from nestnash.game import (
     payoff_bound,
 )
 from nestnash.hierarchy import build_hierarchy
+from nestnash.pipeline import solve
 from nestnash.regret import (
     CERT_SLACK,
     ConsistencyError,
@@ -209,7 +210,44 @@ def collapse_game() -> NestedGame:
     )
 
 
+# coarse_best_response_gap per player, as float.hex, for the seeded games
+# of ``gap_cases``.  Every reconstructed value is an fsum of p * u terms,
+# so these floats hold however the evaluator forms and orders the terms.
+GAP_HEX = {
+    "nested2": ["0x1.0000000000000p-53", "0x1.0000000000000p-54"],
+    "nested3": ["0x1.0000000000000p-56", "0x1.0000000000000p-52", "0x0.0p+0"],
+    "nested4": [
+        "0x1.0000000000000p-52",
+        "0x1.0000000000000p-52",
+        "0x1.0000000000000p-53",
+        "0x0.0p+0",
+    ],
+    "redundant@0.6": ["0x1.2000000000000p-49", "0x1.e6fc94d217fe9p-2"],
+    "redundant@0.3": ["0x1.2000000000000p-49", "0x1.0000000000000p-53"],
+}
+
+
+def gap_cases():
+    """(name, game, delta): 2-4-player random games and a redundant game."""
+    for n in (2, 3, 4):
+        rng = np.random.default_rng(n)
+        yield f"nested{n}", random_nested_game(rng, max_states=30, players=(n,)), 0.6
+    for delta in (0.6, 0.3):
+        game = redundant_game(np.random.default_rng(5), 48)
+        yield f"redundant@{delta}", game, delta
+
+
 class TestCoarseReconstruction:
+    def test_gap_floats_are_pinned(self):
+        for name, game, delta in gap_cases():
+            solution = solve(game, 0.05, delta=delta)
+            for profile in (solution.profile, solution.result.profile):
+                gaps = [
+                    coarse_best_response_gap(game, solution.hierarchy, profile, i)
+                    for i in range(1, game.n + 1)
+                ]
+                assert [g.hex() for g in gaps] == GAP_HEX[name], name
+
     def test_exact_beliefs_reconstruct_exactly(self, informed_anchor):
         h = build_hierarchy(informed_anchor, 0.2)
         profile = StrategyProfile(

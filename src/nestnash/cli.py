@@ -241,51 +241,26 @@ def _regret_block(report: RegretReport) -> dict:
     }
 
 
-def _regret_csv(report: RegretReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["player", "atom", "mass", "regret", "best_value", "current_value"]
-    )
-    for e in report.atoms:
-        writer.writerow(
-            [
-                e.player,
-                _key_string(e.atom),
-                repr(e.mass),
-                repr(e.regret),
-                repr(e.best_value),
-                repr(e.current_value),
-            ]
-        )
-    return buffer.getvalue()
+# CSV report columns: the regret block's per-atom rows, and the
+# hierarchy block's levels joined with its atom counts.
+_REGRET_COLUMNS = ("player", "atom", "mass", "regret", "best_value", "current_value")
+_HIERARCHY_COLUMNS = (
+    "player",
+    "signals",
+    "beliefs",
+    "max_l1_gap",
+    "original_atoms",
+    "coarse_atoms",
+)
 
 
-def _hierarchy_csv(game: NestedGame, hier: Hierarchy) -> str:
+def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """One CSV line per row, with the given keys as columns.  ``csv``
+    writes a float as ``str``, which is its shortest round-trip ``repr``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "player",
-            "signals",
-            "beliefs",
-            "max_l1_gap",
-            "original_atoms",
-            "coarse_atoms",
-        ]
-    )
-    for level in hier.levels:
-        i = level.player
-        writer.writerow(
-            [
-                i,
-                len(level.signal_support),
-                len(level.belief_support),
-                repr(level.max_l1_gap),
-                len(game.partition_for(i).atoms),
-                len(hier.coarse_partition(i).atoms),
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in rows)
     return buffer.getvalue()
 
 
@@ -357,7 +332,8 @@ def _solve_finite(game: NestedGame, mode: str, args) -> int:
     doc["ingestion"] = _ingestion_block(game)
     doc["coarse_profile"] = profile_to_json(sol.result.profile)
     doc["regret"] = _regret_block(sol.report)
-    _emit_report(doc, args.format, lambda: _regret_csv(sol.report), args.out)
+    atoms = doc["regret"]["atoms"]
+    _emit_report(doc, args.format, lambda: _csv(_REGRET_COLUMNS, atoms), args.out)
     return 0 if sol.report.passed else 2
 
 
@@ -402,7 +378,8 @@ def _solve_continuous(compact, args) -> int:
         "ok": audit.ok,
         "players": [{"player": e.player, "regret": e.regret} for e in audit.entries],
     }
-    _emit_report(doc, args.format, lambda: _regret_csv(sol.report), args.out)
+    atoms = doc["hat_regret"]["atoms"]
+    _emit_report(doc, args.format, lambda: _csv(_REGRET_COLUMNS, atoms), args.out)
     return 0 if audit.ok else 2
 
 
@@ -448,7 +425,8 @@ def _cmd_verify(args) -> int:
         "ingestion": _ingestion_block(game),
         "regret": _regret_block(report),
     }
-    _emit_report(doc, args.format, lambda: _regret_csv(report), args.out)
+    atoms = doc["regret"]["atoms"]
+    _emit_report(doc, args.format, lambda: _csv(_REGRET_COLUMNS, atoms), args.out)
     return 0 if report.passed else 2
 
 
@@ -476,5 +454,11 @@ def _cmd_hierarchy(args) -> int:
         "ingestion": _ingestion_block(game),
         "hierarchy": block,
     }
-    _emit_report(doc, args.format, lambda: _hierarchy_csv(game, hier), args.out)
+    # Each level joined with its player's "original" and "coarse" counts.
+    atoms = block["atoms"]
+    rows = [
+        {**level, **{f"{k}_atoms": v for k, v in atoms[str(level["player"])].items()}}
+        for level in block["levels"]
+    ]
+    _emit_report(doc, args.format, lambda: _csv(_HIERARCHY_COLUMNS, rows), args.out)
     return 0 if block["ok"] else 2

@@ -38,8 +38,9 @@ from .game import (
     State,
     StateSpace,
     StrategyProfile,
+    _support,
 )
-from .regret import bayesian_regret
+from .regret import CERT_SLACK, certify
 
 Monomial = tuple[float, tuple[int, ...]]
 Poly = tuple[Monomial, ...]
@@ -109,7 +110,7 @@ class GapCertificate:
 
     @property
     def ok(self) -> bool:
-        return all(p.total <= self.budget + 1e-9 for p in self.players)
+        return all(p.total <= self.budget + CERT_SLACK for p in self.players)
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class ProbeAudit:
 
     @property
     def ok(self) -> bool:
-        return self.max_regret <= self.budget + 1e-9
+        return self.max_regret <= self.budget + CERT_SLACK
 
 
 def poly_eval(poly: Poly, point) -> float:
@@ -526,27 +527,24 @@ def probe_harsanyi_regret(
 ) -> ProbeAudit:
     """Audit a grid-supported profile against grid deviations, exactly.
 
-    The audit is the regret certificate (``regret.bayesian_regret``) of
-    the profile on the true-value grid game: the grid game's space,
+    The audit is the regret certificate (``regret.certify``) of the
+    profile on the true-value grid game: the grid game's space,
     partitions and nets, with the unfloored polynomial values at every
     joint grid point for every state, dropped ones included.  Each
-    player's regret is the prior-weighted sum of their per-atom regrets,
-    clipped at zero, so the best grid deviation is taken per atom.  The
-    certifier would ignore mass on actions off the grid, so such a
-    profile is rejected first.  The default budget is 5 * epsilon plus
-    the probe covering slack, which a certified solve of the finite
-    companion must meet.
+    player's regret is their certified ex-ante (``harsanyi``) regret: the
+    prior-weighted sum of their per-atom regrets, clipped at zero, so the
+    best grid deviation is taken per atom.  The certifier would ignore
+    mass on actions off the grid, so such a profile is rejected first.
+    The default budget is 5 * epsilon plus the probe covering slack,
+    which a certified solve of the finite companion must meet.
     """
     spec = disc.spec
     if budget is None:
         budget = 5.0 * disc.epsilon + spec.lipschitz * disc.eta0 / 2.0
     game = disc.game
     for i in range(1, spec.n + 1):
-        prior = spec.space.prior_for(i)
         grid_actions = set(game.actions_for(i))
-        for atom, members in spec.partitions[i - 1].atoms.items():
-            if math.fsum(prior[s] for s in members) <= 0.0:
-                continue
+        for atom, _, _ in _support(game, game.partition_for(i), i):
             for a, p in profile.distribution(i, atom).items():
                 if p > 0.0 and a not in grid_actions:
                     raise GameFormatError(
@@ -566,12 +564,7 @@ def probe_harsanyi_regret(
         partitions=game.partitions,
         payoffs=PayoffTensor.from_array(disc.nets, states, table),
     )
-    entries = tuple(
-        ProbeEntry(
-            player=i,
-            regret=math.fsum(e.mass * max(0.0, e.regret) for e in atoms.values()),
-        )
-        for i, atoms in sorted(bayesian_regret(true_game, profile).items())
-    )
+    harsanyi = certify(true_game, profile, budget).harsanyi
+    entries = tuple(ProbeEntry(player=i, regret=r) for i, r in sorted(harsanyi.items()))
     worst = max(e.regret for e in entries)
     return ProbeAudit(entries=entries, max_regret=worst, budget=budget)

@@ -120,8 +120,8 @@ class PayoffTensor:
     array itself (``PayoffTensor.from_array``), which is how the game
     file loader and the grid game build it.  Every stage that reads the
     whole table reads the array (``array``).  For an array-backed tensor
-    the dict ``values`` is a view built on first use; only ``payoff``,
-    the plain oracles and callers outside the solve read it.
+    the dict ``values`` is a view built on first use; only the plain
+    oracles and callers outside the solve read it.
     """
 
     def __init__(
@@ -194,9 +194,6 @@ class PayoffTensor:
     def profiles(self) -> Iterable[tuple[Action, ...]]:
         """All joint action profiles, in deterministic product order."""
         return itertools.product(*self.actions)
-
-    def payoff(self, state: State, profile: tuple[Action, ...], player: int) -> float:
-        return self.values[(state, profile)][player - 1]
 
     def array(self, states: tuple[State, ...]) -> np.ndarray:
         """The payoffs as one read-only float array.
@@ -647,9 +644,34 @@ def _support(
     prior = game.prior_for(player)
     out = []
     for atom, members in part.atoms.items():
-        mass = math.fsum(prior[s] for s in members)
+        mass = game.space.mass(members, player)
         if mass > 0.0:
             out.append((atom, mass, [s for s in members if prior[s] > 0.0]))
+    return out
+
+
+def _atom_values(
+    game: NestedGame, profile: StrategyProfile, player: int, keep: int | None = None
+) -> list[tuple[Atom, float, list[float]]]:
+    """Conditional expected payoffs to ``player`` on each positive-mass
+    atom of their own information, in partition order: (atom, mass,
+    values).  ``values`` has one entry, or with ``keep`` a player, one
+    per action of ``keep`` (see ``_expectation_rows``); each is the fsum
+    of the prior-weighted state values divided by the atom's mass.
+    """
+    prior = game.prior_for(player)
+    support = _support(game, game.partition_for(player), player)
+    states = [s for _, _, members in support for s in members]
+    weights = np.array([prior[s] for s in states])
+    by_state = _expectations(game, profile, player, states, keep)
+    # One list per column: its prior-weighted value at each state.
+    columns = (weights[:, None] * by_state).T.tolist()
+    out = []
+    start = 0
+    for atom, mass, members in support:
+        stop = start + len(members)
+        out.append((atom, mass, [math.fsum(col[start:stop]) / mass for col in columns]))
+        start = stop
     return out
 
 
@@ -666,30 +688,15 @@ def expected_payoff(game: NestedGame, profile: StrategyProfile) -> tuple[float, 
 
 
 def conditional_payoff(
-    game: NestedGame,
-    profile: StrategyProfile,
-    player: int,
-    partition: InformationPartition | None = None,
+    game: NestedGame, profile: StrategyProfile, player: int
 ) -> dict[Atom, float]:
-    """Expected payoff to ``player`` conditional on each positive-mass atom.
+    """Expected payoff to ``player`` conditional on each positive-mass
+    atom of their own information.
 
-    The conditioning partition defaults to the player's own information.
     Zero-mass atoms are omitted: conditional values are only defined
     almost surely.
     """
-    part = partition if partition is not None else game.partition_for(player)
-    prior = game.prior_for(player)
-    support = _support(game, part, player)
-    states = [s for _, _, members in support for s in members]
-    weights = np.array([prior[s] for s in states])
-    values = (weights * _expectations(game, profile, player, states)[:, 0]).tolist()
-    out: dict[Atom, float] = {}
-    start = 0
-    for atom, mass, members in support:
-        stop = start + len(members)
-        out[atom] = math.fsum(values[start:stop]) / mass
-        start = stop
-    return out
+    return {atom: value for atom, _, (value,) in _atom_values(game, profile, player)}
 
 
 def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:

@@ -10,6 +10,12 @@ reports for the whole cluster.  Because information is nested, each
 player's belief index is known to all better-informed players, which is
 what makes the induced coarse partitions well defined and finite.
 
+Each state's observable is carried from level to level: level i + 1's
+is level i's with the state's level-i belief index inserted before the
+payoff class, so every level labels the states in one pass.  The coarse
+partitions are built the other way, from level n down: player i's key
+is the level-i belief index followed by player i + 1's key.
+
 Every payoff-transfer argument downstream leans on one fact, which the
 clustering guarantees by construction: each member atom's exact belief
 lies strictly within delta (L1) of its centre, and so does every
@@ -34,6 +40,7 @@ from .game import (
     State,
     payoff_classes,
     _refinement_witness,
+    _support,
 )
 
 # A belief over the level's signal support: signal index -> positive weight.
@@ -102,10 +109,11 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
 
     Level i conditions on player i's information using player i's own
     prior and clusters each atom's exact conditional into the first
-    centre within L1 distance delta, in partition order.  Atoms with
-    zero mass under the level player's prior take a point mass on the
-    first support element; they carry no mass, so any fixed convention
-    works, and a fixed one keeps construction deterministic.
+    centre within L1 distance delta, in partition order.  Signals and
+    coarse atoms are numbered by first appearance in state order.  Atoms
+    with zero mass under the level player's prior take a point mass on
+    the first support element; they carry no mass, so any fixed
+    convention works, and a fixed one keeps construction deterministic.
 
     Raises InvalidGameError when the game fails validation.
     """
@@ -117,27 +125,17 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     states = game.space.states
     priors = [game.prior_for(i) for i in range(1, game.n + 1)]
     realized = {s: any(p[s] > 0.0 for p in priors) for s in states}
+    # Each state's level-i observable: its belief indices at levels
+    # 1..i-1, then its payoff class.
+    observable = {s: (classes.index_of[s],) for s in states}
 
     levels: list[HierarchyLevel] = []
-    belief_layers: list[dict[State, int]] = []
-
     for i in range(1, game.n + 1):
-        # The level-i observable: lower-level beliefs plus the payoff class.
-        def signal(s: State) -> tuple[int, ...]:
-            return tuple(layer[s] for layer in belief_layers) + (classes.index_of[s],)
-
-        support_index: dict[tuple[int, ...], int] = {}
-        support: list[tuple[int, ...]] = []
-        for s in states:
-            if realized[s]:
-                z = signal(s)
-                if z not in support_index:
-                    support_index[z] = len(support)
-                    support.append(z)
+        ids: dict[tuple[int, ...], int] = {}
         signal_of = {
-            s: (support_index[signal(s)] if realized[s] else -1) for s in states
+            s: ids.setdefault(z, len(ids)) if realized[s] else -1
+            for s, z in observable.items()
         }
-
         prior = priors[i - 1]
         partition = game.partition_for(i)
 
@@ -180,7 +178,7 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
         levels.append(
             HierarchyLevel(
                 player=i,
-                signal_support=tuple(support),
+                signal_support=tuple(ids),
                 signal_of=signal_of,
                 belief_support=tuple(centres),
                 belief_of=belief_of,
@@ -188,32 +186,28 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
                 max_l1_gap=max_gap,
             )
         )
-        belief_layers.append(belief_of)
+        # The class stays last: z = (b_1, ..., b_i, class) at level i + 1.
+        observable = {s: z[:-1] + (belief_of[s], z[-1]) for s, z in observable.items()}
 
-    # Coarse partition for player i: level sets of the belief tuple i..n.
-    # States with identical tuples collapse into one atom even when their
-    # original atoms differ.
+    # Coarse partition for player i: level sets of the belief tuple i..n,
+    # built from level n down.  States with identical tuples collapse into
+    # one atom even when their original atoms differ.
     coarse_parts: list[InformationPartition] = []
     coarse_keys: list[dict[Atom, tuple[int, ...]]] = []
-    for i in range(1, game.n + 1):
-        atom_of: dict[State, int] = {}
-        key_of: dict[tuple[int, ...], int] = {}
-        keys: dict[int, tuple[int, ...]] = {}
-        for s in states:
-            key = tuple(belief_layers[j][s] for j in range(i - 1, game.n))
-            if key not in key_of:
-                key_of[key] = len(key_of)
-                keys[key_of[key]] = key
-            atom_of[s] = key_of[key]
-        coarse_parts.append(InformationPartition(player=i, atom_of=atom_of))
-        coarse_keys.append({atom: key for key, atom in key_of.items()})
+    key: dict[State, tuple[int, ...]] = dict.fromkeys(states, ())
+    for level in reversed(levels):
+        key = {s: (level.belief_of[s],) + k for s, k in key.items()}
+        ids = {}
+        atom_of = {s: ids.setdefault(k, len(ids)) for s, k in key.items()}
+        coarse_parts.append(InformationPartition(level.player, atom_of))
+        coarse_keys.append({atom: k for k, atom in ids.items()})
 
     return Hierarchy(
         game=game,
         delta=delta,
         levels=tuple(levels),
-        coarse=tuple(coarse_parts),
-        coarse_keys=tuple(coarse_keys),
+        coarse=tuple(coarse_parts[::-1]),
+        coarse_keys=tuple(coarse_keys[::-1]),
         classes=classes,
     )
 
@@ -259,23 +253,13 @@ def expectation_gap(
                 f"functional exceeds its stated bound at {z!r}: {f[z]!r}"
             )
     prior = game.prior_for(player)
-    partition = game.partition_for(player)
+    support = level.signal_support
     worst = 0.0
-    for atom, members in partition.atoms.items():
-        mass = math.fsum(prior[s] for s in members)
-        if mass <= 0.0:
-            continue
-        exact = (
-            math.fsum(
-                prior[s] * f[level.signal_support[level.signal_of[s]]]
-                for s in members
-                if prior[s] > 0.0
-            )
-            / mass
-        )
-        first = members[0]
-        approx = approx_expectation(level, f, first)
-        worst = max(worst, abs(exact - approx))
+    for atom, mass, members in _support(game, game.partition_for(player), player):
+        exact = math.fsum(prior[s] * f[support[level.signal_of[s]]] for s in members)
+        centre = level.belief_support[level.atom_belief[atom]]
+        approx = math.fsum(w * f[support[z]] for z, w in centre.items())
+        worst = max(worst, abs(exact / mass - approx))
     return worst
 
 

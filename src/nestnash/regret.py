@@ -14,11 +14,13 @@ not on their order, and a zero term never changes it.  The evaluator
 (``game._expectations``) forms every term with the same float
 multiplications as a plain loop, for a whole array of states at once,
 so each certificate is the float that loop gives, bit for bit;
-``tests/data/certificates.json`` pins it.  Its kernel
+``tests/data/certificates.json`` pins it.  ``game._atom_values`` is
+the one place that turns those per-state values into per-atom
+conditional values.  The evaluator's kernel
 (``game._expectation_rows``) takes the players' distributions per row
 directly, and ``coarse_best_response_gap`` evaluates its
 reconstruction from belief centres on it; the continuous probe audit
-(``discretize.probe_harsanyi_regret``) is ``bayesian_regret`` on a
+(``discretize.probe_harsanyi_regret``) is ``certify`` on a
 true-value grid game.  ``brute_force_check`` recomputes regrets from
 the payoff dict by plain enumeration, independently of this path.
 
@@ -43,14 +45,11 @@ from .game import (
     Action,
     Atom,
     GameFormatError,
-    InformationPartition,
     NestedGame,
     State,
     StrategyProfile,
+    _atom_values,
     _expectation_rows,
-    _expectations,
-    _support,
-    conditional_payoff,
 )
 from .hierarchy import Hierarchy
 
@@ -94,37 +93,22 @@ class RegretReport:
 
 
 def best_response_values(
-    game: NestedGame,
-    profile: StrategyProfile,
-    player: int,
-    partition: InformationPartition | None = None,
+    game: NestedGame, profile: StrategyProfile, player: int
 ) -> dict[Atom, BestResponse]:
-    """Per positive-mass atom: conditional value of each own action.
+    """Per positive-mass atom of the player's information: conditional
+    value of each own action, the others following ``profile``.
 
-    Other players follow ``profile``.  The argmax set collects actions
-    within DERIVED_TOL of the maximum, so exact ties survive float noise.
+    The argmax set collects actions within DERIVED_TOL of the maximum,
+    so exact ties survive float noise.
     """
-    part = partition if partition is not None else game.partition_for(player)
-    prior = game.prior_for(player)
-    own_actions = game.actions_for(player)
-    support = _support(game, part, player)
-    states = [s for _, _, members in support for s in members]
-    weights = np.array([prior[s] for s in states])
-    by_state = _expectations(game, profile, player, states, keep=player)
-    # One list per own action: its prior-weighted value at each state.
-    columns = (weights[:, None] * by_state).T.tolist()
+    actions = game.actions_for(player)
     out: dict[Atom, BestResponse] = {}
-    start = 0
-    for atom, mass, members in support:
-        stop = start + len(members)
-        values = {
-            a: math.fsum(col[start:stop]) / mass
-            for a, col in zip(own_actions, columns)
-        }
-        start = stop
-        top = max(values.values())
-        argmax = tuple(a for a in own_actions if values[a] >= top - DERIVED_TOL)
-        out[atom] = BestResponse(values=values, value=top, actions=argmax)
+    for atom, _, values in _atom_values(game, profile, player, keep=player):
+        top = max(values)
+        argmax = tuple(a for a, v in zip(actions, values) if v >= top - DERIVED_TOL)
+        out[atom] = BestResponse(
+            values=dict(zip(actions, values)), value=top, actions=argmax
+        )
     return out
 
 
@@ -138,25 +122,21 @@ def bayesian_regret(
     """
     out: dict[int, dict[Atom, AtomRegret]] = {}
     for i in range(1, game.n + 1):
-        part = game.partition_for(i)
-        prior = game.prior_for(i)
         br = best_response_values(game, profile, i)
-        current = conditional_payoff(game, profile, i)
         table: dict[Atom, AtomRegret] = {}
-        for atom in br:
-            regret = br[atom].value - current[atom]
+        for atom, mass, (current,) in _atom_values(game, profile, i):
+            regret = br[atom].value - current
             if regret < -CERT_SLACK:
                 raise ConsistencyError(
                     f"negative regret {regret!r} for player {i} at atom {atom!r}"
                 )
-            members = part.atoms[atom]
             table[atom] = AtomRegret(
                 player=i,
                 atom=atom,
-                mass=math.fsum(prior[s] for s in members),
+                mass=mass,
                 regret=regret,
                 best_value=br[atom].value,
-                current_value=current[atom],
+                current_value=current,
                 best_actions=br[atom].actions,
             )
         out[i] = table

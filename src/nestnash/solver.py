@@ -39,11 +39,15 @@ from .game import (
 from .hierarchy import Hierarchy, PropertyReport, check_properties
 
 
+# Search budget: restarts (uniform first, then Dirichlet-random starts)
+# and predictive RM+ iterations per restart.
+MAX_RESTARTS = 4
+MAX_ITERATIONS = 4000
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     target_regret: float
-    max_restarts: int = 4
-    max_iterations: int = 4000
     seed: int = 0
 
 
@@ -279,7 +283,6 @@ def _run_predictive_rm(
     agent_game: AgentFormGame,
     start: list[np.ndarray],
     tracker: _Tracker,
-    max_iterations: int,
 ) -> bool:
     """Alternating predictive regret matching+ from ``start``.
 
@@ -294,7 +297,7 @@ def _run_predictive_rm(
     cumulative = [np.zeros_like(v) for v in x]
     average = [v.copy() for v in x]
     weight_sum = 0.0
-    for t in range(1, max_iterations + 1):
+    for t in range(1, MAX_ITERATIONS + 1):
         tracker.iterations += 1
         values = agent_game.action_values(x)
         if tracker.offer(agent_game.regret(x, values), x):
@@ -320,7 +323,7 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
     """Search for a low-regret profile of the auxiliary game.
 
     Deterministic given the seed.  Each restart (uniform first, then
-    Dirichlet-random starts) runs up to ``max_iterations`` iterations of
+    Dirichlet-random starts) runs up to ``MAX_ITERATIONS`` iterations of
     alternating predictive regret matching+, breaking out as soon as the
     last iterate or the quadratically weighted average meets the target.
     The best profile seen anywhere wins, and the certification module
@@ -332,30 +335,24 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
         raise GameFormatError("target regret must be finite and nonnegative")
     if config.seed < 0:
         raise GameFormatError("seed must be nonnegative")
-    if config.max_restarts < 1:
-        raise GameFormatError("max_restarts must be at least 1")
-    if config.max_iterations < 1:
-        raise GameFormatError("max_iterations must be at least 1")
 
     tracker = _Tracker(config.target_regret)
     restarts_used = 0
     rng = np.random.default_rng(config.seed)
-    for restart in range(config.max_restarts):
+    for restart in range(MAX_RESTARTS):
         restarts_used = restart + 1
         if restart == 0:
             start = agent_game.uniform_strategies()
         else:
             start = agent_game.random_strategies(rng)
-        if _run_predictive_rm(agent_game, start, tracker, config.max_iterations):
+        if _run_predictive_rm(agent_game, start, tracker):
             break
 
     assert tracker.best is not None
     profile = agent_game.to_profile(tracker.best)
-    table = regret_mod.bayesian_regret(agent_game.aux.coarse_game, profile)
-    certified = max(
-        (e.regret for entries in table.values() for e in entries.values()),
-        default=0.0,
-    )
+    coarse_game = agent_game.aux.coarse_game
+    report = regret_mod.certify(coarse_game, profile, config.target_regret)
+    certified = report.max_regret
     return SolveResult(
         profile=profile,
         certified_regret=certified,

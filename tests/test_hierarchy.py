@@ -1,9 +1,11 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from generators import noisy_redundant_game, random_nested_game
+from generators import noisy_redundant_game, random_nested_game, redundant_game
 from nestnash.game import (
     GameFormatError,
     InformationPartition,
@@ -257,3 +259,132 @@ class TestExpectations:
         h = build_hierarchy(informed_anchor, 0.2)
         with pytest.raises(GameFormatError):
             approx_expectation(h.level(1), {(0,): 1.0}, "w1")
+
+
+def partly_unrealized_game() -> NestedGame:
+    """A 3-player game where the common prior is zero on every fifth
+    state and player 2's prior is also zero on player 2's first atom, so
+    some states carry no mass under any prior and player 2 has a
+    zero-mass atom."""
+    base = random_nested_game(np.random.default_rng(4), max_states=60, players=(3,))
+    states = base.space.states
+    first = next(iter(base.partition_for(2).atoms.values()))
+
+    def renormalized(zero):
+        prior = base.space.prior
+        weights = {s: 0.0 if zero(k, s) else prior[s] for k, s in enumerate(states)}
+        total = sum(weights.values())
+        return {s: w / total for s, w in weights.items()}
+
+    common = renormalized(lambda k, s: k % 5 == 0)
+    player2 = renormalized(lambda k, s: k % 5 == 0 or s in first)
+    return NestedGame(
+        space=StateSpace(states=states, prior=common, player_priors={2: player2}),
+        partitions=base.partitions,
+        payoffs=base.payoffs,
+    )
+
+
+def hierarchy_digest(h) -> str:
+    """sha256 of every field of a hierarchy in a canonical dump: dicts as
+    (repr(key), value) pairs in their own order, floats as float.hex."""
+
+    def pairs(d):
+        return [[repr(k), v] for k, v in d.items()]
+
+    doc = {
+        "delta": h.delta.hex(),
+        "classes": [
+            h.classes.count,
+            pairs(h.classes.index_of),
+            [repr(s) for s in h.classes.representatives],
+        ],
+        "levels": [
+            [
+                level.player,
+                [list(z) for z in level.signal_support],
+                pairs(level.signal_of),
+                [[[z, w.hex()] for z, w in c.items()] for c in level.belief_support],
+                pairs(level.belief_of),
+                pairs(level.atom_belief),
+                level.max_l1_gap.hex(),
+            ]
+            for level in h.levels
+        ],
+        "coarse": [[part.player, pairs(part.atom_of)] for part in h.coarse],
+        "coarse_keys": [
+            [[repr(atom), list(key)] for atom, key in keys.items()]
+            for keys in h.coarse_keys
+        ],
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def pinned_games() -> dict[str, NestedGame]:
+    games = {
+        f"random-{n}": random_nested_game(
+            np.random.default_rng(seed), max_states=80, players=(n,)
+        )
+        for n, seed in ((2, 302), (3, 305), (4, 308))
+    }
+    games["unrealized"] = partly_unrealized_game()
+    games["redundant"] = redundant_game(np.random.default_rng(7), 600)
+    games["noisy"] = noisy_redundant_game(np.random.default_rng(8), 600, 1e-3)
+    return games
+
+
+PIN_DELTAS = (1e-9, 0.15, 2.5)
+# Digests of every field, taken before the construction last changed; a
+# rewrite of ``build_hierarchy`` must reproduce them exactly.
+HIERARCHY_PINS = {
+    'noisy': (
+        '10c113c047dd428349fcc7bb71cd8ba389a8c7225a07e52311b133483ef9bca7',
+        '123dab63e2efc0f9b001f72d76ba2c697d45b2b2606013e1709ee11f773f1f40',
+        '40fc51c47257675f3f9c1ecbba4480ac2273168669bcecf6e026ad8b109efb9f',
+    ),
+    'random-2': (
+        'edacd57ee2ff2e5a89a35fab21f59b5f295d5e54f9f0a245e5febb23c2210464',
+        '7cd3653c5a5a4313fda10ba9d2b9c2420cdfc4492fce45c46363006382103882',
+        '74e50539326a589b9f2c229b81431a1675197dabea9dbe00ebb09db9bfeb36b9',
+    ),
+    'random-3': (
+        '4ed7a9fe807404ac65c1d908959019da55ed43f6dc3abe1c7f45ec1644c08ad3',
+        'cdd6c7757910ff7c137318efe61108453bba04a56ba5683ade7afed93dacaeaf',
+        '4434bf8d186190bebca64669a6c9ccbfca5b6c3e06347bf661c857dd0b008ed6',
+    ),
+    'random-4': (
+        '31d8d2ac057cfce4df75f28f4e00db340d069fc5ecc5e0e1eb66752d375de2a5',
+        '2eaacfeeec68c1e95157138f490e6002968d6f2c52010fdb0f55e658ff02f737',
+        '3086898e090c0ec6da47c38d81ef6dac727584aac9a106621a2600f469154580',
+    ),
+    'redundant': (
+        'bc2ecb8dd32aa911f613a1f7e8b9bcf9a5be8b957cd66faad67873dca97f0ea6',
+        'eeb31d9d152cf46cf46b2667e559ffc109bdc78956218f7c89e8003082ad8806',
+        '711d7c2f7e4edca81a6874ca21a6dc0833c2a1b9e82b33b6744f5fe7875a5c4c',
+    ),
+    'unrealized': (
+        '3d20d55d65ea88735ad29a6b16c1ade33f0ed653bbb33979af8c5667bbde5a64',
+        'e1e5ea791142b67fc53cb03bdfa8a22597a5849ac75c68862f5796b255fa29b9',
+        '954a4986544dbbca76391ee5add127ec95d8e5c734f4a16b15edf27baa964b9d',
+    ),
+}
+
+
+class TestPinnedHierarchies:
+    def test_unrealized_game_exercises_both_conventions(self):
+        game = partly_unrealized_game()
+        h = build_hierarchy(game, 0.15)
+        assert -1 in h.level(1).signal_of.values()
+        prior2 = game.prior_for(2)
+        assert any(
+            all(prior2[s] == 0.0 for s in members)
+            for members in game.partition_for(2).atoms.values()
+        )
+
+    @pytest.mark.parametrize("name", sorted(HIERARCHY_PINS))
+    def test_every_field_is_pinned(self, name):
+        game = pinned_games()[name]
+        for delta, want in zip(PIN_DELTAS, HIERARCHY_PINS[name]):
+            h = build_hierarchy(game, delta)
+            assert h.game is game
+            assert hierarchy_digest(h) == want, (name, delta)

@@ -41,15 +41,6 @@ class TestBestResponse:
         assert br2["g"].values["A"] == pytest.approx(1.875, abs=1e-12)
         assert br2["g"].values["B"] == pytest.approx(0.25, abs=1e-12)
 
-    def test_custom_partition_coarsens_the_conditioning(self):
-        game = two_state_game()
-        br = best_response_values(
-            game, mixed_profile(), 1, partition=game.partition_for(2)
-        )
-        assert set(br) == {"g"}
-        assert br["g"].values["A"] == pytest.approx(1.0, abs=1e-12)
-        assert br["g"].values["B"] == pytest.approx(2.25, abs=1e-12)
-
     def test_ties_collect_all_argmax_actions(self, matching_pennies):
         uniform = StrategyProfile(
             strategies={

@@ -211,6 +211,21 @@ def _solver_block(result: SolveResult) -> dict:
     }
 
 
+def _atom_rows(report: RegretReport) -> list[dict]:
+    """The regret block's per-atom rows, which are also the CSV report's."""
+    return [
+        {
+            "player": e.player,
+            "atom": _key_string(e.atom),
+            "mass": e.mass,
+            "regret": e.regret,
+            "best_value": e.best_value,
+            "current_value": e.current_value,
+        }
+        for e in report.atoms
+    ]
+
+
 def _regret_block(report: RegretReport) -> dict:
     witness = None
     if report.witness is not None:
@@ -227,17 +242,7 @@ def _regret_block(report: RegretReport) -> dict:
         "passed": report.passed,
         "witness": witness,
         "harsanyi": {str(i): v for i, v in sorted(report.harsanyi.items())},
-        "atoms": [
-            {
-                "player": e.player,
-                "atom": _key_string(e.atom),
-                "mass": e.mass,
-                "regret": e.regret,
-                "best_value": e.best_value,
-                "current_value": e.current_value,
-            }
-            for e in report.atoms
-        ],
+        "atoms": _atom_rows(report),
     }
 
 
@@ -264,6 +269,10 @@ def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+def _regret_csv(report: RegretReport) -> str:
+    return _csv(_REGRET_COLUMNS, _atom_rows(report))
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -275,27 +284,30 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_report(
-    report: dict, fmt: str, csv_text: Callable[[], str], out: str | None
+    fmt: str, document: Callable[[], dict], csv_text: Callable[[], str], out: str | None
 ) -> None:
-    """Write ``report`` as JSON, or for ``--format csv`` the text
-    ``csv_text()`` builds."""
+    """Write the JSON report ``document()`` builds, or for ``--format csv``
+    the text ``csv_text()`` builds.  Only the chosen one is built, so
+    blocks that only the JSON report holds cost nothing under CSV."""
     if fmt == "csv":
         _emit(csv_text(), out)
     else:
-        _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False), out)
+        _emit(json.dumps(document(), sort_keys=True, indent=2, allow_nan=False), out)
 
 
-def _solve_report(game: NestedGame, mode: str, args) -> tuple[Solution, dict]:
-    """Run the pipeline; return its solution and the report blocks that
-    finite and continuous solves share."""
-    sol = solve(
+def _solve(game: NestedGame, args) -> Solution:
+    return solve(
         game,
         args.epsilon,
         delta=args.delta,
         target=args.solver_regret,
         seed=args.seed,
     )
-    return sol, {
+
+
+def _solve_document(game: NestedGame, mode: str, args, sol: Solution) -> dict:
+    """The report blocks that finite and continuous solves share."""
+    return {
         "config": {
             "command": "solve",
             "mode": mode,
@@ -328,58 +340,68 @@ def _solve_report(game: NestedGame, mode: str, args) -> tuple[Solution, dict]:
 
 
 def _solve_finite(game: NestedGame, mode: str, args) -> int:
-    sol, doc = _solve_report(game, mode, args)
-    doc["ingestion"] = _ingestion_block(game)
-    doc["coarse_profile"] = profile_to_json(sol.result.profile)
-    doc["regret"] = _regret_block(sol.report)
-    atoms = doc["regret"]["atoms"]
-    _emit_report(doc, args.format, lambda: _csv(_REGRET_COLUMNS, atoms), args.out)
+    sol = _solve(game, args)
+
+    def document() -> dict:
+        doc = _solve_document(game, mode, args, sol)
+        doc["ingestion"] = _ingestion_block(game)
+        doc["coarse_profile"] = profile_to_json(sol.result.profile)
+        doc["regret"] = _regret_block(sol.report)
+        return doc
+
+    _emit_report(args.format, document, lambda: _regret_csv(sol.report), args.out)
     return 0 if sol.report.passed else 2
 
 
 def _solve_continuous(compact, args) -> int:
     disc = build_hat_game(compact, args.epsilon)
-    gap = certify_sup_gap(disc)
     game = disc.game
-    sol, doc = _solve_report(game, "continuous", args)
+    sol = _solve(game, args)
     audit = probe_harsanyi_regret(disc, sol.profile)
-    doc["discretization"] = {
-        "epsilon": args.epsilon,
-        "eta0": disc.eta0,
-        "lipschitz": compact.lipschitz,
-        "payoff_bound": disc.bound_m,
-        "net_sizes": [len(net) for net in disc.nets],
-        "truncation": {
-            "kept": len(disc.truncation.omega_double_prime),
-            "dropped": len(game.space.states)
-            - len(disc.truncation.omega_double_prime),
-            "kept_mass": disc.truncation.kept_mass,
-            "tail_out": disc.truncation.tail_out,
-        },
-        "gap_certificate": {
-            "budget": gap.budget,
-            "ok": gap.ok,
+
+    def document() -> dict:
+        gap = certify_sup_gap(disc)
+        doc = _solve_document(game, "continuous", args, sol)
+        doc["discretization"] = {
+            "epsilon": args.epsilon,
+            "eta0": disc.eta0,
+            "lipschitz": compact.lipschitz,
+            "payoff_bound": disc.bound_m,
+            "net_sizes": [len(net) for net in disc.nets],
+            "truncation": {
+                "kept": len(disc.truncation.omega_double_prime),
+                "dropped": len(game.space.states)
+                - len(disc.truncation.omega_double_prime),
+                "kept_mass": disc.truncation.kept_mass,
+                "tail_out": disc.truncation.tail_out,
+            },
+            "gap_certificate": {
+                "budget": gap.budget,
+                "ok": gap.ok,
+                "players": [
+                    {
+                        "player": p.player,
+                        "rounding": p.rounding,
+                        "net": p.net,
+                        "tail_out": p.tail_out,
+                        "total": p.total,
+                    }
+                    for p in gap.players
+                ],
+            },
+        }
+        doc["hat_regret"] = _regret_block(sol.report)
+        doc["probe_audit"] = {
+            "budget": audit.budget,
+            "max_regret": audit.max_regret,
+            "ok": audit.ok,
             "players": [
-                {
-                    "player": p.player,
-                    "rounding": p.rounding,
-                    "net": p.net,
-                    "tail_out": p.tail_out,
-                    "total": p.total,
-                }
-                for p in gap.players
+                {"player": e.player, "regret": e.regret} for e in audit.entries
             ],
-        },
-    }
-    doc["hat_regret"] = _regret_block(sol.report)
-    doc["probe_audit"] = {
-        "budget": audit.budget,
-        "max_regret": audit.max_regret,
-        "ok": audit.ok,
-        "players": [{"player": e.player, "regret": e.regret} for e in audit.entries],
-    }
-    atoms = doc["hat_regret"]["atoms"]
-    _emit_report(doc, args.format, lambda: _csv(_REGRET_COLUMNS, atoms), args.out)
+        }
+        return doc
+
+    _emit_report(args.format, document, lambda: _regret_csv(sol.report), args.out)
     return 0 if audit.ok else 2
 
 
@@ -410,23 +432,25 @@ def _cmd_verify(args) -> int:
     if problems:
         raise GameFormatError("invalid profile: " + "; ".join(problems))
     report = certify(game, profile, epsilon)
-    doc = {
-        "config": {
-            "command": "verify",
-            "mode": loaded.mode,
-            "epsilon": epsilon,
-            "format_version": REPORT_VERSION,
-        },
-        "constants": {
-            "payoff_bound": payoff_bound(game),
-            "players": game.n,
-            "states": len(game.space.states),
-        },
-        "ingestion": _ingestion_block(game),
-        "regret": _regret_block(report),
-    }
-    atoms = doc["regret"]["atoms"]
-    _emit_report(doc, args.format, lambda: _csv(_REGRET_COLUMNS, atoms), args.out)
+
+    def document() -> dict:
+        return {
+            "config": {
+                "command": "verify",
+                "mode": loaded.mode,
+                "epsilon": epsilon,
+                "format_version": REPORT_VERSION,
+            },
+            "constants": {
+                "payoff_bound": payoff_bound(game),
+                "players": game.n,
+                "states": len(game.space.states),
+            },
+            "ingestion": _ingestion_block(game),
+            "regret": _regret_block(report),
+        }
+
+    _emit_report(args.format, document, lambda: _regret_csv(report), args.out)
     return 0 if report.passed else 2
 
 
@@ -439,26 +463,35 @@ def _cmd_hierarchy(args) -> int:
     game = loaded.game
     hier = build_hierarchy(game, args.delta)
     block = _hierarchy_block(game, hier, check_properties(game, hier))
-    doc = {
-        "config": {
-            "command": "hierarchy",
-            "mode": loaded.mode,
-            "delta": args.delta,
-            "format_version": REPORT_VERSION,
-        },
-        "constants": {
-            "payoff_bound": payoff_bound(game),
-            "players": game.n,
-            "states": len(game.space.states),
-        },
-        "ingestion": _ingestion_block(game),
-        "hierarchy": block,
-    }
-    # Each level joined with its player's "original" and "coarse" counts.
-    atoms = block["atoms"]
-    rows = [
-        {**level, **{f"{k}_atoms": v for k, v in atoms[str(level["player"])].items()}}
-        for level in block["levels"]
-    ]
-    _emit_report(doc, args.format, lambda: _csv(_HIERARCHY_COLUMNS, rows), args.out)
+
+    def document() -> dict:
+        return {
+            "config": {
+                "command": "hierarchy",
+                "mode": loaded.mode,
+                "delta": args.delta,
+                "format_version": REPORT_VERSION,
+            },
+            "constants": {
+                "payoff_bound": payoff_bound(game),
+                "players": game.n,
+                "states": len(game.space.states),
+            },
+            "ingestion": _ingestion_block(game),
+            "hierarchy": block,
+        }
+
+    def csv_text() -> str:
+        # Each level joined with its player's "original" and "coarse" counts.
+        atoms = block["atoms"]
+        rows = [
+            {
+                **level,
+                **{f"{k}_atoms": v for k, v in atoms[str(level["player"])].items()},
+            }
+            for level in block["levels"]
+        ]
+        return _csv(_HIERARCHY_COLUMNS, rows)
+
+    _emit_report(args.format, document, csv_text, args.out)
     return 0 if block["ok"] else 2

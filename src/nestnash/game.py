@@ -659,11 +659,22 @@ def _atom_values(
     per action of ``keep`` (see ``_expectation_rows``); each is the fsum
     of the prior-weighted state values divided by the atom's mass.
     """
-    prior = game.prior_for(player)
     support = _support(game, game.partition_for(player), player)
     states = [s for _, _, members in support for s in members]
-    weights = np.array([prior[s] for s in states])
     by_state = _expectations(game, profile, player, states, keep)
+    return _fold_atoms(game, player, support, by_state)
+
+
+def _fold_atoms(
+    game: NestedGame,
+    player: int,
+    support: list[tuple[Atom, float, list[State]]],
+    by_state: np.ndarray,
+) -> list[tuple[Atom, float, list[float]]]:
+    """``_atom_values`` from the per-state values ``by_state``, one row per
+    member of ``support`` in order (see ``_support``)."""
+    prior = game.prior_for(player)
+    weights = np.array([prior[s] for _, _, members in support for s in members])
     # One list per column: its prior-weighted value at each state.
     columns = (weights[:, None] * by_state).T.tolist()
     out = []

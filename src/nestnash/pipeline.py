@@ -10,6 +10,16 @@ belief, and hence every coarse atom's mixture of them, lies within
 ``delta`` (L1) of one cluster centre.  The stages run in order:
 validation, belief hierarchy, auxiliary game and its structural audit,
 agent-form solve, lift, exact certificate.
+
+The auxiliary game is the quotient of the coarse game: one state per
+class of states sharing player 1's coarse atom (and so every player's)
+and their payoff class, with each prior summed over the class.  In
+player i's conditional value of an action on a coarse atom, each
+state's term p_i(s) * sigma_-i(coarse atoms at s) * u_i(s, .) depends
+on s only through its class, so summing p_i over the class leaves every
+conditional action value, and so rho, unchanged in exact arithmetic.
+The final certificate is computed on the original game, so the lifted
+profile's guarantee never rests on the quotient.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ not on their order, and a zero term never changes it.  The evaluator
 (``game._expectations``) forms every term with the same float
 multiplications as a plain loop, for a whole array of states at once,
 so each certificate is the float that loop gives, bit for bit;
-``tests/data/certificates.json`` pins it.  ``game._atom_values`` is
+``tests/data/certificates.json`` pins it.  ``game._fold_atoms`` is
 the one place that turns those per-state values into per-atom
 conditional values.  The evaluator's kernel
 (``game._expectation_rows``) takes the players' distributions per row
@@ -50,6 +50,9 @@ from .game import (
     StrategyProfile,
     _atom_values,
     _expectation_rows,
+    _fold_atoms,
+    _strategies_at,
+    _support,
 )
 from .hierarchy import Hierarchy
 
@@ -92,6 +95,12 @@ class RegretReport:
     passed: bool
 
 
+def _best_response(actions: tuple[Action, ...], values: list[float]) -> BestResponse:
+    top = max(values)
+    argmax = tuple(a for a, v in zip(actions, values) if v >= top - DERIVED_TOL)
+    return BestResponse(values=dict(zip(actions, values)), value=top, actions=argmax)
+
+
 def best_response_values(
     game: NestedGame, profile: StrategyProfile, player: int
 ) -> dict[Atom, BestResponse]:
@@ -102,14 +111,10 @@ def best_response_values(
     so exact ties survive float noise.
     """
     actions = game.actions_for(player)
-    out: dict[Atom, BestResponse] = {}
-    for atom, _, values in _atom_values(game, profile, player, keep=player):
-        top = max(values)
-        argmax = tuple(a for a, v in zip(actions, values) if v >= top - DERIVED_TOL)
-        out[atom] = BestResponse(
-            values=dict(zip(actions, values)), value=top, actions=argmax
-        )
-    return out
+    return {
+        atom: _best_response(actions, values)
+        for atom, _, values in _atom_values(game, profile, player, keep=player)
+    }
 
 
 def bayesian_regret(
@@ -117,15 +122,40 @@ def bayesian_regret(
 ) -> dict[int, dict[Atom, AtomRegret]]:
     """Exact per-atom regret for every player on their own information.
 
+    Each player's positive-mass atoms are found once, and the profile's
+    distributions are read once for every state some player weighs; the
+    own-action values (as ``best_response_values``) and the current
+    values (as ``conditional_payoff``) are both evaluated from those
+    arrays.
+
     Regret is mathematically nonnegative; a value below -1e-9 signals a
     broken invariant somewhere and raises rather than being clipped.
     """
+    players = range(1, game.n + 1)
+    supports = [_support(game, game.partition_for(i), i) for i in players]
+    weighed = [[s for _, _, ss in support for s in ss] for support in supports]
+    states = list(dict.fromkeys(s for own in weighed for s in own))
+    row = {s: r for r, s in enumerate(states)}
+    dists = _strategies_at(game, profile, states, players)
+    position = game.space.position
+
     out: dict[int, dict[Atom, AtomRegret]] = {}
-    for i in range(1, game.n + 1):
-        br = best_response_values(game, profile, i)
+    for i, support, own in zip(players, supports, weighed):
+        rows = [row[s] for s in own]
+        at = [d[rows] for d in dists]
+        index = [position[s] for s in own]
+        # Per state: the value of each own action, then the profile's.
+        by_state = np.hstack(
+            [
+                _expectation_rows(game, i, at[: i - 1] + at[i:], index, keep=i),
+                _expectation_rows(game, i, at, index),
+            ]
+        )
+        actions = game.actions_for(i)
         table: dict[Atom, AtomRegret] = {}
-        for atom, mass, (current,) in _atom_values(game, profile, i):
-            regret = br[atom].value - current
+        for atom, mass, (*values, current) in _fold_atoms(game, i, support, by_state):
+            br = _best_response(actions, values)
+            regret = br.value - current
             if regret < -CERT_SLACK:
                 raise ConsistencyError(
                     f"negative regret {regret!r} for player {i} at atom {atom!r}"
@@ -135,9 +165,9 @@ def bayesian_regret(
                 atom=atom,
                 mass=mass,
                 regret=regret,
-                best_value=br[atom].value,
+                best_value=br.value,
                 current_value=current,
-                best_actions=br[atom].actions,
+                best_actions=br.actions,
             )
         out[i] = table
     return out

@@ -3,8 +3,11 @@
 Replacing each player's information with the coarse partition induced by
 a belief hierarchy yields a finite auxiliary game whose equilibria
 transfer back to the original game with a quantified regret penalty.
-The auxiliary game is solved in agent form: one agent per (player,
-positive-mass coarse atom), each choosing a mixed action.
+No coarse strategy can tell apart two states that share every coarse
+atom and their payoff class, so the auxiliary game keeps one state per
+such class (``build_auxiliary_game``), which leaves every conditional
+action value as it was.  It is solved in agent form: one agent per
+(player, positive-mass coarse atom), each choosing a mixed action.
 
 Every coarse game is solved by alternating predictive regret
 matching+ (Farina, Kroer & Sandholm, "Faster Game Solving via Predictive
@@ -33,7 +36,11 @@ from .game import (
     Action,
     Atom,
     GameFormatError,
+    InformationPartition,
     NestedGame,
+    PayoffTensor,
+    State,
+    StateSpace,
     StrategyProfile,
 )
 from .hierarchy import Hierarchy, PropertyReport, check_properties
@@ -53,7 +60,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class AuxGame:
-    """The original game with information coarsened to the hierarchy's atoms.
+    """The original game with information coarsened to the hierarchy's atoms,
+    on its quotient state space (see ``build_auxiliary_game``).
 
     ``checks`` is the hierarchy's structural audit, which passed.
     """
@@ -74,7 +82,32 @@ class SolveResult:
 
 
 def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
-    """Swap each player's partition for the coarse one."""
+    """Swap each player's partition for the coarse one, and merge the states
+    no coarse strategy can tell apart.
+
+    Two states fall in one class when they share player 1's coarse atom
+    and their payoff class.  Player 1's coarse key is the whole belief
+    tuple (b_1, ..., b_n), so it fixes every player's coarse atom.  The
+    coarse game keeps one state per class, named by its first member in
+    state order, so coarse atoms keep their first-appearance order; its
+    common prior and each player prior are summed over the class with
+    ``math.fsum``, and its payoff rows are the members' shared rows.
+
+    Every conditional action value of the coarse game is unchanged by
+    the merge, in exact arithmetic.  Player i's value of action a on a
+    coarse atom g is
+
+        sum over s in g of p_i(s) * sum over a_-i of
+            sigma_-i(coarse atoms at s)(a_-i) * u_i(s, a, a_-i),
+
+    divided by the sum of p_i over g.  The factor after p_i(s) depends on
+    s only through its class, so summing p_i over each class leaves both
+    sums, and so the value, as they were.  In floats the summed priors
+    round once more, so values may move by a few ulps; the lifted
+    profile's certificate is computed on the original game, so soundness
+    never rests on the quotient.  When no two states merge, the coarse
+    game shares the game's state space and payoff array.
+    """
     if hierarchy.game is not game and hierarchy.game != game:
         raise GameFormatError("hierarchy was built for a different game")
     report = check_properties(game, hierarchy)
@@ -84,12 +117,44 @@ def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
             f"hierarchy failed its structural audit: {bad[0].name} for player "
             f"{bad[0].player}"
         )
-    coarse_game = NestedGame(
-        space=game.space,
-        partitions=hierarchy.coarse,
-        payoffs=game.payoffs,
+    return AuxGame(
+        hierarchy=hierarchy, coarse_game=_quotient(game, hierarchy), checks=report
     )
-    return AuxGame(hierarchy=hierarchy, coarse_game=coarse_game, checks=report)
+
+
+def _quotient(game: NestedGame, hierarchy: Hierarchy) -> NestedGame:
+    """The coarse game on one state per (player 1 coarse atom, payoff class)."""
+    atom_of = hierarchy.coarse[0].atom_of
+    index_of = hierarchy.classes.index_of
+    classes: dict[tuple[Atom, int], list[State]] = {}
+    for s in game.space.states:
+        classes.setdefault((atom_of[s], index_of[s]), []).append(s)
+    if len(classes) == len(game.space.states):
+        return NestedGame(
+            space=game.space, partitions=hierarchy.coarse, payoffs=game.payoffs
+        )
+    members = list(classes.values())
+    reps = tuple(m[0] for m in members)
+
+    def summed(prior) -> dict[State, float]:
+        return {m[0]: math.fsum(prior[s] for s in m) for m in members}
+
+    player_priors = game.space.player_priors
+    space = StateSpace(
+        states=reps,
+        prior=summed(game.space.prior),
+        player_priors=None
+        if player_priors is None
+        else {i: summed(p) for i, p in player_priors.items()},
+    )
+    partitions = tuple(
+        InformationPartition(part.player, {s: part.atom_of[s] for s in reps})
+        for part in hierarchy.coarse
+    )
+    position = game.space.position
+    table = game.payoff_array[:, [position[s] for s in reps]]
+    payoffs = PayoffTensor.from_array(game.payoffs.actions, reps, table)
+    return NestedGame(space=space, partitions=partitions, payoffs=payoffs)
 
 
 class AgentFormGame:

@@ -30,7 +30,6 @@ from nestnash.game import NestedGame, StateSpace, StrategyProfile
 from nestnash.hierarchy import build_hierarchy
 from nestnash.pipeline import solve
 from nestnash.regret import certify
-from nestnash.solver import build_auxiliary_game
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "certificates.json")
 EPSILON = 0.05
@@ -66,7 +65,11 @@ def _with_player_priors(rng, game: NestedGame) -> NestedGame:
 
 
 def _coarse_game(game: NestedGame, delta: float) -> NestedGame:
-    return build_auxiliary_game(game, build_hierarchy(game, delta)).coarse_game
+    """The game with each partition swapped for its coarse one, on the
+    original states: the certificates pin the certifier, not the
+    quotient the solver runs on."""
+    hierarchy = build_hierarchy(game, delta)
+    return NestedGame(game.space, hierarchy.coarse, game.payoffs)
 
 
 def _certificate(game, profile, epsilon) -> dict:

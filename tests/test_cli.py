@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import nestnash.cli
 import nestnash.game
 import nestnash.hierarchy
 from nestnash.cli import REPORT_VERSION, main
@@ -1011,34 +1012,66 @@ REPORT_KEYS = {
 }
 
 
+def report_argv(report: str, tmp_path) -> list[str]:
+    """The command line that writes each kind of report on a small game."""
+    anchor = write_json(tmp_path / "anchor.json", ANCHOR_GAME)
+    return {
+        "solve-finite": ["solve", "--game", anchor, "--epsilon", "0.05"],
+        "solve-continuous": [
+            "solve",
+            "--game",
+            write_json(tmp_path / "cont.json", CONTINUOUS_GAME),
+            "--epsilon",
+            "0.1",
+        ],
+        "hierarchy": ["hierarchy", "--game", anchor, "--delta", "0.2"],
+        "verify": [
+            "verify",
+            "--game",
+            anchor,
+            "--profile",
+            write_json(tmp_path / "eq.json", ANCHOR_EQUILIBRIUM),
+            "--epsilon",
+            "0.05",
+        ],
+    }[report]
+
+
 class TestReportSchema:
     @pytest.mark.parametrize("report", sorted(REPORT_KEYS))
     def test_key_sets_are_pinned_to_the_report_version(
         self, report, tmp_path, capsys
     ):
-        anchor = write_json(tmp_path / "anchor.json", ANCHOR_GAME)
-        argv = {
-            "solve-finite": ["solve", "--game", anchor, "--epsilon", "0.05"],
-            "solve-continuous": [
-                "solve",
-                "--game",
-                write_json(tmp_path / "cont.json", CONTINUOUS_GAME),
-                "--epsilon",
-                "0.1",
-            ],
-            "hierarchy": ["hierarchy", "--game", anchor, "--delta", "0.2"],
-            "verify": [
-                "verify",
-                "--game",
-                anchor,
-                "--profile",
-                write_json(tmp_path / "eq.json", ANCHOR_EQUILIBRIUM),
-                "--epsilon",
-                "0.05",
-            ],
-        }[report]
-        assert main(argv) == 0
+        assert main(report_argv(report, tmp_path)) == 0
         doc = json.loads(capsys.readouterr().out)
         assert REPORT_VERSION == PINNED_VERSION
         assert doc["config"]["format_version"] == REPORT_VERSION
         assert key_paths(doc) == REPORT_KEYS[report]
+
+
+class TestCsvReports:
+    @pytest.mark.parametrize("report", sorted(REPORT_KEYS))
+    def test_csv_builds_no_json_only_block(
+        self, report, tmp_path, capsys, monkeypatch
+    ):
+        """The ingestion echo, the profiles and the gap certificate appear
+        only in the JSON report, so CSV output never builds them."""
+        calls = []
+
+        def counted(name):
+            original = getattr(nestnash.cli, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(nestnash.cli, name, wrapper)
+
+        for name in ("_ingestion_block", "profile_to_json", "certify_sup_gap"):
+            counted(name)
+        argv = report_argv(report, tmp_path)
+        assert main(argv + ["--format", "csv"]) == 0
+        assert calls == []
+        # The same counters do see the JSON report build them.
+        assert main(argv) == 0
+        assert calls

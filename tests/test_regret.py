@@ -213,7 +213,7 @@ GAP_HEX = {
         "0x1.0000000000000p-53",
         "0x0.0p+0",
     ],
-    "redundant@0.6": ["0x1.2000000000000p-49", "0x1.e6fc94d217fe9p-2"],
+    "redundant@0.6": ["0x1.2000000000000p-49", "0x1.e6fc94d217fe8p-2"],
     "redundant@0.3": ["0x1.2000000000000p-49", "0x1.0000000000000p-53"],
 }
 

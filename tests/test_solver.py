@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from generators import random_nested_game, random_profile, redundant_game
+from generators import (
+    exact_prior,
+    noisy_redundant_game,
+    random_nested_game,
+    random_profile,
+    redundant_game,
+)
 from nestnash import solver
 from nestnash.game import (
     GameFormatError,
@@ -19,6 +25,7 @@ from nestnash.hierarchy import build_hierarchy
 from nestnash.regret import best_response_values, certify
 from nestnash.solver import (
     AgentFormGame,
+    AuxGame,
     SolverConfig,
     build_auxiliary_game,
     lift_strategy,
@@ -75,6 +82,7 @@ class TestAgentForm:
     def test_coarse_game_and_agent_form_share_the_payoff_array(self):
         game = random_nested_game(np.random.default_rng(47), max_states=20)
         engine = agent_form_for(game, 0.2)
+        assert engine.aux.coarse_game.space is game.space
         assert engine.aux.coarse_game.payoff_array is game.payoff_array
         assert engine.payoff is game.payoff_array
 
@@ -163,6 +171,115 @@ class TestAuxiliaryGame:
         h = build_hierarchy(matching_pennies, 0.2)
         with pytest.raises(GameFormatError, match="different game"):
             build_auxiliary_game(informed_anchor, h)
+
+
+def cloned_game(
+    rng: np.random.Generator, game: NestedGame, copies: int, sparse: bool = False
+) -> NestedGame:
+    """``game`` with each state split into ``copies`` states that share its
+    atoms and payoffs, under a fresh random prior.  With ``sparse``, the
+    common prior is zero on every copy of about a third of the original
+    states and on about a quarter of the other copies, and player 2 gets
+    an own prior drawn the same way."""
+    states = tuple(f"{s}#{c}" for s in game.space.states for c in range(copies))
+
+    def prior() -> dict:
+        weights = rng.random(len(states))
+        if sparse:
+            dropped = np.repeat(rng.random(len(game.space.states)) < 1 / 3, copies)
+            weights[dropped | (rng.random(len(states)) < 1 / 4)] = 0.0
+            weights[0] = 1.0
+        kept = tuple(s for s, w in zip(states, weights) if w > 0.0)
+        out = dict.fromkeys(states, 0.0)
+        out.update(exact_prior(weights[weights > 0.0] / weights.sum(), kept))
+        return out
+
+    space = StateSpace(
+        states=states, prior=prior(), player_priors={2: prior()} if sparse else None
+    )
+    partitions = tuple(
+        InformationPartition(
+            part.player, {s: part.atom_of[s.split("#")[0]] for s in states}
+        )
+        for part in game.partitions
+    )
+    table = np.repeat(game.payoff_array, copies, axis=1)
+    payoffs = PayoffTensor.from_array(game.payoffs.actions, states, table)
+    return NestedGame(space=space, partitions=partitions, payoffs=payoffs)
+
+
+def default_delta(game: NestedGame, epsilon: float = 0.05) -> float:
+    """The pipeline's default belief accuracy, epsilon / (2 M A)."""
+    profiles = math.prod(len(acts) for acts in game.payoffs.actions)
+    return epsilon / (2.0 * payoff_bound(game) * profiles)
+
+
+class TestQuotient:
+    """The coarse game keeps one state per (coarse atom, payoff class)."""
+
+    @staticmethod
+    def games():
+        """(name, game): games whose coarse game merges states."""
+        yield "redundant600", redundant_game(np.random.default_rng(1), 600)
+        yield "redundant2400", redundant_game(np.random.default_rng(1), 2400)
+        yield "noisy2400", noisy_redundant_game(np.random.default_rng(1), 2400, 1e-3)
+        rng = np.random.default_rng(61)
+        nested3 = random_nested_game(rng, max_states=30, players=(3,))
+        yield "nested3", cloned_game(rng, nested3, 3)
+        nested2 = random_nested_game(rng, max_states=30, players=(2,))
+        yield "sparse", cloned_game(rng, nested2, 4, sparse=True)
+
+    def test_quotient_state_counts(self):
+        counts = {
+            name: len(
+                build_auxiliary_game(
+                    game, build_hierarchy(game, default_delta(game))
+                ).coarse_game.space.states
+            )
+            for name, game in self.games()
+            if name.startswith(("redundant", "noisy"))
+        }
+        assert counts == {"redundant600": 42, "redundant2400": 45, "noisy2400": 87}
+
+    def test_quotient_is_a_valid_game_on_first_members(self):
+        for name, game in self.games():
+            hierarchy = build_hierarchy(game, default_delta(game))
+            coarse = build_auxiliary_game(game, hierarchy).coarse_game
+            states = coarse.space.states
+            assert len(states) < len(game.space.states), name
+            # First members, in state order.
+            position = game.space.position
+            assert [position[s] for s in states] == sorted(
+                position[s] for s in states
+            )
+            assert coarse.validation.ok, name
+            for i in range(1, game.n + 1):
+                assert list(coarse.partition_for(i).atoms) == list(
+                    hierarchy.coarse_partition(i).atoms
+                ), name
+
+    def test_values_and_certificates_match_the_partition_swap(self):
+        """Every agent's action values and the certified regret agree with
+        the game that keeps every state, within 1e-12 * M."""
+        rng = np.random.default_rng(62)
+        for name, game in self.games():
+            tol = 1e-12 * payoff_bound(game)
+            hierarchy = build_hierarchy(game, default_delta(game))
+            aux = build_auxiliary_game(game, hierarchy)
+            swap = NestedGame(game.space, hierarchy.coarse, game.payoffs)
+            merged = to_agent_form(aux)
+            full = to_agent_form(AuxGame(hierarchy, swap, aux.checks))
+            assert merged.agents == full.agents, name
+            for _ in range(3):
+                strategies = merged.random_strategies(rng)
+                for got, want in zip(
+                    merged.action_values(strategies), full.action_values(strategies)
+                ):
+                    assert np.abs(got - want).max() <= tol, name
+                profile = merged.to_profile(strategies)
+                got = certify(aux.coarse_game, profile, 0.05).max_regret
+                want = certify(swap, profile, 0.05).max_regret
+                assert abs(got - want) <= tol, name
 
 
 class TestSolver:

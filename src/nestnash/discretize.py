@@ -38,7 +38,6 @@ from .game import (
     State,
     StateSpace,
     StrategyProfile,
-    _support,
 )
 from .regret import CERT_SLACK, certify
 
@@ -544,7 +543,7 @@ def probe_harsanyi_regret(
     game = disc.game
     for i in range(1, spec.n + 1):
         grid_actions = set(game.actions_for(i))
-        for atom, _, _ in _support(game, game.partition_for(i), i):
+        for atom, _, _ in game.supports[i - 1].atoms:
             for a, p in profile.distribution(i, atom).items():
                 if p > 0.0 and a not in grid_actions:
                     raise GameFormatError(

@@ -15,6 +15,16 @@ respect to the owning player's information by construction.
 All container types are immutable after construction and every
 operation is a pure function.  Validation never raises; it returns a
 report listing violations so callers can surface all problems at once.
+
+What every later stage reads about a game's states is computed once per
+game and cached: the validation report, the payoff classes
+(``NestedGame.classes``, with each state's class id as an integer
+array, shared by every game with the same payoff tensor and state
+order) and each player's support (``NestedGame.supports``: the atom of
+every state as an integer array, and the positive-mass atoms with their
+``math.fsum`` masses and weighed members).  The belief hierarchy and the
+certifier both read them; each is a pure function of the game itself,
+so the certifier still trusts nothing from the solver.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable
 
@@ -132,6 +142,7 @@ class PayoffTensor:
         self.actions = actions
         self._values = values
         self._arrays: dict[tuple[State, ...], np.ndarray] = {}
+        self._classes: dict[tuple[State, ...], PayoffClasses] = {}
         # Array-backed tensors only: the state order of ``_table`` and the
         # flat (state, profile) cell of each entry in the order given.
         self._states: tuple[State, ...] | None = None
@@ -295,6 +306,23 @@ class NestedGame:
         """``validate_game(self)``, computed once per game."""
         return validate_game(self)
 
+    @property
+    def classes(self) -> "PayoffClasses":
+        """``payoff_classes(self)``, computed once per payoff tensor and
+        state order, so every game sharing both shares it (as they share
+        ``payoff_array``)."""
+        memo = self.payoffs._classes
+        states = self.space.states
+        if states not in memo:
+            memo[states] = payoff_classes(self)
+        return memo[states]
+
+    @cached_property
+    def supports(self) -> tuple["Support", ...]:
+        """Each player's ``Support`` under their own prior, in player order,
+        computed once per game."""
+        return tuple(_support(self, i) for i in range(1, self.n + 1))
+
     def require_valid(self) -> None:
         """Raise InvalidGameError unless the game passes validation."""
         if not self.validation.ok:
@@ -328,13 +356,33 @@ class PayoffClasses:
 
     Two states belong to the same class when their full payoff matrices
     (all players, all action profiles) are identical.  ``index_of`` maps
-    every state to its class; ``representatives`` holds the first state
-    seen in each class.
+    every state to its class and ``ids`` holds the same class ids as an
+    integer array over the state order; ``representatives`` holds the
+    first state seen in each class.
     """
 
     count: int
     index_of: dict[State, int]
     representatives: tuple[State, ...]
+    ids: np.ndarray = field(compare=False, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Support:
+    """One player's own information under their own prior.
+
+    ``atom_index[k]`` is the position, in partition order, of the atom
+    holding the k-th state.  ``atoms`` lists the positive-mass atoms in
+    partition order as (atom, mass, members with positive prior), each
+    mass the ``math.fsum`` of the atom's prior.  ``positions`` and
+    ``weights`` hold those members' state positions and priors, atom
+    after atom; they are exactly the states the player's prior weighs.
+    """
+
+    atom_index: np.ndarray
+    atoms: tuple[tuple[Atom, float, tuple[State, ...]], ...]
+    positions: np.ndarray
+    weights: np.ndarray
 
 
 def refines(fine: InformationPartition, coarse: InformationPartition) -> bool:
@@ -512,24 +560,73 @@ def payoff_bound(game: NestedGame) -> float:
     return max(1.0, float(table.max(initial=0.0)), -float(table.min(initial=0.0)))
 
 
+def _group(keys: Iterable[Hashable]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense group ids of ``keys``, numbered by first appearance, and the
+    position of each group's first key."""
+    first: dict[Hashable, int] = {}
+    rep = np.array([first.setdefault(k, r) for r, k in enumerate(keys)], np.intp)
+    firsts = np.fromiter(first.values(), np.intp, len(first))
+    dense = np.empty(len(rep), np.intp)
+    dense[firsts] = np.arange(len(firsts))
+    return dense[rep], firsts
+
+
+# A row's checksum reads evenly spaced entries of each player's part of
+# it: fewer than twice this many.
+_CHECKSUM_ENTRIES = 64
+# Rows are read a few columns at a time, about this many entries per
+# temporary array.
+_CLASS_CHUNK = 1 << 15
+
+
 def payoff_classes(game: NestedGame) -> PayoffClasses:
     """Enumerate distinct per-state payoff matrices in state order.
 
-    Each state's row of the payoff array, with ``+ 0.0`` turning -0.0
-    into 0.0, is keyed by its bytes: two finite rows have equal bytes
-    exactly when they are equal value by value.
+    Rows are compared after ``+ 0.0`` turns -0.0 into 0.0.  Each state's
+    row (all players, all profiles) gets a checksum from evenly spaced
+    entries: the wrapping sum of their bit patterns, each folded onto its
+    low half, times odd weights.  Equal rows have equal checksums, so
+    each state is compared value by value with the first state of its
+    checksum; the few states that differ from it are told apart by the
+    bytes of their rows.  Rows are read a few columns at a time, so no
+    temporary grows with the array.  Callers read ``game.classes``.
     """
     table = game.payoff_array
-    index_of: dict[State, int] = {}
-    reps: list[State] = []
-    keys: dict[bytes, int] = {}
-    for k, s in enumerate(game.space.states):
-        key = (table[:, k] + 0.0).tobytes()
-        if key not in keys:
-            keys[key] = len(reps)
-            reps.append(s)
-        index_of[s] = keys[key]
-    return PayoffClasses(count=len(reps), index_of=index_of, representatives=tuple(reps))
+    states = game.space.states
+    rows = table.reshape(table.shape[0], len(states), -1)
+    n, count, width = rows.shape
+    step = max(1, _CLASS_CHUNK // max(1, n * count))
+    sampled = np.arange(0, width, max(1, width // _CHECKSUM_ENTRIES))
+    # The sampled entry k of a row (player-major) weighs 2k + 1.
+    weights = np.arange(1, 2 * n * len(sampled), 2, dtype=np.uint64).reshape(n, -1)
+    sums = np.zeros(count, np.uint64)
+    for c in range(0, len(sampled), step):
+        block = rows[:, :, sampled[c : c + step]]
+        block += 0.0
+        bits = block.view(np.uint64)
+        # Round payoffs have all-zero low bits: fold the high half down.
+        bits ^= bits >> np.uint64(32)
+        sums += np.einsum("isc,ic->s", bits, weights[:, c : c + step])
+    checksum, first = _group(sums.tolist())
+    rep = first[checksum]
+    # Each state whose checksum an earlier state opened: is its row that one's?
+    later = np.flatnonzero(rep != np.arange(count))
+    same = np.ones(len(later), bool)
+    if len(later):
+        for c in range(0, width, step):
+            block = rows[:, :, c : c + step]
+            same &= (block[:, later] == block[:, rep[later]]).all(axis=(0, 2))
+    # A checksum shared by unequal rows: key those states by their bytes.
+    opened: dict[bytes, int] = {}
+    for k in later[~same].tolist():
+        rep[k] = opened.setdefault(np.add(rows[:, k], 0.0).tobytes(), k)
+    ids, openers = _group(rep.tolist())
+    return PayoffClasses(
+        count=len(openers),
+        index_of=dict(zip(states, ids.tolist())),
+        representatives=tuple(states[k] for k in openers.tolist()),
+        ids=ids,
+    )
 
 
 # -- expected payoffs ----------------------------------------------------------
@@ -545,30 +642,44 @@ def payoff_classes(game: NestedGame) -> PayoffClasses:
 def _strategies_at(
     game: NestedGame,
     profile: StrategyProfile,
-    states: Sequence[State],
+    positions: np.ndarray,
     players: Iterable[int],
-) -> list[np.ndarray]:
-    """Per player, a (len(states), |A_j|) array: the distribution the
-    profile plays at each state.
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per player, the distributions the profile plays at the states at
+    ``positions``: ``(rows, row_of)``.
 
-    A missing strategy raises ``StrategyProfile.distribution``'s error
-    for the first (state, player) pair lacking one, states outermost.
+    ``rows`` is a (R, |A_j|) array of distributions distinct value by
+    value, and ``row_of[k]`` is the row played at the k-th state of the
+    state order; it is unspecified at states outside ``positions``.  A
+    missing strategy raises ``StrategyProfile.distribution``'s error for
+    the first (state, player) pair lacking one, states outermost.
     """
     players = tuple(players)
-    out = []
+    out = {}
     try:
         for j in players:
-            atom_of = game.partitions[j - 1].atom_of
-            rows: dict[Atom, int] = {}
-            index = [rows.setdefault(atom_of[s], len(rows)) for s in states]
+            atom_index = game.supports[j - 1].atom_index
+            atoms = list(game.partitions[j - 1].atoms)
+            used = np.zeros(len(atoms), bool)
+            used[atom_index[positions]] = True
             strategy = profile.strategies[j]
             acts = game.actions_for(j)
-            dists = [[strategy[atom].get(a, 0.0) for a in acts] for atom in rows]
-            out.append(np.array(dists, float).reshape(len(rows), len(acts))[index])
+            rows: dict[tuple[float, ...], int] = {}
+            atom_row = np.zeros(len(atoms), np.intp)
+            atom_row[used] = [
+                rows.setdefault(tuple([dist.get(a, 0.0) for a in acts]), len(rows))
+                for dist in map(
+                    strategy.__getitem__,
+                    map(atoms.__getitem__, np.flatnonzero(used).tolist()),
+                )
+            ]
+            table = np.array(list(rows), float).reshape(len(rows), len(acts))
+            out[j] = (table, atom_row[atom_index])
     except KeyError:
-        for s in states:
+        states = game.space.states
+        for k in positions.tolist():
             for j in players:
-                profile.distribution(j, game.partitions[j - 1].atom_of[s])
+                profile.distribution(j, game.partitions[j - 1].atom_of[states[k]])
         raise
     return out
 
@@ -588,15 +699,16 @@ def _expectations(
     game: NestedGame,
     profile: StrategyProfile,
     player: int,
-    states: list[State],
+    positions: np.ndarray,
     keep: int | None = None,
 ) -> np.ndarray:
-    """Expected payoffs to ``player``, one row per state: ``_expectation_rows``
-    on the distributions the profile plays at each state."""
+    """Expected payoffs to ``player`` at the states at ``positions``, one
+    row each: ``_expectation_rows`` on the distributions the profile
+    plays there."""
     players = [j for j in range(1, game.n + 1) if j != keep]
-    dists = _strategies_at(game, profile, states, players)
-    index = [game.space.position[s] for s in states]
-    return _expectation_rows(game, player, dists, index, keep)
+    strategies = _strategies_at(game, profile, positions, players)
+    dists = [rows[row_of[positions]] for rows, row_of in strategies.values()]
+    return _expectation_rows(game, player, dists, positions, keep)
 
 
 def _expectation_rows(
@@ -636,18 +748,31 @@ def _expectation_rows(
     return np.array(sums).reshape(len(index), rows)
 
 
-def _support(
-    game: NestedGame, part: InformationPartition, player: int
-) -> list[tuple[Atom, float, list[State]]]:
-    """Positive-mass atoms of ``part`` under ``player``'s prior, in
-    partition order: (atom, mass, members with positive prior)."""
+def _support(game: NestedGame, player: int) -> Support:
+    """The player's ``Support``; callers read the cached ``game.supports``."""
     prior = game.prior_for(player)
-    out = []
+    part = game.partition_for(player)
+    states = game.space.states
+    lookup = {atom: k for k, atom in enumerate(part.atoms)}
+    atom_index = np.fromiter(
+        map(lookup.__getitem__, map(part.atom_of.__getitem__, states)),
+        np.intp,
+        len(states),
+    )
+    atoms = []
     for atom, members in part.atoms.items():
-        mass = game.space.mass(members, player)
+        mass = math.fsum(map(prior.__getitem__, members))
         if mass > 0.0:
-            out.append((atom, mass, [s for s in members if prior[s] > 0.0]))
-    return out
+            atoms.append((atom, mass, tuple(s for s in members if prior[s] > 0.0)))
+    weighed = [s for _, _, members in atoms for s in members]
+    return Support(
+        atom_index=atom_index,
+        atoms=tuple(atoms),
+        positions=np.fromiter(
+            map(game.space.position.__getitem__, weighed), np.intp, len(weighed)
+        ),
+        weights=np.fromiter(map(prior.__getitem__, weighed), float, len(weighed)),
+    )
 
 
 def _atom_values(
@@ -659,42 +784,34 @@ def _atom_values(
     per action of ``keep`` (see ``_expectation_rows``); each is the fsum
     of the prior-weighted state values divided by the atom's mass.
     """
-    support = _support(game, game.partition_for(player), player)
-    states = [s for _, _, members in support for s in members]
-    by_state = _expectations(game, profile, player, states, keep)
-    return _fold_atoms(game, player, support, by_state)
+    support = game.supports[player - 1]
+    by_state = _expectations(game, profile, player, support.positions, keep)
+    values = _fold_atoms(support, by_state).tolist()
+    return [(atom, mass, v) for (atom, mass, _), v in zip(support.atoms, values)]
 
 
-def _fold_atoms(
-    game: NestedGame,
-    player: int,
-    support: list[tuple[Atom, float, list[State]]],
-    by_state: np.ndarray,
-) -> list[tuple[Atom, float, list[float]]]:
-    """``_atom_values`` from the per-state values ``by_state``, one row per
-    member of ``support`` in order (see ``_support``)."""
-    prior = game.prior_for(player)
-    weights = np.array([prior[s] for _, _, members in support for s in members])
+def _fold_atoms(support: Support, by_state: np.ndarray) -> np.ndarray:
+    """Per positive-mass atom of ``support`` (rows) and column of
+    ``by_state``: the fsum of the prior-weighted values of the atom's
+    members divided by its mass.  ``by_state`` has one row per entry of
+    ``support.positions``."""
     # One list per column: its prior-weighted value at each state.
-    columns = (weights[:, None] * by_state).T.tolist()
+    columns = (support.weights[:, None] * by_state).T.tolist()
     out = []
     start = 0
-    for atom, mass, members in support:
+    for _, mass, members in support.atoms:
         stop = start + len(members)
-        out.append((atom, mass, [math.fsum(col[start:stop]) / mass for col in columns]))
+        out.append([math.fsum(col[start:stop]) / mass for col in columns])
         start = stop
-    return out
+    return np.array(out, float).reshape(len(out), by_state.shape[1])
 
 
 def expected_payoff(game: NestedGame, profile: StrategyProfile) -> tuple[float, ...]:
     """Ex-ante expected payoff vector; player i's entry uses player i's prior."""
     out = []
-    for i in range(1, game.n + 1):
-        prior = game.prior_for(i)
-        states = [s for s in game.space.states if prior[s] > 0.0]
-        weights = np.array([prior[s] for s in states])
-        values = weights * _expectations(game, profile, i, states)[:, 0]
-        out.append(math.fsum(values.tolist()))
+    for i, support in enumerate(game.supports, start=1):
+        values = _expectations(game, profile, i, support.positions)[:, 0]
+        out.append(math.fsum((support.weights * values).tolist()))
     return tuple(out)
 
 

@@ -111,9 +111,24 @@ def _parse_header(obj: dict, where: str) -> str:
 
 
 def _parse_states(entries: Any) -> tuple[tuple[str, ...], dict[str, float]]:
+    """State ids and the common prior.  The checks run a column at a time;
+    when one fails, the rows are rechecked one by one, so the error names
+    the first bad row in the same words."""
     rows = _expect_list(entries, "states")
     if not rows:
         raise SchemaError("states must be nonempty")
+    if set(map(type, rows)) == {dict} and set(map(len, rows)) == {2}:
+        try:
+            ids = tuple(map(operator.itemgetter("id"), rows))
+            probs = list(map(operator.itemgetter("prob"), rows))
+            if (
+                set(map(type, ids)) == {str}
+                and set(map(type, probs)) <= {float, int}
+                and len(set(ids)) == len(ids)
+            ):
+                return ids, dict(zip(ids, map(float, probs)))
+        except (KeyError, OverflowError):
+            pass
     ids: list[str] = []
     prior: dict[str, float] = {}
     for k, row in enumerate(rows):
@@ -148,12 +163,13 @@ def _parse_partitions(
     for i, row in enumerate(rows, start=1):
         where = f"partitions.{i}"
         row = _expect_object(row, where)
-        if set(row.keys()) != state_set:
+        if row.keys() != state_set:
             raise SchemaError(f"{where} must map every state id exactly once")
-        atom_of = {}
-        for s in states:
-            atom_of[s] = _expect_string(row[s], f"{where}.{s}")
-        out.append(InformationPartition(player=i, atom_of=atom_of))
+        atoms = list(map(row.__getitem__, states))
+        if set(map(type, atoms)) != {str}:
+            for s, atom in zip(states, atoms):
+                _expect_string(atom, f"{where}.{s}")
+        out.append(InformationPartition(player=i, atom_of=dict(zip(states, atoms))))
     return tuple(out)
 
 

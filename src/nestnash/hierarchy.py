@@ -10,11 +10,17 @@ reports for the whole cluster.  Because information is nested, each
 player's belief index is known to all better-informed players, which is
 what makes the induced coarse partitions well defined and finite.
 
+Every label is an integer array over the state order.  The payoff
+classes and each player's atoms and masses come from the game
+(``game.classes``, ``game.supports``), which the certifier reads too.
 Each state's observable is carried from level to level: level i + 1's
 is level i's with the state's level-i belief index inserted before the
-payoff class, so every level labels the states in one pass.  The coarse
-partitions are built the other way, from level n down: player i's key
-is the level-i belief index followed by player i + 1's key.
+payoff class, combined as one integer and renumbered densely by first
+appearance, so ids stay below S^2.  The coarse partitions are built the
+other way, from level n down: player i's key is the level-i belief
+index followed by player i + 1's key.  Each output dict is built once
+from its array, and each belief is summed with ``math.fsum`` per (atom,
+signal) bucket, as a plain loop would.
 
 Every payoff-transfer argument downstream leans on one fact, which the
 clustering guarantees by construction: each member atom's exact belief
@@ -31,6 +37,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .game import (
     Atom,
     InformationPartition,
@@ -38,9 +46,8 @@ from .game import (
     NestedGame,
     PayoffClasses,
     State,
-    payoff_classes,
+    _group,
     _refinement_witness,
-    _support,
 )
 
 # A belief over the level's signal support: signal index -> positive weight.
@@ -121,23 +128,34 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     if delta <= 0:
         raise GameFormatError("delta must be positive")
 
-    classes = payoff_classes(game)
+    classes = game.classes
     states = game.space.states
-    priors = [game.prior_for(i) for i in range(1, game.n + 1)]
-    realized = {s: any(p[s] > 0.0 for p in priors) for s in states}
-    # Each state's level-i observable: its belief indices at levels
-    # 1..i-1, then its payoff class.
-    observable = {s: (classes.index_of[s],) for s in states}
+    supports = game.supports
+    # The states some player's prior weighs, in state order.
+    realized = np.zeros(len(states), bool)
+    for support in supports:
+        realized[support.positions] = True
+    live = np.flatnonzero(realized)
+    # Each state's level-i observable, as an index into ``observed``: its
+    # belief indices at levels 1..i-1, then its payoff class.
+    observable = classes.ids
+    observed = [(k,) for k in range(classes.count)]
 
     levels: list[HierarchyLevel] = []
-    for i in range(1, game.n + 1):
-        ids: dict[tuple[int, ...], int] = {}
-        signal_of = {
-            s: ids.setdefault(z, len(ids)) if realized[s] else -1
-            for s, z in observable.items()
-        }
-        prior = priors[i - 1]
+    beliefs: list[np.ndarray] = []
+    for i, support in enumerate(supports, start=1):
+        group, first = _group(observable[live].tolist())
+        signal = np.full(len(states), -1, np.intp)
+        signal[live] = group
         partition = game.partition_for(i)
+        # Each positive-mass atom's members: their signals and priors.
+        signals = signal[support.positions].tolist()
+        weights = support.weights.tolist()
+        segments: dict[Atom, tuple[float, int, int]] = {}
+        start = 0
+        for atom, mass, members in support.atoms:
+            segments[atom] = (mass, start, start + len(members))
+            start += len(members)
 
         centres: list[Belief] = []
         # Centres by signal index: a centre sharing no signal with a
@@ -146,14 +164,13 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
         centres_on: dict[int, list[int]] = {}
         atom_belief: dict[Atom, int] = {}
         max_gap = 0.0
-        for atom, members in partition.atoms.items():
-            mass = math.fsum(prior[s] for s in members)
-            if mass > 0.0:
+        for atom in partition.atoms:
+            segment = segments.get(atom)
+            if segment is not None:
+                mass, start, stop = segment
                 buckets: dict[int, list[float]] = {}
-                for s in members:
-                    w = prior[s]
-                    if w > 0.0:
-                        buckets.setdefault(signal_of[s], []).append(w)
+                for z, w in zip(signals[start:stop], weights[start:stop]):
+                    buckets.setdefault(z, []).append(w)
                 belief = {z: math.fsum(ws) / mass for z, ws in buckets.items()}
             else:
                 # Zero-mass atom: point mass on the first support element.
@@ -174,33 +191,48 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
             max_gap = max(max_gap, gap)
             atom_belief[atom] = c
 
-        belief_of = {s: atom_belief[partition.atom_of[s]] for s in states}
+        belief_of = np.array(list(atom_belief.values()), np.intp)[support.atom_index]
         levels.append(
             HierarchyLevel(
                 player=i,
-                signal_support=tuple(ids),
-                signal_of=signal_of,
+                signal_support=tuple(
+                    observed[k] for k in observable[live[first]].tolist()
+                ),
+                signal_of=dict(zip(states, signal.tolist())),
                 belief_support=tuple(centres),
-                belief_of=belief_of,
+                belief_of=dict(zip(states, belief_of.tolist())),
                 atom_belief=atom_belief,
                 max_l1_gap=max_gap,
             )
         )
+        beliefs.append(belief_of)
         # The class stays last: z = (b_1, ..., b_i, class) at level i + 1.
-        observable = {s: z[:-1] + (belief_of[s], z[-1]) for s, z in observable.items()}
+        # Renumbering keeps the combined ids below S^2.
+        previous = observable
+        observable, first = _group((previous * len(centres) + belief_of).tolist())
+        observed = [
+            observed[k][:-1] + (b, observed[k][-1])
+            for k, b in zip(previous[first].tolist(), belief_of[first].tolist())
+        ]
 
     # Coarse partition for player i: level sets of the belief tuple i..n,
     # built from level n down.  States with identical tuples collapse into
     # one atom even when their original atoms differ.
     coarse_parts: list[InformationPartition] = []
     coarse_keys: list[dict[Atom, tuple[int, ...]]] = []
-    key: dict[State, tuple[int, ...]] = dict.fromkeys(states, ())
-    for level in reversed(levels):
-        key = {s: (level.belief_of[s],) + k for s, k in key.items()}
-        ids = {}
-        atom_of = {s: ids.setdefault(k, len(ids)) for s, k in key.items()}
-        coarse_parts.append(InformationPartition(level.player, atom_of))
-        coarse_keys.append({atom: k for k, atom in ids.items()})
+    key = np.zeros(len(states), np.intp)
+    tuples: list[tuple[int, ...]] = [()]
+    for level, belief_of in zip(reversed(levels), reversed(beliefs)):
+        previous = key
+        key, first = _group((belief_of * len(tuples) + previous).tolist())
+        tuples = [
+            (b,) + tuples[k]
+            for b, k in zip(belief_of[first].tolist(), previous[first].tolist())
+        ]
+        coarse_parts.append(
+            InformationPartition(level.player, dict(zip(states, key.tolist())))
+        )
+        coarse_keys.append(dict(enumerate(tuples)))
 
     return Hierarchy(
         game=game,
@@ -255,7 +287,7 @@ def expectation_gap(
     prior = game.prior_for(player)
     support = level.signal_support
     worst = 0.0
-    for atom, mass, members in _support(game, game.partition_for(player), player):
+    for atom, mass, members in game.supports[player - 1].atoms:
         exact = math.fsum(prior[s] * f[support[level.signal_of[s]]] for s in members)
         centre = level.belief_support[level.atom_belief[atom]]
         approx = math.fsum(w * f[support[z]] for z, w in centre.items())

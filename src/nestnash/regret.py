@@ -10,19 +10,31 @@ their action probabilities left to right in player order and u is a
 payoff; then per atom, the sum of the prior-weighted state values;
 then a division by the atom's mass.  fsum returns the correctly rounded
 sum of its terms, so its result depends only on the multiset of terms,
-not on their order, and a zero term never changes it.  The evaluator
-(``game._expectations``) forms every term with the same float
-multiplications as a plain loop, for a whole array of states at once,
-so each certificate is the float that loop gives, bit for bit;
-``tests/data/certificates.json`` pins it.  ``game._fold_atoms`` is
-the one place that turns those per-state values into per-atom
-conditional values.  The evaluator's kernel
-(``game._expectation_rows``) takes the players' distributions per row
-directly, and ``coarse_best_response_gap`` evaluates its
-reconstruction from belief centres on it; the continuous probe audit
-(``discretize.probe_harsanyi_regret``) is ``certify`` on a
-true-value grid game.  ``brute_force_check`` recomputes regrets from
-the payoff dict by plain enumeration, independently of this path.
+not on their order, and a zero term never changes it.  The evaluator's
+kernel (``game._expectation_rows``) forms every term with the same
+float multiplications as a plain loop, for a whole array of states at
+once, so each certificate is the float that loop gives, bit for bit;
+``tests/data/certificates.json`` pins it.  ``game._fold_atoms`` is the
+one place that turns per-state values into per-atom conditional
+values.  ``coarse_best_response_gap`` runs the kernel on its
+reconstruction from belief centres; the continuous probe audit
+(``discretize.probe_harsanyi_regret``) is ``certify`` on a true-value
+grid game.  ``brute_force_check`` recomputes regrets from the payoff
+dict by plain enumeration, independently of this path.
+
+``bayesian_regret`` sums each distinct state row once.  It keys every
+weighed state by its payoff class (``game.classes``, a function of the
+game's own payoff array) and by the distribution row each other player
+plays there, rows compared by value; the row of the profile's own value
+also keys on the player's own distribution.  The kernel runs on the
+first state of each key and the others copy its row.  This is exact:
+two states in one payoff class have payoff rows equal value by value,
+and equal distributions give equal probabilities p, so their nonzero
+products p * u are the same floats, bit for bit.  Where the rows differ
+at all, it is in the sign of a zero (a -0.0 payoff or probability),
+which only changes zero terms.  fsum ignores zero terms and returns
+0.0, never -0.0, even for an all-zero or empty sum (checked on Python
+3.10 to 3.13), so both states get the same float.
 
 Per-atom (interim) regret for player i on an atom of their information
 is the gap between the best conditional payoff achievable with any
@@ -51,8 +63,8 @@ from .game import (
     _atom_values,
     _expectation_rows,
     _fold_atoms,
+    _group,
     _strategies_at,
-    _support,
 )
 from .hierarchy import Hierarchy
 
@@ -117,59 +129,94 @@ def best_response_values(
     }
 
 
+def _state_values(
+    game: NestedGame,
+    player: int,
+    strategies: dict[int, tuple[np.ndarray, np.ndarray]],
+    positions: np.ndarray,
+) -> np.ndarray:
+    """Per state at ``positions``: the player's value of each own action,
+    then the profile's value, from ``strategies`` as
+    ``game._strategies_at`` returns them for every player.
+
+    Each kernel runs once per distinct state key: the payoff class and
+    the row each other player plays, plus, for the profile's value, the
+    row the player plays.  States sharing a key share their values bit
+    for bit (see the module docstring).
+    """
+    others = [j for j in strategies if j != player]
+    keys = zip(
+        game.classes.ids[positions].tolist(),
+        *[strategies[j][1][positions].tolist() for j in others],
+    )
+    group, first = _group(keys)
+    own_rows, own_row_of = strategies[player]
+    current, current_first = _group(
+        (group * len(own_rows) + own_row_of[positions]).tolist()
+    )
+
+    def rows(reps: np.ndarray, players) -> list[np.ndarray]:
+        return [strategies[j][0][strategies[j][1][reps]] for j in players]
+
+    reps = positions[first]
+    values = _expectation_rows(game, player, rows(reps, others), reps, keep=player)
+    reps = positions[current_first]
+    totals = _expectation_rows(game, player, rows(reps, strategies), reps)
+    return np.hstack([values[group], totals[current]])
+
+
 def bayesian_regret(
     game: NestedGame, profile: StrategyProfile
 ) -> dict[int, dict[Atom, AtomRegret]]:
     """Exact per-atom regret for every player on their own information.
 
-    Each player's positive-mass atoms are found once, and the profile's
-    distributions are read once for every state some player weighs; the
-    own-action values (as ``best_response_values``) and the current
-    values (as ``conditional_payoff``) are both evaluated from those
-    arrays.
+    The profile's distributions are read once, at every state some
+    player weighs.  Per player, the own-action values (as
+    ``best_response_values``) and the current values (as
+    ``conditional_payoff``) are evaluated once per distinct state key
+    (``_state_values``) and folded into one (atoms, actions + 1) array,
+    over which the best responses and regrets are taken.
 
     Regret is mathematically nonnegative; a value below -1e-9 signals a
     broken invariant somewhere and raises rather than being clipped.
     """
     players = range(1, game.n + 1)
-    supports = [_support(game, game.partition_for(i), i) for i in players]
-    weighed = [[s for _, _, ss in support for s in ss] for support in supports]
-    states = list(dict.fromkeys(s for own in weighed for s in own))
-    row = {s: r for r, s in enumerate(states)}
-    dists = _strategies_at(game, profile, states, players)
-    position = game.space.position
+    supports = game.supports
+    weighed = np.concatenate([support.positions for support in supports])
+    strategies = _strategies_at(game, profile, weighed, players)
 
     out: dict[int, dict[Atom, AtomRegret]] = {}
-    for i, support, own in zip(players, supports, weighed):
-        rows = [row[s] for s in own]
-        at = [d[rows] for d in dists]
-        index = [position[s] for s in own]
-        # Per state: the value of each own action, then the profile's.
-        by_state = np.hstack(
-            [
-                _expectation_rows(game, i, at[: i - 1] + at[i:], index, keep=i),
-                _expectation_rows(game, i, at, index),
-            ]
-        )
+    for i, support in zip(players, supports):
+        by_state = _state_values(game, i, strategies, support.positions)
+        table = _fold_atoms(support, by_state)
+        values, current = table[:, :-1], table[:, -1]
+        # Each value is an fsum divided by a mass, never -0.0, so the
+        # row maximum is the float ``max`` over the row would return.
+        best = values.max(axis=1)
+        regret = best - current
+        negative = np.flatnonzero(regret < -CERT_SLACK)
+        if negative.size:
+            k = int(negative[0])
+            raise ConsistencyError(
+                f"negative regret {float(regret[k])!r} for player {i} "
+                f"at atom {support.atoms[k][0]!r}"
+            )
+        argmax = (values >= (best - DERIVED_TOL)[:, None]).tolist()
         actions = game.actions_for(i)
-        table: dict[Atom, AtomRegret] = {}
-        for atom, mass, (*values, current) in _fold_atoms(game, i, support, by_state):
-            br = _best_response(actions, values)
-            regret = br.value - current
-            if regret < -CERT_SLACK:
-                raise ConsistencyError(
-                    f"negative regret {regret!r} for player {i} at atom {atom!r}"
-                )
-            table[atom] = AtomRegret(
+        out[i] = {
+            atom: AtomRegret(
                 player=i,
                 atom=atom,
                 mass=mass,
-                regret=regret,
-                best_value=br.value,
-                current_value=current,
-                best_actions=br.actions,
+                regret=r,
+                best_value=b,
+                current_value=c,
+                best_actions=tuple(a for a, top in zip(actions, tops) if top),
             )
-        out[i] = table
+            for (atom, mass, _), r, b, c, tops in zip(
+                support.atoms, regret.tolist(), best.tolist(), current.tolist(), argmax
+            )
+        }
     return out
 
 

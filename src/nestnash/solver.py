@@ -357,14 +357,25 @@ def _run_predictive_rm(
     the positive part of cumulative plus last instantaneous regret.  The
     average weights iteration t by t^2 and is offered every 10
     iterations and at the end.
+
+    A player's action values do not read their own strategy, so the last
+    player's values from the end of one sweep are their values at the
+    start of the next: each iteration after the first evaluates 2n - 2
+    players, not 2n - 1.
     """
     x = [v.copy() for v in start]
     cumulative = [np.zeros_like(v) for v in x]
     average = [v.copy() for v in x]
     weight_sum = 0.0
+    last = agent_game.n - 1
+    carried = None
     for t in range(1, MAX_ITERATIONS + 1):
         tracker.iterations += 1
-        values = agent_game.action_values(x)
+        if carried is None:
+            values = agent_game.action_values(x)
+        else:
+            values = [agent_game.player_action_values(i, x) for i in range(last)]
+            values.append(carried)
         if tracker.offer(agent_game.regret(x, values), x):
             return True
         w = float(t) * t
@@ -378,6 +389,7 @@ def _run_predictive_rm(
             instant = v - (v * x[i]).sum(axis=1, keepdims=True)
             cumulative[i] = np.maximum(cumulative[i] + instant, 0.0)
             x[i] = _predicted_rows(cumulative[i] + instant, x[i])
+        carried = v
         if t % 10 == 0:
             if tracker.offer(agent_game.regret(average), average):
                 return True

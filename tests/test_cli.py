@@ -705,7 +705,54 @@ MALFORMED_TYPES = {
 }
 
 
+def _states_case(edit):
+    doc = json.loads(json.dumps(ANCHOR_GAME))
+    edit(doc)
+    return doc
+
+
+MALFORMED_STATES = {
+    "bool-prob": (
+        _types_set(("states", 1, "prob"), True),
+        "states[1].prob must be a number",
+    ),
+    "huge-prob": (
+        _types_set(("states", 1, "prob"), 10**400),
+        "states[1].prob is too large to be a float",
+    ),
+    "duplicate-id": (
+        _types_set(("states", 1, "id"), "w1"),
+        "states[1]: duplicate state id 'w1'",
+    ),
+    "missing-field": (
+        lambda doc: doc["states"][1].pop("prob"),
+        "states[1]: missing field 'prob'",
+    ),
+    "extra-field": (
+        _types_set(("states", 0, "extra"), 1),
+        "states[0]: unknown field 'extra'",
+    ),
+    "non-string-atom": (
+        _types_set(("partitions", "2", "w2"), 7),
+        "partitions.2.w2 must be a string",
+    ),
+}
+
+
 class TestInputRejection:
+    @pytest.mark.parametrize(
+        "edit, message",
+        list(MALFORMED_STATES.values()),
+        ids=list(MALFORMED_STATES),
+    )
+    def test_malformed_states_and_partitions(self, edit, message, tmp_path, capsys):
+        path = write_json(tmp_path / "bad.json", _states_case(edit))
+        code = main(["solve", "--game", path, "--epsilon", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "edit, message",
         list(MALFORMED_TYPES.values()),

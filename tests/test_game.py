@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from generators import random_nested_game
+from generators import exact_prior, nested_partitions, random_nested_game
 from nestnash.game import (
     GameFormatError,
     InformationPartition,
     InvalidGameError,
     NestedGame,
+    PayoffClasses,
     PayoffTensor,
     StateSpace,
     StrategyProfile,
@@ -340,6 +341,52 @@ class TestPayoffs:
         assert merged.count == 1
         assert merged.index_of["w1"] == merged.index_of["w2"]
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_payoff_classes_match_the_per_state_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        game = array_game(rng, players=2 + seed % 3, width=seed % 4 == 3)
+        assert_same_classes(payoff_classes(game), classes_oracle(game))
+
+    def test_rows_with_one_checksum_split_exactly(self):
+        # The checksum folds each entry's bit pattern x to x ^ (x >> 32)
+        # and weighs the k-th entry of a row by 2k + 1.  For patterns with
+        # all-zero low halves, such as those of 1.0 and 2.0, raising entry
+        # 0's pattern by 3 << 32 and lowering entry 1's by 1 << 32 keeps
+        # it, so w1 and w2 share w0's checksum without sharing its row; w2
+        # repeats w1 and must find w1's class past w0's.
+        def shifted(x: float, by: int) -> float:
+            return float((np.array([x]).view(np.int64) + by).view(np.float64)[0])
+
+        base = [1.0, 2.0, -0.0, 3.0]
+        rows = [
+            base,
+            [shifted(1.0, 3 << 32), shifted(2.0, -1 << 32), 0.0, 3.0],
+            [shifted(1.0, 3 << 32), shifted(2.0, -1 << 32), 0.0, 3.0],
+            [1.0, 2.0, 0.0, 3.0],
+        ]
+        states = ("w0", "w1", "w2", "w3")
+        table = np.array(rows).reshape(4, 2, 2).transpose(1, 0, 2).reshape(2, 4, 2, 1)
+        game = NestedGame(
+            space=StateSpace(states, dict.fromkeys(states, 0.25)),
+            partitions=(
+                InformationPartition(1, {s: s for s in states}),
+                InformationPartition(2, dict.fromkeys(states, "all")),
+            ),
+            payoffs=PayoffTensor.from_array((("x", "y"), ("z",)), states, table),
+        )
+        bits = (np.array(rows) + 0.0).view(np.uint64)
+        bits ^= bits >> np.uint64(32)
+        weights = np.arange(1, 8, 2, dtype=np.uint64)
+        assert len(set((bits[:3] @ weights).tolist())) == 1
+        classes = payoff_classes(game)
+        assert_same_classes(classes, classes_oracle(game))
+        assert classes.ids.tolist() == [0, 1, 1, 0]
+
+    def test_classes_are_cached_on_the_game(self):
+        game = two_state_game()
+        assert game.classes is game.classes
+        assert game.classes == payoff_classes(game)
+
     def test_expected_payoff_hand_computed(self):
         game = two_state_game()
         u = expected_payoff(game, mixed_profile())
@@ -521,3 +568,56 @@ class TestSpaces:
         assert space.mass(("w1",), 1) == 1.0
         assert space.mass(("w1",), 2) == 0.5
         assert math.isclose(space.mass(("w1", "w2"), 2), 1.0)
+
+
+def classes_oracle(game: NestedGame) -> PayoffClasses:
+    """Plain reference: one dict lookup per state on its row's bytes."""
+    table = game.payoff_array
+    index_of, reps, keys = {}, [], {}
+    for k, s in enumerate(game.space.states):
+        key = (table[:, k] + 0.0).tobytes()
+        if key not in keys:
+            keys[key] = len(reps)
+            reps.append(s)
+        index_of[s] = keys[key]
+    return PayoffClasses(
+        count=len(reps),
+        index_of=index_of,
+        representatives=tuple(reps),
+        ids=np.array(list(index_of.values()), np.intp),
+    )
+
+
+def assert_same_classes(got: PayoffClasses, want: PayoffClasses) -> None:
+    assert got == want
+    assert list(got.index_of) == list(want.index_of)
+    assert got.ids.tolist() == list(want.index_of.values())
+
+
+def array_game(rng, players: int, width: bool) -> NestedGame:
+    """An array-backed game whose payoff rows come from a small pool, with
+    every zero given a random sign, so classes repeat and some rows
+    differ only by -0.0 against 0.0.  With ``width`` the rows are as
+    wide as a continuous grid game's, read in several chunks, and some
+    differ from their pool row only in an entry the checksum skips."""
+    s_count = int(rng.integers(20, 60)) if width else int(rng.integers(2, 300))
+    states = tuple(f"w{k}" for k in range(s_count))
+    if width:
+        dims = (100, 100)
+    else:
+        dims = tuple(int(rng.integers(1, 4)) for _ in range(players))
+    n = len(dims)
+    pool = rng.integers(-1, 2, size=(int(rng.integers(1, 6)), n, *dims)).astype(float)
+    table = pool[rng.integers(0, len(pool), size=s_count)]
+    if width:
+        # Rows that differ only off the entries the checksum samples.
+        table[rng.random(s_count) < 0.3, 0, 0, 1] = 7.0
+    table[(table == 0.0) & (rng.random(table.shape) < 0.5)] = -0.0
+    actions = tuple(tuple(f"a{i}x{j}" for j in range(d)) for i, d in enumerate(dims))
+    prior = exact_prior(rng.dirichlet(np.ones(s_count)), states)
+    table = np.moveaxis(table, 1, 0).copy()
+    return NestedGame(
+        space=StateSpace(states, prior),
+        partitions=nested_partitions(rng, states, n),
+        payoffs=PayoffTensor.from_array(actions, states, table),
+    )

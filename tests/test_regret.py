@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from generators import random_nested_game, random_profile, redundant_game
+from generators import exact_prior, random_nested_game, random_profile, redundant_game
 from nestnash.game import (
+    DERIVED_TOL,
     GameFormatError,
     InformationPartition,
     NestedGame,
@@ -75,6 +76,17 @@ class TestBayesianRegret:
         )
         table = bayesian_regret(degenerate, profile)
         assert set(table[1]) == {"a1"}
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_distinct_rows_match_the_per_state_oracle(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        game = oracle_game(rng, "redundant" if seed % 4 == 0 else "nested")
+        profile = signed_zero_profile(rng, game)
+        got = {
+            i: {atom: atom_hex(e) for atom, e in table.items()}
+            for i, table in bayesian_regret(game, profile).items()
+        }
+        assert got == regret_oracle(game, profile)
 
     def test_inflated_distribution_trips_the_consistency_guard(self):
         game = two_state_game()
@@ -323,3 +335,106 @@ class TestCoarseReconstruction:
         )
         gap = coarse_best_response_gap(game, h, profile, 2)
         assert gap <= 1e-12
+
+
+def oracle_game(rng, kind: str) -> NestedGame:
+    """A game with repeated payoff classes and signed zero payoffs; a
+    nested one also has zero-prior states and a player-2 prior."""
+    if kind == "redundant":
+        # Zero-sum: a zero payoff u comes as the pair (0.0, -0.0).
+        return redundant_game(rng, 36)
+    game = random_nested_game(rng, max_states=30)
+    states = game.space.states
+    table = game.payoff_array.copy()
+    for k in range(len(states)):
+        if rng.random() < 0.5:
+            table[:, k] = table[:, int(rng.integers(0, len(states)))]
+    table[(table == 0.0) & (rng.random(table.shape) < 0.5)] = -0.0
+
+    def sparse_prior() -> dict:
+        kept = tuple(s for s in states if rng.random() < 0.7) or states[:1]
+        prior = dict.fromkeys(states, 0.0)
+        prior.update(exact_prior(rng.dirichlet(np.ones(len(kept))), kept))
+        return prior
+
+    space = StateSpace(states, sparse_prior(), player_priors={2: sparse_prior()})
+    payoffs = PayoffTensor.from_array(game.payoffs.actions, states, table)
+    return NestedGame(space, game.partitions, payoffs)
+
+
+def signed_zero_profile(rng, game: NestedGame) -> StrategyProfile:
+    """``random_profile`` with many atoms copying an earlier atom's
+    distribution and pure distributions listing the other actions at
+    -0.0 or 0.0."""
+    strategies = {}
+    for i, table in random_profile(rng, game).strategies.items():
+        seen = []
+        out = {}
+        for atom, dist in table.items():
+            if seen and rng.random() < 0.5:
+                dist = dict(seen[int(rng.integers(0, len(seen)))])
+            if len(dist) == 1:
+                for a in game.actions_for(i):
+                    dist.setdefault(a, -0.0 if rng.random() < 0.5 else 0.0)
+            seen.append(dist)
+            out[atom] = dist
+        strategies[i] = out
+    return StrategyProfile(strategies)
+
+
+def atom_hex(e) -> tuple:
+    return (
+        e.mass.hex(),
+        e.regret.hex(),
+        e.best_value.hex(),
+        e.current_value.hex(),
+        e.best_actions,
+    )
+
+
+def regret_oracle(game: NestedGame, profile: StrategyProfile) -> dict:
+    """Plain per-state reference for ``bayesian_regret``: every state's
+    value is one fsum over the joint actions of p * u, p multiplying the
+    probabilities left to right in player order; per atom, the fsum of
+    the prior-weighted state values over the mass."""
+    out = {}
+    for i in range(1, game.n + 1):
+        prior = game.prior_for(i)
+        own = game.actions_for(i)
+
+        def value(s, fixed):
+            terms = []
+            for prof in game.payoffs.profiles():
+                if fixed is not None and prof[i - 1] != fixed:
+                    continue
+                p = None
+                for j, a in enumerate(prof, start=1):
+                    if j == i and fixed is not None:
+                        continue
+                    atom_j = game.partitions[j - 1].atom_of[s]
+                    q = profile.strategies[j][atom_j].get(a, 0.0)
+                    p = q if p is None else p * q
+                terms.append(p * game.payoffs.values[(s, prof)][i - 1])
+            return math.fsum(terms)
+
+        table = {}
+        for atom, members in game.partition_for(i).atoms.items():
+            mass = math.fsum(prior[s] for s in members)
+            if mass <= 0.0:
+                continue
+            weighed = [s for s in members if prior[s] > 0.0]
+            columns = [
+                [prior[s] * value(s, fixed) for s in weighed]
+                for fixed in own + (None,)
+            ]
+            *values, current = [math.fsum(col) / mass for col in columns]
+            best = max(values)
+            table[atom] = (
+                mass.hex(),
+                (best - current).hex(),
+                best.hex(),
+                current.hex(),
+                tuple(a for a, v in zip(own, values) if v >= best - DERIVED_TOL),
+            )
+        out[i] = table
+    return out

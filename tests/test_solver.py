@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -405,6 +406,70 @@ class TestSolver:
             result = solve_nash(engine, SolverConfig(target_regret=0.05))
             assert result.converged
             assert result.certified_regret <= 0.05 + 1e-9
+
+
+def solve_digest(game: NestedGame, target: float) -> tuple[int, int, str]:
+    """Iterations, restarts and a sha256 prefix of every float the
+    solve returns, written with ``float.hex``."""
+    result = solve_nash(agent_form_for(game, 1e-9), SolverConfig(target, seed=5))
+    digest = hashlib.sha256()
+    for i, table in result.profile.strategies.items():
+        for atom, dist in table.items():
+            for a, p in dist.items():
+                digest.update(repr((i, atom, a, p.hex())).encode())
+    digest.update(
+        repr(
+            (
+                result.iterations,
+                result.restarts,
+                result.certified_regret.hex(),
+                result.converged,
+            )
+        ).encode()
+    )
+    return result.iterations, result.restarts, digest.hexdigest()[:16]
+
+
+class TestSweepReuse:
+    @pytest.mark.parametrize(
+        "players, seed, target, pinned",
+        [
+            (2, 63, 1e-6, (244, 1, "84b911f6d6b668d1")),
+            (3, 41, 1e-4, (109, 1, "65200d9ae131e454")),
+            (4, 42, 1e-4, (145, 1, "73d68ca20505f5d8")),
+        ],
+    )
+    def test_solver_output_is_pinned(self, players, seed, target, pinned):
+        rng = np.random.default_rng(seed)
+        game = random_nested_game(rng, max_states=12, players=(players,))
+        assert solve_digest(game, target) == pinned
+
+    @pytest.mark.parametrize("players", [2, 3, 4])
+    def test_each_later_iteration_evaluates_2n_minus_2_players(
+        self, players, monkeypatch
+    ):
+        rng = np.random.default_rng(70 + players)
+        game = random_nested_game(rng, max_states=12, players=(players,))
+        agent_game = agent_form_for(game, 1e-9)
+        calls = []
+        original = AgentFormGame.player_action_values
+
+        def counted(self, i, strategies):
+            calls.append(i)
+            return original(self, i, strategies)
+
+        monkeypatch.setattr(AgentFormGame, "player_action_values", counted)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 7)
+        # A negative target is never met, so every iteration runs.
+        tracker = solver._Tracker(-1.0)
+        solver._run_predictive_rm(agent_game, agent_game.uniform_strategies(), tracker)
+        assert tracker.iterations == 7
+        n = players
+        # The first iteration evaluates all n players and sweeps n - 1;
+        # each later one evaluates n - 1 and sweeps n - 1; the closing
+        # average offer evaluates n.
+        assert len(calls) == (2 * n - 1) + 6 * (2 * n - 2) + n
+        assert calls[2 * n - 1 : 4 * n - 3] == list(range(n - 1)) + list(range(1, n))
 
 
 class TestLift:

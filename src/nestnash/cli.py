@@ -8,19 +8,25 @@ structural checks without solving.
 Exit codes: 0 when the certificate passes, 1 for invalid input, 2 when
 the pipeline ran but the certificate fails or the solver did not
 converge, 3 for filesystem errors.  Reports are deterministic: same
-inputs and flags give byte-identical output, with no timestamps and
-sorted JSON keys.
+inputs and flags give byte-identical output, with no timestamps.  A
+JSON report is, byte for byte, what
+``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)``
+writes; ``_dumps`` produces those bytes through the C encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii as encode_key
+
+import numpy as np
 
 from .discretize import (
     build_hat_game,
@@ -55,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nestnash", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -153,12 +160,18 @@ REPORT_VERSION = 2
 
 
 def _ingestion_block(game: NestedGame) -> dict:
-    # The set keeps the first of 0.0 and -0.0 in the order the entries
-    # were given, so the reported zero's sign follows the file.
-    distinct = sorted(set(game.payoffs.entry_rows().ravel().tolist()))
+    values = game.payoffs.entry_rows().ravel()
+    ordered = np.sort(values)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    # 0.0 and -0.0 compare equal, so the sort keeps either one: the first
+    # zero in the order the entries were given takes its place, so the
+    # reported zero's sign follows the file.
+    zeros = values == 0.0
+    if zeros.any():
+        distinct[distinct == 0.0] = values[zeros.argmax()]
     block = {
         "prior": {_key_string(s): game.space.prior[s] for s in game.space.states},
-        "payoff_values": distinct,
+        "payoff_values": distinct.tolist(),
     }
     if game.space.player_priors is not None:
         block["player_priors"] = {
@@ -283,6 +296,58 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+@functools.cache
+def _flat_encoder(depth: int) -> tuple[json.JSONEncoder, str, str]:
+    """The encoder for a container at ``depth`` that holds only scalars,
+    and the line breaks that open and close its indented body."""
+    inner = "\n" + "  " * (depth + 1)
+    encoder = json.JSONEncoder(
+        sort_keys=True, allow_nan=False, separators=("," + inner, ": ")
+    )
+    return encoder, inner, "\n" + "  " * depth
+
+
+def _dumps(obj, depth: int) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` for
+    ``obj`` nested ``depth`` levels deep, with the same bytes, through
+    the C encoder wherever it can run.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder.
+    Without it, the C encoder writes a container as its brackets around
+    its items joined by the item separator; the separator here is the
+    comma plus the line break and indentation ``indent=2`` puts before
+    each item, so the only bytes missing are the break after the opening
+    bracket and the one before the closing bracket, which are inserted.
+    That slicing is safe because an encoded string never holds a raw
+    newline, and the two encoders share the rest: key sorting, key
+    conversion, ``float.__repr__``, ``int.__repr__`` and
+    ``encode_basestring_ascii``.  Empty containers are ``{}`` and ``[]``
+    in both.  The C encoder takes each nonempty container that holds
+    only scalars; a container of containers is joined here, in sorted
+    key order as the stdlib does, and its keys must be strings.
+    """
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return _flat_encoder(depth)[0].encode(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    encoder, inner, close = _flat_encoder(depth)
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        text = encoder.encode(obj)
+        return text[0] + inner + text[1:-1] + close + text[-1]
+    if isinstance(obj, dict):
+        items = [
+            f"{encode_key(key)}: {_dumps(value, depth + 1)}"
+            for key, value in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + close + "}"
+    items = [_dumps(value, depth + 1) for value in obj]
+    return "[" + inner + ("," + inner).join(items) + close + "]"
+
+
 def _emit_report(
     fmt: str, document: Callable[[], dict], csv_text: Callable[[], str], out: str | None
 ) -> None:
@@ -292,7 +357,7 @@ def _emit_report(
     if fmt == "csv":
         _emit(csv_text(), out)
     else:
-        _emit(json.dumps(document(), sort_keys=True, indent=2, allow_nan=False), out)
+        _emit(_dumps(document(), 0), out)
 
 
 def _solve(game: NestedGame, args) -> Solution:

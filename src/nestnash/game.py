@@ -22,7 +22,8 @@ game and cached: the validation report, the payoff classes
 array, shared by every game with the same payoff tensor and state
 order) and each player's support (``NestedGame.supports``: the atom of
 every state as an integer array, and the positive-mass atoms with their
-``math.fsum`` masses and weighed members).  The belief hierarchy and the
+``math.fsum`` masses and weighed members, shared by every game with the
+same state space and partition).  The belief hierarchy and the
 certifier both read them; each is a pure function of the game itself,
 so the certifier still trusts nothing from the solver.
 """
@@ -104,6 +105,13 @@ class StateSpace:
     def position(self) -> dict[State, int]:
         """Index of each state in ``states``."""
         return {s: k for k, s in enumerate(self.states)}
+
+    @cached_property
+    def _supports(self) -> dict:
+        """Memo of ``NestedGame.supports``: (player, id of the partition)
+        -> the partition, held so that its id is not reused, and the
+        player's ``Support`` on it."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -320,8 +328,16 @@ class NestedGame:
     @cached_property
     def supports(self) -> tuple["Support", ...]:
         """Each player's ``Support`` under their own prior, in player order,
-        computed once per game."""
-        return tuple(_support(self, i) for i in range(1, self.n + 1))
+        computed once per state space and partition, so every game sharing
+        both shares it (the probe audit's true-value game shares the grid
+        game's)."""
+        memo = self.space._supports
+        for i, part in enumerate(self.partitions, start=1):
+            if (i, id(part)) not in memo:
+                memo[i, id(part)] = (part, _support(self.space, i, part))
+        return tuple(
+            memo[i, id(part)][1] for i, part in enumerate(self.partitions, start=1)
+        )
 
     def require_valid(self) -> None:
         """Raise InvalidGameError unless the game passes validation."""
@@ -748,11 +764,10 @@ def _expectation_rows(
     return np.array(sums).reshape(len(index), rows)
 
 
-def _support(game: NestedGame, player: int) -> Support:
+def _support(space: StateSpace, player: int, part: InformationPartition) -> Support:
     """The player's ``Support``; callers read the cached ``game.supports``."""
-    prior = game.prior_for(player)
-    part = game.partition_for(player)
-    states = game.space.states
+    prior = space.prior_for(player)
+    states = space.states
     lookup = {atom: k for k, atom in enumerate(part.atoms)}
     atom_index = np.fromiter(
         map(lookup.__getitem__, map(part.atom_of.__getitem__, states)),
@@ -769,7 +784,7 @@ def _support(game: NestedGame, player: int) -> Support:
         atom_index=atom_index,
         atoms=tuple(atoms),
         positions=np.fromiter(
-            map(game.space.position.__getitem__, weighed), np.intp, len(weighed)
+            map(space.position.__getitem__, weighed), np.intp, len(weighed)
         ),
         weights=np.fromiter(map(prior.__getitem__, weighed), float, len(weighed)),
     )

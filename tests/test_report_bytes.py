@@ -1,0 +1,180 @@
+"""Report bytes: golden digests, and the JSON encoder against the stdlib.
+
+``data/report_digests.json`` holds the sha256 of every report the CLI
+writes for the small games of ``test_cli``: ``solve`` on all four,
+``hierarchy`` and ``verify`` on the three finite ones, each in JSON and
+in CSV.  Any change to a report byte fails here, whether it comes from
+the encoder, a block's layout or a number the pipeline computes.
+Regenerate the file only for a deliberate change of the reports:
+
+    PYTHONPATH=src:tests python tests/test_report_bytes.py --write
+
+The encoder test checks ``cli._dumps`` against
+``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` on
+random trees, including the strings and floats where a hand-made
+encoder would most likely differ.
+"""
+
+import hashlib
+import json
+import math
+import os
+import sys
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nestnash.cli import _dumps, main
+from test_cli import (
+    ANCHOR_EQUILIBRIUM,
+    ANCHOR_GAME,
+    CONTINUOUS_GAME,
+    MP_GAME,
+    TYPES_GAME,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "report_digests.json")
+
+GAMES = {
+    "mp": MP_GAME,
+    "anchor": ANCHOR_GAME,
+    "types": TYPES_GAME,
+    "continuous": CONTINUOUS_GAME,
+}
+
+# A mixed profile on each finite game's own atoms; the anchor's is its
+# exact equilibrium, the other two have positive regret.
+PROFILES = {
+    "mp": {
+        "version": 1,
+        "field_level": "original",
+        "strategies": {
+            "1": {"a": {"H": 0.25, "T": 0.75}},
+            "2": {"b": {"H": 0.5, "T": 0.5}},
+        },
+    },
+    "anchor": ANCHOR_EQUILIBRIUM,
+    "types": {
+        "version": 1,
+        "field_level": "original",
+        "strategies": {
+            "1": {
+                "t1|s1": {"L": 0.5, "R": 0.5},
+                "t2|s1": {"L": 1.0, "R": 0.0},
+            },
+            "2": {"s1": {"U": 0.25, "D": 0.75}},
+        },
+    },
+}
+
+SOLVE_EPSILON = {"mp": 0.05, "anchor": 0.05, "types": 0.1, "continuous": 0.1}
+
+
+def _cases(directory: str):
+    """(name, argv) for every pinned report, writing its inputs to
+    ``directory``."""
+
+    def write(name, doc):
+        path = os.path.join(directory, name + ".json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        return path
+
+    games = {name: write(name, doc) for name, doc in GAMES.items()}
+    profiles = {name: write(name + "-profile", doc) for name, doc in PROFILES.items()}
+    for fmt in ("json", "csv"):
+        for name, path in games.items():
+            eps = str(SOLVE_EPSILON[name])
+            yield f"solve-{name}-{fmt}", ["solve", "--game", path, "--epsilon", eps]
+        for name in profiles:
+            yield f"hierarchy-{name}-{fmt}", [
+                "hierarchy", "--game", games[name], "--delta", "0.2",
+            ]
+            yield f"verify-{name}-{fmt}", [
+                "verify", "--game", games[name], "--profile", profiles[name],
+                "--epsilon", "0.05",
+            ]
+
+
+def report_digests(directory: str) -> dict[str, str]:
+    """The sha256 of each pinned report, written through ``--out``."""
+    digests = {}
+    for name, argv in _cases(directory):
+        out = os.path.join(directory, name + ".out")
+        fmt = name.rsplit("-", 1)[1]
+        assert main(argv + ["--format", fmt, "--out", out]) in (0, 2), name
+        with open(out, "rb") as handle:
+            digests[name] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
+
+
+def test_reports_match_pinned_digests(tmp_path):
+    with open(DATA, encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    assert report_digests(str(tmp_path)) == pinned
+
+
+# -- the encoder against the stdlib -------------------------------------------
+
+_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\n", "}", '": {', "é", "☃", "\U0001f600"]),
+        st.characters(),
+    ),
+    max_size=6,
+).map("".join)
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-07, 1e16, 5e-324, 1e308, -1.5, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    _FLOATS,
+    _TEXT,
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_dumps_matches_the_stdlib(doc):
+    assert _dumps(doc, 0) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "tree",
+    [
+        lambda v: v,
+        lambda v: [v],
+        lambda v: {"k": v},
+        lambda v: {"k": v, "l": []},
+        lambda v: {"k": [(1, v)]},
+    ],
+)
+def test_dumps_rejects_non_finite_floats(value, tree):
+    with pytest.raises(ValueError):
+        _dumps(tree(value), 0)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as directory:
+        digests = report_digests(directory)
+    with open(DATA, "w", encoding="utf-8") as handle:
+        json.dump(digests, handle, indent=1, sort_keys=True)
+        handle.write("\n")

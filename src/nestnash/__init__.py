@@ -9,12 +9,15 @@ certificate.
 """
 
 from .discretize import (
+    BoxCertificate,
     CompactGameSpec,
     DiscretizedGame,
     GapCertificate,
     ProbeAudit,
     build_hat_game,
+    certify_box,
     certify_sup_gap,
+    coarse_to_fine,
     eta_net,
     floor_to_multiple,
     probe_harsanyi_regret,
@@ -66,6 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxGame",
+    "BoxCertificate",
     "CompactGameSpec",
     "ConsistencyError",
     "DiscretizedGame",
@@ -90,9 +94,11 @@ __all__ = [
     "build_hat_game",
     "build_hierarchy",
     "certify",
+    "certify_box",
     "certify_sup_gap",
     "check_properties",
     "coarse_best_response_gap",
+    "coarse_to_fine",
     "conditional_payoff",
     "eta_net",
     "expectation_gap",

@@ -7,9 +7,11 @@ structural checks without solving.
 
 Exit codes: 0 when the certificate passes, 1 for invalid input, 2 when
 the pipeline ran but the certificate fails or the solver did not
-converge, 3 for filesystem errors.  Reports are deterministic: same
-inputs and flags give byte-identical output, with no timestamps.  A
-JSON report is, byte for byte, what
+converge, 3 for filesystem errors.  For a continuous game the
+certificate is the box certificate (regret against every action in the
+box within epsilon) together with the probe audit.  Reports are
+deterministic: same inputs and flags give byte-identical output, with
+no timestamps.  A JSON report is, byte for byte, what
 ``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)``
 writes; ``_dumps`` produces those bytes through the C encoder.
 """
@@ -30,7 +32,9 @@ import numpy as np
 
 from .discretize import (
     build_hat_game,
+    certify_box,
     certify_sup_gap,
+    coarse_to_fine,
     probe_harsanyi_regret,
 )
 from .game import (
@@ -156,7 +160,7 @@ def _check_flags(args) -> None:
 
 # Version of the report schema; bumped whenever a report field is added,
 # removed or changes meaning.
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 def _ingestion_block(game: NestedGame) -> dict:
@@ -419,10 +423,19 @@ def _solve_finite(game: NestedGame, mode: str, args) -> int:
 
 
 def _solve_continuous(compact, args) -> int:
-    disc = build_hat_game(compact, args.epsilon)
-    game = disc.game
-    sol = _solve(game, args)
-    audit = probe_harsanyi_regret(disc, sol.profile)
+    """Solve on the coarsest grid whose profile certifies against every
+    action in the box, trying the meshes of ``coarse_to_fine`` in turn.
+    When none does, the report is the a-priori mesh's, with exit 2."""
+    meshes = []
+    for mesh in coarse_to_fine(compact, args.epsilon):
+        meshes.append(mesh)
+        disc = build_hat_game(compact, args.epsilon, mesh)
+        game = disc.game
+        sol = _solve(game, args)
+        audit = probe_harsanyi_regret(disc, sol.profile)
+        box = certify_box(disc, sol.profile, audit)
+        if box.ok:
+            break
 
     def document() -> dict:
         gap = certify_sup_gap(disc)
@@ -464,10 +477,22 @@ def _solve_continuous(compact, args) -> int:
                 {"player": e.player, "regret": e.regret} for e in audit.entries
             ],
         }
+        doc["box_certificate"] = {
+            "budget": box.epsilon,
+            "spacing": box.spacing,
+            "covering": box.covering,
+            "max_regret": box.max_regret,
+            "ok": box.ok,
+            "meshes": meshes,
+            "players": [
+                {"player": p.player, "bayesian": p.bayesian, "harsanyi": p.harsanyi}
+                for p in box.players
+            ],
+        }
         return doc
 
     _emit_report(args.format, document, lambda: _regret_csv(sol.report), args.out)
-    return 0 if audit.ok else 2
+    return 0 if box.ok and audit.ok else 2
 
 
 def _cmd_solve(args) -> int:

@@ -18,19 +18,36 @@ The probe audit checks a grid profile against the true polynomials.  It
 runs the regret certifier on the true-value grid game, the grid game
 with each state's unfloored values, so the audit sums exactly as every
 certificate does and shares its negative-regret check.
+
+The box certificate (``certify_box``) bounds the profile's regret
+against every action in each player's box, on the compact game itself,
+not on a grid.  Its soundness rests on two facts.  Lipschitz covering:
+on each atom the player's value is a polynomial in their own action
+that is L-Lipschitz under the max metric (an average of the payoffs,
+each L-Lipschitz), and every point of the box lies within h / 2 of an
+own-action net of spacing h, so the supremum over the box is at most
+the maximum over the net plus L h / 2.  Rounding allowance: every float
+operation that feeds the net maximum and the profile's current value is
+counted, and an explicit allowance, proven in ``certify_box``'s
+docstring, exceeds their total error, so the reported regret is never
+below the exact one.  The grid mesh (``build_hat_game``'s ``mesh``)
+only sets where the profile may play; the box certificate holds at any
+mesh, which is what lets ``coarse_to_fine`` solve on coarse grids.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from .game import (
+    MASS_TOL,
+    Atom,
     GameFormatError,
     InformationPartition,
     NestedGame,
@@ -38,8 +55,9 @@ from .game import (
     State,
     StateSpace,
     StrategyProfile,
+    _strategies_at,
 )
-from .regret import CERT_SLACK, certify
+from .regret import CERT_SLACK, ConsistencyError, RegretReport, certify
 
 Monomial = tuple[float, tuple[int, ...]]
 Poly = tuple[Monomial, ...]
@@ -120,9 +138,14 @@ class ProbeEntry:
 
 @dataclass(frozen=True)
 class ProbeAudit:
+    """``certificate`` is the regret certificate on the true-value grid
+    game; its per-atom ``current_value``s are the profile's exact
+    conditional values, which the box certificate reuses."""
+
     entries: tuple[ProbeEntry, ...]
     max_regret: float
     budget: float
+    certificate: RegretReport = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -165,7 +188,8 @@ def eta_net(dim: int, eta0: float) -> tuple[tuple[float, ...], ...]:
 
 
 def _per_axis(eta0: float) -> int:
-    return math.ceil(1.0 / eta0) + 1
+    # At least two points, the endpoints, even when 1 / eta0 underflows.
+    return max(math.ceil(1.0 / eta0), 1) + 1
 
 
 def _net_axis(eta0: float) -> tuple[float, ...]:
@@ -298,10 +322,14 @@ def state_payoff_bounds(spec: CompactGameSpec) -> dict[State, float]:
     }
 
 
-def build_hat_game(spec: CompactGameSpec, epsilon: float) -> DiscretizedGame:
+def build_hat_game(
+    spec: CompactGameSpec, epsilon: float, mesh: float | None = None
+) -> DiscretizedGame:
     """Build the finite grid-and-quantize companion of a compact game.
 
-    Action sets become uniform grids of mesh epsilon / lipschitz.
+    Action sets become uniform grids of spacing at most ``mesh``, by
+    default the a-priori mesh epsilon / lipschitz (``eta0``).  The mesh
+    sets only the grid; the payoff lattice is always epsilon.
     Payoffs on kept states are floored to the epsilon lattice, so they
     sit within [0, epsilon) below the true value; discarded states pay
     zero and are charged to the tail of the certificate.  Each payoff
@@ -314,7 +342,9 @@ def build_hat_game(spec: CompactGameSpec, epsilon: float) -> DiscretizedGame:
     if not epsilon > 0.0:
         raise GameFormatError("epsilon must be positive")
     _validate_spec(spec)
-    eta0 = epsilon / spec.lipschitz
+    eta0 = epsilon / spec.lipschitz if mesh is None else mesh
+    if not 0.0 < eta0 < math.inf:
+        raise GameFormatError("the grid mesh must be finite and positive")
     nets = tuple(eta_net(d, eta0) for d in spec.box_dims)
     truncation = truncate_states(
         state_payoff_bounds(spec), spec.space.prior, epsilon, spec.payoff_cap
@@ -346,6 +376,24 @@ def build_hat_game(spec: CompactGameSpec, epsilon: float) -> DiscretizedGame:
         truncation=truncation,
         nets=nets,
     )
+
+
+# Coarse-to-fine meshes, as multiples of the a-priori mesh epsilon / L.
+MESH_FACTORS = (16, 8, 4, 2, 1)
+
+
+def coarse_to_fine(spec: CompactGameSpec, epsilon: float) -> list[float]:
+    """The grid meshes to try, coarsest first: epsilon / L times each of
+    ``MESH_FACTORS``.  Of each run of meshes whose nets are equal only
+    the finest is kept, so every distinct grid is solved at most once
+    and the last mesh is always the a-priori one."""
+    _validate_spec(spec)
+    meshes = [f * (epsilon / spec.lipschitz) for f in MESH_FACTORS]
+    return [
+        mesh
+        for mesh, finer in zip(meshes, meshes[1:] + [None])
+        if finer is None or net_spacing(mesh) != net_spacing(finer)
+    ]
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -563,7 +611,246 @@ def probe_harsanyi_regret(
         partitions=game.partitions,
         payoffs=PayoffTensor.from_array(disc.nets, states, table),
     )
-    harsanyi = certify(true_game, profile, budget).harsanyi
-    entries = tuple(ProbeEntry(player=i, regret=r) for i, r in sorted(harsanyi.items()))
+    report = certify(true_game, profile, budget)
+    entries = tuple(
+        ProbeEntry(player=i, regret=r) for i, r in sorted(report.harsanyi.items())
+    )
     worst = max(e.regret for e in entries)
-    return ProbeAudit(entries=entries, max_regret=worst, budget=budget)
+    return ProbeAudit(
+        entries=entries, max_regret=worst, budget=budget, certificate=report
+    )
+
+
+@dataclass(frozen=True)
+class BoxAtom:
+    player: int
+    atom: Atom
+    mass: float
+    regret: float
+
+
+@dataclass(frozen=True)
+class BoxPlayer:
+    player: int
+    bayesian: float
+    harsanyi: float
+
+
+@dataclass(frozen=True)
+class BoxCertificate:
+    """Regret bounds of a grid-supported profile against every action in
+    each player's box (see ``certify_box``): per atom, and per player the
+    Bayesian (worst atom) and Harsanyi (ex-ante) regret.  It passes when
+    every player's Harsanyi box regret is within epsilon plus the fixed
+    slack."""
+
+    epsilon: float
+    spacing: float
+    covering: float
+    atoms: tuple[BoxAtom, ...]
+    players: tuple[BoxPlayer, ...]
+
+    @property
+    def max_regret(self) -> float:
+        return max(p.harsanyi for p in self.players)
+
+    @property
+    def ok(self) -> bool:
+        return self.max_regret <= self.epsilon + CERT_SLACK
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def certify_box(
+    disc: DiscretizedGame, profile: StrategyProfile, audit: ProbeAudit
+) -> BoxCertificate:
+    """Bound the regret of a grid-supported profile against every action
+    in each player's box [0, 1]^d, on the compact game itself.
+
+    ``audit`` must be ``probe_harsanyi_regret(disc, profile)``: its
+    certificate has already rejected off-grid play and holds each
+    atom's current value c, the profile's exact conditional value.
+
+    Fix player i and a positive-mass atom g with members s, priors w_s
+    and mass m.  Every state holds the others' play fixed, and they play
+    independently, so i's value of an own action y is the polynomial
+
+        V(y) = (1/m) sum_s w_s sum_t c_t prod_{j != i} mu_j(s, e_tj) y^f_t
+
+    over the monomials c_t x^e_t of i's payoff at s, where f_t and e_tj
+    are the exponents of i's and j's coordinates and
+    mu_j(s, e) = sum_a p_j(a) a^e is a moment of j's play at s.  The
+    coefficient of each own monomial f is one ``math.fsum``; no joint
+    grid is formed.  V is evaluated on an own net of spacing
+    h <= epsilon / (4 L), and V is Lbar-Lipschitz in y under the max
+    metric, Lbar = max(L, the largest coefficient bound), so
+    sup V <= max over the net + Lbar h / 2 (the covering term, at most
+    about epsilon / 8).  The atom's regret is
+
+        r = max over the net of V + covering + allowance - c,
+
+    each of the last three operations followed by a step of one ulp
+    towards +inf (so r is never below the exact sum), and capped at
+    4 B, above any regret since |V| and |c| are at most
+    (1 + 2**-20) B.  The allowance covers float rounding.  Why r bounds
+    the exact regret sup V - c, with u = 2**-53, eta = 2**-1074,
+    gamma_k = k u / (1 - k u), B = the largest ``poly_value_bound`` of
+    i's polynomials on the states i weighs, T their most monomials, F
+    the own monomials, D = sum of box dimensions, d = i's, and n
+    players:
+
+    - Premises.  The C library's pow is faithful (error below one ulp,
+      so relative error at most 2u on normal results), as in glibc and
+      musl.  Every distribution the profile plays is nonnegative and
+      sums to within MASS_TOL of 1 (checked here), so for n below 10**6
+      the absolute terms of either value, times m, sum to at most
+      (1 + 2**-20) m B.  No overflow: 8 B is finite (checked).
+    - Moments.  A term p(a) * prod a_k ** e_k takes at most 3 d_j
+      roundings and is nonnegative, so the fsum mu_j has relative error
+      at most gamma_{3 d_j + 1}.  A coefficient term w_s c_t prod mu
+      adds n roundings, its fsum one more, and the net evaluation
+      3 d more per term and F - 1 for the sum over own monomials; the
+      division by the fsum mass adds 2.  So every net value is within
+      gamma_{6D + 2n + F + 2} (1 + 2**-20) B of V there.
+    - Current value.  The true-value table holds the terms of
+      ``_net_values`` (3 D roundings each) summed in T - 1 steps, so
+      each entry is within gamma_{3D + T} of the polynomial's absolute
+      coefficient sum; the certifier's joint products, fsums, weights
+      and mass division add n + 4, so c is off by at most
+      gamma_{3D + T + n + 4} (1 + 2**-20) B.
+    - Covering.  The float net points are within h / 2 + u of any y,
+      the float spacing and Lbar are off by a few u, and mixing with
+      row sums up to 1 + MASS_TOL scales the Lipschitz constant by at
+      most 1 + 2 n MASS_TOL; so the true covering term exceeds the
+      float one by at most (gamma_K + 2 n MASS_TOL) Lbar.
+    - Underflow.  Each product or quotient below the normal range may
+      add an absolute eta / 2, later scaled by at most 2 (B + 1) / m.
+      Z counts every such operation that feeds atom g's two values.
+
+    With K = 6D + 2n + T + F + 8, the allowance
+    2 gamma_K (2 B + Lbar) + 2 n MASS_TOL Lbar + 4 Z (B + 1) eta / m
+    exceeds the sum of these errors by nearly a factor 2, which also
+    absorbs the rounding of the allowance itself.  Hence
+    r >= sup V - c >= 0, and a regret below -1e-9 signals a broken
+    invariant and raises.  The Harsanyi regret is the fsum of
+    m * max(0, r) over the atoms.
+    """
+    spec = disc.spec
+    game = disc.game
+    n = spec.n
+    states = spec.space.states
+    starts = tuple(itertools.accumulate(spec.box_dims, initial=0))
+    own_mesh = disc.epsilon / (4.0 * spec.lipschitz)
+    axis = _net_axis(own_mesh)
+    spacing = net_spacing(own_mesh)
+    lip = max(
+        spec.lipschitz, max(poly_lipschitz_bound(p) for p in spec.payoffs.values())
+    )
+    covering = lip * spacing / 2.0
+    current = {(e.player, e.atom): e.current_value for e in audit.certificate.atoms}
+    weighed = np.concatenate([support.positions for support in game.supports])
+    plays = _strategies_at(game, profile, weighed, range(1, n + 1))
+    for j, (rows, _) in plays.items():
+        if rows.min() < 0.0 or any(
+            abs(math.fsum(row) - 1.0) > MASS_TOL for row in rows.tolist()
+        ):
+            raise GameFormatError(
+                f"player {j} plays a distribution that is not a probability vector"
+            )
+    joint = math.prod(len(net) for net in disc.nets)
+    moments: dict[tuple[int, tuple[int, ...]], list[float]] = {}
+
+    def moment(j: int, exps: tuple[int, ...]) -> list[float]:
+        """mu_j(row, exps) for every distinct row j plays."""
+        if (j, exps) not in moments:
+            powers = [
+                math.prod([x**e for x, e in zip(a, exps) if e])
+                for a in disc.nets[j - 1]
+            ]
+            terms = plays[j][0] * np.array(powers)
+            moments[(j, exps)] = [math.fsum(row) for row in terms.tolist()]
+        return moments[(j, exps)]
+
+    own_powers: dict[int, np.ndarray] = {}
+    atoms: list[BoxAtom] = []
+    players: list[BoxPlayer] = []
+    for i in range(1, n + 1):
+        support = game.supports[i - 1]
+        own = slice(starts[i - 1], starts[i])
+        others = [j for j in range(1, n + 1) if j != i]
+        positions = support.positions.tolist()
+        polys = [spec.payoffs[(states[k], i)] for k in positions]
+        bound = max(map(poly_value_bound, polys))
+        most = max(map(len, polys))
+        if not math.isfinite(8.0 * bound):
+            raise GameFormatError(
+                f"player {i}'s payoff bound is too large for the box certificate"
+            )
+        own_exps = sorted({exps[own] for poly in polys for _, exps in poly})
+        column = {f: c for c, f in enumerate(own_exps)}
+        terms: list[list[list[float]]] = []
+        weights = support.weights.tolist()
+        k = 0
+        for _, _, members in support.atoms:
+            row: list[list[float]] = [[] for _ in own_exps]
+            for _ in members:
+                position, w = positions[k], weights[k]
+                for c, exps in polys[k]:
+                    t = c
+                    for j in others:
+                        mu = moment(j, exps[starts[j - 1] : starts[j]])
+                        t *= mu[plays[j][1][position]]
+                    row[column[exps[own]]].append(w * t)
+                k += 1
+            terms.append(row)
+        coef = np.array([[math.fsum(t) for t in row] for row in terms])
+
+        d = spec.box_dims[i - 1]
+        index = np.indices((len(axis),) * d).reshape(d, -1)
+        values = np.zeros((len(support.atoms), index.shape[1]))
+        for f in own_exps:
+            term = coef[:, column[f], None]
+            for axis_index, e in zip(index, f):
+                if e:
+                    if e not in own_powers:
+                        own_powers[e] = np.array([x**e for x in axis])
+                    term = term * own_powers[e][axis_index]
+            values += term
+        masses = np.array([mass for _, mass, _ in support.atoms])
+        best = (values.max(axis=1) / masses).tolist()
+
+        count = 6 * spec.total_dim + 2 * n + most + len(own_exps) + 8
+        gamma = count * _UNIT_ROUNDOFF / (1.0 - count * _UNIT_ROUNDOFF)
+        rounding = 2.0 * gamma * (2.0 * bound + lip) + 2.0 * n * MASS_TOL * lip
+        per_state = most * (
+            joint + sum(len(disc.nets[j - 1]) for j in others) + 1
+        ) * (2 * spec.total_dim + n + 3)
+        per_net = index.shape[1] * len(own_exps) * (2 * d + 1) + 4
+        cap = 4.0 * bound
+        regrets = []
+        for (atom, mass, members), top in zip(support.atoms, best):
+            ops = len(members) * per_state + per_net
+            allowance = rounding + 4.0 * ops * (bound + 1.0) / mass * _SMALLEST_FLOAT
+            r = _up(_up(_up(top + covering) + allowance) - current[(i, atom)])
+            if r < -CERT_SLACK:
+                raise ConsistencyError(
+                    f"negative box regret {r!r} for player {i} at atom {atom!r}"
+                )
+            r = min(r, cap)
+            regrets.append(r)
+            atoms.append(BoxAtom(player=i, atom=atom, mass=mass, regret=r))
+        harsanyi = math.fsum(
+            mass * max(0.0, r) for (_, mass, _), r in zip(support.atoms, regrets)
+        )
+        players.append(
+            BoxPlayer(player=i, bayesian=max(regrets), harsanyi=harsanyi)
+        )
+    return BoxCertificate(
+        epsilon=disc.epsilon,
+        spacing=spacing,
+        covering=covering,
+        atoms=tuple(atoms),
+        players=tuple(players),
+    )

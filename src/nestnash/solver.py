@@ -187,8 +187,8 @@ class AgentFormGame:
 
         self.atom_ids: list[list[Atom]] = []
         self.atom_index: list[np.ndarray] = []
-        self.masses: list[np.ndarray] = []
         self.positive: list[np.ndarray] = []
+        self._divisors: list[np.ndarray] = []
         # Per player: the (state, own action) -> (atom, own action) cell
         # index used to sum state rows into atom rows, and the einsum
         # contracting the payoff tensor with every other player's
@@ -205,8 +205,9 @@ class AgentFormGame:
             np.add.at(mass, idx, self.priors[i - 1])
             self.atom_ids.append(ids)
             self.atom_index.append(idx)
-            self.masses.append(mass)
             self.positive.append(mass > 0.0)
+            # Null rows sum to +0.0 and are divided by 1, so they stay +0.0.
+            self._divisors.append(np.where(mass > 0.0, mass, 1.0)[:, None])
             d = self.dims[i - 1]
             self._cells.append((idx[:, None] * d + np.arange(d)).ravel())
             others = ",".join("s" + axes[j] for j in range(self.n) if j != i - 1)
@@ -258,11 +259,15 @@ class AgentFormGame:
 
         ``i`` is 0-based.  Entry [g, a] is the player's expected payoff
         conditional on coarse atom g when playing a against the others'
-        strategies; rows for null atoms are zero.  One contraction of the
-        payoff tensor, so it costs 1/n of ``action_values``.
+        strategies; rows for null atoms are +0.0.  One contraction of the
+        payoff tensor, so it costs 1/n of ``action_values``.  A ``_Play``
+        carries the others' per-state rows already gathered.
         """
+        gathered = getattr(strategies, "by_state", None)
         others = [
-            strategies[j][self.atom_index[j]] for j in range(self.n) if j != i
+            strategies[j][self.atom_index[j]] if gathered is None else gathered[j]
+            for j in range(self.n)
+            if j != i
         ]
         by_state = np.einsum(self._contraction[i], self.payoff[i], *others)
         weighted = by_state * self.priors[i][:, None]
@@ -270,8 +275,7 @@ class AgentFormGame:
         m_atoms = np.bincount(
             self._cells[i], weights=weighted.ravel(), minlength=rows * d
         ).reshape(rows, d)
-        pos = self.positive[i]
-        m_atoms[pos] /= self.masses[i][pos, None]
+        m_atoms /= self._divisors[i]
         return m_atoms
 
     def action_values(self, strategies: list[np.ndarray]) -> list[np.ndarray]:
@@ -281,17 +285,17 @@ class AgentFormGame:
     def regret(
         self, strategies: list[np.ndarray], values: list[np.ndarray] | None = None
     ) -> float:
-        """Max conditional regret over agents, up to float rounding."""
+        """Max conditional regret over agents, up to float rounding.
+
+        Null-atom rows hold +0.0 values, so their regret is 0.0 and leaves
+        the maximum, which starts at 0.0, as it is.
+        """
         if values is None:
             values = self.action_values(strategies)
         worst = 0.0
-        for i in range(self.n):
-            pos = self.positive[i]
-            if not pos.any():
-                continue
-            best = values[i][pos].max(axis=1)
-            cur = (values[i][pos] * strategies[i][pos]).sum(axis=1)
-            worst = max(worst, float((best - cur).max()))
+        for v, x in zip(values, strategies):
+            gap = v.max(axis=1) - (v * x).sum(axis=1)
+            worst = max(worst, float(gap.max()))
         return worst
 
     # -- conversions --------------------------------------------------------
@@ -311,6 +315,21 @@ class AgentFormGame:
 
 def to_agent_form(aux: AuxGame) -> AgentFormGame:
     return AgentFormGame(aux)
+
+
+class _Play(list):
+    """One (atoms, actions) strategy array per player, with each player's
+    per-state rows (``by_state``) gathered once, whenever the player's
+    array is set, instead of once per other player's evaluation."""
+
+    def __init__(self, agent_game: AgentFormGame, strategies: list[np.ndarray]):
+        super().__init__(strategies)
+        self._index = agent_game.atom_index
+        self.by_state = [x[idx] for x, idx in zip(strategies, self._index)]
+
+    def __setitem__(self, j: int, x: np.ndarray) -> None:
+        super().__setitem__(j, x)
+        self.by_state[j] = x[self._index[j]]
 
 
 class _Tracker:
@@ -363,7 +382,7 @@ def _run_predictive_rm(
     start of the next: each iteration after the first evaluates 2n - 2
     players, not 2n - 1.
     """
-    x = [v.copy() for v in start]
+    x = _Play(agent_game, [v.copy() for v in start])
     cumulative = [np.zeros_like(v) for v in x]
     average = [v.copy() for v in x]
     weight_sum = 0.0

@@ -26,6 +26,7 @@ from generators import (
 from nestnash.cli import main
 from nestnash.discretize import (
     build_hat_game,
+    certify_box,
     certify_sup_gap,
     floor_to_multiple,
     probe_harsanyi_regret,
@@ -312,6 +313,61 @@ def test_criterion_6_compact_action_chain():
                 f"(converged: {solution.result.converged})"
             )
     assert _verdict(6, "compact action certificates", ok), detail
+
+
+def compact_doc(spec) -> dict:
+    """Game-file document (mode ``continuous``) for a CompactGameSpec."""
+    return {
+        "version": 1,
+        "mode": "continuous",
+        "states": [{"id": s, "prob": spec.space.prior[s]} for s in spec.space.states],
+        "partitions": {str(p.player): dict(p.atom_of) for p in spec.partitions},
+        "boxes": {str(i): d for i, d in enumerate(spec.box_dims, start=1)},
+        "lipschitz": spec.lipschitz,
+        "payoffs": [
+            {
+                "state": s,
+                "player": i,
+                "monomials": [{"coef": c, "exponents": list(e)} for c, e in poly],
+            }
+            for (s, i), poly in spec.payoffs.items()
+        ],
+    }
+
+
+def test_criterion_6_box_certificate(tmp_path, capsys):
+    """Criterion 6's 20 specs certify against every action in the box:
+    the a-priori solve at mesh epsilon / L, and the CLI's coarse-to-fine
+    solve, which must exit 0 with the box certificate and the probe
+    audit passing."""
+    rng = np.random.default_rng(6)
+    epsilon = 0.1
+    ok = True
+    detail = ""
+    for idx in range(20):
+        spec = random_compact_game(rng)
+        disc = build_hat_game(spec, epsilon)
+        solution = solve(disc.game, epsilon, seed=idx)
+        audit = probe_harsanyi_regret(disc, solution.profile)
+        box = certify_box(disc, solution.profile, audit)
+        if not box.ok:
+            ok = False
+            detail = f"spec {idx}: box regret {box.max_regret} at epsilon / L"
+        path = tmp_path / f"spec{idx}.json"
+        path.write_text(json.dumps(compact_doc(spec)))
+        argv = ["solve", "--game", str(path), "--epsilon", repr(epsilon)]
+        code = main(argv + ["--seed", str(idx)])
+        report = json.loads(capsys.readouterr().out)
+        block = report["box_certificate"]
+        if not (
+            code == 0
+            and block["ok"]
+            and block["max_regret"] <= epsilon + 1e-9
+            and report["probe_audit"]["ok"]
+        ):
+            ok = False
+            detail = f"spec {idx}: coarse-to-fine exit {code}, box {block}"
+    assert _verdict(6, "compact box certificates", ok), detail
 
 
 def test_criterion_7_floor_window():

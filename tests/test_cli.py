@@ -9,6 +9,7 @@ import nestnash.cli
 import nestnash.game
 import nestnash.hierarchy
 from nestnash.cli import REPORT_VERSION, main
+from nestnash.discretize import eta_net
 from nestnash.game import PayoffTensor
 
 MP_GAME = {
@@ -185,13 +186,19 @@ class TestSolve:
         assert "t1|s1" in doc["ingestion"]["prior"]
 
     def test_continuous_game_solves(self, tmp_path, capsys):
+        # Each player's own coordinate dominates, so the coarsest grid,
+        # the box's corners, certifies; meshes 4, 2 and 1 give that same
+        # grid, and the finest of them is the one solved.
         path = write_json(tmp_path / "cont.json", CONTINUOUS_GAME)
         code = main(["solve", "--game", path, "--epsilon", "0.25"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert doc["discretization"]["net_sizes"] == [5, 5]
-        assert doc["discretization"]["eta0"] == 0.25
-        assert doc["discretization"]["gap_certificate"]["ok"] is True
+        box = doc["box_certificate"]
+        assert box["ok"] is True
+        assert box["meshes"] == [1.0]
+        assert box["max_regret"] <= 0.25
+        assert doc["discretization"]["eta0"] == box["meshes"][-1]
+        assert doc["discretization"]["net_sizes"] == [2, 2]
         assert doc["probe_audit"]["ok"] is True
 
     def test_overflowing_payoff_bound_exits_one(self, tmp_path, capsys):
@@ -363,6 +370,70 @@ class TestNumericFlags:
         code = main(["solve", "--game", path, "--epsilon", "0.05", "--seed", "3"])
         assert code == 0
         assert strict_json(capsys.readouterr().out)["config"]["seed"] == 3
+
+
+def single_state_continuous(poly1, poly2, lipschitz: float) -> dict:
+    """A one-state continuous game on [0, 1] x [0, 1]; each polynomial is
+    a list of (coef, exponents) pairs."""
+    doc = json.loads(json.dumps(CONTINUOUS_GAME))
+    doc["lipschitz"] = lipschitz
+    for entry, poly in zip(doc["payoffs"], (poly1, poly2)):
+        entry["monomials"] = [{"coef": c, "exponents": e} for c, e in poly]
+    return doc
+
+
+class TestCoarseToFine:
+    """The continuous solve halves the mesh from 16 epsilon / L until the
+    box certificate passes, and never goes below epsilon / L."""
+
+    def solve(self, doc, epsilon, tmp_path, monkeypatch, capsys):
+        path = write_json(tmp_path / "game.json", doc)
+        built = count_calls(monkeypatch, nestnash.cli, "build_hat_game")
+        solves = count_calls(monkeypatch, nestnash.cli, "solve")
+        code = main(["solve", "--game", path, "--epsilon", repr(epsilon)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        meshes = [args[2] for args in built]
+        assert len(solves) == len(meshes)
+        return code, strict_json(captured.out), meshes
+
+    def test_interior_optimum_refines_once(self, tmp_path, monkeypatch, capsys):
+        # Player 1's payoff -(x - 1/2)^2 peaks between the corners, which
+        # is all the first grid holds; the second grid holds 1/2.
+        doc = single_state_continuous(
+            [(-1.0, [2, 0]), (1.0, [1, 0]), (-0.25, [0, 0])], [(1.0, [0, 1])], 3.0
+        )
+        code, report, meshes = self.solve(doc, 0.2, tmp_path, monkeypatch, capsys)
+        base = 0.2 / 3.0
+        assert code == 0
+        assert meshes == [16 * base, 8 * base]
+        box = report["box_certificate"]
+        assert box["ok"] is True
+        assert box["meshes"] == meshes
+        assert report["discretization"]["eta0"] == 8 * base
+        assert report["discretization"]["net_sizes"] == [3, 3]
+        assert report["probe_audit"]["ok"] is True
+
+    def test_failing_at_every_mesh_reports_the_a_priori_mesh(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Payoffs c x^30 with c just below epsilon floor to 0 on every
+        # grid, so the solver stops at uniform play, which forgoes about
+        # 0.9 c against x = 1; with the covering term that exceeds
+        # epsilon on every grid.
+        coef = 0.1 * (1 - 1e-6)
+        doc = single_state_continuous([(coef, [30, 0])], [(coef, [0, 30])], 16.0)
+        code, report, meshes = self.solve(doc, 0.1, tmp_path, monkeypatch, capsys)
+        base = 0.1 / 16.0
+        assert code == 2
+        assert meshes == [f * base for f in (16, 8, 4, 2, 1)]
+        assert len({len(eta_net(1, m)) for m in meshes}) == len(meshes)
+        box = report["box_certificate"]
+        assert box["ok"] is False
+        assert box["max_regret"] > 0.1
+        assert box["meshes"] == meshes
+        assert report["discretization"]["eta0"] == base
+        assert report["probe_audit"]["ok"] is True
 
 
 class TestVerify:
@@ -929,7 +1000,7 @@ class TestEntryPoint:
 # Every key path of each report at the pinned version.  ``[]`` stands for
 # the items of a list and ``*`` for keys that are data: states, players,
 # atoms and actions.  A schema change bumps REPORT_VERSION and re-pins.
-PINNED_VERSION = 2
+PINNED_VERSION = 3
 
 DATA_KEYED = {
     "ingestion.prior",
@@ -1042,6 +1113,11 @@ REPORT_KEYS = {
         probe_audit probe_audit.budget probe_audit.max_regret probe_audit.ok
         probe_audit.players probe_audit.players[].player
         probe_audit.players[].regret
+        box_certificate box_certificate.budget box_certificate.spacing
+        box_certificate.covering box_certificate.max_regret box_certificate.ok
+        box_certificate.meshes box_certificate.players
+        box_certificate.players[].player box_certificate.players[].bayesian
+        box_certificate.players[].harsanyi
         """
     ),
     "hierarchy": _paths(

@@ -17,6 +17,7 @@ from generators import (
 from nestnash.discretize import (
     CompactGameSpec,
     build_hat_game,
+    certify_box,
     certify_sup_gap,
     eta_net,
     floor_to_multiple,
@@ -560,6 +561,192 @@ class TestProbeOracle:
         )
         with pytest.raises(GameFormatError, match="player 2 plays off-grid"):
             probe_harsanyi_regret(disc, profile)
+
+
+class TestAPrioriMesh:
+    def test_default_mesh_is_epsilon_over_lipschitz(self):
+        # The a-priori chain at mesh epsilon / L, as library callers get it.
+        disc = build_hat_game(one_state_linear_spec(), 0.25)
+        assert [len(net) for net in disc.nets] == [5, 5]
+        assert disc.eta0 == 0.25
+        assert certify_sup_gap(disc).ok
+        lifted, _ = solve_hat(disc, target=0.125)
+        assert probe_harsanyi_regret(disc, lifted).ok
+
+    def test_mesh_sets_the_grid_not_the_lattice(self):
+        spec = one_state_linear_spec()
+        disc = build_hat_game(spec, 0.25, mesh=0.5)
+        assert [len(net) for net in disc.nets] == [3, 3]
+        assert (disc.epsilon, disc.eta0) == (0.25, 0.5)
+        # The linear payoffs sit on the 0.25 lattice at 0, 0.5 and 1.
+        assert disc.game.payoffs.values[("w", ((0.5,), (1.0,)))] == (0.5, 1.0)
+
+    @pytest.mark.parametrize("mesh", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_meshes(self, mesh):
+        with pytest.raises(GameFormatError, match="mesh"):
+            build_hat_game(one_state_linear_spec(), 0.25, mesh=mesh)
+
+
+def unit_lipschitz_spec(rng, box_dims: tuple[int, ...], states: int):
+    """Two players, random sparse polynomials scaled so every coefficient
+    bound is at most the declared Lipschitz constant 1."""
+    names = tuple(f"w{k}" for k in range(states))
+    dims = sum(box_dims)
+    payoffs = {}
+    for s in names:
+        for i in (1, 2):
+            mono = []
+            for _ in range(int(rng.integers(2, 5))):
+                exps = [0] * dims
+                for _ in range(int(rng.integers(1, 4))):
+                    exps[int(rng.integers(0, dims))] += 1
+                mono.append((float(rng.uniform(-1.0, 1.0)), tuple(exps)))
+            mono.append((float(rng.uniform(-0.5, 0.5)), (0,) * dims))
+            payoffs[(s, i)] = tuple(mono)
+    scale = max(poly_lipschitz_bound(p) for p in payoffs.values())
+    payoffs = {k: tuple((c / scale, e) for c, e in p) for k, p in payoffs.items()}
+    return CompactGameSpec(
+        space=StateSpace(
+            states=names, prior=exact_prior(rng.dirichlet(np.ones(states)), names)
+        ),
+        partitions=nested_partitions(rng, names, 2),
+        box_dims=box_dims,
+        payoffs=payoffs,
+        lipschitz=1.0,
+    )
+
+
+def sparse_profile(rng, game: NestedGame) -> StrategyProfile:
+    """Per atom, one to three grid actions with nonnegative weights."""
+    strategies = {}
+    for i in (1, 2):
+        actions = game.actions_for(i)
+        table = {}
+        for atom in game.partition_for(i).atoms:
+            picks = rng.choice(len(actions), size=int(rng.integers(1, 4)))
+            weights = rng.dirichlet(np.ones(len(picks)))
+            dist = {}
+            for k, w in zip(picks.tolist(), (weights / weights.sum()).tolist()):
+                dist[actions[k]] = dist.get(actions[k], 0.0) + w
+            table[atom] = dist
+        strategies[i] = table
+    return StrategyProfile(strategies=strategies, field_level="original")
+
+
+def oracle_box_regrets(spec, profile, axis) -> dict:
+    """Per (player, positive-mass atom): the best value over the own-action
+    points ``itertools.product(axis, repeat=d)`` minus the profile's value,
+    both by ``poly_eval`` and ``math.fsum`` over the supports."""
+    out = {}
+    for i, j in ((1, 2), (2, 1)):
+        prior = spec.space.prior_for(i)
+        for atom, members in spec.partitions[i - 1].atoms.items():
+            members = [s for s in members if prior[s] > 0.0]
+            mass = math.fsum(prior[s] for s in members)
+            if not mass > 0.0:
+                continue
+
+            def value(own, s, theirs):
+                point = own + theirs if i == 1 else theirs + own
+                return poly_eval(spec.payoffs[(s, i)], point)
+
+            def against(own_dist, s):
+                other = profile.distribution(j, spec.partitions[j - 1].atom_of[s])
+                return math.fsum(
+                    p * q * value(own, s, theirs)
+                    for own, p in own_dist.items()
+                    for theirs, q in other.items()
+                )
+
+            mine = profile.distribution(i, atom)
+            current = math.fsum(prior[s] * against(mine, s) for s in members) / mass
+            best = max(
+                math.fsum(prior[s] * against({own: 1.0}, s) for s in members) / mass
+                for own in itertools.product(axis, repeat=spec.box_dims[i - 1])
+            )
+            out[(i, atom)] = best - current
+    return out
+
+
+class TestBoxCertificate:
+    """``certify_box`` against plain enumeration of own deviations."""
+
+    @pytest.mark.parametrize(
+        "box_dims, states, seed",
+        [
+            ((1, 1), 1, 1),
+            ((1, 1), 2, 2),
+            ((1, 1), 3, 3),
+            ((2, 1), 2, 4),
+            ((2, 2), 3, 5),
+        ],
+    )
+    def test_bounds_the_regret_on_a_fine_own_axis(self, box_dims, states, seed):
+        # L = 1 and epsilon = 1/8 give the own net spacing 1/32 and the
+        # covering term 1/64.  The oracle axis (4001 points in one
+        # dimension, 65 per coordinate in two) contains every net point,
+        # so the certificate can exceed it by at most the covering term
+        # and the rounding allowance.
+        rng = np.random.default_rng(seed)
+        spec = unit_lipschitz_spec(rng, box_dims, states)
+        disc = build_hat_game(spec, 0.125)
+        profile = sparse_profile(rng, disc.game)
+        cert = certify_box(disc, profile, probe_harsanyi_regret(disc, profile))
+        assert (cert.spacing, cert.covering) == (1 / 32, 1 / 64)
+        width = 4001 if max(box_dims) == 1 else 65
+        axis = tuple(k / (width - 1) for k in range(width))
+        oracle = oracle_box_regrets(spec, profile, axis)
+        assert set(oracle) == {(e.player, e.atom) for e in cert.atoms}
+        for e in cert.atoms:
+            want = oracle[(e.player, e.atom)]
+            assert want - 1e-12 <= e.regret <= want + cert.covering + 1e-9
+        for p in cert.players:
+            rows = [e for e in cert.atoms if e.player == p.player]
+            assert p.bayesian == max(e.regret for e in rows)
+            assert p.harsanyi == math.fsum(e.mass * max(0.0, e.regret) for e in rows)
+
+    def test_dominant_corner_is_certified_at_the_coarsest_grid(self):
+        disc = build_hat_game(one_state_linear_spec(), 0.25, mesh=1.0)
+        profile = StrategyProfile(
+            strategies={1: {"a": {(1.0,): 1.0}}, 2: {"b": {(1.0,): 1.0}}}
+        )
+        cert = certify_box(disc, profile, probe_harsanyi_regret(disc, profile))
+        assert cert.ok
+        for p in cert.players:
+            assert cert.covering <= p.harsanyi <= cert.covering + 1e-9
+
+    def test_interior_deviation_counts(self):
+        # Playing 0 against a payoff x(1 - x) forgoes 1/4 at x = 1/2,
+        # which the two-point grid does not hold.
+        spec = CompactGameSpec(
+            space=StateSpace(states=("w",), prior={"w": 1.0}),
+            partitions=one_state_linear_spec().partitions,
+            box_dims=(1, 1),
+            payoffs={
+                ("w", 1): ((1.0, (1, 0)), (-1.0, (2, 0))),
+                ("w", 2): ((1.0, (0, 1)),),
+            },
+            lipschitz=3.0,
+        )
+        disc = build_hat_game(spec, 0.25, mesh=1.0)
+        profile = StrategyProfile(
+            strategies={1: {"a": {(0.0,): 1.0}}, 2: {"b": {(1.0,): 1.0}}}
+        )
+        audit = probe_harsanyi_regret(disc, profile)
+        assert audit.max_regret == 0.0
+        cert = certify_box(disc, profile, audit)
+        first = cert.players[0]
+        assert 0.25 <= first.bayesian <= 0.25 + cert.covering + 1e-9
+        assert not cert.ok
+
+    def test_rejects_rows_that_are_not_distributions(self):
+        disc = build_hat_game(one_state_linear_spec(), 0.25)
+        profile = StrategyProfile(
+            strategies={1: {"a": {(1.0,): 1.0}}, 2: {"b": {(1.0,): 0.9}}}
+        )
+        audit = probe_harsanyi_regret(disc, profile)
+        with pytest.raises(GameFormatError, match="player 2 plays a distribution"):
+            certify_box(disc, profile, audit)
 
 
 class TestEndToEnd:

@@ -164,15 +164,10 @@ REPORT_VERSION = 3
 
 
 def _ingestion_block(game: NestedGame) -> dict:
-    values = game.payoffs.entry_rows().ravel()
-    ordered = np.sort(values)
+    # ``+ 0.0`` turns -0.0 into 0.0, so the echo reads the same whatever
+    # the order or the sign of the zeros in the file.
+    ordered = np.sort(game.payoff_array, axis=None) + 0.0
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    # 0.0 and -0.0 compare equal, so the sort keeps either one: the first
-    # zero in the order the entries were given takes its place, so the
-    # reported zero's sign follows the file.
-    zeros = values == 0.0
-    if zeros.any():
-        distinct[distinct == 0.0] = values[zeros.argmax()]
     block = {
         "prior": {_key_string(s): game.space.prior[s] for s in game.space.states},
         "payoff_values": distinct.tolist(),

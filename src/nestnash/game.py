@@ -2,11 +2,13 @@
 
 A game couples an explicit finite state space with one information
 partition per player and a dense payoff tensor over states and joint
-action profiles.  Every stage that reads the whole table (validation,
-the payoff bound and classes, the agent form, the certifier) reads one
-float array per state order (``PayoffTensor.array``).  The game file
-loader and the grid game write that array directly; a tensor built
-from a dict keyed by ``(state, profile)`` stacks it from the dict once.
+action profiles.  A payoff tensor holds one float array
+(``PayoffTensor.array``), and every stage that reads the whole table
+(validation, the payoff bound and classes, the agent form, the
+certifier) reads it.  The game file loader and the grid game write that
+array directly; a tensor built from a dict keyed by ``(state,
+profile)`` stacks it from the dict once.  Nothing depends on the order
+in which a file or a dict lists the entries.
 Player 1 is the most informed: validity requires each player's
 partition to refine the next player's.  Strategies are maps
 from partition atoms to mixed actions, so they are measurable with
@@ -19,13 +21,13 @@ report listing violations so callers can surface all problems at once.
 What every later stage reads about a game's states is computed once per
 game and cached: the validation report, the payoff classes
 (``NestedGame.classes``, with each state's class id as an integer
-array, shared by every game with the same payoff tensor and state
-order) and each player's support (``NestedGame.supports``: the atom of
-every state as an integer array, and the positive-mass atoms with their
-``math.fsum`` masses and weighed members, shared by every game with the
-same state space and partition).  The belief hierarchy and the
-certifier both read them; each is a pure function of the game itself,
-so the certifier still trusts nothing from the solver.
+array, shared by every game with the same payoff tensor and the state
+order of its array) and each player's support (``NestedGame.supports``:
+the atom of every state as an integer array, and the positive-mass atoms
+with their ``math.fsum`` masses and weighed members, shared by every
+game with the same state space and partition).  The belief hierarchy
+and the certifier both read them; each is a pure function of the game
+itself, so the certifier still trusts nothing from the solver.
 """
 
 from __future__ import annotations
@@ -133,13 +135,15 @@ class InformationPartition:
 class PayoffTensor:
     """Dense payoffs: (state, joint action profile) -> one value per player.
 
-    A tensor is built from a dict of entries keyed by ``(state,
-    profile)`` (``PayoffTensor(actions, values)``) or from the payoff
-    array itself (``PayoffTensor.from_array``), which is how the game
-    file loader and the grid game build it.  Every stage that reads the
-    whole table reads the array (``array``).  For an array-backed tensor
-    the dict ``values`` is a view built on first use; only the plain
-    oracles and callers outside the solve read it.
+    A tensor holds its actions, the dict of entries keyed by ``(state,
+    profile)`` it was built from (``PayoffTensor(actions, values)``), if
+    any, and one payoff array with the state order it follows.  The game
+    file loader and the grid game give the array itself
+    (``PayoffTensor.from_array``); a dict is stacked into it on the
+    first call of ``array``.  Every stage that reads the whole table
+    reads that array.  For an array-backed tensor the dict ``values`` is
+    built on first use, in array order; only the plain oracles and
+    callers outside the solve read it.
     """
 
     def __init__(
@@ -149,13 +153,11 @@ class PayoffTensor:
     ):
         self.actions = actions
         self._values = values
-        self._arrays: dict[tuple[State, ...], np.ndarray] = {}
-        self._classes: dict[tuple[State, ...], PayoffClasses] = {}
-        # Array-backed tensors only: the state order of ``_table`` and the
-        # flat (state, profile) cell of each entry in the order given.
+        # The payoff array, the state order it follows and its payoff
+        # classes, each set once.
         self._states: tuple[State, ...] | None = None
         self._table: np.ndarray | None = None
-        self._order: np.ndarray | None = None
+        self._classes: PayoffClasses | None = None
 
     @classmethod
     def from_array(
@@ -163,43 +165,33 @@ class PayoffTensor:
         actions: tuple[tuple[Action, ...], ...],
         states: tuple[State, ...],
         table: np.ndarray,
-        order: np.ndarray | None = None,
     ) -> "PayoffTensor":
         """The tensor whose array for ``states`` is ``table``.
 
         ``table`` has the shape ``array`` describes, holds every entry
-        and is kept, made read-only.  ``order`` lists the flat (state,
-        profile) cell of each entry in the order the entries were given,
-        a permutation of all cells; ``values`` and ``entry_rows``
-        follow it.  Without it the entries run in array order.
+        and is kept, made read-only.
         """
         tensor = cls(actions, None)
         table.flags.writeable = False
-        tensor._arrays[states] = table
-        tensor._states, tensor._table, tensor._order = states, table, order
+        tensor._states, tensor._table = states, table
         return tensor
 
     @property
     def values(self) -> dict[tuple[State, tuple[Action, ...]], tuple[float, ...]]:
-        """Every entry, keyed by ``(state, profile)``, in the order given."""
+        """Every entry, keyed by ``(state, profile)``: the dict given, or
+        for an array-backed tensor the entries in array order."""
         if self._values is None:
-            self._values = _entry_dict(self)
+            keys = itertools.product(self._states, self.profiles())
+            rows = self._table.reshape(self.num_players, -1).T.tolist()
+            self._values = dict(zip(keys, map(tuple, rows)))
         return self._values
 
     @property
     def entry_count(self) -> int:
         """How many entries the tensor was given."""
-        if self._table is None:
-            return len(self._values)
-        return math.prod(self._table.shape[1:])
-
-    def entry_rows(self) -> np.ndarray:
-        """Each entry's n values as one row, in the order given."""
-        if self._table is None:
-            rows = np.array(list(self._values.values()), float)
-            return rows.reshape(len(self._values), self.num_players)
-        rows = self._table.reshape(self.num_players, -1).T
-        return rows if self._order is None else rows[self._order]
+        if self._values is None:
+            return math.prod(self._table.shape[1:])
+        return len(self._values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PayoffTensor):
@@ -219,36 +211,25 @@ class PayoffTensor:
 
         Shape ``(n, len(states), |A_1|, ..., |A_n|)``: axis 0 is the
         player, axis 1 follows ``states`` and axis 1 + j follows player
-        j's actions.  An array-backed tensor returns its own array for
-        its own state order; otherwise the array is stacked from
-        ``values`` on the first call for a state order, and later calls
-        with that order return the same array.  So every game that
-        shares this tensor and state space shares one array.  Raises
+        j's actions.  The tensor keeps one array: the one it was built
+        from, or else the one stacked from ``values`` on the first call.
+        Every call with that array's state order returns it, so every
+        game that shares this tensor and state order shares one array;
+        any other order is stacked from ``values`` anew.  Raises
         GameFormatError when an entry is missing or holds a number of
         values other than n.
         """
-        table = self._arrays.get(states)
-        if table is None:
-            table = self._arrays[states] = _dense_payoffs(self, states)
+        if states == self._states:
+            return self._table
+        table = _dense_payoffs(self, states)
+        if self._table is None:
+            self._states, self._table = states, table
         return table
 
 
-def _entry_dict(payoffs: PayoffTensor) -> dict:
-    """The entries of an array-backed tensor as a dict, in the order given."""
-    keys = list(itertools.product(payoffs._states, payoffs.profiles()))
-    cells = range(len(keys)) if payoffs._order is None else payoffs._order.tolist()
-    rows = map(tuple, payoffs.entry_rows().tolist())
-    return dict(zip(map(keys.__getitem__, cells), rows))
-
-
 def _dense_payoffs(payoffs: PayoffTensor, states: tuple[State, ...]) -> np.ndarray:
-    """Stack the values of every expected (state, profile) entry.
-
-    When the dict's keys already run through the expected entries in
-    array order, comparing them key by key is the completeness check
-    and the values are read as they stand; otherwise every expected
-    entry is looked up.
-    """
+    """Look up every expected (state, profile) entry, in array order, and
+    stack their values."""
     n = len(payoffs.actions)
     values = payoffs.values
 
@@ -258,17 +239,13 @@ def _dense_payoffs(payoffs: PayoffTensor, states: tuple[State, ...]) -> np.ndarr
             zip(itertools.repeat(s), payoffs.profiles()) for s in states
         )
 
-    count = len(states) * math.prod(len(acts) for acts in payoffs.actions)
-    if len(values) == count and all(map(operator.eq, values, expected())):
-        rows = values.values()
-    else:
-        try:
-            rows = list(map(values.__getitem__, expected()))
-        except KeyError as err:
-            s, prof = err.args[0]
-            raise GameFormatError(
-                f"payoff tensor misses the entry at ({s!r}, {prof!r})"
-            ) from None
+    try:
+        rows = list(map(values.__getitem__, expected()))
+    except KeyError as err:
+        s, prof = err.args[0]
+        raise GameFormatError(
+            f"payoff tensor misses the entry at ({s!r}, {prof!r})"
+        ) from None
     if rows and set(map(len, rows)) != {n}:
         (s, prof), vals = next(
             (key, vals) for key, vals in zip(expected(), rows) if len(vals) != n
@@ -316,14 +293,18 @@ class NestedGame:
 
     @property
     def classes(self) -> "PayoffClasses":
-        """``payoff_classes(self)``, computed once per payoff tensor and
-        state order, so every game sharing both shares it (as they share
-        ``payoff_array``)."""
-        memo = self.payoffs._classes
-        states = self.space.states
-        if states not in memo:
-            memo[states] = payoff_classes(self)
-        return memo[states]
+        """``payoff_classes(self)``, computed once per payoff tensor for
+        the state order of its array, so every game sharing both shares
+        it (as they share ``payoff_array``); any other order is computed
+        anew."""
+        payoffs, states = self.payoffs, self.space.states
+        classes = payoffs._classes
+        if classes is None or states != payoffs._states:
+            # Reading the array first stacks a dict-backed tensor's.
+            classes = payoff_classes(self)
+            if states == payoffs._states:
+                payoffs._classes = classes
+        return classes
 
     @cached_property
     def supports(self) -> tuple["Support", ...]:

@@ -279,12 +279,13 @@ def _payoff_array(
             if set(map(type, column)) != {list} or set(map(len, column)) != {n}:
                 return None
         ids = map(operator.itemgetter("state"), entries)
-        order = np.fromiter(map(space.position.__getitem__, ids), np.intp, cells)
+        # The flat (state, profile) cell of each entry.
+        cell = np.fromiter(map(space.position.__getitem__, ids), np.intp, cells)
         for j, acts in enumerate(actions):
             index = {a: k for k, a in enumerate(acts)}
             labels = map(operator.itemgetter(j), profiles)
-            order *= len(acts)
-            order += np.fromiter(map(index.__getitem__, labels), np.intp, cells)
+            cell *= len(acts)
+            cell += np.fromiter(map(index.__getitem__, labels), np.intp, cells)
         flat = list(itertools.chain.from_iterable(rows))
         if not set(map(type, flat)) <= {float, int}:
             return None
@@ -292,12 +293,12 @@ def _payoff_array(
     except (KeyError, TypeError, OverflowError):
         return None
     seen = np.zeros(cells, bool)
-    seen[order] = True
+    seen[cell] = True
     if not seen.all():
         return None
     table = np.empty((n, cells))
-    table[:, order] = data.reshape(cells, n).T
-    return PayoffTensor.from_array(actions, states, table.reshape((n,) + shape), order)
+    table[:, cell] = data.reshape(cells, n).T
+    return PayoffTensor.from_array(actions, states, table.reshape((n,) + shape))
 
 
 def _payoff_dict(

@@ -244,21 +244,6 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     )
 
 
-def approx_expectation(
-    level: HierarchyLevel, f: Mapping[tuple[int, ...], float], state: State
-) -> float:
-    """Expectation of f under the centre of the state's belief cluster.
-
-    ``f`` must cover the whole signal support; this is the hierarchy's
-    stand-in for conditioning on the player's true information.
-    """
-    for z in level.signal_support:
-        if z not in f:
-            raise GameFormatError(f"functional undefined on support value {z!r}")
-    centre = level.belief_support[level.belief_of[state]]
-    return math.fsum(w * f[level.signal_support[z]] for z, w in centre.items())
-
-
 def expectation_gap(
     game: NestedGame,
     hierarchy: Hierarchy,

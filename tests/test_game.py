@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -196,15 +197,13 @@ class TestPayoffArray:
         game = two_state_game()
         states = game.space.states
         table = np.array(game.payoff_array)
-        order = np.arange(table[0].size)[::-1].copy()
-        tensor = PayoffTensor.from_array(game.payoffs.actions, states, table, order)
+        tensor = PayoffTensor.from_array(game.payoffs.actions, states, table)
         assert tensor.array(states) is table
         assert not table.flags.writeable
         assert tensor.entry_count == 8
         assert tensor == game.payoffs
-        assert list(tensor.values) == list(reversed(game.payoffs.values))
-        assert tensor.entry_rows().tolist() == list(
-            map(list, reversed(game.payoffs.values.values()))
+        assert list(tensor.values) == list(
+            itertools.product(states, game.payoffs.profiles())
         )
         assert validate_game(
             NestedGame(game.space, game.partitions, tensor)

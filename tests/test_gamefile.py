@@ -1,3 +1,4 @@
+import itertools
 import json
 from unittest import mock
 
@@ -64,5 +65,6 @@ class TestFinitePayoffs:
         assert np.array_equal(table, expected)
         assert np.array_equal(np.signbit(table), np.signbit(expected))
         assert loaded.payoffs.values == source
-        # Same entries, signs and file order.
-        assert repr(loaded.payoffs.values) == repr({k: source[k] for k in keys})
+        # Same entries and signs, in array order whatever the file order.
+        order = itertools.product(game.space.states, game.payoffs.profiles())
+        assert repr(loaded.payoffs.values) == repr({k: source[k] for k in order})

@@ -15,7 +15,6 @@ from nestnash.game import (
     StateSpace,
 )
 from nestnash.hierarchy import (
-    approx_expectation,
     build_hierarchy,
     check_properties,
     expectation_gap,
@@ -217,17 +216,11 @@ class TestBuildHierarchy:
 
 
 class TestExpectations:
-    def test_approx_expectation_uses_rounded_belief(self, informed_anchor):
-        skewed = anchor_copies(informed_anchor, 1 / 3, 0.3)
-        h = build_hierarchy(skewed, 0.2)
-        f = {(0, 0): 1.0, (1, 1): -1.0}
-        # The second atom's own belief gives -0.4; its centre gives -1/3.
-        assert approx_expectation(h.level(2), f, "w1.1") == pytest.approx(-1 / 3)
-
     def test_expectation_gap_hand_computed(self, informed_anchor):
         skewed = anchor_copies(informed_anchor, 1 / 3, 0.3)
         h = build_hierarchy(skewed, 0.2)
         f = {(0, 0): 1.0, (1, 1): -1.0}
+        # The second atom's own belief gives -0.4; its centre gives -1/3.
         gap = expectation_gap(skewed, h, 2, f, 1.0)
         assert gap == pytest.approx(1 / 15, abs=1e-12)
         assert gap < 1.0 * 0.2
@@ -254,11 +247,6 @@ class TestExpectations:
             expectation_gap(informed_anchor, h, 2, {(0, 0): 1.0}, 1.0)
         with pytest.raises(GameFormatError):
             expectation_gap(informed_anchor, h, 2, {(0, 0): 5.0, (1, 1): 0.0}, 1.0)
-
-    def test_approx_expectation_requires_full_support(self, informed_anchor):
-        h = build_hierarchy(informed_anchor, 0.2)
-        with pytest.raises(GameFormatError):
-            approx_expectation(h.level(1), {(0,): 1.0}, "w1")
 
 
 def partly_unrealized_game() -> NestedGame:

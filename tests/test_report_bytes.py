@@ -1,4 +1,5 @@
-"""Report bytes: golden digests, and the JSON encoder against the stdlib.
+"""Report bytes: golden digests, entry order, and the JSON encoder
+against the stdlib.
 
 ``data/report_digests.json`` holds the sha256 of every report the CLI
 writes for the small games of ``test_cli``: ``solve`` on all four,
@@ -9,6 +10,11 @@ Regenerate the file only for a deliberate change of the reports:
 
     PYTHONPATH=src:tests python tests/test_report_bytes.py --write
 
+The entry-order test writes one finite game in array order and
+shuffled, including files whose first zero is -0.0 and 0.0, and checks
+that ``solve``, ``verify`` and ``hierarchy`` write the same bytes for
+each, in JSON and in CSV.
+
 The encoder test checks ``cli._dumps`` against
 ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` on
 random trees, including the strings and floats where a hand-made
@@ -16,17 +22,21 @@ encoder would most likely differ.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import random_nested_game, redundant_game
 from nestnash.cli import _dumps, main
+from nestnash.game import NestedGame, PayoffTensor
 from test_cli import (
     ANCHOR_EQUILIBRIUM,
     ANCHOR_GAME,
@@ -34,6 +44,7 @@ from test_cli import (
     MP_GAME,
     TYPES_GAME,
 )
+from test_gamefile import finite_doc
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "report_digests.json")
 
@@ -114,6 +125,90 @@ def test_reports_match_pinned_digests(tmp_path):
     with open(DATA, encoding="utf-8") as handle:
         pinned = json.load(handle)
     assert report_digests(str(tmp_path)) == pinned
+
+
+# -- entry order --------------------------------------------------------------
+
+
+def _signed_zeros_game(rng):
+    """A zero-sum ``redundant_game`` with every other state's payoffs
+    negated, so its zero entries read (0.0, -0.0) at some states and
+    (-0.0, 0.0) at others."""
+    game = redundant_game(rng, 24)
+    position = game.space.position
+    values = {
+        (s, prof): tuple(-v for v in vals) if position[s] % 2 else vals
+        for (s, prof), vals in game.payoffs.values.items()
+    }
+    payoffs = PayoffTensor(game.payoffs.actions, values)
+    return NestedGame(game.space, game.partitions, payoffs)
+
+
+def _first_zero_is_negative(vals) -> bool | None:
+    """Whether the first zero of an entry is -0.0; None without a zero."""
+    zero = next((v for v in vals if v == 0.0), None)
+    return None if zero is None else math.copysign(1.0, zero) < 0
+
+
+def _entry_orders(game, rng) -> list[list]:
+    """The payoff keys in array order, shuffled, and shuffled behind an
+    entry whose first zero is -0.0 and behind one whose first zero is
+    0.0, when the game has such entries."""
+    values = game.payoffs.values
+    keys = list(itertools.product(game.space.states, game.payoffs.profiles()))
+    shuffled = [keys[k] for k in rng.permutation(len(keys))]
+    orders = [keys, shuffled]
+    for negative in (True, False):
+        firsts = (k for k in shuffled if _first_zero_is_negative(values[k]) is negative)
+        first = next(firsts, None)
+        if first is not None:
+            orders.append([first] + [key for key in shuffled if key != first])
+    return orders
+
+
+@pytest.mark.parametrize("kind", ["nested", "redundant", "signed"])
+def test_entry_order_changes_no_report_byte(kind, tmp_path):
+    rng = np.random.default_rng(5)
+    if kind == "nested":
+        game = random_nested_game(rng, max_states=12)
+    elif kind == "redundant":
+        # Zero-sum: a zero payoff u gives the pair (0.0, -0.0).
+        game = redundant_game(rng, 24)
+    else:
+        game = _signed_zeros_game(rng)
+    orders = _entry_orders(game, rng)
+    if kind == "signed":
+        assert len(orders) == 4
+    paths = []
+    for k, keys in enumerate(orders):
+        paths.append(str(tmp_path / f"game{k}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as handle:
+            json.dump(finite_doc(game, keys, ints=False), handle)
+    # verify reads the lifted profile of the first file's solve.
+    solved, profile = str(tmp_path / "solved.json"), str(tmp_path / "profile.json")
+    main(["solve", "--game", paths[0], "--epsilon", "0.1", "--out", solved])
+    with open(solved, encoding="utf-8") as handle:
+        lifted = json.load(handle)["profile"]
+    with open(profile, "w", encoding="utf-8") as handle:
+        json.dump(lifted, handle)
+
+    def reports(path: str) -> dict:
+        """Exit code and bytes of every report on the game file ``path``."""
+        got = {}
+        for argv in (
+            ["solve", "--game", path, "--epsilon", "0.1"],
+            ["verify", "--game", path, "--profile", profile, "--epsilon", "0.1"],
+            ["hierarchy", "--game", path, "--delta", "0.2"],
+        ):
+            for fmt in ("json", "csv"):
+                out = f"{path}.{argv[0]}.{fmt}"
+                code = main(argv + ["--format", fmt, "--out", out])
+                with open(out, "rb") as handle:
+                    got[argv[0], fmt] = code, handle.read()
+        return got
+
+    first = reports(paths[0])
+    assert all(reports(path) == first for path in paths[1:])
 
 
 # -- the encoder against the stdlib -------------------------------------------

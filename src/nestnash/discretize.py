@@ -606,10 +606,13 @@ def probe_harsanyi_regret(
     for k, s in enumerate(states):
         for i in range(1, spec.n + 1):
             cells[i - 1, k] = _net_values(spec.payoffs[(s, i)], grid)
+    payoffs = PayoffTensor.from_array(disc.nets, states, table)
+    # Flooring is a function of each entry, so states whose floored rows
+    # all differ have true rows that all differ too: the same classes.
+    if game.classes.count == len(states):
+        payoffs._classes = game.classes
     true_game = NestedGame(
-        space=game.space,
-        partitions=game.partitions,
-        payoffs=PayoffTensor.from_array(disc.nets, states, table),
+        space=game.space, partitions=game.partitions, payoffs=payoffs
     )
     report = certify(true_game, profile, budget)
     entries = tuple(

@@ -20,16 +20,35 @@ on s only through its class, so summing p_i over the class leaves every
 conditional action value, and so rho, unchanged in exact arithmetic.
 The final certificate is computed on the original game, so the lifted
 profile's guarantee never rests on the quotient.
+
+When the hierarchy merges nothing, the coarse game is the original game
+with its atoms renamed, and the solver has already certified the coarse
+profile on it.  That is the case when the quotient merged no states (the
+coarse game shares the game's state space and payoff array) and every
+player's coarse partition has as many atoms as their own; their own
+refines the coarse one (the audit checked it), so each coarse atom then
+holds exactly the states of one original atom.  The final certificate
+is then the coarse one with each atom renamed to the original atom with
+the same members, listed in the original game's atom order, and its
+witness and verdict taken again against ``epsilon`` (``regret_report``).
+This is the certificate ``certify`` gives on the original game, bit for
+bit: the two games share the state space, the priors, the payoff array
+and the payoff classes; each atom has the same members, and the lift
+copies its coarse atom's distribution.  So every kernel row and every
+fold sums the same multiset of terms, and ``math.fsum`` is correctly
+rounded, so the order of the members does not matter.  In every other
+case the lifted profile is certified on the original game anew.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 from .game import GameFormatError, NestedGame, StrategyProfile, payoff_bound
 from .hierarchy import Hierarchy, PropertyReport, build_hierarchy
-from .regret import RegretReport, certify
+from .regret import RegretReport, certify, regret_report
 from .solver import (
     SolveResult,
     SolverConfig,
@@ -46,7 +65,11 @@ class Solution:
 
     ``profile`` is the lifted profile on the game's own information and
     ``report`` its exact certificate against ``epsilon``;
-    ``result.profile`` is the coarse profile the solver returned.
+    ``result.profile`` is the coarse profile the solver returned and
+    ``result.report`` its certificate on the coarse game.  When the
+    hierarchy merges nothing, ``report`` is ``result.report`` with its
+    atoms renamed and its verdict taken against ``epsilon``, which is
+    exactly the original game's certificate (see the module docstring).
     ``transfer_bound`` is ``delta * payoff_bound * action_profiles``
     plus the coarse profile's certified regret.
     """
@@ -94,6 +117,14 @@ def solve(
         to_agent_form(aux), SolverConfig(target_regret=target, seed=seed)
     )
     lifted = lift_strategy(result.profile, game, hierarchy)
+    renames = aux.coarse_game.space is game.space and all(
+        len(coarse.atoms) == len(part.atoms)
+        for coarse, part in zip(hierarchy.coarse, game.partitions)
+    )
+    if renames:
+        report = _renamed(result.report, game, hierarchy, epsilon)
+    else:
+        report = certify(game, lifted, epsilon)
     return Solution(
         delta=delta,
         target=target,
@@ -103,6 +134,24 @@ def solve(
         checks=aux.checks,
         result=result,
         profile=lifted,
-        report=certify(game, lifted, epsilon),
+        report=report,
         transfer_bound=delta * bound * profiles + result.certified_regret,
     )
+
+
+def _renamed(
+    report: RegretReport, game: NestedGame, hierarchy: Hierarchy, epsilon: float
+) -> RegretReport:
+    """The coarse game's certificate ``report`` on the original game, when
+    each coarse atom holds exactly the states of one original atom: each
+    atom renamed to the original one, in the original game's atom order,
+    against ``epsilon``."""
+    by_atom = {(e.player, e.atom): e for e in report.atoms}
+    table = {}
+    for i, (support, coarse) in enumerate(zip(game.supports, hierarchy.coarse), 1):
+        parent = coarse.atom_of
+        table[i] = {
+            atom: dataclasses.replace(by_atom[i, parent[members[0]]], atom=atom)
+            for atom, _, members in support.atoms
+        }
+    return regret_report(table, epsilon)

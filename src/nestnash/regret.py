@@ -221,13 +221,21 @@ def bayesian_regret(
 
 
 def certify(game: NestedGame, profile: StrategyProfile, epsilon: float) -> RegretReport:
-    """Full regret certificate against a target epsilon.
+    """Full regret certificate against a target epsilon: ``regret_report``
+    of the profile's ``bayesian_regret`` table."""
+    return regret_report(bayesian_regret(game, profile), epsilon)
+
+
+def regret_report(
+    table: dict[int, dict[Atom, AtomRegret]], epsilon: float
+) -> RegretReport:
+    """The certificate of a ``bayesian_regret`` table against epsilon.
 
     Passes when both the worst per-atom regret and the worst ex-ante
     regret are within epsilon plus the fixed slack.  The witness names
-    the player, atom, and deviating action realizing the worst regret.
+    the player, atom, and deviating action realizing the worst regret,
+    the first such atom in player order and then in the table's order.
     """
-    table = bayesian_regret(game, profile)
     atoms: list[AtomRegret] = []
     for i in sorted(table):
         atoms.extend(table[i].values())

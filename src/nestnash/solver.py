@@ -73,12 +73,28 @@ class AuxGame:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The solver's profile on the coarse game, with ``report``, its
+    certificate on that game against the target regret.
+
+    ``certified_regret`` is the report's worst per-atom regret and
+    ``converged`` whether it meets the target.  The pipeline reuses the
+    report as the lifted profile's certificate when the coarse game is
+    the original game with its atoms renamed (see ``pipeline``).
+    """
+
     profile: StrategyProfile
-    certified_regret: float
+    report: regret_mod.RegretReport
     iterations: int
     restarts: int
-    converged: bool
     method: str
+
+    @property
+    def certified_regret(self) -> float:
+        return self.report.max_regret
+
+    @property
+    def converged(self) -> bool:
+        return self.report.max_regret <= self.report.epsilon + regret_mod.CERT_SLACK
 
 
 def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
@@ -197,10 +213,8 @@ class AgentFormGame:
         self._contraction: list[str] = []
         axes = "abcdefghijklmnopqrtuvwxyz"[: self.n]  # "s" indexes states
         for i in range(1, self.n + 1):
-            part = game.partition_for(i)
-            ids = list(part.atoms.keys())
-            lookup = {a: r for r, a in enumerate(ids)}
-            idx = np.array([lookup[part.atom_of[s]] for s in self.states])
+            ids = list(game.partition_for(i).atoms)
+            idx = game.supports[i - 1].atom_index
             mass = np.zeros(len(ids))
             np.add.at(mass, idx, self.priors[i - 1])
             self.atom_ids.append(ids)
@@ -448,13 +462,11 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
     profile = agent_game.to_profile(tracker.best)
     coarse_game = agent_game.aux.coarse_game
     report = regret_mod.certify(coarse_game, profile, config.target_regret)
-    certified = report.max_regret
     return SolveResult(
         profile=profile,
-        certified_regret=certified,
+        report=report,
         iterations=tracker.iterations,
         restarts=restarts_used,
-        converged=certified <= config.target_regret + regret_mod.CERT_SLACK,
         method="predictive-rm+",
     )
 

@@ -8,7 +8,6 @@ positive with an exact unit sum, and payoff tables are complete.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -79,16 +78,15 @@ def random_nested_game(
         tuple(f"a{i}x{j}" for j in range(2 + int(rng.integers(0, 2))))
         for i in range(1, n + 1)
     )
-    values = {}
-    for s in states:
-        for prof in itertools.product(*actions):
-            values[(s, prof)] = tuple(
-                float(rng.integers(-2, 3)) for _ in range(n)
-            )
+    dims = tuple(map(len, actions))
+    # Drawn state by state, profile by profile, player by player.
+    draws = rng.integers(-2, 3, size=(s_count, math.prod(dims), n))
+    table = np.moveaxis(draws, 2, 0).astype(float, order="C")
+    table = table.reshape((n, s_count) + dims)
     return NestedGame(
         space=StateSpace(states=states, prior=prior),
         partitions=partitions,
-        payoffs=PayoffTensor(actions=actions, values=values),
+        payoffs=PayoffTensor.from_array(actions, states, table),
     )
 
 
@@ -204,18 +202,16 @@ def redundant_game(rng: np.random.Generator, s_count: int) -> NestedGame:
     state_ids = tuple(states)
     prior = exact_prior(np.array(weights) / math.fsum(weights), state_ids)
 
-    values = {}
-    for s, c in zip(state_ids, state_class):
-        for a, row in zip(acts, matrices[c]):
-            for b, u in zip(cols, row):
-                values[(s, (a, b))] = (float(u), -float(u))
+    rows = matrices[state_class].astype(float)
+    # Player 2's payoff is -u, so a zero payoff is -0.0 for player 2.
+    table = np.stack([rows, -rows])
     return NestedGame(
         space=StateSpace(states=state_ids, prior=prior),
         partitions=(
             InformationPartition(player=1, atom_of=atom_of_1),
             InformationPartition(player=2, atom_of=atom_of_2),
         ),
-        payoffs=PayoffTensor(actions=(acts, cols), values=values),
+        payoffs=PayoffTensor.from_array((acts, cols), state_ids, table),
     )
 
 

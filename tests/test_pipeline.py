@@ -3,11 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from generators import redundant_game
+from generators import random_nested_game, redundant_game
 from nestnash import game as game_module
-from nestnash.game import GameFormatError, InvalidGameError, PayoffTensor
+from nestnash import regret as regret_module
+from nestnash.game import (
+    GameFormatError,
+    InformationPartition,
+    InvalidGameError,
+    NestedGame,
+    PayoffTensor,
+)
 from nestnash.pipeline import solve
+from nestnash.regret import certify
+from nestnash.solver import build_auxiliary_game
 from test_game import two_state_game
+
+CORPUS_SEED = 20260819
 
 
 def test_player_without_actions_is_an_invalid_game():
@@ -38,3 +49,92 @@ def test_one_solve_computes_the_payoff_classes_once_per_game(monkeypatch):
     assert sum(g is game for g in calls) == 1
     assert len({id(g) for g in calls}) == len(calls)
     assert solution.hierarchy.classes is game.classes
+
+
+def shuffled_atoms(rng, game: NestedGame) -> NestedGame:
+    """``game`` with each partition's ``atom_of`` in a random insertion
+    order, so atoms and their members come in another order."""
+    partitions = []
+    for part in game.partitions:
+        items = list(part.atom_of.items())
+        order = rng.permutation(len(items)).tolist()
+        partitions.append(
+            InformationPartition(part.player, dict(items[k] for k in order))
+        )
+    return dataclasses.replace(game, partitions=tuple(partitions))
+
+
+@pytest.fixture
+def regret_calls(monkeypatch):
+    calls = []
+    original = regret_module.bayesian_regret
+
+    def counted(game, profile):
+        calls.append(game)
+        return original(game, profile)
+
+    monkeypatch.setattr(regret_module, "bayesian_regret", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_renamed_coarse_certificate_is_the_fresh_one(shuffle, regret_calls):
+    rng = np.random.default_rng(CORPUS_SEED)
+    order = np.random.default_rng(7)
+    epsilon = 0.05
+    for idx in range(100):
+        game = random_nested_game(rng)
+        if shuffle:
+            game = shuffled_atoms(order, game)
+        regret_calls.clear()
+        solution = solve(game, epsilon, seed=idx)
+        # No corpus game merges anything, so the solver's certificate is
+        # the only one computed.
+        assert len(regret_calls) == 1, idx
+        fresh = certify(game, solution.profile, epsilon)
+        assert solution.report == fresh, idx
+        assert repr(solution.report) == repr(fresh), idx
+        assert solution.result.certified_regret == solution.result.report.max_regret
+
+
+def test_merging_hierarchy_certifies_the_original_game(regret_calls):
+    game = redundant_game(np.random.default_rng(1), 120)
+    solution = solve(game, 0.05)
+    assert len(solution.hierarchy.coarse[0].atoms) < len(game.partitions[0].atoms)
+    assert len(regret_calls) == 2 and regret_calls[1] is game
+
+
+def test_hierarchy_merging_atoms_alone_certifies_anew(regret_calls):
+    # Every belief lies within L1 distance 2 < delta of the first centre,
+    # so each player keeps one coarse atom, while the payoff classes keep
+    # every state apart in the quotient.
+    game = random_nested_game(np.random.default_rng(5))
+    solution = solve(game, 0.05, delta=3.0)
+    aux = build_auxiliary_game(game, solution.hierarchy)
+    assert aux.coarse_game.space is game.space
+    assert len(solution.hierarchy.coarse[0].atoms) < len(game.partitions[0].atoms)
+    assert len(regret_calls) == 2 and regret_calls[1] is game
+    assert solution.report == certify(game, solution.profile, 0.05)
+
+
+def test_quotient_merging_states_alone_certifies_anew(regret_calls):
+    # Both states share every atom and one payoff row: the quotient keeps
+    # one state, though no atom merges.
+    base = two_state_game()
+    table = np.array(base.payoff_array)
+    table[:, 1] = table[:, 0]
+    game = NestedGame(
+        space=base.space,
+        partitions=(
+            InformationPartition(player=1, atom_of={"w1": "f", "w2": "f"}),
+            base.partitions[1],
+        ),
+        payoffs=PayoffTensor.from_array(
+            base.payoffs.actions, base.space.states, table
+        ),
+    )
+    solution = solve(game, 0.05)
+    aux = build_auxiliary_game(game, solution.hierarchy)
+    assert len(aux.coarse_game.space.states) == 1
+    assert len(regret_calls) == 2 and regret_calls[1] is game
+    assert solution.report == certify(game, solution.profile, 0.05)

@@ -22,6 +22,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -324,6 +325,15 @@ def _dumps(obj, depth: int) -> str:
     in both.  The C encoder takes each nonempty container that holds
     only scalars; a container of containers is joined here, in sorted
     key order as the stdlib does, and its keys must be strings.
+
+    A container whose children are all nonempty dicts of scalars (a
+    block of report rows) has the list of its children encoded in one
+    call, by the encoder for depth + 1, and the text split back into
+    one body per child at ``"}," + inner + "{"``, where ``inner`` is the
+    line break and indentation of depth + 2.  That split is exact: the
+    sequence holds a raw newline, which no encoded string does, and
+    inside a child every separator follows a scalar, never a ``}``, so
+    it occurs exactly at the boundaries between children.
     """
     if isinstance(obj, dict):
         values = obj.values()
@@ -334,17 +344,59 @@ def _dumps(obj, depth: int) -> str:
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     encoder, inner, close = _flat_encoder(depth)
-    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+    if not _any_container(values):
         text = encoder.encode(obj)
         return text[0] + inner + text[1:-1] + close + text[-1]
     if isinstance(obj, dict):
+        keys, children = zip(*sorted(obj.items()))
+    else:
+        keys, children = None, obj
+    if _are_rows(children):
+        return _dumps_rows(keys, children, depth)
+    if keys is not None:
         items = [
             f"{encode_key(key)}: {_dumps(value, depth + 1)}"
-            for key, value in sorted(obj.items())
+            for key, value in zip(keys, children)
         ]
         return "{" + inner + ("," + inner).join(items) + close + "}"
     items = [_dumps(value, depth + 1) for value in obj]
     return "[" + inner + ("," + inner).join(items) + close + "]"
+
+
+def _any_container(values) -> bool:
+    """Whether any of ``values`` is a dict, list or tuple (subclasses
+    included), tested without a Python-level loop."""
+    return any(map(isinstance, values, itertools.repeat((dict, list, tuple))))
+
+
+def _are_rows(children) -> bool:
+    """Whether every one of ``children`` is a nonempty dict of scalars."""
+    if not all(map(isinstance, children, itertools.repeat(dict))):
+        return False
+    values = itertools.chain.from_iterable(map(dict.values, children))
+    return all(children) and not _any_container(values)
+
+
+def _dumps_rows(keys: tuple | None, rows, depth: int) -> str:
+    """``_dumps`` of a container at ``depth`` whose children ``rows`` are
+    all nonempty dicts of scalars, under ``keys`` for a dict and None
+    for a list, in one call of the C encoder (see ``_dumps``)."""
+    encoder, row_inner, row_close = _flat_encoder(depth + 1)
+    _, inner, close = _flat_encoder(depth)
+    text = encoder.encode(list(rows))
+    bodies = text.split("}," + row_inner + "{")
+    del text
+    bodies[0] = bodies[0][2:]
+    bodies[-1] = bodies[-1][:-2]
+    if keys is None:
+        between = row_close + "}," + inner + "{" + row_inner
+        body = between.join(bodies)
+        return f"[{inner}{{{row_inner}{body}{row_close}}}{close}]"
+    # Each body becomes its item in place, so at most one copy of the
+    # block is alive besides the result.
+    for k, key in enumerate(keys):
+        bodies[k] = f"{encode_key(key)}: {{{row_inner}{bodies[k]}{row_close}}}"
+    return "{" + inner + ("," + inner).join(bodies) + close + "}"
 
 
 def _emit_report(

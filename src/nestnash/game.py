@@ -168,10 +168,14 @@ class PayoffTensor:
     ) -> "PayoffTensor":
         """The tensor whose array for ``states`` is ``table``.
 
-        ``table`` has the shape ``array`` describes, holds every entry
-        and is kept, made read-only.
+        ``table`` has the shape ``array`` describes and holds every
+        entry.  It is kept, made read-only, when it is already a
+        C-ordered float array, and copied into one otherwise: the
+        solver's sums follow the memory layout, so a strided table would
+        change its floats.
         """
         tensor = cls(actions, None)
+        table = np.ascontiguousarray(table, dtype=float)
         table.flags.writeable = False
         tensor._states, tensor._table = states, table
         return tensor

@@ -13,14 +13,26 @@ array (``PayoffTensor.from_array``): each check runs over a whole
 column of entries at once, and only when one fails are the entries
 rechecked one by one, so an error still names the first bad entry in
 file order, in the same words.
+
+``load_game`` and ``load_profile`` pause the cyclic garbage collector
+while they read: the decoded JSON tree is built, parsed and released
+with the collector off, and it is switched back on afterwards only if
+it was on before, on every exit, errors included.  That loses nothing.
+``json`` builds only trees of dicts, lists, strings and numbers, which
+hold no reference cycles, so a collection during the decode can free
+nothing; it only walks the growing tree, again and again, as the
+allocations trip its thresholds.  Any cyclic garbage the parse makes is
+collected as usual once the pause ends.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 import operator
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -504,8 +516,21 @@ def _read_json(path: str) -> Any:
             raise SchemaError(f"not valid JSON: {err}") from err
 
 
+def _load(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the file's JSON, with the collector paused (see the
+    module docstring).  The decoded tree is dropped when ``parse``
+    returns, before the collector's state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(_read_json(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_game(path: str) -> LoadedGame:
-    return parse_game(_read_json(path))
+    return _load(path, parse_game)
 
 
 def parse_profile(obj: Any) -> StrategyProfile:
@@ -544,7 +569,7 @@ def parse_profile(obj: Any) -> StrategyProfile:
 
 
 def load_profile(path: str) -> StrategyProfile:
-    return parse_profile(_read_json(path))
+    return _load(path, parse_profile)
 
 
 def profile_to_json(profile: StrategyProfile) -> dict:

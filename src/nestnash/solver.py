@@ -168,7 +168,8 @@ def _quotient(game: NestedGame, hierarchy: Hierarchy) -> NestedGame:
         for part in hierarchy.coarse
     )
     position = game.space.position
-    table = game.payoff_array[:, [position[s] for s in reps]]
+    # ``take`` writes a C-ordered table, which ``from_array`` keeps as is.
+    table = game.payoff_array.take([position[s] for s in reps], axis=1)
     payoffs = PayoffTensor.from_array(game.payoffs.actions, reps, table)
     return NestedGame(space=space, partitions=partitions, payoffs=payoffs)
 

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,3 +70,85 @@ class TestFinitePayoffs:
         # Same entries and signs, in array order whatever the file order.
         order = itertools.product(game.space.states, game.payoffs.profiles())
         assert repr(loaded.payoffs.values) == repr({k: source[k] for k in order})
+
+
+# -- the collector pause ------------------------------------------------------
+
+PROFILE_DOC = {
+    "version": 1,
+    "field_level": "original",
+    "strategies": {"1": {"a": {"H": 0.5, "T": 0.5}}},
+}
+
+
+@pytest.fixture
+def collector():
+    """Put the collector back as the test found it, whatever the test does."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("ok", None),
+        ("malformed", gamefile.SchemaError),
+        ("schema", gamefile.SchemaError),
+        ("missing", OSError),
+    ],
+)
+@pytest.mark.parametrize("kind", ["game", "profile"])
+def test_loading_leaves_the_collector_as_found(
+    kind, case, error, enabled, collector, tmp_path
+):
+    if kind == "game":
+        load = gamefile.load_game
+        game = redundant_game(np.random.default_rng(1), 12)
+        doc = finite_doc(game, list(game.payoffs.values), False)
+    else:
+        load, doc = gamefile.load_profile, PROFILE_DOC
+    if case == "schema":
+        doc = dict(doc, version=2)
+    path = tmp_path / "file.json"
+    if case != "missing":
+        path.write_text("{" if case == "malformed" else json.dumps(doc))
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if error is None:
+        load(str(path))
+    else:
+        with pytest.raises(error):
+            load(str(path))
+    assert gc.isenabled() is enabled
+
+
+def test_no_collection_runs_while_a_game_file_loads(collector, tmp_path):
+    game = redundant_game(np.random.default_rng(1), 600)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(finite_doc(game, list(game.payoffs.values), False)))
+    path = str(path)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        # With the collector running, decoding the file alone collects.
+        gamefile._read_json(path)
+        assert starts
+        starts.clear()
+        gamefile.load_game(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+    assert gc.isenabled()

@@ -138,3 +138,19 @@ def test_quotient_merging_states_alone_certifies_anew(regret_calls):
     assert len(aux.coarse_game.space.states) == 1
     assert len(regret_calls) == 2 and regret_calls[1] is game
     assert solution.report == certify(game, solution.profile, 0.05)
+
+
+def test_solve_does_not_depend_on_the_payoff_array_layout():
+    # The solver's sums follow the payoff array's memory layout, so
+    # ``from_array`` keeps a strided table as a C-ordered copy.
+    rng = np.random.default_rng(2)
+    for idx in range(20):
+        game = random_nested_game(rng, 30, (2,))
+        table = np.asfortranarray(game.payoff_array)
+        actions, states = game.payoffs.actions, game.space.states
+        payoffs = PayoffTensor.from_array(actions, states, table)
+        strided = NestedGame(game.space, game.partitions, payoffs)
+        assert strided.payoff_array.flags.c_contiguous
+        got, want = solve(strided, 0.05), solve(game, 0.05)
+        assert repr(got.report) == repr(want.report), idx
+        assert repr(got.profile) == repr(want.profile), idx

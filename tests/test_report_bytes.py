@@ -18,7 +18,9 @@ each, in JSON and in CSV.
 The encoder test checks ``cli._dumps`` against
 ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` on
 random trees, including the strings and floats where a hand-made
-encoder would most likely differ.
+encoder would most likely differ, and on blocks of report rows, which
+it encodes one block per call; a count test checks that a large
+report's rows reach the encoder a block at a time.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -249,6 +252,59 @@ def test_dumps_matches_the_stdlib(doc):
     assert _dumps(doc, 0) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
+# Blocks of rows: containers of 1-5 nonempty dicts of scalars, which
+# ``_dumps`` encodes in one call and splits at the row boundaries.  The
+# texts include the boundary itself, as it reads in a block at depth 0,
+# and without its indentation.
+_ROW_TEXT = st.one_of(_TEXT, st.sampled_from(['},\n    {', '},\n']))
+_ROW_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    _FLOATS,
+    _ROW_TEXT,
+)
+_ROWS = st.dictionaries(_ROW_TEXT, _ROW_SCALARS, min_size=1, max_size=4)
+_BLOCKS = st.one_of(
+    st.lists(_ROWS, min_size=1, max_size=5),
+    st.lists(_ROWS, min_size=1, max_size=5).map(tuple),
+    st.dictionaries(_ROW_TEXT, _ROWS, min_size=1, max_size=5),
+)
+# Blocks nested in other containers, beside scalars.
+_BLOCK_TREES = st.recursive(
+    _BLOCKS,
+    lambda inner: st.one_of(
+        st.lists(st.one_of(inner, _SCALARS), min_size=1, max_size=3),
+        st.dictionaries(_TEXT, st.one_of(inner, _SCALARS), min_size=1, max_size=3),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BLOCK_TREES)
+def test_dumps_matches_the_stdlib_on_blocks_of_rows(doc):
+    assert _dumps(doc, 0) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # An empty dict or a dict holding a container is no row.
+        [{}, {"a": 1}],
+        [{"a": 1}, {}],
+        {"a": {}, "b": {"c": 1}},
+        [{"a": 1}, {"b": []}],
+        # Subclasses of dict and list count as containers.
+        {"b": OrderedDict(z=1, y=[]), "a": [OrderedDict(x=0.5), {"w": None}]},
+        [OrderedDict(b=1, a=2), OrderedDict(c=[1])],
+    ],
+)
+def test_dumps_matches_the_stdlib_beside_rows(doc):
+    assert _dumps(doc, 0) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "tree",
@@ -258,11 +314,43 @@ def test_dumps_matches_the_stdlib(doc):
         lambda v: {"k": v},
         lambda v: {"k": v, "l": []},
         lambda v: {"k": [(1, v)]},
+        lambda v: [{"k": v}],
+        lambda v: [{"k": 1.0}, {"k": v, "l": 2}],
+        lambda v: {"a": {"k": 1.0}, "b": {"k": v}},
     ],
 )
 def test_dumps_rejects_non_finite_floats(value, tree):
     with pytest.raises(ValueError):
         _dumps(tree(value), 0)
+
+
+def _encode_calls(monkeypatch, tmp_path, states: int) -> int:
+    """How many times the JSON encoder runs while the CLI writes the
+    ``solve`` report of a ``redundant_game`` with ``states`` states."""
+    game = redundant_game(np.random.default_rng(1), states)
+    path = str(tmp_path / f"game{states}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(finite_doc(game, list(game.payoffs.values), ints=False), handle)
+    calls = []
+    encode = json.JSONEncoder.encode
+
+    def counted(self, obj):
+        calls.append(type(obj))
+        return encode(self, obj)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json.JSONEncoder, "encode", counted)
+        out = path + ".report"
+        assert main(["solve", "--game", path, "--epsilon", "0.05", "--out", out]) == 0
+    return len(calls)
+
+
+def test_report_rows_are_encoded_a_block_at_a_time(monkeypatch, tmp_path):
+    # The 2,400-state game's report lists several hundred atoms; their
+    # rows and strategies go to the encoder one block per call.
+    calls = _encode_calls(monkeypatch, tmp_path, 2400)
+    assert calls < 100
+    assert _encode_calls(monkeypatch, tmp_path, 600) == calls
 
 
 if __name__ == "__main__":

@@ -199,8 +199,8 @@ def _hierarchy_block(
     ]
     atoms = {
         str(i): {
-            "original": len(game.partition_for(i).atoms),
-            "coarse": len(hier.coarse_partition(i).atoms),
+            "original": len(game.partition_for(i).ids),
+            "coarse": len(hier.coarse_partition(i).ids),
         }
         for i in range(1, game.n + 1)
     }

@@ -27,7 +27,11 @@ the atom of every state as an integer array, and the positive-mass atoms
 with their ``math.fsum`` masses and weighed members, shared by every
 game with the same state space and partition).  The belief hierarchy
 and the certifier both read them; each is a pure function of the game
-itself, so the certifier still trusts nothing from the solver.
+itself, so the certifier still trusts nothing from the solver.  After
+the load, partitions are read as integer labels
+(``InformationPartition.labels``): the nestedness check, the supports,
+the hierarchy, its audit, the quotient and the lift compare label arrays
+instead of walking dicts state by state.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Hashable
 
@@ -106,7 +110,7 @@ class StateSpace:
     @cached_property
     def position(self) -> dict[State, int]:
         """Index of each state in ``states``."""
-        return {s: k for k, s in enumerate(self.states)}
+        return dict(zip(self.states, range(len(self.states))))
 
     @cached_property
     def _supports(self) -> dict:
@@ -118,7 +122,11 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class InformationPartition:
-    """A player's information, given as the atom containing each state."""
+    """A player's information, given as the atom containing each state.
+
+    Stages after the load read it as integer labels: ``labels(states)``
+    gives each state's index into ``ids``, the atoms in partition order.
+    """
 
     player: int
     atom_of: dict[State, Atom]
@@ -130,6 +138,41 @@ class InformationPartition:
         for state, atom in self.atom_of.items():
             grouped.setdefault(atom, []).append(state)
         return {a: tuple(ss) for a, ss in grouped.items()}
+
+    @classmethod
+    def from_labels(
+        cls,
+        player: int,
+        states: tuple[State, ...],
+        labels: np.ndarray,
+        firsts: np.ndarray,
+    ) -> "InformationPartition":
+        """The partition putting ``states[k]`` in atom ``labels[k]``, with
+        atoms numbered by first appearance, atom k's first at ``firsts[k]``
+        (what ``_labelled`` would compute, so it is kept instead)."""
+        part = cls(player, dict(zip(states, labels.tolist())))
+        part.__dict__["_labelled"] = (states, labels, firsts)
+        return part
+
+    @cached_property
+    def ids(self) -> tuple[Atom, ...]:
+        atoms = list(self.atom_of.values())
+        return tuple(map(atoms.__getitem__, self._labelled[2].tolist()))
+
+    @cached_property
+    def _labelled(self) -> tuple[tuple[State, ...], np.ndarray, np.ndarray]:
+        """The states in ``atom_of``'s order, each one's label and each
+        atom's first position among them."""
+        codes, firsts = _group(self.atom_of.values())
+        return tuple(self.atom_of), codes, firsts
+
+    def labels(self, states: tuple[State, ...]) -> np.ndarray:
+        """Each state's index into ``ids``, in the order of ``states``."""
+        keys, codes, _ = self._labelled
+        if states == keys:
+            return codes
+        code = dict(zip(keys, codes.tolist()))
+        return np.fromiter(map(code.__getitem__, states), np.intp, len(states))
 
 
 class PayoffTensor:
@@ -373,14 +416,16 @@ class Support:
     """One player's own information under their own prior.
 
     ``atom_index[k]`` is the position, in partition order, of the atom
-    holding the k-th state.  ``atoms`` lists the positive-mass atoms in
-    partition order as (atom, mass, members with positive prior), each
-    mass the ``math.fsum`` of the atom's prior.  ``positions`` and
-    ``weights`` hold those members' state positions and priors, atom
-    after atom; they are exactly the states the player's prior weighs.
+    holding the k-th state, and ``masses`` holds each atom's mass in
+    partition order, the ``math.fsum`` of its prior.  ``atoms`` lists
+    the positive-mass atoms in partition order as (atom, mass, members
+    with positive prior).  ``positions`` and ``weights`` hold those
+    members' state positions and priors, atom after atom; they are
+    exactly the states the player's prior weighs.
     """
 
     atom_index: np.ndarray
+    masses: np.ndarray
     atoms: tuple[tuple[Atom, float, tuple[State, ...]], ...]
     positions: np.ndarray
     weights: np.ndarray
@@ -398,17 +443,33 @@ def refines(fine: InformationPartition, coarse: InformationPartition) -> bool:
 
 
 def _refinement_witness(
-    fine: InformationPartition, coarse: InformationPartition
+    fine: InformationPartition,
+    coarse: InformationPartition | Mapping[State, Hashable],
+    by_atom: bool = False,
 ) -> tuple[State, State] | None:
-    """A pair of states in one fine atom but different coarse atoms, if any."""
-    first: dict[Atom, State] = {}
-    for state, atom in fine.atom_of.items():
-        if atom in first:
-            if coarse.atom_of[first[atom]] != coarse.atom_of[state]:
-                return (first[atom], state)
-        else:
-            first[atom] = state
-    return None
+    """A pair of states in one fine atom but different coarse atoms (or
+    labels, for a mapping), if any: a fine atom's first state and the first
+    state, in ``fine.atom_of``'s order, whose coarse atom is not that one's;
+    with ``by_atom``, the first such state in the first fine atom holding one."""
+    keys, codes, firsts = fine._labelled
+    head = firsts[codes]
+    if isinstance(coarse, InformationPartition):
+        coarse_of = coarse.labels(keys)
+    else:
+        coarse_of = np.array(list(map(coarse.__getitem__, keys)))
+    split = coarse_of[head] != coarse_of
+    if not split.any():
+        return None
+    split = split.nonzero()[0]
+    k = split[codes[split].argmin()] if by_atom else split[0]
+    return keys[head[k]], keys[k]
+
+
+def _fsums(values: list[float], sizes: list[int]) -> list[float]:
+    """The ``math.fsum`` of each run of ``values``, run k holding the next
+    ``sizes[k]``."""
+    runs = iter(values)
+    return list(map(math.fsum, map(itertools.islice, itertools.repeat(runs), sizes)))
 
 
 def _check_prior(
@@ -416,28 +477,25 @@ def _check_prior(
     label: str,
     prior: Mapping[State, float],
     states: tuple[State, ...],
+    known: set[State],
 ) -> None:
-    known = set(states)
-    missing = [s for s in states if s not in prior]
-    extra = [s for s in prior if s not in known]
-    if missing:
-        violations.append(
-            Violation("prior", f"{label} missing mass for state {missing[0]!r}")
-        )
-    if extra:
-        violations.append(
-            Violation("prior", f"{label} assigns mass to unknown state {extra[0]!r}")
-        )
-    if missing or extra:
+    if prior.keys() != known:
+        missing = [s for s in states if s not in prior]
+        extra = [s for s in prior if s not in known]
+        if missing:
+            message = f"{label} missing mass for state {missing[0]!r}"
+            violations.append(Violation("prior", message))
+        if extra:
+            message = f"{label} assigns mass to unknown state {extra[0]!r}"
+            violations.append(Violation("prior", message))
         return
-    for s in states:
-        v = prior[s]
-        if not math.isfinite(v) or v < 0:
-            violations.append(
-                Violation("prior", f"{label} has invalid mass {v!r} at state {s!r}")
-            )
-            return
-    total = math.fsum(prior[s] for s in states)
+    masses = list(map(prior.__getitem__, states))
+    if not all(map(math.isfinite, masses)) or min(masses) < 0:
+        s, m = next((s, m) for s, m in zip(states, masses) if not 0 <= m < math.inf)
+        message = f"{label} has invalid mass {m!r} at state {s!r}"
+        violations.append(Violation("prior", message))
+        return
+    total = math.fsum(masses)
     if abs(total - 1.0) > MASS_TOL:
         violations.append(Violation("prior", f"{label} sums to {total:.12g}"))
 
@@ -446,7 +504,8 @@ def validate_game(game: NestedGame) -> ValidationReport:
     """Structural and semantic validation; returns all violations found."""
     v: list[Violation] = []
     states = game.space.states
-    if len(set(states)) != len(states):
+    state_set = set(states)
+    if len(state_set) != len(states):
         v.append(Violation("states", "duplicate state ids"))
         return ValidationReport(tuple(v))
     if game.n < 2:
@@ -461,15 +520,14 @@ def validate_game(game: NestedGame) -> ValidationReport:
         )
         return ValidationReport(tuple(v))
 
-    _check_prior(v, "prior", game.space.prior, states)
+    _check_prior(v, "prior", game.space.prior, states, state_set)
     if game.space.player_priors:
         for player, prior in game.space.player_priors.items():
             if not (1 <= player <= game.n):
                 v.append(Violation("prior", f"prior given for unknown player {player}"))
                 continue
-            _check_prior(v, f"player {player} prior", prior, states)
+            _check_prior(v, f"player {player} prior", prior, states, state_set)
 
-    state_set = set(states)
     for idx, part in enumerate(game.partitions, start=1):
         if part.player != idx:
             v.append(
@@ -478,7 +536,9 @@ def validate_game(game: NestedGame) -> ValidationReport:
                     f"partition at position {idx} is labeled player {part.player}",
                 )
             )
-        covered = set(part.atom_of)
+        covered = part.atom_of.keys()
+        if covered == state_set:
+            continue
         for s in states:
             if s not in covered:
                 v.append(
@@ -487,7 +547,7 @@ def validate_game(game: NestedGame) -> ValidationReport:
                     )
                 )
                 break
-        for s in part.atom_of:
+        for s in covered:
             if s not in state_set:
                 v.append(
                     Violation(
@@ -565,7 +625,7 @@ def _group(keys: Iterable[Hashable]) -> tuple[np.ndarray, np.ndarray]:
     """Dense group ids of ``keys``, numbered by first appearance, and the
     position of each group's first key."""
     first: dict[Hashable, int] = {}
-    rep = np.array([first.setdefault(k, r) for r, k in enumerate(keys)], np.intp)
+    rep = np.fromiter(map(first.setdefault, keys, itertools.count()), np.intp)
     firsts = np.fromiter(first.values(), np.intp, len(first))
     dense = np.empty(len(rep), np.intp)
     dense[firsts] = np.arange(len(firsts))
@@ -660,7 +720,7 @@ def _strategies_at(
     try:
         for j in players:
             atom_index = game.supports[j - 1].atom_index
-            atoms = list(game.partitions[j - 1].atoms)
+            atoms = game.partitions[j - 1].ids
             used = np.zeros(len(atoms), bool)
             used[atom_index[positions]] = True
             strategy = profile.strategies[j]
@@ -751,28 +811,44 @@ def _expectation_rows(
 
 def _support(space: StateSpace, player: int, part: InformationPartition) -> Support:
     """The player's ``Support``; callers read the cached ``game.supports``."""
-    prior = space.prior_for(player)
-    states = space.states
-    lookup = {atom: k for k, atom in enumerate(part.atoms)}
-    atom_index = np.fromiter(
-        map(lookup.__getitem__, map(part.atom_of.__getitem__, states)),
-        np.intp,
-        len(states),
-    )
-    atoms = []
-    for atom, members in part.atoms.items():
-        mass = math.fsum(map(prior.__getitem__, members))
+    keys, codes, _ = part._labelled
+    # The states atom after atom, each atom's in ``atom_of``'s order.
+    grouped = list(map(keys.__getitem__, np.argsort(codes, kind="stable").tolist()))
+    prior = list(map(space.prior_for(player).__getitem__, grouped))
+    sizes = np.bincount(codes).tolist()
+    masses = _fsums(prior, sizes)
+    # Priors are nonnegative: a member of a positive-mass atom is weighed
+    # when its own prior is positive.
+    weighed = list(map((0.0).__lt__, prior))
+    kept = list(itertools.compress(grouped, weighed))
+    members, atoms, start = iter(kept), [], 0
+    for atom, mass, n in zip(part.ids, masses, sizes):
         if mass > 0.0:
-            atoms.append((atom, mass, tuple(s for s in members if prior[s] > 0.0)))
-    weighed = [s for _, _, members in atoms for s in members]
+            count = sum(weighed[start : start + n])
+            atoms.append((atom, mass, tuple(itertools.islice(members, count))))
+        start += n
     return Support(
-        atom_index=atom_index,
+        atom_index=part.labels(space.states),
+        masses=np.array(masses),
         atoms=tuple(atoms),
-        positions=np.fromiter(
-            map(space.position.__getitem__, weighed), np.intp, len(weighed)
-        ),
-        weights=np.fromiter(map(prior.__getitem__, weighed), float, len(weighed)),
+        positions=np.fromiter(map(space.position.__getitem__, kept), np.intp),
+        weights=np.fromiter(itertools.compress(prior, weighed), float, len(kept)),
     )
+
+
+def coarsen(game: NestedGame, partitions: Sequence[InformationPartition]) -> NestedGame:
+    """``game`` with each player's information replaced by their partition
+    in ``partitions``.  A player whose new partition labels every state as
+    their own does, so that only the atom ids differ, gets the game's
+    ``Support`` with its atoms renamed instead of a new one."""
+    space, partitions = game.space, tuple(partitions)
+    for i, (support, part) in enumerate(zip(game.supports, partitions), start=1):
+        if not (part.labels(space.states) != support.atom_index).any():
+            rows = (support.masses > 0.0).nonzero()[0].tolist()
+            atoms = tuple((part.ids[r], *a[1:]) for r, a in zip(rows, support.atoms))
+            renamed = replace(support, atoms=atoms)
+            space._supports.setdefault((i, id(part)), (part, renamed))
+    return NestedGame(space=space, partitions=partitions, payoffs=game.payoffs)
 
 
 def _atom_values(

@@ -573,15 +573,23 @@ def load_profile(path: str) -> StrategyProfile:
 
 
 def profile_to_json(profile: StrategyProfile) -> dict:
-    """Report-ready form with string keys and insertion order preserved."""
+    """Report-ready form with string keys and insertion order preserved.
+    A player whose ids are all ``str`` and probabilities all ``float``, as
+    the solver and the loader make them, needs no conversion: one pass over
+    the types shows it, and the strategies are copied as they are."""
     strategies = {}
     for player in sorted(profile.strategies):
-        per_atom = {}
-        for atom, dist in profile.strategies[player].items():
-            per_atom[_key_string(atom)] = {
-                _key_string(a): float(p) for a, p in dist.items()
-            }
-        strategies[str(player)] = per_atom
+        table = profile.strategies[player]
+        dists = table.values()
+        ids = itertools.chain(table, itertools.chain.from_iterable(dists))
+        probs = itertools.chain.from_iterable(map(dict.values, dists))
+        if set(map(type, ids)) <= {str} and set(map(type, probs)) <= {float}:
+            strategies[str(player)] = dict(zip(table, map(dict, dists)))
+            continue
+        strategies[str(player)] = {
+            _key_string(atom): {_key_string(a): float(p) for a, p in dist.items()}
+            for atom, dist in table.items()
+        }
     return {
         "version": FORMAT_VERSION,
         "field_level": profile.field_level,

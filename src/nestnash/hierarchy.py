@@ -18,9 +18,11 @@ is level i's with the state's level-i belief index inserted before the
 payoff class, combined as one integer and renumbered densely by first
 appearance, so ids stay below S^2.  The coarse partitions are built the
 other way, from level n down: player i's key is the level-i belief
-index followed by player i + 1's key.  Each output dict is built once
-from its array, and each belief is summed with ``math.fsum`` per (atom,
-signal) bucket, as a plain loop would.
+index followed by player i + 1's key.  Beliefs come from one stable
+sort of the weighed states by (atom, signal), each bucket summed with
+``math.fsum`` as a plain loop would; each distinct belief is matched to
+a centre once.  The output dicts are built from the arrays, and the
+audit compares label arrays (``InformationPartition.labels``).
 
 Every payoff-transfer argument downstream leans on one fact, which the
 clustering guarantees by construction: each member atom's exact belief
@@ -32,9 +34,11 @@ centre distance per level.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +50,8 @@ from .game import (
     NestedGame,
     PayoffClasses,
     State,
+    Support,
+    _fsums,
     _group,
     _refinement_witness,
 )
@@ -56,9 +62,9 @@ Belief = dict[int, float]
 
 def _l1(p: Belief, q: Belief) -> float:
     """L1 distance between two sparse beliefs, summed with fsum."""
+    diffs = map(operator.sub, p.values(), map(q.get, p, itertools.repeat(0.0)))
     return math.fsum(
-        [abs(w - q.get(z, 0.0)) for z, w in p.items()]
-        + [w for z, w in q.items() if z not in p]
+        itertools.chain(map(abs, diffs), map(q.__getitem__, q.keys() - p.keys()))
     )
 
 
@@ -71,7 +77,8 @@ class HierarchyLevel:
     ``signal_of`` maps states to indices into that list, -1 for states
     carrying no mass under any prior.  ``belief_support`` holds the
     cluster centres, each a sparse map from signal index to weight;
-    ``belief_of`` assigns one per state via its atom.
+    ``belief_of`` assigns one per state via its atom, and ``beliefs``
+    holds the same indices as an integer array over the state order.
     """
 
     player: int
@@ -81,6 +88,7 @@ class HierarchyLevel:
     belief_of: dict[State, int]
     atom_belief: dict[Atom, int]
     max_l1_gap: float
+    beliefs: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,33 @@ class Hierarchy:
     def atom_for_key(self, player: int, key: tuple[int, ...]):
         """Coarse atom realizing a belief-index tuple, or None."""
         return self._atom_by_key[player - 1].get(key)
+
+
+def _exact_beliefs(support: Support, signals: np.ndarray, count: int) -> list[Belief]:
+    """Each atom's belief, in partition order: per signal (``signals[k]`` <
+    ``count`` is the k-th weighed member's), the fsum of its members'
+    weights over its mass, in order of first appearance; a zero-mass
+    atom's is the point mass on signal 0 (see ``build_hierarchy``)."""
+    key = support.atom_index[support.positions] * count + signals
+    # One bucket per (atom, signal): a run of the stable sort by key.
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    starts = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()]
+    sizes = list(map(operator.sub, starts[1:] + [len(key)], starts))
+    sums = _fsums(support.weights[order].tolist(), sizes)
+    masses, keys, members = support.masses.tolist(), ordered.tolist(), order.tolist()
+    first = list(map(members.__getitem__, starts))
+    # Members run atom after atom, so buckets in order of their first
+    # member run atom after atom too.  Zero-mass atoms share one point
+    # mass, which nothing fills.
+    beliefs: list[Belief] = [{0: 1.0}] * len(masses)
+    atom = -1
+    for b in sorted(range(len(starts)), key=first.__getitem__):
+        a, z = divmod(keys[starts[b]], count)
+        if a != atom:
+            atom, beliefs[a] = a, {}
+        beliefs[a][z] = sums[b] / masses[a]
+    return beliefs
 
 
 def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
@@ -142,39 +177,25 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     observed = [(k,) for k in range(classes.count)]
 
     levels: list[HierarchyLevel] = []
-    beliefs: list[np.ndarray] = []
     for i, support in enumerate(supports, start=1):
         group, first = _group(observable[live].tolist())
         signal = np.full(len(states), -1, np.intp)
         signal[live] = group
-        partition = game.partition_for(i)
-        # Each positive-mass atom's members: their signals and priors.
-        signals = signal[support.positions].tolist()
-        weights = support.weights.tolist()
-        segments: dict[Atom, tuple[float, int, int]] = {}
-        start = 0
-        for atom, mass, members in support.atoms:
-            segments[atom] = (mass, start, start + len(members))
-            start += len(members)
+        beliefs = _exact_beliefs(support, signal[support.positions], len(first))
 
         centres: list[Belief] = []
         # Centres by signal index: a centre sharing no signal with a
         # belief is at distance exactly 2, so below delta = 2 only these
         # need a look.
         centres_on: dict[int, list[int]] = {}
-        atom_belief: dict[Atom, int] = {}
+        # Each distinct belief, in order of first appearance, and its
+        # centre.  Centres are only appended, so atoms with equal beliefs
+        # meet the same centre at the same distance (0 for one they open).
+        keys = list(map(tuple, map(dict.items, beliefs)))
+        matched = dict.fromkeys(keys)
         max_gap = 0.0
-        for atom in partition.atoms:
-            segment = segments.get(atom)
-            if segment is not None:
-                mass, start, stop = segment
-                buckets: dict[int, list[float]] = {}
-                for z, w in zip(signals[start:stop], weights[start:stop]):
-                    buckets.setdefault(z, []).append(w)
-                belief = {z: math.fsum(ws) / mass for z, ws in buckets.items()}
-            else:
-                # Zero-mass atom: point mass on the first support element.
-                belief = {0: 1.0}
+        for items in matched:
+            belief = dict(items)
             if delta > 2.0:
                 near = range(len(centres))
             else:
@@ -189,9 +210,10 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
                 for z in belief:
                     centres_on.setdefault(z, []).append(c)
             max_gap = max(max_gap, gap)
-            atom_belief[atom] = c
+            matched[items] = c
+        atom_beliefs = list(map(matched.__getitem__, keys))
 
-        belief_of = np.array(list(atom_belief.values()), np.intp)[support.atom_index]
+        belief_of = np.array(atom_beliefs, np.intp)[support.atom_index]
         levels.append(
             HierarchyLevel(
                 player=i,
@@ -201,11 +223,13 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
                 signal_of=dict(zip(states, signal.tolist())),
                 belief_support=tuple(centres),
                 belief_of=dict(zip(states, belief_of.tolist())),
-                atom_belief=atom_belief,
+                atom_belief=dict(zip(game.partition_for(i).ids, atom_beliefs)),
                 max_l1_gap=max_gap,
+                beliefs=belief_of,
             )
         )
-        beliefs.append(belief_of)
+        if i == game.n:
+            break
         # The class stays last: z = (b_1, ..., b_i, class) at level i + 1.
         # Renumbering keeps the combined ids below S^2.
         previous = observable
@@ -222,15 +246,15 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     coarse_keys: list[dict[Atom, tuple[int, ...]]] = []
     key = np.zeros(len(states), np.intp)
     tuples: list[tuple[int, ...]] = [()]
-    for level, belief_of in zip(reversed(levels), reversed(beliefs)):
-        previous = key
+    for level in reversed(levels):
+        previous, belief_of = key, level.beliefs
         key, first = _group((belief_of * len(tuples) + previous).tolist())
         tuples = [
             (b,) + tuples[k]
             for b, k in zip(belief_of[first].tolist(), previous[first].tolist())
         ]
         coarse_parts.append(
-            InformationPartition(level.player, dict(zip(states, key.tolist())))
+            InformationPartition.from_labels(level.player, states, key, first)
         )
         coarse_keys.append(dict(enumerate(tuples)))
 
@@ -310,8 +334,7 @@ def check_properties(game: NestedGame, hierarchy: Hierarchy) -> PropertyReport:
     checks: list[PropertyCheck] = []
     n = game.n
     for i in range(1, n + 1):
-        part = hierarchy.coarse_partition(i)
-        count = len(part.atoms)
+        count = len(hierarchy.coarse_partition(i).ids)
         cap = 1
         for j in range(i, n + 1):
             cap *= len(hierarchy.level(j).belief_support)
@@ -354,16 +377,11 @@ def check_properties(game: NestedGame, hierarchy: Hierarchy) -> PropertyReport:
 
     for i in range(1, n + 1):
         level = hierarchy.level(i)
-        part = hierarchy.coarse_partition(i)
-        bad: tuple[State, State] | None = None
-        for atom, members in part.atoms.items():
-            first = members[0]
-            for s in members[1:]:
-                if level.belief_of[s] != level.belief_of[first]:
-                    bad = (first, s)
-                    break
-            if bad:
-                break
+        # Constant on coarse atoms: the coarse partition refines the
+        # belief index's level sets.
+        bad = _refinement_witness(
+            hierarchy.coarse_partition(i), level.belief_of, by_atom=True
+        )
         checks.append(
             PropertyCheck(
                 name="belief-constant-on-atoms",

@@ -118,7 +118,7 @@ def solve(
     )
     lifted = lift_strategy(result.profile, game, hierarchy)
     renames = aux.coarse_game.space is game.space and all(
-        len(coarse.atoms) == len(part.atoms)
+        len(coarse.ids) == len(part.ids)
         for coarse, part in zip(hierarchy.coarse, game.partitions)
     )
     if renames:

@@ -6,7 +6,8 @@ transfer back to the original game with a quantified regret penalty.
 No coarse strategy can tell apart two states that share every coarse
 atom and their payoff class, so the auxiliary game keeps one state per
 such class (``build_auxiliary_game``), which leaves every conditional
-action value as it was.  It is solved in agent form: one agent per
+action value as it was; the classes, the summed priors and the lift are
+read off integer label arrays.  It is solved in agent form: one agent per
 (player, positive-mass coarse atom), each choosing a mixed action.
 
 Every coarse game is solved by alternating predictive regret
@@ -42,6 +43,10 @@ from .game import (
     State,
     StateSpace,
     StrategyProfile,
+    _refinement_witness,
+    _fsums,
+    _group,
+    coarsen,
 )
 from .hierarchy import Hierarchy, PropertyReport, check_properties
 
@@ -140,20 +145,17 @@ def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
 
 def _quotient(game: NestedGame, hierarchy: Hierarchy) -> NestedGame:
     """The coarse game on one state per (player 1 coarse atom, payoff class)."""
-    atom_of = hierarchy.coarse[0].atom_of
-    index_of = hierarchy.classes.index_of
-    classes: dict[tuple[Atom, int], list[State]] = {}
-    for s in game.space.states:
-        classes.setdefault((atom_of[s], index_of[s]), []).append(s)
-    if len(classes) == len(game.space.states):
-        return NestedGame(
-            space=game.space, partitions=hierarchy.coarse, payoffs=game.payoffs
-        )
-    members = list(classes.values())
-    reps = tuple(m[0] for m in members)
+    states, classes = game.space.states, hierarchy.classes
+    labels = hierarchy.coarse[0].labels(states) * classes.count + classes.ids
+    merged, first = _group(labels.tolist())
+    if len(first) == len(states):
+        return coarsen(game, hierarchy.coarse)
+    reps = tuple(map(states.__getitem__, first.tolist()))
+    grouped = list(map(states.__getitem__, np.argsort(merged, kind="stable").tolist()))
+    sizes = np.bincount(merged).tolist()
 
     def summed(prior) -> dict[State, float]:
-        return {m[0]: math.fsum(prior[s] for s in m) for m in members}
+        return dict(zip(reps, _fsums(list(map(prior.__getitem__, grouped)), sizes)))
 
     player_priors = game.space.player_priors
     space = StateSpace(
@@ -164,12 +166,11 @@ def _quotient(game: NestedGame, hierarchy: Hierarchy) -> NestedGame:
         else {i: summed(p) for i, p in player_priors.items()},
     )
     partitions = tuple(
-        InformationPartition(part.player, {s: part.atom_of[s] for s in reps})
+        InformationPartition(part.player, dict(zip(reps, map(part.atom_of.get, reps))))
         for part in hierarchy.coarse
     )
-    position = game.space.position
     # ``take`` writes a C-ordered table, which ``from_array`` keeps as is.
-    table = game.payoff_array.take([position[s] for s in reps], axis=1)
+    table = game.payoff_array.take(first, axis=1)
     payoffs = PayoffTensor.from_array(game.payoffs.actions, reps, table)
     return NestedGame(space=space, partitions=partitions, payoffs=payoffs)
 
@@ -202,7 +203,7 @@ class AgentFormGame:
             ]
         )
 
-        self.atom_ids: list[list[Atom]] = []
+        self.atom_ids: list[tuple[Atom, ...]] = []
         self.atom_index: list[np.ndarray] = []
         self.positive: list[np.ndarray] = []
         self._divisors: list[np.ndarray] = []
@@ -214,7 +215,7 @@ class AgentFormGame:
         self._contraction: list[str] = []
         axes = "abcdefghijklmnopqrtuvwxyz"[: self.n]  # "s" indexes states
         for i in range(1, self.n + 1):
-            ids = list(game.partition_for(i).atoms)
+            ids = game.partition_for(i).ids
             idx = game.supports[i - 1].atom_index
             mass = np.zeros(len(ids))
             np.add.at(mass, idx, self.priors[i - 1])
@@ -483,16 +484,19 @@ def lift_strategy(
     """
     if aux_profile.field_level != "coarse":
         raise GameFormatError("lift expects a coarse-level profile")
+    states = game.space.states
     strategies: dict[int, dict[Atom, dict[Action, float]]] = {}
     for i in range(1, game.n + 1):
-        coarse = hierarchy.coarse_partition(i)
-        table: dict[Atom, dict[Action, float]] = {}
-        for atom, members in game.partition_for(i).atoms.items():
-            parents = {coarse.atom_of[s] for s in members}
-            if len(parents) != 1:
-                raise GameFormatError(
-                    f"player {i} atom {atom!r} straddles coarse atoms"
-                )
-            table[atom] = dict(aux_profile.distribution(i, parents.pop()))
-        strategies[i] = table
+        part, coarse = game.partition_for(i), hierarchy.coarse_partition(i)
+        straddles = _refinement_witness(part, coarse, by_atom=True)
+        if straddles is not None:
+            raise GameFormatError(
+                f"player {i} atom {part.atom_of[straddles[0]]!r} straddles coarse atoms"
+            )
+        parent = np.empty(len(part.ids), np.intp)
+        parent[part.labels(states)] = coarse.labels(states)
+        strategies[i] = {
+            atom: dict(aux_profile.distribution(i, coarse.ids[p]))
+            for atom, p in zip(part.ids, parent.tolist())
+        }
     return StrategyProfile(strategies=strategies, field_level="original")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from generators import random_nested_game, redundant_game
 from nestnash import gamefile
-from nestnash.game import PayoffTensor
+from nestnash.game import PayoffTensor, StrategyProfile
 
 
 def finite_doc(game, keys, ints: bool) -> dict:
@@ -152,3 +152,37 @@ def test_no_collection_runs_while_a_game_file_loads(collector, tmp_path):
         gc.callbacks.remove(count)
     assert starts == []
     assert gc.isenabled()
+
+
+class _Label(str):
+    """A ``str`` subclass, which ``_key_string`` keeps as it is."""
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"a": {"L": 0.5, "R": 0.5}, "b": {"L": 1}},
+        {"a": {"L": 0.5}, 3: {"L": 0.5}},
+        {("x", 1): {"U": 1.0}, "b": {"D": 1.0}},
+        {"a": {"L": 0.25, 2: 0.75}},
+        {"a": {_Label("U"): 1.0}, _Label("b"): {"D": 1.0}},
+    ],
+)
+def test_profile_ids_become_their_key_strings(table):
+    # Only ids that are not all ``str`` go through ``_key_string``; the
+    # report is the same either way.
+    profile = StrategyProfile({1: table, 2: {"z": {"H": 1.0}}})
+    expected = {
+        str(player): {
+            gamefile._key_string(atom): {
+                gamefile._key_string(a): float(p) for a, p in dist.items()
+            }
+            for atom, dist in strategies.items()
+        }
+        for player, strategies in profile.strategies.items()
+    }
+    got = gamefile.profile_to_json(profile)["strategies"]
+    assert json.dumps(got) == json.dumps(expected)
+    assert [list(map(type, t)) for t in got.values()] == [
+        list(map(type, t)) for t in expected.values()
+    ]

@@ -51,6 +51,40 @@ def test_one_solve_computes_the_payoff_classes_once_per_game(monkeypatch):
     assert solution.hierarchy.classes is game.classes
 
 
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_a_solve_that_merges_nothing_builds_each_support_once(shuffle, monkeypatch):
+    # No corpus game merges anything.  Each coarse partition then labels
+    # the states as the game's own does, up to the atom ids, so the coarse
+    # game's supports are the game's renamed; with shuffled partitions the
+    # atoms come in another order, and the coarse supports are built anew.
+    calls = []
+    original = game_module._support
+
+    def counted(space, player, part):
+        calls.append(player)
+        return original(space, player, part)
+
+    monkeypatch.setattr(game_module, "_support", counted)
+    rng, order = np.random.default_rng(CORPUS_SEED), np.random.default_rng(7)
+    for idx in range(30):
+        game = random_nested_game(rng)
+        if shuffle:
+            game = shuffled_atoms(order, game)
+        calls.clear()
+        solution = solve(game, 0.05, seed=idx)
+        players = list(range(1, game.n + 1))
+        assert calls[: game.n] == players, idx
+        if shuffle:
+            continue
+        assert calls == players, idx
+        coarse = build_auxiliary_game(game, solution.hierarchy).coarse_game
+        for i, support in enumerate(coarse.supports, start=1):
+            fresh = original(coarse.space, i, coarse.partition_for(i))
+            assert support.atoms == fresh.atoms
+            for name in ("atom_index", "masses", "positions", "weights"):
+                assert np.array_equal(getattr(support, name), getattr(fresh, name))
+
+
 def shuffled_atoms(rng, game: NestedGame) -> NestedGame:
     """``game`` with each partition's ``atom_of`` in a random insertion
     order, so atoms and their members come in another order."""

@@ -4,7 +4,9 @@ against the stdlib.
 ``data/report_digests.json`` holds the sha256 of every report the CLI
 writes for the small games of ``test_cli``: ``solve`` on all four,
 ``hierarchy`` and ``verify`` on the three finite ones, each in JSON and
-in CSV.  Any change to a report byte fails here, whether it comes from
+in CSV.  None of those games merges atoms, so it also pins ``solve`` on
+two 600-state games whose hierarchy does (``MERGING``), which reach the
+quotient, the audit and the lift on hundreds of atoms.  Any change to a report byte fails here, whether it comes from
 the encoder, a block's layout or a number the pipeline computes.
 Regenerate the file only for a deliberate change of the reports:
 
@@ -37,9 +39,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import random_nested_game, redundant_game
+from generators import noisy_redundant_game, random_nested_game, redundant_game
 from nestnash.cli import _dumps, main
 from nestnash.game import NestedGame, PayoffTensor
+from nestnash.pipeline import solve
+from nestnash.solver import build_auxiliary_game
 from test_cli import (
     ANCHOR_EQUILIBRIUM,
     ANCHOR_GAME,
@@ -85,6 +89,14 @@ PROFILES = {
 
 SOLVE_EPSILON = {"mp": 0.05, "anchor": 0.05, "types": 0.1, "continuous": 0.1}
 
+# Games whose hierarchy merges atoms: 200 player-1 atoms each, coarsened
+# to a few (see ``test_merging_games_merge``).
+MERGING = {
+    "redundant": lambda: redundant_game(np.random.default_rng(7), 600),
+    "noisy": lambda: noisy_redundant_game(np.random.default_rng(8), 600, 1e-3),
+}
+MERGING_EPSILON = 0.05
+
 
 def _cases(directory: str):
     """(name, argv) for every pinned report, writing its inputs to
@@ -98,7 +110,16 @@ def _cases(directory: str):
 
     games = {name: write(name, doc) for name, doc in GAMES.items()}
     profiles = {name: write(name + "-profile", doc) for name, doc in PROFILES.items()}
+    merging = {}
+    for name, make in MERGING.items():
+        game = make()
+        keys = itertools.product(game.space.states, game.payoffs.profiles())
+        merging[name] = write(name, finite_doc(game, keys, ints=False))
     for fmt in ("json", "csv"):
+        for name, path in merging.items():
+            yield f"solve-{name}-{fmt}", [
+                "solve", "--game", path, "--epsilon", str(MERGING_EPSILON),
+            ]
         for name, path in games.items():
             eps = str(SOLVE_EPSILON[name])
             yield f"solve-{name}-{fmt}", ["solve", "--game", path, "--epsilon", eps]
@@ -128,6 +149,18 @@ def test_reports_match_pinned_digests(tmp_path):
     with open(DATA, encoding="utf-8") as handle:
         pinned = json.load(handle)
     assert report_digests(str(tmp_path)) == pinned
+
+
+@pytest.mark.parametrize("name", sorted(MERGING))
+def test_merging_games_merge(name):
+    # Their pinned reports cover the quotient and the lift only while the
+    # hierarchy merges states and atoms.
+    game = MERGING[name]()
+    sol = solve(game, MERGING_EPSILON)
+    coarse = sol.hierarchy.coarse_partition(1)
+    assert len(coarse.atoms) < len(game.partition_for(1).atoms) // 4
+    aux = build_auxiliary_game(game, sol.hierarchy)
+    assert len(aux.coarse_game.space.states) < len(game.space.states)
 
 
 # -- entry order --------------------------------------------------------------

@@ -5,10 +5,10 @@ partition per player and a dense payoff tensor over states and joint
 action profiles.  A payoff tensor holds one float array
 (``PayoffTensor.array``), and every stage that reads the whole table
 (validation, the payoff bound and classes, the agent form, the
-certifier) reads it.  The game file loader and the grid game write that
-array directly; a tensor built from a dict keyed by ``(state,
-profile)`` stacks it from the dict once.  Nothing depends on the order
-in which a file or a dict lists the entries.
+certifier) reads it.  The game file loader, ``from_type_space`` and the
+grid game write that array directly; a tensor built from a dict keyed
+by ``(state, profile)`` stacks it from the dict once.  Nothing depends
+on the order in which a file or a dict lists the entries.
 Player 1 is the most informed: validity requires each player's
 partition to refine the next player's.  Strategies are maps
 from partition atoms to mixed actions, so they are measurable with
@@ -31,7 +31,9 @@ itself, so the certifier still trusts nothing from the solver.  After
 the load, partitions are read as integer labels
 (``InformationPartition.labels``): the nestedness check, the supports,
 the hierarchy, its audit, the quotient and the lift compare label arrays
-instead of walking dicts state by state.
+instead of walking dicts state by state.  Every per-state fact derived
+from a game is kept once, as such an array: the class ids, each
+support's atom index, and the hierarchy's ``signals`` and ``beliefs``.
 """
 
 from __future__ import annotations
@@ -102,10 +104,6 @@ class StateSpace:
         if self.player_priors and player in self.player_priors:
             return self.player_priors[player]
         return self.prior
-
-    def mass(self, states: Iterable[State], player: int) -> float:
-        p = self.prior_for(player)
-        return math.fsum(p[s] for s in states)
 
     @cached_property
     def position(self) -> dict[State, int]:
@@ -181,8 +179,8 @@ class PayoffTensor:
     A tensor holds its actions, the dict of entries keyed by ``(state,
     profile)`` it was built from (``PayoffTensor(actions, values)``), if
     any, and one payoff array with the state order it follows.  The game
-    file loader and the grid game give the array itself
-    (``PayoffTensor.from_array``); a dict is stacked into it on the
+    file loader, ``from_type_space`` and the grid game give the array
+    itself (``PayoffTensor.from_array``); a dict is stacked into it on the
     first call of ``array``.  Every stage that reads the whole table
     reads that array.  For an array-backed tensor the dict ``values`` is
     built on first use, in array order; only the plain oracles and
@@ -399,14 +397,12 @@ class PayoffClasses:
     """Distinct per-state payoff matrices, enumerated over the state order.
 
     Two states belong to the same class when their full payoff matrices
-    (all players, all action profiles) are identical.  ``index_of`` maps
-    every state to its class and ``ids`` holds the same class ids as an
-    integer array over the state order; ``representatives`` holds the
-    first state seen in each class.
+    (all players, all action profiles) are identical.  ``ids`` holds each
+    state's class as an integer array over the state order, and
+    ``representatives`` holds the first state seen in each class.
     """
 
     count: int
-    index_of: dict[State, int]
     representatives: tuple[State, ...]
     ids: np.ndarray = field(compare=False, repr=False)
 
@@ -443,20 +439,15 @@ def refines(fine: InformationPartition, coarse: InformationPartition) -> bool:
 
 
 def _refinement_witness(
-    fine: InformationPartition,
-    coarse: InformationPartition | Mapping[State, Hashable],
-    by_atom: bool = False,
+    fine: InformationPartition, coarse: InformationPartition, by_atom: bool = False
 ) -> tuple[State, State] | None:
-    """A pair of states in one fine atom but different coarse atoms (or
-    labels, for a mapping), if any: a fine atom's first state and the first
-    state, in ``fine.atom_of``'s order, whose coarse atom is not that one's;
-    with ``by_atom``, the first such state in the first fine atom holding one."""
+    """A pair of states in one fine atom but different coarse atoms, if
+    any: a fine atom's first state and the first state, in
+    ``fine.atom_of``'s order, whose coarse atom is not that one's; with
+    ``by_atom``, the first such state in the first fine atom holding one."""
     keys, codes, firsts = fine._labelled
     head = firsts[codes]
-    if isinstance(coarse, InformationPartition):
-        coarse_of = coarse.labels(keys)
-    else:
-        coarse_of = np.array(list(map(coarse.__getitem__, keys)))
+    coarse_of = coarse.labels(keys)
     split = coarse_of[head] != coarse_of
     if not split.any():
         return None
@@ -684,7 +675,6 @@ def payoff_classes(game: NestedGame) -> PayoffClasses:
     ids, openers = _group(rep.tolist())
     return PayoffClasses(
         count=len(openers),
-        index_of=dict(zip(states, ids.tolist())),
         representatives=tuple(states[k] for k in openers.tolist()),
         ids=ids,
     )
@@ -1037,9 +1027,10 @@ def from_type_space(
         atom_of = {sid(tp): "|".join(tp[i - 1 :]) for tp in live}
         partitions.append(InformationPartition(player=i, atom_of=atom_of))
 
-    values: dict[tuple[State, tuple[Action, ...]], tuple[float, ...]] = {}
+    profiles = list(itertools.product(*action_sets))
+    rows: list[tuple[float, ...]] = []
     for tp in live:
-        for aprof in itertools.product(*action_sets):
+        for aprof in profiles:
             key = (tp, aprof)
             if key not in norm_payoffs:
                 raise GameFormatError(
@@ -1050,10 +1041,12 @@ def from_type_space(
                 raise GameFormatError(
                     f"payoff entry at {key!r} has {len(vals)} values, expected {n}"
                 )
-            values[(sid(tp), aprof)] = vals
+            rows.append(vals)
+    shape = (n, len(states)) + tuple(map(len, action_sets))
+    table = np.array(rows, float).T.reshape(shape)
 
     return NestedGame(
         space=StateSpace(states=states, prior=prior),
         partitions=tuple(partitions),
-        payoffs=PayoffTensor(actions=action_sets, values=values),
+        payoffs=PayoffTensor.from_array(action_sets, states, table),
     )

@@ -21,8 +21,9 @@ other way, from level n down: player i's key is the level-i belief
 index followed by player i + 1's key.  Beliefs come from one stable
 sort of the weighed states by (atom, signal), each bucket summed with
 ``math.fsum`` as a plain loop would; each distinct belief is matched to
-a centre once.  The output dicts are built from the arrays, and the
-audit compares label arrays (``InformationPartition.labels``).
+a centre once.  Each level keeps its labels as they are computed, the
+arrays ``signals`` and ``beliefs``, and the audit compares label arrays
+(``InformationPartition.labels``).
 
 Every payoff-transfer argument downstream leans on one fact, which the
 clustering guarantees by construction: each member atom's exact belief
@@ -39,7 +40,6 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .game import (
     PayoffClasses,
     State,
     Support,
+    _fold_atoms,
     _fsums,
     _group,
     _refinement_witness,
@@ -73,33 +74,35 @@ class HierarchyLevel:
     """One player's belief layer.
 
     ``signal_support`` lists the realized values of the level-i
-    observable as tuples (belief index at levels 1..i-1, payoff class).
-    ``signal_of`` maps states to indices into that list, -1 for states
-    carrying no mass under any prior.  ``belief_support`` holds the
-    cluster centres, each a sparse map from signal index to weight;
-    ``belief_of`` assigns one per state via its atom, and ``beliefs``
-    holds the same indices as an integer array over the state order.
+    observable as tuples (belief index at levels 1..i-1, payoff class),
+    and ``signals`` holds each state's index into that list as an integer
+    array over the state order, -1 for states carrying no mass under any
+    prior.  ``belief_support`` holds the cluster centres, each a sparse
+    map from signal index to weight, and ``beliefs`` holds each state's
+    centre, that of its atom, as an integer array over the state order.
     """
 
     player: int
     signal_support: tuple[tuple[int, ...], ...]
-    signal_of: dict[State, int]
     belief_support: tuple[Belief, ...]
-    belief_of: dict[State, int]
-    atom_belief: dict[Atom, int]
     max_l1_gap: float
+    signals: np.ndarray = field(repr=False, compare=False)
     beliefs: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """All levels plus the induced coarse information partitions."""
+    """All levels plus the induced coarse information partitions.
+
+    ``coarse_keys[i - 1]`` maps each belief-index tuple (levels i..n)
+    that some state realizes to player i's coarse atom holding it.
+    """
 
     game: NestedGame
     delta: float
     levels: tuple[HierarchyLevel, ...]
     coarse: tuple[InformationPartition, ...]
-    coarse_keys: tuple[dict[Atom, tuple[int, ...]], ...]
+    coarse_keys: tuple[dict[tuple[int, ...], Atom], ...]
     classes: PayoffClasses
 
     def level(self, player: int) -> HierarchyLevel:
@@ -108,15 +111,9 @@ class Hierarchy:
     def coarse_partition(self, player: int) -> InformationPartition:
         return self.coarse[player - 1]
 
-    @cached_property
-    def _atom_by_key(self) -> tuple[dict[tuple[int, ...], Atom], ...]:
-        return tuple(
-            {key: atom for atom, key in keys.items()} for keys in self.coarse_keys
-        )
-
     def atom_for_key(self, player: int, key: tuple[int, ...]):
         """Coarse atom realizing a belief-index tuple, or None."""
-        return self._atom_by_key[player - 1].get(key)
+        return self.coarse_keys[player - 1].get(key)
 
 
 def _exact_beliefs(support: Support, signals: np.ndarray, count: int) -> list[Belief]:
@@ -160,7 +157,7 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     Raises InvalidGameError when the game fails validation.
     """
     game.require_valid()
-    if delta <= 0:
+    if not delta > 0:
         raise GameFormatError("delta must be positive")
 
     classes = game.classes
@@ -211,21 +208,18 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
                     centres_on.setdefault(z, []).append(c)
             max_gap = max(max_gap, gap)
             matched[items] = c
-        atom_beliefs = list(map(matched.__getitem__, keys))
-
-        belief_of = np.array(atom_beliefs, np.intp)[support.atom_index]
+        atom_centres = np.array(list(map(matched.__getitem__, keys)), np.intp)
+        belief_ids = atom_centres[support.atom_index]
         levels.append(
             HierarchyLevel(
                 player=i,
                 signal_support=tuple(
                     observed[k] for k in observable[live[first]].tolist()
                 ),
-                signal_of=dict(zip(states, signal.tolist())),
                 belief_support=tuple(centres),
-                belief_of=dict(zip(states, belief_of.tolist())),
-                atom_belief=dict(zip(game.partition_for(i).ids, atom_beliefs)),
                 max_l1_gap=max_gap,
-                beliefs=belief_of,
+                signals=signal,
+                beliefs=belief_ids,
             )
         )
         if i == game.n:
@@ -233,30 +227,30 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
         # The class stays last: z = (b_1, ..., b_i, class) at level i + 1.
         # Renumbering keeps the combined ids below S^2.
         previous = observable
-        observable, first = _group((previous * len(centres) + belief_of).tolist())
+        observable, first = _group((previous * len(centres) + belief_ids).tolist())
         observed = [
             observed[k][:-1] + (b, observed[k][-1])
-            for k, b in zip(previous[first].tolist(), belief_of[first].tolist())
+            for k, b in zip(previous[first].tolist(), belief_ids[first].tolist())
         ]
 
     # Coarse partition for player i: level sets of the belief tuple i..n,
     # built from level n down.  States with identical tuples collapse into
     # one atom even when their original atoms differ.
     coarse_parts: list[InformationPartition] = []
-    coarse_keys: list[dict[Atom, tuple[int, ...]]] = []
+    coarse_keys: list[dict[tuple[int, ...], Atom]] = []
     key = np.zeros(len(states), np.intp)
     tuples: list[tuple[int, ...]] = [()]
     for level in reversed(levels):
-        previous, belief_of = key, level.beliefs
-        key, first = _group((belief_of * len(tuples) + previous).tolist())
+        previous, belief_ids = key, level.beliefs
+        key, first = _group((belief_ids * len(tuples) + previous).tolist())
         tuples = [
             (b,) + tuples[k]
-            for b, k in zip(belief_of[first].tolist(), previous[first].tolist())
+            for b, k in zip(belief_ids[first].tolist(), previous[first].tolist())
         ]
         coarse_parts.append(
             InformationPartition.from_labels(level.player, states, key, first)
         )
-        coarse_keys.append(dict(enumerate(tuples)))
+        coarse_keys.append({t: k for k, t in enumerate(tuples)})
 
     return Hierarchy(
         game=game,
@@ -293,15 +287,18 @@ def expectation_gap(
             raise GameFormatError(
                 f"functional exceeds its stated bound at {z!r}: {f[z]!r}"
             )
-    prior = game.prior_for(player)
-    support = level.signal_support
-    worst = 0.0
-    for atom, mass, members in game.supports[player - 1].atoms:
-        exact = math.fsum(prior[s] * f[support[level.signal_of[s]]] for s in members)
-        centre = level.belief_support[level.atom_belief[atom]]
-        approx = math.fsum(w * f[support[z]] for z, w in centre.items())
-        worst = max(worst, abs(exact / mass - approx))
-    return worst
+    values = [f[z] for z in level.signal_support]
+    # f's expectation under each centre.
+    centres = [
+        math.fsum(w * values[z] for z, w in c.items()) for c in level.belief_support
+    ]
+    support = game.supports[player - 1]
+    at = support.positions
+    exact = _fold_atoms(support, np.array(values, float)[level.signals[at], None])
+    # Each positive-mass atom's centre, read at its first weighed state.
+    firsts = np.cumsum([0] + [len(members) for _, _, members in support.atoms])[:-1]
+    approx = np.array(centres)[level.beliefs[at[firsts]]]
+    return float(np.abs(exact[:, 0] - approx).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -333,6 +330,7 @@ def check_properties(game: NestedGame, hierarchy: Hierarchy) -> PropertyReport:
     """
     checks: list[PropertyCheck] = []
     n = game.n
+    states = game.space.states
     for i in range(1, n + 1):
         count = len(hierarchy.coarse_partition(i).ids)
         cap = 1
@@ -376,12 +374,11 @@ def check_properties(game: NestedGame, hierarchy: Hierarchy) -> PropertyReport:
         )
 
     for i in range(1, n + 1):
-        level = hierarchy.level(i)
         # Constant on coarse atoms: the coarse partition refines the
         # belief index's level sets.
-        bad = _refinement_witness(
-            hierarchy.coarse_partition(i), level.belief_of, by_atom=True
-        )
+        labels = hierarchy.level(i).beliefs.tolist()
+        beliefs = InformationPartition.from_labels(i, states, *_group(labels))
+        bad = _refinement_witness(hierarchy.coarse_partition(i), beliefs, by_atom=True)
         checks.append(
             PropertyCheck(
                 name="belief-constant-on-atoms",

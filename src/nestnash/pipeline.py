@@ -99,9 +99,12 @@ def solve(
     ``delta`` (belief accuracy) defaults to ``epsilon / (2 M A)``
     and ``target`` (the coarse solver's regret goal) to ``epsilon / 2``.
     Raises InvalidGameError before any arithmetic when the game fails
-    validation, and GameFormatError when ``delta`` is not positive.
+    validation, and GameFormatError when ``epsilon`` is not finite and
+    positive or ``delta`` is not positive.
     """
     game.require_valid()
+    if not 0.0 < epsilon < math.inf:
+        raise GameFormatError("epsilon must be finite and positive")
     bound = payoff_bound(game)
     profiles = math.prod(len(acts) for acts in game.payoffs.actions)
     if delta is None:

@@ -235,7 +235,11 @@ def regret_report(
     regret are within epsilon plus the fixed slack.  The witness names
     the player, atom, and deviating action realizing the worst regret,
     the first such atom in player order and then in the table's order.
+    Raises GameFormatError unless 0 <= epsilon < inf: an infinite
+    epsilon would pass every profile, and a NaN one none.
     """
+    if not 0.0 <= epsilon < math.inf:
+        raise GameFormatError("epsilon must be finite and nonnegative")
     atoms: list[AtomRegret] = []
     for i in sorted(table):
         atoms.extend(table[i].values())
@@ -439,11 +443,11 @@ def coarse_best_response_gap(
     index: list[int] = []
     rows: dict[int, list[dict[Action, float]]] = {j: [] for j in others}
     for atom in exact:
-        rep = partition.atoms[atom][0]
+        at = position[partition.atoms[atom][0]]
         own_tail = tuple(
-            hierarchy.level(j).belief_of[rep] for j in range(player, n + 1)
+            int(hierarchy.level(j).beliefs[at]) for j in range(player, n + 1)
         )
-        centre = level.belief_support[level.belief_of[rep]]
+        centre = level.belief_support[own_tail[0]]
         counts.append(len(centre))
         for z_idx, weight in centre.items():
             z = level.signal_support[z_idx]

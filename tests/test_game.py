@@ -338,7 +338,7 @@ class TestPayoffs:
         )
         merged = payoff_classes(same)
         assert merged.count == 1
-        assert merged.index_of["w1"] == merged.index_of["w2"]
+        assert merged.ids.tolist() == [0, 0]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_payoff_classes_match_the_per_state_loop(self, seed):
@@ -558,39 +558,26 @@ class TestSpaces:
         assert list(part.atoms.keys()) == ["x", "y"]
         assert part.atoms["x"] == ("w3", "w1")
 
-    def test_mass_uses_requested_player_prior(self):
-        space = StateSpace(
-            states=("w1", "w2"),
-            prior={"w1": 0.5, "w2": 0.5},
-            player_priors={1: {"w1": 1.0, "w2": 0.0}, 2: {"w1": 0.5, "w2": 0.5}},
-        )
-        assert space.mass(("w1",), 1) == 1.0
-        assert space.mass(("w1",), 2) == 0.5
-        assert math.isclose(space.mass(("w1", "w2"), 2), 1.0)
-
 
 def classes_oracle(game: NestedGame) -> PayoffClasses:
     """Plain reference: one dict lookup per state on its row's bytes."""
     table = game.payoff_array
-    index_of, reps, keys = {}, [], {}
+    ids, reps, keys = [], [], {}
     for k, s in enumerate(game.space.states):
         key = (table[:, k] + 0.0).tobytes()
         if key not in keys:
             keys[key] = len(reps)
             reps.append(s)
-        index_of[s] = keys[key]
+        ids.append(keys[key])
     return PayoffClasses(
-        count=len(reps),
-        index_of=index_of,
-        representatives=tuple(reps),
-        ids=np.array(list(index_of.values()), np.intp),
+        count=len(reps), representatives=tuple(reps), ids=np.array(ids, np.intp)
     )
 
 
 def assert_same_classes(got: PayoffClasses, want: PayoffClasses) -> None:
     assert got == want
-    assert list(got.index_of) == list(want.index_of)
-    assert got.ids.tolist() == list(want.index_of.values())
+    assert got.ids.dtype == want.ids.dtype
+    assert got.ids.tolist() == want.ids.tolist()
 
 
 def array_game(rng, players: int, width: bool) -> NestedGame:

@@ -87,8 +87,9 @@ class TestBuildHierarchy:
 
     def test_atom_for_key_lookup(self, informed_anchor):
         h = build_hierarchy(informed_anchor, 0.2)
-        key = h.coarse_keys[1][next(iter(h.coarse_partition(2).atoms))]
-        assert h.atom_for_key(2, key) is not None
+        key, atom = next(iter(h.coarse_keys[1].items()))
+        assert atom in h.coarse_partition(2).atoms
+        assert h.atom_for_key(2, key) == atom
         assert h.atom_for_key(2, (99,)) is None
 
     def test_skewed_prior_rounding_gap(self, informed_anchor):
@@ -112,7 +113,8 @@ class TestBuildHierarchy:
         # the second centre, yet joins the first, 0.32 away.
         game = anchor_copies(informed_anchor, 0.5, 0.58, 0.42, 0.7, 0.66)
         level = build_hierarchy(game, 0.35).level(2)
-        assert [level.atom_belief[f"b.{j}"] for j in range(5)] == [0, 0, 0, 1, 0]
+        # Atom b.j holds the states w1.j and w2.j, in that order.
+        assert level.beliefs.tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 0, 0]
         assert level.belief_support[1] == pytest.approx({0: 0.7, 1: 0.3})
         assert level.max_l1_gap == pytest.approx(0.32, abs=1e-12)
 
@@ -149,7 +151,7 @@ class TestBuildHierarchy:
     def test_zero_mass_states_get_unrealized_signal(self, informed_anchor):
         degenerate = anchor_with_prior(informed_anchor, {"w1": 1.0, "w2": 0.0})
         h = build_hierarchy(degenerate, 0.2)
-        assert h.level(1).signal_of["w2"] == -1
+        assert h.level(1).signals.tolist() == [0, -1]
         assert h.level(1).signal_support == ((0,),)
         assert h.level(1).max_l1_gap == 0.0
         assert check_properties(degenerate, h).ok
@@ -162,6 +164,8 @@ class TestBuildHierarchy:
     def test_rejects_nonpositive_delta(self, informed_anchor):
         with pytest.raises(GameFormatError):
             build_hierarchy(informed_anchor, 0.0)
+        with pytest.raises(GameFormatError, match="delta must be positive"):
+            build_hierarchy(informed_anchor, float("nan"))
 
     def test_construction_is_deterministic(self):
         games = [
@@ -175,6 +179,9 @@ class TestBuildHierarchy:
                 assert a.level(i).signal_support == b.level(i).signal_support
                 assert a.level(i).belief_support == b.level(i).belief_support
                 assert a.level(i).max_l1_gap == b.level(i).max_l1_gap
+                # Dataclass equality skips the label arrays.
+                assert a.level(i).signals.tolist() == b.level(i).signals.tolist()
+                assert a.level(i).beliefs.tolist() == b.level(i).beliefs.tolist()
             assert a.coarse_keys == b.coarse_keys
 
     def test_gap_respects_delta_on_random_games(self):
@@ -197,11 +204,13 @@ class TestBuildHierarchy:
         rng = np.random.default_rng(5)
         for nu in (1e-2, 1e-1):
             game = noisy_redundant_game(rng, 300, nu)
+            position = game.space.position
             for delta in (0.3, 0.05):
                 h = build_hierarchy(game, delta)
                 assert len(h.level(1).belief_support) < 100
                 for i in range(1, game.n + 1):
                     level = h.level(i)
+                    signals, beliefs = level.signals.tolist(), level.beliefs.tolist()
                     for a, b in itertools.combinations(level.belief_support, 2):
                         assert l1(a, b) >= delta - 1e-12
                     prior = game.prior_for(i)
@@ -209,9 +218,9 @@ class TestBuildHierarchy:
                         mass = sum(prior[s] for s in members)
                         exact: dict[int, float] = {}
                         for s in members:
-                            z = level.signal_of[s]
+                            z = signals[position[s]]
                             exact[z] = exact.get(z, 0.0) + prior[s] / mass
-                        centre = level.belief_support[level.atom_belief[atom]]
+                        centre = level.belief_support[beliefs[position[members[0]]]]
                         assert l1(exact, centre) < delta + 1e-12
 
 
@@ -275,33 +284,44 @@ def partly_unrealized_game() -> NestedGame:
 
 def hierarchy_digest(h) -> str:
     """sha256 of every field of a hierarchy in a canonical dump: dicts as
-    (repr(key), value) pairs in their own order, floats as float.hex."""
+    (repr(key), value) pairs in their own order, label arrays as
+    (repr(state), label) pairs in state order, each atom's belief as
+    (repr(atom), belief) pairs in partition order, coarse keys as
+    (repr(atom), key) pairs, floats as float.hex."""
+    states = h.game.space.states
 
     def pairs(d):
         return [[repr(k), v] for k, v in d.items()]
+
+    def by_state(labels):
+        return pairs(dict(zip(states, labels.tolist())))
+
+    def by_atom(part, labels):
+        at = dict(zip(states, labels.tolist()))
+        return [[repr(atom), at[members[0]]] for atom, members in part.atoms.items()]
 
     doc = {
         "delta": h.delta.hex(),
         "classes": [
             h.classes.count,
-            pairs(h.classes.index_of),
+            by_state(h.classes.ids),
             [repr(s) for s in h.classes.representatives],
         ],
         "levels": [
             [
                 level.player,
                 [list(z) for z in level.signal_support],
-                pairs(level.signal_of),
+                by_state(level.signals),
                 [[[z, w.hex()] for z, w in c.items()] for c in level.belief_support],
-                pairs(level.belief_of),
-                pairs(level.atom_belief),
+                by_state(level.beliefs),
+                by_atom(h.game.partition_for(level.player), level.beliefs),
                 level.max_l1_gap.hex(),
             ]
             for level in h.levels
         ],
         "coarse": [[part.player, pairs(part.atom_of)] for part in h.coarse],
         "coarse_keys": [
-            [[repr(atom), list(key)] for atom, key in keys.items()]
+            [[repr(atom), list(key)] for key, atom in keys.items()]
             for keys in h.coarse_keys
         ],
     }
@@ -362,7 +382,7 @@ class TestPinnedHierarchies:
     def test_unrealized_game_exercises_both_conventions(self):
         game = partly_unrealized_game()
         h = build_hierarchy(game, 0.15)
-        assert -1 in h.level(1).signal_of.values()
+        assert -1 in h.level(1).signals.tolist()
         prior2 = game.prior_for(2)
         assert any(
             all(prior2[s] == 0.0 for s in members)

@@ -7,11 +7,15 @@ nested games whose partitions list their states in shuffled order, with
 zero-prior states of both signs, an optional per-player prior and
 integer, tuple or string atom ids, and compare every result with a
 reference below that walks the per-state dicts one state at a time.
+The readers of the hierarchy's label arrays (``expectation_gap`` and
+``coarse_best_response_gap``) are compared float for float with plain
+loops over ``ref_hierarchy``'s dicts.
 Hierarchies are also tampered with, so that the audit's witnesses and
 the lift's error are exercised.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +34,8 @@ from nestnash.game import (
     _refinement_witness,
     validate_game,
 )
-from nestnash.hierarchy import build_hierarchy, check_properties
+from nestnash.hierarchy import build_hierarchy, check_properties, expectation_gap
+from nestnash.regret import coarse_best_response_gap
 from nestnash.solver import _quotient, lift_strategy
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -66,14 +71,14 @@ def ref_l1(p, q):
 
 def ref_hierarchy(game, delta):
     """Every field of the hierarchy, by per-state walks: per level the
-    signal support, ``signal_of``, the centres, ``belief_of``,
-    ``atom_belief`` and the largest gap, then the coarse partitions and
-    keys.  Every centre is scanned, which matches the signal-sharing scan
+    signal support, each state's signal, the centres, each state's and
+    each atom's belief and the largest gap, then the coarse partitions
+    and keys.  Every centre is scanned, which matches the signal-sharing scan
     for delta below 2 up to gaps near 2, and delta above 2."""
     states = game.space.states
     priors = [game.prior_for(i) for i in range(1, game.n + 1)]
     live = {s for s in states if any(p[s] > 0.0 for p in priors)}
-    observable = {s: (game.classes.index_of[s],) for s in states}
+    observable = dict(zip(states, [(k,) for k in game.classes.ids.tolist()]))
     levels, beliefs = [], []
     for i, prior in enumerate(priors, start=1):
         support = list(dict.fromkeys(observable[s] for s in states if s in live))
@@ -110,19 +115,27 @@ def ref_hierarchy(game, delta):
         tuples = {s: tuple(b[s] for b in beliefs[i - 1 :]) for s in states}
         ids = {key: k for k, key in enumerate(dict.fromkeys(tuples.values()))}
         coarse.append({s: ids[tuples[s]] for s in states})
-        keys.append({k: key for key, k in ids.items()})
+        keys.append(ids)
     return levels, coarse, keys
 
 
 def hierarchy_fields(h):
-    """``ref_hierarchy``'s fields of ``h``, floats as float.hex."""
+    """``ref_hierarchy``'s fields of ``h``, floats as float.hex: label
+    arrays as (state, label) pairs in state order, and each atom's belief
+    read at its first state, in partition order."""
+    states = h.game.space.states
+
+    def by_atom(part, labels):
+        at = dict(zip(states, labels.tolist()))
+        return [(atom, at[members[0]]) for atom, members in part.atoms.items()]
+
     levels = [
         (
             list(level.signal_support),
-            list(level.signal_of.items()),
+            list(zip(states, level.signals.tolist())),
             [[(z, w.hex()) for z, w in c.items()] for c in level.belief_support],
-            list(level.belief_of.items()),
-            list(level.atom_belief.items()),
+            list(zip(states, level.beliefs.tolist())),
+            by_atom(h.game.partition_for(level.player), level.beliefs),
             level.max_l1_gap.hex(),
         )
         for level in h.levels
@@ -144,8 +157,10 @@ def ref_checks(game, h):
     for i in range(1, n + 1):
         w = ref_witness(game.partition_for(i), h.coarse_partition(i))
         out.append(("information-refines-coarse", i, w is None, w))
+    states = game.space.states
     for i in range(1, n + 1):
-        w = ref_first_split_by_atom(h.coarse_partition(i), h.level(i).belief_of)
+        belief_of = dict(zip(states, h.level(i).beliefs.tolist()))
+        w = ref_first_split_by_atom(h.coarse_partition(i), belief_of)
         out.append(("belief-constant-on-atoms", i, w is None, w))
     return out
 
@@ -153,9 +168,10 @@ def ref_checks(game, h):
 def ref_quotient(game, h):
     """(states, prior, player priors, partitions) of the quotient."""
     atom_of = h.coarse[0].atom_of
+    class_of = dict(zip(game.space.states, h.classes.ids.tolist()))
     classes = {}
     for s in game.space.states:
-        classes.setdefault((atom_of[s], h.classes.index_of[s]), []).append(s)
+        classes.setdefault((atom_of[s], class_of[s]), []).append(s)
     members = list(classes.values())
 
     def summed(prior):
@@ -185,6 +201,83 @@ def ref_lift(profile, game, h):
             table[atom] = dict(profile.distribution(i, parents.pop()))
         strategies[i] = table
     return strategies
+
+
+def ref_expectation_gap(game, delta, player, f):
+    """``expectation_gap`` by a walk over ``ref_hierarchy``'s dicts."""
+    levels, _, _ = ref_hierarchy(game, delta)
+    support, signal_of, centres, _, atom_belief, _ = levels[player - 1]
+    prior = game.prior_for(player)
+    worst = 0.0
+    for atom, members in game.partition_for(player).atoms.items():
+        mass = math.fsum(prior[s] for s in members)
+        if mass <= 0.0:
+            continue
+        exact = math.fsum(
+            prior[s] * f[support[signal_of[s]]] for s in members if prior[s] > 0.0
+        )
+        centre = centres[atom_belief[atom]]
+        approx = math.fsum(w * f[support[z]] for z, w in centre.items())
+        worst = max(worst, abs(exact / mass - approx))
+    return worst
+
+
+def ref_coarse_gap(game, delta, profile, player):
+    """``coarse_best_response_gap`` of a coarse-level profile by plain
+    loops over ``ref_hierarchy``'s dicts: every value is the fsum of p * u
+    over the others' joint actions, p their probabilities multiplied left
+    to right in player order."""
+    levels, coarse, keys = ref_hierarchy(game, delta)
+    states = game.space.states
+    others = [j for j in range(1, game.n + 1) if j != player]
+    support, _, centres, _, _, _ = levels[player - 1]
+    beliefs = [level[3] for level in levels]
+    reps = {}
+    for s, k in zip(states, game.classes.ids.tolist()):
+        reps.setdefault(k, s)
+
+    def value(s, a, dists):
+        terms = []
+        for prof in itertools.product(*(game.actions_for(j) for j in others)):
+            p = dists[0][prof[0]]
+            for d, b in zip(dists[1:], prof[1:]):
+                p *= d[b]
+            full = prof[: player - 1] + (a,) + prof[player - 1 :]
+            terms.append(p * game.payoffs.values[s, full][player - 1])
+        return math.fsum(terms)
+
+    def played(j, s):
+        return profile.strategies[j][coarse[j - 1][s]]
+
+    def uniform(j):
+        return dict.fromkeys(game.actions_for(j), 1.0 / len(game.actions_for(j)))
+
+    prior = game.prior_for(player)
+    worst = 0.0
+    for members in game.partition_for(player).atoms.values():
+        mass = math.fsum(prior[s] for s in members)
+        if mass <= 0.0:
+            continue
+        tail = tuple(b[members[0]] for b in beliefs[player - 1 :])
+        centre = centres[tail[0]]
+        for a in game.actions_for(player):
+            exact = math.fsum(
+                prior[s] * value(s, a, [played(j, s) for j in others])
+                for s in members
+                if prior[s] > 0.0
+            )
+            terms = []
+            for z, w in centre.items():
+                key = support[z][:-1] + tail
+                dists = []
+                for j in others:
+                    atom = keys[j - 1].get(key[j - 1 :])
+                    dists.append(
+                        uniform(j) if atom is None else profile.strategies[j][atom]
+                    )
+                terms.append(w * value(reps[support[z][-1]], a, dists))
+            worst = max(worst, abs(exact / mass - math.fsum(terms)))
+    return worst
 
 
 def ref_messages(game):
@@ -310,11 +403,7 @@ def tampered(rng, game, h):
     for level in h.levels:
         if rng.random() < 0.5:
             beliefs = rng.integers(0, 3, len(states))
-            level = dataclasses.replace(
-                level,
-                belief_of=dict(zip(states, beliefs.tolist())),
-                beliefs=beliefs,
-            )
+            level = dataclasses.replace(level, beliefs=beliefs)
         levels.append(level)
     return dataclasses.replace(h, coarse=coarse, levels=tuple(levels))
 
@@ -432,6 +521,40 @@ def test_lift_matches_the_dict_walk(seed, delta):
         assert [list(t.items()) for t in lifted.values()] == [
             list(t.items()) for t in expected.values()
         ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, delta=DELTAS)
+def test_expectation_gap_matches_the_dict_walk(seed, delta):
+    game = variant(seed)
+    h = build_hierarchy(game, delta)
+    rng = np.random.default_rng(seed)
+    for i in range(1, game.n + 1):
+        support = h.level(i).signal_support
+        f = {z: float(rng.uniform(-2.0, 2.0)) for z in support}
+        got = expectation_gap(game, h, i, f, 2.0)
+        assert got.hex() == ref_expectation_gap(game, delta, i, f).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, delta=DELTAS)
+def test_coarse_gap_matches_the_dict_walk(seed, delta):
+    game = variant(seed)
+    h = build_hierarchy(game, delta)
+    rng = np.random.default_rng(seed)
+    profile = StrategyProfile(
+        {
+            i: {
+                atom: dict(zip(acts, rng.dirichlet(np.ones(len(acts))).tolist()))
+                for atom in h.coarse_partition(i).atoms
+            }
+            for i, acts in enumerate(game.payoffs.actions, start=1)
+        },
+        field_level="coarse",
+    )
+    for i in range(1, game.n + 1):
+        got = coarse_best_response_gap(game, h, profile, i)
+        assert got.hex() == ref_coarse_gap(game, delta, profile, i).hex()
 
 
 def test_lift_names_the_first_straddling_atom():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ def test_player_without_actions_is_an_invalid_game():
 def test_nonpositive_delta_is_rejected():
     with pytest.raises(GameFormatError, match="delta must be positive"):
         solve(two_state_game(), 0.1, delta=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+def test_epsilon_must_be_finite_and_positive(epsilon):
+    # Named before delta is derived from it, and also with delta given: a
+    # certificate against an infinite epsilon would pass any profile.
+    with pytest.raises(GameFormatError, match="epsilon must be finite and positive"):
+        solve(two_state_game(), epsilon)
+    with pytest.raises(GameFormatError, match="epsilon must be finite and positive"):
+        solve(two_state_game(), epsilon, delta=0.01, target=0.01)
 
 
 def test_one_solve_computes_the_payoff_classes_once_per_game(monkeypatch):

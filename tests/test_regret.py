@@ -25,6 +25,7 @@ from nestnash.regret import (
     brute_force_check,
     certify,
     coarse_best_response_gap,
+    regret_report,
 )
 from test_game import mixed_profile, two_state_game
 from test_hierarchy import anchor_copies
@@ -113,6 +114,16 @@ class TestCertify:
     def test_fails_below_the_worst_regret(self):
         game = two_state_game()
         assert not certify(game, mixed_profile(), epsilon=1.9).passed
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, -1.0, -1e-300])
+    def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
+        # An infinite epsilon would pass the worst profile unseen.
+        game = two_state_game()
+        match = "epsilon must be finite and nonnegative"
+        with pytest.raises(GameFormatError, match=match):
+            certify(game, mixed_profile(), epsilon)
+        with pytest.raises(GameFormatError, match=match):
+            regret_report(bayesian_regret(game, mixed_profile()), epsilon)
 
     def test_exact_equilibrium_passes_at_zero(self, informed_anchor):
         profile = StrategyProfile(

@@ -439,16 +439,20 @@ def refines(fine: InformationPartition, coarse: InformationPartition) -> bool:
 
 
 def _refinement_witness(
-    fine: InformationPartition, coarse: InformationPartition, by_atom: bool = False
+    fine: InformationPartition,
+    coarse: InformationPartition | np.ndarray,
+    by_atom: bool = False,
 ) -> tuple[State, State] | None:
     """A pair of states in one fine atom but different coarse atoms, if
     any: a fine atom's first state and the first state, in
     ``fine.atom_of``'s order, whose coarse atom is not that one's; with
-    ``by_atom``, the first such state in the first fine atom holding one."""
+    ``by_atom``, the first such state in the first fine atom holding one.
+    ``coarse`` may also be given as one label per state, in that order."""
     keys, codes, firsts = fine._labelled
+    if isinstance(coarse, InformationPartition):
+        coarse = coarse.labels(keys)
     head = firsts[codes]
-    coarse_of = coarse.labels(keys)
-    split = coarse_of[head] != coarse_of
+    split = coarse[head] != coarse
     if not split.any():
         return None
     split = split.nonzero()[0]
@@ -461,6 +465,15 @@ def _fsums(values: list[float], sizes: list[int]) -> list[float]:
     ``sizes[k]``."""
     runs = iter(values)
     return list(map(math.fsum, map(itertools.islice, itertools.repeat(runs), sizes)))
+
+
+def _mass_sum(masses: Iterable[float]) -> float:
+    """The ``math.fsum`` of masses of at least -MASS_TOL each; inf when it
+    overflows, as their exact sum then does."""
+    try:
+        return math.fsum(masses)
+    except OverflowError:
+        return math.inf
 
 
 def _check_prior(
@@ -486,7 +499,7 @@ def _check_prior(
         message = f"{label} has invalid mass {m!r} at state {s!r}"
         violations.append(Violation("prior", message))
         return
-    total = math.fsum(masses)
+    total = _mass_sum(masses)
     if abs(total - 1.0) > MASS_TOL:
         violations.append(Violation("prior", f"{label} sums to {total:.12g}"))
 
@@ -933,7 +946,7 @@ def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:
             if any(not math.isfinite(p) or p < -MASS_TOL for p in dist.values()):
                 problems.append(f"player {i} atom {atom!r} has negative mass")
                 continue
-            total = math.fsum(dist.values())
+            total = _mass_sum(dist.values())
             if abs(total - 1.0) > MASS_TOL:
                 problems.append(
                     f"player {i} atom {atom!r} distribution sums to {total:.12g}"
@@ -986,11 +999,11 @@ def from_type_space(
         if tkey in norm_joint:
             raise GameFormatError(f"joint table repeats type profile {key!r}")
         norm_joint[tkey] = float(mass)
-    total = math.fsum(norm_joint.values())
-    if abs(total - 1.0) > MASS_TOL:
-        raise GameFormatError(f"joint not normalized: sums to {total:.12g}")
     if any(m < 0 for m in norm_joint.values()):
         raise GameFormatError("joint has negative mass")
+    total = _mass_sum(norm_joint.values())
+    if abs(total - 1.0) > MASS_TOL:
+        raise GameFormatError(f"joint not normalized: sums to {total:.12g}")
 
     norm_payoffs: dict[tuple[tuple[str, ...], tuple], tuple[float, ...]] = {}
     for (tkey, akey), vals in payoffs.items():

@@ -12,7 +12,10 @@ A finite game's payoff entries go straight into the game's payoff
 array (``PayoffTensor.from_array``): each check runs over a whole
 column of entries at once, and only when one fails are the entries
 rechecked one by one, so an error still names the first bad entry in
-file order, in the same words.
+file order, in the same words.  Entries in table order, as every
+writer in this project lists them, are told by two list comparisons
+and their values reshaped into the array; any other order is mapped
+to the array entry by entry.
 
 ``load_game`` and ``load_profile`` pause the cyclic garbage collector
 while they read: the decoded JSON tree is built, parsed and released
@@ -264,11 +267,14 @@ def _payoff_array(
     written straight into its array; None for any other list.
 
     Each check of ``_payoff_dict`` runs over a whole column at once:
-    entries are dicts of exactly the three fields, profiles and values
-    are lists of n, every state id and action label maps to its index
-    (the index dicts hold only strings, so only a string can match),
-    every value is an int or a float within range, and the cells of
-    the entries cover the table once each, so no entry repeats one.
+    entries are dicts of exactly the three fields, values are lists of
+    n ints or floats within range, and the entries cover the cells once
+    each.  Table order (``states``, each with its profiles in
+    ``itertools.product`` order) is told by two list comparisons, which
+    hold only for profiles that are lists of n labels from the right
+    sets; the values are then the array, row after row.  Any other order
+    maps each entry to its cell through index dicts (holding only
+    strings, so only a string can match), and a mask checks the cover.
     When any check fails, ``_payoff_dict`` reruns its entry-by-entry
     checks from the first entry, so the error names the first bad entry
     in file order, in that function's words; a list that passes them
@@ -285,12 +291,21 @@ def _payoff_array(
     ):
         return None
     try:
+        ids = list(map(operator.itemgetter("state"), entries))
         profiles = list(map(operator.itemgetter("profile"), entries))
         rows = list(map(operator.itemgetter("values"), entries))
-        for column in (profiles, rows):
-            if set(map(type, column)) != {list} or set(map(len, column)) != {n}:
-                return None
-        ids = map(operator.itemgetter("state"), entries)
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
+            return None
+        flat = list(itertools.chain.from_iterable(rows))
+        if not set(map(type, flat)) <= {float, int}:
+            return None
+        data = np.array(flat, float).reshape(cells, n).T
+        grid = list(map(list, itertools.product(*actions)))
+        by_state = [s for s in states for _ in grid]
+        if ids == by_state and profiles == grid * len(states):
+            return PayoffTensor.from_array(actions, states, data.reshape((n,) + shape))
+        if set(map(type, profiles)) != {list} or set(map(len, profiles)) != {n}:
+            return None
         # The flat (state, profile) cell of each entry.
         cell = np.fromiter(map(space.position.__getitem__, ids), np.intp, cells)
         for j, acts in enumerate(actions):
@@ -298,10 +313,6 @@ def _payoff_array(
             labels = map(operator.itemgetter(j), profiles)
             cell *= len(acts)
             cell += np.fromiter(map(index.__getitem__, labels), np.intp, cells)
-        flat = list(itertools.chain.from_iterable(rows))
-        if not set(map(type, flat)) <= {float, int}:
-            return None
-        data = np.array(flat, float)
     except (KeyError, TypeError, OverflowError):
         return None
     seen = np.zeros(cells, bool)
@@ -309,7 +320,7 @@ def _payoff_array(
     if not seen.all():
         return None
     table = np.empty((n, cells))
-    table[:, cell] = data.reshape(cells, n).T
+    table[:, cell] = data
     return PayoffTensor.from_array(actions, states, table.reshape((n,) + shape))
 
 

@@ -374,11 +374,14 @@ def check_properties(game: NestedGame, hierarchy: Hierarchy) -> PropertyReport:
         )
 
     for i in range(1, n + 1):
-        # Constant on coarse atoms: the coarse partition refines the
-        # belief index's level sets.
-        labels = hierarchy.level(i).beliefs.tolist()
-        beliefs = InformationPartition.from_labels(i, states, *_group(labels))
-        bad = _refinement_witness(hierarchy.coarse_partition(i), beliefs, by_atom=True)
+        # Constant on coarse atoms: no coarse atom holds two belief labels.
+        coarse = hierarchy.coarse_partition(i)
+        beliefs = hierarchy.level(i).beliefs
+        keys = tuple(coarse.atom_of)
+        if keys != states:
+            at = map(game.space.position.__getitem__, keys)
+            beliefs = beliefs[np.fromiter(at, np.intp, len(keys))]
+        bad = _refinement_witness(coarse, beliefs, by_atom=True)
         checks.append(
             PropertyCheck(
                 name="belief-constant-on-atoms",

@@ -100,7 +100,8 @@ def solve(
     and ``target`` (the coarse solver's regret goal) to ``epsilon / 2``.
     Raises InvalidGameError before any arithmetic when the game fails
     validation, and GameFormatError when ``epsilon`` is not finite and
-    positive or ``delta`` is not positive.
+    positive, ``delta`` is not positive, or the default ``delta``
+    underflows to 0.
     """
     game.require_valid()
     if not 0.0 < epsilon < math.inf:
@@ -109,7 +110,12 @@ def solve(
     profiles = math.prod(len(acts) for acts in game.payoffs.actions)
     if delta is None:
         delta = epsilon / (2.0 * bound * profiles)
-    if not delta > 0.0:
+        if not delta > 0.0:
+            raise GameFormatError(
+                f"the default delta = epsilon / (2 M A) underflows to 0 at "
+                f"epsilon = {epsilon!r}, M = {bound!r}, A = {profiles}"
+            )
+    elif not delta > 0.0:
         raise GameFormatError("delta must be positive")
     if target is None:
         target = epsilon / 2.0

@@ -215,6 +215,25 @@ class TestSolve:
         assert "Traceback" not in captured.err
         assert "value bound for ('w', 1) overflows" in captured.err
 
+    @pytest.mark.parametrize("epsilon, scale", [("5e-324", 1.0), ("0.1", 1.7e308)])
+    def test_underflowing_default_delta_names_epsilon_and_m(
+        self, epsilon, scale, tmp_path, capsys
+    ):
+        # delta = epsilon / (2 M A) is 0: epsilon is too small, or 2 M A
+        # overflows.  No --delta was given, so the message must not blame it.
+        doc = json.loads(json.dumps(MP_GAME))
+        for entry in doc["payoffs"]:
+            entry["values"] = [scale * v for v in entry["values"]]
+        path = write_json(tmp_path / "game.json", doc)
+        code = main(["solve", "--game", path, "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "default delta" in captured.err
+        assert f"epsilon = {float(epsilon)!r}, M = {scale!r}" in captured.err
+        assert "delta must be positive" not in captured.err
+
     def test_csv_format(self, mp_path, capsys):
         code = main(
             ["solve", "--game", mp_path, "--epsilon", "0.05", "--format", "csv"]
@@ -507,6 +526,20 @@ class TestVerify:
         )
         assert code == 1
         assert "invalid profile" in capsys.readouterr().err
+
+    def test_overflowing_distribution_sum_is_invalid_input(
+        self, anchor_path, tmp_path, capsys
+    ):
+        doc = json.loads(json.dumps(ANCHOR_EQUILIBRIUM))
+        doc["strategies"]["1"]["a1"] = {"L": 1e308, "R": 1e308}
+        profile_path = write_json(tmp_path / "huge.json", doc)
+        argv = ["verify", "--game", anchor_path, "--profile", profile_path]
+        code = main(argv + ["--epsilon", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "player 1 atom 'a1' distribution sums to inf" in captured.err
 
     def test_round_trip_solve_then_verify(self, anchor_path, tmp_path, capsys):
         code = main(["solve", "--game", anchor_path, "--epsilon", "0.05"])
@@ -892,6 +925,30 @@ class TestInputRejection:
         path = write_json(tmp_path / "bad.json", doc)
         assert main(["solve", "--game", path, "--epsilon", "0.05"]) == 1
         assert "sums to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "hierarchy", "verify"])
+    @pytest.mark.parametrize("label", ["prior", "player 1 prior"])
+    def test_overflowing_prior_sum(self, label, command, tmp_path, capsys):
+        # Each mass is finite; only their sum overflows.
+        doc = json.loads(json.dumps(ANCHOR_GAME))
+        huge = {"w1": 1e308, "w2": 1e308}
+        if label == "prior":
+            doc["states"] = [{"id": s, "prob": p} for s, p in huge.items()]
+        else:
+            doc["player_priors"] = {"1": huge, "2": {"w1": 0.5, "w2": 0.5}}
+        argv = [command, "--game", write_json(tmp_path / "game.json", doc)]
+        if command == "hierarchy":
+            argv += ["--delta", "0.1"]
+        else:
+            argv += ["--epsilon", "0.05"]
+        if command == "verify":
+            argv += ["--profile", write_json(tmp_path / "eq.json", ANCHOR_EQUILIBRIUM)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"invalid game: {label} sums to inf" in captured.err
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

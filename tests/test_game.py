@@ -493,6 +493,15 @@ class TestTypeSpace:
                 actions=(("A",), ("A",)),
             )
 
+    def test_overflowing_joint_sum_is_rejected(self):
+        with pytest.raises(GameFormatError, match="sums to inf"):
+            from_type_space(
+                (("t1", "t2"), ("s1",)),
+                {("t1", "s1"): 1e308, ("t2", "s1"): 1e308},
+                {(("t1", "s1"), ("A", "A")): (0.0, 0.0)},
+                actions=(("A",), ("A",)),
+            )
+
     def test_labels_with_separator_rejected(self):
         with pytest.raises(GameFormatError, match="\\|"):
             from_type_space(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from generators import random_nested_game, redundant_game
 from nestnash import gamefile
-from nestnash.game import PayoffTensor, StrategyProfile
+from nestnash.game import PayoffTensor, StateSpace, StrategyProfile
 
 
 def finite_doc(game, keys, ints: bool) -> dict:
@@ -70,6 +70,102 @@ class TestFinitePayoffs:
         # Same entries and signs, in array order whatever the file order.
         order = itertools.product(game.space.states, game.payoffs.profiles())
         assert repr(loaded.payoffs.values) == repr({k: source[k] for k in order})
+
+
+def drawn_game(kind: str, rng):
+    if kind == "nested":
+        return random_nested_game(rng, max_states=30)
+    # Zero-sum: a zero payoff u gives the pair (0.0, -0.0).
+    return redundant_game(rng, 12 * int(rng.integers(1, 4)))
+
+
+def table_keys(game) -> list:
+    """Every (state, profile) cell of ``game`` in table order."""
+    return list(itertools.product(game.space.states, game.payoffs.profiles()))
+
+
+def entry_outcome(doc: dict):
+    """What the loader makes of ``doc``: its payoff array's bytes, or the
+    SchemaError's text, and the number of ``space.position`` reads."""
+    reads = []
+
+    def position(space):
+        reads.append(space)
+        return dict(zip(space.states, range(len(space.states))))
+
+    with mock.patch.object(StateSpace, "position", property(position)):
+        try:
+            table = gamefile.parse_game(doc).game.payoff_array
+        except gamefile.SchemaError as err:
+            return str(err), len(reads)
+    return table.tobytes(), len(reads)
+
+
+def entry_reference(doc: dict):
+    """The same, from the entries checked one by one in file order."""
+    states = tuple(row["id"] for row in doc["states"])
+    actions = tuple(map(tuple, doc["actions"].values()))
+    prior = dict.fromkeys(states)
+    try:
+        values = gamefile._payoff_dict(doc["payoffs"], prior, actions)
+    except gamefile.SchemaError as err:
+        return str(err)
+    return PayoffTensor(actions, values).array(states).tobytes()
+
+
+class TestTableOrder:
+    @given(
+        kind=st.sampled_from(["nested", "redundant"]),
+        seed=st.integers(0, 2**32 - 1),
+        ints=st.booleans(),
+        signed=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_order_is_reshaped_as_the_index_map_writes_it(
+        self, kind, seed, ints, signed
+    ):
+        rng = np.random.default_rng(seed)
+        game = drawn_game(kind, rng)
+        doc = finite_doc(game, table_keys(game), ints)
+        if signed:
+            for entry in doc["payoffs"]:
+                values = entry["values"]
+                entry["values"] = [-0.0 if v == 0 else v for v in values]
+        reversed_doc = dict(doc, payoffs=doc["payoffs"][::-1])
+        table, reads = entry_outcome(doc)
+        mapped, mapped_reads = entry_outcome(reversed_doc)
+        # Table order skips the index map, which reads every entry's
+        # state position; the reversed file takes it.
+        assert (reads, mapped_reads) == (0, 1)
+        assert table == mapped == entry_reference(doc)
+
+    @given(
+        kind=st.sampled_from(["nested", "redundant"]),
+        seed=st.integers(0, 2**32 - 1),
+        near_miss=st.sampled_from(["swap", "repeat state", "long profile"]),
+        at=st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_near_table_order_keeps_the_entry_checks(
+        self, kind, seed, near_miss, at
+    ):
+        rng = np.random.default_rng(seed)
+        game = drawn_game(kind, rng)
+        doc = finite_doc(game, table_keys(game), False)
+        entries = doc["payoffs"]
+        k = at % (len(entries) - 1)
+        if near_miss == "swap":
+            entries[k], entries[k + 1] = entries[k + 1], entries[k]
+        elif near_miss == "repeat state":
+            states = game.space.states
+            other = states[(states.index(entries[k]["state"]) + 1) % len(states)]
+            entries[k]["state"] = other
+        else:
+            entries[k]["profile"].append(entries[k]["profile"][0])
+        outcome, _ = entry_outcome(doc)
+        assert outcome == entry_reference(doc)
+        # A swap still covers every cell once; the other two are errors.
+        assert isinstance(outcome, bytes) == (near_miss == "swap")
 
 
 # -- the collector pause ------------------------------------------------------

@@ -36,6 +36,12 @@ def test_nonpositive_delta_is_rejected():
         solve(two_state_game(), 0.1, delta=0.0)
 
 
+def test_underflowing_default_delta_names_epsilon_and_m():
+    with pytest.raises(GameFormatError, match="default delta") as err:
+        solve(two_state_game(), 5e-324)
+    assert "epsilon = 5e-324, M = " in str(err.value)
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
 def test_epsilon_must_be_finite_and_positive(epsilon):
     # Named before delta is derived from it, and also with delta given: a

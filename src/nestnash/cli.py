@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii as encode_key
 
 import numpy as np
@@ -224,19 +224,20 @@ def _solver_block(result: SolveResult) -> dict:
     }
 
 
-def _atom_rows(report: RegretReport) -> list[dict]:
-    """The regret block's per-atom rows, which are also the CSV report's."""
-    return [
-        {
-            "player": e.player,
-            "atom": _key_string(e.atom),
-            "mass": e.mass,
-            "regret": e.regret,
-            "best_value": e.best_value,
-            "current_value": e.current_value,
-        }
-        for e in report.atoms
-    ]
+def _atom_table(report: RegretReport) -> Iterator[tuple]:
+    """The regret block's per-atom rows, which are also the CSV report's,
+    as tuples in ``_REGRET_COLUMNS`` order, player after player."""
+    return itertools.chain.from_iterable(
+        zip(
+            itertools.repeat(i),
+            map(_key_string, p.atoms),
+            p.mass,
+            p.regret,
+            p.best_value,
+            p.current_value,
+        )
+        for i, p in report.players.items()
+    )
 
 
 def _regret_block(report: RegretReport) -> dict:
@@ -255,7 +256,17 @@ def _regret_block(report: RegretReport) -> dict:
         "passed": report.passed,
         "witness": witness,
         "harsanyi": {str(i): v for i, v in sorted(report.harsanyi.items())},
-        "atoms": _atom_rows(report),
+        "atoms": [
+            {
+                "player": i,
+                "atom": atom,
+                "mass": mass,
+                "regret": regret,
+                "best_value": best,
+                "current_value": current,
+            }
+            for i, atom, mass, regret, best, current in _atom_table(report)
+        ],
     }
 
 
@@ -272,18 +283,19 @@ _HIERARCHY_COLUMNS = (
 )
 
 
-def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
-    """One CSV line per row, with the given keys as columns.  ``csv``
-    writes a float as ``str``, which is its shortest round-trip ``repr``."""
+def _csv(columns: tuple[str, ...], rows: Iterable[Iterable]) -> str:
+    """A header line of ``columns``, then one CSV line per row of values
+    in that order.  ``csv`` writes a float as ``str``, which is its
+    shortest round-trip ``repr``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in rows)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
 def _regret_csv(report: RegretReport) -> str:
-    return _csv(_REGRET_COLUMNS, _atom_rows(report))
+    return _csv(_REGRET_COLUMNS, _atom_table(report))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -622,10 +634,8 @@ def _cmd_hierarchy(args) -> int:
         # Each level joined with its player's "original" and "coarse" counts.
         atoms = block["atoms"]
         rows = [
-            {
-                **level,
-                **{f"{k}_atoms": v for k, v in atoms[str(level["player"])].items()},
-            }
+            [level[c] for c in _HIERARCHY_COLUMNS[:-2]]
+            + [atoms[str(level["player"])][k] for k in ("original", "coarse")]
             for level in block["levels"]
         ]
         return _csv(_HIERARCHY_COLUMNS, rows)

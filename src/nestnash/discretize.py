@@ -139,7 +139,7 @@ class ProbeEntry:
 @dataclass(frozen=True)
 class ProbeAudit:
     """``certificate`` is the regret certificate on the true-value grid
-    game; its per-atom ``current_value``s are the profile's exact
+    game; its ``current_value`` columns are the profile's exact
     conditional values, which the box certificate reuses."""
 
     entries: tuple[ProbeEntry, ...]
@@ -752,7 +752,6 @@ def certify_box(
         spec.lipschitz, max(poly_lipschitz_bound(p) for p in spec.payoffs.values())
     )
     covering = lip * spacing / 2.0
-    current = {(e.player, e.atom): e.current_value for e in audit.certificate.atoms}
     weighed = np.concatenate([support.positions for support in game.supports])
     plays = _strategies_at(game, profile, weighed, range(1, n + 1))
     for j, (rows, _) in plays.items():
@@ -833,10 +832,13 @@ def certify_box(
         per_net = index.shape[1] * len(own_exps) * (2 * d + 1) + 4
         cap = 4.0 * bound
         regrets = []
-        for (atom, mass, members), top in zip(support.atoms, best):
+        # The audit certified the grid game, whose supports these are, so
+        # its columns list the same atoms in the same order.
+        current = audit.certificate.players[i].current_value
+        for (atom, mass, members), top, c in zip(support.atoms, best, current):
             ops = len(members) * per_state + per_net
             allowance = rounding + 4.0 * ops * (bound + 1.0) / mass * _SMALLEST_FLOAT
-            r = _up(_up(_up(top + covering) + allowance) - current[(i, atom)])
+            r = _up(_up(_up(top + covering) + allowance) - c)
             if r < -CERT_SLACK:
                 raise ConsistencyError(
                     f"negative box regret {r!r} for player {i} at atom {atom!r}"

@@ -764,15 +764,13 @@ def _expectations(
     profile: StrategyProfile,
     player: int,
     positions: np.ndarray,
-    keep: int | None = None,
 ) -> np.ndarray:
     """Expected payoffs to ``player`` at the states at ``positions``, one
     row each: ``_expectation_rows`` on the distributions the profile
     plays there."""
-    players = [j for j in range(1, game.n + 1) if j != keep]
-    strategies = _strategies_at(game, profile, positions, players)
+    strategies = _strategies_at(game, profile, positions, range(1, game.n + 1))
     dists = [rows[row_of[positions]] for rows, row_of in strategies.values()]
-    return _expectation_rows(game, player, dists, positions, keep)
+    return _expectation_rows(game, player, dists, positions)
 
 
 def _expectation_rows(
@@ -854,21 +852,6 @@ def coarsen(game: NestedGame, partitions: Sequence[InformationPartition]) -> Nes
     return NestedGame(space=space, partitions=partitions, payoffs=game.payoffs)
 
 
-def _atom_values(
-    game: NestedGame, profile: StrategyProfile, player: int, keep: int | None = None
-) -> list[tuple[Atom, float, list[float]]]:
-    """Conditional expected payoffs to ``player`` on each positive-mass
-    atom of their own information, in partition order: (atom, mass,
-    values).  ``values`` has one entry, or with ``keep`` a player, one
-    per action of ``keep`` (see ``_expectation_rows``); each is the fsum
-    of the prior-weighted state values divided by the atom's mass.
-    """
-    support = game.supports[player - 1]
-    by_state = _expectations(game, profile, player, support.positions, keep)
-    values = _fold_atoms(support, by_state).tolist()
-    return [(atom, mass, v) for (atom, mass, _), v in zip(support.atoms, values)]
-
-
 def _fold_atoms(support: Support, by_state: np.ndarray) -> np.ndarray:
     """Per positive-mass atom of ``support`` (rows) and column of
     ``by_state``: the fsum of the prior-weighted values of the atom's
@@ -903,7 +886,10 @@ def conditional_payoff(
     Zero-mass atoms are omitted: conditional values are only defined
     almost surely.
     """
-    return {atom: value for atom, _, (value,) in _atom_values(game, profile, player)}
+    support = game.supports[player - 1]
+    by_state = _expectations(game, profile, player, support.positions)
+    values = _fold_atoms(support, by_state)[:, 0].tolist()
+    return {atom: value for (atom, _, _), value in zip(support.atoms, values)}
 
 
 def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:

@@ -46,9 +46,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .game import GameFormatError, NestedGame, StrategyProfile, payoff_bound
 from .hierarchy import Hierarchy, PropertyReport, build_hierarchy
-from .regret import RegretReport, certify, regret_report
+from .regret import PlayerRegret, RegretReport, certify, regret_report
 from .solver import (
     SolveResult,
     SolverConfig,
@@ -154,13 +156,22 @@ def _renamed(
     """The coarse game's certificate ``report`` on the original game, when
     each coarse atom holds exactly the states of one original atom: each
     atom renamed to the original one, in the original game's atom order,
-    against ``epsilon``."""
-    by_atom = {(e.player, e.atom): e for e in report.atoms}
+    against ``epsilon``.
+
+    The coarse certificate lists a player's positive-mass atoms in the
+    order of their coarse labels, so an original atom's record sits at
+    the rank of its coarse atom's label among them."""
+    states = game.space.states
     table = {}
     for i, (support, coarse) in enumerate(zip(game.supports, hierarchy.coarse), 1):
-        parent = coarse.atom_of
-        table[i] = {
-            atom: dataclasses.replace(by_atom[i, parent[members[0]]], atom=atom)
-            for atom, _, members in support.atoms
+        to_coarse = np.empty(len(support.masses), np.intp)
+        to_coarse[support.atom_index] = coarse.labels(states)
+        index = np.argsort(np.argsort(to_coarse[support.masses > 0.0])).tolist()
+        record = report.players[i]
+        columns = {
+            f.name: tuple(map(getattr(record, f.name).__getitem__, index))
+            for f in dataclasses.fields(record)
         }
+        columns["atoms"] = tuple(atom for atom, _, _ in support.atoms)
+        table[i] = PlayerRegret(**columns)
     return regret_report(table, epsilon)

@@ -16,8 +16,15 @@ float multiplications as a plain loop, for a whole array of states at
 once, so each certificate is the float that loop gives, bit for bit;
 ``tests/data/certificates.json`` pins it.  ``game._fold_atoms`` is the
 one place that turns per-state values into per-atom conditional
-values.  ``coarse_best_response_gap`` runs the kernel on its
-reconstruction from belief centres; the continuous probe audit
+values.
+
+Both guarantees come from one per-atom table of own-action values,
+which ``bayesian_regret`` builds: per player a ``PlayerRegret`` of
+columns over the atoms.  A Bayesian epsilon-equilibrium bounds every
+atom's regret (``max_regret``), a Harsanyi one the prior-weighted sum
+(``harsanyi``).  ``coarse_best_response_gap`` compares the table's
+``values`` with its reconstruction from belief centres, through the
+same kernel; the continuous probe audit
 (``discretize.probe_harsanyi_regret``) is ``certify`` on a true-value
 grid game.  ``brute_force_check`` recomputes regrets from the payoff
 dict by plain enumeration, independently of this path.
@@ -47,6 +54,7 @@ ex-ante deviation, so no extra search is needed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +68,6 @@ from .game import (
     NestedGame,
     State,
     StrategyProfile,
-    _atom_values,
     _expectation_rows,
     _fold_atoms,
     _group,
@@ -77,56 +84,35 @@ class ConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BestResponse:
-    """Conditional payoff of each action on one atom, with its argmax set."""
+class PlayerRegret:
+    """One player's certificate, as columns over the positive-mass atoms
+    of their own information in support order (``game.supports``).
 
-    values: dict[Action, float]
-    value: float
-    actions: tuple[Action, ...]
+    Per atom: its id, its mass, its regret, the best and the current
+    conditional value, ``values``, the conditional value of each own
+    action in ``game.actions_for`` order, and ``best_actions``, the
+    actions within DERIVED_TOL of the best value, so that exact ties
+    survive float noise.
+    """
 
-
-@dataclass(frozen=True)
-class AtomRegret:
-    player: int
-    atom: Atom
-    mass: float
-    regret: float
-    best_value: float
-    current_value: float
-    best_actions: tuple[Action, ...]
+    atoms: tuple[Atom, ...]
+    mass: tuple[float, ...]
+    regret: tuple[float, ...]
+    best_value: tuple[float, ...]
+    current_value: tuple[float, ...]
+    values: tuple[tuple[float, ...], ...]
+    best_actions: tuple[tuple[Action, ...], ...]
 
 
 @dataclass(frozen=True)
 class RegretReport:
     epsilon: float
     slack: float
-    atoms: tuple[AtomRegret, ...]
+    players: dict[int, PlayerRegret]
     harsanyi: dict[int, float]
     max_regret: float
     witness: tuple[int, Atom, Action] | None
     passed: bool
-
-
-def _best_response(actions: tuple[Action, ...], values: list[float]) -> BestResponse:
-    top = max(values)
-    argmax = tuple(a for a, v in zip(actions, values) if v >= top - DERIVED_TOL)
-    return BestResponse(values=dict(zip(actions, values)), value=top, actions=argmax)
-
-
-def best_response_values(
-    game: NestedGame, profile: StrategyProfile, player: int
-) -> dict[Atom, BestResponse]:
-    """Per positive-mass atom of the player's information: conditional
-    value of each own action, the others following ``profile``.
-
-    The argmax set collects actions within DERIVED_TOL of the maximum,
-    so exact ties survive float noise.
-    """
-    actions = game.actions_for(player)
-    return {
-        atom: _best_response(actions, values)
-        for atom, _, values in _atom_values(game, profile, player, keep=player)
-    }
 
 
 def _state_values(
@@ -167,15 +153,14 @@ def _state_values(
 
 def bayesian_regret(
     game: NestedGame, profile: StrategyProfile
-) -> dict[int, dict[Atom, AtomRegret]]:
+) -> dict[int, PlayerRegret]:
     """Exact per-atom regret for every player on their own information.
 
     The profile's distributions are read once, at every state some
-    player weighs.  Per player, the own-action values (as
-    ``best_response_values``) and the current values (as
-    ``conditional_payoff``) are evaluated once per distinct state key
-    (``_state_values``) and folded into one (atoms, actions + 1) array,
-    over which the best responses and regrets are taken.
+    player weighs.  Per player, the own-action values and the current
+    values (as ``conditional_payoff``) are evaluated once per distinct
+    state key (``_state_values``) and folded into one (atoms, actions +
+    1) array, over which the best responses and regrets are taken.
 
     Regret is mathematically nonnegative; a value below -1e-9 signals a
     broken invariant somewhere and raises rather than being clipped.
@@ -185,7 +170,7 @@ def bayesian_regret(
     weighed = np.concatenate([support.positions for support in supports])
     strategies = _strategies_at(game, profile, weighed, players)
 
-    out: dict[int, dict[Atom, AtomRegret]] = {}
+    out: dict[int, PlayerRegret] = {}
     for i, support in zip(players, supports):
         by_state = _state_values(game, i, strategies, support.positions)
         table = _fold_atoms(support, by_state)
@@ -203,20 +188,17 @@ def bayesian_regret(
             )
         argmax = (values >= (best - DERIVED_TOL)[:, None]).tolist()
         actions = game.actions_for(i)
-        out[i] = {
-            atom: AtomRegret(
-                player=i,
-                atom=atom,
-                mass=mass,
-                regret=r,
-                best_value=b,
-                current_value=c,
-                best_actions=tuple(a for a, top in zip(actions, tops) if top),
-            )
-            for (atom, mass, _), r, b, c, tops in zip(
-                support.atoms, regret.tolist(), best.tolist(), current.tolist(), argmax
-            )
-        }
+        out[i] = PlayerRegret(
+            atoms=tuple(atom for atom, _, _ in support.atoms),
+            mass=tuple(mass for _, mass, _ in support.atoms),
+            regret=tuple(regret.tolist()),
+            best_value=tuple(best.tolist()),
+            current_value=tuple(current.tolist()),
+            values=tuple(map(tuple, values.tolist())),
+            best_actions=tuple(
+                tuple(itertools.compress(actions, tops)) for tops in argmax
+            ),
+        )
     return out
 
 
@@ -226,9 +208,7 @@ def certify(game: NestedGame, profile: StrategyProfile, epsilon: float) -> Regre
     return regret_report(bayesian_regret(game, profile), epsilon)
 
 
-def regret_report(
-    table: dict[int, dict[Atom, AtomRegret]], epsilon: float
-) -> RegretReport:
+def regret_report(table: dict[int, PlayerRegret], epsilon: float) -> RegretReport:
     """The certificate of a ``bayesian_regret`` table against epsilon.
 
     Passes when both the worst per-atom regret and the worst ex-ante
@@ -240,25 +220,30 @@ def regret_report(
     """
     if not 0.0 <= epsilon < math.inf:
         raise GameFormatError("epsilon must be finite and nonnegative")
-    atoms: list[AtomRegret] = []
-    for i in sorted(table):
-        atoms.extend(table[i].values())
+    players = dict(sorted(table.items()))
     harsanyi = {
-        i: math.fsum(e.mass * max(0.0, e.regret) for e in table[i].values())
-        for i in sorted(table)
+        i: math.fsum(m * max(0.0, r) for m, r in zip(p.mass, p.regret))
+        for i, p in players.items()
     }
-    max_regret = max((e.regret for e in atoms), default=0.0)
-    witness = None
-    for e in atoms:
-        if e.regret == max_regret and e.best_actions:
-            witness = (e.player, e.atom, e.best_actions[0])
-            break
+    max_regret = max(
+        itertools.chain.from_iterable(p.regret for p in players.values()),
+        default=0.0,
+    )
+    witness = next(
+        (
+            (i, atom, best[0])
+            for i, p in players.items()
+            for atom, r, best in zip(p.atoms, p.regret, p.best_actions)
+            if r == max_regret and best
+        ),
+        None,
+    )
     worst_harsanyi = max(harsanyi.values(), default=0.0)
     passed = max_regret <= epsilon + CERT_SLACK and worst_harsanyi <= epsilon + CERT_SLACK
     return RegretReport(
         epsilon=epsilon,
         slack=CERT_SLACK,
-        atoms=tuple(atoms),
+        players=players,
         harsanyi=harsanyi,
         max_regret=max_regret,
         witness=witness,
@@ -274,7 +259,7 @@ def _naive_conditional_value(
     mass: float,
 ) -> float:
     """Deliberately plain full-product evaluation, independent of the
-    factorized path used by best_response_values."""
+    factorized path used by bayesian_regret."""
     prior = game.prior_for(player)
     total = []
     for s in members:
@@ -375,8 +360,10 @@ def coarse_best_response_gap(
     from the belief centre, maximized over positive-mass atoms and own
     actions.
 
-    The other players' strategies must be measurable with respect to
-    their coarse partitions.  The reconstruction weighs, per signal
+    The profile gives every player's play, the player's own included,
+    since the exact values are ``bayesian_regret``'s table.  The other
+    players' strategies must be measurable with respect to their coarse
+    partitions.  The reconstruction weighs, per signal
     support value, the payoff matrix of that value's class against the
     opponents' play on the coarse atoms induced by the value combined
     with the player's own observed belief tuple.  Signal values that
@@ -408,11 +395,12 @@ def coarse_best_response_gap(
                 strat[atom] = first
         coarse_strats[j] = strat
 
-    # The exact side evaluates opponents at original atoms, so a profile
-    # given on coarse atoms is copied down to the original partitions.
+    # The exact side evaluates every player at original atoms, so a
+    # profile given on coarse atoms is copied down to the original
+    # partitions.
     if profile.field_level == "coarse":
         lifted: dict[int, dict[Atom, dict[Action, float]]] = {}
-        for j in others:
+        for j in range(1, n + 1):
             part_j = game.partition_for(j)
             coarse_j = hierarchy.coarse_partition(j)
             lifted[j] = {
@@ -428,12 +416,11 @@ def coarse_best_response_gap(
         for j in others
     }
 
-    own_actions = game.actions_for(player)
     partition = game.partition_for(player)
     position = game.space.position
 
     # Exact conditional value of each own action, per positive-mass atom.
-    exact = best_response_values(game, eval_profile, player)
+    exact = bayesian_regret(game, eval_profile)[player]
     # Reconstruction from the belief centre: one row per (atom, centre
     # signal), the signal's class representative against the others'
     # play on the coarse atoms the signal induces.  The own belief tuple
@@ -442,7 +429,7 @@ def coarse_best_response_gap(
     weights: list[float] = []
     index: list[int] = []
     rows: dict[int, list[dict[Action, float]]] = {j: [] for j in others}
-    for atom in exact:
+    for atom in exact.atoms:
         at = position[partition.atoms[atom][0]]
         own_tail = tuple(
             int(hierarchy.level(j).beliefs[at]) for j in range(player, n + 1)
@@ -472,9 +459,9 @@ def coarse_best_response_gap(
 
     worst = 0.0
     start = 0
-    for br, count in zip(exact.values(), counts):
+    for row, count in zip(exact.values, counts):
         stop = start + count
-        for a, col in zip(own_actions, columns):
-            worst = max(worst, abs(br.values[a] - math.fsum(col[start:stop])))
+        for value, col in zip(row, columns):
+            worst = max(worst, abs(value - math.fsum(col[start:stop])))
         start = stop
     return worst

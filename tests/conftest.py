@@ -1,4 +1,19 @@
+import warnings
+
 import pytest
+
+# Hypothesis imports this module to print a failing example.  Where libcst
+# is installed, the import raises mypy_extensions' DeprecationWarning, which
+# the warning filters in pyproject.toml turn into an error that hides the
+# example behind INTERNALERROR lines.  Importing it once here, with that
+# warning ignored for this import only, leaves the filters whole for the
+# project's own code.  An install without libcst lacks the module.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from nestnash.game import (
     InformationPartition,

@@ -236,17 +236,18 @@ def test_criterion_4_oracle_equivalence():
         game = small_two_player_game(rng)
         for profile_idx in range(20):
             profile = random_profile(rng, game)
-            table = bayesian_regret(game, profile)
-            brute = brute_force_check(game, profile)
-            keys = {
-                (i, atom) for i, entries in table.items() for atom in entries
+            regrets = {
+                (i, atom): r
+                for i, record in bayesian_regret(game, profile).items()
+                for atom, r in zip(record.atoms, record.regret)
             }
-            if keys != set(brute):
+            brute = brute_force_check(game, profile)
+            if set(regrets) != set(brute):
                 ok = False
                 detail = f"game {game_idx}: atom sets differ"
                 continue
             for (i, atom), expected in brute.items():
-                got = table[i][atom].regret
+                got = regrets[(i, atom)]
                 if abs(got - expected) > 1e-9:
                     ok = False
                     detail = (

@@ -1,12 +1,13 @@
 """Golden certificates: ``certify`` reproduces pinned results bit for bit.
 
 ``data/certificates.json`` holds, for seeded games, a few strategy
-profiles and their certificates: every field of every ``AtomRegret``
-together with ``harsanyi`` and ``max_regret``, floats written with
-``float.hex``.  The profiles are stored too, so the file pins the
-certifier alone; a change to the solver does not touch it.  A change to
-the certifier's arithmetic, however small, fails here.  Regenerate the
-file only for a deliberate change of the certificate's numbers:
+profiles and their certificates: every player's columns (atom, mass,
+regret, best and current value, best actions) together with
+``harsanyi`` and ``max_regret``, floats written with ``float.hex``.
+The profiles are stored too, so the file pins the certifier alone; a
+change to the solver does not touch it.  A change to the certifier's
+arithmetic, however small, fails here.  Regenerate the file only for a
+deliberate change of the certificate's numbers:
 
     PYTHONPATH=src:tests python tests/test_certificates.py --write
 """
@@ -77,15 +78,18 @@ def _certificate(game, profile, epsilon) -> dict:
     return {
         "atoms": [
             {
-                "player": e.player,
-                "atom": repr(e.atom),
-                "mass": e.mass.hex(),
-                "regret": e.regret.hex(),
-                "best_value": e.best_value.hex(),
-                "current_value": e.current_value.hex(),
-                "best_actions": [repr(a) for a in e.best_actions],
+                "player": i,
+                "atom": repr(atom),
+                "mass": mass.hex(),
+                "regret": regret.hex(),
+                "best_value": best.hex(),
+                "current_value": current.hex(),
+                "best_actions": [repr(a) for a in actions],
             }
-            for e in report.atoms
+            for i, p in report.players.items()
+            for atom, mass, regret, best, current, actions in zip(
+                p.atoms, p.mass, p.regret, p.best_value, p.current_value, p.best_actions
+            )
         ],
         "harsanyi": {str(i): v.hex() for i, v in report.harsanyi.items()},
         "max_regret": report.max_regret.hex(),

@@ -17,6 +17,7 @@ from nestnash.game import (
 from nestnash.pipeline import solve
 from nestnash.regret import certify
 from nestnash.solver import build_auxiliary_game
+from test_certificates import _with_player_priors
 from test_game import two_state_game
 
 CORPUS_SEED = 20260819
@@ -128,24 +129,39 @@ def regret_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shuffle", [False, True])
-def test_renamed_coarse_certificate_is_the_fresh_one(shuffle, regret_calls):
+@pytest.mark.parametrize(
+    "shuffle, priors",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "priors", "priors-shuffled"],
+)
+def test_renamed_coarse_certificate_is_the_fresh_one(shuffle, priors, regret_calls):
     rng = np.random.default_rng(CORPUS_SEED)
     order = np.random.default_rng(7)
+    prior_rng = np.random.default_rng(11)
     epsilon = 0.05
+    skipping = 0
     for idx in range(100):
         game = random_nested_game(rng)
         if shuffle:
             game = shuffled_atoms(order, game)
+        if priors:
+            # Zero-mass atoms have no record, so the renaming must skip them.
+            game = _with_player_priors(prior_rng, game)
         regret_calls.clear()
         solution = solve(game, epsilon, seed=idx)
         # No corpus game merges anything, so the solver's certificate is
-        # the only one computed.
-        assert len(regret_calls) == 1, idx
+        # the only one computed; with sparse priors a few games merge.
+        renamed = len(regret_calls) == 1
+        assert renamed or priors, idx
+        skipping += renamed and any(
+            len(support.atoms) < len(part.ids)
+            for support, part in zip(game.supports, game.partitions)
+        )
         fresh = certify(game, solution.profile, epsilon)
         assert solution.report == fresh, idx
         assert repr(solution.report) == repr(fresh), idx
         assert solution.result.certified_regret == solution.result.report.max_regret
+    assert skipping >= 20 if priors else skipping == 0
 
 
 def test_merging_hierarchy_certifies_the_original_game(regret_calls):

@@ -13,6 +13,7 @@ from nestnash.game import (
     PayoffTensor,
     StateSpace,
     StrategyProfile,
+    conditional_payoff,
     payoff_bound,
 )
 from nestnash.hierarchy import build_hierarchy
@@ -21,27 +22,42 @@ from nestnash.regret import (
     CERT_SLACK,
     ConsistencyError,
     bayesian_regret,
-    best_response_values,
     brute_force_check,
     certify,
     coarse_best_response_gap,
     regret_report,
 )
+from nestnash.solver import lift_strategy
 from test_game import mixed_profile, two_state_game
 from test_hierarchy import anchor_copies
+
+
+def atom_values(game: NestedGame, table: dict, player: int, atom) -> dict:
+    """``player``'s own-action values on ``atom`` in a ``bayesian_regret``
+    table, by action."""
+    record = table[player]
+    row = record.values[record.atoms.index(atom)]
+    return dict(zip(game.actions_for(player), row))
+
+
+def atom_entry(table: dict, player: int, atom, column: str):
+    """One column's entry for ``atom`` in a ``bayesian_regret`` table."""
+    record = table[player]
+    return getattr(record, column)[record.atoms.index(atom)]
 
 
 class TestBestResponse:
     def test_hand_computed_action_values(self):
         game = two_state_game()
-        br = best_response_values(game, mixed_profile(), 1)
-        assert br["f1"].values["A"] == pytest.approx(1.75, abs=1e-12)
-        assert br["f1"].values["B"] == pytest.approx(0.75, abs=1e-12)
-        assert br["f1"].actions == ("A",)
-        assert br["f2"].values["B"] == pytest.approx(2.75, abs=1e-12)
-        br2 = best_response_values(game, mixed_profile(), 2)
-        assert br2["g"].values["A"] == pytest.approx(1.875, abs=1e-12)
-        assert br2["g"].values["B"] == pytest.approx(0.25, abs=1e-12)
+        table = bayesian_regret(game, mixed_profile())
+        f1 = atom_values(game, table, 1, "f1")
+        assert f1["A"] == pytest.approx(1.75, abs=1e-12)
+        assert f1["B"] == pytest.approx(0.75, abs=1e-12)
+        assert atom_entry(table, 1, "f1", "best_actions") == ("A",)
+        assert atom_values(game, table, 1, "f2")["B"] == pytest.approx(2.75, abs=1e-12)
+        g = atom_values(game, table, 2, "g")
+        assert g["A"] == pytest.approx(1.875, abs=1e-12)
+        assert g["B"] == pytest.approx(0.25, abs=1e-12)
 
     def test_ties_collect_all_argmax_actions(self, matching_pennies):
         uniform = StrategyProfile(
@@ -50,19 +66,46 @@ class TestBestResponse:
                 2: {"b": {"H": 0.5, "T": 0.5}},
             }
         )
-        br = best_response_values(matching_pennies, uniform, 1)
-        assert br["a"].actions == ("H", "T")
+        table = bayesian_regret(matching_pennies, uniform)
+        assert atom_entry(table, 1, "a", "best_actions") == ("H", "T")
+
+    @pytest.mark.parametrize("kind", ["nested", "redundant", "priors"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_evaluator(self, kind, seed):
+        # conditional_payoff and the certificate's current values are one
+        # table, float for float, and each best action attains the best value.
+        rng = np.random.default_rng(700 + seed)
+        if kind == "nested":
+            game = random_nested_game(rng, max_states=30)
+        else:
+            game = oracle_game(rng, "redundant" if kind == "redundant" else "nested")
+        profile = signed_zero_profile(rng, game)
+        table = bayesian_regret(game, profile)
+        for i, record in table.items():
+            current = conditional_payoff(game, profile, i)
+            assert list(current) == list(record.atoms)
+            assert [v.hex() for v in current.values()] == [
+                v.hex() for v in record.current_value
+            ]
+            actions = game.actions_for(i)
+            for row, best, tops in zip(
+                record.values, record.best_value, record.best_actions
+            ):
+                assert best == max(row)
+                assert abs(row[actions.index(tops[0])] - best) <= DERIVED_TOL
 
 
 class TestBayesianRegret:
     def test_hand_computed_atom_regrets(self):
         game = two_state_game()
         table = bayesian_regret(game, mixed_profile())
-        assert table[1]["f1"].regret == pytest.approx(0.5, abs=1e-12)
-        assert table[1]["f2"].regret == pytest.approx(2.0, abs=1e-12)
-        assert table[2]["g"].regret == pytest.approx(1.21875, abs=1e-12)
-        assert table[1]["f1"].mass == pytest.approx(0.25)
-        assert table[1]["f2"].best_actions == ("B",)
+        assert atom_entry(table, 1, "f1", "regret") == pytest.approx(0.5, abs=1e-12)
+        assert atom_entry(table, 1, "f2", "regret") == pytest.approx(2.0, abs=1e-12)
+        assert atom_entry(table, 2, "g", "regret") == pytest.approx(
+            1.21875, abs=1e-12
+        )
+        assert atom_entry(table, 1, "f1", "mass") == pytest.approx(0.25)
+        assert atom_entry(table, 1, "f2", "best_actions") == ("B",)
 
     def test_zero_mass_atoms_are_skipped(self, informed_anchor):
         degenerate = NestedGame(
@@ -76,17 +119,14 @@ class TestBayesianRegret:
             strategies={1: {"a1": {"L": 1.0}}, 2: {"b": {"L": 1.0}}}
         )
         table = bayesian_regret(degenerate, profile)
-        assert set(table[1]) == {"a1"}
+        assert table[1].atoms == ("a1",)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_distinct_rows_match_the_per_state_oracle(self, seed):
         rng = np.random.default_rng(900 + seed)
         game = oracle_game(rng, "redundant" if seed % 4 == 0 else "nested")
         profile = signed_zero_profile(rng, game)
-        got = {
-            i: {atom: atom_hex(e) for atom, e in table.items()}
-            for i, table in bayesian_regret(game, profile).items()
-        }
+        got = {i: atom_hex(r) for i, r in bayesian_regret(game, profile).items()}
         assert got == regret_oracle(game, profile)
 
     def test_inflated_distribution_trips_the_consistency_guard(self):
@@ -160,9 +200,9 @@ class TestCertify:
             if report.witness is None:
                 continue
             player, atom, action = report.witness
-            br = best_response_values(game, profile, player)
-            assert br[atom].values[action] == pytest.approx(
-                br[atom].value, abs=1e-12
+            table = bayesian_regret(game, profile)
+            assert atom_values(game, table, player, atom)[action] == pytest.approx(
+                atom_entry(table, player, atom, "best_value"), abs=1e-12
             )
 
     def test_harsanyi_never_exceeds_worst_interim_regret(self):
@@ -181,11 +221,9 @@ class TestBruteForce:
             profile = random_profile(rng, game)
             table = bayesian_regret(game, profile)
             brute = brute_force_check(game, profile)
-            for i, entries in table.items():
-                for atom, entry in entries.items():
-                    assert brute[(i, atom)] == pytest.approx(
-                        entry.regret, abs=1e-9
-                    )
+            for i, record in table.items():
+                for atom, regret in zip(record.atoms, record.regret):
+                    assert brute[(i, atom)] == pytest.approx(regret, abs=1e-9)
 
     def test_mixed_grid_deviations_never_beat_pure_ones(self):
         game = two_state_game()
@@ -261,6 +299,25 @@ class TestCoarseReconstruction:
                     for i in range(1, game.n + 1)
                 ]
                 assert [g.hex() for g in gaps] == GAP_HEX[name], name
+
+    def test_coarse_profile_gap_is_its_lift_gap(self):
+        # The exact side lifts every player's coarse play to the original
+        # atoms, the player's own included.
+        for name, game, delta in gap_cases():
+            h = build_hierarchy(game, delta)
+            rng = np.random.default_rng(len(name))
+            strategies = {}
+            for i, acts in enumerate(game.payoffs.actions, start=1):
+                strategies[i] = {
+                    atom: dict(zip(acts, rng.dirichlet(np.ones(len(acts))).tolist()))
+                    for atom in h.coarse_partition(i).atoms
+                }
+            coarse = StrategyProfile(strategies, field_level="coarse")
+            lifted = lift_strategy(coarse, game, h)
+            for i in range(1, game.n + 1):
+                got = coarse_best_response_gap(game, h, coarse, i)
+                want = coarse_best_response_gap(game, h, lifted, i)
+                assert got.hex() == want.hex(), (name, i)
 
     def test_exact_beliefs_reconstruct_exactly(self, informed_anchor):
         h = build_hierarchy(informed_anchor, 0.2)
@@ -393,14 +450,27 @@ def signed_zero_profile(rng, game: NestedGame) -> StrategyProfile:
     return StrategyProfile(strategies)
 
 
-def atom_hex(e) -> tuple:
-    return (
-        e.mass.hex(),
-        e.regret.hex(),
-        e.best_value.hex(),
-        e.current_value.hex(),
-        e.best_actions,
-    )
+def atom_hex(record) -> dict:
+    """Each atom's columns of a ``PlayerRegret``, floats as ``float.hex``."""
+    return {
+        atom: (
+            m.hex(),
+            r.hex(),
+            b.hex(),
+            c.hex(),
+            tuple(map(float.hex, values)),
+            best,
+        )
+        for atom, m, r, b, c, values, best in zip(
+            record.atoms,
+            record.mass,
+            record.regret,
+            record.best_value,
+            record.current_value,
+            record.values,
+            record.best_actions,
+        )
+    }
 
 
 def regret_oracle(game: NestedGame, profile: StrategyProfile) -> dict:
@@ -445,6 +515,7 @@ def regret_oracle(game: NestedGame, profile: StrategyProfile) -> dict:
                 (best - current).hex(),
                 best.hex(),
                 current.hex(),
+                tuple(map(float.hex, values)),
                 tuple(a for a, v in zip(own, values) if v >= best - DERIVED_TOL),
             )
         out[i] = table

@@ -23,7 +23,7 @@ from nestnash.game import (
     validate_profile,
 )
 from nestnash.hierarchy import build_hierarchy
-from nestnash.regret import best_response_values, certify
+from nestnash.regret import bayesian_regret, certify
 from nestnash.solver import (
     AgentFormGame,
     AuxGame,
@@ -109,14 +109,17 @@ class TestAgentForm:
                 )
             ]
             values = engine.action_values(strategies)
+            table = bayesian_regret(coarse, coarse_profile)
             for i in range(1, engine.n + 1):
-                br = best_response_values(coarse, coarse_profile, i)
+                record = table[i]
+                own = coarse.actions_for(i)
                 for r, atom in enumerate(engine.atom_ids[i - 1]):
                     if not engine.positive[i - 1][r]:
                         continue
+                    row = record.values[record.atoms.index(atom)]
                     for c, action in enumerate(engine.actions[i - 1]):
                         assert values[i - 1][r, c] == pytest.approx(
-                            br[atom].values[action], abs=1e-9
+                            row[own.index(action)], abs=1e-9
                         )
 
     def test_player_action_values_match_the_full_sweep(self):

@@ -54,7 +54,7 @@ from .gamefile import (
 )
 from .hierarchy import Hierarchy, PropertyReport, build_hierarchy, check_properties
 from .pipeline import Solution, solve
-from .regret import CERT_SLACK, ConsistencyError, RegretReport, certify
+from .regret import ConsistencyError, RegretReport, certify, within_bound
 from .solver import SolveResult
 
 
@@ -459,7 +459,7 @@ def _solve_document(game: NestedGame, mode: str, args, sol: Solution) -> dict:
             "coarse_regret": sol.result.certified_regret,
             "bound": sol.transfer_bound,
             "measured_max_regret": sol.report.max_regret,
-            "within_bound": sol.report.max_regret <= sol.transfer_bound + CERT_SLACK,
+            "within_bound": within_bound(sol.report.max_regret, sol.transfer_bound),
         },
     }
 
@@ -503,7 +503,7 @@ def _solve_continuous(compact, args) -> int:
             "epsilon": args.epsilon,
             "eta0": disc.eta0,
             "lipschitz": compact.lipschitz,
-            "payoff_bound": disc.bound_m,
+            "payoff_bound": disc.truncation.bound_m,
             "net_sizes": [len(net) for net in disc.nets],
             "truncation": {
                 "kept": len(disc.truncation.omega_double_prime),
@@ -533,7 +533,8 @@ def _solve_continuous(compact, args) -> int:
             "max_regret": audit.max_regret,
             "ok": audit.ok,
             "players": [
-                {"player": e.player, "regret": e.regret} for e in audit.entries
+                {"player": i, "regret": r}
+                for i, r in audit.certificate.harsanyi.items()
             ],
         }
         doc["box_certificate"] = {

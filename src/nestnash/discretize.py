@@ -17,7 +17,8 @@ ideal reals.
 The probe audit checks a grid profile against the true polynomials.  It
 runs the regret certifier on the true-value grid game, the grid game
 with each state's unfloored values, so the audit sums exactly as every
-certificate does and shares its negative-regret check.
+certificate does and shares its negative-regret check; each player's
+probe regret is that certificate's ``harsanyi`` entry.
 
 The box certificate (``certify_box``) bounds the profile's regret
 against every action in each player's box, on the compact game itself,
@@ -33,13 +34,14 @@ docstring, exceeds their total error, so the reported regret is never
 below the exact one.  The grid mesh (``build_hat_game``'s ``mesh``)
 only sets where the profile may play; the box certificate holds at any
 mesh, which is what lets ``coarse_to_fine`` solve on coarse grids.
+All three certificates here pass by ``regret.within_bound``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -47,7 +49,6 @@ import numpy as np
 
 from .game import (
     MASS_TOL,
-    Atom,
     GameFormatError,
     InformationPartition,
     NestedGame,
@@ -57,7 +58,7 @@ from .game import (
     StrategyProfile,
     _strategies_at,
 )
-from .regret import CERT_SLACK, ConsistencyError, RegretReport, certify
+from .regret import ConsistencyError, RegretReport, below_floor, certify, within_bound
 
 Monomial = tuple[float, tuple[int, ...]]
 Poly = tuple[Monomial, ...]
@@ -105,7 +106,6 @@ class DiscretizedGame:
     spec: CompactGameSpec
     epsilon: float
     eta0: float
-    bound_m: float
     truncation: StateTruncation
     nets: tuple[tuple[tuple[float, ...], ...], ...]
 
@@ -121,35 +121,31 @@ class PlayerGap:
 
 @dataclass(frozen=True)
 class GapCertificate:
-    epsilon: float
     players: tuple[PlayerGap, ...]
     budget: float
 
     @property
     def ok(self) -> bool:
-        return all(p.total <= self.budget + CERT_SLACK for p in self.players)
-
-
-@dataclass(frozen=True)
-class ProbeEntry:
-    player: int
-    regret: float
+        return all(within_bound(p.total, self.budget) for p in self.players)
 
 
 @dataclass(frozen=True)
 class ProbeAudit:
     """``certificate`` is the regret certificate on the true-value grid
-    game; its ``current_value`` columns are the profile's exact
-    conditional values, which the box certificate reuses."""
+    game: its ``harsanyi`` holds each player's probe regret, and its
+    ``current_value`` columns the profile's exact conditional values,
+    which the box certificate reuses."""
 
-    entries: tuple[ProbeEntry, ...]
-    max_regret: float
+    certificate: RegretReport
     budget: float
-    certificate: RegretReport = field(repr=False, compare=False)
+
+    @property
+    def max_regret(self) -> float:
+        return max(self.certificate.harsanyi.values())
 
     @property
     def ok(self) -> bool:
-        return self.max_regret <= self.budget + CERT_SLACK
+        return within_bound(self.max_regret, self.budget)
 
 
 def poly_eval(poly: Poly, point) -> float:
@@ -350,7 +346,6 @@ def build_hat_game(
         state_payoff_bounds(spec), spec.space.prior, epsilon, spec.payoff_cap
     )
     kept = set(truncation.omega_double_prime)
-    bound_m = truncation.bound_m
     grid = _joint_grid(spec, _net_axis(eta0))
 
     states = spec.space.states
@@ -360,7 +355,7 @@ def build_hat_game(
         if s in kept:
             for i in range(1, spec.n + 1):
                 poly = spec.payoffs[(s, i)]
-                cells[i - 1, k] = _net_floors(poly, grid, epsilon, bound_m)
+                cells[i - 1, k] = _net_floors(poly, grid, epsilon, truncation.bound_m)
 
     game = NestedGame(
         space=spec.space,
@@ -372,7 +367,6 @@ def build_hat_game(
         spec=spec,
         epsilon=epsilon,
         eta0=eta0,
-        bound_m=bound_m,
         truncation=truncation,
         nets=nets,
     )
@@ -564,13 +558,11 @@ def certify_sup_gap(disc: DiscretizedGame) -> GapCertificate:
                 total=total,
             )
         )
-    return GapCertificate(epsilon=eps, players=tuple(players), budget=3.0 * eps)
+    return GapCertificate(players=tuple(players), budget=3.0 * eps)
 
 
 def probe_harsanyi_regret(
-    disc: DiscretizedGame,
-    profile: StrategyProfile,
-    budget: float | None = None,
+    disc: DiscretizedGame, profile: StrategyProfile
 ) -> ProbeAudit:
     """Audit a grid-supported profile against grid deviations, exactly.
 
@@ -582,12 +574,11 @@ def probe_harsanyi_regret(
     prior-weighted sum of their per-atom regrets, clipped at zero, so the
     best grid deviation is taken per atom.  The certifier would ignore
     mass on actions off the grid, so such a profile is rejected first.
-    The default budget is 5 * epsilon plus the probe covering slack,
-    which a certified solve of the finite companion must meet.
+    The budget is 5 * epsilon plus the probe covering slack, which a
+    certified solve of the finite companion must meet.
     """
     spec = disc.spec
-    if budget is None:
-        budget = 5.0 * disc.epsilon + spec.lipschitz * disc.eta0 / 2.0
+    budget = 5.0 * disc.epsilon + spec.lipschitz * disc.eta0 / 2.0
     game = disc.game
     for i in range(1, spec.n + 1):
         grid_actions = set(game.actions_for(i))
@@ -614,43 +605,33 @@ def probe_harsanyi_regret(
     true_game = NestedGame(
         space=game.space, partitions=game.partitions, payoffs=payoffs
     )
-    report = certify(true_game, profile, budget)
-    entries = tuple(
-        ProbeEntry(player=i, regret=r) for i, r in sorted(report.harsanyi.items())
-    )
-    worst = max(e.regret for e in entries)
-    return ProbeAudit(
-        entries=entries, max_regret=worst, budget=budget, certificate=report
-    )
-
-
-@dataclass(frozen=True)
-class BoxAtom:
-    player: int
-    atom: Atom
-    mass: float
-    regret: float
+    return ProbeAudit(certificate=certify(true_game, profile, budget), budget=budget)
 
 
 @dataclass(frozen=True)
 class BoxPlayer:
+    """``regret`` is a column over the player's atoms in the audit
+    certificate, in support order; ``bayesian`` is its maximum."""
+
     player: int
-    bayesian: float
+    regret: tuple[float, ...]
     harsanyi: float
+
+    @property
+    def bayesian(self) -> float:
+        return max(self.regret)
 
 
 @dataclass(frozen=True)
 class BoxCertificate:
     """Regret bounds of a grid-supported profile against every action in
-    each player's box (see ``certify_box``): per atom, and per player the
-    Bayesian (worst atom) and Harsanyi (ex-ante) regret.  It passes when
-    every player's Harsanyi box regret is within epsilon plus the fixed
-    slack."""
+    each player's box (see ``certify_box``), one ``BoxPlayer`` per player
+    in player order.  It passes when every player's Harsanyi box regret
+    is within epsilon."""
 
     epsilon: float
     spacing: float
     covering: float
-    atoms: tuple[BoxAtom, ...]
     players: tuple[BoxPlayer, ...]
 
     @property
@@ -659,7 +640,7 @@ class BoxCertificate:
 
     @property
     def ok(self) -> bool:
-        return self.max_regret <= self.epsilon + CERT_SLACK
+        return within_bound(self.max_regret, self.epsilon)
 
 
 def _up(x: float) -> float:
@@ -776,7 +757,6 @@ def certify_box(
         return moments[(j, exps)]
 
     own_powers: dict[int, np.ndarray] = {}
-    atoms: list[BoxAtom] = []
     players: list[BoxPlayer] = []
     for i in range(1, n + 1):
         support = game.supports[i - 1]
@@ -839,23 +819,15 @@ def certify_box(
             ops = len(members) * per_state + per_net
             allowance = rounding + 4.0 * ops * (bound + 1.0) / mass * _SMALLEST_FLOAT
             r = _up(_up(_up(top + covering) + allowance) - c)
-            if r < -CERT_SLACK:
+            if below_floor(r):
                 raise ConsistencyError(
                     f"negative box regret {r!r} for player {i} at atom {atom!r}"
                 )
-            r = min(r, cap)
-            regrets.append(r)
-            atoms.append(BoxAtom(player=i, atom=atom, mass=mass, regret=r))
+            regrets.append(min(r, cap))
         harsanyi = math.fsum(
             mass * max(0.0, r) for (_, mass, _), r in zip(support.atoms, regrets)
         )
-        players.append(
-            BoxPlayer(player=i, bayesian=max(regrets), harsanyi=harsanyi)
-        )
+        players.append(BoxPlayer(player=i, regret=tuple(regrets), harsanyi=harsanyi))
     return BoxCertificate(
-        epsilon=disc.epsilon,
-        spacing=spacing,
-        covering=covering,
-        atoms=tuple(atoms),
-        players=tuple(players),
+        epsilon=disc.epsilon, spacing=spacing, covering=covering, players=tuple(players)
     )

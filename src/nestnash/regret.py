@@ -29,6 +29,10 @@ same kernel; the continuous probe audit
 grid game.  ``brute_force_check`` recomputes regrets from the payoff
 dict by plain enumeration, independently of this path.
 
+Every verdict in the package, finite or continuous, takes one pass
+rule, ``within_bound``, and both negative-regret checks take one floor,
+``below_floor``.  No other module reads ``CERT_SLACK``.
+
 ``bayesian_regret`` sums each distinct state row once.  It keys every
 weighed state by its payoff class (``game.classes``, a function of the
 game's own payoff array) and by the distribution row each other player
@@ -77,6 +81,16 @@ from .hierarchy import Hierarchy
 
 # Fixed certification slack absorbing float error in threshold comparisons.
 CERT_SLACK = 1e-9
+
+
+def within_bound(value: float, bound: float) -> bool:
+    """The pass rule of every certificate."""
+    return value <= bound + CERT_SLACK
+
+
+def below_floor(regret):
+    """Whether a regret (or each of an array) signals a broken invariant."""
+    return regret < -CERT_SLACK
 
 
 class ConsistencyError(RuntimeError):
@@ -179,7 +193,7 @@ def bayesian_regret(
         # row maximum is the float ``max`` over the row would return.
         best = values.max(axis=1)
         regret = best - current
-        negative = np.flatnonzero(regret < -CERT_SLACK)
+        negative = np.flatnonzero(below_floor(regret))
         if negative.size:
             k = int(negative[0])
             raise ConsistencyError(
@@ -239,7 +253,7 @@ def regret_report(table: dict[int, PlayerRegret], epsilon: float) -> RegretRepor
         None,
     )
     worst_harsanyi = max(harsanyi.values(), default=0.0)
-    passed = max_regret <= epsilon + CERT_SLACK and worst_harsanyi <= epsilon + CERT_SLACK
+    passed = all(within_bound(r, epsilon) for r in (max_regret, worst_harsanyi))
     return RegretReport(
         epsilon=epsilon,
         slack=CERT_SLACK,
@@ -416,11 +430,14 @@ def coarse_best_response_gap(
         for j in others
     }
 
-    partition = game.partition_for(player)
     position = game.space.position
 
-    # Exact conditional value of each own action, per positive-mass atom.
-    exact = bayesian_regret(game, eval_profile)[player]
+    # Exact conditional value of each own action, per positive-mass atom:
+    # ``bayesian_regret``'s ``values`` column, for this player alone.
+    support = game.supports[player - 1]
+    plays = _strategies_at(game, eval_profile, support.positions, range(1, n + 1))
+    by_state = _state_values(game, player, plays, support.positions)
+    exact = _fold_atoms(support, by_state)[:, :-1].tolist()
     # Reconstruction from the belief centre: one row per (atom, centre
     # signal), the signal's class representative against the others'
     # play on the coarse atoms the signal induces.  The own belief tuple
@@ -429,8 +446,8 @@ def coarse_best_response_gap(
     weights: list[float] = []
     index: list[int] = []
     rows: dict[int, list[dict[Action, float]]] = {j: [] for j in others}
-    for atom in exact.atoms:
-        at = position[partition.atoms[atom][0]]
+    for _, _, members in support.atoms:
+        at = position[members[0]]
         own_tail = tuple(
             int(hierarchy.level(j).beliefs[at]) for j in range(player, n + 1)
         )
@@ -459,7 +476,7 @@ def coarse_best_response_gap(
 
     worst = 0.0
     start = 0
-    for row, count in zip(exact.values, counts):
+    for row, count in zip(exact, counts):
         stop = start + count
         for value, col in zip(row, columns):
             worst = max(worst, abs(value - math.fsum(col[start:stop])))

@@ -99,7 +99,7 @@ class SolveResult:
 
     @property
     def converged(self) -> bool:
-        return self.report.max_regret <= self.report.epsilon + regret_mod.CERT_SLACK
+        return regret_mod.within_bound(self.report.max_regret, self.report.epsilon)
 
 
 def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:

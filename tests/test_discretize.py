@@ -329,7 +329,7 @@ def assert_matches_scalar_oracle(spec: CompactGameSpec, eps: float):
     profiles = list(itertools.product(*disc.nets))
     assert list(values) == [(s, p) for s in spec.space.states for p in profiles]
     kept = set(disc.truncation.omega_double_prime)
-    m = disc.bound_m
+    m = disc.truncation.bound_m
     for (s, profile), vals in values.items():
         point = tuple(x for block in profile for x in block)
         want = (0.0,) * spec.n
@@ -413,9 +413,10 @@ class TestHatGameOracle:
             lipschitz=2.0,
         )
         disc = assert_matches_scalar_oracle(spec, eps)
-        assert disc.bound_m == 1.5
-        assert poly_eval(spec.payoffs[("w2", 1)], (1.0, 1.0)) == disc.bound_m
-        assert poly_eval(spec.payoffs[("w2", 2)], (1.0, 1.0)) == -disc.bound_m
+        m = disc.truncation.bound_m
+        assert m == 1.5
+        assert poly_eval(spec.payoffs[("w2", 1)], (1.0, 1.0)) == m
+        assert poly_eval(spec.payoffs[("w2", 2)], (1.0, 1.0)) == -m
         assert disc.game.payoffs.values[("w1", ((0.0,), (0.0,)))][1] == 0.0
 
     @pytest.mark.parametrize("scale", [1e13, 1e16])
@@ -467,8 +468,8 @@ class TestProbeAudit:
             strategies={1: {"a": {(0.5,): 1.0}}, 2: {"b": {(1.0,): 1.0}}}
         )
         audit = probe_harsanyi_regret(disc, profile)
-        assert audit.entries[0].regret == pytest.approx(0.5)
-        assert audit.entries[1].regret == 0.0
+        assert audit.certificate.harsanyi[1] == pytest.approx(0.5)
+        assert audit.certificate.harsanyi[2] == 0.0
 
     def test_off_grid_support_rejected(self):
         disc = build_hat_game(one_state_linear_spec(), 0.25)
@@ -477,14 +478,6 @@ class TestProbeAudit:
         )
         with pytest.raises(GameFormatError, match="off-grid"):
             probe_harsanyi_regret(disc, profile)
-
-    def test_custom_budget_controls_the_verdict(self):
-        disc = build_hat_game(one_state_linear_spec(), 0.25)
-        profile = StrategyProfile(
-            strategies={1: {"a": {(0.5,): 1.0}}, 2: {"b": {(1.0,): 1.0}}}
-        )
-        audit = probe_harsanyi_regret(disc, profile, budget=0.1)
-        assert not audit.ok
 
 
 def capped_spec(rng: np.random.Generator) -> CompactGameSpec:
@@ -539,16 +532,15 @@ class TestProbeOracle:
                 profile = random_profile(rng, disc.game)
                 audit = probe_harsanyi_regret(disc, profile)
                 plain = brute_force_check(truth, profile)
-                for entry in audit.entries:
-                    i = entry.player
+                for i, regret in audit.certificate.harsanyi.items():
                     prior = spec.space.prior_for(i)
                     expected = math.fsum(
                         math.fsum(prior[s] for s in members)
                         * max(0.0, plain[(i, atom)])
                         for atom, members in spec.partitions[i - 1].atoms.items()
                     )
-                    assert entry.regret == pytest.approx(expected, rel=0, abs=1e-12)
-                assert audit.max_regret == max(e.regret for e in audit.entries)
+                    assert regret == pytest.approx(expected, rel=0, abs=1e-12)
+                assert audit.max_regret == max(audit.certificate.harsanyi.values())
         assert "heavy" not in disc.truncation.omega_double_prime
 
     def test_other_players_off_grid_mass_is_rejected(self):
@@ -691,19 +683,24 @@ class TestBoxCertificate:
         spec = unit_lipschitz_spec(rng, box_dims, states)
         disc = build_hat_game(spec, 0.125)
         profile = sparse_profile(rng, disc.game)
-        cert = certify_box(disc, profile, probe_harsanyi_regret(disc, profile))
+        audit = probe_harsanyi_regret(disc, profile)
+        cert = certify_box(disc, profile, audit)
         assert (cert.spacing, cert.covering) == (1 / 32, 1 / 64)
         width = 4001 if max(box_dims) == 1 else 65
         axis = tuple(k / (width - 1) for k in range(width))
         oracle = oracle_box_regrets(spec, profile, axis)
-        assert set(oracle) == {(e.player, e.atom) for e in cert.atoms}
-        for e in cert.atoms:
-            want = oracle[(e.player, e.atom)]
-            assert want - 1e-12 <= e.regret <= want + cert.covering + 1e-9
+        assert [p.player for p in cert.players] == [1, 2]
+        columns = audit.certificate.players
+        assert set(oracle) == {(i, atom) for i in columns for atom in columns[i].atoms}
         for p in cert.players:
-            rows = [e for e in cert.atoms if e.player == p.player]
-            assert p.bayesian == max(e.regret for e in rows)
-            assert p.harsanyi == math.fsum(e.mass * max(0.0, e.regret) for e in rows)
+            atoms, mass = columns[p.player].atoms, columns[p.player].mass
+            assert len(p.regret) == len(atoms)
+            for atom, r in zip(atoms, p.regret):
+                want = oracle[(p.player, atom)]
+                assert want - 1e-12 <= r <= want + cert.covering + 1e-9
+            assert p.bayesian == max(p.regret)
+            harsanyi = math.fsum(m * max(0.0, r) for m, r in zip(mass, p.regret))
+            assert p.harsanyi == harsanyi
 
     def test_dominant_corner_is_certified_at_the_coarsest_grid(self):
         disc = build_hat_game(one_state_linear_spec(), 0.25, mesh=1.0)

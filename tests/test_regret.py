@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nestnash.regret
 from generators import exact_prior, random_nested_game, random_profile, redundant_game
 from nestnash.game import (
     DERIVED_TOL,
@@ -28,6 +29,7 @@ from nestnash.regret import (
     regret_report,
 )
 from nestnash.solver import lift_strategy
+from test_certificates import _with_player_priors
 from test_game import mixed_profile, two_state_game
 from test_hierarchy import anchor_copies
 
@@ -318,6 +320,50 @@ class TestCoarseReconstruction:
                 got = coarse_best_response_gap(game, h, coarse, i)
                 want = coarse_best_response_gap(game, h, lifted, i)
                 assert got.hex() == want.hex(), (name, i)
+
+    def test_one_player_is_evaluated(self, monkeypatch):
+        # The gap reads the profile on its player's support alone, with
+        # one ``_state_values`` call; reading it at every state some
+        # player weighs, as ``bayesian_regret`` does, gives the same gap.
+        calls = []
+        state_values = nestnash.regret._state_values
+        strategies_at = nestnash.regret._strategies_at
+
+        def counted(*args):
+            calls.append(args[1])
+            return state_values(*args)
+
+        def everywhere(game, profile, positions, players):
+            weighed = np.concatenate([s.positions for s in game.supports])
+            return strategies_at(game, profile, weighed, players)
+
+        cases = list(gap_cases())
+        rng = np.random.default_rng(23)
+        cases += [
+            (f"{name}-priors", _with_player_priors(rng, game), delta)
+            for name, game, delta in cases
+        ]
+        for name, game, delta in cases:
+            h = build_hierarchy(game, delta)
+            rng = np.random.default_rng(len(name))
+            strategies = {}
+            for i, acts in enumerate(game.payoffs.actions, start=1):
+                strategies[i] = {
+                    atom: dict(zip(acts, rng.dirichlet(np.ones(len(acts))).tolist()))
+                    for atom in h.coarse_partition(i).atoms
+                }
+            coarse = StrategyProfile(strategies, field_level="coarse")
+            for profile in (coarse, lift_strategy(coarse, game, h)):
+                for i in range(1, game.n + 1):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(nestnash.regret, "_state_values", counted)
+                        got = coarse_best_response_gap(game, h, profile, i)
+                    assert calls == [i], (name, i)
+                    calls.clear()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(nestnash.regret, "_strategies_at", everywhere)
+                        want = coarse_best_response_gap(game, h, profile, i)
+                    assert got.hex() == want.hex(), (name, i)
 
     def test_exact_beliefs_reconstruct_exactly(self, informed_anchor):
         h = build_hierarchy(informed_anchor, 0.2)

@@ -1,11 +1,19 @@
-"""The test tooling itself: a failing property test stays readable."""
+"""The test tooling itself: a failing property test stays readable, and
+the hooks the benchmark (``perfbench/``) takes into the library hold."""
 
+import importlib
+import importlib.util
+import json
 import os
 import shutil
 import subprocess
 import sys
 
+import pytest
+
 import nestnash
+import nestnash.cli
+from test_cli import single_state_continuous, write_json
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS)
@@ -41,3 +49,65 @@ def test_failing_hypothesis_test_shows_its_example(tmp_path):
     assert "Falsifying example" in output, output
     assert "INTERNALERROR" not in output, output
     assert "1 failed" in output, output
+
+
+@pytest.mark.parametrize(
+    "doc, epsilon, meshes",
+    [
+        # Refines once: the second grid holds the interior optimum.
+        (
+            single_state_continuous(
+                [(-1.0, [2, 0]), (1.0, [1, 0]), (-0.25, [0, 0])],
+                [(1.0, [0, 1])],
+                3.0,
+            ),
+            0.2,
+            2,
+        ),
+        # Fails on every grid, down to the a-priori mesh.
+        (
+            single_state_continuous(
+                [(0.1 * (1 - 1e-6), [30, 0])], [(0.1 * (1 - 1e-6), [0, 30])], 16.0
+            ),
+            0.1,
+            5,
+        ),
+    ],
+)
+def test_benchmark_gets_each_grid_game(doc, epsilon, meshes, tmp_path, monkeypatch):
+    # The benchmark's recheck patches ``nestnash.cli.build_hat_game`` alone
+    # and takes the last grid game a continuous solve built as the
+    # reported one.
+    built = []
+    build_hat_game = nestnash.cli.build_hat_game
+
+    def keep(*args, **kwargs):
+        built.append(build_hat_game(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(nestnash.cli, "build_hat_game", keep)
+    path = write_json(tmp_path / "game.json", doc)
+    out = tmp_path / "report.json"
+    nestnash.cli.main(
+        ["solve", "--game", path, "--epsilon", repr(epsilon), "--out", str(out)]
+    )
+    report = json.loads(out.read_text())
+    assert len(built) == len(report["box_certificate"]["meshes"]) == meshes
+    assert built[-1].eta0 == report["discretization"]["eta0"]
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    # Every function the benchmark's tracer wraps is where it looks.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py")
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module_name, path, name in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(owner.__dict__.get(attr)), (module_name, path, name)

@@ -132,12 +132,15 @@ class GapCertificate:
 @dataclass(frozen=True)
 class ProbeAudit:
     """``certificate`` is the regret certificate on the true-value grid
-    game: its ``harsanyi`` holds each player's probe regret, and its
-    ``current_value`` columns the profile's exact conditional values,
-    which the box certificate reuses."""
+    game against the probe budget: its ``harsanyi`` holds each player's
+    probe regret, and its ``current_value`` columns the profile's exact
+    conditional values, which the box certificate reuses."""
 
     certificate: RegretReport
-    budget: float
+
+    @property
+    def budget(self) -> float:
+        return self.certificate.epsilon
 
     @property
     def max_regret(self) -> float:
@@ -582,7 +585,7 @@ def probe_harsanyi_regret(
     game = disc.game
     for i in range(1, spec.n + 1):
         grid_actions = set(game.actions_for(i))
-        for atom, _, _ in game.supports[i - 1].atoms:
+        for atom in game.supports[i - 1].ids:
             for a, p in profile.distribution(i, atom).items():
                 if p > 0.0 and a not in grid_actions:
                     raise GameFormatError(
@@ -605,7 +608,7 @@ def probe_harsanyi_regret(
     true_game = NestedGame(
         space=game.space, partitions=game.partitions, payoffs=payoffs
     )
-    return ProbeAudit(certificate=certify(true_game, profile, budget), budget=budget)
+    return ProbeAudit(certificate=certify(true_game, profile, budget))
 
 
 @dataclass(frozen=True)
@@ -774,24 +777,22 @@ def certify_box(
         column = {f: c for c, f in enumerate(own_exps)}
         terms: list[list[list[float]]] = []
         weights = support.weights.tolist()
-        k = 0
-        for _, _, members in support.atoms:
+        sizes = support.sizes.tolist()
+        for start, stop in itertools.pairwise(itertools.accumulate(sizes, initial=0)):
             row: list[list[float]] = [[] for _ in own_exps]
-            for _ in members:
-                position, w = positions[k], weights[k]
+            for k in range(start, stop):
                 for c, exps in polys[k]:
                     t = c
                     for j in others:
                         mu = moment(j, exps[starts[j - 1] : starts[j]])
-                        t *= mu[plays[j][1][position]]
-                    row[column[exps[own]]].append(w * t)
-                k += 1
+                        t *= mu[plays[j][1][positions[k]]]
+                    row[column[exps[own]]].append(weights[k] * t)
             terms.append(row)
         coef = np.array([[math.fsum(t) for t in row] for row in terms])
 
         d = spec.box_dims[i - 1]
         index = np.indices((len(axis),) * d).reshape(d, -1)
-        values = np.zeros((len(support.atoms), index.shape[1]))
+        values = np.zeros((len(sizes), index.shape[1]))
         for f in own_exps:
             term = coef[:, column[f], None]
             for axis_index, e in zip(index, f):
@@ -800,7 +801,7 @@ def certify_box(
                         own_powers[e] = np.array([x**e for x in axis])
                     term = term * own_powers[e][axis_index]
             values += term
-        masses = np.array([mass for _, mass, _ in support.atoms])
+        masses = support.masses[support.masses > 0.0]
         best = (values.max(axis=1) / masses).tolist()
 
         count = 6 * spec.total_dim + 2 * n + most + len(own_exps) + 8
@@ -815,8 +816,9 @@ def certify_box(
         # The audit certified the grid game, whose supports these are, so
         # its columns list the same atoms in the same order.
         current = audit.certificate.players[i].current_value
-        for (atom, mass, members), top, c in zip(support.atoms, best, current):
-            ops = len(members) * per_state + per_net
+        masses = masses.tolist()
+        for atom, mass, size, top, c in zip(support.ids, masses, sizes, best, current):
+            ops = size * per_state + per_net
             allowance = rounding + 4.0 * ops * (bound + 1.0) / mass * _SMALLEST_FLOAT
             r = _up(_up(_up(top + covering) + allowance) - c)
             if below_floor(r):
@@ -824,9 +826,7 @@ def certify_box(
                     f"negative box regret {r!r} for player {i} at atom {atom!r}"
                 )
             regrets.append(min(r, cap))
-        harsanyi = math.fsum(
-            mass * max(0.0, r) for (_, mass, _), r in zip(support.atoms, regrets)
-        )
+        harsanyi = math.fsum(m * max(0.0, r) for m, r in zip(masses, regrets))
         players.append(BoxPlayer(player=i, regret=tuple(regrets), harsanyi=harsanyi))
     return BoxCertificate(
         epsilon=disc.epsilon, spacing=spacing, covering=covering, players=tuple(players)

@@ -23,11 +23,12 @@ game and cached: the validation report, the payoff classes
 (``NestedGame.classes``, with each state's class id as an integer
 array, shared by every game with the same payoff tensor and the state
 order of its array) and each player's support (``NestedGame.supports``:
-the atom of every state as an integer array, and the positive-mass atoms
-with their ``math.fsum`` masses and weighed members, shared by every
-game with the same state space and partition).  The belief hierarchy
-and the certifier both read them; each is a pure function of the game
-itself, so the certifier still trusts nothing from the solver.  After
+the atom of every state, each atom's ``math.fsum`` mass, and the
+positive-mass atoms as the columns ``ids`` and ``sizes``, with their
+weighed states atom after atom, shared by every game with the same state
+space and partition).  The belief hierarchy and the certifier both read
+them; each is a pure function of the game itself, so the certifier
+still trusts nothing from the solver.  After
 the load, partitions are read as integer labels
 (``InformationPartition.labels``): the nestedness check, the supports,
 the hierarchy, its audit, the quotient and the lift compare label arrays
@@ -413,16 +414,18 @@ class Support:
 
     ``atom_index[k]`` is the position, in partition order, of the atom
     holding the k-th state, and ``masses`` holds each atom's mass in
-    partition order, the ``math.fsum`` of its prior.  ``atoms`` lists
-    the positive-mass atoms in partition order as (atom, mass, members
-    with positive prior).  ``positions`` and ``weights`` hold those
-    members' state positions and priors, atom after atom; they are
-    exactly the states the player's prior weighs.
+    partition order, the ``math.fsum`` of its prior.  ``ids`` and
+    ``sizes`` are columns over the positive-mass atoms in partition
+    order: each atom's id and its number of members with positive prior.
+    ``positions`` and ``weights`` hold those members' state positions
+    and priors, atom after atom, each atom's in ``atom_of``'s order;
+    they are exactly the states the player's prior weighs.
     """
 
     atom_index: np.ndarray
     masses: np.ndarray
-    atoms: tuple[tuple[Atom, float, tuple[State, ...]], ...]
+    ids: tuple[Atom, ...]
+    sizes: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
 
@@ -814,26 +817,23 @@ def _support(space: StateSpace, player: int, part: InformationPartition) -> Supp
     """The player's ``Support``; callers read the cached ``game.supports``."""
     keys, codes, _ = part._labelled
     # The states atom after atom, each atom's in ``atom_of``'s order.
-    grouped = list(map(keys.__getitem__, np.argsort(codes, kind="stable").tolist()))
+    order = np.argsort(codes, kind="stable")
+    grouped, labels = list(map(keys.__getitem__, order.tolist())), codes[order]
     prior = list(map(space.prior_for(player).__getitem__, grouped))
-    sizes = np.bincount(codes).tolist()
-    masses = _fsums(prior, sizes)
-    # Priors are nonnegative: a member of a positive-mass atom is weighed
-    # when its own prior is positive.
-    weighed = list(map((0.0).__lt__, prior))
-    kept = list(itertools.compress(grouped, weighed))
-    members, atoms, start = iter(kept), [], 0
-    for atom, mass, n in zip(part.ids, masses, sizes):
-        if mass > 0.0:
-            count = sum(weighed[start : start + n])
-            atoms.append((atom, mass, tuple(itertools.islice(members, count))))
-        start += n
+    masses = np.array(_fsums(prior, np.bincount(codes).tolist()), float)
+    positive = masses > 0.0
+    # The weighed states: positive prior in a positive-mass atom, which
+    # with nonnegative priors is positive prior alone.
+    weights = np.array(prior, float)
+    weighed = (weights > 0.0) & positive[labels]
+    positions = np.fromiter(map(space.position.__getitem__, grouped), np.intp)
     return Support(
         atom_index=part.labels(space.states),
-        masses=np.array(masses),
-        atoms=tuple(atoms),
-        positions=np.fromiter(map(space.position.__getitem__, kept), np.intp),
-        weights=np.fromiter(itertools.compress(prior, weighed), float, len(kept)),
+        masses=masses,
+        ids=tuple(itertools.compress(part.ids, positive.tolist())),
+        sizes=np.bincount(labels[weighed], minlength=len(masses))[positive],
+        positions=positions[weighed],
+        weights=weights[weighed],
     )
 
 
@@ -841,13 +841,12 @@ def coarsen(game: NestedGame, partitions: Sequence[InformationPartition]) -> Nes
     """``game`` with each player's information replaced by their partition
     in ``partitions``.  A player whose new partition labels every state as
     their own does, so that only the atom ids differ, gets the game's
-    ``Support`` with its atoms renamed instead of a new one."""
+    ``Support`` with its ``ids`` renamed instead of a new one."""
     space, partitions = game.space, tuple(partitions)
     for i, (support, part) in enumerate(zip(game.supports, partitions), start=1):
         if not (part.labels(space.states) != support.atom_index).any():
-            rows = (support.masses > 0.0).nonzero()[0].tolist()
-            atoms = tuple((part.ids[r], *a[1:]) for r, a in zip(rows, support.atoms))
-            renamed = replace(support, atoms=atoms)
+            ids = itertools.compress(part.ids, (support.masses > 0.0).tolist())
+            renamed = replace(support, ids=tuple(ids))
             space._supports.setdefault((i, id(part)), (part, renamed))
     return NestedGame(space=space, partitions=partitions, payoffs=game.payoffs)
 
@@ -855,17 +854,14 @@ def coarsen(game: NestedGame, partitions: Sequence[InformationPartition]) -> Nes
 def _fold_atoms(support: Support, by_state: np.ndarray) -> np.ndarray:
     """Per positive-mass atom of ``support`` (rows) and column of
     ``by_state``: the fsum of the prior-weighted values of the atom's
-    members divided by its mass.  ``by_state`` has one row per entry of
-    ``support.positions``."""
+    run of ``support.sizes`` members divided by its mass.  ``by_state``
+    has one row per entry of ``support.positions``."""
     # One list per column: its prior-weighted value at each state.
     columns = (support.weights[:, None] * by_state).T.tolist()
-    out = []
-    start = 0
-    for _, mass, members in support.atoms:
-        stop = start + len(members)
-        out.append([math.fsum(col[start:stop]) / mass for col in columns])
-        start = stop
-    return np.array(out, float).reshape(len(out), by_state.shape[1])
+    sizes = support.sizes.tolist()
+    sums = np.array([_fsums(column, sizes) for column in columns], float)
+    masses = support.masses[support.masses > 0.0]
+    return (sums.reshape(len(columns), len(sizes)) / masses).T
 
 
 def expected_payoff(game: NestedGame, profile: StrategyProfile) -> tuple[float, ...]:
@@ -889,7 +885,7 @@ def conditional_payoff(
     support = game.supports[player - 1]
     by_state = _expectations(game, profile, player, support.positions)
     values = _fold_atoms(support, by_state)[:, 0].tolist()
-    return {atom: value for (atom, _, _), value in zip(support.atoms, values)}
+    return dict(zip(support.ids, values))
 
 
 def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:

@@ -296,7 +296,7 @@ def expectation_gap(
     at = support.positions
     exact = _fold_atoms(support, np.array(values, float)[level.signals[at], None])
     # Each positive-mass atom's centre, read at its first weighed state.
-    firsts = np.cumsum([0] + [len(members) for _, _, members in support.atoms])[:-1]
+    firsts = np.cumsum(support.sizes) - support.sizes
     approx = np.array(centres)[level.beliefs[at[firsts]]]
     return float(np.abs(exact[:, 0] - approx).max(initial=0.0))
 

@@ -102,8 +102,8 @@ def solve(
     and ``target`` (the coarse solver's regret goal) to ``epsilon / 2``.
     Raises InvalidGameError before any arithmetic when the game fails
     validation, and GameFormatError when ``epsilon`` is not finite and
-    positive, ``delta`` is not positive, or the default ``delta``
-    underflows to 0.
+    positive, ``delta`` is not positive, the default ``delta``
+    underflows to 0, or the belief term ``delta * M * A`` overflows.
     """
     game.require_valid()
     if not 0.0 < epsilon < math.inf:
@@ -119,6 +119,8 @@ def solve(
             )
     elif not delta > 0.0:
         raise GameFormatError("delta must be positive")
+    elif not delta * bound * profiles < math.inf:
+        raise GameFormatError(f"delta * M * A overflows at delta = {delta!r}")
     if target is None:
         target = epsilon / 2.0
 
@@ -172,6 +174,6 @@ def _renamed(
             f.name: tuple(map(getattr(record, f.name).__getitem__, index))
             for f in dataclasses.fields(record)
         }
-        columns["atoms"] = tuple(atom for atom, _, _ in support.atoms)
+        columns["atoms"] = support.ids
         table[i] = PlayerRegret(**columns)
     return regret_report(table, epsilon)

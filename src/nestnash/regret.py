@@ -74,6 +74,7 @@ from .game import (
     StrategyProfile,
     _expectation_rows,
     _fold_atoms,
+    _fsums,
     _group,
     _strategies_at,
 )
@@ -178,7 +179,9 @@ def bayesian_regret(
 
     Regret is mathematically nonnegative; a value below -1e-9 signals a
     broken invariant somewhere and raises rather than being clipped.
+    Raises InvalidGameError unless the game is valid.
     """
+    game.require_valid()
     players = range(1, game.n + 1)
     supports = game.supports
     weighed = np.concatenate([support.positions for support in supports])
@@ -198,13 +201,13 @@ def bayesian_regret(
             k = int(negative[0])
             raise ConsistencyError(
                 f"negative regret {float(regret[k])!r} for player {i} "
-                f"at atom {support.atoms[k][0]!r}"
+                f"at atom {support.ids[k]!r}"
             )
         argmax = (values >= (best - DERIVED_TOL)[:, None]).tolist()
         actions = game.actions_for(i)
         out[i] = PlayerRegret(
-            atoms=tuple(atom for atom, _, _ in support.atoms),
-            mass=tuple(mass for _, mass, _ in support.atoms),
+            atoms=support.ids,
+            mass=tuple(support.masses[support.masses > 0.0].tolist()),
             regret=tuple(regret.tolist()),
             best_value=tuple(best.tolist()),
             current_value=tuple(current.tolist()),
@@ -437,7 +440,7 @@ def coarse_best_response_gap(
     support = game.supports[player - 1]
     plays = _strategies_at(game, eval_profile, support.positions, range(1, n + 1))
     by_state = _state_values(game, player, plays, support.positions)
-    exact = _fold_atoms(support, by_state)[:, :-1].tolist()
+    exact = _fold_atoms(support, by_state)[:, :-1]
     # Reconstruction from the belief centre: one row per (atom, centre
     # signal), the signal's class representative against the others'
     # play on the coarse atoms the signal induces.  The own belief tuple
@@ -446,8 +449,9 @@ def coarse_best_response_gap(
     weights: list[float] = []
     index: list[int] = []
     rows: dict[int, list[dict[Action, float]]] = {j: [] for j in others}
-    for _, _, members in support.atoms:
-        at = position[members[0]]
+    # Each atom's first weighed state.
+    starts = np.cumsum(support.sizes) - support.sizes
+    for at in support.positions[starts].tolist():
         own_tail = tuple(
             int(hierarchy.level(j).beliefs[at]) for j in range(player, n + 1)
         )
@@ -471,14 +475,9 @@ def coarse_best_response_gap(
         for j in others
     ]
     values = _expectation_rows(game, player, dists, index, keep=player)
-    # Each column: one own action's weighted value at every row.
+    # Each column: one own action's weighted value at every row, summed
+    # per atom over its centre's rows.
     columns = (np.array(weights)[:, None] * values).T.tolist()
-
-    worst = 0.0
-    start = 0
-    for row, count in zip(exact, counts):
-        stop = start + count
-        for value, col in zip(row, columns):
-            worst = max(worst, abs(value - math.fsum(col[start:stop])))
-        start = stop
-    return worst
+    sums = np.array([_fsums(column, counts) for column in columns], float)
+    approx = sums.reshape(len(columns), len(counts)).T
+    return float(np.abs(exact - approx).max(initial=0.0))

@@ -9,7 +9,8 @@ integer, tuple or string atom ids, and compare every result with a
 reference below that walks the per-state dicts one state at a time.
 The readers of the hierarchy's label arrays (``expectation_gap`` and
 ``coarse_best_response_gap``) are compared float for float with plain
-loops over ``ref_hierarchy``'s dicts.
+loops over ``ref_hierarchy``'s dicts, and each player's support columns
+and their per-atom fold with a walk over the atoms.
 Hierarchies are also tampered with, so that the audit's witnesses and
 the lift's error are exercised.
 """
@@ -31,6 +32,7 @@ from nestnash.game import (
     PayoffTensor,
     StateSpace,
     StrategyProfile,
+    _fold_atoms,
     _refinement_witness,
     validate_game,
 )
@@ -201,6 +203,43 @@ def ref_lift(profile, game, h):
             table[atom] = dict(profile.distribution(i, parents.pop()))
         strategies[i] = table
     return strategies
+
+
+def ref_support(game, player):
+    """The player's support by a walk over the atoms in partition order:
+    each atom's index per state, every atom's mass, then per positive-mass
+    atom its id, its mass and its members of positive prior in
+    ``atom_of``'s order, as (ids, sizes, positive masses, positions,
+    weights)."""
+    prior = game.prior_for(player)
+    part = game.partition_for(player)
+    position = game.space.position
+    order = {atom: k for k, atom in enumerate(part.atoms)}
+    atom_index = [order[part.atom_of[s]] for s in game.space.states]
+    masses, ids, sizes, positive, positions, weights = [], [], [], [], [], []
+    for atom, members in part.atoms.items():
+        mass = math.fsum(prior[s] for s in members)
+        masses.append(mass)
+        if mass > 0.0:
+            kept = [s for s in members if prior[s] > 0.0]
+            ids.append(atom)
+            sizes.append(len(kept))
+            positive.append(mass)
+            positions += [position[s] for s in kept]
+            weights += [prior[s] for s in kept]
+    return atom_index, masses, (ids, sizes, positive, positions, weights)
+
+
+def ref_fold(weights, sizes, masses, by_state):
+    """The per-atom fold as one loop over the atoms: per column, the fsum
+    of the atom's prior-weighted values divided by its mass."""
+    columns = (np.array(weights)[:, None] * by_state).T.tolist()
+    out, start = [], 0
+    for size, mass in zip(sizes, masses):
+        stop = start + size
+        out.append([math.fsum(col[start:stop]) / mass for col in columns])
+        start = stop
+    return out
 
 
 def ref_expectation_gap(game, delta, player, f):
@@ -555,6 +594,37 @@ def test_coarse_gap_matches_the_dict_walk(seed, delta):
     for i in range(1, game.n + 1):
         got = coarse_best_response_gap(game, h, profile, i)
         assert got.hex() == ref_coarse_gap(game, delta, profile, i).hex()
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS)
+def test_support_columns_match_the_atom_walk(seed):
+    game = variant(seed)
+    rng = np.random.default_rng(seed)
+    for i, support in enumerate(game.supports, start=1):
+        atom_index, masses, columns = ref_support(game, i)
+        ids, sizes, positive, positions, weights = columns
+        assert support.atom_index.tolist() == atom_index
+        assert hexes(support.masses.tolist()) == hexes(masses)
+        assert support.ids == tuple(ids)
+        assert support.sizes.tolist() == sizes
+        assert support.positions.tolist() == positions
+        assert hexes(support.weights.tolist()) == hexes(weights)
+        # Values of mixed scales and signs, a few of them signed zeros.
+        width = int(rng.integers(1, 5))
+        scale = 10.0 ** rng.integers(-8, 9, (len(positions), width))
+        by_state = rng.standard_normal((len(positions), width)) * scale
+        by_state[rng.random(by_state.shape) < 0.1] = -0.0
+        got = _fold_atoms(support, by_state)
+        assert got.shape == (len(ids), width)
+        expected = ref_fold(weights, sizes, positive, by_state)
+        assert [hexes(row) for row in got.tolist()] == [
+            hexes(row) for row in expected
+        ]
 
 
 def test_lift_names_the_first_straddling_atom():

@@ -43,6 +43,16 @@ def test_underflowing_default_delta_names_epsilon_and_m():
     assert "epsilon = 5e-324, M = " in str(err.value)
 
 
+def test_overflowing_belief_term_is_rejected():
+    # The transfer bound delta * M * A + rho would be inf, which no report
+    # can hold; a large finite term still solves.
+    game = two_state_game()
+    with pytest.raises(GameFormatError, match="delta \\* M \\* A overflows") as err:
+        solve(game, 0.1, delta=1e308)
+    assert "delta = 1e+308" in str(err.value)
+    assert math.isfinite(solve(game, 0.1, delta=1e300).transfer_bound)
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
 def test_epsilon_must_be_finite_and_positive(epsilon):
     # Named before delta is derived from it, and also with delta given: a
@@ -98,8 +108,8 @@ def test_a_solve_that_merges_nothing_builds_each_support_once(shuffle, monkeypat
         coarse = build_auxiliary_game(game, solution.hierarchy).coarse_game
         for i, support in enumerate(coarse.supports, start=1):
             fresh = original(coarse.space, i, coarse.partition_for(i))
-            assert support.atoms == fresh.atoms
-            for name in ("atom_index", "masses", "positions", "weights"):
+            assert support.ids == fresh.ids
+            for name in ("atom_index", "masses", "sizes", "positions", "weights"):
                 assert np.array_equal(getattr(support, name), getattr(fresh, name))
 
 
@@ -154,7 +164,7 @@ def test_renamed_coarse_certificate_is_the_fresh_one(shuffle, priors, regret_cal
         renamed = len(regret_calls) == 1
         assert renamed or priors, idx
         skipping += renamed and any(
-            len(support.atoms) < len(part.ids)
+            len(support.ids) < len(part.ids)
             for support, part in zip(game.supports, game.partitions)
         )
         fresh = certify(game, solution.profile, epsilon)

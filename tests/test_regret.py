@@ -10,6 +10,7 @@ from nestnash.game import (
     DERIVED_TOL,
     GameFormatError,
     InformationPartition,
+    InvalidGameError,
     NestedGame,
     PayoffTensor,
     StateSpace,
@@ -166,6 +167,23 @@ class TestCertify:
             certify(game, mixed_profile(), epsilon)
         with pytest.raises(GameFormatError, match=match):
             regret_report(bayesian_regret(game, mixed_profile()), epsilon)
+
+    def test_invalid_game_is_rejected_before_any_arithmetic(self):
+        # One player: the evaluator's joint distribution over the others
+        # would have no factor to start from.
+        game = NestedGame(
+            space=StateSpace(states=("s",), prior={"s": 1.0}),
+            partitions=(InformationPartition(1, {"s": "a"}),),
+            payoffs=PayoffTensor(
+                actions=(("L", "R"),),
+                values={("s", ("L",)): (1.0,), ("s", ("R",)): (0.0,)},
+            ),
+        )
+        profile = StrategyProfile(strategies={1: {"a": {"L": 1.0}}})
+        with pytest.raises(InvalidGameError, match="need at least 2 players, got 1"):
+            certify(game, profile, 0.1)
+        with pytest.raises(InvalidGameError, match="need at least 2 players, got 1"):
+            bayesian_regret(game, profile)
 
     def test_exact_equilibrium_passes_at_zero(self, informed_anchor):
         profile = StrategyProfile(

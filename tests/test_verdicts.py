@@ -136,9 +136,12 @@ class TestPassRule:
         disc = build_hat_game(linear_spec(), 0.25)
         audit = probe_harsanyi_regret(disc, half_profile())
         assert audit.max_regret == pytest.approx(0.5)
-        assert_edge(
-            lambda b: dataclasses.replace(audit, budget=b).ok, audit.max_regret
-        )
+        # The audit's budget is its certificate's epsilon.
+        def ok(b: float) -> bool:
+            certificate = dataclasses.replace(audit.certificate, epsilon=b)
+            return dataclasses.replace(audit, certificate=certificate).ok
+
+        assert_edge(ok, audit.max_regret)
 
     def test_box_certificate_ok(self):
         disc = build_hat_game(linear_spec(), 0.25)
@@ -156,7 +159,7 @@ class TestFloor:
         # Every action is worth 0 and the profile ``current``, so each
         # regret is exactly -current.
         def folded(support, by_state):
-            table = np.zeros((len(support.atoms), by_state.shape[1]))
+            table = np.zeros((len(support.ids), by_state.shape[1]))
             table[:, -1] = current
             return table
 

@@ -187,7 +187,8 @@ def eta_net(dim: int, eta0: float) -> tuple[tuple[float, ...], ...]:
 
 
 def _per_axis(eta0: float) -> int:
-    # At least two points, the endpoints, even when 1 / eta0 underflows.
+    # At least two points, the endpoints, even when 1 / eta0 rounds to 0.
+    # A tiny eta0 must still have a finite reciprocal (``_a_priori_mesh``).
     return max(math.ceil(1.0 / eta0), 1) + 1
 
 
@@ -341,7 +342,7 @@ def build_hat_game(
     if not epsilon > 0.0:
         raise GameFormatError("epsilon must be positive")
     _validate_spec(spec)
-    eta0 = epsilon / spec.lipschitz if mesh is None else mesh
+    eta0 = _a_priori_mesh(spec, epsilon) if mesh is None else mesh
     if not 0.0 < eta0 < math.inf:
         raise GameFormatError("the grid mesh must be finite and positive")
     nets = tuple(eta_net(d, eta0) for d in spec.box_dims)
@@ -379,13 +380,25 @@ def build_hat_game(
 MESH_FACTORS = (16, 8, 4, 2, 1)
 
 
+def _a_priori_mesh(spec: CompactGameSpec, epsilon: float) -> float:
+    """The mesh epsilon / L.  GameFormatError when it is 0 or its
+    reciprocal overflows, as no grid then has a finite point count."""
+    mesh = epsilon / spec.lipschitz
+    if not (mesh > 0.0 and 1.0 / mesh < math.inf):
+        raise GameFormatError(
+            f"the grid mesh epsilon / L is too fine for a grid at "
+            f"epsilon = {epsilon!r}, L = {spec.lipschitz!r}"
+        )
+    return mesh
+
+
 def coarse_to_fine(spec: CompactGameSpec, epsilon: float) -> list[float]:
     """The grid meshes to try, coarsest first: epsilon / L times each of
     ``MESH_FACTORS``.  Of each run of meshes whose nets are equal only
     the finest is kept, so every distinct grid is solved at most once
     and the last mesh is always the a-priori one."""
     _validate_spec(spec)
-    meshes = [f * (epsilon / spec.lipschitz) for f in MESH_FACTORS]
+    meshes = [f * _a_priori_mesh(spec, epsilon) for f in MESH_FACTORS]
     return [
         mesh
         for mesh, finer in zip(meshes, meshes[1:] + [None])
@@ -601,10 +614,6 @@ def probe_harsanyi_regret(
         for i in range(1, spec.n + 1):
             cells[i - 1, k] = _net_values(spec.payoffs[(s, i)], grid)
     payoffs = PayoffTensor.from_array(disc.nets, states, table)
-    # Flooring is a function of each entry, so states whose floored rows
-    # all differ have true rows that all differ too: the same classes.
-    if game.classes.count == len(states):
-        payoffs._classes = game.classes
     true_game = NestedGame(
         space=game.space, partitions=game.partitions, payoffs=payoffs
     )

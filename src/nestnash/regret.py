@@ -76,7 +76,9 @@ from .game import (
     _fold_atoms,
     _fsums,
     _group,
+    _refinement_witness,
     _strategies_at,
+    coarsen,
 )
 from .hierarchy import Hierarchy
 
@@ -378,77 +380,60 @@ def coarse_best_response_gap(
     actions.
 
     The profile gives every player's play, the player's own included,
-    since the exact values are ``bayesian_regret``'s table.  The other
-    players' strategies must be measurable with respect to their coarse
-    partitions.  The reconstruction weighs, per signal
-    support value, the payoff matrix of that value's class against the
-    opponents' play on the coarse atoms induced by the value combined
-    with the player's own observed belief tuple.  Signal values that
-    never co-occur with the observed tuple have no realized coarse atom;
-    opponents are assigned uniform play there, which keeps the
-    reconstruction bounded by the payoff bound and so preserves the
-    guarantee regardless of the convention.
+    since the exact values are ``bayesian_regret``'s table.  Play is read
+    as rows with ``_strategies_at``, on the coarse game
+    (``coarsen(game, hierarchy.coarse)``) for a coarse-level profile and
+    on ``game`` for an original one: the other players' at every state,
+    the player's own on their support.  Each other player must play one
+    row, compared by value, throughout each of their coarse atoms.  The
+    reconstruction weighs, per signal support value, the payoff matrix
+    of that value's class against the opponents' rows on the coarse
+    atoms induced by the value combined with the player's own observed
+    belief tuple.  Signal values that never co-occur with the observed
+    tuple have no realized coarse atom; opponents are assigned uniform
+    play there, which keeps the reconstruction bounded by the payoff
+    bound and so preserves the guarantee regardless of the convention.
     """
     level = hierarchy.level(player)
     n = game.n
     others = [j for j in range(1, n + 1) if j != player]
-
-    # Opponent strategies as functions of their coarse atoms.
-    coarse_strats: dict[int, dict[Atom, dict[Action, float]]] = {}
-    for j in others:
-        part_j = hierarchy.coarse_partition(j)
-        strat: dict[Atom, dict[Action, float]] = {}
-        if profile.field_level == "coarse":
-            strat = profile.strategies[j]
-        else:
-            for atom, members in part_j.atoms.items():
-                first = profile.distribution(j, game.partitions[j - 1].atom_of[members[0]])
-                for s in members[1:]:
-                    d = profile.distribution(j, game.partitions[j - 1].atom_of[s])
-                    if d != first:
-                        raise GameFormatError(
-                            f"player {j} strategy is not constant on coarse atoms"
-                        )
-                strat[atom] = first
-        coarse_strats[j] = strat
-
-    # The exact side evaluates every player at original atoms, so a
-    # profile given on coarse atoms is copied down to the original
-    # partitions.
+    states, position = game.space.states, game.space.position
+    support = game.supports[player - 1]
+    source = game
     if profile.field_level == "coarse":
-        lifted: dict[int, dict[Atom, dict[Action, float]]] = {}
-        for j in range(1, n + 1):
-            part_j = game.partition_for(j)
-            coarse_j = hierarchy.coarse_partition(j)
-            lifted[j] = {
-                part_j.atom_of[s]: profile.distribution(j, coarse_j.atom_of[s])
-                for s in game.space.states
-            }
-        eval_profile = StrategyProfile(strategies=lifted, field_level="original")
-    else:
-        eval_profile = profile
+        source = coarsen(game, hierarchy.coarse)
+    # Keyed in player order, as ``_state_values`` takes them.
+    plays = _strategies_at(source, profile, np.arange(len(states)), others)
+    plays.update(_strategies_at(source, profile, support.positions, [player]))
+    plays = dict(sorted(plays.items()))
 
-    uniform = {
-        j: {a: 1.0 / len(game.actions_for(j)) for a in game.actions_for(j)}
-        for j in others
-    }
-
-    position = game.space.position
+    # Per other player: their rows with a uniform one appended, and the
+    # row index of each coarse atom by id, the uniform one for None.
+    tables, atom_rows = {}, {}
+    for j in others:
+        rows, row_of = plays[j]
+        coarse = hierarchy.coarse_partition(j)
+        keys, _, firsts = coarse._labelled
+        order = np.fromiter(map(position.__getitem__, keys), np.intp, len(keys))
+        labels = row_of[order]
+        if _refinement_witness(coarse, labels) is not None:
+            raise GameFormatError(
+                f"player {j} strategy is not constant on coarse atoms"
+            )
+        tables[j] = np.vstack([rows, np.full(rows.shape[1], 1.0 / rows.shape[1])])
+        atom_rows[j] = dict(zip(coarse.ids, labels[firsts].tolist()))
+        atom_rows[j][None] = len(rows)
 
     # Exact conditional value of each own action, per positive-mass atom:
     # ``bayesian_regret``'s ``values`` column, for this player alone.
-    support = game.supports[player - 1]
-    plays = _strategies_at(game, eval_profile, support.positions, range(1, n + 1))
     by_state = _state_values(game, player, plays, support.positions)
     exact = _fold_atoms(support, by_state)[:, :-1]
     # Reconstruction from the belief centre: one row per (atom, centre
     # signal), the signal's class representative against the others'
     # play on the coarse atoms the signal induces.  The own belief tuple
     # at levels player..n is constant on the atom.
-    counts: list[int] = []
-    weights: list[float] = []
-    index: list[int] = []
-    rows: dict[int, list[dict[Action, float]]] = {j: [] for j in others}
+    counts, weights, index = [], [], []
+    picks: dict[int, list[int]] = {j: [] for j in others}
     # Each atom's first weighed state.
     starts = np.cumsum(support.sizes) - support.sizes
     for at in support.positions[starts].tolist():
@@ -465,15 +450,8 @@ def coarse_best_response_gap(
             full_key = z[:-1] + own_tail
             for j in others:
                 atom_j = hierarchy.atom_for_key(j, full_key[j - 1 :])
-                rows[j].append(
-                    uniform[j] if atom_j is None else coarse_strats[j][atom_j]
-                )
-    dists = [
-        np.array(
-            [[d.get(a, 0.0) for a in game.actions_for(j)] for d in rows[j]], float
-        ).reshape(len(index), len(game.actions_for(j)))
-        for j in others
-    ]
+                picks[j].append(atom_rows[j][atom_j])
+    dists = [tables[j][np.array(picks[j], np.intp)] for j in others]
     values = _expectation_rows(game, player, dists, index, keep=player)
     # Each column: one own action's weighted value at every row, summed
     # per atom over its centre's rows.

@@ -461,6 +461,30 @@ class TestCoarseToFine:
         assert report["discretization"]["eta0"] == base
         assert report["probe_audit"]["ok"] is True
 
+    @pytest.mark.parametrize(
+        "epsilon, lipschitz",
+        [
+            # epsilon / L underflows to 0.
+            ("5e-324", 2.0),
+            # epsilon / L is positive, but its reciprocal overflows.
+            ("1e-310", 2.0),
+            ("0.1", 1e308),
+        ],
+    )
+    def test_mesh_without_a_grid_is_rejected(
+        self, epsilon, lipschitz, tmp_path, capsys
+    ):
+        doc = single_state_continuous([(1.0, [1, 0])], [(1.0, [0, 1])], lipschitz)
+        path = write_json(tmp_path / "game.json", doc)
+        code = main(["solve", "--game", path, "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the grid mesh epsilon / L is too fine for a grid at "
+            f"epsilon = {float(epsilon)!r}, L = {lipschitz!r}\n"
+        )
+
 
 class TestVerify:
     def test_exact_equilibrium_passes(self, anchor_path, tmp_path, capsys):

@@ -5,8 +5,10 @@ mutations to the small ``types`` document of ``test_cli`` (an unknown
 type profile in place of an unknown state).  The second draws ``solve``,
 ``verify`` and ``hierarchy`` command lines whose numeric flags are nan,
 inf, -0.0, 5e-324, 1e308, 1e400, non-numeric or in range, whose seeds
-may be negative or non-numeric, and whose files may be missing.  Both
-call ``cli.main`` in-process.  Whatever the input, the command must end
+may be negative or non-numeric, and whose files may be missing; on the
+continuous file, ``--epsilon`` takes only values whose mesh epsilon / L
+underflows or gives a small grid (a finite but huge grid, as at 1e-12,
+is not bounded here).  Both call ``cli.main`` in-process.  Whatever the input, the command must end
 in a declared exit code (a ``SystemExit`` counts as its code) without a
 traceback, and stdout must be empty or strict JSON.
 """
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestnash.cli import main
-from test_cli import MP_GAME, TYPES_GAME
+from test_cli import CONTINUOUS_GAME, MP_GAME, TYPES_GAME
 from test_finite_fuzz import _MUTATIONS, _refuse, _write
 
 _TYPES_MUTATIONS = {
@@ -32,6 +34,11 @@ _TYPES_MUTATIONS["unknown types"] = lambda e, k: e[k]["types"].__setitem__(0, "z
 
 _NUMBERS = st.sampled_from(
     ["nan", "inf", "-inf", "-0.0", "0", "5e-324", "1e308", "1e400", "0.1", "x", ""]
+)
+# Epsilons whose mesh on the continuous file (L = 1) has no grid or a
+# small one.
+_MESH_EPSILONS = st.sampled_from(
+    ["nan", "inf", "0", "5e-324", "1e-310", "1e-320", "1e308", "0.5", "0.1", "x"]
 )
 _SEEDS = st.sampled_from(["-1", "0", "7", "1e3", "x", str(2**70)])
 
@@ -72,13 +79,14 @@ def test_types_file_ends_in_a_declared_exit_code(mutations, command):
 @st.composite
 def command_lines(draw, directory: str) -> list[str]:
     """A ``solve``, ``verify`` or ``hierarchy`` argv on the matching
-    pennies file or a missing one."""
-    game = draw(st.sampled_from(["game.json", "missing.json"]))
+    pennies file, the continuous file or a missing one."""
+    game = draw(st.sampled_from(["game.json", "continuous.json", "missing.json"]))
     argv = [draw(st.sampled_from(["solve", "verify", "hierarchy"]))]
     argv += ["--game", os.path.join(directory, game)]
     if argv[0] == "hierarchy":
         return argv + ["--delta", draw(_NUMBERS)]
-    argv += ["--epsilon", draw(_NUMBERS)]
+    epsilons = _MESH_EPSILONS if game == "continuous.json" else _NUMBERS
+    argv += ["--epsilon", draw(epsilons)]
     if argv[0] == "verify":
         profile = draw(st.sampled_from(["profile.json", "missing.json"]))
         return argv + ["--profile", os.path.join(directory, profile)]
@@ -106,7 +114,8 @@ _PROFILE = {
 @given(data=st.data())
 def test_flags_end_in_a_declared_exit_code(data):
     with tempfile.TemporaryDirectory() as directory:
-        for name, doc in (("game", MP_GAME), ("profile", _PROFILE)):
+        docs = {"game": MP_GAME, "continuous": CONTINUOUS_GAME, "profile": _PROFILE}
+        for name, doc in docs.items():
             with open(os.path.join(directory, f"{name}.json"), "w") as handle:
                 handle.write(json.dumps(doc))
         _run(data.draw(command_lines(directory)))

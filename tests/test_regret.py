@@ -468,6 +468,36 @@ class TestCoarseReconstruction:
         gap = coarse_best_response_gap(game, h, profile, 2)
         assert gap <= 1e-12
 
+    def test_play_is_compared_as_rows(self):
+        # An action at probability 0 is the same play as a missing one,
+        # as the certifier reads it.
+        game = collapse_game()
+        h = build_hierarchy(game, 0.25)
+        profile = StrategyProfile(
+            strategies={
+                1: {"a1": {"L": 1.0}, "a2": {"L": 1.0, "R": 0.0}},
+                2: {"b": {"L": 1.0}},
+            }
+        )
+        assert coarse_best_response_gap(game, h, profile, 2).hex() == "0x0.0p+0"
+
+    def test_original_profile_lacking_an_atom_is_rejected(self):
+        game = collapse_game()
+        h = build_hierarchy(game, 0.25)
+        profile = StrategyProfile({1: {"a1": {"L": 1.0}}, 2: {"b": {"L": 1.0}}})
+        with pytest.raises(GameFormatError, match="no strategy for atom"):
+            coarse_best_response_gap(game, h, profile, 2)
+
+    def test_coarse_profile_lacking_an_atom_is_rejected(self):
+        game = collapse_game()
+        h = build_hierarchy(game, 0.25)
+        atom2 = next(iter(h.coarse_partition(2).atoms))
+        profile = StrategyProfile(
+            strategies={1: {}, 2: {atom2: {"L": 1.0}}}, field_level="coarse"
+        )
+        with pytest.raises(GameFormatError, match="no strategy for atom"):
+            coarse_best_response_gap(game, h, profile, 2)
+
 
 def oracle_game(rng, kind: str) -> NestedGame:
     """A game with repeated payoff classes and signed zero payoffs; a

@@ -19,6 +19,9 @@ runs the regret certifier on the true-value grid game, the grid game
 with each state's unfloored values, so the audit sums exactly as every
 certificate does and shares its negative-regret check; each player's
 probe regret is that certificate's ``harsanyi`` entry.
+``build_hat_game`` keeps that game beside the grid game
+(``DiscretizedGame.true_game``) and floors the grid game's payoffs from
+the same values, so each polynomial is evaluated once per mesh.
 
 The box certificate (``certify_box``) bounds the profile's regret
 against every action in each player's box, on the compact game itself,
@@ -102,7 +105,17 @@ class StateTruncation:
 
 @dataclass(frozen=True)
 class DiscretizedGame:
+    """The grid companion of ``spec`` (see ``build_hat_game``).
+
+    ``game`` is the grid game: each player's net as their actions and
+    every payoff floored to the epsilon lattice, dropped states paying
+    zero.  ``true_game`` shares its space, partitions and nets, and
+    holds every state's unfloored polynomial values, dropped states
+    included: the game the probe audit certifies.
+    """
+
     game: NestedGame
+    true_game: NestedGame
     spec: CompactGameSpec
     epsilon: float
     eta0: float
@@ -333,9 +346,10 @@ def build_hat_game(
     Payoffs on kept states are floored to the epsilon lattice, so they
     sit within [0, epsilon) below the true value; discarded states pay
     zero and are charged to the tail of the certificate.  Each payoff
-    polynomial is evaluated over the whole joint net at once
-    (``_net_floors``) and written straight into the game's payoff
-    array; every value equals the scalar
+    polynomial is evaluated once, over the whole joint net at once
+    (``_net_values``), into ``true_game``'s payoff array, and its kept
+    states are floored from those values (``_net_floors``) into the
+    game's; every floored value equals the scalar
     ``floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)``
     bit for bit.
     """
@@ -343,8 +357,10 @@ def build_hat_game(
         raise GameFormatError("epsilon must be positive")
     _validate_spec(spec)
     eta0 = _a_priori_mesh(spec, epsilon) if mesh is None else mesh
-    if not 0.0 < eta0 < math.inf:
-        raise GameFormatError("the grid mesh must be finite and positive")
+    if not (0.0 < eta0 < math.inf and 1.0 / eta0 < math.inf):
+        raise GameFormatError(
+            f"the grid mesh {eta0!r} and its reciprocal must be finite and positive"
+        )
     nets = tuple(eta_net(d, eta0) for d in spec.box_dims)
     truncation = truncate_states(
         state_payoff_bounds(spec), spec.space.prior, epsilon, spec.payoff_cap
@@ -353,21 +369,23 @@ def build_hat_game(
     grid = _joint_grid(spec, _net_axis(eta0))
 
     states = spec.space.states
-    table = np.zeros((spec.n, len(states)) + tuple(map(len, nets)))
+    shape = (spec.n, len(states)) + tuple(map(len, nets))
+    true_table, table = np.empty(shape), np.zeros(shape)
+    true_cells = true_table.reshape(spec.n, len(states), -1)
     cells = table.reshape(spec.n, len(states), -1)
     for k, s in enumerate(states):
-        if s in kept:
-            for i in range(1, spec.n + 1):
-                poly = spec.payoffs[(s, i)]
-                cells[i - 1, k] = _net_floors(poly, grid, epsilon, truncation.bound_m)
-
-    game = NestedGame(
-        space=spec.space,
-        partitions=spec.partitions,
-        payoffs=PayoffTensor.from_array(nets, states, table),
-    )
+        for i in range(1, spec.n + 1):
+            poly = spec.payoffs[(s, i)]
+            true_cells[i - 1, k] = values = _net_values(poly, grid)
+            if s in kept:
+                cells[i - 1, k] = _net_floors(
+                    poly, grid, values, epsilon, truncation.bound_m
+                )
+    tensors = (PayoffTensor.from_array(nets, states, t) for t in (table, true_table))
+    game, true_game = (NestedGame(spec.space, spec.partitions, t) for t in tensors)
     return DiscretizedGame(
         game=game,
+        true_game=true_game,
         spec=spec,
         epsilon=epsilon,
         eta0=eta0,
@@ -468,10 +486,11 @@ def _net_values(poly: Poly, grid: _JointGrid) -> np.ndarray:
 
 
 def _net_floors(
-    poly: Poly, grid: _JointGrid, epsilon: float, bound_m: float
+    poly: Poly, grid: _JointGrid, values: np.ndarray, epsilon: float, bound_m: float
 ) -> np.ndarray:
     """``floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)`` at
-    every joint grid point, in profile order, bit for bit.
+    every joint grid point, in profile order, bit for bit, given
+    ``values``, ``_net_values(poly, grid)``.
 
     Values far from the epsilon lattice are floored in numpy; the rest
     (a guard band of relative width about 2 (n + 2) u R, below) take
@@ -525,8 +544,7 @@ def _net_floors(
         and math.isfinite(2.0 * total)
         and tau < 0.5
     ):
-        q = _net_values(poly, grid)
-        q /= epsilon
+        q = values / epsilon
         k = np.floor(q)
         frac = q - k
         safe = (frac > tau) & (frac < 1.0 - tau)
@@ -583,15 +601,15 @@ def probe_harsanyi_regret(
     """Audit a grid-supported profile against grid deviations, exactly.
 
     The audit is the regret certificate (``regret.certify``) of the
-    profile on the true-value grid game: the grid game's space,
-    partitions and nets, with the unfloored polynomial values at every
-    joint grid point for every state, dropped ones included.  Each
+    profile on ``disc.true_game``, the true-value grid game that
+    ``build_hat_game`` built, so nothing is evaluated here.  Each
     player's regret is their certified ex-ante (``harsanyi``) regret: the
     prior-weighted sum of their per-atom regrets, clipped at zero, so the
     best grid deviation is taken per atom.  The certifier would ignore
-    mass on actions off the grid, so such a profile is rejected first.
-    The budget is 5 * epsilon plus the probe covering slack, which a
-    certified solve of the finite companion must meet.
+    mass on actions off the grid, so such a profile is rejected first,
+    and it rejects a row that is not a probability vector.  The budget
+    is 5 * epsilon plus the probe covering slack, which a certified
+    solve of the finite companion must meet.
     """
     spec = disc.spec
     budget = 5.0 * disc.epsilon + spec.lipschitz * disc.eta0 / 2.0
@@ -605,19 +623,7 @@ def probe_harsanyi_regret(
                         f"player {i} plays off-grid action {a!r}; the audit "
                         f"covers grid-supported profiles only"
                     )
-    # The grid game with true values: every state's unfloored polynomials.
-    grid = _joint_grid(spec, _net_axis(disc.eta0))
-    states = spec.space.states
-    table = np.empty((spec.n, len(states)) + tuple(map(len, disc.nets)))
-    cells = table.reshape(spec.n, len(states), -1)
-    for k, s in enumerate(states):
-        for i in range(1, spec.n + 1):
-            cells[i - 1, k] = _net_values(spec.payoffs[(s, i)], grid)
-    payoffs = PayoffTensor.from_array(disc.nets, states, table)
-    true_game = NestedGame(
-        space=game.space, partitions=game.partitions, payoffs=payoffs
-    )
-    return ProbeAudit(certificate=certify(true_game, profile, budget))
+    return ProbeAudit(certificate=certify(disc.true_game, profile, budget))
 
 
 @dataclass(frozen=True)
@@ -700,9 +706,9 @@ def certify_box(
     - Premises.  The C library's pow is faithful (error below one ulp,
       so relative error at most 2u on normal results), as in glibc and
       musl.  Every distribution the profile plays is nonnegative and
-      sums to within MASS_TOL of 1 (checked here), so for n below 10**6
-      the absolute terms of either value, times m, sum to at most
-      (1 + 2**-20) m B.  No overflow: 8 B is finite (checked).
+      sums to within MASS_TOL of 1 (``game._strategies_at`` checks it),
+      so for n below 10**6 the absolute terms of either value, times m,
+      sum to at most (1 + 2**-20) m B.  No overflow: 8 B is finite (checked).
     - Moments.  A term p(a) * prod a_k ** e_k takes at most 3 d_j
       roundings and is nonnegative, so the fsum mu_j has relative error
       at most gamma_{3 d_j + 1}.  A coefficient term w_s c_t prod mu
@@ -747,13 +753,6 @@ def certify_box(
     covering = lip * spacing / 2.0
     weighed = np.concatenate([support.positions for support in game.supports])
     plays = _strategies_at(game, profile, weighed, range(1, n + 1))
-    for j, (rows, _) in plays.items():
-        if rows.min() < 0.0 or any(
-            abs(math.fsum(row) - 1.0) > MASS_TOL for row in rows.tolist()
-        ):
-            raise GameFormatError(
-                f"player {j} plays a distribution that is not a probability vector"
-            )
     joint = math.prod(len(net) for net in disc.nets)
     moments: dict[tuple[int, tuple[int, ...]], list[float]] = {}
 

@@ -719,7 +719,10 @@ def _strategies_at(
     value, and ``row_of[k]`` is the row played at the k-th state of the
     state order; it is unspecified at states outside ``positions``.  A
     missing strategy raises ``StrategyProfile.distribution``'s error for
-    the first (state, player) pair lacking one, states outermost.
+    the first (state, player) pair lacking one, states outermost.  A row
+    that is not a probability vector (an entry that is negative or NaN,
+    or a ``math.fsum`` farther than MASS_TOL from 1) raises
+    GameFormatError, so no certificate reads such play.
     """
     players = tuple(players)
     out = {}
@@ -740,6 +743,14 @@ def _strategies_at(
                     map(atoms.__getitem__, np.flatnonzero(used).tolist()),
                 )
             ]
+            # Written so that NaN fails both tests.
+            if not all(
+                all(x >= 0.0 for x in row) and abs(_mass_sum(row) - 1.0) <= MASS_TOL
+                for row in rows
+            ):
+                raise GameFormatError(
+                    f"player {j} plays a distribution that is not a probability vector"
+                )
             table = np.array(list(rows), float).reshape(len(rows), len(acts))
             out[j] = (table, atom_row[atom_index])
     except KeyError:

@@ -191,21 +191,25 @@ class AgentFormGame:
         self.aux = aux
         game = aux.coarse_game
         self.n = game.n
-        self.states = list(game.space.states)
         self.dims = tuple(len(a) for a in game.payoffs.actions)
         self.actions = game.payoffs.actions
         self.payoff = game.payoff_array
+        supports = game.supports
 
-        self.priors = np.array(
-            [
-                [game.prior_for(i)[s] for s in self.states]
-                for i in range(1, self.n + 1)
-            ]
+        # Each player's prior over the states: the weights of the states
+        # their prior weighs, +0.0 elsewhere.
+        self.priors = np.zeros((self.n, len(game.space.states)))
+        for prior, support in zip(self.priors, supports):
+            prior[support.positions] = support.weights
+
+        self.atom_ids = [part.ids for part in game.partitions]
+        self.atom_index = [support.atom_index for support in supports]
+        self.positive = [support.masses > 0.0 for support in supports]
+        self.agents: tuple[tuple[int, Atom], ...] = tuple(
+            (i, atom)
+            for i, support in enumerate(supports, start=1)
+            for atom in support.ids
         )
-
-        self.atom_ids: list[tuple[Atom, ...]] = []
-        self.atom_index: list[np.ndarray] = []
-        self.positive: list[np.ndarray] = []
         self._divisors: list[np.ndarray] = []
         # Per player: the (state, own action) -> (atom, own action) cell
         # index used to sum state rows into atom rows, and the einsum
@@ -214,57 +218,34 @@ class AgentFormGame:
         self._cells: list[np.ndarray] = []
         self._contraction: list[str] = []
         axes = "abcdefghijklmnopqrtuvwxyz"[: self.n]  # "s" indexes states
-        for i in range(1, self.n + 1):
-            ids = game.partition_for(i).ids
-            idx = game.supports[i - 1].atom_index
-            mass = np.zeros(len(ids))
-            np.add.at(mass, idx, self.priors[i - 1])
-            self.atom_ids.append(ids)
-            self.atom_index.append(idx)
-            self.positive.append(mass > 0.0)
+        for i, (idx, prior) in enumerate(zip(self.atom_index, self.priors)):
+            mass = np.zeros(len(self.atom_ids[i]))
+            np.add.at(mass, idx, prior)
             # Null rows sum to +0.0 and are divided by 1, so they stay +0.0.
             self._divisors.append(np.where(mass > 0.0, mass, 1.0)[:, None])
-            d = self.dims[i - 1]
+            d = self.dims[i]
             self._cells.append((idx[:, None] * d + np.arange(d)).ravel())
-            others = ",".join("s" + axes[j] for j in range(self.n) if j != i - 1)
-            self._contraction.append(f"s{axes},{others}->s{axes[i - 1]}")
-
-        self.agents: tuple[tuple[int, Atom], ...] = tuple(
-            (i, atom)
-            for i in range(1, self.n + 1)
-            for r, atom in enumerate(self.atom_ids[i - 1])
-            if self.positive[i - 1][r]
-        )
+            others = ",".join("s" + axes[j] for j in range(self.n) if j != i)
+            self._contraction.append(f"s{axes},{others}->s{axes[i]}")
 
     # -- strategy containers --------------------------------------------
 
     def uniform_strategies(self) -> list[np.ndarray]:
-        out = []
-        for i in range(1, self.n + 1):
-            rows = len(self.atom_ids[i - 1])
-            d = self.dims[i - 1]
-            x = np.full((rows, d), 1.0 / d)
-            self._pin_null(i, x)
-            out.append(x)
-        return out
+        return self._starts(lambda rows, d: np.full((rows, d), 1.0 / d))
 
     def random_strategies(self, rng: np.random.Generator) -> list[np.ndarray]:
+        return self._starts(lambda rows, d: rng.dirichlet(np.ones(d), size=rows))
+
+    def _starts(self, draw) -> list[np.ndarray]:
+        """Per player, ``draw(atoms, actions)`` with the null atoms, which
+        carry no mass, pinned to the first action so that every run and
+        restart agrees on their content."""
         out = []
-        for i in range(1, self.n + 1):
-            rows = len(self.atom_ids[i - 1])
-            d = self.dims[i - 1]
-            x = rng.dirichlet(np.ones(d), size=rows)
-            self._pin_null(i, x)
+        for ids, d, positive in zip(self.atom_ids, self.dims, self.positive):
+            x = draw(len(ids), d)
+            x[~positive] = np.eye(d)[0]
             out.append(x)
         return out
-
-    def _pin_null(self, player: int, x: np.ndarray) -> None:
-        # Null atoms carry no mass; pin them to the first action so every
-        # run and restart agrees on their content.
-        rows = ~self.positive[player - 1]
-        if rows.any():
-            x[rows] = 0.0
-            x[rows, 0] = 1.0
 
     # -- payoff engine ----------------------------------------------------
 
@@ -317,15 +298,12 @@ class AgentFormGame:
     # -- conversions --------------------------------------------------------
 
     def to_profile(self, strategies: list[np.ndarray]) -> StrategyProfile:
-        strat: dict[int, dict[Atom, dict[Action, float]]] = {}
-        for i in range(1, self.n + 1):
-            table: dict[Atom, dict[Action, float]] = {}
-            for r, atom in enumerate(self.atom_ids[i - 1]):
-                row = strategies[i - 1][r]
-                table[atom] = {
-                    a: float(p) for a, p in zip(self.actions[i - 1], row)
-                }
-            strat[i] = table
+        strat = {
+            i: {atom: dict(zip(acts, row)) for atom, row in zip(ids, x.tolist())}
+            for i, (ids, acts, x) in enumerate(
+                zip(self.atom_ids, self.actions, strategies), start=1
+            )
+        }
         return StrategyProfile(strategies=strat, field_level="coarse")
 
 

@@ -304,7 +304,8 @@ class TestSolve:
         """The loader and the grid game write the payoff array itself:
         the solve stacks no dict into an array, builds no ``values``
         dict, and every stage reads the one array.  A continuous solve
-        reads one more, the probe audit's true-value table, built once."""
+        reads one more, the true-value table that ``build_hat_game``
+        builds beside the grid game's and the probe audit reads."""
         path = write_json(tmp_path / "game.json", doc)
         stacks = count_calls(monkeypatch, nestnash.game, "_dense_payoffs")
         views = []

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -519,6 +520,65 @@ def true_value_game(disc) -> NestedGame:
     )
 
 
+def dyadic_capped_spec() -> CompactGameSpec:
+    """Two states, w2 of prior 1e-4 with payoffs over the cap, so
+    truncation drops it.  Coefficients and the points of a 0.25 grid are
+    dyadic with few bits, so every term and partial sum is exact and any
+    summation order gives ``poly_eval``'s float."""
+    spec = two_state_spec(
+        {
+            ("w1", 1): ((1.0, (1, 0)), (0.5, (0, 1)), (-0.25, (1, 1))),
+            ("w1", 2): ((0.75, (0, 2)), (-0.5, (1, 0)), (0.125, (0, 0))),
+            ("w2", 1): ((50.0, (1, 0)), (0.5, (0, 2))),
+            ("w2", 2): ((-50.0, (0, 1)), (0.25, (1, 0))),
+        },
+        lipschitz=52.0,
+    )
+    space = StateSpace(states=("w1", "w2"), prior={"w1": 1.0 - 1e-4, "w2": 1e-4})
+    return dataclasses.replace(spec, space=space, payoff_cap=10.0)
+
+
+class TestTrueValueGame:
+    def test_each_polynomial_is_evaluated_once_per_mesh(self, monkeypatch):
+        calls = []
+        values = nestnash.discretize._net_values
+
+        def counted(poly, grid):
+            calls.append(poly)
+            return values(poly, grid)
+
+        monkeypatch.setattr(nestnash.discretize, "_net_values", counted)
+        spec = dyadic_capped_spec()
+        disc = build_hat_game(spec, 0.5, mesh=0.25)
+        probe_harsanyi_regret(disc, random_profile(np.random.default_rng(3), disc.game))
+        assert len(calls) == spec.n * len(spec.space.states)
+        assert sorted(map(id, calls)) == sorted(map(id, spec.payoffs.values()))
+
+    def test_holds_every_states_true_values(self):
+        spec = dyadic_capped_spec()
+        disc = build_hat_game(spec, 0.5, mesh=0.25)
+        assert disc.truncation.omega_double_prime == ("w1",)
+        assert [len(net) for net in disc.nets] == [5, 5]
+        true_game = disc.true_game
+        assert (true_game.space, true_game.partitions) == (
+            disc.game.space,
+            disc.game.partitions,
+        )
+        assert true_game.payoffs.actions == disc.nets
+        table = true_game.payoff_array
+        floored = disc.game.payoff_array
+        for k, s in enumerate(spec.space.states):
+            for c, prof in enumerate(itertools.product(*disc.nets)):
+                point = tuple(itertools.chain.from_iterable(prof))
+                cell = np.unravel_index(c, table.shape[2:])
+                for i in (1, 2):
+                    want = poly_eval(spec.payoffs[(s, i)], point)
+                    assert table[(i - 1, k) + cell].hex() == want.hex()
+                    if s == "w2":
+                        assert floored[(i - 1, k) + cell] == 0.0
+        assert np.abs(table[:, 1]).max() > 10.0
+
+
 class TestProbeOracle:
     """The probe audit against plain enumeration of grid deviations."""
 
@@ -576,6 +636,11 @@ class TestAPrioriMesh:
     @pytest.mark.parametrize("mesh", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_meshes(self, mesh):
         with pytest.raises(GameFormatError, match="mesh"):
+            build_hat_game(one_state_linear_spec(), 0.25, mesh=mesh)
+
+    @pytest.mark.parametrize("mesh", [5e-324, 1e-310])
+    def test_rejects_meshes_whose_reciprocal_overflows(self, mesh):
+        with pytest.raises(GameFormatError, match="and its reciprocal must be"):
             build_hat_game(one_state_linear_spec(), 0.25, mesh=mesh)
 
 
@@ -741,9 +806,9 @@ class TestBoxCertificate:
         profile = StrategyProfile(
             strategies={1: {"a": {(1.0,): 1.0}}, 2: {"b": {(1.0,): 0.9}}}
         )
-        audit = probe_harsanyi_regret(disc, profile)
+        # The probe audit, which ``certify_box`` needs, already refuses it.
         with pytest.raises(GameFormatError, match="player 2 plays a distribution"):
-            certify_box(disc, profile, audit)
+            probe_harsanyi_regret(disc, profile)
 
 
 class TestEndToEnd:

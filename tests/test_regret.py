@@ -22,7 +22,6 @@ from nestnash.hierarchy import build_hierarchy
 from nestnash.pipeline import solve
 from nestnash.regret import (
     CERT_SLACK,
-    ConsistencyError,
     bayesian_regret,
     brute_force_check,
     certify,
@@ -133,6 +132,8 @@ class TestBayesianRegret:
         assert got == regret_oracle(game, profile)
 
     def test_inflated_distribution_trips_the_consistency_guard(self):
+        # The row check refuses the inflated row before any regret is
+        # formed; ``test_verdicts.py`` reaches the guard itself.
         game = two_state_game()
         broken = StrategyProfile(
             strategies={
@@ -140,7 +141,7 @@ class TestBayesianRegret:
                 2: {"g": {"A": 0.25, "B": 0.75}},
             }
         )
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(GameFormatError, match="player 1 plays a distribution"):
             bayesian_regret(game, broken)
 
 
@@ -153,6 +154,33 @@ class TestCertify:
         assert report.harsanyi[1] == pytest.approx(1.625, abs=1e-12)
         assert report.harsanyi[2] == pytest.approx(1.21875, abs=1e-12)
         assert report.passed
+
+    # ``informed_anchor`` is the README tour game.  Neither profile
+    # below is a probability vector on every atom, and each certified
+    # as passing when the certifier read its rows unchecked.
+    def test_refuses_nan_play(self, informed_anchor):
+        profile = StrategyProfile(
+            strategies={
+                1: {"a1": {"L": 1.0}, "a2": {"L": math.nan, "R": 1.0}},
+                2: {"b": {"L": 0.5, "R": 0.5}},
+            }
+        )
+        with pytest.raises(GameFormatError, match="player 1 plays a distribution"):
+            certify(informed_anchor, profile, epsilon=0.05)
+
+    def test_refuses_play_short_of_unit_mass(self, informed_anchor):
+        def profile(p: float) -> StrategyProfile:
+            return StrategyProfile(
+                strategies={
+                    1: {"a1": {"R": 1.0}, "a2": {"L": 1.0}},
+                    2: {"b": {"L": p, "R": p}},
+                }
+            )
+
+        # Scaled to unit mass the same play has regret 0.5.
+        assert certify(informed_anchor, profile(0.5), epsilon=0.05).max_regret == 0.5
+        with pytest.raises(GameFormatError, match="player 2 plays a distribution"):
+            certify(informed_anchor, profile(0.005), epsilon=0.05)
 
     def test_fails_below_the_worst_regret(self):
         game = two_state_game()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -23,6 +24,7 @@ from nestnash.game import (
     validate_profile,
 )
 from nestnash.hierarchy import build_hierarchy
+from nestnash.pipeline import solve
 from nestnash.regret import bayesian_regret, certify
 from nestnash.solver import (
     AgentFormGame,
@@ -33,6 +35,7 @@ from nestnash.solver import (
     solve_nash,
     to_agent_form,
 )
+from test_certificates import _with_player_priors
 from test_game import two_state_game
 
 
@@ -160,6 +163,98 @@ class TestAgentForm:
         strategies = engine.uniform_strategies()
         assert strategies[0][row, 0] == 1.0
         assert strategies[0][row, 1] == 0.0
+
+
+def signed_zero_twin(game: NestedGame) -> NestedGame:
+    """``game`` with every +0.0 prior entry, common or per player,
+    written as -0.0."""
+
+    def negated(prior: dict) -> dict:
+        return {s: -0.0 if p == 0.0 else p for s, p in prior.items()}
+
+    space = game.space
+    player_priors = space.player_priors
+    return NestedGame(
+        space=StateSpace(
+            states=space.states,
+            prior=negated(space.prior),
+            player_priors=None
+            if player_priors is None
+            else {i: negated(p) for i, p in player_priors.items()},
+        ),
+        partitions=game.partitions,
+        payoffs=game.payoffs,
+    )
+
+
+def hexed(obj):
+    """``obj`` with every float, dataclass fields included, written by
+    ``float.hex``, so that -0.0 and +0.0 differ."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if dataclasses.is_dataclass(obj):
+        return hexed(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {hexed(k): hexed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [hexed(x) for x in obj]
+    return obj
+
+
+def sparse_prior_games():
+    """Games whose priors put zero mass on some states: the null-atom
+    game, and random games with a common and a player-2 prior that each
+    skip a third of the states; each also as its -0.0 twin."""
+    rng = np.random.default_rng(7)
+    games = [null_atom_game()] + [
+        _with_player_priors(rng, random_nested_game(rng, max_states=30, players=(n,)))
+        for n in (2, 3, 4)
+    ]
+    return [(game, signed_zero_twin(game)) for game in games]
+
+
+class TestAgentFormReadsSupports:
+    def test_priors_masses_and_agents_come_from_the_supports(self):
+        nulls = signed = 0
+        for pair in sparse_prior_games():
+            for game in pair:
+                engine = agent_form_for(game, 0.2)
+                coarse = engine.aux.coarse_game
+                states = coarse.space.states
+                for i, support in enumerate(coarse.supports):
+                    want = np.zeros(len(states))
+                    want[support.positions] = support.weights
+                    got = engine.priors[i].tolist()
+                    assert list(map(float.hex, got)) == list(
+                        map(float.hex, want.tolist())
+                    )
+                    # Equal by value to the prior dict, whose -0.0 entries
+                    # the rows above hold as +0.0.
+                    prior = [coarse.prior_for(i + 1)[s] for s in states]
+                    assert got == prior
+                    signed += int(np.signbit(prior).sum())
+                    positive = support.masses > 0.0
+                    assert engine.positive[i].tolist() == positive.tolist()
+                    nulls += int((~engine.positive[i]).sum())
+                assert list(engine.agents) == [
+                    (i, atom)
+                    for i, support in enumerate(coarse.supports, start=1)
+                    for atom in support.ids
+                ]
+        assert nulls > 0 and signed > 0
+
+    def test_signed_zero_priors_solve_alike(self):
+        # A -0.0 prior only makes zero terms, and adding them to
+        # ``np.bincount``'s +0.0 start changes no sum.
+        for game, twin in sparse_prior_games():
+            plus, minus = solve(game, 0.05), solve(twin, 0.05)
+            assert minus.result.iterations == plus.result.iterations
+            assert minus.result.restarts == plus.result.restarts
+            for field in ("profile", "report"):
+                assert hexed(getattr(minus.result, field)) == hexed(
+                    getattr(plus.result, field)
+                )
+                assert hexed(getattr(minus, field)) == hexed(getattr(plus, field))
 
 
 class TestAuxiliaryGame:

@@ -190,18 +190,27 @@ def eta_net(dim: int, eta0: float) -> tuple[tuple[float, ...], ...]:
 
     Each axis gets ceil(1/eta0) + 1 equispaced points including both
     endpoints, so the spacing is at most eta0 and any point of the cube
-    is within half a spacing of the grid under the max metric.
+    is within half a spacing of the grid under the max metric.  An eta0
+    that is not finite and positive, or whose reciprocal overflows,
+    raises GameFormatError.
     """
     if dim < 1:
         raise GameFormatError("net dimension must be at least 1")
-    if not eta0 > 0.0:
-        raise GameFormatError("net resolution must be positive")
     return tuple(itertools.product(_net_axis(eta0), repeat=dim))
 
 
+def _has_grid(eta0: float) -> bool:
+    """Whether ``eta0`` is positive with a finite reciprocal, so that a
+    grid of spacing at most ``eta0`` has a finite point count."""
+    return eta0 > 0.0 and 1.0 / eta0 < math.inf
+
+
 def _per_axis(eta0: float) -> int:
+    if not (eta0 < math.inf and _has_grid(eta0)):
+        raise GameFormatError(
+            f"the grid mesh {eta0!r} and its reciprocal must be finite and positive"
+        )
     # At least two points, the endpoints, even when 1 / eta0 rounds to 0.
-    # A tiny eta0 must still have a finite reciprocal (``_a_priori_mesh``).
     return max(math.ceil(1.0 / eta0), 1) + 1
 
 
@@ -357,10 +366,6 @@ def build_hat_game(
         raise GameFormatError("epsilon must be positive")
     _validate_spec(spec)
     eta0 = _a_priori_mesh(spec, epsilon) if mesh is None else mesh
-    if not (0.0 < eta0 < math.inf and 1.0 / eta0 < math.inf):
-        raise GameFormatError(
-            f"the grid mesh {eta0!r} and its reciprocal must be finite and positive"
-        )
     nets = tuple(eta_net(d, eta0) for d in spec.box_dims)
     truncation = truncate_states(
         state_payoff_bounds(spec), spec.space.prior, epsilon, spec.payoff_cap
@@ -402,7 +407,7 @@ def _a_priori_mesh(spec: CompactGameSpec, epsilon: float) -> float:
     """The mesh epsilon / L.  GameFormatError when it is 0 or its
     reciprocal overflows, as no grid then has a finite point count."""
     mesh = epsilon / spec.lipschitz
-    if not (mesh > 0.0 and 1.0 / mesh < math.inf):
+    if not _has_grid(mesh):
         raise GameFormatError(
             f"the grid mesh epsilon / L is too fine for a grid at "
             f"epsilon = {epsilon!r}, L = {spec.lipschitz!r}"
@@ -605,24 +610,13 @@ def probe_harsanyi_regret(
     ``build_hat_game`` built, so nothing is evaluated here.  Each
     player's regret is their certified ex-ante (``harsanyi``) regret: the
     prior-weighted sum of their per-atom regrets, clipped at zero, so the
-    best grid deviation is taken per atom.  The certifier would ignore
-    mass on actions off the grid, so such a profile is rejected first,
-    and it rejects a row that is not a probability vector.  The budget
+    best grid deviation is taken per atom.  The certifier's reader
+    (``game._strategies_at``) refuses any action off the grid, even at
+    zero mass, and any row that is not a probability vector.  The budget
     is 5 * epsilon plus the probe covering slack, which a certified
     solve of the finite companion must meet.
     """
-    spec = disc.spec
-    budget = 5.0 * disc.epsilon + spec.lipschitz * disc.eta0 / 2.0
-    game = disc.game
-    for i in range(1, spec.n + 1):
-        grid_actions = set(game.actions_for(i))
-        for atom in game.supports[i - 1].ids:
-            for a, p in profile.distribution(i, atom).items():
-                if p > 0.0 and a not in grid_actions:
-                    raise GameFormatError(
-                        f"player {i} plays off-grid action {a!r}; the audit "
-                        f"covers grid-supported profiles only"
-                    )
+    budget = 5.0 * disc.epsilon + disc.spec.lipschitz * disc.eta0 / 2.0
     return ProbeAudit(certificate=certify(disc.true_game, profile, budget))
 
 
@@ -672,8 +666,10 @@ def certify_box(
     in each player's box [0, 1]^d, on the compact game itself.
 
     ``audit`` must be ``probe_harsanyi_regret(disc, profile)``: its
-    certificate has already rejected off-grid play and holds each
-    atom's current value c, the profile's exact conditional value.
+    certificate holds each atom's current value c, the profile's exact
+    conditional value.  Both read the profile through
+    ``game._strategies_at``, which refuses any action off the grid, even
+    at zero mass, and any row that is not a probability vector.
 
     Fix player i and a positive-mass atom g with members s, priors w_s
     and mass m.  Every state holds the others' play fixed, and they play

@@ -470,13 +470,23 @@ def _fsums(values: list[float], sizes: list[int]) -> list[float]:
     return list(map(math.fsum, map(itertools.islice, itertools.repeat(runs), sizes)))
 
 
-def _mass_sum(masses: Iterable[float]) -> float:
-    """The ``math.fsum`` of masses of at least -MASS_TOL each; inf when it
-    overflows, as their exact sum then does."""
+def _mass_fault(masses: Mapping[Hashable, float], noun: str) -> str | None:
+    """Why ``masses`` is not a probability vector, or None when it is.
+
+    The one rule for every prior, type-space joint and played
+    distribution: each mass is finite and >= 0 (-0.0 is), and their
+    ``math.fsum`` is within MASS_TOL of 1.  The fault names the first
+    offending key, called ``noun``, or the sum.
+    """
+    values = list(masses.values())
+    if not all(map(math.isfinite, values)) or min(values, default=0.0) < 0.0:
+        key, m = next((k, m) for k, m in masses.items() if not 0.0 <= m < math.inf)
+        return f"has invalid mass {m!r} at {noun} {key!r}"
     try:
-        return math.fsum(masses)
-    except OverflowError:
-        return math.inf
+        total = math.fsum(values)
+    except OverflowError:  # the exact sum overflows too
+        total = math.inf
+    return None if abs(total - 1.0) <= MASS_TOL else f"sums to {total:.12g}"
 
 
 def _check_prior(
@@ -496,15 +506,9 @@ def _check_prior(
             message = f"{label} assigns mass to unknown state {extra[0]!r}"
             violations.append(Violation("prior", message))
         return
-    masses = list(map(prior.__getitem__, states))
-    if not all(map(math.isfinite, masses)) or min(masses) < 0:
-        s, m = next((s, m) for s, m in zip(states, masses) if not 0 <= m < math.inf)
-        message = f"{label} has invalid mass {m!r} at state {s!r}"
-        violations.append(Violation("prior", message))
-        return
-    total = _mass_sum(masses)
-    if abs(total - 1.0) > MASS_TOL:
-        violations.append(Violation("prior", f"{label} sums to {total:.12g}"))
+    fault = _mass_fault({s: prior[s] for s in states}, "state")
+    if fault is not None:
+        violations.append(Violation("prior", f"{label} {fault}"))
 
 
 def validate_game(game: NestedGame) -> ValidationReport:
@@ -719,10 +723,11 @@ def _strategies_at(
     value, and ``row_of[k]`` is the row played at the k-th state of the
     state order; it is unspecified at states outside ``positions``.  A
     missing strategy raises ``StrategyProfile.distribution``'s error for
-    the first (state, player) pair lacking one, states outermost.  A row
-    that is not a probability vector (an entry that is negative or NaN,
-    or a ``math.fsum`` farther than MASS_TOL from 1) raises
-    GameFormatError, so no certificate reads such play.
+    the first (state, player) pair lacking one, states outermost.  A
+    distribution naming an action the game does not give the player, even
+    at zero mass, or one that is not a probability vector
+    (``_mass_fault``) raises GameFormatError, so no certificate reads such
+    play.
     """
     players = tuple(players)
     out = {}
@@ -734,23 +739,21 @@ def _strategies_at(
             used[atom_index[positions]] = True
             strategy = profile.strategies[j]
             acts = game.actions_for(j)
+            played = map(atoms.__getitem__, np.flatnonzero(used).tolist())
+            dists = list(map(strategy.__getitem__, played))
+            if not all(map(set(acts).issuperset, dists)):
+                a = next(a for dist in dists for a in dist if a not in acts)
+                raise GameFormatError(f"player {j} plays unknown action {a!r}")
             rows: dict[tuple[float, ...], int] = {}
             atom_row = np.zeros(len(atoms), np.intp)
             atom_row[used] = [
                 rows.setdefault(tuple([dist.get(a, 0.0) for a in acts]), len(rows))
-                for dist in map(
-                    strategy.__getitem__,
-                    map(atoms.__getitem__, np.flatnonzero(used).tolist()),
-                )
+                for dist in dists
             ]
-            # Written so that NaN fails both tests.
-            if not all(
-                all(x >= 0.0 for x in row) and abs(_mass_sum(row) - 1.0) <= MASS_TOL
-                for row in rows
-            ):
-                raise GameFormatError(
-                    f"player {j} plays a distribution that is not a probability vector"
-                )
+            faults = (_mass_fault(dict(zip(acts, row)), "action") for row in rows)
+            fault = next(filter(None, faults), None)
+            if fault is not None:
+                raise GameFormatError(f"player {j} plays a distribution that {fault}")
             table = np.array(list(rows), float).reshape(len(rows), len(acts))
             out[j] = (table, atom_row[atom_index])
     except KeyError:
@@ -903,9 +906,9 @@ def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:
     """Problems preventing ``profile`` from being evaluated on ``game``.
 
     Coverage is required for every atom containing a state with positive
-    mass under any player's prior; distributions must be over the owning
-    player's actions and normalize within MASS_TOL; every player named
-    must be one of the game's.
+    mass under any player's prior; distributions must be probability
+    vectors (``_mass_fault``) over the owning player's actions; every
+    player named must be one of the game's.
     """
     problems: list[str] = []
     priors = [game.prior_for(i) for i in range(1, game.n + 1)]
@@ -930,20 +933,14 @@ def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:
             if atom not in known:
                 problems.append(f"player {i} has unknown atom {atom!r}")
                 continue
+            where = f"player {i} atom {atom!r}"
             bad = [a for a in dist if a not in actions]
             if bad:
-                problems.append(
-                    f"player {i} atom {atom!r} uses unknown action {bad[0]!r}"
-                )
+                problems.append(f"{where} uses unknown action {bad[0]!r}")
                 continue
-            if any(not math.isfinite(p) or p < -MASS_TOL for p in dist.values()):
-                problems.append(f"player {i} atom {atom!r} has negative mass")
-                continue
-            total = _mass_sum(dist.values())
-            if abs(total - 1.0) > MASS_TOL:
-                problems.append(
-                    f"player {i} atom {atom!r} distribution sums to {total:.12g}"
-                )
+            fault = _mass_fault(dist, "action")
+            if fault is not None:
+                problems.append(f"{where} distribution {fault}")
     for player in profile.strategies:
         if player not in range(1, game.n + 1):
             problems.append(f"strategies given for unknown player {player}")
@@ -992,11 +989,9 @@ def from_type_space(
         if tkey in norm_joint:
             raise GameFormatError(f"joint table repeats type profile {key!r}")
         norm_joint[tkey] = float(mass)
-    if any(m < 0 for m in norm_joint.values()):
-        raise GameFormatError("joint has negative mass")
-    total = _mass_sum(norm_joint.values())
-    if abs(total - 1.0) > MASS_TOL:
-        raise GameFormatError(f"joint not normalized: sums to {total:.12g}")
+    fault = _mass_fault(norm_joint, "type profile")
+    if fault is not None:
+        raise GameFormatError(f"joint not normalized: {fault}")
 
     norm_payoffs: dict[tuple[tuple[str, ...], tuple], tuple[float, ...]] = {}
     for (tkey, akey), vals in payoffs.items():

@@ -98,6 +98,11 @@ class TestActionNets:
             eta_net(0, 0.5)
         with pytest.raises(GameFormatError):
             eta_net(1, 0.0)
+        # Positive, but the reciprocal overflows.
+        with pytest.raises(GameFormatError, match="and its reciprocal must be"):
+            eta_net(1, 5e-324)
+        with pytest.raises(GameFormatError, match="and its reciprocal must be"):
+            net_spacing(5e-324)
 
 
 class TestFloorToMultiple:
@@ -477,8 +482,27 @@ class TestProbeAudit:
         profile = StrategyProfile(
             strategies={1: {"a": {(0.3,): 1.0}}, 2: {"b": {(1.0,): 1.0}}}
         )
-        with pytest.raises(GameFormatError, match="off-grid"):
+        with pytest.raises(GameFormatError, match="player 1 plays unknown action"):
             probe_harsanyi_regret(disc, profile)
+
+    def test_nan_off_the_grid_rejected(self):
+        # NaN is not > 0, so the probe's own off-grid walk let it through.
+        disc = build_hat_game(one_state_linear_spec(), 0.25)
+        good = StrategyProfile(
+            strategies={1: {"a": {(1.0,): 1.0}}, 2: {"b": {(1.0,): 1.0}}}
+        )
+        bad = StrategyProfile(
+            strategies={
+                1: {"a": {(1.0,): 1.0}},
+                2: {"b": {(1.0,): 1.0, (0.3,): math.nan}},
+            }
+        )
+        match = r"player 2 plays unknown action \(0.3,\)"
+        with pytest.raises(GameFormatError, match=match):
+            probe_harsanyi_regret(disc, bad)
+        audit = probe_harsanyi_regret(disc, good)
+        with pytest.raises(GameFormatError, match=match):
+            certify_box(disc, bad, audit)
 
 
 def capped_spec(rng: np.random.Generator) -> CompactGameSpec:
@@ -611,7 +635,7 @@ class TestProbeOracle:
                 2: {"b": {(1.0,): 0.5, (0.3,): 0.5}},
             }
         )
-        with pytest.raises(GameFormatError, match="player 2 plays off-grid"):
+        with pytest.raises(GameFormatError, match="player 2 plays unknown action"):
             probe_harsanyi_regret(disc, profile)
 
 

@@ -440,6 +440,18 @@ class TestProfiles:
         problems = validate_profile(two_state_game(), bad)
         assert any("sums to" in p for p in problems)
 
+    def test_validate_profile_flags_any_negative_mass(self):
+        # The certifier refuses -1e-13 as well, so no tolerance applies.
+        bad = StrategyProfile(
+            strategies={
+                1: {"f1": {"A": 1.0, "B": -1e-13}, "f2": {"A": 1.0}},
+                2: {"g": {"A": 1.0}},
+            }
+        )
+        assert validate_profile(two_state_game(), bad) == [
+            "player 1 atom 'f1' distribution has invalid mass -1e-13 at action 'B'"
+        ]
+
     def test_validate_profile_flags_missing_atom(self):
         bad = StrategyProfile(
             strategies={1: {"f1": {"A": 1.0}}, 2: {"g": {"A": 1.0}}}
@@ -498,6 +510,17 @@ class TestTypeSpace:
             from_type_space(
                 (("t1", "t2"), ("s1",)),
                 {("t1", "s1"): 1e308, ("t2", "s1"): 1e308},
+                {(("t1", "s1"), ("A", "A")): (0.0, 0.0)},
+                actions=(("A",), ("A",)),
+            )
+
+    def test_nan_joint_mass_is_rejected(self):
+        # NaN is not > 0, so it once dropped its type profile unseen.
+        match = "joint not normalized: has invalid mass nan"
+        with pytest.raises(GameFormatError, match=match):
+            from_type_space(
+                (("t1", "t2"), ("s1",)),
+                {("t1", "s1"): 1.0, ("t2", "s1"): math.nan},
                 {(("t1", "s1"), ("A", "A")): (0.0, 0.0)},
                 actions=(("A",), ("A",)),
             )

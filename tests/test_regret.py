@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nestnash.regret
 from generators import exact_prior, random_nested_game, random_profile, redundant_game
@@ -17,7 +19,9 @@ from nestnash.game import (
     StrategyProfile,
     conditional_payoff,
     payoff_bound,
+    validate_profile,
 )
+from nestnash.gamefile import parse_game
 from nestnash.hierarchy import build_hierarchy
 from nestnash.pipeline import solve
 from nestnash.regret import (
@@ -30,6 +34,7 @@ from nestnash.regret import (
 )
 from nestnash.solver import lift_strategy
 from test_certificates import _with_player_priors
+from test_finite_fuzz import game_docs
 from test_game import mixed_profile, two_state_game
 from test_hierarchy import anchor_copies
 
@@ -182,6 +187,19 @@ class TestCertify:
         with pytest.raises(GameFormatError, match="player 2 plays a distribution"):
             certify(informed_anchor, profile(0.005), epsilon=0.05)
 
+    @pytest.mark.parametrize("mass", [math.nan, 5.0, -1.0, 0.0])
+    def test_refuses_actions_the_game_does_not_have(self, informed_anchor, mass):
+        # Even at zero mass: the reader reads a row only at the game's own
+        # actions, so mass anywhere else would go unseen.
+        profile = StrategyProfile(
+            strategies={
+                1: {"a1": {"L": 1.0}, "a2": {"L": 1.0}},
+                2: {"b": {"L": 1.0, "X": mass}},
+            }
+        )
+        with pytest.raises(GameFormatError, match="player 2 plays unknown action 'X'"):
+            certify(informed_anchor, profile, epsilon=0.05)
+
     def test_fails_below_the_worst_regret(self):
         game = two_state_game()
         assert not certify(game, mixed_profile(), epsilon=1.9).passed
@@ -259,6 +277,56 @@ class TestCertify:
             game = random_nested_game(rng, max_states=30)
             report = certify(game, random_profile(rng, game), epsilon=1.0)
             assert max(report.harsanyi.values()) <= report.max_regret + 1e-12
+
+
+# One edit of a played row: the action it touches (None for one the game
+# does not have) and the mass it sets there.
+_EDITS = st.one_of(
+    st.tuples(
+        st.none(),
+        st.sampled_from([0.0, -0.0, 5e-324, 0.5, 5.0, -1.0, math.nan, math.inf]),
+    ),
+    st.tuples(
+        st.integers(0, 2),
+        st.sampled_from(
+            [math.nan, math.inf, -math.inf, -5e-324, -1e-13, -0.5, -0.0, 5e-324]
+            + [1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 2e-12, 1.0 - 2e-12, 0.5, 2.0]
+        ),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=game_docs(), data=st.data())
+def test_validate_profile_flags_exactly_the_rows_certify_refuses(doc, data):
+    # Every state of a drawn game has positive mass, so every atom is
+    # played: the certifier reads each atom's row.
+    game = parse_game(doc).game
+    strategies = {}
+    for i in (1, 2):
+        first, *rest = game.actions_for(i)
+        zeros = st.sampled_from([0.0, -0.0, 5e-324])
+        strategies[i] = {
+            atom: {first: 1.0} | {a: data.draw(zeros) for a in rest}
+            for atom in game.partition_for(i).atoms
+        }
+    player = data.draw(st.sampled_from([1, 2]))
+    atom = data.draw(st.sampled_from(sorted(strategies[player])))
+    k, mass = data.draw(_EDITS)
+    actions = game.actions_for(player)
+    action = "zz" if k is None else actions[k % len(actions)]
+    strategies[player][atom][action] = mass
+    profile = StrategyProfile(strategies=strategies)
+
+    problems = validate_profile(game, profile)
+    assert all(p.startswith(f"player {player} atom {atom!r} ") for p in problems)
+    try:
+        certify(game, profile, 0.1)
+    except GameFormatError:
+        refused = True
+    else:
+        refused = False
+    assert bool(problems) == refused
 
 
 class TestBruteForce:

@@ -1,6 +1,8 @@
-"""The test tooling itself: a failing property test stays readable, and
-the hooks the benchmark (``perfbench/``) takes into the library hold."""
+"""The test tooling itself: a failing property test stays readable, the
+hooks the benchmark (``perfbench/``) takes into the library hold, and
+the package reads each tolerance only where its rule lives."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -111,3 +113,44 @@ def test_benchmark_span_targets_resolve(monkeypatch):
         for part in outer:
             owner = getattr(owner, part)
         assert callable(owner.__dict__.get(attr)), (module_name, path, name)
+
+
+def readers(name: str) -> set[tuple[str, str]]:
+    """Where the package reads ``name``: (module file, innermost enclosing
+    function, or "<module>"), and (module file, "<import>") for each
+    import of it."""
+    package = os.path.dirname(os.path.abspath(nestnash.__file__))
+    out = set()
+
+    def walk(node: ast.AST, file: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom):
+                if any(alias.name == name for alias in child.names):
+                    out.add((file, "<import>"))
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if child.id == name:
+                    out.add((file, where))
+            elif isinstance(child, ast.Attribute) and child.attr == name:
+                out.add((file, where))
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            walk(child, file, inner)
+
+    for file in sorted(os.listdir(package)):
+        if file.endswith(".py"):
+            with open(os.path.join(package, file), encoding="utf-8") as handle:
+                walk(ast.parse(handle.read()), file, "<module>")
+    return out
+
+
+def test_mass_tolerance_is_read_by_the_mass_rule_and_the_box_allowance():
+    assert readers("MASS_TOL") == {
+        ("game.py", "_mass_fault"),
+        ("discretize.py", "<import>"),
+        ("discretize.py", "certify_box"),
+    }
+
+
+def test_certificate_slack_is_read_in_regret_only():
+    assert {file for file, _ in readers("CERT_SLACK")} == {"regret.py"}

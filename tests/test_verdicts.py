@@ -5,6 +5,15 @@ floats.  Each test fixes the value and picks two bounds (``bound_at``):
 one where v is exactly b + CERT_SLACK, which must pass, and one where v
 is the next float above b + CERT_SLACK, which must fail.  The floor
 raises on a regret below -CERT_SLACK and not on -CERT_SLACK itself.
+
+Every mass vector (the common prior, a player prior, a type-space joint
+and a played distribution, through ``validate_profile`` and
+``certify``) takes one rule: each entry finite and >= 0, and a sum
+within MASS_TOL of 1.  No float sum is exactly MASS_TOL from 1 (near 1,
+t - 1.0 is a multiple of 2**-53 and MASS_TOL is not), so
+``TestMassRule`` gives each caller the two sums farthest from 1 that
+pass and -0.0 and 5e-324 entries, which must pass, then the next sums
+outward and -5e-324, NaN and infinite entries, which must fail.
 """
 
 import dataclasses
@@ -24,11 +33,23 @@ from nestnash.discretize import (
     certify_sup_gap,
     probe_harsanyi_regret,
 )
-from nestnash.game import InformationPartition, StateSpace, StrategyProfile
+from nestnash.game import (
+    MASS_TOL,
+    GameFormatError,
+    InformationPartition,
+    NestedGame,
+    PayoffTensor,
+    StateSpace,
+    StrategyProfile,
+    from_type_space,
+    validate_game,
+    validate_profile,
+)
 from nestnash.regret import (
     CERT_SLACK,
     ConsistencyError,
     bayesian_regret,
+    certify,
     regret_report,
 )
 from nestnash.solver import SolveResult
@@ -197,3 +218,124 @@ class TestFloor:
         else:
             box = certify_box(disc, profile, audit)
             assert box.players[0].bayesian == regret
+
+
+def outermost_sum(outward: float) -> float:
+    """The float t farthest from 1 towards ``outward`` whose distance
+    t - 1.0 (exact in floats) is within MASS_TOL."""
+    t = 1.0 + math.copysign(MASS_TOL, outward)
+    while abs(t - 1.0) > MASS_TOL:
+        t = math.nextafter(t, 1.0)
+    while abs(math.nextafter(t, outward) - 1.0) <= MASS_TOL:
+        t = math.nextafter(t, outward)
+    return t
+
+
+def split(total: float) -> list[float]:
+    """Two masses whose sum is exactly ``total``, for total in [0.5, 2]."""
+    return [0.5, total - 0.5]
+
+
+HIGH, LOW = outermost_sum(math.inf), outermost_sum(-math.inf)
+VALID = [split(HIGH), split(LOW), [1.0, -0.0], [1.0, 5e-324]]
+INVALID = [
+    split(math.nextafter(HIGH, math.inf)),
+    split(math.nextafter(LOW, -math.inf)),
+    [1.0, -5e-324],
+    [1.0, math.nan],
+    [1.0, math.inf],
+    [1.0, -math.inf],
+]
+STATES = ("w0", "w1")
+
+
+def two_state_game(prior: dict, player_priors: dict | None = None) -> NestedGame:
+    """Player 1 sees the state, player 2 does not; both choose L or R."""
+    return NestedGame(
+        space=StateSpace(states=STATES, prior=prior, player_priors=player_priors),
+        partitions=(
+            InformationPartition(player=1, atom_of={"w0": "a0", "w1": "a1"}),
+            InformationPartition(player=2, atom_of={"w0": "b", "w1": "b"}),
+        ),
+        payoffs=PayoffTensor.from_array(
+            (("L", "R"), ("L", "R")),
+            STATES,
+            np.arange(16, dtype=float).reshape(2, 2, 2, 2),
+        ),
+    )
+
+
+def player_two_plays(masses: list[float]) -> StrategyProfile:
+    return StrategyProfile(
+        strategies={
+            1: {"a0": {"L": 1.0}, "a1": {"R": 1.0}},
+            2: {"b": dict(zip(("L", "R"), masses))},
+        }
+    )
+
+
+def accepts_common_prior(masses: list[float]) -> bool:
+    return validate_game(two_state_game(dict(zip(STATES, masses)))).ok
+
+
+def accepts_player_prior(masses: list[float]) -> bool:
+    game = two_state_game({"w0": 0.5, "w1": 0.5}, {1: dict(zip(STATES, masses))})
+    return validate_game(game).ok
+
+
+def accepts_joint(masses: list[float]) -> bool:
+    profiles = (("t1", "s"), ("t2", "s"))
+    payoffs = {(tp, ("A", "A")): (0.0, 0.0) for tp in profiles}
+    try:
+        from_type_space(
+            (("t1", "t2"), ("s",)),
+            dict(zip(profiles, masses)),
+            payoffs,
+            actions=(("A",), ("A",)),
+        )
+    except GameFormatError:
+        return False
+    return True
+
+
+def accepts_profile(masses: list[float]) -> bool:
+    game = two_state_game({"w0": 0.5, "w1": 0.5})
+    return validate_profile(game, player_two_plays(masses)) == []
+
+
+def certifies(masses: list[float]) -> bool:
+    game = two_state_game({"w0": 0.5, "w1": 0.5})
+    try:
+        certify(game, player_two_plays(masses), 1.0)
+    except GameFormatError:
+        return False
+    return True
+
+
+CALLERS = [
+    accepts_common_prior,
+    accepts_player_prior,
+    accepts_joint,
+    accepts_profile,
+    certifies,
+]
+
+
+class TestMassRule:
+    def test_edges_are_one_float_apart(self):
+        assert HIGH > 1.0 > LOW
+        for edge in (HIGH, LOW):
+            assert sum(split(edge)) == edge
+            assert abs(edge - 1.0) <= MASS_TOL
+        for outside in INVALID[:2]:
+            assert abs(math.fsum(outside) - 1.0) > MASS_TOL
+
+    @pytest.mark.parametrize("accepts", CALLERS)
+    @pytest.mark.parametrize("masses", VALID, ids=repr)
+    def test_passes(self, accepts, masses):
+        assert accepts(masses)
+
+    @pytest.mark.parametrize("accepts", CALLERS)
+    @pytest.mark.parametrize("masses", INVALID, ids=repr)
+    def test_fails(self, accepts, masses):
+        assert not accepts(masses)

@@ -229,12 +229,16 @@ def floor_to_multiple(value: float, step: float, bound: float) -> float:
     ``value`` is first clamped to [-bound, bound].  The window claim is
     exact rational arithmetic on the returned float, not an estimate:
     the float image of k * step can land a hair outside the window, so
-    the result is nudged by ulps until the window holds.
+    the result is nudged by ulps until the window holds.  GameFormatError
+    unless ``step`` and ``bound`` are finite and positive and ``value``
+    is not NaN.
     """
-    if not step > 0.0:
-        raise GameFormatError("step must be positive")
-    if not bound > 0.0:
-        raise GameFormatError("bound must be positive")
+    if not 0.0 < step < math.inf:
+        raise GameFormatError("step must be finite and positive")
+    if not 0.0 < bound < math.inf:
+        raise GameFormatError("bound must be finite and positive")
+    if math.isnan(value):
+        raise GameFormatError("value must not be NaN")
     z = min(max(value, -bound), bound)
     fz = Fraction(z)
     fs = Fraction(step)
@@ -360,10 +364,10 @@ def build_hat_game(
     states are floored from those values (``_net_floors``) into the
     game's; every floored value equals the scalar
     ``floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)``
-    bit for bit.
+    bit for bit.  GameFormatError unless ``epsilon`` is finite and positive.
     """
-    if not epsilon > 0.0:
-        raise GameFormatError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise GameFormatError("epsilon must be finite and positive")
     _validate_spec(spec)
     eta0 = _a_priori_mesh(spec, epsilon) if mesh is None else mesh
     nets = tuple(eta_net(d, eta0) for d in spec.box_dims)
@@ -420,6 +424,8 @@ def coarse_to_fine(spec: CompactGameSpec, epsilon: float) -> list[float]:
     ``MESH_FACTORS``.  Of each run of meshes whose nets are equal only
     the finest is kept, so every distinct grid is solved at most once
     and the last mesh is always the a-priori one."""
+    if not 0.0 < epsilon < math.inf:
+        raise GameFormatError("epsilon must be finite and positive")
     _validate_spec(spec)
     meshes = [f * _a_priori_mesh(spec, epsilon) for f in MESH_FACTORS]
     return [
@@ -817,8 +823,8 @@ def certify_box(
         per_net = index.shape[1] * len(own_exps) * (2 * d + 1) + 4
         cap = 4.0 * bound
         regrets = []
-        # The audit certified the grid game, whose supports these are, so
-        # its columns list the same atoms in the same order.
+        # The audit certified the true-value game, on the grid game's space
+        # and partitions, so its columns list these atoms in this order.
         current = audit.certificate.players[i].current_value
         masses = masses.tolist()
         for atom, mass, size, top, c in zip(support.ids, masses, sizes, best, current):

@@ -2,39 +2,36 @@
 
 A game couples an explicit finite state space with one information
 partition per player and a dense payoff tensor over states and joint
-action profiles.  A payoff tensor holds one float array
-(``PayoffTensor.array``), and every stage that reads the whole table
-(validation, the payoff bound and classes, the agent form, the
-certifier) reads it.  The game file loader, ``from_type_space`` and the
-grid game write that array directly; a tensor built from a dict keyed
-by ``(state, profile)`` stacks it from the dict once.  Nothing depends
+action profiles.  Every stage that reads the whole table (validation,
+the payoff bound and classes, the agent form, the certifier) reads the
+game's one float array (``NestedGame.payoff_array``).  Nothing depends
 on the order in which a file or a dict lists the entries.
 Player 1 is the most informed: validity requires each player's
 partition to refine the next player's.  Strategies are maps
 from partition atoms to mixed actions, so they are measurable with
 respect to the owning player's information by construction.
 
-All container types are immutable after construction and every
-operation is a pure function.  Validation never raises; it returns a
-report listing violations so callers can surface all problems at once.
+All container types are immutable after construction: each caches only
+what it derives from itself.  Every operation is a pure function.
+Validation never raises; it returns a report listing violations so
+callers can surface all problems at once.
 
 What every later stage reads about a game's states is computed once per
-game and cached: the validation report, the payoff classes
-(``NestedGame.classes``, with each state's class id as an integer
-array, shared by every game with the same payoff tensor and the state
-order of its array) and each player's support (``NestedGame.supports``:
-the atom of every state, each atom's ``math.fsum`` mass, and the
+game and cached on it: the validation report, the payoff array, the
+payoff classes (``NestedGame.classes``, with each state's class id as an
+integer array) and each player's support (``NestedGame.supports``: the
+atom of every state, each atom's ``math.fsum`` mass, and the
 positive-mass atoms as the columns ``ids`` and ``sizes``, with their
-weighed states atom after atom, shared by every game with the same state
-space and partition).  The belief hierarchy and the certifier both read
-them; each is a pure function of the game itself, so the certifier
-still trusts nothing from the solver.  After
-the load, partitions are read as integer labels
-(``InformationPartition.labels``): the nestedness check, the supports,
-the hierarchy, its audit, the quotient and the lift compare label arrays
-instead of walking dicts state by state.  Every per-state fact derived
-from a game is kept once, as such an array: the class ids, each
-support's atom index, and the hierarchy's ``signals`` and ``beliefs``.
+weighed states atom after atom).  Only ``coarsen`` hands a game's to the
+game it builds.  The belief hierarchy and the certifier both read them;
+each is a pure function of the game itself, so the certifier still
+trusts nothing from the solver.  After the load, partitions are read as
+integer labels (``InformationPartition.labels``): the nestedness check,
+the supports, the hierarchy, its audit, the quotient and the lift
+compare label arrays instead of walking dicts state by state.  Every
+per-state fact derived from a game is kept once, as such an array: the
+class ids, each support's atom index, and the hierarchy's ``signals``
+and ``beliefs``.
 """
 
 from __future__ import annotations
@@ -111,13 +108,6 @@ class StateSpace:
         """Index of each state in ``states``."""
         return dict(zip(self.states, range(len(self.states))))
 
-    @cached_property
-    def _supports(self) -> dict:
-        """Memo of ``NestedGame.supports``: (player, id of the partition)
-        -> the partition, held so that its id is not reused, and the
-        player's ``Support`` on it."""
-        return {}
-
 
 @dataclass(frozen=True)
 class InformationPartition:
@@ -177,15 +167,12 @@ class InformationPartition:
 class PayoffTensor:
     """Dense payoffs: (state, joint action profile) -> one value per player.
 
-    A tensor holds its actions, the dict of entries keyed by ``(state,
-    profile)`` it was built from (``PayoffTensor(actions, values)``), if
-    any, and one payoff array with the state order it follows.  The game
-    file loader, ``from_type_space`` and the grid game give the array
-    itself (``PayoffTensor.from_array``); a dict is stacked into it on the
-    first call of ``array``.  Every stage that reads the whole table
-    reads that array.  For an array-backed tensor the dict ``values`` is
-    built on first use, in array order; only the plain oracles and
-    callers outside the solve read it.
+    A tensor keeps its actions and what it was built from: a dict of
+    entries keyed by ``(state, profile)``, or an array and the state
+    order it follows (``from_array``: the game file loader,
+    ``from_type_space`` and the grid game).  For an array-backed tensor
+    the dict ``values`` is built on first use, in array order; only the
+    plain oracles and callers outside the solve read it.
     """
 
     def __init__(
@@ -195,11 +182,9 @@ class PayoffTensor:
     ):
         self.actions = actions
         self._values = values
-        # The payoff array, the state order it follows and its payoff
-        # classes, each set once.
+        # The array a tensor is built from and the state order it follows.
         self._states: tuple[State, ...] | None = None
         self._table: np.ndarray | None = None
-        self._classes: PayoffClasses | None = None
 
     @classmethod
     def from_array(
@@ -257,20 +242,14 @@ class PayoffTensor:
 
         Shape ``(n, len(states), |A_1|, ..., |A_n|)``: axis 0 is the
         player, axis 1 follows ``states`` and axis 1 + j follows player
-        j's actions.  The tensor keeps one array: the one it was built
-        from, or else the one stacked from ``values`` on the first call.
-        Every call with that array's state order returns it, so every
-        game that shares this tensor and state order shares one array;
-        any other order is stacked from ``values`` anew.  Raises
-        GameFormatError when an entry is missing or holds a number of
-        values other than n.
+        j's actions.  An array-backed tensor returns its own array for
+        that array's state order; any other call stacks ``values`` anew.
+        Raises GameFormatError when an entry is missing or holds a number
+        of values other than n.
         """
         if states == self._states:
             return self._table
-        table = _dense_payoffs(self, states)
-        if self._table is None:
-            self._states, self._table = states, table
-        return table
+        return _dense_payoffs(self, states)
 
 
 def _dense_payoffs(payoffs: PayoffTensor, states: tuple[State, ...]) -> np.ndarray:
@@ -326,10 +305,9 @@ class NestedGame:
     def actions_for(self, player: int) -> tuple[Action, ...]:
         return self.payoffs.actions[player - 1]
 
-    @property
+    @cached_property
     def payoff_array(self) -> np.ndarray:
-        """``payoffs.array(space.states)``, shared by every game with this
-        tensor and state space."""
+        """``payoffs.array(space.states)``, computed once per game."""
         return self.payoffs.array(self.space.states)
 
     @cached_property
@@ -337,33 +315,18 @@ class NestedGame:
         """``validate_game(self)``, computed once per game."""
         return validate_game(self)
 
-    @property
+    @cached_property
     def classes(self) -> "PayoffClasses":
-        """``payoff_classes(self)``, computed once per payoff tensor for
-        the state order of its array, so every game sharing both shares
-        it (as they share ``payoff_array``); any other order is computed
-        anew."""
-        payoffs, states = self.payoffs, self.space.states
-        classes = payoffs._classes
-        if classes is None or states != payoffs._states:
-            # Reading the array first stacks a dict-backed tensor's.
-            classes = payoff_classes(self)
-            if states == payoffs._states:
-                payoffs._classes = classes
-        return classes
+        """``payoff_classes(self)``, computed once per game."""
+        return payoff_classes(self)
 
     @cached_property
     def supports(self) -> tuple["Support", ...]:
         """Each player's ``Support`` under their own prior, in player order,
-        computed once per state space and partition, so every game sharing
-        both shares it (the probe audit's true-value game shares the grid
-        game's)."""
-        memo = self.space._supports
-        for i, part in enumerate(self.partitions, start=1):
-            if (i, id(part)) not in memo:
-                memo[i, id(part)] = (part, _support(self.space, i, part))
+        computed once per game."""
         return tuple(
-            memo[i, id(part)][1] for i, part in enumerate(self.partitions, start=1)
+            _support(self.space, i, part)
+            for i, part in enumerate(self.partitions, start=1)
         )
 
     def require_valid(self) -> None:
@@ -853,16 +816,24 @@ def _support(space: StateSpace, player: int, part: InformationPartition) -> Supp
 
 def coarsen(game: NestedGame, partitions: Sequence[InformationPartition]) -> NestedGame:
     """``game`` with each player's information replaced by their partition
-    in ``partitions``.  A player whose new partition labels every state as
-    their own does, so that only the atom ids differ, gets the game's
-    ``Support`` with its ``ids`` renamed instead of a new one."""
+    in ``partitions``.  It shares the game's space and tensor, so it is
+    handed the game's ``payoff_array`` and ``classes``; a player whose new
+    partition labels every state as their own does, so that only the atom
+    ids differ, gets the game's ``Support`` with its ``ids`` renamed."""
     space, partitions = game.space, tuple(partitions)
+    supports = []
     for i, (support, part) in enumerate(zip(game.supports, partitions), start=1):
-        if not (part.labels(space.states) != support.atom_index).any():
+        if (part.labels(space.states) != support.atom_index).any():
+            support = _support(space, i, part)
+        else:
             ids = itertools.compress(part.ids, (support.masses > 0.0).tolist())
-            renamed = replace(support, ids=tuple(ids))
-            space._supports.setdefault((i, id(part)), (part, renamed))
-    return NestedGame(space=space, partitions=partitions, payoffs=game.payoffs)
+            support = replace(support, ids=tuple(ids))
+        supports.append(support)
+    coarse = NestedGame(space=space, partitions=partitions, payoffs=game.payoffs)
+    coarse.__dict__.update(
+        payoff_array=game.payoff_array, classes=game.classes, supports=tuple(supports)
+    )
+    return coarse
 
 
 def _fold_atoms(support: Support, by_state: np.ndarray) -> np.ndarray:
@@ -887,6 +858,12 @@ def expected_payoff(game: NestedGame, profile: StrategyProfile) -> tuple[float, 
     return tuple(out)
 
 
+def _check_player(game: NestedGame, player: int) -> None:
+    """GameFormatError unless ``player`` is one of the game's, 1..n."""
+    if player not in range(1, game.n + 1):
+        raise GameFormatError(f"the game has no player {player!r}")
+
+
 def conditional_payoff(
     game: NestedGame, profile: StrategyProfile, player: int
 ) -> dict[Atom, float]:
@@ -894,8 +871,9 @@ def conditional_payoff(
     atom of their own information.
 
     Zero-mass atoms are omitted: conditional values are only defined
-    almost surely.
+    almost surely.  A player outside 1..n raises GameFormatError.
     """
+    _check_player(game, player)
     support = game.supports[player - 1]
     by_state = _expectations(game, profile, player, support.positions)
     values = _fold_atoms(support, by_state)[:, 0].tolist()

@@ -51,6 +51,7 @@ from .game import (
     PayoffClasses,
     State,
     Support,
+    _check_player,
     _fold_atoms,
     _fsums,
     _group,
@@ -275,10 +276,12 @@ def expectation_gap(
     support.  The result is guaranteed strictly below bound * delta (up
     to float noise) because every belief lies within delta of its
     centre; this function measures the realized gap over positive-mass
-    atoms of the player's information.
+    atoms of the player's information.  A player outside 1..n, or a
+    bound that is not finite and positive, raises GameFormatError.
     """
-    if bound <= 0:
-        raise GameFormatError("bound must be positive")
+    _check_player(game, player)
+    if not 0.0 < bound < math.inf:
+        raise GameFormatError("bound must be finite and positive")
     level = hierarchy.level(player)
     for z in level.signal_support:
         if z not in f:

@@ -72,6 +72,7 @@ from .game import (
     NestedGame,
     State,
     StrategyProfile,
+    _check_player,
     _expectation_rows,
     _fold_atoms,
     _fsums,
@@ -393,7 +394,9 @@ def coarse_best_response_gap(
     tuple have no realized coarse atom; opponents are assigned uniform
     play there, which keeps the reconstruction bounded by the payoff
     bound and so preserves the guarantee regardless of the convention.
+    A player outside 1..n raises GameFormatError.
     """
+    _check_player(game, player)
     level = hierarchy.level(player)
     n = game.n
     others = [j for j in range(1, n + 1) if j != player]

@@ -127,9 +127,11 @@ def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
     round once more, so values may move by a few ulps; the lifted
     profile's certificate is computed on the original game, so soundness
     never rests on the quotient.  When no two states merge, the coarse
-    game shares the game's state space and payoff array.
+    game shares the game's state space and payoff array.  The hierarchy
+    must have been built from ``game`` itself: any other game, even an
+    equal copy, raises GameFormatError.
     """
-    if hierarchy.game is not game and hierarchy.game != game:
+    if hierarchy.game is not game:
         raise GameFormatError("hierarchy was built for a different game")
     report = check_properties(game, hierarchy)
     if not report.ok:

@@ -20,6 +20,7 @@ from nestnash.discretize import (
     build_hat_game,
     certify_box,
     certify_sup_gap,
+    coarse_to_fine,
     eta_net,
     floor_to_multiple,
     net_spacing,
@@ -118,6 +119,14 @@ class TestFloorToMultiple:
             floor_to_multiple(1.0, 0.0, 1.0)
         with pytest.raises(GameFormatError):
             floor_to_multiple(1.0, 0.1, 0.0)
+        with pytest.raises(GameFormatError, match="step must be finite and positive"):
+            floor_to_multiple(1.0, math.inf, 1.0)
+        with pytest.raises(GameFormatError, match="step must be finite and positive"):
+            floor_to_multiple(1.0, math.nan, 1.0)
+        with pytest.raises(GameFormatError, match="bound must be finite and positive"):
+            floor_to_multiple(1.0, 0.1, math.inf)
+        with pytest.raises(GameFormatError, match="value must not be NaN"):
+            floor_to_multiple(math.nan, 0.1, 1.0)
 
     @given(
         st.floats(-1e6, 1e6),
@@ -666,6 +675,17 @@ class TestAPrioriMesh:
     def test_rejects_meshes_whose_reciprocal_overflows(self, mesh):
         with pytest.raises(GameFormatError, match="and its reciprocal must be"):
             build_hat_game(one_state_linear_spec(), 0.25, mesh=mesh)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_an_epsilon_not_finite_and_positive(self, epsilon):
+        spec = one_state_linear_spec()
+        message = "epsilon must be finite and positive"
+        with pytest.raises(GameFormatError, match=message):
+            build_hat_game(spec, epsilon, mesh=0.5)
+        with pytest.raises(GameFormatError, match=message):
+            build_hat_game(spec, epsilon)
+        with pytest.raises(GameFormatError, match=message):
+            coarse_to_fine(spec, epsilon)
 
 
 def unit_lipschitz_spec(rng, box_dims: tuple[int, ...], states: int):

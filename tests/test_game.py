@@ -14,6 +14,7 @@ from nestnash.game import (
     PayoffTensor,
     StateSpace,
     StrategyProfile,
+    coarsen,
     conditional_payoff,
     expected_payoff,
     from_type_space,
@@ -187,9 +188,14 @@ class TestPayoffArray:
         assert np.array_equal(shuffled.payoff_array, game.payoff_array)
 
     def test_built_once_and_read_only(self):
+        # The game keeps its array; the dict-backed tensor keeps none and
+        # stacks an equal one on every call.
         game = two_state_game()
         table = game.payoff_array
-        assert game.payoffs.array(game.space.states) is table
+        assert game.payoff_array is table
+        again = game.payoffs.array(game.space.states)
+        assert again is not table
+        assert np.array_equal(again, table)
         assert not table.flags.writeable
         assert table.flags.c_contiguous
 
@@ -589,6 +595,27 @@ class TestSpaces:
         )
         assert list(part.atoms.keys()) == ["x", "y"]
         assert part.atoms["x"] == ("w3", "w1")
+
+
+class TestCoarsen:
+    def test_hands_over_the_array_the_classes_and_renamed_supports(self):
+        # Player 1's atoms merge, so their support is built anew; player
+        # 2's atom is only renamed, so theirs is the game's with new ids.
+        game = two_state_game()
+        merged = InformationPartition(1, {"w1": "m", "w2": "m"})
+        renamed = InformationPartition(2, {"w1": "h", "w2": "h"})
+        coarse = coarsen(game, (merged, renamed))
+        assert coarse.payoff_array is game.payoff_array
+        assert coarse.classes is game.classes
+        own, kept = game.supports[1], coarse.supports[1]
+        assert (own.ids, kept.ids) == (("g",), ("h",))
+        for name in ("atom_index", "masses", "sizes", "positions", "weights"):
+            assert getattr(kept, name) is getattr(own, name)
+        fresh = NestedGame(game.space, (merged, renamed), game.payoffs).supports
+        for got, want in zip(coarse.supports, fresh):
+            assert got.ids == want.ids
+            for name in ("atom_index", "masses", "sizes", "positions", "weights"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def classes_oracle(game: NestedGame) -> PayoffClasses:

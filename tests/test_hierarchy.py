@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -250,8 +251,9 @@ class TestExpectations:
     def test_expectation_gap_validates_inputs(self, informed_anchor):
         h = build_hierarchy(informed_anchor, 0.2)
         f = {(0, 0): 1.0, (1, 1): -1.0}
-        with pytest.raises(GameFormatError):
-            expectation_gap(informed_anchor, h, 2, f, 0.0)
+        for bound in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(GameFormatError, match="finite and positive"):
+                expectation_gap(informed_anchor, h, 2, f, bound)
         with pytest.raises(GameFormatError):
             expectation_gap(informed_anchor, h, 2, {(0, 0): 1.0}, 1.0)
         with pytest.raises(GameFormatError):

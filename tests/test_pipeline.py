@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,17 @@ def test_a_solve_that_merges_nothing_builds_each_support_once(shuffle, monkeypat
             assert support.ids == fresh.ids
             for name in ("atom_index", "masses", "sizes", "positions", "weights"):
                 assert np.array_equal(getattr(support, name), getattr(fresh, name))
+
+
+def test_a_solve_leaves_nothing_behind_on_its_game():
+    # Each game keeps what it derives, so the coarse partitions die with
+    # the solution that holds them.
+    game = random_nested_game(np.random.default_rng(CORPUS_SEED))
+    solution = solve(game, 0.05, seed=0)
+    coarse = weakref.ref(solution.hierarchy.coarse[0])
+    del solution
+    gc.collect()
+    assert coarse() is None
 
 
 def shuffled_atoms(rng, game: NestedGame) -> NestedGame:

@@ -22,7 +22,7 @@ from nestnash.game import (
     validate_profile,
 )
 from nestnash.gamefile import parse_game
-from nestnash.hierarchy import build_hierarchy
+from nestnash.hierarchy import build_hierarchy, expectation_gap
 from nestnash.pipeline import solve
 from nestnash.regret import (
     CERT_SLACK,
@@ -593,6 +593,25 @@ class TestCoarseReconstruction:
         )
         with pytest.raises(GameFormatError, match="no strategy for atom"):
             coarse_best_response_gap(game, h, profile, 2)
+
+
+@pytest.mark.parametrize("player", [0, -1, 3])
+def test_per_player_readers_refuse_a_player_the_game_lacks(player):
+    # Each reads per-player columns at index player - 1, where 0 would
+    # silently read the last player's.
+    game = random_nested_game(np.random.default_rng(3), max_states=12, players=(2,))
+    solution = solve(game, 0.05)
+    f = {z: 0.0 for z in solution.hierarchy.level(1).signal_support}
+    calls = [
+        lambda: conditional_payoff(game, solution.profile, player),
+        lambda: expectation_gap(game, solution.hierarchy, player, f, 1.0),
+        lambda: coarse_best_response_gap(
+            game, solution.hierarchy, solution.profile, player
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(GameFormatError, match=f"the game has no player {player}"):
+            call()
 
 
 def oracle_game(rng, kind: str) -> NestedGame:

@@ -271,6 +271,15 @@ class TestAuxiliaryGame:
         with pytest.raises(GameFormatError, match="different game"):
             build_auxiliary_game(informed_anchor, h)
 
+    def test_rejects_the_hierarchy_of_an_equal_copy(self, informed_anchor):
+        # A hierarchy belongs to the very game it was built from: an equal
+        # but distinct game is refused without comparing the two.
+        copy = dataclasses.replace(informed_anchor)
+        assert copy == informed_anchor
+        h = build_hierarchy(informed_anchor, 0.2)
+        with pytest.raises(GameFormatError, match="different game"):
+            build_auxiliary_game(copy, h)
+
 
 def cloned_game(
     rng: np.random.Generator, game: NestedGame, copies: int, sparse: bool = False

@@ -154,3 +154,9 @@ def test_mass_tolerance_is_read_by_the_mass_rule_and_the_box_allowance():
 
 def test_certificate_slack_is_read_in_regret_only():
     assert {file for file, _ in readers("CERT_SLACK")} == {"regret.py"}
+
+
+def test_the_package_never_calls_id():
+    # A cache keyed by ``id`` must keep each key's object alive so that
+    # the id is not reused, and so it keeps every object it has seen.
+    assert readers("id") == set()

@@ -36,7 +36,6 @@ from .discretize import (
     certify_box,
     certify_sup_gap,
     coarse_to_fine,
-    probe_harsanyi_regret,
 )
 from .game import (
     GameFormatError,
@@ -181,9 +180,8 @@ def _ingestion_block(game: NestedGame) -> dict:
     return block
 
 
-def _hierarchy_block(
-    game: NestedGame, hier: Hierarchy, audit: PropertyReport
-) -> dict:
+def _hierarchy_block(hier: Hierarchy, audit: PropertyReport) -> dict:
+    game = hier.game
     levels = []
     for level in hier.levels:
         levels.append(
@@ -206,7 +204,7 @@ def _hierarchy_block(
     }
     return {
         "delta": hier.delta,
-        "payoff_classes": hier.classes.count,
+        "payoff_classes": game.classes.count,
         "levels": levels,
         "atoms": atoms,
         "checks": checks,
@@ -433,8 +431,9 @@ def _solve(game: NestedGame, args) -> Solution:
     )
 
 
-def _solve_document(game: NestedGame, mode: str, args, sol: Solution) -> dict:
+def _solve_document(mode: str, args, sol: Solution) -> dict:
     """The report blocks that finite and continuous solves share."""
+    game = sol.hierarchy.game
     return {
         "config": {
             "command": "solve",
@@ -451,7 +450,7 @@ def _solve_document(game: NestedGame, mode: str, args, sol: Solution) -> dict:
             "players": game.n,
             "states": len(game.space.states),
         },
-        "hierarchy": _hierarchy_block(game, sol.hierarchy, sol.checks),
+        "hierarchy": _hierarchy_block(sol.hierarchy, sol.checks),
         "solver": _solver_block(sol.result),
         "profile": profile_to_json(sol.profile),
         "transfer": {
@@ -471,7 +470,7 @@ def _solve_finite(game: NestedGame, mode: str, args) -> int:
     sol = _solve(game, args)
 
     def document() -> dict:
-        doc = _solve_document(game, mode, args, sol)
+        doc = _solve_document(mode, args, sol)
         doc["ingestion"] = _ingestion_block(game)
         doc["coarse_profile"] = profile_to_json(sol.result.profile)
         doc["regret"] = _regret_block(sol.report)
@@ -491,20 +490,19 @@ def _solve_continuous(compact, args) -> int:
         disc = build_hat_game(compact, args.epsilon, mesh)
         game = disc.game
         sol = _solve(game, args)
-        audit = probe_harsanyi_regret(disc, sol.profile)
-        box = certify_box(disc, sol.profile, audit)
+        box = certify_box(disc, sol.profile)
         if box.ok:
             break
 
     def document() -> dict:
         gap = certify_sup_gap(disc)
-        doc = _solve_document(game, "continuous", args, sol)
+        doc = _solve_document("continuous", args, sol)
         doc["discretization"] = {
             "epsilon": args.epsilon,
             "eta0": disc.eta0,
             "lipschitz": compact.lipschitz,
             "payoff_bound": disc.truncation.bound_m,
-            "net_sizes": [len(net) for net in disc.nets],
+            "net_sizes": list(map(len, game.payoffs.actions)),
             "truncation": {
                 "kept": len(disc.truncation.omega_double_prime),
                 "dropped": len(game.space.states)
@@ -529,12 +527,12 @@ def _solve_continuous(compact, args) -> int:
         }
         doc["hat_regret"] = _regret_block(sol.report)
         doc["probe_audit"] = {
-            "budget": audit.budget,
-            "max_regret": audit.max_regret,
-            "ok": audit.ok,
+            "budget": box.audit.budget,
+            "max_regret": box.audit.max_regret,
+            "ok": box.audit.ok,
             "players": [
                 {"player": i, "regret": r}
-                for i, r in audit.certificate.harsanyi.items()
+                for i, r in box.audit.certificate.harsanyi.items()
             ],
         }
         doc["box_certificate"] = {
@@ -552,7 +550,7 @@ def _solve_continuous(compact, args) -> int:
         return doc
 
     _emit_report(args.format, document, lambda: _regret_csv(sol.report), args.out)
-    return 0 if box.ok and audit.ok else 2
+    return 0 if box.ok and box.audit.ok else 2
 
 
 def _cmd_solve(args) -> int:
@@ -612,7 +610,7 @@ def _cmd_hierarchy(args) -> int:
         )
     game = loaded.game
     hier = build_hierarchy(game, args.delta)
-    block = _hierarchy_block(game, hier, check_properties(game, hier))
+    block = _hierarchy_block(hier, check_properties(hier))
 
     def document() -> dict:
         return {

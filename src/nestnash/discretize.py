@@ -25,18 +25,20 @@ the same values, so each polynomial is evaluated once per mesh.
 
 The box certificate (``certify_box``) bounds the profile's regret
 against every action in each player's box, on the compact game itself,
-not on a grid.  Its soundness rests on two facts.  Lipschitz covering:
-on each atom the player's value is a polynomial in their own action
-that is L-Lipschitz under the max metric (an average of the payoffs,
-each L-Lipschitz), and every point of the box lies within h / 2 of an
-own-action net of spacing h, so the supremum over the box is at most
-the maximum over the net plus L h / 2.  Rounding allowance: every float
-operation that feeds the net maximum and the profile's current value is
-counted, and an explicit allowance, proven in ``certify_box``'s
-docstring, exceeds their total error, so the reported regret is never
-below the exact one.  The grid mesh (``build_hat_game``'s ``mesh``)
-only sets where the profile may play; the box certificate holds at any
-mesh, which is what lets ``coarse_to_fine`` solve on coarse grids.
+not on a grid.  It runs the profile's own probe audit, which it
+returns (``BoxCertificate.audit``).  Its soundness rests on two facts.
+Lipschitz covering: on each atom the player's value is a polynomial in
+their own action that is L-Lipschitz under the max metric (an average
+of the payoffs, each L-Lipschitz), and every point of the box lies
+within h / 2 of an own-action net of spacing h, so the supremum over
+the box is at most the maximum over the net plus L h / 2.  Rounding
+allowance: every float operation that feeds the net maximum and the
+profile's current value is counted, and an explicit allowance, proven
+in ``certify_box``'s docstring, exceeds their total error, so the
+reported regret is never below the exact one.  The grid mesh
+(``build_hat_game``'s ``mesh``) only sets where the profile may play;
+the box certificate holds at any mesh, which is what lets
+``coarse_to_fine`` solve on coarse grids.
 All three certificates here pass by ``regret.within_bound``.
 """
 
@@ -59,6 +61,7 @@ from .game import (
     State,
     StateSpace,
     StrategyProfile,
+    _is_integer,
     _strategies_at,
 )
 from .regret import ConsistencyError, RegretReport, below_floor, certify, within_bound
@@ -109,9 +112,9 @@ class DiscretizedGame:
 
     ``game`` is the grid game: each player's net as their actions and
     every payoff floored to the epsilon lattice, dropped states paying
-    zero.  ``true_game`` shares its space, partitions and nets, and
-    holds every state's unfloored polynomial values, dropped states
-    included: the game the probe audit certifies.
+    zero.  ``true_game`` shares its space, partitions and nets (one
+    tuple, ``payoffs.actions``), and holds every state's unfloored
+    values, dropped states included: the game the probe certifies.
     """
 
     game: NestedGame
@@ -120,7 +123,6 @@ class DiscretizedGame:
     epsilon: float
     eta0: float
     truncation: StateTruncation
-    nets: tuple[tuple[tuple[float, ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -190,12 +192,12 @@ def eta_net(dim: int, eta0: float) -> tuple[tuple[float, ...], ...]:
 
     Each axis gets ceil(1/eta0) + 1 equispaced points including both
     endpoints, so the spacing is at most eta0 and any point of the cube
-    is within half a spacing of the grid under the max metric.  An eta0
-    that is not finite and positive, or whose reciprocal overflows,
-    raises GameFormatError.
+    is within half a spacing of the grid under the max metric.  A dim
+    that is not an integer >= 1, or an eta0 that is not finite and
+    positive or whose reciprocal overflows, raises GameFormatError.
     """
-    if dim < 1:
-        raise GameFormatError("net dimension must be at least 1")
+    if not (_is_integer(dim) and dim >= 1):
+        raise GameFormatError(f"net dimension must be an integer >= 1, not {dim!r}")
     return tuple(itertools.product(_net_axis(eta0), repeat=dim))
 
 
@@ -399,7 +401,6 @@ def build_hat_game(
         epsilon=epsilon,
         eta0=eta0,
         truncation=truncation,
-        nets=nets,
     )
 
 
@@ -644,13 +645,14 @@ class BoxPlayer:
 class BoxCertificate:
     """Regret bounds of a grid-supported profile against every action in
     each player's box (see ``certify_box``), one ``BoxPlayer`` per player
-    in player order.  It passes when every player's Harsanyi box regret
-    is within epsilon."""
+    in player order, and the profile's probe audit.  It passes when
+    every player's Harsanyi box regret is within epsilon."""
 
     epsilon: float
     spacing: float
     covering: float
     players: tuple[BoxPlayer, ...]
+    audit: ProbeAudit
 
     @property
     def max_regret(self) -> float:
@@ -665,15 +667,13 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def certify_box(
-    disc: DiscretizedGame, profile: StrategyProfile, audit: ProbeAudit
-) -> BoxCertificate:
+def certify_box(disc: DiscretizedGame, profile: StrategyProfile) -> BoxCertificate:
     """Bound the regret of a grid-supported profile against every action
     in each player's box [0, 1]^d, on the compact game itself.
 
-    ``audit`` must be ``probe_harsanyi_regret(disc, profile)``: its
-    certificate holds each atom's current value c, the profile's exact
-    conditional value.  Both read the profile through
+    It runs ``probe_harsanyi_regret(disc, profile)``, returned as
+    ``audit``, whose certificate holds each atom's current value c, the
+    profile's exact conditional value.  Both read the profile through
     ``game._strategies_at``, which refuses any action off the grid, even
     at zero mass, and any row that is not a probability vector.
 
@@ -741,8 +741,10 @@ def certify_box(
     invariant and raises.  The Harsanyi regret is the fsum of
     m * max(0, r) over the atoms.
     """
+    audit = probe_harsanyi_regret(disc, profile)
     spec = disc.spec
     game = disc.game
+    nets = game.payoffs.actions
     n = spec.n
     states = spec.space.states
     starts = tuple(itertools.accumulate(spec.box_dims, initial=0))
@@ -755,7 +757,7 @@ def certify_box(
     covering = lip * spacing / 2.0
     weighed = np.concatenate([support.positions for support in game.supports])
     plays = _strategies_at(game, profile, weighed, range(1, n + 1))
-    joint = math.prod(len(net) for net in disc.nets)
+    joint = math.prod(map(len, nets))
     moments: dict[tuple[int, tuple[int, ...]], list[float]] = {}
 
     def moment(j: int, exps: tuple[int, ...]) -> list[float]:
@@ -763,7 +765,7 @@ def certify_box(
         if (j, exps) not in moments:
             powers = [
                 math.prod([x**e for x, e in zip(a, exps) if e])
-                for a in disc.nets[j - 1]
+                for a in nets[j - 1]
             ]
             terms = plays[j][0] * np.array(powers)
             moments[(j, exps)] = [math.fsum(row) for row in terms.tolist()]
@@ -818,7 +820,7 @@ def certify_box(
         gamma = count * _UNIT_ROUNDOFF / (1.0 - count * _UNIT_ROUNDOFF)
         rounding = 2.0 * gamma * (2.0 * bound + lip) + 2.0 * n * MASS_TOL * lip
         per_state = most * (
-            joint + sum(len(disc.nets[j - 1]) for j in others) + 1
+            joint + sum(len(nets[j - 1]) for j in others) + 1
         ) * (2 * spec.total_dim + n + 3)
         per_net = index.shape[1] * len(own_exps) * (2 * d + 1) + 4
         cap = 4.0 * bound
@@ -838,6 +840,4 @@ def certify_box(
             regrets.append(min(r, cap))
         harsanyi = math.fsum(m * max(0.0, r) for m, r in zip(masses, regrets))
         players.append(BoxPlayer(player=i, regret=tuple(regrets), harsanyi=harsanyi))
-    return BoxCertificate(
-        epsilon=disc.epsilon, spacing=spacing, covering=covering, players=tuple(players)
-    )
+    return BoxCertificate(disc.epsilon, spacing, covering, tuple(players), audit)

@@ -858,9 +858,14 @@ def expected_payoff(game: NestedGame, profile: StrategyProfile) -> tuple[float, 
     return tuple(out)
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer, not a bool or a float."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_player(game: NestedGame, player: int) -> None:
-    """GameFormatError unless ``player`` is one of the game's, 1..n."""
-    if player not in range(1, game.n + 1):
+    """GameFormatError unless ``player`` is one of the game's, int 1..n."""
+    if not (_is_integer(player) and 1 <= player <= game.n):
         raise GameFormatError(f"the game has no player {player!r}")
 
 

@@ -48,7 +48,6 @@ from .game import (
     InformationPartition,
     GameFormatError,
     NestedGame,
-    PayoffClasses,
     State,
     Support,
     _check_player,
@@ -95,6 +94,8 @@ class HierarchyLevel:
 class Hierarchy:
     """All levels plus the induced coarse information partitions.
 
+    ``game`` is the game it was built from: every reader of the
+    hierarchy takes the hierarchy alone and reads its game here.
     ``coarse_keys[i - 1]`` maps each belief-index tuple (levels i..n)
     that some state realizes to player i's coarse atom holding it.
     """
@@ -104,7 +105,6 @@ class Hierarchy:
     levels: tuple[HierarchyLevel, ...]
     coarse: tuple[InformationPartition, ...]
     coarse_keys: tuple[dict[tuple[int, ...], Atom], ...]
-    classes: PayoffClasses
 
     def level(self, player: int) -> HierarchyLevel:
         return self.levels[player - 1]
@@ -161,7 +161,6 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     if not delta > 0:
         raise GameFormatError("delta must be positive")
 
-    classes = game.classes
     states = game.space.states
     supports = game.supports
     # The states some player's prior weighs, in state order.
@@ -171,8 +170,8 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     live = np.flatnonzero(realized)
     # Each state's level-i observable, as an index into ``observed``: its
     # belief indices at levels 1..i-1, then its payoff class.
-    observable = classes.ids
-    observed = [(k,) for k in range(classes.count)]
+    observable = game.classes.ids
+    observed = [(k,) for k in range(game.classes.count)]
 
     levels: list[HierarchyLevel] = []
     for i, support in enumerate(supports, start=1):
@@ -259,12 +258,10 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
         levels=tuple(levels),
         coarse=tuple(coarse_parts[::-1]),
         coarse_keys=tuple(coarse_keys[::-1]),
-        classes=classes,
     )
 
 
 def expectation_gap(
-    game: NestedGame,
     hierarchy: Hierarchy,
     player: int,
     f: Mapping[tuple[int, ...], float],
@@ -277,8 +274,10 @@ def expectation_gap(
     to float noise) because every belief lies within delta of its
     centre; this function measures the realized gap over positive-mass
     atoms of the player's information.  A player outside 1..n, or a
-    bound that is not finite and positive, raises GameFormatError.
+    bound that is not finite and positive, or a value of f that is not
+    within it (NaN included), raises GameFormatError.
     """
+    game = hierarchy.game
     _check_player(game, player)
     if not 0.0 < bound < math.inf:
         raise GameFormatError("bound must be finite and positive")
@@ -286,7 +285,7 @@ def expectation_gap(
     for z in level.signal_support:
         if z not in f:
             raise GameFormatError(f"functional undefined on support value {z!r}")
-        if abs(f[z]) > bound:
+        if not abs(f[z]) <= bound:
             raise GameFormatError(
                 f"functional exceeds its stated bound at {z!r}: {f[z]!r}"
             )
@@ -322,7 +321,7 @@ class PropertyReport:
         return all(c.ok for c in self.checks)
 
 
-def check_properties(game: NestedGame, hierarchy: Hierarchy) -> PropertyReport:
+def check_properties(hierarchy: Hierarchy) -> PropertyReport:
     """Audit the coarse partitions with witnesses for any failure.
 
     Checked per player: the coarse partition is finite (atom count within
@@ -331,6 +330,7 @@ def check_properties(game: NestedGame, hierarchy: Hierarchy) -> PropertyReport:
     information refines their coarse partition; and the player's belief
     is constant on each coarse atom.
     """
+    game = hierarchy.game
     checks: list[PropertyCheck] = []
     n = game.n
     states = game.space.states

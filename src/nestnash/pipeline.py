@@ -125,17 +125,17 @@ def solve(
         target = epsilon / 2.0
 
     hierarchy = build_hierarchy(game, delta)
-    aux = build_auxiliary_game(game, hierarchy)
+    aux = build_auxiliary_game(hierarchy)
     result = solve_nash(
         to_agent_form(aux), SolverConfig(target_regret=target, seed=seed)
     )
-    lifted = lift_strategy(result.profile, game, hierarchy)
+    lifted = lift_strategy(result.profile, hierarchy)
     renames = aux.coarse_game.space is game.space and all(
         len(coarse.ids) == len(part.ids)
         for coarse, part in zip(hierarchy.coarse, game.partitions)
     )
     if renames:
-        report = _renamed(result.report, game, hierarchy, epsilon)
+        report = _renamed(result.report, hierarchy, epsilon)
     else:
         report = certify(game, lifted, epsilon)
     return Solution(
@@ -153,9 +153,9 @@ def solve(
 
 
 def _renamed(
-    report: RegretReport, game: NestedGame, hierarchy: Hierarchy, epsilon: float
+    report: RegretReport, hierarchy: Hierarchy, epsilon: float
 ) -> RegretReport:
-    """The coarse game's certificate ``report`` on the original game, when
+    """The coarse game's certificate ``report`` on the hierarchy's game, when
     each coarse atom holds exactly the states of one original atom: each
     atom renamed to the original one, in the original game's atom order,
     against ``epsilon``.
@@ -163,9 +163,9 @@ def _renamed(
     The coarse certificate lists a player's positive-mass atoms in the
     order of their coarse labels, so an original atom's record sits at
     the rank of its coarse atom's label among them."""
-    states = game.space.states
+    states, supports = hierarchy.game.space.states, hierarchy.game.supports
     table = {}
-    for i, (support, coarse) in enumerate(zip(game.supports, hierarchy.coarse), 1):
+    for i, (support, coarse) in enumerate(zip(supports, hierarchy.coarse), 1):
         to_coarse = np.empty(len(support.masses), np.intp)
         to_coarse[support.atom_index] = coarse.labels(states)
         index = np.argsort(np.argsort(to_coarse[support.masses > 0.0])).tolist()

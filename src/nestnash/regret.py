@@ -371,14 +371,11 @@ def _compositions(total: int, parts: int):
 
 
 def coarse_best_response_gap(
-    game: NestedGame,
-    hierarchy: Hierarchy,
-    profile: StrategyProfile,
-    player: int,
+    hierarchy: Hierarchy, profile: StrategyProfile, player: int
 ) -> float:
     """Gap between true conditional action values and their reconstruction
     from the belief centre, maximized over positive-mass atoms and own
-    actions.
+    actions, on the hierarchy's game (``hierarchy.game``).
 
     The profile gives every player's play, the player's own included,
     since the exact values are ``bayesian_regret``'s table.  Play is read
@@ -396,6 +393,7 @@ def coarse_best_response_gap(
     bound and so preserves the guarantee regardless of the convention.
     A player outside 1..n raises GameFormatError.
     """
+    game = hierarchy.game
     _check_player(game, player)
     level = hierarchy.level(player)
     n = game.n
@@ -449,7 +447,7 @@ def coarse_best_response_gap(
             z = level.signal_support[z_idx]
             # z = (belief indices at levels 1..player-1, payoff class).
             weights.append(weight)
-            index.append(position[hierarchy.classes.representatives[z[-1]]])
+            index.append(position[game.classes.representatives[z[-1]]])
             full_key = z[:-1] + own_tail
             for j in others:
                 atom_j = hierarchy.atom_for_key(j, full_key[j - 1 :])

@@ -102,7 +102,7 @@ class SolveResult:
         return regret_mod.within_bound(self.report.max_regret, self.report.epsilon)
 
 
-def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
+def build_auxiliary_game(hierarchy: Hierarchy) -> AuxGame:
     """Swap each player's partition for the coarse one, and merge the states
     no coarse strategy can tell apart.
 
@@ -127,27 +127,23 @@ def build_auxiliary_game(game: NestedGame, hierarchy: Hierarchy) -> AuxGame:
     round once more, so values may move by a few ulps; the lifted
     profile's certificate is computed on the original game, so soundness
     never rests on the quotient.  When no two states merge, the coarse
-    game shares the game's state space and payoff array.  The hierarchy
-    must have been built from ``game`` itself: any other game, even an
-    equal copy, raises GameFormatError.
+    game shares the game's state space and payoff array.  The game is
+    the one the hierarchy was built from (``hierarchy.game``).
     """
-    if hierarchy.game is not game:
-        raise GameFormatError("hierarchy was built for a different game")
-    report = check_properties(game, hierarchy)
+    report = check_properties(hierarchy)
     if not report.ok:
         bad = [c for c in report.checks if not c.ok]
         raise GameFormatError(
             f"hierarchy failed its structural audit: {bad[0].name} for player "
             f"{bad[0].player}"
         )
-    return AuxGame(
-        hierarchy=hierarchy, coarse_game=_quotient(game, hierarchy), checks=report
-    )
+    return AuxGame(hierarchy=hierarchy, coarse_game=_quotient(hierarchy), checks=report)
 
 
-def _quotient(game: NestedGame, hierarchy: Hierarchy) -> NestedGame:
+def _quotient(hierarchy: Hierarchy) -> NestedGame:
     """The coarse game on one state per (player 1 coarse atom, payoff class)."""
-    states, classes = game.space.states, hierarchy.classes
+    game = hierarchy.game
+    states, classes = game.space.states, game.classes
     labels = hierarchy.coarse[0].labels(states) * classes.count + classes.ids
     merged, first = _group(labels.tolist())
     if len(first) == len(states):
@@ -454,9 +450,9 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
 
 
 def lift_strategy(
-    aux_profile: StrategyProfile, game: NestedGame, hierarchy: Hierarchy
+    aux_profile: StrategyProfile, hierarchy: Hierarchy
 ) -> StrategyProfile:
-    """Pull a coarse-measurable profile back to the original information.
+    """Pull a coarse-measurable profile back to its game's information.
 
     Each original atom sits inside exactly one coarse atom, so the lift
     just copies that atom's distribution.  The result is measurable for
@@ -464,6 +460,7 @@ def lift_strategy(
     """
     if aux_profile.field_level != "coarse":
         raise GameFormatError("lift expects a coarse-level profile")
+    game = hierarchy.game
     states = game.space.states
     strategies: dict[int, dict[Atom, dict[Action, float]]] = {}
     for i in range(1, game.n + 1):

@@ -74,7 +74,7 @@ def test_criterion_1_hierarchy_soundness(corpus):
                         f"game {idx} delta {delta} player {level.player}: "
                         f"gap {level.max_l1_gap}"
                     )
-            if not check_properties(game, hierarchy).ok:
+            if not check_properties(hierarchy).ok:
                 ok = False
                 detail = f"game {idx} delta {delta}: structural audit failed"
     assert _verdict(1, "hierarchy soundness", ok), detail
@@ -97,7 +97,7 @@ def test_criterion_2_functional_gap(corpus):
                     z: float(rng.uniform(-bound, bound))
                     for z in level.signal_support
                 }
-                gap = expectation_gap(game, hierarchy, player, f, bound)
+                gap = expectation_gap(hierarchy, player, f, bound)
                 if not gap < bound * delta + 1e-12:
                     ok = False
                     detail = f"game {idx} player {player}: gap {gap}"
@@ -349,8 +349,7 @@ def test_criterion_6_box_certificate(tmp_path, capsys):
         spec = random_compact_game(rng)
         disc = build_hat_game(spec, epsilon)
         solution = solve(disc.game, epsilon, seed=idx)
-        audit = probe_harsanyi_regret(disc, solution.profile)
-        box = certify_box(disc, solution.profile, audit)
+        box = certify_box(disc, solution.profile)
         if not box.ok:
             ok = False
             detail = f"spec {idx}: box regret {box.max_regret} at epsilon / L"

@@ -42,6 +42,7 @@ from nestnash.game import (
     validate_profile,
 )
 from nestnash.hierarchy import build_hierarchy
+from nestnash.pipeline import solve
 from nestnash.regret import brute_force_check
 from nestnash.solver import (
     SolverConfig,
@@ -55,9 +56,9 @@ from nestnash.solver import (
 def solve_hat(disc, target: float):
     """Solve the finite companion and lift back to its original atoms."""
     hierarchy = build_hierarchy(disc.game, 0.01)
-    aux = build_auxiliary_game(disc.game, hierarchy)
+    aux = build_auxiliary_game(hierarchy)
     result = solve_nash(to_agent_form(aux), SolverConfig(target_regret=target))
-    return lift_strategy(result.profile, disc.game, hierarchy), result
+    return lift_strategy(result.profile, hierarchy), result
 
 
 class TestPolynomials:
@@ -95,8 +96,10 @@ class TestActionNets:
             assert dist <= radius + 1e-12
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(GameFormatError):
-            eta_net(0, 0.5)
+        for dim in (0, -1, 1.0, 2.0, True):
+            with pytest.raises(GameFormatError, match="net dimension"):
+                eta_net(dim, 0.5)
+        assert eta_net(np.int64(2), 0.5) == eta_net(2, 0.5)
         with pytest.raises(GameFormatError):
             eta_net(1, 0.0)
         # Positive, but the reciprocal overflows.
@@ -270,7 +273,7 @@ class TestHatGame:
     def test_linear_payoffs_are_exact_on_the_grid(self):
         disc = build_hat_game(one_state_linear_spec(), 0.25)
         assert disc.eta0 == 0.25
-        assert [len(n) for n in disc.nets] == [5, 5]
+        assert [len(net) for net in disc.game.payoffs.actions] == [5, 5]
         # 0.25-lattice values of a linear payoff on the 0.25 grid are exact.
         assert disc.game.payoffs.values[("w", ((1.0,), (0.5,)))] == (1.0, 0.5)
         assert disc.game.payoffs.values[("w", ((0.75,), (0.0,)))] == (0.75, 0.0)
@@ -341,7 +344,7 @@ def assert_matches_scalar_oracle(spec: CompactGameSpec, eps: float):
     floor of the scalar evaluation, in ``itertools.product`` order."""
     disc = build_hat_game(spec, eps)
     values = disc.game.payoffs.values
-    profiles = list(itertools.product(*disc.nets))
+    profiles = list(itertools.product(*disc.game.payoffs.actions))
     assert list(values) == [(s, p) for s in spec.space.states for p in profiles]
     kept = set(disc.truncation.omega_double_prime)
     m = disc.truncation.bound_m
@@ -412,7 +415,7 @@ class TestHatGameOracle:
         rng = np.random.default_rng(89)
         spec = random_box_spec(rng, box_dims)
         disc = assert_matches_scalar_oracle(spec, spec.lipschitz / 6.0)
-        assert [len(net) for net in disc.nets] == [7**d for d in box_dims]
+        assert list(map(len, disc.game.payoffs.actions)) == [7**d for d in box_dims]
 
     @pytest.mark.parametrize("eps", [0.25, 0.1])
     def test_values_on_the_lattice(self, eps):
@@ -497,9 +500,6 @@ class TestProbeAudit:
     def test_nan_off_the_grid_rejected(self):
         # NaN is not > 0, so the probe's own off-grid walk let it through.
         disc = build_hat_game(one_state_linear_spec(), 0.25)
-        good = StrategyProfile(
-            strategies={1: {"a": {(1.0,): 1.0}}, 2: {"b": {(1.0,): 1.0}}}
-        )
         bad = StrategyProfile(
             strategies={
                 1: {"a": {(1.0,): 1.0}},
@@ -509,9 +509,8 @@ class TestProbeAudit:
         match = r"player 2 plays unknown action \(0.3,\)"
         with pytest.raises(GameFormatError, match=match):
             probe_harsanyi_regret(disc, bad)
-        audit = probe_harsanyi_regret(disc, good)
         with pytest.raises(GameFormatError, match=match):
-            certify_box(disc, bad, audit)
+            certify_box(disc, bad)
 
 
 def capped_spec(rng: np.random.Generator) -> CompactGameSpec:
@@ -541,7 +540,7 @@ def true_value_game(disc) -> NestedGame:
     spec = disc.spec
     values = {}
     for s in spec.space.states:
-        for prof in itertools.product(*disc.nets):
+        for prof in itertools.product(*disc.game.payoffs.actions):
             point = tuple(itertools.chain.from_iterable(prof))
             values[(s, prof)] = tuple(
                 poly_eval(spec.payoffs[(s, i)], point) for i in (1, 2)
@@ -549,7 +548,7 @@ def true_value_game(disc) -> NestedGame:
     return NestedGame(
         space=disc.game.space,
         partitions=disc.game.partitions,
-        payoffs=PayoffTensor(actions=disc.nets, values=values),
+        payoffs=PayoffTensor(actions=disc.game.payoffs.actions, values=values),
     )
 
 
@@ -591,17 +590,19 @@ class TestTrueValueGame:
         spec = dyadic_capped_spec()
         disc = build_hat_game(spec, 0.5, mesh=0.25)
         assert disc.truncation.omega_double_prime == ("w1",)
-        assert [len(net) for net in disc.nets] == [5, 5]
+        assert [len(net) for net in disc.game.payoffs.actions] == [5, 5]
         true_game = disc.true_game
         assert (true_game.space, true_game.partitions) == (
             disc.game.space,
             disc.game.partitions,
         )
-        assert true_game.payoffs.actions == disc.nets
+        # One tuple of nets, shared by both games.
+        nets = disc.game.payoffs.actions
+        assert true_game.payoffs.actions is nets
         table = true_game.payoff_array
         floored = disc.game.payoff_array
         for k, s in enumerate(spec.space.states):
-            for c, prof in enumerate(itertools.product(*disc.nets)):
+            for c, prof in enumerate(itertools.product(*nets)):
                 point = tuple(itertools.chain.from_iterable(prof))
                 cell = np.unravel_index(c, table.shape[2:])
                 for i in (1, 2):
@@ -652,7 +653,7 @@ class TestAPrioriMesh:
     def test_default_mesh_is_epsilon_over_lipschitz(self):
         # The a-priori chain at mesh epsilon / L, as library callers get it.
         disc = build_hat_game(one_state_linear_spec(), 0.25)
-        assert [len(net) for net in disc.nets] == [5, 5]
+        assert [len(net) for net in disc.game.payoffs.actions] == [5, 5]
         assert disc.eta0 == 0.25
         assert certify_sup_gap(disc).ok
         lifted, _ = solve_hat(disc, target=0.125)
@@ -661,7 +662,7 @@ class TestAPrioriMesh:
     def test_mesh_sets_the_grid_not_the_lattice(self):
         spec = one_state_linear_spec()
         disc = build_hat_game(spec, 0.25, mesh=0.5)
-        assert [len(net) for net in disc.nets] == [3, 3]
+        assert [len(net) for net in disc.game.payoffs.actions] == [3, 3]
         assert (disc.epsilon, disc.eta0) == (0.25, 0.5)
         # The linear payoffs sit on the 0.25 lattice at 0, 0.5 and 1.
         assert disc.game.payoffs.values[("w", ((0.5,), (1.0,)))] == (0.5, 1.0)
@@ -792,14 +793,13 @@ class TestBoxCertificate:
         spec = unit_lipschitz_spec(rng, box_dims, states)
         disc = build_hat_game(spec, 0.125)
         profile = sparse_profile(rng, disc.game)
-        audit = probe_harsanyi_regret(disc, profile)
-        cert = certify_box(disc, profile, audit)
+        cert = certify_box(disc, profile)
         assert (cert.spacing, cert.covering) == (1 / 32, 1 / 64)
         width = 4001 if max(box_dims) == 1 else 65
         axis = tuple(k / (width - 1) for k in range(width))
         oracle = oracle_box_regrets(spec, profile, axis)
         assert [p.player for p in cert.players] == [1, 2]
-        columns = audit.certificate.players
+        columns = cert.audit.certificate.players
         assert set(oracle) == {(i, atom) for i in columns for atom in columns[i].atoms}
         for p in cert.players:
             atoms, mass = columns[p.player].atoms, columns[p.player].mass
@@ -816,7 +816,7 @@ class TestBoxCertificate:
         profile = StrategyProfile(
             strategies={1: {"a": {(1.0,): 1.0}}, 2: {"b": {(1.0,): 1.0}}}
         )
-        cert = certify_box(disc, profile, probe_harsanyi_regret(disc, profile))
+        cert = certify_box(disc, profile)
         assert cert.ok
         for p in cert.players:
             assert cert.covering <= p.harsanyi <= cert.covering + 1e-9
@@ -838,21 +838,63 @@ class TestBoxCertificate:
         profile = StrategyProfile(
             strategies={1: {"a": {(0.0,): 1.0}}, 2: {"b": {(1.0,): 1.0}}}
         )
-        audit = probe_harsanyi_regret(disc, profile)
-        assert audit.max_regret == 0.0
-        cert = certify_box(disc, profile, audit)
+        cert = certify_box(disc, profile)
+        assert cert.audit.max_regret == 0.0
         first = cert.players[0]
         assert 0.25 <= first.bayesian <= 0.25 + cert.covering + 1e-9
         assert not cert.ok
+
+    def test_probes_the_profile_it_certifies(self):
+        # Each payoff is the player's own coordinate.  Playing 0 forgoes 1,
+        # plus the covering term 2 * 0.0125 / 2, and fails; playing 1
+        # forgoes only the covering term.  The audit is the certified
+        # profile's own, so the second profile's cannot pass the first.
+        spec = dataclasses.replace(one_state_linear_spec(), lipschitz=2.0)
+        disc = build_hat_game(spec, 0.1, mesh=0.5)
+
+        def corner(x: float) -> StrategyProfile:
+            return StrategyProfile(
+                strategies={1: {"a": {(x,): 1.0}}, 2: {"b": {(x,): 1.0}}}
+            )
+
+        bad, good = certify_box(disc, corner(0.0)), certify_box(disc, corner(1.0))
+        assert bad.max_regret == pytest.approx(1.0125, abs=1e-9)
+        assert not bad.ok
+        assert bad.audit == probe_harsanyi_regret(disc, corner(0.0))
+        assert bad.audit.max_regret == 1.0
+        assert good.max_regret == pytest.approx(0.0125, abs=1e-9)
+        assert good.ok
+        assert good.audit.max_regret == 0.0
+
+    def test_a_box_pass_implies_a_probe_pass(self):
+        # Criterion 6's specs, solved on every coarse-to-fine mesh.  Every
+        # grid deviation is a box deviation, so each atom's box regret is
+        # at least its probe regret, and the box budget epsilon is below
+        # the probe's.
+        rng = np.random.default_rng(6)
+        epsilon = 0.1
+        for idx in range(20):
+            spec = random_compact_game(rng)
+            for mesh in coarse_to_fine(spec, epsilon):
+                disc = build_hat_game(spec, epsilon, mesh)
+                profile = solve(disc.game, epsilon, seed=idx).profile
+                box = certify_box(disc, profile)
+                probe = box.audit.certificate.players
+                for p in box.players:
+                    assert len(p.regret) == len(probe[p.player].regret)
+                    for r, q in zip(p.regret, probe[p.player].regret):
+                        assert r >= q, (idx, mesh, p.player)
+                assert box.audit.ok or not box.ok, (idx, mesh)
 
     def test_rejects_rows_that_are_not_distributions(self):
         disc = build_hat_game(one_state_linear_spec(), 0.25)
         profile = StrategyProfile(
             strategies={1: {"a": {(1.0,): 1.0}}, 2: {"b": {(1.0,): 0.9}}}
         )
-        # The probe audit, which ``certify_box`` needs, already refuses it.
-        with pytest.raises(GameFormatError, match="player 2 plays a distribution"):
-            probe_harsanyi_regret(disc, profile)
+        # The probe audit, which ``certify_box`` runs, already refuses it.
+        for certificate in (probe_harsanyi_regret, certify_box):
+            with pytest.raises(GameFormatError, match="player 2 plays a distribution"):
+                certificate(disc, profile)
 
 
 class TestEndToEnd:

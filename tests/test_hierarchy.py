@@ -73,7 +73,7 @@ class TestBuildHierarchy:
         # Player 2's second atom, (0.45, 0.55), is 0.1 from the first.
         game = anchor_copies(informed_anchor, 0.5, 0.45)
         h = build_hierarchy(game, 0.2)
-        assert h.classes.count == 2
+        assert h.game.classes.count == 2
         lvl1 = h.level(1)
         assert lvl1.signal_support == ((0,), (1,))
         assert lvl1.belief_support == ({0: 1.0}, {1: 1.0})
@@ -84,7 +84,7 @@ class TestBuildHierarchy:
         assert lvl2.max_l1_gap == pytest.approx(0.1, abs=1e-12)
         assert len(h.coarse_partition(1).atoms) == 2
         assert len(h.coarse_partition(2).atoms) == 1
-        assert check_properties(game, h).ok
+        assert check_properties(h).ok
 
     def test_atom_for_key_lookup(self, informed_anchor):
         h = build_hierarchy(informed_anchor, 0.2)
@@ -144,10 +144,10 @@ class TestBuildHierarchy:
             payoffs=PayoffTensor(actions=(("L", "R"), ("L", "R")), values=values),
         )
         h = build_hierarchy(game, 0.25)
-        assert h.classes.count == 1
+        assert h.game.classes.count == 1
         assert len(game.partition_for(1).atoms) == 2
         assert len(h.coarse_partition(1).atoms) == 1
-        assert check_properties(game, h).ok
+        assert check_properties(h).ok
 
     def test_zero_mass_states_get_unrealized_signal(self, informed_anchor):
         degenerate = anchor_with_prior(informed_anchor, {"w1": 1.0, "w2": 0.0})
@@ -155,7 +155,7 @@ class TestBuildHierarchy:
         assert h.level(1).signals.tolist() == [0, -1]
         assert h.level(1).signal_support == ((0,),)
         assert h.level(1).max_l1_gap == 0.0
-        assert check_properties(degenerate, h).ok
+        assert check_properties(h).ok
 
     def test_rejects_invalid_game(self, informed_anchor):
         bad = anchor_with_prior(informed_anchor, {"w1": 0.7, "w2": 0.7})
@@ -193,7 +193,7 @@ class TestBuildHierarchy:
                 h = build_hierarchy(game, delta)
                 for i in range(1, game.n + 1):
                     assert h.level(i).max_l1_gap < delta
-                assert check_properties(game, h).ok
+                assert check_properties(h).ok
 
     def test_centres_are_delta_apart_and_cover_every_belief(self):
         # Noisy priors put beliefs near, but not at, each other, so the
@@ -231,7 +231,7 @@ class TestExpectations:
         h = build_hierarchy(skewed, 0.2)
         f = {(0, 0): 1.0, (1, 1): -1.0}
         # The second atom's own belief gives -0.4; its centre gives -1/3.
-        gap = expectation_gap(skewed, h, 2, f, 1.0)
+        gap = expectation_gap(h, 2, f, 1.0)
         assert gap == pytest.approx(1 / 15, abs=1e-12)
         assert gap < 1.0 * 0.2
 
@@ -245,7 +245,7 @@ class TestExpectations:
                 support = h.level(i).signal_support
                 bound = 2.5
                 f = {z: float(rng.uniform(-bound, bound)) for z in support}
-                gap = expectation_gap(game, h, i, f, bound)
+                gap = expectation_gap(h, i, f, bound)
                 assert gap < bound * delta + 1e-12
 
     def test_expectation_gap_validates_inputs(self, informed_anchor):
@@ -253,11 +253,12 @@ class TestExpectations:
         f = {(0, 0): 1.0, (1, 1): -1.0}
         for bound in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(GameFormatError, match="finite and positive"):
-                expectation_gap(informed_anchor, h, 2, f, bound)
+                expectation_gap(h, 2, f, bound)
         with pytest.raises(GameFormatError):
-            expectation_gap(informed_anchor, h, 2, {(0, 0): 1.0}, 1.0)
-        with pytest.raises(GameFormatError):
-            expectation_gap(informed_anchor, h, 2, {(0, 0): 5.0, (1, 1): 0.0}, 1.0)
+            expectation_gap(h, 2, {(0, 0): 1.0}, 1.0)
+        for value in (5.0, -5.0, math.inf, math.nan):
+            with pytest.raises(GameFormatError, match="exceeds its stated bound"):
+                expectation_gap(h, 2, {(0, 0): value, (1, 1): 0.0}, 1.0)
 
 
 def partly_unrealized_game() -> NestedGame:
@@ -305,9 +306,9 @@ def hierarchy_digest(h) -> str:
     doc = {
         "delta": h.delta.hex(),
         "classes": [
-            h.classes.count,
-            by_state(h.classes.ids),
-            [repr(s) for s in h.classes.representatives],
+            h.game.classes.count,
+            by_state(h.game.classes.ids),
+            [repr(s) for s in h.game.classes.representatives],
         ],
         "levels": [
             [

@@ -170,7 +170,7 @@ def ref_checks(game, h):
 def ref_quotient(game, h):
     """(states, prior, player priors, partitions) of the quotient."""
     atom_of = h.coarse[0].atom_of
-    class_of = dict(zip(game.space.states, h.classes.ids.tolist()))
+    class_of = dict(zip(game.space.states, h.game.classes.ids.tolist()))
     classes = {}
     for s in game.space.states:
         classes.setdefault((atom_of[s], class_of[s]), []).append(s)
@@ -498,7 +498,7 @@ def test_audit_matches_the_dict_walk(seed, delta):
     for hierarchy in (h, tampered(rng, game, h)):
         got = [
             (c.name, c.player, c.ok, c.witness)
-            for c in check_properties(game, hierarchy).checks
+            for c in check_properties(hierarchy).checks
         ]
         assert got == ref_checks(game, hierarchy)
 
@@ -508,7 +508,7 @@ def test_audit_matches_the_dict_walk(seed, delta):
 def test_quotient_matches_the_dict_walk(seed, delta):
     game = variant(seed)
     h = build_hierarchy(game, delta)
-    coarse = _quotient(game, h)
+    coarse = _quotient(h)
     reps, prior, player_priors, partitions = ref_quotient(game, h)
 
     def exact(d):
@@ -553,10 +553,10 @@ def test_lift_matches_the_dict_walk(seed, delta):
             expected = ref_lift(profile, game, hierarchy)
         except GameFormatError as err:
             with pytest.raises(GameFormatError) as raised:
-                lift_strategy(profile, game, hierarchy)
+                lift_strategy(profile, hierarchy)
             assert str(raised.value) == str(err)
             continue
-        lifted = lift_strategy(profile, game, hierarchy).strategies
+        lifted = lift_strategy(profile, hierarchy).strategies
         assert [list(t.items()) for t in lifted.values()] == [
             list(t.items()) for t in expected.values()
         ]
@@ -571,7 +571,7 @@ def test_expectation_gap_matches_the_dict_walk(seed, delta):
     for i in range(1, game.n + 1):
         support = h.level(i).signal_support
         f = {z: float(rng.uniform(-2.0, 2.0)) for z in support}
-        got = expectation_gap(game, h, i, f, 2.0)
+        got = expectation_gap(h, i, f, 2.0)
         assert got.hex() == ref_expectation_gap(game, delta, i, f).hex()
 
 
@@ -592,7 +592,7 @@ def test_coarse_gap_matches_the_dict_walk(seed, delta):
         field_level="coarse",
     )
     for i in range(1, game.n + 1):
-        got = coarse_best_response_gap(game, h, profile, i)
+        got = coarse_best_response_gap(h, profile, i)
         assert got.hex() == ref_coarse_gap(game, delta, profile, i).hex()
 
 
@@ -650,7 +650,7 @@ def test_lift_names_the_first_straddling_atom():
         field_level="coarse",
     )
     with pytest.raises(GameFormatError, match="^player 1 atom 'x' straddles"):
-        lift_strategy(profile, game, h)
+        lift_strategy(profile, h)
 
 
 @settings(max_examples=80, deadline=None)

@@ -411,7 +411,7 @@ class TestCoarseReconstruction:
             solution = solve(game, 0.05, delta=delta)
             for profile in (solution.profile, solution.result.profile):
                 gaps = [
-                    coarse_best_response_gap(game, solution.hierarchy, profile, i)
+                    coarse_best_response_gap(solution.hierarchy, profile, i)
                     for i in range(1, game.n + 1)
                 ]
                 assert [g.hex() for g in gaps] == GAP_HEX[name], name
@@ -429,10 +429,10 @@ class TestCoarseReconstruction:
                     for atom in h.coarse_partition(i).atoms
                 }
             coarse = StrategyProfile(strategies, field_level="coarse")
-            lifted = lift_strategy(coarse, game, h)
+            lifted = lift_strategy(coarse, h)
             for i in range(1, game.n + 1):
-                got = coarse_best_response_gap(game, h, coarse, i)
-                want = coarse_best_response_gap(game, h, lifted, i)
+                got = coarse_best_response_gap(h, coarse, i)
+                want = coarse_best_response_gap(h, lifted, i)
                 assert got.hex() == want.hex(), (name, i)
 
     def test_one_player_is_evaluated(self, monkeypatch):
@@ -467,16 +467,16 @@ class TestCoarseReconstruction:
                     for atom in h.coarse_partition(i).atoms
                 }
             coarse = StrategyProfile(strategies, field_level="coarse")
-            for profile in (coarse, lift_strategy(coarse, game, h)):
+            for profile in (coarse, lift_strategy(coarse, h)):
                 for i in range(1, game.n + 1):
                     with monkeypatch.context() as patch:
                         patch.setattr(nestnash.regret, "_state_values", counted)
-                        got = coarse_best_response_gap(game, h, profile, i)
+                        got = coarse_best_response_gap(h, profile, i)
                     assert calls == [i], (name, i)
                     calls.clear()
                     with monkeypatch.context() as patch:
                         patch.setattr(nestnash.regret, "_strategies_at", everywhere)
-                        want = coarse_best_response_gap(game, h, profile, i)
+                        want = coarse_best_response_gap(h, profile, i)
                     assert got.hex() == want.hex(), (name, i)
 
     def test_exact_beliefs_reconstruct_exactly(self, informed_anchor):
@@ -488,7 +488,7 @@ class TestCoarseReconstruction:
             }
         )
         for player in (1, 2):
-            gap = coarse_best_response_gap(informed_anchor, h, profile, player)
+            gap = coarse_best_response_gap(h, profile, player)
             assert gap <= 1e-12
 
     def test_rounded_belief_gap_hand_computed(self, informed_anchor):
@@ -503,7 +503,7 @@ class TestCoarseReconstruction:
                 2: {"b.0": {"L": 1.0}, "b.1": {"L": 1.0}},
             }
         )
-        gap = coarse_best_response_gap(skewed, h, profile, 2)
+        gap = coarse_best_response_gap(h, profile, 2)
         assert gap == pytest.approx(1 / 15, abs=1e-12)
         assert gap <= payoff_bound(skewed) * 0.2
 
@@ -531,7 +531,7 @@ class TestCoarseReconstruction:
             profile = StrategyProfile(strategies=strategies)
             bound = payoff_bound(game)
             for i in range(1, game.n + 1):
-                gap = coarse_best_response_gap(game, h, profile, i)
+                gap = coarse_best_response_gap(h, profile, i)
                 assert gap <= bound * delta + 1e-9
             done += 1
         assert done == 20
@@ -547,7 +547,7 @@ class TestCoarseReconstruction:
             }
         )
         with pytest.raises(GameFormatError, match="not constant"):
-            coarse_best_response_gap(game, h, profile, 2)
+            coarse_best_response_gap(h, profile, 2)
 
     def test_accepts_coarse_level_profiles(self):
         game = collapse_game()
@@ -561,7 +561,7 @@ class TestCoarseReconstruction:
             },
             field_level="coarse",
         )
-        gap = coarse_best_response_gap(game, h, profile, 2)
+        gap = coarse_best_response_gap(h, profile, 2)
         assert gap <= 1e-12
 
     def test_play_is_compared_as_rows(self):
@@ -575,14 +575,14 @@ class TestCoarseReconstruction:
                 2: {"b": {"L": 1.0}},
             }
         )
-        assert coarse_best_response_gap(game, h, profile, 2).hex() == "0x0.0p+0"
+        assert coarse_best_response_gap(h, profile, 2).hex() == "0x0.0p+0"
 
     def test_original_profile_lacking_an_atom_is_rejected(self):
         game = collapse_game()
         h = build_hierarchy(game, 0.25)
         profile = StrategyProfile({1: {"a1": {"L": 1.0}}, 2: {"b": {"L": 1.0}}})
         with pytest.raises(GameFormatError, match="no strategy for atom"):
-            coarse_best_response_gap(game, h, profile, 2)
+            coarse_best_response_gap(h, profile, 2)
 
     def test_coarse_profile_lacking_an_atom_is_rejected(self):
         game = collapse_game()
@@ -592,26 +592,39 @@ class TestCoarseReconstruction:
             strategies={1: {}, 2: {atom2: {"L": 1.0}}}, field_level="coarse"
         )
         with pytest.raises(GameFormatError, match="no strategy for atom"):
-            coarse_best_response_gap(game, h, profile, 2)
+            coarse_best_response_gap(h, profile, 2)
 
 
-@pytest.mark.parametrize("player", [0, -1, 3])
+@pytest.mark.parametrize("player", [0, -1, 3, 1.0, 2.0, True])
 def test_per_player_readers_refuse_a_player_the_game_lacks(player):
     # Each reads per-player columns at index player - 1, where 0 would
-    # silently read the last player's.
+    # silently read the last player's.  A player is an integer: 1.0 used
+    # to end in a TypeError and True to read player 1.
     game = random_nested_game(np.random.default_rng(3), max_states=12, players=(2,))
     solution = solve(game, 0.05)
     f = {z: 0.0 for z in solution.hierarchy.level(1).signal_support}
     calls = [
         lambda: conditional_payoff(game, solution.profile, player),
-        lambda: expectation_gap(game, solution.hierarchy, player, f, 1.0),
-        lambda: coarse_best_response_gap(
-            game, solution.hierarchy, solution.profile, player
-        ),
+        lambda: expectation_gap(solution.hierarchy, player, f, 1.0),
+        lambda: coarse_best_response_gap(solution.hierarchy, solution.profile, player),
     ]
     for call in calls:
         with pytest.raises(GameFormatError, match=f"the game has no player {player}"):
             call()
+
+
+def test_per_player_readers_take_numpy_integers():
+    game = random_nested_game(np.random.default_rng(3), max_states=12, players=(2,))
+    solution = solve(game, 0.05)
+    h, profile = solution.hierarchy, solution.profile
+    f = {z: 0.5 for z in h.level(2).signal_support}
+    for i in (1, 2):
+        at = np.int64(i)
+        want = conditional_payoff(game, profile, i)
+        assert conditional_payoff(game, profile, at) == want
+        want = coarse_best_response_gap(h, profile, i)
+        assert coarse_best_response_gap(h, profile, at) == want
+    assert expectation_gap(h, np.int64(2), f, 1.0) == expectation_gap(h, 2, f, 1.0)
 
 
 def oracle_game(rng, kind: str) -> NestedGame:

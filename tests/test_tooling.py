@@ -160,3 +160,34 @@ def test_the_package_never_calls_id():
     # A cache keyed by ``id`` must keep each key's object alive so that
     # the id is not reused, and so it keeps every object it has seen.
     assert readers("id") == set()
+
+
+def test_the_box_certificate_runs_the_one_probe_audit():
+    # ``certify_box`` probes the profile it certifies and returns the
+    # audit with its bound, so nothing else in the package probes.
+    assert readers("probe_harsanyi_regret") == {
+        ("__init__.py", "<import>"),
+        ("discretize.py", "certify_box"),
+    }
+
+
+def test_no_function_takes_both_a_game_and_a_hierarchy():
+    # A hierarchy carries the game it was built from (``Hierarchy.game``),
+    # so a function that also took a game could be handed another one.
+    package = os.path.dirname(os.path.abspath(nestnash.__file__))
+    typed: dict[str, set[tuple[str, str]]] = {"NestedGame": set(), "Hierarchy": set()}
+    for file in sorted(os.listdir(package)):
+        if not file.endswith(".py"):
+            continue
+        with open(os.path.join(package, file), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    for part in ast.walk(arg.annotation or ast.Pass()):
+                        if isinstance(part, ast.Name) and part.id in typed:
+                            typed[part.id].add((file, node.name))
+    assert ("solver.py", "build_auxiliary_game") in typed["Hierarchy"]
+    assert ("regret.py", "certify") in typed["NestedGame"]
+    assert typed["NestedGame"] & typed["Hierarchy"] == set()

@@ -167,7 +167,7 @@ class TestPassRule:
     def test_box_certificate_ok(self):
         disc = build_hat_game(linear_spec(), 0.25)
         profile = half_profile()
-        box = certify_box(disc, profile, probe_harsanyi_regret(disc, profile))
+        box = certify_box(disc, profile)
         assert_edge(lambda b: dataclasses.replace(box, epsilon=b).ok, box.max_regret)
 
 
@@ -197,26 +197,30 @@ class TestFloor:
         [(-CERT_SLACK, False), (math.nextafter(-CERT_SLACK, -math.inf), True)],
     )
     def test_certify_box(self, monkeypatch, regret, raises):
-        # Player 1's current value is raised far above every box value, so
-        # the last rounding step of their regret sees a negative number;
-        # it returns ``regret`` there.  Every other step rounds up as usual.
+        # The probe audit ``certify_box`` runs raises player 1's current
+        # value far above every box value, so the last rounding step of
+        # their regret sees a negative number; it returns ``regret``
+        # there.  Every other step rounds up as usual.
         disc = build_hat_game(linear_spec(), 0.25)
         profile = half_profile()
-        audit = probe_harsanyi_regret(disc, profile)
-        cert = audit.certificate
-        first = dataclasses.replace(cert.players[1], current_value=(100.0,))
-        cert = dataclasses.replace(cert, players={**cert.players, 1: first})
-        audit = dataclasses.replace(audit, certificate=cert)
+
+        def raised(disc, profile):
+            audit = probe_harsanyi_regret(disc, profile)
+            cert = audit.certificate
+            first = dataclasses.replace(cert.players[1], current_value=(100.0,))
+            cert = dataclasses.replace(cert, players={**cert.players, 1: first})
+            return dataclasses.replace(audit, certificate=cert)
 
         def up(x: float) -> float:
             return regret if x < 0.0 else math.nextafter(x, math.inf)
 
+        monkeypatch.setattr(nestnash.discretize, "probe_harsanyi_regret", raised)
         monkeypatch.setattr(nestnash.discretize, "_up", up)
         if raises:
             with pytest.raises(ConsistencyError, match="negative box regret"):
-                certify_box(disc, profile, audit)
+                certify_box(disc, profile)
         else:
-            box = certify_box(disc, profile, audit)
+            box = certify_box(disc, profile)
             assert box.players[0].bayesian == regret
 
 

@@ -56,9 +56,7 @@ from .regret import (
     coarse_best_response_gap,
 )
 from .solver import (
-    AuxGame,
     SolveResult,
-    SolverConfig,
     build_auxiliary_game,
     lift_strategy,
     solve_nash,
@@ -68,7 +66,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxGame",
     "BoxCertificate",
     "CompactGameSpec",
     "ConsistencyError",
@@ -85,7 +82,6 @@ __all__ = [
     "SchemaError",
     "Solution",
     "SolveResult",
-    "SolverConfig",
     "StateSpace",
     "StrategyProfile",
     "bayesian_regret",

@@ -51,7 +51,7 @@ from .gamefile import (
     load_profile,
     profile_to_json,
 )
-from .hierarchy import Hierarchy, PropertyReport, build_hierarchy, check_properties
+from .hierarchy import Hierarchy, build_hierarchy
 from .pipeline import Solution, solve
 from .regret import ConsistencyError, RegretReport, certify, within_bound
 from .solver import SolveResult
@@ -180,7 +180,7 @@ def _ingestion_block(game: NestedGame) -> dict:
     return block
 
 
-def _hierarchy_block(hier: Hierarchy, audit: PropertyReport) -> dict:
+def _hierarchy_block(hier: Hierarchy) -> dict:
     game = hier.game
     levels = []
     for level in hier.levels:
@@ -193,7 +193,7 @@ def _hierarchy_block(hier: Hierarchy, audit: PropertyReport) -> dict:
             }
         )
     checks = [
-        {"name": c.name, "player": c.player, "ok": c.ok} for c in audit.checks
+        {"name": c.name, "player": c.player, "ok": c.ok} for c in hier.audit.checks
     ]
     atoms = {
         str(i): {
@@ -439,7 +439,7 @@ def _solve_document(mode: str, args, sol: Solution) -> dict:
             "command": "solve",
             "mode": mode,
             "epsilon": args.epsilon,
-            "delta": sol.delta,
+            "delta": sol.hierarchy.delta,
             "solver_target": sol.target,
             "seed": args.seed,
             "format_version": REPORT_VERSION,
@@ -450,11 +450,11 @@ def _solve_document(mode: str, args, sol: Solution) -> dict:
             "players": game.n,
             "states": len(game.space.states),
         },
-        "hierarchy": _hierarchy_block(sol.hierarchy, sol.checks),
+        "hierarchy": _hierarchy_block(sol.hierarchy),
         "solver": _solver_block(sol.result),
         "profile": profile_to_json(sol.profile),
         "transfer": {
-            "delta": sol.delta,
+            "delta": sol.hierarchy.delta,
             "coarse_regret": sol.result.certified_regret,
             "bound": sol.transfer_bound,
             "measured_max_regret": sol.report.max_regret,
@@ -610,7 +610,7 @@ def _cmd_hierarchy(args) -> int:
         )
     game = loaded.game
     hier = build_hierarchy(game, args.delta)
-    block = _hierarchy_block(hier, check_properties(hier))
+    block = _hierarchy_block(hier)
 
     def document() -> dict:
         return {

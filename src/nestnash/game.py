@@ -946,7 +946,8 @@ def from_type_space(
     Args:
         type_sets: per-player finite type sets (labels are stringified).
         joint: map from full type profiles to probability mass.
-        payoffs: map from (type profile, action profile) to an n-vector.
+        payoffs: map from (type profile, action profile) to an n-vector;
+            a key outside the type sets or the action profiles is refused.
         actions: per-player action labels; inferred from the payoff table
             keys (first occurrence order) when omitted.
     """
@@ -978,16 +979,18 @@ def from_type_space(
 
     norm_payoffs: dict[tuple[tuple[str, ...], tuple], tuple[float, ...]] = {}
     for (tkey, akey), vals in payoffs.items():
-        norm_payoffs[(tuple(str(t) for t in tkey), tuple(akey))] = tuple(
-            float(x) for x in vals
-        )
+        key = (tuple(str(t) for t in tkey), tuple(akey))
+        if key[0] not in profile_set:
+            raise GameFormatError(f"payoff table has unknown type profile {key[0]!r}")
+        if key in norm_payoffs:
+            raise GameFormatError(f"payoff table repeats {key!r}")
+        norm_payoffs[key] = tuple(float(x) for x in vals)
 
     if actions is None:
         seen: list[dict[Action, None]] = [dict() for _ in range(n)]
         for (_, akey) in norm_payoffs:
-            for j, a in enumerate(akey):
-                if j < n:
-                    seen[j].setdefault(a)
+            for d, a in zip(seen, akey):
+                d.setdefault(a)
         action_sets = tuple(tuple(d.keys()) for d in seen)
     else:
         if len(actions) != n:
@@ -995,6 +998,11 @@ def from_type_space(
         action_sets = tuple(tuple(a) for a in actions)
     if any(len(a) == 0 for a in action_sets):
         raise GameFormatError("every player needs at least one action")
+    profiles = list(itertools.product(*action_sets))
+    known = set(profiles)
+    for _, akey in norm_payoffs:
+        if akey not in known:
+            raise GameFormatError(f"payoff table has unknown action profile {akey!r}")
 
     live = [tp for tp in all_profiles if norm_joint.get(tp, 0.0) > 0.0]
     if not live:
@@ -1011,7 +1019,6 @@ def from_type_space(
         atom_of = {sid(tp): "|".join(tp[i - 1 :]) for tp in live}
         partitions.append(InformationPartition(player=i, atom_of=atom_of))
 
-    profiles = list(itertools.product(*action_sets))
     rows: list[tuple[float, ...]] = []
     for tp in live:
         for aprof in profiles:

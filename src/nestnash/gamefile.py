@@ -35,7 +35,7 @@ import itertools
 import json
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import Any
 
 import numpy as np
@@ -338,23 +338,32 @@ def _payoff_dict(
         s = _expect_string(entry["state"], f"{where}.state")
         if s not in prior:
             raise SchemaError(f"{where}: unknown state {s!r}")
-        prof_row = _expect_list(entry["profile"], f"{where}.profile")
-        if len(prof_row) != n:
-            raise SchemaError(f"{where}.profile must list {n} actions")
-        prof = []
-        for i, label in enumerate(prof_row, start=1):
-            label = _expect_string(label, f"{where}.profile[{i - 1}]")
-            if label not in actions[i - 1]:
-                raise SchemaError(
-                    f"{where}: action {label!r} not in player {i}'s action set"
-                )
-            prof.append(label)
+        prof = _parse_profile(entry["profile"], n, actions, where)
         vals = _parse_values(entry["values"], n, f"{where}.values")
-        key = (s, tuple(prof))
+        key = (s, prof)
         if key in values:
             raise SchemaError(f"{where}: duplicate payoff entry for {key!r}")
         values[key] = vals
     return values
+
+
+def _parse_profile(
+    row: Any, n: int, actions: Sequence[Sequence[str]] | None, where: str
+) -> tuple[str, ...]:
+    """Entry ``where``'s action profile: one label per player, each in that
+    player's action set when ``actions`` lists them."""
+    row = _expect_list(row, f"{where}.profile")
+    if len(row) != n:
+        raise SchemaError(f"{where}.profile must list {n} actions")
+    prof = []
+    for i, label in enumerate(row, start=1):
+        label = _expect_string(label, f"{where}.profile[{i - 1}]")
+        if actions is not None and label not in actions[i - 1]:
+            raise SchemaError(
+                f"{where}: action {label!r} not in player {i}'s action set"
+            )
+        prof.append(label)
+    return tuple(prof)
 
 
 def _parse_types(obj: dict) -> LoadedGame:
@@ -412,13 +421,7 @@ def _parse_types(obj: dict) -> LoadedGame:
         entry = _expect_object(entry, where)
         _check_fields(entry, where, {"types", "profile", "values"}, set())
         tp = parse_type_profile(entry["types"], f"{where}.types")
-        prof_row = _expect_list(entry["profile"], f"{where}.profile")
-        if len(prof_row) != n:
-            raise SchemaError(f"{where}.profile must list {n} actions")
-        prof = tuple(
-            _expect_string(a, f"{where}.profile[{i}]")
-            for i, a in enumerate(prof_row)
-        )
+        prof = _parse_profile(entry["profile"], n, actions, where)
         vals = _parse_values(entry["values"], n, f"{where}.values")
         key = (tp, prof)
         if key in payoffs:

@@ -22,7 +22,8 @@ index followed by player i + 1's key.  Beliefs come from one stable
 sort of the weighed states by (atom, signal), each bucket summed with
 ``math.fsum`` as a plain loop would; each distinct belief is matched to
 a centre once.  Each level keeps its labels as they are computed, the
-arrays ``signals`` and ``beliefs``, and the audit compares label arrays
+arrays ``signals`` and ``beliefs``, and the audit (``check_properties``,
+read once per hierarchy as ``Hierarchy.audit``) compares label arrays
 (``InformationPartition.labels``).
 
 Every payoff-transfer argument downstream leans on one fact, which the
@@ -35,6 +36,7 @@ centre distance per level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -44,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import (
-    Atom,
     InformationPartition,
     GameFormatError,
     NestedGame,
@@ -96,15 +97,14 @@ class Hierarchy:
 
     ``game`` is the game it was built from: every reader of the
     hierarchy takes the hierarchy alone and reads its game here.
-    ``coarse_keys[i - 1]`` maps each belief-index tuple (levels i..n)
-    that some state realizes to player i's coarse atom holding it.
+    ``audit`` is its structural audit (``check_properties``), computed
+    once, on first read.
     """
 
     game: NestedGame
     delta: float
     levels: tuple[HierarchyLevel, ...]
     coarse: tuple[InformationPartition, ...]
-    coarse_keys: tuple[dict[tuple[int, ...], Atom], ...]
 
     def level(self, player: int) -> HierarchyLevel:
         return self.levels[player - 1]
@@ -112,9 +112,9 @@ class Hierarchy:
     def coarse_partition(self, player: int) -> InformationPartition:
         return self.coarse[player - 1]
 
-    def atom_for_key(self, player: int, key: tuple[int, ...]):
-        """Coarse atom realizing a belief-index tuple, or None."""
-        return self.coarse_keys[player - 1].get(key)
+    @functools.cached_property
+    def audit(self) -> PropertyReport:
+        return check_properties(self)
 
 
 def _exact_beliefs(support: Support, signals: np.ndarray, count: int) -> list[Belief]:
@@ -237,27 +237,19 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     # built from level n down.  States with identical tuples collapse into
     # one atom even when their original atoms differ.
     coarse_parts: list[InformationPartition] = []
-    coarse_keys: list[dict[tuple[int, ...], Atom]] = []
-    key = np.zeros(len(states), np.intp)
-    tuples: list[tuple[int, ...]] = [()]
+    key, count = np.zeros(len(states), np.intp), 1
     for level in reversed(levels):
-        previous, belief_ids = key, level.beliefs
-        key, first = _group((belief_ids * len(tuples) + previous).tolist())
-        tuples = [
-            (b,) + tuples[k]
-            for b, k in zip(belief_ids[first].tolist(), previous[first].tolist())
-        ]
+        key, first = _group((level.beliefs * count + key).tolist())
+        count = len(first)
         coarse_parts.append(
             InformationPartition.from_labels(level.player, states, key, first)
         )
-        coarse_keys.append({t: k for k, t in enumerate(tuples)})
 
     return Hierarchy(
         game=game,
         delta=delta,
         levels=tuple(levels),
         coarse=tuple(coarse_parts[::-1]),
-        coarse_keys=tuple(coarse_keys[::-1]),
     )
 
 
@@ -309,7 +301,6 @@ class PropertyCheck:
     player: int
     ok: bool
     witness: tuple[State, State] | None
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -345,7 +336,6 @@ def check_properties(hierarchy: Hierarchy) -> PropertyReport:
                 player=i,
                 ok=count <= cap,
                 witness=None,
-                detail=f"{count} coarse atoms, cap {cap}",
             )
         )
 
@@ -358,7 +348,6 @@ def check_properties(hierarchy: Hierarchy) -> PropertyReport:
                 player=i,
                 ok=witness is None,
                 witness=witness,
-                detail=f"player {i} coarse refines player {i + 1} coarse",
             )
         )
 
@@ -372,7 +361,6 @@ def check_properties(hierarchy: Hierarchy) -> PropertyReport:
                 player=i,
                 ok=witness is None,
                 witness=witness,
-                detail=f"player {i} information refines the coarse partition",
             )
         )
 
@@ -391,7 +379,6 @@ def check_properties(hierarchy: Hierarchy) -> PropertyReport:
                 player=i,
                 ok=bad is None,
                 witness=bad,
-                detail=f"player {i} belief measurable for the coarse partition",
             )
         )
     return PropertyReport(checks=tuple(checks))

@@ -8,7 +8,7 @@ default ``delta = epsilon / (2 M A)`` and the solver aims for
 The bound needs one fact from the hierarchy: every original atom's
 belief, and hence every coarse atom's mixture of them, lies within
 ``delta`` (L1) of one cluster centre.  The stages run in order:
-validation, belief hierarchy, auxiliary game and its structural audit,
+validation, belief hierarchy, its structural audit, auxiliary game,
 agent-form solve, lift, exact certificate.
 
 The auxiliary game is the quotient of the coarse game: one state per
@@ -49,11 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameFormatError, NestedGame, StrategyProfile, payoff_bound
-from .hierarchy import Hierarchy, PropertyReport, build_hierarchy
+from .hierarchy import Hierarchy, build_hierarchy
 from .regret import PlayerRegret, RegretReport, certify, regret_report
 from .solver import (
     SolveResult,
-    SolverConfig,
     build_auxiliary_game,
     lift_strategy,
     solve_nash,
@@ -72,16 +71,16 @@ class Solution:
     hierarchy merges nothing, ``report`` is ``result.report`` with its
     atoms renamed and its verdict taken against ``epsilon``, which is
     exactly the original game's certificate (see the module docstring).
+    The belief accuracy ``delta`` and the structural audit are read off
+    the hierarchy (``hierarchy.delta``, ``hierarchy.audit``).
     ``transfer_bound`` is ``delta * payoff_bound * action_profiles``
     plus the coarse profile's certified regret.
     """
 
-    delta: float
     target: float
     payoff_bound: float
     action_profiles: int
     hierarchy: Hierarchy
-    checks: PropertyReport
     result: SolveResult
     profile: StrategyProfile
     report: RegretReport
@@ -125,12 +124,10 @@ def solve(
         target = epsilon / 2.0
 
     hierarchy = build_hierarchy(game, delta)
-    aux = build_auxiliary_game(hierarchy)
-    result = solve_nash(
-        to_agent_form(aux), SolverConfig(target_regret=target, seed=seed)
-    )
+    coarse_game = build_auxiliary_game(hierarchy)
+    result = solve_nash(to_agent_form(coarse_game), target, seed)
     lifted = lift_strategy(result.profile, hierarchy)
-    renames = aux.coarse_game.space is game.space and all(
+    renames = coarse_game.space is game.space and all(
         len(coarse.ids) == len(part.ids)
         for coarse, part in zip(hierarchy.coarse, game.partitions)
     )
@@ -139,12 +136,10 @@ def solve(
     else:
         report = certify(game, lifted, epsilon)
     return Solution(
-        delta=delta,
         target=target,
         payoff_bound=bound,
         action_profiles=profiles,
         hierarchy=hierarchy,
-        checks=aux.checks,
         result=result,
         profile=lifted,
         report=report,

@@ -77,7 +77,6 @@ from .game import (
     _fold_atoms,
     _fsums,
     _group,
-    _refinement_witness,
     _strategies_at,
     coarsen,
 )
@@ -409,21 +408,20 @@ def coarse_best_response_gap(
     plays = dict(sorted(plays.items()))
 
     # Per other player: their rows with a uniform one appended, and the
-    # row index of each coarse atom by id, the uniform one for None.
-    tables, atom_rows = {}, {}
+    # row they play at each belief tuple (levels j..n) some state
+    # realizes.  The states realizing a tuple make up one of the player's
+    # coarse atoms, so the row must not depend on the state.
+    tables, row_at = {}, {}
     for j in others:
         rows, row_of = plays[j]
-        coarse = hierarchy.coarse_partition(j)
-        keys, _, firsts = coarse._labelled
-        order = np.fromiter(map(position.__getitem__, keys), np.intp, len(keys))
-        labels = row_of[order]
-        if _refinement_witness(coarse, labels) is not None:
+        tails = zip(*(hierarchy.level(k).beliefs.tolist() for k in range(j, n + 1)))
+        pairs = set(zip(tails, row_of.tolist()))
+        row_at[j] = dict(pairs)
+        if len(row_at[j]) < len(pairs):
             raise GameFormatError(
                 f"player {j} strategy is not constant on coarse atoms"
             )
         tables[j] = np.vstack([rows, np.full(rows.shape[1], 1.0 / rows.shape[1])])
-        atom_rows[j] = dict(zip(coarse.ids, labels[firsts].tolist()))
-        atom_rows[j][None] = len(rows)
 
     # Exact conditional value of each own action, per positive-mass atom:
     # ``bayesian_regret``'s ``values`` column, for this player alone.
@@ -450,8 +448,7 @@ def coarse_best_response_gap(
             index.append(position[game.classes.representatives[z[-1]]])
             full_key = z[:-1] + own_tail
             for j in others:
-                atom_j = hierarchy.atom_for_key(j, full_key[j - 1 :])
-                picks[j].append(atom_rows[j][atom_j])
+                picks[j].append(row_at[j].get(full_key[j - 1 :], len(tables[j]) - 1))
     dists = [tables[j][np.array(picks[j], np.intp)] for j in others]
     values = _expectation_rows(game, player, dists, index, keep=player)
     # Each column: one own action's weighted value at every row, summed

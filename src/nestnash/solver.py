@@ -9,6 +9,9 @@ such class (``build_auxiliary_game``), which leaves every conditional
 action value as it was; the classes, the summed priors and the lift are
 read off integer label arrays.  It is solved in agent form: one agent per
 (player, positive-mass coarse atom), each choosing a mixed action.
+Each stage hands the next a plain value: ``build_auxiliary_game`` returns
+the quotient as a ``NestedGame``, ``to_agent_form`` expands any game, and
+``solve_nash`` takes the agent form, the target regret and the seed.
 
 Every coarse game is solved by alternating predictive regret
 matching+ (Farina, Kroer & Sandholm, "Faster Game Solving via Predictive
@@ -43,37 +46,19 @@ from .game import (
     State,
     StateSpace,
     StrategyProfile,
-    _refinement_witness,
     _fsums,
     _group,
+    _is_integer,
+    _refinement_witness,
     coarsen,
 )
-from .hierarchy import Hierarchy, PropertyReport, check_properties
+from .hierarchy import Hierarchy
 
 
 # Search budget: restarts (uniform first, then Dirichlet-random starts)
 # and predictive RM+ iterations per restart.
 MAX_RESTARTS = 4
 MAX_ITERATIONS = 4000
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    target_regret: float
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class AuxGame:
-    """The original game with information coarsened to the hierarchy's atoms,
-    on its quotient state space (see ``build_auxiliary_game``).
-
-    ``checks`` is the hierarchy's structural audit, which passed.
-    """
-
-    hierarchy: Hierarchy
-    coarse_game: NestedGame
-    checks: PropertyReport
 
 
 @dataclass(frozen=True)
@@ -102,7 +87,7 @@ class SolveResult:
         return regret_mod.within_bound(self.report.max_regret, self.report.epsilon)
 
 
-def build_auxiliary_game(hierarchy: Hierarchy) -> AuxGame:
+def build_auxiliary_game(hierarchy: Hierarchy) -> NestedGame:
     """Swap each player's partition for the coarse one, and merge the states
     no coarse strategy can tell apart.
 
@@ -128,16 +113,17 @@ def build_auxiliary_game(hierarchy: Hierarchy) -> AuxGame:
     profile's certificate is computed on the original game, so soundness
     never rests on the quotient.  When no two states merge, the coarse
     game shares the game's state space and payoff array.  The game is
-    the one the hierarchy was built from (``hierarchy.game``).
+    the one the hierarchy was built from (``hierarchy.game``), and a
+    hierarchy whose structural audit (``Hierarchy.audit``) fails is
+    refused.
     """
-    report = check_properties(hierarchy)
-    if not report.ok:
-        bad = [c for c in report.checks if not c.ok]
+    bad = [c for c in hierarchy.audit.checks if not c.ok]
+    if bad:
         raise GameFormatError(
             f"hierarchy failed its structural audit: {bad[0].name} for player "
             f"{bad[0].player}"
         )
-    return AuxGame(hierarchy=hierarchy, coarse_game=_quotient(hierarchy), checks=report)
+    return _quotient(hierarchy)
 
 
 def _quotient(hierarchy: Hierarchy) -> NestedGame:
@@ -174,9 +160,9 @@ def _quotient(hierarchy: Hierarchy) -> NestedGame:
 
 
 class AgentFormGame:
-    """Agent-form expansion with a vectorized payoff engine.
+    """Agent-form expansion of ``game`` with a vectorized payoff engine.
 
-    One agent per (player, positive-mass coarse atom).  The engine reads
+    One agent per (player, positive-mass atom of ``game``).  The engine reads
     the game's payoff array, indexed by player, state and one axis per
     player's actions, so a full sweep of conditional action values for
     every agent is a handful of array operations.  Agent payoffs are the
@@ -185,12 +171,10 @@ class AgentFormGame:
     best-response sets match the underlying game.
     """
 
-    def __init__(self, aux: AuxGame):
-        self.aux = aux
-        game = aux.coarse_game
+    def __init__(self, game: NestedGame):
+        self.game = game
         self.n = game.n
         self.dims = tuple(len(a) for a in game.payoffs.actions)
-        self.actions = game.payoffs.actions
         self.payoff = game.payoff_array
         supports = game.supports
 
@@ -299,14 +283,14 @@ class AgentFormGame:
         strat = {
             i: {atom: dict(zip(acts, row)) for atom, row in zip(ids, x.tolist())}
             for i, (ids, acts, x) in enumerate(
-                zip(self.atom_ids, self.actions, strategies), start=1
+                zip(self.atom_ids, self.game.payoffs.actions, strategies), start=1
             )
         }
         return StrategyProfile(strategies=strat, field_level="coarse")
 
 
-def to_agent_form(aux: AuxGame) -> AgentFormGame:
-    return AgentFormGame(aux)
+def to_agent_form(game: NestedGame) -> AgentFormGame:
+    return AgentFormGame(game)
 
 
 class _Play(list):
@@ -407,7 +391,9 @@ def _run_predictive_rm(
     return tracker.offer(agent_game.regret(average), average)
 
 
-def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
+def solve_nash(
+    agent_game: AgentFormGame, target_regret: float, seed: int = 0
+) -> SolveResult:
     """Search for a low-regret profile of the auxiliary game.
 
     Deterministic given the seed.  Each restart (uniform first, then
@@ -419,14 +405,14 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
     certified number meets the target.  ``method`` is always
     ``"predictive-rm+"``.
     """
-    if not (0.0 <= config.target_regret < math.inf):
+    if not (0.0 <= target_regret < math.inf):
         raise GameFormatError("target regret must be finite and nonnegative")
-    if config.seed < 0:
-        raise GameFormatError("seed must be nonnegative")
+    if not (_is_integer(seed) and seed >= 0):
+        raise GameFormatError("seed must be a nonnegative integer")
 
-    tracker = _Tracker(config.target_regret)
+    tracker = _Tracker(target_regret)
     restarts_used = 0
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     for restart in range(MAX_RESTARTS):
         restarts_used = restart + 1
         if restart == 0:
@@ -438,8 +424,7 @@ def solve_nash(agent_game: AgentFormGame, config: SolverConfig) -> SolveResult:
 
     assert tracker.best is not None
     profile = agent_game.to_profile(tracker.best)
-    coarse_game = agent_game.aux.coarse_game
-    report = regret_mod.certify(coarse_game, profile, config.target_regret)
+    report = regret_mod.certify(agent_game.game, profile, target_regret)
     return SolveResult(
         profile=profile,
         report=report,

@@ -126,14 +126,14 @@ def _write() -> dict:
     out = {}
     for name, game, epsilon in _games():
         sol = solve(game, epsilon)
-        coarse = _coarse_game(game, sol.delta)
+        coarse = _coarse_game(game, sol.hierarchy.delta)
         cases = {
             "random": (game, random_profile(rng, game)),
             "pipeline": (game, sol.profile),
             "coarse": (coarse, sol.result.profile),
         }
         out[name] = {
-            "delta": sol.delta.hex(),
+            "delta": sol.hierarchy.delta.hex(),
             "profiles": {k: _profile_doc(p) for k, (_, p) in cases.items()},
             "certificates": {
                 k: _certificate(g, p, epsilon) for k, (g, p) in cases.items()

@@ -838,6 +838,13 @@ MALFORMED_TYPES = {
         _types_set(("payoffs", 3, "values"), [1.0, "0"]),
         "payoffs[3].values[1] must be a number",
     ),
+    # With actions declared, an entry outside them would never be read.
+    "undeclared-action": (
+        lambda doc: doc["payoffs"].append(
+            {"types": ["t1", "s1"], "profile": ["Z", "U"], "values": [0.0, 0.0]}
+        ),
+        "payoffs[8]: action 'Z' not in player 1's action set",
+    ),
 }
 
 

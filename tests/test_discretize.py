@@ -45,7 +45,6 @@ from nestnash.hierarchy import build_hierarchy
 from nestnash.pipeline import solve
 from nestnash.regret import brute_force_check
 from nestnash.solver import (
-    SolverConfig,
     build_auxiliary_game,
     lift_strategy,
     solve_nash,
@@ -56,8 +55,7 @@ from nestnash.solver import (
 def solve_hat(disc, target: float):
     """Solve the finite companion and lift back to its original atoms."""
     hierarchy = build_hierarchy(disc.game, 0.01)
-    aux = build_auxiliary_game(hierarchy)
-    result = solve_nash(to_agent_form(aux), SolverConfig(target_regret=target))
+    result = solve_nash(to_agent_form(build_auxiliary_game(hierarchy)), target)
     return lift_strategy(result.profile, hierarchy), result
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -548,6 +549,31 @@ class TestTypeSpace:
                 {(("t1", "s1"), ("A", "A")): (0.0, 0.0)},
                 actions=(("A",), ("A",)),
             )
+
+    @pytest.mark.parametrize(
+        "key, actions, message",
+        [
+            ((("t9", "s1"), ("A", "A")), None, "unknown type profile ('t9', 's1')"),
+            ((("t1", "s1"), ("Z", "A")), (("A",), ("A",)), "action profile ('Z', 'A')"),
+            ((("t1", "s1"), ("A",)), (("A",), ("A",)), "action profile ('A',)"),
+            ((("t1", "s1"), ("A", "A", "A")), None, "action profile ('A', 'A', 'A')"),
+        ],
+    )
+    def test_payoff_keys_it_would_not_read_are_refused(self, key, actions, message):
+        payoffs = {(("t1", "s1"), ("A", "A")): (0.0, 0.0), key: (1.0, 1.0)}
+        with pytest.raises(GameFormatError, match=re.escape(message)):
+            from_type_space(
+                (("t1",), ("s1",)), {("t1", "s1"): 1.0}, payoffs, actions=actions
+            )
+
+    def test_payoff_keys_naming_one_entry_are_refused(self):
+        # Type labels are stringified, so both keys name one entry.
+        payoffs = {
+            ((1, "s1"), ("A", "A")): (0.0, 0.0),
+            (("1", "s1"), ("A", "A")): (5.0, 5.0),
+        }
+        with pytest.raises(GameFormatError, match="payoff table repeats"):
+            from_type_space(((1,), ("s1",)), {(1, "s1"): 1.0}, payoffs)
 
     def test_actions_inferred_from_payoff_keys(self):
         game = from_type_space(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from generators import noisy_redundant_game, random_nested_game, redundant_game
+from nestnash import hierarchy as hierarchy_mod
 from nestnash.game import (
     GameFormatError,
     InformationPartition,
@@ -86,12 +87,17 @@ class TestBuildHierarchy:
         assert len(h.coarse_partition(2).atoms) == 1
         assert check_properties(h).ok
 
-    def test_atom_for_key_lookup(self, informed_anchor):
+    def test_audit_is_computed_once(self, informed_anchor, monkeypatch):
         h = build_hierarchy(informed_anchor, 0.2)
-        key, atom = next(iter(h.coarse_keys[1].items()))
-        assert atom in h.coarse_partition(2).atoms
-        assert h.atom_for_key(2, key) == atom
-        assert h.atom_for_key(2, (99,)) is None
+        calls = []
+        monkeypatch.setattr(
+            hierarchy_mod,
+            "check_properties",
+            lambda hier: calls.append(hier) or check_properties(hier),
+        )
+        assert h.audit is h.audit
+        assert calls == [h]
+        assert h.audit == check_properties(h)
 
     def test_skewed_prior_rounding_gap(self, informed_anchor):
         skewed = anchor_copies(informed_anchor, 1 / 3, 0.3)
@@ -183,7 +189,7 @@ class TestBuildHierarchy:
                 # Dataclass equality skips the label arrays.
                 assert a.level(i).signals.tolist() == b.level(i).signals.tolist()
                 assert a.level(i).beliefs.tolist() == b.level(i).beliefs.tolist()
-            assert a.coarse_keys == b.coarse_keys
+            assert coarse_keys(a) == coarse_keys(b)
 
     def test_gap_respects_delta_on_random_games(self):
         rng = np.random.default_rng(23)
@@ -285,6 +291,20 @@ def partly_unrealized_game() -> NestedGame:
     )
 
 
+def coarse_keys(h) -> list[dict[tuple[int, ...], object]]:
+    """Per player i, each belief tuple (levels i..n) some state realizes
+    mapped to player i's coarse atom holding it, in order of first
+    appearance in state order."""
+    out = []
+    for i, part in enumerate(h.coarse, start=1):
+        tails = zip(*(level.beliefs.tolist() for level in h.levels[i - 1 :]))
+        keys: dict = {}
+        for state, key in zip(h.game.space.states, tails):
+            keys.setdefault(key, part.atom_of[state])
+        out.append(keys)
+    return out
+
+
 def hierarchy_digest(h) -> str:
     """sha256 of every field of a hierarchy in a canonical dump: dicts as
     (repr(key), value) pairs in their own order, label arrays as
@@ -325,7 +345,7 @@ def hierarchy_digest(h) -> str:
         "coarse": [[part.player, pairs(part.atom_of)] for part in h.coarse],
         "coarse_keys": [
             [[repr(atom), list(key)] for key, atom in keys.items()]
-            for keys in h.coarse_keys
+            for keys in coarse_keys(h)
         ],
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()

@@ -39,6 +39,7 @@ from nestnash.game import (
 from nestnash.hierarchy import build_hierarchy, check_properties, expectation_gap
 from nestnash.regret import coarse_best_response_gap
 from nestnash.solver import _quotient, lift_strategy
+from test_hierarchy import coarse_keys
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -143,7 +144,7 @@ def hierarchy_fields(h):
         for level in h.levels
     ]
     coarse = [list(part.atom_of.items()) for part in h.coarse]
-    return levels, coarse, [list(keys.items()) for keys in h.coarse_keys]
+    return levels, coarse, [list(keys.items()) for keys in coarse_keys(h)]
 
 
 def ref_checks(game, h):

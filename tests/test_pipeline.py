@@ -107,7 +107,7 @@ def test_a_solve_that_merges_nothing_builds_each_support_once(shuffle, monkeypat
         if shuffle:
             continue
         assert calls == players, idx
-        coarse = build_auxiliary_game(solution.hierarchy).coarse_game
+        coarse = build_auxiliary_game(solution.hierarchy)
         for i, support in enumerate(coarse.supports, start=1):
             fresh = original(coarse.space, i, coarse.partition_for(i))
             assert support.ids == fresh.ids
@@ -200,8 +200,7 @@ def test_hierarchy_merging_atoms_alone_certifies_anew(regret_calls):
     # every state apart in the quotient.
     game = random_nested_game(np.random.default_rng(5))
     solution = solve(game, 0.05, delta=3.0)
-    aux = build_auxiliary_game(solution.hierarchy)
-    assert aux.coarse_game.space is game.space
+    assert build_auxiliary_game(solution.hierarchy).space is game.space
     assert len(solution.hierarchy.coarse[0].atoms) < len(game.partitions[0].atoms)
     assert len(regret_calls) == 2 and regret_calls[1] is game
     assert solution.report == certify(game, solution.profile, 0.05)
@@ -224,8 +223,7 @@ def test_quotient_merging_states_alone_certifies_anew(regret_calls):
         ),
     )
     solution = solve(game, 0.05)
-    aux = build_auxiliary_game(solution.hierarchy)
-    assert len(aux.coarse_game.space.states) == 1
+    assert len(build_auxiliary_game(solution.hierarchy).space.states) == 1
     assert len(regret_calls) == 2 and regret_calls[1] is game
     assert solution.report == certify(game, solution.profile, 0.05)
 

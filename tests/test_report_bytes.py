@@ -159,8 +159,8 @@ def test_merging_games_merge(name):
     sol = solve(game, MERGING_EPSILON)
     coarse = sol.hierarchy.coarse_partition(1)
     assert len(coarse.atoms) < len(game.partition_for(1).atoms) // 4
-    aux = build_auxiliary_game(sol.hierarchy)
-    assert len(aux.coarse_game.space.states) < len(game.space.states)
+    coarse_game = build_auxiliary_game(sol.hierarchy)
+    assert len(coarse_game.space.states) < len(game.space.states)
 
 
 # -- entry order --------------------------------------------------------------

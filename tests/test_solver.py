@@ -23,13 +23,11 @@ from nestnash.game import (
     payoff_bound,
     validate_profile,
 )
-from nestnash.hierarchy import build_hierarchy
+from nestnash.hierarchy import Hierarchy, build_hierarchy
 from nestnash.pipeline import solve
 from nestnash.regret import bayesian_regret, certify
 from nestnash.solver import (
     AgentFormGame,
-    AuxGame,
-    SolverConfig,
     build_auxiliary_game,
     lift_strategy,
     solve_nash,
@@ -86,8 +84,8 @@ class TestAgentForm:
     def test_coarse_game_and_agent_form_share_the_payoff_array(self):
         game = random_nested_game(np.random.default_rng(47), max_states=20)
         engine = agent_form_for(game, 0.2)
-        assert engine.aux.coarse_game.space is game.space
-        assert engine.aux.coarse_game.payoff_array is game.payoff_array
+        assert engine.game.space is game.space
+        assert engine.game.payoff_array is game.payoff_array
         assert engine.payoff is game.payoff_array
 
     def test_action_values_match_the_certifier(self):
@@ -95,7 +93,7 @@ class TestAgentForm:
         for _ in range(6):
             game = random_nested_game(rng, max_states=25, players=(2, 3))
             engine = agent_form_for(game, 0.2)
-            coarse = engine.aux.coarse_game
+            coarse = engine.game
             profile = random_profile(rng, coarse)
             coarse_profile = type(profile)(
                 strategies=profile.strategies, field_level="coarse"
@@ -108,7 +106,7 @@ class TestAgentForm:
                     ]
                 )
                 for i, (atoms, acts) in enumerate(
-                    zip(engine.atom_ids, engine.actions), start=1
+                    zip(engine.atom_ids, engine.game.payoffs.actions), start=1
                 )
             ]
             values = engine.action_values(strategies)
@@ -120,7 +118,7 @@ class TestAgentForm:
                     if not engine.positive[i - 1][r]:
                         continue
                     row = record.values[record.atoms.index(atom)]
-                    for c, action in enumerate(engine.actions[i - 1]):
+                    for c, action in enumerate(engine.game.payoffs.actions[i - 1]):
                         assert values[i - 1][r, c] == pytest.approx(
                             row[own.index(action)], abs=1e-9
                         )
@@ -151,9 +149,7 @@ class TestAgentForm:
         engine = agent_form_for(informed_anchor, 0.2)
         strategies = engine.uniform_strategies()
         fast = engine.regret(strategies)
-        report = certify(
-            engine.aux.coarse_game, engine.to_profile(strategies), epsilon=1.0
-        )
+        report = certify(engine.game, engine.to_profile(strategies), epsilon=1.0)
         assert fast == pytest.approx(report.max_regret, abs=1e-9)
 
     def test_null_atoms_are_pinned(self):
@@ -219,7 +215,7 @@ class TestAgentFormReadsSupports:
         for pair in sparse_prior_games():
             for game in pair:
                 engine = agent_form_for(game, 0.2)
-                coarse = engine.aux.coarse_game
+                coarse = engine.game
                 states = coarse.space.states
                 for i, support in enumerate(coarse.supports):
                     want = np.zeros(len(states))
@@ -259,10 +255,37 @@ class TestAgentFormReadsSupports:
 
 class TestAuxiliaryGame:
     def test_coarse_game_swaps_partitions(self, informed_anchor):
-        aux = build_auxiliary_game(build_hierarchy(informed_anchor, 0.2))
-        assert aux.coarse_game.payoffs is informed_anchor.payoffs
-        assert len(aux.coarse_game.partition_for(1).atoms) == 2
-        assert len(aux.coarse_game.partition_for(2).atoms) == 1
+        coarse = build_auxiliary_game(build_hierarchy(informed_anchor, 0.2))
+        assert coarse.payoffs is informed_anchor.payoffs
+        assert len(coarse.partition_for(1).atoms) == 2
+        assert len(coarse.partition_for(2).atoms) == 1
+
+    def test_refuses_a_hierarchy_that_fails_its_audit(self):
+        # Player 1's atom {w1, w2} and w3 believe differently, so player
+        # 1 has two coarse atoms and player 2 one.  The hand-built
+        # partition keeps two atoms, within the finite-support cap, and
+        # still refines player 2's, but splits {w1, w2}.
+        states = ("w1", "w2", "w3")
+        game = NestedGame(
+            space=StateSpace(states, {"w1": 0.25, "w2": 0.25, "w3": 0.5}),
+            partitions=(
+                InformationPartition(1, {"w1": "a", "w2": "a", "w3": "b"}),
+                InformationPartition(2, dict.fromkeys(states, "g")),
+            ),
+            payoffs=PayoffTensor.from_array(
+                (("A", "B"), ("A", "B")), states, np.arange(24.0).reshape(2, 3, 2, 2)
+            ),
+        )
+        h = build_hierarchy(game, 0.1)
+        assert h.audit.ok and len(h.coarse_partition(1).ids) == 2
+        split = InformationPartition(1, {"w1": 0, "w2": 1, "w3": 1})
+        bad = Hierarchy(game, h.delta, h.levels, (split, h.coarse_partition(2)))
+        message = (
+            "hierarchy failed its structural audit: "
+            "information-refines-coarse for player 1"
+        )
+        with pytest.raises(GameFormatError, match=message):
+            build_auxiliary_game(bad)
 
 
 def cloned_game(
@@ -326,7 +349,7 @@ class TestQuotient:
             name: len(
                 build_auxiliary_game(
                     build_hierarchy(game, default_delta(game))
-                ).coarse_game.space.states
+                ).space.states
             )
             for name, game in self.games()
             if name.startswith(("redundant", "noisy"))
@@ -336,7 +359,7 @@ class TestQuotient:
     def test_quotient_is_a_valid_game_on_first_members(self):
         for name, game in self.games():
             hierarchy = build_hierarchy(game, default_delta(game))
-            coarse = build_auxiliary_game(hierarchy).coarse_game
+            coarse = build_auxiliary_game(hierarchy)
             states = coarse.space.states
             assert len(states) < len(game.space.states), name
             # First members, in state order.
@@ -357,10 +380,10 @@ class TestQuotient:
         for name, game in self.games():
             tol = 1e-12 * payoff_bound(game)
             hierarchy = build_hierarchy(game, default_delta(game))
-            aux = build_auxiliary_game(hierarchy)
+            coarse = build_auxiliary_game(hierarchy)
             swap = NestedGame(game.space, hierarchy.coarse, game.payoffs)
-            merged = to_agent_form(aux)
-            full = to_agent_form(AuxGame(hierarchy, swap, aux.checks))
+            merged = to_agent_form(coarse)
+            full = to_agent_form(swap)
             assert merged.agents == full.agents, name
             for _ in range(3):
                 strategies = merged.random_strategies(rng)
@@ -369,7 +392,7 @@ class TestQuotient:
                 ):
                     assert np.abs(got - want).max() <= tol, name
                 profile = merged.to_profile(strategies)
-                got = certify(aux.coarse_game, profile, 0.05).max_regret
+                got = certify(coarse, profile, 0.05).max_regret
                 want = certify(swap, profile, 0.05).max_regret
                 assert abs(got - want) <= tol, name
 
@@ -377,7 +400,7 @@ class TestQuotient:
 class TestSolver:
     def test_matching_pennies_solved_exactly(self, matching_pennies):
         engine = agent_form_for(matching_pennies, 0.1)
-        result = solve_nash(engine, SolverConfig(target_regret=1e-12))
+        result = solve_nash(engine, 1e-12)
         assert result.converged
         assert result.iterations <= 200
         assert result.certified_regret <= 1e-9
@@ -388,11 +411,11 @@ class TestSolver:
 
     def test_informed_anchor_value_and_strategy(self, informed_anchor):
         engine = agent_form_for(informed_anchor, 0.2)
-        result = solve_nash(engine, SolverConfig(target_regret=1e-12))
+        result = solve_nash(engine, 1e-12)
         assert result.converged
         assert result.iterations <= 200
         assert result.certified_regret <= 1e-9
-        value = expected_payoff(engine.aux.coarse_game, result.profile)[0]
+        value = expected_payoff(engine.game, result.profile)[0]
         assert value == pytest.approx(2 / 3, abs=1e-9)
         column = next(iter(result.profile.strategies[2].values()))
         assert column["L"] == pytest.approx(1 / 3, abs=1e-9)
@@ -401,7 +424,7 @@ class TestSolver:
     def test_general_sum_converges(self):
         game = two_state_game()
         engine = agent_form_for(game, 0.2)
-        result = solve_nash(engine, SolverConfig(target_regret=0.05))
+        result = solve_nash(engine, 0.05)
         assert result.converged
 
     def test_inconsistent_priors_converge(self, informed_anchor):
@@ -415,16 +438,15 @@ class TestSolver:
             payoffs=informed_anchor.payoffs,
         )
         engine = agent_form_for(skewed, 0.2)
-        result = solve_nash(engine, SolverConfig(target_regret=0.05))
+        result = solve_nash(engine, 0.05)
         assert result.converged
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(71)
         game = random_nested_game(rng, max_states=20, players=(3,))
         engine = agent_form_for(game, 0.15)
-        config = SolverConfig(target_regret=0.05, seed=9)
-        a = solve_nash(engine, config)
-        b = solve_nash(engine, config)
+        a = solve_nash(engine, 0.05, seed=9)
+        b = solve_nash(engine, 0.05, seed=9)
         assert a.profile == b.profile
         assert a.certified_regret == b.certified_regret
         assert a.method == b.method
@@ -449,13 +471,8 @@ class TestSolver:
                     },
                 ),
             )
-            base = solve_nash(
-                agent_form_for(game, 0.15), SolverConfig(target_regret=0.05, seed=2)
-            )
-            scaled = solve_nash(
-                agent_form_for(doubled, 0.15),
-                SolverConfig(target_regret=0.1, seed=2),
-            )
+            base = solve_nash(agent_form_for(game, 0.15), 0.05, seed=2)
+            scaled = solve_nash(agent_form_for(doubled, 0.15), 0.1, seed=2)
             assert scaled.profile == base.profile
             assert scaled.certified_regret == pytest.approx(
                 2.0 * base.certified_regret, abs=1e-12
@@ -467,34 +484,47 @@ class TestSolver:
         rng = np.random.default_rng(55)
         game = random_nested_game(rng, max_states=25, players=(3,))
         engine = agent_form_for(game, 0.15)
-        result = solve_nash(engine, SolverConfig(target_regret=1e-9))
+        result = solve_nash(engine, 1e-9)
         assert not result.converged
         assert result.certified_regret > 1e-9
-        coarse = engine.aux.coarse_game
+        coarse = engine.game
         assert validate_profile(coarse, result.profile) == []
 
     def test_rejects_negative_target(self, matching_pennies):
         engine = agent_form_for(matching_pennies, 0.2)
         with pytest.raises(GameFormatError):
-            solve_nash(engine, SolverConfig(target_regret=-0.1))
+            solve_nash(engine, -0.1)
 
     @pytest.mark.parametrize("target", [math.nan, math.inf])
     def test_rejects_non_finite_target(self, matching_pennies, target):
         engine = agent_form_for(matching_pennies, 0.2)
         with pytest.raises(GameFormatError, match="finite"):
-            solve_nash(engine, SolverConfig(target_regret=target))
+            solve_nash(engine, target)
 
     def test_rejects_negative_seed(self):
         engine = agent_form_for(two_state_game(), 0.2)
-        with pytest.raises(GameFormatError, match="seed"):
-            solve_nash(engine, SolverConfig(target_regret=0.05, seed=-1))
+        with pytest.raises(GameFormatError, match="seed must be a nonnegative integer"):
+            solve_nash(engine, 0.05, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, True])
+    def test_rejects_non_integer_seed(self, seed):
+        # ``True`` would otherwise run as seed 1, and a float would reach
+        # numpy's generator and fail there with a TypeError.
+        engine = agent_form_for(two_state_game(), 0.2)
+        with pytest.raises(GameFormatError, match="seed must be a nonnegative integer"):
+            solve_nash(engine, 0.05, seed=seed)
+
+    def test_numpy_integer_seed_runs_as_that_seed(self):
+        engine = agent_form_for(two_state_game(), 0.2)
+        got = solve_nash(engine, 1e-12, seed=np.int64(2))
+        assert got.profile == solve_nash(engine, 1e-12, seed=2).profile
 
     def test_random_games_reach_modest_targets(self):
         rng = np.random.default_rng(88)
         for _ in range(5):
             game = random_nested_game(rng, max_states=30, players=(2, 3))
             engine = agent_form_for(game, 0.1)
-            result = solve_nash(engine, SolverConfig(target_regret=0.05))
+            result = solve_nash(engine, 0.05)
             assert result.converged
             assert result.certified_regret <= 0.05 + 1e-9
 
@@ -502,7 +532,7 @@ class TestSolver:
 def solve_digest(game: NestedGame, target: float) -> tuple[int, int, str]:
     """Iterations, restarts and a sha256 prefix of every float the
     solve returns, written with ``float.hex``."""
-    result = solve_nash(agent_form_for(game, 1e-9), SolverConfig(target, seed=5))
+    result = solve_nash(agent_form_for(game, 1e-9), target, seed=5)
     digest = hashlib.sha256()
     for i, table in result.profile.strategies.items():
         for atom, dist in table.items():
@@ -565,9 +595,10 @@ class TestSweepReuse:
 
 class TestLift:
     def test_lift_covers_every_original_atom(self, informed_anchor):
-        engine = agent_form_for(informed_anchor, 0.2)
-        result = solve_nash(engine, SolverConfig(target_regret=0.025))
-        lifted = lift_strategy(result.profile, engine.aux.hierarchy)
+        hierarchy = build_hierarchy(informed_anchor, 0.2)
+        engine = to_agent_form(build_auxiliary_game(hierarchy))
+        result = solve_nash(engine, 0.025)
+        lifted = lift_strategy(result.profile, hierarchy)
         assert lifted.field_level == "original"
         assert validate_profile(informed_anchor, lifted) == []
 
@@ -582,9 +613,8 @@ class TestLift:
                 profiles *= len(acts)
             delta = epsilon / (2.0 * bound * profiles)
             hierarchy = build_hierarchy(game, delta)
-            aux = build_auxiliary_game(hierarchy)
-            engine = to_agent_form(aux)
-            result = solve_nash(engine, SolverConfig(target_regret=epsilon / 2))
+            engine = to_agent_form(build_auxiliary_game(hierarchy))
+            result = solve_nash(engine, epsilon / 2)
             lifted = lift_strategy(result.profile, hierarchy)
             report = certify(game, lifted, epsilon=epsilon)
             transfer = delta * bound * profiles + result.certified_regret
@@ -596,7 +626,7 @@ class TestLift:
         game = null_atom_game()
         hierarchy = build_hierarchy(game, 0.3)
         engine = to_agent_form(build_auxiliary_game(hierarchy))
-        result = solve_nash(engine, SolverConfig(target_regret=0.05))
+        result = solve_nash(engine, 0.05)
         lifted = lift_strategy(result.profile, hierarchy)
         assert validate_profile(game, lifted) == []
 

@@ -191,3 +191,20 @@ def test_no_function_takes_both_a_game_and_a_hierarchy():
     assert ("solver.py", "build_auxiliary_game") in typed["Hierarchy"]
     assert ("regret.py", "certify") in typed["NestedGame"]
     assert typed["NestedGame"] & typed["Hierarchy"] == set()
+
+
+def test_the_hierarchy_audits_itself():
+    # ``Hierarchy.audit`` runs the structural audit once per hierarchy,
+    # and every stage reads it there.
+    assert readers("check_properties") == {
+        ("__init__.py", "<import>"),
+        ("hierarchy.py", "audit"),
+    }
+
+
+def test_every_exported_name_resolves():
+    namespace: dict = {}
+    exec("from nestnash import *", namespace)
+    assert set(nestnash.__all__) <= namespace.keys()
+    assert not {"AuxGame", "SolverConfig"} & set(nestnash.__all__)
+    assert not hasattr(nestnash, "AuxGame") and not hasattr(nestnash, "SolverConfig")

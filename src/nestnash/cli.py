@@ -440,13 +440,13 @@ def _solve_document(mode: str, args, sol: Solution) -> dict:
             "mode": mode,
             "epsilon": args.epsilon,
             "delta": sol.hierarchy.delta,
-            "solver_target": sol.target,
+            "solver_target": sol.result.report.epsilon,
             "seed": args.seed,
             "format_version": REPORT_VERSION,
         },
         "constants": {
-            "payoff_bound": sol.payoff_bound,
-            "action_profiles": sol.action_profiles,
+            "payoff_bound": payoff_bound(game),
+            "action_profiles": math.prod(map(len, game.payoffs.actions)),
             "players": game.n,
             "states": len(game.space.states),
         },

@@ -23,6 +23,13 @@ probe regret is that certificate's ``harsanyi`` entry.
 (``DiscretizedGame.true_game``) and floors the grid game's payoffs from
 the same values, so each polynomial is evaluated once per mesh.
 
+One evaluator, ``_grid_sum``, computes every sum of monomials on a
+product grid: the payoff table on the joint net, and in the box
+certificate each opponent's moment powers and each atom's own-action
+values.  It reads x**e from one table per exponent, built with Python's
+float power, and forms each term left to right as ``poly_eval`` does,
+so ``poly_eval`` is the plain oracle it is checked against bit for bit.
+
 The box certificate (``certify_box``) bounds the profile's regret
 against every action in each player's box, on the compact game itself,
 not on a grid.  It runs the profile's own probe audit, which it
@@ -317,8 +324,10 @@ def _validate_spec(spec: CompactGameSpec) -> None:
                     raise GameFormatError(
                         f"monomial exponents for {key!r} must have length {total}"
                     )
-                if any(e < 0 for e in exps):
-                    raise GameFormatError("monomial exponents must be nonnegative")
+                if not all(_is_integer(e) and e >= 0 for e in exps):
+                    raise GameFormatError(
+                        "monomial exponents must be nonnegative integers"
+                    )
                 if not math.isfinite(coef):
                     raise GameFormatError("monomial coefficients must be finite")
             _finite_bound(poly_value_bound, poly, f"value bound for {key!r}")
@@ -377,7 +386,7 @@ def build_hat_game(
         state_payoff_bounds(spec), spec.space.prior, epsilon, spec.payoff_cap
     )
     kept = set(truncation.omega_double_prime)
-    grid = _joint_grid(spec, _net_axis(eta0))
+    axis, dims, tables = _net_axis(eta0), spec.total_dim, {}
 
     states = spec.space.states
     shape = (spec.n, len(states)) + tuple(map(len, nets))
@@ -387,10 +396,10 @@ def build_hat_game(
     for k, s in enumerate(states):
         for i in range(1, spec.n + 1):
             poly = spec.payoffs[(s, i)]
-            true_cells[i - 1, k] = values = _net_values(poly, grid)
+            true_cells[i - 1, k] = values = _net_values(poly, axis, dims, tables)
             if s in kept:
                 cells[i - 1, k] = _net_floors(
-                    poly, grid, values, epsilon, truncation.bound_m
+                    poly, axis, dims, tables, values, epsilon, truncation.bound_m
                 )
     tensors = (PayoffTensor.from_array(nets, states, t) for t in (table, true_table))
     game, true_game = (NestedGame(spec.space, spec.partitions, t) for t in tensors)
@@ -440,69 +449,50 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_FLOAT = math.ulp(0.0)
 
 
-@dataclass(frozen=True)
-class _JointGrid:
-    """The joint net as one numpy grid with one axis per coordinate.
+def _grid_sum(
+    terms, axis, tables, dims: int, rows: tuple[int, ...] = ()
+) -> np.ndarray:
+    """The sum of c * x_1**e_1 ... x_dims**e_dims over the (c, e)
+    ``terms`` at every point of the grid ``axis``**dims, shaped
+    ``rows + (len(axis),) * dims``; the grid points are in C order, which
+    is ``itertools.product`` order.
 
-    Every coordinate runs over ``axis``, so the joint profiles in
-    ``itertools.product(*nets)`` order are the points of ``shape`` in
-    C order.  ``powers[(d, e)]`` holds
-    ``x**e`` for every axis value x (Python's float power, as in
-    ``poly_eval``), shaped to broadcast along coordinate d; it is None
-    when some table entry falls outside [0, 1], which sends every value
-    to the scalar path.
+    ``c`` is a float, or a column of shape ``rows + (1,) * dims``.
+    ``tables[e]`` holds x**e for every axis value x (Python's float power,
+    as in ``poly_eval``); a missing table is built here and kept.  Each
+    term is multiplied left to right from c, so a polynomial's terms are
+    ``poly_eval``'s bit for bit, and the terms are added in order.
     """
-
-    axis: tuple[float, ...]
-    shape: tuple[int, ...]
-    powers: dict[tuple[int, int], np.ndarray] | None
-
-
-def _joint_grid(spec: CompactGameSpec, axis: tuple[float, ...]) -> _JointGrid:
-    dims = spec.total_dim
-    pairs = {
-        (d, e)
-        for poly in spec.payoffs.values()
-        for _, exps in poly
-        for d, e in enumerate(exps)
-        if e
-    }
-    tables = {e: np.array([x**e for x in axis]) for e in {e for _, e in pairs}}
-    powers = None
-    if all(t.min() >= 0.0 and t.max() <= 1.0 for t in tables.values()):
-        powers = {
-            (d, e): tables[e].reshape((1,) * d + (-1,) + (1,) * (dims - d - 1))
-            for d, e in pairs
-        }
-    return _JointGrid(axis=axis, shape=(len(axis),) * dims, powers=powers)
-
-
-def _net_values(poly: Poly, grid: _JointGrid) -> np.ndarray:
-    """``poly`` at every joint grid point, in profile order, as a new array.
-
-    With the power tables, each term is ``poly_eval``'s term bit for bit
-    and the terms are summed in numpy; without them every point takes
-    ``poly_eval`` itself.
-    """
-    if grid.powers is None:
-        points = itertools.product(grid.axis, repeat=len(grid.shape))
-        return np.array([poly_eval(poly, point) for point in points])
-    acc = np.zeros(grid.shape)
-    for coef, exps in poly:
-        term = float(coef)
+    acc = np.zeros(rows + (len(axis),) * dims)
+    for coef, exps in terms:
+        term = coef
         for d, e in enumerate(exps):
             if e:
-                term = term * grid.powers[(d, e)]
+                if e not in tables:
+                    tables[e] = np.array([x**e for x in axis])
+                term = term * tables[e].reshape((-1,) + (1,) * (dims - d - 1))
         acc += term
-    return acc.ravel()
+    return acc
+
+
+def _net_values(poly: Poly, axis, dims: int, tables) -> np.ndarray:
+    """``poly`` at every joint grid point, in profile order, as a new
+    array: ``_grid_sum`` on the joint net ``axis``**dims."""
+    return _grid_sum(poly, axis, tables, dims).ravel()
 
 
 def _net_floors(
-    poly: Poly, grid: _JointGrid, values: np.ndarray, epsilon: float, bound_m: float
+    poly: Poly,
+    axis,
+    dims: int,
+    tables,
+    values: np.ndarray,
+    epsilon: float,
+    bound_m: float,
 ) -> np.ndarray:
     """``floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)`` at
     every joint grid point, in profile order, bit for bit, given
-    ``values``, ``_net_values(poly, grid)``.
+    ``values``, ``_net_values(poly, axis, dims, tables)``.
 
     Values far from the epsilon lattice are floored in numpy; the rest
     (a guard band of relative width about 2 (n + 2) u R, below) take
@@ -511,10 +501,10 @@ def _net_floors(
     P = ``poly_value_bound(poly)`` = fsum |coef| and R = P / epsilon:
 
     - Terms.  Each term is ``coef`` times the table entries x**e,
-      multiplied left to right as ``poly_eval`` does, so the terms are
-      the scalar terms bit for bit.  The entries lie in [0, 1] (checked
-      in ``_joint_grid``), so each |term| <= |coef| by monotone
-      rounding.
+      multiplied left to right as ``poly_eval`` does (``_grid_sum``), so
+      the terms are the scalar terms bit for bit.  The entries lie in
+      [0, 1] (checked here on every table, this polynomial's among
+      them), so each |term| <= |coef| by monotone rounding.
     - Sum.  Let T be the exact sum of the terms.  The scalar value is
       V = fsum = fl(T), so |V - T| <= u C; the plain sum S has
       |S - T| <= (n - 1) u C / (1 - (n - 1) u).  Hence
@@ -544,14 +534,14 @@ def _net_floors(
     tau < 1/2 forces R < 2**51, so no step overflows; otherwise, or
     when the premises above fail, every entry takes the scalar path.
     """
-    size = math.prod(grid.shape)
+    shape = (len(axis),) * dims
     total = poly_value_bound(poly)
     u, eta = _UNIT_ROUNDOFF, _SMALLEST_FLOAT
     tau = 2.0 * (
         (len(poly) + 2) * u * (total / epsilon) + 2 * u + 2 * eta + eta / epsilon
     )
     if (
-        grid.powers is not None
+        all(t.min() >= 0.0 and t.max() <= 1.0 for t in tables.values())
         and total <= bound_m
         and math.isfinite(2.0 * total)
         and tau < 0.5
@@ -564,11 +554,11 @@ def _net_floors(
         out = k
         unsafe = np.flatnonzero(~safe)
     else:
-        out = np.empty(size)
-        unsafe = np.arange(size)
-    coords = zip(*(c.tolist() for c in np.unravel_index(unsafe, grid.shape)))
+        out = np.empty(values.size)
+        unsafe = np.arange(values.size)
+    coords = zip(*(c.tolist() for c in np.unravel_index(unsafe, shape)))
     for r, index in zip(unsafe.tolist(), coords):
-        point = tuple(grid.axis[c] for c in index)
+        point = tuple(axis[c] for c in index)
         out[r] = floor_to_multiple(poly_eval(poly, point), epsilon, bound_m)
     return out
 
@@ -687,11 +677,12 @@ def certify_box(disc: DiscretizedGame, profile: StrategyProfile) -> BoxCertifica
     are the exponents of i's and j's coordinates and
     mu_j(s, e) = sum_a p_j(a) a^e is a moment of j's play at s.  The
     coefficient of each own monomial f is one ``math.fsum``; no joint
-    grid is formed.  V is evaluated on an own net of spacing
-    h <= epsilon / (4 L), and V is Lbar-Lipschitz in y under the max
-    metric, Lbar = max(L, the largest coefficient bound), so
-    sup V <= max over the net + Lbar h / 2 (the covering term, at most
-    about epsilon / 8).  The atom's regret is
+    grid is formed.  The powers a^e of the moments and V on the own net
+    are both ``_grid_sum``, the evaluator of the grid game's values.
+    V is evaluated on an own net of spacing h <= epsilon / (4 L), and
+    V is Lbar-Lipschitz in y under the max metric, Lbar = max(L, the
+    largest coefficient bound), so sup V <= max over the net + Lbar h / 2
+    (the covering term, at most about epsilon / 8).  The atom's regret is
 
         r = max over the net of V + covering + allowance - c,
 
@@ -711,13 +702,17 @@ def certify_box(disc: DiscretizedGame, profile: StrategyProfile) -> BoxCertifica
       sums to within MASS_TOL of 1 (``game._strategies_at`` checks it),
       so for n below 10**6 the absolute terms of either value, times m,
       sum to at most (1 + 2**-20) m B.  No overflow: 8 B is finite (checked).
-    - Moments.  A term p(a) * prod a_k ** e_k takes at most 3 d_j
-      roundings and is nonnegative, so the fsum mu_j has relative error
-      at most gamma_{3 d_j + 1}.  A coefficient term w_s c_t prod mu
-      adds n roundings, its fsum one more, and the net evaluation
-      3 d more per term and F - 1 for the sum over own monomials; the
-      division by the fsum mass adds 2.  So every net value is within
-      gamma_{6D + 2n + F + 2} (1 + 2**-20) B of V there.
+    - Moments.  ``_grid_sum`` forms prod a_k ** e_k as 1.0 times the
+      table entries, left to right: the first product is exact, so each
+      power (faithful, 2 roundings) and each later product (1) leave at
+      most 3 d_j - 1, and p(a) times it one more.  The term is
+      nonnegative, so the fsum mu_j has relative error at most
+      gamma_{3 d_j + 1}.  A coefficient term w_s c_t prod mu adds n
+      roundings and its fsum one more.  On the own net, ``_grid_sum``
+      multiplies each coefficient by d table entries (3 d roundings)
+      and adds the F terms in order to zeros, the first addition exact
+      (F - 1); the division by the fsum mass adds 2.  So every net
+      value is within gamma_{6D + 2n + F + 2} (1 + 2**-20) B of V there.
     - Current value.  The true-value table holds the terms of
       ``_net_values`` (3 D roundings each) summed in T - 1 steps, so
       each entry is within gamma_{3D + T} of the polynomial's absolute
@@ -749,7 +744,8 @@ def certify_box(disc: DiscretizedGame, profile: StrategyProfile) -> BoxCertifica
     states = spec.space.states
     starts = tuple(itertools.accumulate(spec.box_dims, initial=0))
     own_mesh = disc.epsilon / (4.0 * spec.lipschitz)
-    axis = _net_axis(own_mesh)
+    axis, own_tables = _net_axis(own_mesh), {}
+    grid_axis, grid_tables = _net_axis(disc.eta0), {}
     spacing = net_spacing(own_mesh)
     lip = max(
         spec.lipschitz, max(poly_lipschitz_bound(p) for p in spec.payoffs.values())
@@ -763,15 +759,11 @@ def certify_box(disc: DiscretizedGame, profile: StrategyProfile) -> BoxCertifica
     def moment(j: int, exps: tuple[int, ...]) -> list[float]:
         """mu_j(row, exps) for every distinct row j plays."""
         if (j, exps) not in moments:
-            powers = [
-                math.prod([x**e for x, e in zip(a, exps) if e])
-                for a in nets[j - 1]
-            ]
-            terms = plays[j][0] * np.array(powers)
+            powers = _grid_sum([(1.0, exps)], grid_axis, grid_tables, len(exps))
+            terms = plays[j][0] * powers.ravel()
             moments[(j, exps)] = [math.fsum(row) for row in terms.tolist()]
         return moments[(j, exps)]
 
-    own_powers: dict[int, np.ndarray] = {}
     players: list[BoxPlayer] = []
     for i in range(1, n + 1):
         support = game.supports[i - 1]
@@ -801,18 +793,13 @@ def certify_box(disc: DiscretizedGame, profile: StrategyProfile) -> BoxCertifica
                     row[column[exps[own]]].append(weights[k] * t)
             terms.append(row)
         coef = np.array([[math.fsum(t) for t in row] for row in terms])
-
-        d = spec.box_dims[i - 1]
-        index = np.indices((len(axis),) * d).reshape(d, -1)
-        values = np.zeros((len(sizes), index.shape[1]))
-        for f in own_exps:
-            term = coef[:, column[f], None]
-            for axis_index, e in zip(index, f):
-                if e:
-                    if e not in own_powers:
-                        own_powers[e] = np.array([x**e for x in axis])
-                    term = term * own_powers[e][axis_index]
-            values += term
+        d, atoms = spec.box_dims[i - 1], len(sizes)
+        columns = [
+            (coef[:, c].reshape((atoms,) + (1,) * d), f)
+            for c, f in enumerate(own_exps)
+        ]
+        values = _grid_sum(columns, axis, own_tables, d, (atoms,))
+        values = values.reshape(atoms, -1)
         masses = support.masses[support.masses > 0.0]
         best = (values.max(axis=1) / masses).tolist()
 
@@ -822,7 +809,7 @@ def certify_box(disc: DiscretizedGame, profile: StrategyProfile) -> BoxCertifica
         per_state = most * (
             joint + sum(len(nets[j - 1]) for j in others) + 1
         ) * (2 * spec.total_dim + n + 3)
-        per_net = index.shape[1] * len(own_exps) * (2 * d + 1) + 4
+        per_net = values.shape[1] * len(own_exps) * (2 * d + 1) + 4
         cap = 4.0 * bound
         regrets = []
         # The audit certified the true-value game, on the grid game's space

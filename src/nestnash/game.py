@@ -497,8 +497,10 @@ def validate_game(game: NestedGame) -> ValidationReport:
     _check_prior(v, "prior", game.space.prior, states, state_set)
     if game.space.player_priors:
         for player, prior in game.space.player_priors.items():
-            if not (1 <= player <= game.n):
-                v.append(Violation("prior", f"prior given for unknown player {player}"))
+            if not (_is_integer(player) and 1 <= player <= game.n):
+                v.append(
+                    Violation("prior", f"prior given for unknown player {player!r}")
+                )
                 continue
             _check_prior(v, f"player {player} prior", prior, states, state_set)
 

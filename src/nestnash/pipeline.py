@@ -72,14 +72,13 @@ class Solution:
     atoms renamed and its verdict taken against ``epsilon``, which is
     exactly the original game's certificate (see the module docstring).
     The belief accuracy ``delta`` and the structural audit are read off
-    the hierarchy (``hierarchy.delta``, ``hierarchy.audit``).
-    ``transfer_bound`` is ``delta * payoff_bound * action_profiles``
-    plus the coarse profile's certified regret.
+    the hierarchy (``hierarchy.delta``, ``hierarchy.audit``), and the
+    solver's regret target off its certificate (``result.report.epsilon``).
+    ``transfer_bound`` is ``delta * M * A`` plus the coarse profile's
+    certified regret, with M the game's ``payoff_bound`` and A its
+    number of action profiles.
     """
 
-    target: float
-    payoff_bound: float
-    action_profiles: int
     hierarchy: Hierarchy
     result: SolveResult
     profile: StrategyProfile
@@ -136,9 +135,6 @@ def solve(
     else:
         report = certify(game, lifted, epsilon)
     return Solution(
-        target=target,
-        payoff_bound=bound,
-        action_profiles=profiles,
         hierarchy=hierarchy,
         result=result,
         profile=lifted,

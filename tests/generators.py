@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from nestnash.discretize import CompactGameSpec
+from nestnash.discretize import CompactGameSpec, poly_lipschitz_bound
 from nestnash.game import (
     InformationPartition,
     NestedGame,
@@ -161,6 +161,32 @@ def random_compact_game(
         box_dims=(1, 1),
         payoffs=payoffs,
         lipschitz=target * (1.0 + 1e-9) + 1e-9,
+    )
+
+
+def random_box_spec(rng: np.random.Generator, box_dims: tuple[int, ...]):
+    """Random sparse polynomials of degree <= 3 over every coordinate."""
+    n = len(box_dims)
+    dims = sum(box_dims)
+    states = ("w0", "w1", "w2")
+    payoffs = {}
+    for s in states:
+        for i in range(1, n + 1):
+            mono = []
+            for _ in range(int(rng.integers(2, 6))):
+                exps = [0] * dims
+                for _ in range(int(rng.integers(1, 4))):
+                    exps[int(rng.integers(0, dims))] += 1
+                mono.append((float(rng.uniform(-1.0, 1.0)), tuple(exps)))
+            mono.append((float(rng.uniform(-0.5, 0.5)), (0,) * dims))
+            payoffs[(s, i)] = tuple(mono)
+    prior = exact_prior(rng.dirichlet(np.ones(3)), states)
+    return CompactGameSpec(
+        space=StateSpace(states=states, prior=prior),
+        partitions=nested_partitions(rng, states, n),
+        box_dims=box_dims,
+        payoffs=payoffs,
+        lipschitz=max(poly_lipschitz_bound(p) for p in payoffs.values()),
     )
 
 

@@ -4,10 +4,15 @@
 profiles and their certificates: every player's columns (atom, mass,
 regret, best and current value, best actions) together with
 ``harsanyi`` and ``max_regret``, floats written with ``float.hex``.
-The profiles are stored too, so the file pins the certifier alone; a
+Under ``box`` it holds, for seeded specs with 2-dim boxes and three
+players, grid profiles and their box certificates (``certify_box``):
+each player's regret column, ``harsanyi`` and the covering term.
+The profiles are stored too, so the file pins the certifiers alone; a
 change to the solver does not touch it.  A change to the certifier's
-arithmetic, however small, fails here.  Regenerate the file only for a
-deliberate change of the certificate's numbers:
+arithmetic, however small, fails here.  ``--write`` adds the entries
+the file lacks and keeps the others byte for byte, since their profiles
+came from the solver of their day; delete an entry (or the file) only
+for a deliberate change of the certificate's numbers:
 
     PYTHONPATH=src:tests python tests/test_certificates.py --write
 """
@@ -21,12 +26,13 @@ import pytest
 
 from generators import (
     exact_prior,
+    random_box_spec,
     random_compact_game,
     random_nested_game,
     random_profile,
     redundant_game,
 )
-from nestnash.discretize import build_hat_game
+from nestnash.discretize import build_hat_game, certify_box
 from nestnash.game import NestedGame, StateSpace, StrategyProfile
 from nestnash.hierarchy import build_hierarchy
 from nestnash.pipeline import solve
@@ -46,6 +52,14 @@ def _games():
     yield "redundant", redundant_game(np.random.default_rng(516), 60), EPSILON
     spec = random_compact_game(np.random.default_rng(517))
     yield "hat", build_hat_game(spec, 0.1).game, 0.1
+
+
+def _boxes():
+    """(name, grid companion) for every pinned box certificate, in file
+    order: 2-dim boxes, three players, and both at once."""
+    rng = np.random.default_rng(519)
+    for name, dims in (("box22", (2, 2)), ("box111", (1, 1, 1)), ("box211", (2, 1, 1))):
+        yield name, build_hat_game(random_box_spec(rng, dims), 0.1, mesh=0.2)
 
 
 def _with_player_priors(rng, game: NestedGame) -> NestedGame:
@@ -96,6 +110,21 @@ def _certificate(game, profile, epsilon) -> dict:
     }
 
 
+def _box_certificate(disc, profile) -> dict:
+    box = certify_box(disc, profile)
+    return {
+        "covering": box.covering.hex(),
+        "players": [
+            {
+                "player": p.player,
+                "regret": [r.hex() for r in p.regret],
+                "harsanyi": p.harsanyi.hex(),
+            }
+            for p in box.players
+        ],
+    }
+
+
 def _profile_doc(profile: StrategyProfile) -> dict:
     return {
         str(i): {
@@ -139,6 +168,19 @@ def _write() -> dict:
                 k: _certificate(g, p, epsilon) for k, (g, p) in cases.items()
             },
         }
+    out["box"] = {}
+    rng = np.random.default_rng(520)
+    for name, disc in _boxes():
+        profiles = {
+            "random": random_profile(rng, disc.game),
+            "pipeline": solve(disc.game, disc.epsilon).profile,
+        }
+        out["box"][name] = {
+            "profiles": {k: _profile_doc(p) for k, p in profiles.items()},
+            "certificates": {
+                k: _box_certificate(disc, p) for k, p in profiles.items()
+            },
+        }
     return out
 
 
@@ -150,7 +192,7 @@ def golden() -> dict:
 
 def test_certificates_are_bit_identical(golden):
     games = list(_games())
-    assert [name for name, _, _ in games] == list(golden)
+    assert [name for name, _, _ in games] + ["box"] == list(golden)
     for name, game, epsilon in games:
         entry = golden[name]
         coarse = _coarse_game(game, float.fromhex(entry["delta"]))
@@ -158,6 +200,16 @@ def test_certificates_are_bit_identical(golden):
             on, level = (coarse, "coarse") if kind == "coarse" else (game, "original")
             profile = _profile(on, entry["profiles"][kind], level)
             assert _certificate(on, profile, epsilon) == expected, f"{name}/{kind}"
+
+
+def test_box_certificates_are_bit_identical(golden):
+    boxes = list(_boxes())
+    assert [name for name, _ in boxes] == list(golden["box"])
+    for name, disc in boxes:
+        entry = golden["box"][name]
+        for kind, expected in entry["certificates"].items():
+            profile = _profile(disc.game, entry["profiles"][kind], "original")
+            assert _box_certificate(disc, profile) == expected, f"{name}/{kind}"
 
 
 def test_golden_file_covers_every_game_kind(golden):
@@ -168,16 +220,25 @@ def test_golden_file_covers_every_game_kind(golden):
         "priors",
         "redundant",
         "hat",
+        "box",
     ]
-    for entry in golden.values():
+    games = [entry for name, entry in golden.items() if name != "box"]
+    for entry in games:
         assert list(entry["certificates"]) == ["random", "pipeline", "coarse"]
         assert all(cert["atoms"] for cert in entry["certificates"].values())
+    assert list(golden["box"]) == ["box22", "box111", "box211"]
+    for entry in golden["box"].values():
+        assert list(entry["certificates"]) == ["random", "pipeline"]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
+    kept = {}
+    if os.path.exists(DATA):
+        with open(DATA, encoding="utf-8") as handle:
+            kept = json.load(handle)
     with open(DATA, "w", encoding="utf-8") as handle:
-        json.dump(_write(), handle, indent=1)
+        json.dump({**_write(), **kept}, handle, indent=1)
         handle.write("\n")

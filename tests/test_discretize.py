@@ -12,6 +12,7 @@ import nestnash.discretize
 from generators import (
     exact_prior,
     nested_partitions,
+    random_box_spec,
     random_compact_game,
     random_profile,
 )
@@ -254,6 +255,31 @@ class TestSpecValidation:
         with pytest.raises(GameFormatError, match="length 2"):
             build_hat_game(bad, 0.1)
 
+    @pytest.mark.parametrize("e", [0.5, 2.0, True])
+    def test_exponents_that_are_not_integers_rejected(self, e):
+        # The Lipschitz bound sums the exponents, which bounds the slope
+        # of x**e on [0, 1] only for integers: sqrt(x) has no bound.
+        spec = one_state_linear_spec()
+        bad = dataclasses.replace(
+            spec, payoffs={**spec.payoffs, ("w", 1): ((1.0, (e, 0)),)}, lipschitz=2.0
+        )
+        message = "monomial exponents must be nonnegative integers"
+        with pytest.raises(GameFormatError, match=message):
+            build_hat_game(bad, 0.1)
+
+    @pytest.mark.parametrize("e", [0, np.int64(2)])
+    def test_integer_exponents_accepted(self, e):
+        spec = one_state_linear_spec()
+        good = dataclasses.replace(
+            spec, payoffs={**spec.payoffs, ("w", 1): ((1.0, (e, 0)),)}, lipschitz=2.0
+        )
+        disc = build_hat_game(good, 0.5, mesh=0.5)
+        assert disc.true_game.payoff_array[0, 0].tolist() == [
+            [0.0**e] * 3,
+            [0.5**e] * 3,
+            [1.0**e] * 3,
+        ]
+
     def test_missing_polynomial_rejected(self):
         spec = one_state_linear_spec()
         bad = CompactGameSpec(
@@ -356,32 +382,6 @@ def assert_matches_scalar_oracle(spec: CompactGameSpec, eps: float):
             )
         assert [v.hex() for v in vals] == [w.hex() for w in want], (s, profile)
     return disc
-
-
-def random_box_spec(rng: np.random.Generator, box_dims: tuple[int, ...]):
-    """Random sparse polynomials of degree <= 3 over every coordinate."""
-    n = len(box_dims)
-    dims = sum(box_dims)
-    states = ("w0", "w1", "w2")
-    payoffs = {}
-    for s in states:
-        for i in range(1, n + 1):
-            mono = []
-            for _ in range(int(rng.integers(2, 6))):
-                exps = [0] * dims
-                for _ in range(int(rng.integers(1, 4))):
-                    exps[int(rng.integers(0, dims))] += 1
-                mono.append((float(rng.uniform(-1.0, 1.0)), tuple(exps)))
-            mono.append((float(rng.uniform(-0.5, 0.5)), (0,) * dims))
-            payoffs[(s, i)] = tuple(mono)
-    prior = exact_prior(rng.dirichlet(np.ones(3)), states)
-    return CompactGameSpec(
-        space=StateSpace(states=states, prior=prior),
-        partitions=nested_partitions(rng, states, n),
-        box_dims=box_dims,
-        payoffs=payoffs,
-        lipschitz=max(poly_lipschitz_bound(p) for p in payoffs.values()),
-    )
 
 
 def two_state_spec(polys, lipschitz: float) -> CompactGameSpec:
@@ -573,9 +573,9 @@ class TestTrueValueGame:
         calls = []
         values = nestnash.discretize._net_values
 
-        def counted(poly, grid):
+        def counted(poly, *args):
             calls.append(poly)
-            return values(poly, grid)
+            return values(poly, *args)
 
         monkeypatch.setattr(nestnash.discretize, "_net_values", counted)
         spec = dyadic_capped_spec()

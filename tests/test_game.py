@@ -89,6 +89,15 @@ class TestValidation:
         )
         assert not validate_game(bad).ok
 
+    @pytest.mark.parametrize("key", ["1", 1.0, True])
+    def test_player_prior_key_must_be_a_player(self, key):
+        # Validation reports the key; it never compares a string with 1.
+        game = two_state_game(player_priors={key: {"w1": 0.5, "w2": 0.5}})
+        report = validate_game(game)
+        assert [v.message for v in report.violations] == [
+            f"prior given for unknown player {key!r}"
+        ]
+
     def test_nestedness_violation_names_the_pair(self):
         # Player 2 distinguishes the states, player 1 does not.
         space = StateSpace(states=("w1", "w2"), prior={"w1": 0.5, "w2": 0.5})

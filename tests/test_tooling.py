@@ -115,23 +115,18 @@ def test_benchmark_span_targets_resolve(monkeypatch):
         assert callable(owner.__dict__.get(attr)), (module_name, path, name)
 
 
-def readers(name: str) -> set[tuple[str, str]]:
-    """Where the package reads ``name``: (module file, innermost enclosing
-    function, or "<module>"), and (module file, "<import>") for each
-    import of it."""
+def sites(match) -> set[tuple[str, str]]:
+    """(module file, innermost enclosing function, or "<module>") of each
+    node of the package that ``match`` accepts; a string that ``match``
+    returns names the site in place of the function."""
     package = os.path.dirname(os.path.abspath(nestnash.__file__))
     out = set()
 
     def walk(node: ast.AST, file: str, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ImportFrom):
-                if any(alias.name == name for alias in child.names):
-                    out.add((file, "<import>"))
-            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                if child.id == name:
-                    out.add((file, where))
-            elif isinstance(child, ast.Attribute) and child.attr == name:
-                out.add((file, where))
+            hit = match(child)
+            if hit:
+                out.add((file, hit if isinstance(hit, str) else where))
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = child.name
@@ -142,6 +137,44 @@ def readers(name: str) -> set[tuple[str, str]]:
             with open(os.path.join(package, file), encoding="utf-8") as handle:
                 walk(ast.parse(handle.read()), file, "<module>")
     return out
+
+
+def readers(name: str) -> set[tuple[str, str]]:
+    """Where the package reads ``name``, and (module file, "<import>")
+    for each import of it."""
+
+    def match(node: ast.AST):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name == name for alias in node.names) and "<import>"
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return node.id == name
+        return isinstance(node, ast.Attribute) and node.attr == name
+
+    return sites(match)
+
+
+def powers() -> set[tuple[str, str]]:
+    """Where the package raises a value to a power that is not a literal,
+    by ``**``, ``**=``, ``pow`` or ``numpy.power``."""
+
+    def literal(node: ast.AST) -> bool:
+        kinds = (ast.Constant, ast.UnaryOp, ast.unaryop)
+        return all(isinstance(n, kinds) for n in ast.walk(node))
+
+    def match(node: ast.AST) -> bool:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return not literal(node.right)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+            return not literal(node.value)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                return func.id == "pow"
+            if isinstance(func, ast.Attribute):
+                return func.attr in ("pow", "power", "float_power")
+        return False
+
+    return sites(match)
 
 
 def test_mass_tolerance_is_read_by_the_mass_rule_and_the_box_allowance():
@@ -168,6 +201,21 @@ def test_the_box_certificate_runs_the_one_probe_audit():
     assert readers("probe_harsanyi_regret") == {
         ("__init__.py", "<import>"),
         ("discretize.py", "certify_box"),
+    }
+
+
+def test_one_evaluator_raises_grid_values_to_powers():
+    # ``poly_eval`` is the plain oracle; ``_grid_sum`` evaluates every
+    # polynomial on a grid (the payoff table, the box certificate's
+    # own-action values and the opponents' moments) from its power tables.
+    assert powers() == {
+        ("discretize.py", "poly_eval"),
+        ("discretize.py", "_grid_sum"),
+    }
+    assert readers("_grid_sum") == {
+        ("discretize.py", "_net_values"),
+        ("discretize.py", "certify_box"),
+        ("discretize.py", "moment"),
     }
 
 

@@ -40,7 +40,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable
 
@@ -391,17 +391,6 @@ class Support:
     sizes: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
-
-
-def refines(fine: InformationPartition, coarse: InformationPartition) -> bool:
-    """True when every atom of ``fine`` lies inside a single atom of ``coarse``.
-
-    Both partitions must cover the same state set; a mismatch is a usage
-    error, not a refinement failure.
-    """
-    if set(fine.atom_of) != set(coarse.atom_of):
-        raise GameFormatError("refines: partitions cover different state sets")
-    return _refinement_witness(fine, coarse) is None
 
 
 def _refinement_witness(
@@ -818,22 +807,23 @@ def _support(space: StateSpace, player: int, part: InformationPartition) -> Supp
 
 def coarsen(game: NestedGame, partitions: Sequence[InformationPartition]) -> NestedGame:
     """``game`` with each player's information replaced by their partition
-    in ``partitions``.  It shares the game's space and tensor, so it is
-    handed the game's ``payoff_array`` and ``classes``; a player whose new
-    partition labels every state as their own does, so that only the atom
-    ids differ, gets the game's ``Support`` with its ``ids`` renamed."""
-    space, partitions = game.space, tuple(partitions)
-    supports = []
-    for i, (support, part) in enumerate(zip(game.supports, partitions), start=1):
-        if (part.labels(space.states) != support.atom_index).any():
-            support = _support(space, i, part)
-        else:
-            ids = itertools.compress(part.ids, (support.masses > 0.0).tolist())
-            support = replace(support, ids=tuple(ids))
-        supports.append(support)
-    coarse = NestedGame(space=space, partitions=partitions, payoffs=game.payoffs)
+    in ``partitions``: ``game`` itself when every partition is the game's
+    own (the very object).  Otherwise it shares the game's space and
+    tensor, so it is handed the game's ``payoff_array`` and ``classes``,
+    and each player whose partition is their own keeps their ``Support``."""
+    partitions = tuple(partitions)
+    owned = list(map(operator.is_, partitions, game.partitions))
+    if all(owned):
+        return game
+    supports = tuple(
+        support if own else _support(game.space, i, part)
+        for i, (support, part, own) in enumerate(
+            zip(game.supports, partitions, owned), start=1
+        )
+    )
+    coarse = NestedGame(space=game.space, partitions=partitions, payoffs=game.payoffs)
     coarse.__dict__.update(
-        payoff_array=game.payoff_array, classes=game.classes, supports=tuple(supports)
+        payoff_array=game.payoff_array, classes=game.classes, supports=supports
     )
     return coarse
 
@@ -893,7 +883,8 @@ def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:
     Coverage is required for every atom containing a state with positive
     mass under any player's prior; distributions must be probability
     vectors (``_mass_fault``) over the owning player's actions; every
-    player named must be one of the game's.
+    player named must be one of the game's, an integer 1..n
+    (``_check_player``'s rule), so ``1.0`` and ``True`` name no player.
     """
     problems: list[str] = []
     priors = [game.prior_for(i) for i in range(1, game.n + 1)]
@@ -927,8 +918,8 @@ def validate_profile(game: NestedGame, profile: StrategyProfile) -> list[str]:
             if fault is not None:
                 problems.append(f"{where} distribution {fault}")
     for player in profile.strategies:
-        if player not in range(1, game.n + 1):
-            problems.append(f"strategies given for unknown player {player}")
+        if not (_is_integer(player) and 1 <= player <= game.n):
+            problems.append(f"strategies given for unknown player {player!r}")
     return problems
 
 

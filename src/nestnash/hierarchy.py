@@ -18,10 +18,11 @@ is level i's with the state's level-i belief index inserted before the
 payoff class, combined as one integer and renumbered densely by first
 appearance, so ids stay below S^2.  The coarse partitions are built the
 other way, from level n down: player i's key is the level-i belief
-index followed by player i + 1's key.  Beliefs come from one stable
-sort of the weighed states by (atom, signal), each bucket summed with
-``math.fsum`` as a plain loop would; each distinct belief is matched to
-a centre once.  Each level keeps its labels as they are computed, the
+index followed by player i + 1's key, and a player whose key merges
+none of their atoms keeps their own partition.  Beliefs come from one
+stable sort of the weighed states by (atom, signal), each bucket summed
+with ``math.fsum`` as a plain loop would; each distinct belief is
+matched to a centre once.  Each level keeps its labels as they are computed, the
 arrays ``signals`` and ``beliefs``, and the audit (``check_properties``,
 read once per hierarchy as ``Hierarchy.audit``) compares label arrays
 (``InformationPartition.labels``).
@@ -149,8 +150,11 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
 
     Level i conditions on player i's information using player i's own
     prior and clusters each atom's exact conditional into the first
-    centre within L1 distance delta, in partition order.  Signals and
-    coarse atoms are numbered by first appearance in state order.  Atoms
+    centre within L1 distance delta, in partition order.  Signals are
+    numbered by first appearance in state order.  A player whose coarse
+    partition merges none of their atoms keeps their own partition (the
+    very object, ``game.partitions[i - 1]``); any other player's coarse
+    atoms are numbered by first appearance in state order.  Atoms
     with zero mass under the level player's prior take a point mass on
     the first support element; they carry no mass, so any fixed
     convention works, and a fixed one keeps construction deterministic.
@@ -235,15 +239,21 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
 
     # Coarse partition for player i: level sets of the belief tuple i..n,
     # built from level n down.  States with identical tuples collapse into
-    # one atom even when their original atoms differ.
+    # one atom even when their original atoms differ.  Player i's own
+    # information refines it (b_i is constant on their atoms, and b_j for
+    # j > i on player j's, which are unions of theirs), so as many coarse
+    # atoms as own atoms means the partition is their own, and it is kept.
     coarse_parts: list[InformationPartition] = []
     key, count = np.zeros(len(states), np.intp), 1
-    for level in reversed(levels):
+    for level, own in zip(reversed(levels), reversed(game.partitions)):
         key, first = _group((level.beliefs * count + key).tolist())
         count = len(first)
-        coarse_parts.append(
-            InformationPartition.from_labels(level.player, states, key, first)
-        )
+        if count == len(own.ids):
+            coarse_parts.append(own)
+        else:
+            coarse_parts.append(
+                InformationPartition.from_labels(level.player, states, key, first)
+            )
 
     return Hierarchy(
         game=game,

@@ -21,36 +21,23 @@ conditional action value, and so rho, unchanged in exact arithmetic.
 The final certificate is computed on the original game, so the lifted
 profile's guarantee never rests on the quotient.
 
-When the hierarchy merges nothing, the coarse game is the original game
-with its atoms renamed, and the solver has already certified the coarse
-profile on it.  That is the case when the quotient merged no states (the
-coarse game shares the game's state space and payoff array) and every
-player's coarse partition has as many atoms as their own; their own
-refines the coarse one (the audit checked it), so each coarse atom then
-holds exactly the states of one original atom.  The final certificate
-is then the coarse one with each atom renamed to the original atom with
-the same members, listed in the original game's atom order, and its
-witness and verdict taken again against ``epsilon`` (``regret_report``).
-This is the certificate ``certify`` gives on the original game, bit for
-bit: the two games share the state space, the priors, the payoff array
-and the payoff classes; each atom has the same members, and the lift
-copies its coarse atom's distribution.  So every kernel row and every
-fold sums the same multiset of terms, and ``math.fsum`` is correctly
-rounded, so the order of the members does not matter.  In every other
-case the lifted profile is certified on the original game anew.
+When the hierarchy merges nothing, every player keeps their own
+partition and the quotient keeps every state, so the coarse game is the
+original game itself (``build_auxiliary_game`` returns it).  The lift
+then copies each atom's distribution onto the same atom, and the
+solver's certificate, taken again against ``epsilon``
+(``regret_report``), is the final one.  In every other case the lifted
+profile is certified on the original game anew.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .game import GameFormatError, NestedGame, StrategyProfile, payoff_bound
 from .hierarchy import Hierarchy, build_hierarchy
-from .regret import PlayerRegret, RegretReport, certify, regret_report
+from .regret import RegretReport, certify, regret_report
 from .solver import (
     SolveResult,
     build_auxiliary_game,
@@ -68,9 +55,9 @@ class Solution:
     ``report`` its exact certificate against ``epsilon``;
     ``result.profile`` is the coarse profile the solver returned and
     ``result.report`` its certificate on the coarse game.  When the
-    hierarchy merges nothing, ``report`` is ``result.report`` with its
-    atoms renamed and its verdict taken against ``epsilon``, which is
-    exactly the original game's certificate (see the module docstring).
+    hierarchy merges nothing, the coarse game is the game itself, and
+    ``report`` is ``result.report`` with its verdict taken against
+    ``epsilon`` (see the module docstring).
     The belief accuracy ``delta`` and the structural audit are read off
     the hierarchy (``hierarchy.delta``, ``hierarchy.audit``), and the
     solver's regret target off its certificate (``result.report.epsilon``).
@@ -126,12 +113,8 @@ def solve(
     coarse_game = build_auxiliary_game(hierarchy)
     result = solve_nash(to_agent_form(coarse_game), target, seed)
     lifted = lift_strategy(result.profile, hierarchy)
-    renames = coarse_game.space is game.space and all(
-        len(coarse.ids) == len(part.ids)
-        for coarse, part in zip(hierarchy.coarse, game.partitions)
-    )
-    if renames:
-        report = _renamed(result.report, hierarchy, epsilon)
+    if coarse_game is game:
+        report = regret_report(result.report.players, epsilon)
     else:
         report = certify(game, lifted, epsilon)
     return Solution(
@@ -142,29 +125,3 @@ def solve(
         transfer_bound=delta * bound * profiles + result.certified_regret,
     )
 
-
-def _renamed(
-    report: RegretReport, hierarchy: Hierarchy, epsilon: float
-) -> RegretReport:
-    """The coarse game's certificate ``report`` on the hierarchy's game, when
-    each coarse atom holds exactly the states of one original atom: each
-    atom renamed to the original one, in the original game's atom order,
-    against ``epsilon``.
-
-    The coarse certificate lists a player's positive-mass atoms in the
-    order of their coarse labels, so an original atom's record sits at
-    the rank of its coarse atom's label among them."""
-    states, supports = hierarchy.game.space.states, hierarchy.game.supports
-    table = {}
-    for i, (support, coarse) in enumerate(zip(supports, hierarchy.coarse), 1):
-        to_coarse = np.empty(len(support.masses), np.intp)
-        to_coarse[support.atom_index] = coarse.labels(states)
-        index = np.argsort(np.argsort(to_coarse[support.masses > 0.0])).tolist()
-        record = report.players[i]
-        columns = {
-            f.name: tuple(map(getattr(record, f.name).__getitem__, index))
-            for f in dataclasses.fields(record)
-        }
-        columns["atoms"] = support.ids
-        table[i] = PlayerRegret(**columns)
-    return regret_report(table, epsilon)

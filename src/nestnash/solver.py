@@ -49,7 +49,6 @@ from .game import (
     _fsums,
     _group,
     _is_integer,
-    _refinement_witness,
     coarsen,
 )
 from .hierarchy import Hierarchy
@@ -69,7 +68,7 @@ class SolveResult:
     ``certified_regret`` is the report's worst per-atom regret and
     ``converged`` whether it meets the target.  The pipeline reuses the
     report as the lifted profile's certificate when the coarse game is
-    the original game with its atoms renamed (see ``pipeline``).
+    the original game itself (see ``pipeline``).
     """
 
     profile: StrategyProfile
@@ -112,18 +111,26 @@ def build_auxiliary_game(hierarchy: Hierarchy) -> NestedGame:
     round once more, so values may move by a few ulps; the lifted
     profile's certificate is computed on the original game, so soundness
     never rests on the quotient.  When no two states merge, the coarse
-    game shares the game's state space and payoff array.  The game is
+    game shares the game's state space and payoff array, and when
+    moreover every player keeps their own partition (see
+    ``build_hierarchy``), it is the game itself.  The game is
     the one the hierarchy was built from (``hierarchy.game``), and a
     hierarchy whose structural audit (``Hierarchy.audit``) fails is
     refused.
     """
-    bad = [c for c in hierarchy.audit.checks if not c.ok]
-    if bad:
-        raise GameFormatError(
-            f"hierarchy failed its structural audit: {bad[0].name} for player "
-            f"{bad[0].player}"
-        )
+    _require_audit(hierarchy)
     return _quotient(hierarchy)
+
+
+def _require_audit(hierarchy: Hierarchy) -> None:
+    """GameFormatError naming the first failed check of the hierarchy's
+    structural audit (``Hierarchy.audit``), if any."""
+    bad = next((c for c in hierarchy.audit.checks if not c.ok), None)
+    if bad is not None:
+        raise GameFormatError(
+            f"hierarchy failed its structural audit: {bad.name} for player "
+            f"{bad.player}"
+        )
 
 
 def _quotient(hierarchy: Hierarchy) -> NestedGame:
@@ -439,22 +446,21 @@ def lift_strategy(
 ) -> StrategyProfile:
     """Pull a coarse-measurable profile back to its game's information.
 
-    Each original atom sits inside exactly one coarse atom, so the lift
-    just copies that atom's distribution.  The result is measurable for
-    the original partitions by construction and preserves all payoffs.
+    Each original atom sits inside exactly one coarse atom (the audit's
+    ``information-refines-coarse``), so the lift just copies that atom's
+    distribution.  The result is measurable for the original partitions
+    by construction and preserves all payoffs.  A hierarchy whose
+    structural audit (``Hierarchy.audit``) fails is refused, as
+    ``build_auxiliary_game`` refuses it.
     """
     if aux_profile.field_level != "coarse":
         raise GameFormatError("lift expects a coarse-level profile")
+    _require_audit(hierarchy)
     game = hierarchy.game
     states = game.space.states
     strategies: dict[int, dict[Atom, dict[Action, float]]] = {}
     for i in range(1, game.n + 1):
         part, coarse = game.partition_for(i), hierarchy.coarse_partition(i)
-        straddles = _refinement_witness(part, coarse, by_atom=True)
-        if straddles is not None:
-            raise GameFormatError(
-                f"player {i} atom {part.atom_of[straddles[0]]!r} straddles coarse atoms"
-            )
         parent = np.empty(len(part.ids), np.intp)
         parent[part.labels(states)] = coarse.labels(states)
         strategies[i] = {

@@ -332,14 +332,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("doc", [ANCHOR_GAME, CONTINUOUS_GAME])
     def test_validates_and_audits_once(self, doc, tmp_path, monkeypatch):
-        # Each game is validated once: the loaded (or grid) game, the
-        # solver's coarse game, which ``certify`` validates, and for a
-        # continuous game the probe's true-value game.
+        # Each game is validated once: the loaded (or grid) game, and for
+        # a continuous game the probe's true-value game.  The hierarchy
+        # merges nothing, so the solver's coarse game is the game itself.
         path = write_json(tmp_path / "game.json", doc)
         validations = count_calls(monkeypatch, nestnash.game, "validate_game")
         audits = count_calls(monkeypatch, nestnash.hierarchy, "check_properties")
         assert main(["solve", "--game", path, "--epsilon", "0.25"]) == 0
-        games = 3 if doc["mode"] == "continuous" else 2
+        games = 2 if doc["mode"] == "continuous" else 1
         assert len(validations) == games
         assert len({id(args[0]) for args in validations}) == games
         assert len(audits) == 1

@@ -15,13 +15,13 @@ from nestnash.game import (
     PayoffTensor,
     StateSpace,
     StrategyProfile,
+    _refinement_witness,
     coarsen,
     conditional_payoff,
     expected_payoff,
     from_type_space,
     payoff_bound,
     payoff_classes,
-    refines,
     validate_game,
     validate_profile,
 )
@@ -311,14 +311,8 @@ class TestRefinement:
         coarse = InformationPartition(
             player=2, atom_of={"w1": "u", "w2": "u", "w3": "u"}
         )
-        assert refines(fine, coarse)
-        assert not refines(coarse, fine)
-
-    def test_refines_requires_same_states(self):
-        a = InformationPartition(player=1, atom_of={"w1": "x"})
-        b = InformationPartition(player=2, atom_of={"w2": "y"})
-        with pytest.raises(GameFormatError):
-            refines(a, b)
+        assert _refinement_witness(fine, coarse) is None
+        assert _refinement_witness(coarse, fine) == ("w1", "w2")
 
 
 class TestPayoffs:
@@ -492,6 +486,20 @@ class TestProfiles:
         problems = validate_profile(two_state_game(), bad)
         assert problems == ["strategies given for unknown player 7"]
 
+    @pytest.mark.parametrize("key", [1.0, True])
+    def test_validate_profile_refuses_a_player_key_that_is_not_an_integer(self, key):
+        # ``1.0`` and ``True`` hash as 1, so the profile still reads as
+        # covering player 1, but neither names a player.
+        strategies = mixed_profile().strategies
+        bad = StrategyProfile(strategies={key: strategies[1], 2: strategies[2]})
+        problems = validate_profile(two_state_game(), bad)
+        assert problems == [f"strategies given for unknown player {key!r}"]
+
+    def test_validate_profile_accepts_a_numpy_integer_player_key(self):
+        strategies = mixed_profile().strategies
+        good = StrategyProfile({np.int64(1): strategies[1], 2: strategies[2]})
+        assert validate_profile(two_state_game(), good) == []
+
 
 class TestTypeSpace:
     def test_states_are_positive_mass_profiles_in_product_order(
@@ -633,24 +641,30 @@ class TestSpaces:
 
 
 class TestCoarsen:
-    def test_hands_over_the_array_the_classes_and_renamed_supports(self):
+    def test_own_partitions_give_the_game_itself(self):
+        game = two_state_game()
+        assert coarsen(game, game.partitions) is game
+        assert coarsen(game, list(game.partitions)) is game
+
+    def test_hands_over_the_array_the_classes_and_own_supports(self):
         # Player 1's atoms merge, so their support is built anew; player
-        # 2's atom is only renamed, so theirs is the game's with new ids.
+        # 2 keeps their own partition, and with it the game's support.  A
+        # renamed copy of a partition is not the player's own, so its
+        # support is built anew too.
         game = two_state_game()
         merged = InformationPartition(1, {"w1": "m", "w2": "m"})
         renamed = InformationPartition(2, {"w1": "h", "w2": "h"})
-        coarse = coarsen(game, (merged, renamed))
-        assert coarse.payoff_array is game.payoff_array
-        assert coarse.classes is game.classes
-        own, kept = game.supports[1], coarse.supports[1]
-        assert (own.ids, kept.ids) == (("g",), ("h",))
-        for name in ("atom_index", "masses", "sizes", "positions", "weights"):
-            assert getattr(kept, name) is getattr(own, name)
-        fresh = NestedGame(game.space, (merged, renamed), game.payoffs).supports
-        for got, want in zip(coarse.supports, fresh):
-            assert got.ids == want.ids
-            for name in ("atom_index", "masses", "sizes", "positions", "weights"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+        own = game.partitions[1]
+        for second in (own, renamed):
+            coarse = coarsen(game, (merged, second))
+            assert coarse.payoff_array is game.payoff_array
+            assert coarse.classes is game.classes
+            assert (coarse.supports[1] is game.supports[1]) == (second is own)
+            fresh = NestedGame(game.space, (merged, second), game.payoffs).supports
+            for got, want in zip(coarse.supports, fresh):
+                assert got.ids == want.ids
+                for name in ("atom_index", "masses", "sizes", "positions", "weights"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def classes_oracle(game: NestedGame) -> PayoffClasses:

@@ -369,33 +369,33 @@ PIN_DELTAS = (1e-9, 0.15, 2.5)
 # rewrite of ``build_hierarchy`` must reproduce them exactly.
 HIERARCHY_PINS = {
     'noisy': (
-        '10c113c047dd428349fcc7bb71cd8ba389a8c7225a07e52311b133483ef9bca7',
-        '123dab63e2efc0f9b001f72d76ba2c697d45b2b2606013e1709ee11f773f1f40',
+        '1344f34bee0925dbac800a0b3309ad62a257696ad46414d64e6132e7d31b4cdf',
+        'd6955fc748a14644e366dcaa9e35225d237d2694c01d660442209043486354ca',
         '40fc51c47257675f3f9c1ecbba4480ac2273168669bcecf6e026ad8b109efb9f',
     ),
     'random-2': (
-        'edacd57ee2ff2e5a89a35fab21f59b5f295d5e54f9f0a245e5febb23c2210464',
-        '7cd3653c5a5a4313fda10ba9d2b9c2420cdfc4492fce45c46363006382103882',
+        'ee0e03edc1c6d30c0cdb73100f85f7058a18af2e7340e17fee8a98edb25f96b9',
+        'e4f9d780ec659029aaf138328842d19006fdaf41313eaf8ddb0ba749598f35e4',
         '74e50539326a589b9f2c229b81431a1675197dabea9dbe00ebb09db9bfeb36b9',
     ),
     'random-3': (
-        '4ed7a9fe807404ac65c1d908959019da55ed43f6dc3abe1c7f45ec1644c08ad3',
-        'cdd6c7757910ff7c137318efe61108453bba04a56ba5683ade7afed93dacaeaf',
+        'a9b1962485da6f2d9e54c88f2cebef186762dbae547fbd8a17ec07b2b497eb14',
+        '0bae03976edb661e75960aa1b7792c209fe5aebc4ec66ce342cd02328a09e7d5',
         '4434bf8d186190bebca64669a6c9ccbfca5b6c3e06347bf661c857dd0b008ed6',
     ),
     'random-4': (
-        '31d8d2ac057cfce4df75f28f4e00db340d069fc5ecc5e0e1eb66752d375de2a5',
-        '2eaacfeeec68c1e95157138f490e6002968d6f2c52010fdb0f55e658ff02f737',
+        '9cea990c7d01faf91a40103306acfff4404ba7ee31a97155e713fea6667f996a',
+        'f551336ba059804274f72f30713e65cc4736a9774a88f7bd16eeaa0badf3a617',
         '3086898e090c0ec6da47c38d81ef6dac727584aac9a106621a2600f469154580',
     ),
     'redundant': (
-        'bc2ecb8dd32aa911f613a1f7e8b9bcf9a5be8b957cd66faad67873dca97f0ea6',
-        'eeb31d9d152cf46cf46b2667e559ffc109bdc78956218f7c89e8003082ad8806',
+        '932169bc6437a5cce9664b7907006baabdf1697c9fa6cac384c2b28ffe98fcc4',
+        'd94b545776eae9ef141ff70477be443f2614b00f6b2c2684f6a404a127c8af05',
         '711d7c2f7e4edca81a6874ca21a6dc0833c2a1b9e82b33b6744f5fe7875a5c4c',
     ),
     'unrealized': (
-        '3d20d55d65ea88735ad29a6b16c1ade33f0ed653bbb33979af8c5667bbde5a64',
-        'e1e5ea791142b67fc53cb03bdfa8a22597a5849ac75c68862f5796b255fa29b9',
+        'be0bd9210d5dd1e57ab99459f2485a326e3d995dc103c4768960d29f53ee82a7',
+        '56dda17cfd24fada6ca7c81bc3dbd7b444e14e6e99e50e11cee5aa1fd75bf24b',
         '954a4986544dbbca76391ee5add127ec95d8e5c734f4a16b15edf27baa964b9d',
     ),
 }

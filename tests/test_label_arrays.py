@@ -12,7 +12,7 @@ The readers of the hierarchy's label arrays (``expectation_gap`` and
 loops over ``ref_hierarchy``'s dicts, and each player's support columns
 and their per-atom fold with a walk over the atoms.
 Hierarchies are also tampered with, so that the audit's witnesses and
-the lift's error are exercised.
+the lift's refusal are exercised.
 """
 
 import dataclasses
@@ -38,7 +38,7 @@ from nestnash.game import (
 )
 from nestnash.hierarchy import build_hierarchy, check_properties, expectation_gap
 from nestnash.regret import coarse_best_response_gap
-from nestnash.solver import _quotient, lift_strategy
+from nestnash.solver import _quotient, build_auxiliary_game, lift_strategy
 from test_hierarchy import coarse_keys
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -117,8 +117,14 @@ def ref_hierarchy(game, delta):
     for i in range(1, game.n + 1):
         tuples = {s: tuple(b[s] for b in beliefs[i - 1 :]) for s in states}
         ids = {key: k for k, key in enumerate(dict.fromkeys(tuples.values()))}
-        coarse.append({s: ids[tuples[s]] for s in states})
-        keys.append(ids)
+        own = game.partition_for(i).atom_of
+        if len(ids) == len(set(own.values())):
+            # Nothing merges: the player keeps their own partition.
+            coarse.append(dict(own))
+            keys.append({tuples[s]: own[s] for s in states})
+        else:
+            coarse.append({s: ids[tuples[s]] for s in states})
+            keys.append(ids)
     return levels, coarse, keys
 
 
@@ -191,17 +197,19 @@ def ref_quotient(game, h):
 
 
 def ref_lift(profile, game, h):
+    failed = [check for check in ref_checks(game, h) if not check[2]]
+    if failed:
+        name, player = failed[0][:2]
+        raise GameFormatError(
+            f"hierarchy failed its structural audit: {name} for player {player}"
+        )
     strategies = {}
     for i in range(1, game.n + 1):
         coarse = h.coarse_partition(i)
         table = {}
         for atom, members in game.partition_for(i).atoms.items():
-            parents = {coarse.atom_of[s] for s in members}
-            if len(parents) != 1:
-                raise GameFormatError(
-                    f"player {i} atom {atom!r} straddles coarse atoms"
-                )
-            table[atom] = dict(profile.distribution(i, parents.pop()))
+            (parent,) = {coarse.atom_of[s] for s in members}
+            table[atom] = dict(profile.distribution(i, parent))
         strategies[i] = table
     return strategies
 
@@ -477,6 +485,31 @@ def test_hierarchy_matches_the_dict_walk(seed, delta):
 
 
 @settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, delta=DELTAS, in_order=st.booleans())
+def test_a_player_whose_beliefs_merge_nothing_keeps_their_own_partition(
+    seed, delta, in_order
+):
+    game = variant(seed)
+    states = game.space.states
+    if in_order:
+        game = dataclasses.replace(
+            game,
+            partitions=tuple(
+                InformationPartition(part.player, {s: part.atom_of[s] for s in states})
+                for part in game.partitions
+            ),
+        )
+    h = build_hierarchy(game, delta)
+    kept = []
+    for i, (coarse, own) in enumerate(zip(h.coarse, game.partitions), start=1):
+        tails = set(zip(*(level.beliefs.tolist() for level in h.levels[i - 1 :])))
+        kept.append(len(tails) == len(set(own.atom_of.values())))
+        assert (coarse is own) == kept[-1], i
+    merges_no_state = ref_quotient(game, h)[0] == states
+    assert (build_auxiliary_game(h) is game) == (all(kept) and merges_no_state)
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=SEEDS)
 def test_refinement_witness_matches_the_dict_walk(seed):
     rng = np.random.default_rng(seed)
@@ -628,10 +661,10 @@ def test_support_columns_match_the_atom_walk(seed):
         ]
 
 
-def test_lift_names_the_first_straddling_atom():
+def test_lift_refuses_a_hierarchy_failing_its_audit():
     # Player 1's atoms are x = {a, d} and y = {b, c}.  The coarse
-    # partition splits both; y's split shows first in state order, but x
-    # comes first in partition order, and the error names it.
+    # partition {a, b}, {c, d} is finite, but both atoms straddle it, and
+    # the lift names the audit's first failed check.
     states = ("a", "b", "c", "d")
     game = NestedGame(
         space=StateSpace(states=states, prior=dict.fromkeys(states, 0.25)),
@@ -643,14 +676,15 @@ def test_lift_names_the_first_straddling_atom():
             (("L", "R"), ("U", "D")), states, np.arange(32.0).reshape(2, 4, 2, 2)
         ),
     )
-    split = InformationPartition(1, {s: k for k, s in enumerate(states)})
+    split = InformationPartition(1, {"a": 0, "b": 0, "c": 1, "d": 1})
     whole = InformationPartition(2, dict.fromkeys(states, 0))
     h = dataclasses.replace(build_hierarchy(game, 0.1), coarse=(split, whole))
     profile = StrategyProfile(
-        {1: {k: {"L": 1.0} for k in range(4)}, 2: {0: {"U": 1.0}}},
+        {1: {k: {"L": 1.0} for k in range(2)}, 2: {0: {"U": 1.0}}},
         field_level="coarse",
     )
-    with pytest.raises(GameFormatError, match="^player 1 atom 'x' straddles"):
+    message = "^hierarchy failed its structural audit: information-refines-coarse "
+    with pytest.raises(GameFormatError, match=message + "for player 1$"):
         lift_strategy(profile, h)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import operator
 import weakref
 
 import numpy as np
@@ -82,44 +83,48 @@ def test_one_solve_computes_the_payoff_classes_once_per_game(monkeypatch):
 
 
 @pytest.mark.parametrize("shuffle", [False, True])
-def test_a_solve_that_merges_nothing_builds_each_support_once(shuffle, monkeypatch):
-    # No corpus game merges anything.  Each coarse partition then labels
-    # the states as the game's own does, up to the atom ids, so the coarse
-    # game's supports are the game's renamed; with shuffled partitions the
-    # atoms come in another order, and the coarse supports are built anew.
-    calls = []
-    original = game_module._support
+def test_a_solve_that_merges_nothing_builds_each_support_once(
+    shuffle, monkeypatch, regret_calls
+):
+    # No corpus game merges anything, in any atom order: every player keeps
+    # their own partition and the coarse game is the game itself, so each
+    # player's support is built once, the game is validated once and the
+    # solver's certificate is the final one.
+    supports, validations = [], []
+    support, validate_game = game_module._support, game_module.validate_game
 
-    def counted(space, player, part):
-        calls.append(player)
-        return original(space, player, part)
+    def counted_support(space, player, part):
+        supports.append(player)
+        return support(space, player, part)
 
-    monkeypatch.setattr(game_module, "_support", counted)
+    def counted_validation(game):
+        validations.append(game)
+        return validate_game(game)
+
+    monkeypatch.setattr(game_module, "_support", counted_support)
+    monkeypatch.setattr(game_module, "validate_game", counted_validation)
     rng, order = np.random.default_rng(CORPUS_SEED), np.random.default_rng(7)
     for idx in range(30):
         game = random_nested_game(rng)
         if shuffle:
             game = shuffled_atoms(order, game)
-        calls.clear()
-        solution = solve(game, 0.05, seed=idx)
-        players = list(range(1, game.n + 1))
-        assert calls[: game.n] == players, idx
-        if shuffle:
-            continue
-        assert calls == players, idx
-        coarse = build_auxiliary_game(solution.hierarchy)
-        for i, support in enumerate(coarse.supports, start=1):
-            fresh = original(coarse.space, i, coarse.partition_for(i))
-            assert support.ids == fresh.ids
-            for name in ("atom_index", "masses", "sizes", "positions", "weights"):
-                assert np.array_equal(getattr(support, name), getattr(fresh, name))
+        supports.clear()
+        validations.clear()
+        regret_calls.clear()
+        h = solve(game, 0.05, seed=idx).hierarchy
+        assert all(map(operator.is_, h.coarse, game.partitions)), idx
+        assert build_auxiliary_game(h) is game, idx
+        assert supports == list(range(1, game.n + 1)), idx
+        assert validations == [game], idx
+        assert regret_calls == [game], idx
 
 
 def test_a_solve_leaves_nothing_behind_on_its_game():
-    # Each game keeps what it derives, so the coarse partitions die with
-    # the solution that holds them.
-    game = random_nested_game(np.random.default_rng(CORPUS_SEED))
+    # Each game keeps what it derives, so a merged player's coarse
+    # partition dies with the solution that holds it.
+    game = redundant_game(np.random.default_rng(1), 120)
     solution = solve(game, 0.05, seed=0)
+    assert len(solution.hierarchy.coarse[0].ids) < len(game.partitions[0].ids)
     coarse = weakref.ref(solution.hierarchy.coarse[0])
     del solution
     gc.collect()
@@ -168,15 +173,15 @@ def test_renamed_coarse_certificate_is_the_fresh_one(shuffle, priors, regret_cal
         if shuffle:
             game = shuffled_atoms(order, game)
         if priors:
-            # Zero-mass atoms have no record, so the renaming must skip them.
+            # Zero-mass atoms have no record in either certificate.
             game = _with_player_priors(prior_rng, game)
         regret_calls.clear()
         solution = solve(game, epsilon, seed=idx)
         # No corpus game merges anything, so the solver's certificate is
         # the only one computed; with sparse priors a few games merge.
-        renamed = len(regret_calls) == 1
-        assert renamed or priors, idx
-        skipping += renamed and any(
+        reused = len(regret_calls) == 1
+        assert reused or priors, idx
+        skipping += reused and any(
             len(support.ids) < len(part.ids)
             for support, part in zip(game.supports, game.partitions)
         )

@@ -555,9 +555,9 @@ class TestSweepReuse:
     @pytest.mark.parametrize(
         "players, seed, target, pinned",
         [
-            (2, 63, 1e-6, (244, 1, "84b911f6d6b668d1")),
-            (3, 41, 1e-4, (109, 1, "65200d9ae131e454")),
-            (4, 42, 1e-4, (145, 1, "73d68ca20505f5d8")),
+            (2, 63, 1e-6, (244, 1, "e2fe81be2730b39a")),
+            (3, 41, 1e-4, (109, 1, "7bdb5f3ded894d98")),
+            (4, 42, 1e-4, (145, 1, "b2586fa3d69aecb1")),
         ],
     )
     def test_solver_output_is_pinned(self, players, seed, target, pinned):

@@ -219,6 +219,25 @@ def test_one_evaluator_raises_grid_values_to_powers():
     }
 
 
+def test_certificate_records_come_from_the_certifier_alone():
+    # Every ``PlayerRegret`` and ``RegretReport`` is built in ``regret``,
+    # from a game and a profile, so no other stage can hand a certificate
+    # on under another game's name.
+    records = ("PlayerRegret", "RegretReport")
+
+    def match(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in records
+
+    assert sites(match) == {
+        ("regret.py", "bayesian_regret"),
+        ("regret.py", "regret_report"),
+    }
+
+
 def test_no_function_takes_both_a_game_and_a_hierarchy():
     # A hierarchy carries the game it was built from (``Hierarchy.game``),
     # so a function that also took a game could be handed another one.

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable
@@ -54,6 +54,12 @@ Action = Hashable
 MASS_TOL = 1e-12
 # Slack for float quantities derived from valid inputs (expectations, regrets).
 DERIVED_TOL = 1e-9
+# Largest payoff magnitude a valid game may hold.  With every |u| <= M, a
+# regret is at most 2M and the solver's cumulative regret on an action at
+# most about (2 * solver.MAX_ITERATIONS + 2) * M, under 2**913 for M at
+# the cap: neither overflows to inf (whose differences are NaN), and nor
+# does the transfer bound delta * M * A + rho at the default delta.
+PAYOFF_CAP = 2.0**900
 
 
 class GameFormatError(ValueError):
@@ -170,9 +176,10 @@ class PayoffTensor:
     A tensor keeps its actions and what it was built from: a dict of
     entries keyed by ``(state, profile)``, or an array and the state
     order it follows (``from_array``: the game file loader,
-    ``from_type_space`` and the grid game).  For an array-backed tensor
-    the dict ``values`` is built on first use, in array order; only the
-    plain oracles and callers outside the solve read it.
+    ``from_type_space``, the grid game and the quotient game).  For an
+    array-backed tensor the dict ``values`` is built on first use, in
+    array order; only the plain oracles and callers outside the solve
+    read it.
     """
 
     def __init__(
@@ -243,45 +250,50 @@ class PayoffTensor:
         Shape ``(n, len(states), |A_1|, ..., |A_n|)``: axis 0 is the
         player, axis 1 follows ``states`` and axis 1 + j follows player
         j's actions.  An array-backed tensor returns its own array for
-        that array's state order; any other call stacks ``values`` anew.
-        Raises GameFormatError when an entry is missing or holds a number
+        that array's state order; any other call stacks ``values`` anew
+        with ``_stack``, the one way from a keyed table to an array, which
+        raises GameFormatError when an entry is missing or holds a number
         of values other than n.
         """
         if states == self._states:
             return self._table
-        return _dense_payoffs(self, states)
+        return _stack(self.values, states, self.actions)
 
 
-def _dense_payoffs(payoffs: PayoffTensor, states: tuple[State, ...]) -> np.ndarray:
-    """Look up every expected (state, profile) entry, in array order, and
-    stack their values."""
-    n = len(payoffs.actions)
-    values = payoffs.values
+def _stack(
+    values: Mapping[tuple[State, tuple[Action, ...]], Sequence[float]],
+    states: tuple[State, ...],
+    actions: tuple[tuple[Action, ...], ...],
+) -> np.ndarray:
+    """The payoff array of a table keyed by ``(state, profile)``.
 
-    def expected():
-        # Every (state, profile) key in array order, made one at a time.
-        return itertools.chain.from_iterable(
-            zip(itertools.repeat(s), payoffs.profiles()) for s in states
-        )
-
+    Looks up every expected key in array order (``states``, each with its
+    profiles in ``itertools.product`` order) and writes the array
+    ``PayoffTensor.array`` describes, read-only and C-ordered.  Raises
+    GameFormatError naming the first key the table misses, or the first
+    entry holding a number of values other than n.
+    """
+    n = len(actions)
+    profiles = tuple(itertools.product(*actions))
     try:
-        rows = list(map(values.__getitem__, expected()))
+        rows = list(map(values.__getitem__, itertools.product(states, profiles)))
     except KeyError as err:
         s, prof = err.args[0]
         raise GameFormatError(
             f"payoff tensor misses the entry at ({s!r}, {prof!r})"
         ) from None
     if rows and set(map(len, rows)) != {n}:
-        (s, prof), vals = next(
-            (key, vals) for key, vals in zip(expected(), rows) if len(vals) != n
+        (s, prof), row = next(
+            (key, row)
+            for key, row in zip(itertools.product(states, profiles), rows)
+            if len(row) != n
         )
         raise GameFormatError(
-            f"payoff entry at ({s!r}, {prof!r}) has {len(vals)} values"
+            f"payoff entry at ({s!r}, {prof!r}) has {len(row)} values"
         )
-    table = np.empty((n, len(rows)))
-    for i in range(n):
-        table[i] = np.fromiter(map(operator.itemgetter(i), rows), float, len(rows))
-    table = table.reshape((n, len(states)) + tuple(map(len, payoffs.actions)))
+    flat = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * n)
+    table = np.ascontiguousarray(flat.reshape(len(rows), n).T)
+    table = table.reshape((n, len(states)) + tuple(map(len, actions)))
     table.flags.writeable = False
     return table
 
@@ -441,6 +453,18 @@ def _mass_fault(masses: Mapping[Hashable, float], noun: str) -> str | None:
     return None if abs(total - 1.0) <= MASS_TOL else f"sums to {total:.12g}"
 
 
+def _uncovered(
+    keys: KeysView[State], states: tuple[State, ...], known: set[State]
+) -> tuple[list[State], list[State]]:
+    """The first of ``states`` that ``keys`` lacks and the first of ``keys``
+    outside ``known``, the set of ``states``: each a list of at most one."""
+    if keys == known:
+        return [], []
+    missing = itertools.filterfalse(keys.__contains__, states)
+    unknown = itertools.filterfalse(known.__contains__, keys)
+    return list(itertools.islice(missing, 1)), list(itertools.islice(unknown, 1))
+
+
 def _check_prior(
     violations: list[Violation],
     label: str,
@@ -448,15 +472,13 @@ def _check_prior(
     states: tuple[State, ...],
     known: set[State],
 ) -> None:
-    if prior.keys() != known:
-        missing = [s for s in states if s not in prior]
-        extra = [s for s in prior if s not in known]
-        if missing:
-            message = f"{label} missing mass for state {missing[0]!r}"
-            violations.append(Violation("prior", message))
-        if extra:
-            message = f"{label} assigns mass to unknown state {extra[0]!r}"
-            violations.append(Violation("prior", message))
+    missing, unknown = _uncovered(prior.keys(), states, known)
+    for s in missing:
+        violations.append(Violation("prior", f"{label} missing mass for state {s!r}"))
+    for s in unknown:
+        message = f"{label} assigns mass to unknown state {s!r}"
+        violations.append(Violation("prior", message))
+    if missing or unknown:
         return
     fault = _mass_fault({s: prior[s] for s in states}, "state")
     if fault is not None:
@@ -501,26 +523,13 @@ def validate_game(game: NestedGame) -> ValidationReport:
                     f"partition at position {idx} is labeled player {part.player}",
                 )
             )
-        covered = part.atom_of.keys()
-        if covered == state_set:
-            continue
-        for s in states:
-            if s not in covered:
-                v.append(
-                    Violation(
-                        "partition", f"player {idx} partition misses state {s!r}"
-                    )
-                )
-                break
-        for s in covered:
-            if s not in state_set:
-                v.append(
-                    Violation(
-                        "partition",
-                        f"player {idx} partition covers unknown state {s!r}",
-                    )
-                )
-                break
+        missing, unknown = _uncovered(part.atom_of.keys(), states, state_set)
+        for s in missing:
+            message = f"player {idx} partition misses state {s!r}"
+            v.append(Violation("partition", message))
+        for s in unknown:
+            message = f"player {idx} partition covers unknown state {s!r}"
+            v.append(Violation("partition", message))
 
     for i, acts in enumerate(game.payoffs.actions, start=1):
         if len(acts) == 0:
@@ -554,15 +563,16 @@ def validate_game(game: NestedGame) -> ValidationReport:
         if stray is not None:
             v.append(Violation("payoffs", f"payoff entry for unknown state {stray!r}"))
     else:
-        finite = np.isfinite(table).all(axis=0)
-        if not finite.all():
-            si, *cell = np.unravel_index(np.argmin(finite), finite.shape)
+        capped = (np.abs(table) <= PAYOFF_CAP).all(axis=0)
+        if not capped.all():
+            si, *cell = np.unravel_index(np.argmin(capped), capped.shape)
             prof = tuple(acts[a] for acts, a in zip(game.payoffs.actions, cell))
-            v.append(
-                Violation(
-                    "payoffs", f"non-finite payoff at ({states[si]!r}, {prof!r})"
-                )
-            )
+            at = f"at ({states[si]!r}, {prof!r})"
+            if np.isfinite(table[(slice(None), si, *cell)]).all():
+                message = f"payoff beyond the cap {PAYOFF_CAP:.4g} {at}"
+            else:
+                message = f"non-finite payoff {at}"
+            v.append(Violation("payoffs", message))
 
     # Nestedness: player i's information refines player i+1's.
     for i in range(1, game.n):
@@ -970,13 +980,16 @@ def from_type_space(
     if fault is not None:
         raise GameFormatError(f"joint not normalized: {fault}")
 
-    norm_payoffs: dict[tuple[tuple[str, ...], tuple], tuple[float, ...]] = {}
+    # Keyed by (state id, profile): a type profile's state id joins its
+    # labels with '|', which no label holds.
+    norm_payoffs: dict[tuple[str, tuple], tuple[float, ...]] = {}
     for (tkey, akey), vals in payoffs.items():
-        key = (tuple(str(t) for t in tkey), tuple(akey))
-        if key[0] not in profile_set:
-            raise GameFormatError(f"payoff table has unknown type profile {key[0]!r}")
+        tp, akey = tuple(str(t) for t in tkey), tuple(akey)
+        if tp not in profile_set:
+            raise GameFormatError(f"payoff table has unknown type profile {tp!r}")
+        key = ("|".join(tp), akey)
         if key in norm_payoffs:
-            raise GameFormatError(f"payoff table repeats {key!r}")
+            raise GameFormatError(f"payoff table repeats {(tp, akey)!r}")
         norm_payoffs[key] = tuple(float(x) for x in vals)
 
     if actions is None:
@@ -991,8 +1004,7 @@ def from_type_space(
         action_sets = tuple(tuple(a) for a in actions)
     if any(len(a) == 0 for a in action_sets):
         raise GameFormatError("every player needs at least one action")
-    profiles = list(itertools.product(*action_sets))
-    known = set(profiles)
+    known = set(itertools.product(*action_sets))
     for _, akey in norm_payoffs:
         if akey not in known:
             raise GameFormatError(f"payoff table has unknown action profile {akey!r}")
@@ -1001,36 +1013,18 @@ def from_type_space(
     if not live:
         raise GameFormatError("no type profile has positive mass")
 
-    def sid(tp: tuple[str, ...]) -> str:
-        return "|".join(tp)
-
-    states = tuple(sid(tp) for tp in live)
-    prior = {sid(tp): norm_joint[tp] for tp in live}
+    states = tuple(map("|".join, live))
+    prior = dict(zip(states, map(norm_joint.__getitem__, live)))
 
     partitions = []
     for i in range(1, n + 1):
-        atom_of = {sid(tp): "|".join(tp[i - 1 :]) for tp in live}
+        atom_of = {s: "|".join(tp[i - 1 :]) for s, tp in zip(states, live)}
         partitions.append(InformationPartition(player=i, atom_of=atom_of))
-
-    rows: list[tuple[float, ...]] = []
-    for tp in live:
-        for aprof in profiles:
-            key = (tp, aprof)
-            if key not in norm_payoffs:
-                raise GameFormatError(
-                    f"payoff table misses type profile {tp!r} with actions {aprof!r}"
-                )
-            vals = norm_payoffs[key]
-            if len(vals) != n:
-                raise GameFormatError(
-                    f"payoff entry at {key!r} has {len(vals)} values, expected {n}"
-                )
-            rows.append(vals)
-    shape = (n, len(states)) + tuple(map(len, action_sets))
-    table = np.array(rows, float).T.reshape(shape)
 
     return NestedGame(
         space=StateSpace(states=states, prior=prior),
         partitions=tuple(partitions),
-        payoffs=PayoffTensor.from_array(action_sets, states, table),
+        payoffs=PayoffTensor.from_array(
+            action_sets, states, _stack(norm_payoffs, states, action_sets)
+        ),
     )

@@ -14,8 +14,10 @@ column of entries at once, and only when one fails are the entries
 rechecked one by one, so an error still names the first bad entry in
 file order, in the same words.  Entries in table order, as every
 writer in this project lists them, are told by two list comparisons
-and their values reshaped into the array; any other order is mapped
-to the array entry by entry.
+and their values reshaped into the array; any other order is keyed by
+``(state, profile)`` and stacked by ``game._stack``, the one function
+that turns a keyed table into a payoff array (a dict-backed tensor and
+``from_type_space`` call it too).
 
 ``load_game`` and ``load_profile`` pause the cyclic garbage collector
 while they read: the decoded JSON tree is built, parsed and released
@@ -48,6 +50,7 @@ from .game import (
     PayoffTensor,
     StateSpace,
     StrategyProfile,
+    _stack,
     from_type_space,
 )
 
@@ -253,7 +256,7 @@ def _parse_finite(obj: dict) -> LoadedGame:
 
     space = StateSpace(states=states, prior=prior, player_priors=player_priors)
     entries = _expect_list(obj["payoffs"], "payoffs")
-    payoffs = _payoff_array(entries, space, actions)
+    payoffs = _payoff_array(entries, states, actions)
     if payoffs is None:
         payoffs = PayoffTensor(actions, _payoff_dict(entries, prior, actions))
     game = NestedGame(space=space, partitions=partitions, payoffs=payoffs)
@@ -261,7 +264,7 @@ def _parse_finite(obj: dict) -> LoadedGame:
 
 
 def _payoff_array(
-    entries: list, space: StateSpace, actions: tuple[tuple[str, ...], ...]
+    entries: list, states: tuple[str, ...], actions: tuple[tuple[str, ...], ...]
 ) -> PayoffTensor | None:
     """The payoff tensor of a well-formed, complete ``payoffs`` list,
     written straight into its array; None for any other list.
@@ -273,15 +276,15 @@ def _payoff_array(
     ``itertools.product`` order) is told by two list comparisons, which
     hold only for profiles that are lists of n labels from the right
     sets; the values are then the array, row after row.  Any other order
-    maps each entry to its cell through index dicts (holding only
-    strings, so only a string can match), and a mask checks the cover.
-    When any check fails, ``_payoff_dict`` reruns its entry-by-entry
-    checks from the first entry, so the error names the first bad entry
-    in file order, in that function's words; a list that passes them
-    but misses a cell is left to validation.
+    keys each entry by ``(state, tuple(profile))``, once every profile
+    is a list of n, and ``game._stack`` looks every cell up (a key holds
+    only what the file gave, so only strings can match).  When any check
+    fails, ``_payoff_dict`` reruns its entry-by-entry checks from the
+    first entry, so the error names the first bad entry in file order,
+    in that function's words; a list that passes them but misses a cell
+    is left to validation.
     """
     n = len(actions)
-    states = space.states
     shape = (len(states),) + tuple(map(len, actions))
     cells = math.prod(shape)
     if (
@@ -299,29 +302,20 @@ def _payoff_array(
         flat = list(itertools.chain.from_iterable(rows))
         if not set(map(type, flat)) <= {float, int}:
             return None
-        data = np.array(flat, float).reshape(cells, n).T
         grid = list(map(list, itertools.product(*actions)))
         by_state = [s for s in states for _ in grid]
         if ids == by_state and profiles == grid * len(states):
+            data = np.array(flat, float).reshape(cells, n).T
             return PayoffTensor.from_array(actions, states, data.reshape((n,) + shape))
         if set(map(type, profiles)) != {list} or set(map(len, profiles)) != {n}:
             return None
-        # The flat (state, profile) cell of each entry.
-        cell = np.fromiter(map(space.position.__getitem__, ids), np.intp, cells)
-        for j, acts in enumerate(actions):
-            index = {a: k for k, a in enumerate(acts)}
-            labels = map(operator.itemgetter(j), profiles)
-            cell *= len(acts)
-            cell += np.fromiter(map(index.__getitem__, labels), np.intp, cells)
-    except (KeyError, TypeError, OverflowError):
+        values = dict(zip(zip(ids, map(tuple, profiles)), rows))
+        if len(values) != cells:
+            return None
+        table = _stack(values, states, actions)
+    except (KeyError, TypeError, OverflowError, GameFormatError):
         return None
-    seen = np.zeros(cells, bool)
-    seen[cell] = True
-    if not seen.all():
-        return None
-    table = np.empty((n, cells))
-    table[:, cell] = data
-    return PayoffTensor.from_array(actions, states, table.reshape((n,) + shape))
+    return PayoffTensor.from_array(actions, states, table)
 
 
 def _payoff_dict(

@@ -10,7 +10,7 @@ import nestnash.game
 import nestnash.hierarchy
 from nestnash.cli import REPORT_VERSION, main
 from nestnash.discretize import eta_net
-from nestnash.game import PayoffTensor
+from nestnash.game import PAYOFF_CAP, PayoffTensor
 
 MP_GAME = {
     "version": 1,
@@ -219,8 +219,9 @@ class TestSolve:
     def test_underflowing_default_delta_names_epsilon_and_m(
         self, epsilon, scale, tmp_path, capsys
     ):
-        # delta = epsilon / (2 M A) is 0: epsilon is too small, or 2 M A
-        # overflows.  No --delta was given, so the message must not blame it.
+        # delta = epsilon / (2 M A) is 0 when epsilon is too small.  A
+        # payoff scale at which 2 M A would overflow is refused before, by
+        # the payoff cap.  No --delta was given, so no message may blame it.
         doc = json.loads(json.dumps(MP_GAME))
         for entry in doc["payoffs"]:
             entry["values"] = [scale * v for v in entry["values"]]
@@ -230,9 +231,36 @@ class TestSolve:
         assert code == 1
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert "default delta" in captured.err
-        assert f"epsilon = {float(epsilon)!r}, M = {scale!r}" in captured.err
         assert "delta must be positive" not in captured.err
+        if scale > PAYOFF_CAP:
+            assert "payoff beyond the cap 8.453e+270 at ('w'" in captured.err
+        else:
+            assert "default delta" in captured.err
+            assert f"epsilon = {float(epsilon)!r}, M = {scale!r}" in captured.err
+
+    def test_payoffs_whose_regrets_overflow_exit_one(self, tmp_path, capsys):
+        # Player 1's cumulative regret once overflowed here: after three
+        # RuntimeWarnings the solver kept a NaN profile as its best, and the
+        # run ended on "player 1 plays a distribution that has invalid mass
+        # nan".  The payoff cap refuses the game first.
+        doc = json.loads(json.dumps(MP_GAME))
+        doc["actions"] = {"1": ["A", "B", "C"], "2": ["L", "R"]}
+        # Player 1 loses only with C against R.
+        signs = [1, 1, 1, 1, 1, -1]
+        doc["payoffs"] = [
+            {"state": "w", "profile": [a, b], "values": [s * 1.7e308, -s]}
+            for (a, b), s in zip([(a, b) for a in "ABC" for b in "LR"], signs)
+        ]
+        path = write_json(tmp_path / "game.json", doc)
+        argv = ["solve", "--game", path, "--epsilon", "0.1", "--delta", "1e-300"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid game: payoff beyond the cap 8.453e+270 at "
+            "('w', ('A', 'L'))\n"
+        )
 
     def test_csv_format(self, mp_path, capsys):
         code = main(
@@ -307,7 +335,7 @@ class TestSolve:
         reads one more, the true-value table that ``build_hat_game``
         builds beside the grid game's and the probe audit reads."""
         path = write_json(tmp_path / "game.json", doc)
-        stacks = count_calls(monkeypatch, nestnash.game, "_dense_payoffs")
+        stacks = count_calls(monkeypatch, nestnash.game, "_stack")
         views = []
         values = PayoffTensor.values.fget
         tables = []
@@ -570,6 +598,30 @@ class TestVerify:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert "player 1 atom 'a1' distribution sums to inf" in captured.err
+
+    def test_regret_beyond_the_float_range_is_refused(self, tmp_path, capsys):
+        # Playing T against H once had regret 1e308 - (-1e308) = inf, and
+        # the JSON writer raised on it.  The payoff cap refuses the game.
+        doc = json.loads(json.dumps(MP_GAME))
+        for entry in doc["payoffs"]:
+            u = 1e308 if entry["profile"][0] == "H" else -1e308
+            entry["values"] = [u, -u]
+        game_path = write_json(tmp_path / "game.json", doc)
+        worse = {
+            "version": 1,
+            "field_level": "original",
+            "strategies": {"1": {"a": {"H": 0.0, "T": 1.0}}, "2": {"b": {"H": 1.0}}},
+        }
+        profile_path = write_json(tmp_path / "worse.json", worse)
+        argv = ["verify", "--game", game_path, "--profile", profile_path]
+        code = main(argv + ["--epsilon", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid game: payoff beyond the cap 8.453e+270 at "
+            "('w', ('H', 'H'))\n"
+        )
 
     def test_round_trip_solve_then_verify(self, anchor_path, tmp_path, capsys):
         code = main(["solve", "--game", anchor_path, "--epsilon", "0.05"])

@@ -27,14 +27,20 @@ from hypothesis import strategies as st
 from nestnash import gamefile
 from nestnash.cli import main
 
-_VALUES = st.sampled_from([0.0, -0.0, 1, -2, 0.5, -1.25, 3.0])
+# Payoffs within the payoff cap.
+_CAPPED = [0.0, -0.0, 1, -2, 0.5, -1.25, 3.0]
+# +-1e308 lie beyond the cap.  Their regrets once overflowed, but a
+# default-size run did not draw a failing game; the deterministic tests in
+# test_cli.py (``test_payoffs_whose_regrets_overflow_exit_one``,
+# ``test_regret_beyond_the_float_range_is_refused``) guard that fault.
+_VALUES = st.sampled_from(_CAPPED + [1e308, -1e308])
 
 # Written as the literal 1e400, which Python's JSON reader turns into inf.
 _OVERFLOW = "@overflow@"
 
 
 @st.composite
-def game_docs(draw) -> dict:
+def game_docs(draw, values=_VALUES) -> dict:
     count = draw(st.integers(1, 3))
     states = [f"w{k}" for k in range(count)]
     weights = draw(st.lists(st.integers(1, 9), min_size=count, max_size=count))
@@ -43,7 +49,7 @@ def game_docs(draw) -> dict:
     groups = draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
     actions = [[f"a{k}" for k in range(draw(st.integers(1, 3)))] for _ in "12"]
     payoffs = [
-        {"state": s, "profile": [a, b], "values": [draw(_VALUES), draw(_VALUES)]}
+        {"state": s, "profile": [a, b], "values": [draw(values), draw(values)]}
         for s in states
         for a in actions[0]
         for b in actions[1]

@@ -7,6 +7,7 @@ import pytest
 
 from generators import exact_prior, nested_partitions, random_nested_game
 from nestnash.game import (
+    PAYOFF_CAP,
     GameFormatError,
     InformationPartition,
     InvalidGameError,
@@ -277,6 +278,19 @@ class TestPayoffArray:
         values[("w2", ("B", "A"))] = (1.0, bad)
         assert payoff_messages(with_values(game, values)) == [
             "non-finite payoff at ('w2', ('B', 'A'))"
+        ]
+
+    def test_payoff_beyond_the_cap_names_the_first_entry(self):
+        # The cap itself is a valid payoff; the next float above it is not,
+        # and the first offending entry in array order is named.
+        game = two_state_game()
+        values = dict(game.payoffs.values)
+        values[("w1", ("A", "B"))] = (PAYOFF_CAP, -PAYOFF_CAP)
+        assert payoff_messages(with_values(game, values)) == []
+        values[("w1", ("B", "A"))] = (1.0, -math.nextafter(PAYOFF_CAP, math.inf))
+        values[("w2", ("A", "A"))] = (math.nan, 0.0)
+        assert payoff_messages(with_values(game, values)) == [
+            "payoff beyond the cap 8.453e+270 at ('w1', ('B', 'A'))"
         ]
 
     def test_payoff_bound_is_the_largest_absolute_value(self):
@@ -591,6 +605,25 @@ class TestTypeSpace:
         }
         with pytest.raises(GameFormatError, match="payoff table repeats"):
             from_type_space(((1,), ("s1",)), {(1, "s1"): 1.0}, payoffs)
+
+    def test_payoff_table_is_stacked_by_state_id(self):
+        # The table is keyed by (state id, profile) and stacked as a game's
+        # payoff dict is, so its faults are named by state id.
+        payoffs = {
+            (("t1", "s1"), prof): (0.0, 0.0)
+            for prof in itertools.product("AB", "AB")
+            if prof != ("A", "B")
+        }
+        args = ((("t1",), ("s1",)), {("t1", "s1"): 1.0})
+        with pytest.raises(GameFormatError) as err:
+            from_type_space(*args, payoffs, actions=(("A", "B"), ("A", "B")))
+        assert str(err.value) == (
+            "payoff tensor misses the entry at ('t1|s1', ('A', 'B'))"
+        )
+        payoffs[(("t1", "s1"), ("A", "B"))] = (1.0,)
+        with pytest.raises(GameFormatError) as err:
+            from_type_space(*args, payoffs, actions=(("A", "B"), ("A", "B")))
+        assert str(err.value) == "payoff entry at ('t1|s1', ('A', 'B')) has 1 values"
 
     def test_actions_inferred_from_payoff_keys(self):
         game = from_type_space(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from generators import random_nested_game, redundant_game
 from nestnash import gamefile
-from nestnash.game import PayoffTensor, StateSpace, StrategyProfile
+from nestnash.game import StrategyProfile
 
 
 def finite_doc(game, keys, ints: bool) -> dict:
@@ -62,8 +62,8 @@ class TestFinitePayoffs:
         with mock.patch.object(gamefile, "_payoff_dict", side_effect=AssertionError):
             loaded = gamefile.parse_game(json.loads(text)).game
 
-        table = loaded.payoff_array
-        expected = PayoffTensor(game.payoffs.actions, source).array(game.space.states)
+        # The generator writes its array itself, not through ``game._stack``.
+        table, expected = loaded.payoff_array, game.payoff_array
         assert np.array_equal(table, expected)
         assert np.array_equal(np.signbit(table), np.signbit(expected))
         assert loaded.payoffs.values == source
@@ -86,23 +86,18 @@ def table_keys(game) -> list:
 
 def entry_outcome(doc: dict):
     """What the loader makes of ``doc``: its payoff array's bytes, or the
-    SchemaError's text, and the number of ``space.position`` reads."""
-    reads = []
-
-    def position(space):
-        reads.append(space)
-        return dict(zip(space.states, range(len(space.states))))
-
-    with mock.patch.object(StateSpace, "position", property(position)):
+    SchemaError's text, and the number of ``_stack`` calls it makes."""
+    with mock.patch.object(gamefile, "_stack", wraps=gamefile._stack) as stack:
         try:
             table = gamefile.parse_game(doc).game.payoff_array
         except gamefile.SchemaError as err:
-            return str(err), len(reads)
-    return table.tobytes(), len(reads)
+            return str(err), stack.call_count
+    return table.tobytes(), stack.call_count
 
 
 def entry_reference(doc: dict):
-    """The same, from the entries checked one by one in file order."""
+    """The same, from the entries checked one by one in file order and
+    written into an array cell by cell."""
     states = tuple(row["id"] for row in doc["states"])
     actions = tuple(map(tuple, doc["actions"].values()))
     prior = dict.fromkeys(states)
@@ -110,7 +105,9 @@ def entry_reference(doc: dict):
         values = gamefile._payoff_dict(doc["payoffs"], prior, actions)
     except gamefile.SchemaError as err:
         return str(err)
-    return PayoffTensor(actions, values).array(states).tobytes()
+    cells = itertools.product(states, itertools.product(*actions))
+    rows = np.array([values[cell] for cell in cells], float)
+    return np.ascontiguousarray(rows.T).tobytes()
 
 
 class TestTableOrder:
@@ -132,11 +129,11 @@ class TestTableOrder:
                 values = entry["values"]
                 entry["values"] = [-0.0 if v == 0 else v for v in values]
         reversed_doc = dict(doc, payoffs=doc["payoffs"][::-1])
-        table, reads = entry_outcome(doc)
-        mapped, mapped_reads = entry_outcome(reversed_doc)
-        # Table order skips the index map, which reads every entry's
-        # state position; the reversed file takes it.
-        assert (reads, mapped_reads) == (0, 1)
+        table, stacks = entry_outcome(doc)
+        mapped, mapped_stacks = entry_outcome(reversed_doc)
+        # Table order is reshaped as it stands; the reversed file is keyed
+        # and stacked, once.
+        assert (stacks, mapped_stacks) == (0, 1)
         assert table == mapped == entry_reference(doc)
 
     @given(

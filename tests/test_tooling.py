@@ -219,6 +219,25 @@ def test_one_evaluator_raises_grid_values_to_powers():
     }
 
 
+def test_one_function_stacks_a_keyed_table():
+    # ``game._stack`` is the one way from a table keyed by (state, profile)
+    # to a payoff array: a dict-backed tensor, a type space and a game file
+    # in any other than table order.  Every other payoff array is written
+    # as an array and handed to ``PayoffTensor.from_array``.
+    assert readers("_stack") == {
+        ("game.py", "array"),
+        ("game.py", "from_type_space"),
+        ("gamefile.py", "<import>"),
+        ("gamefile.py", "_payoff_array"),
+    }
+    assert readers("from_array") == {
+        ("game.py", "from_type_space"),
+        ("gamefile.py", "_payoff_array"),
+        ("discretize.py", "build_hat_game"),
+        ("solver.py", "_quotient"),
+    }
+
+
 def test_certificate_records_come_from_the_certifier_alone():
     # Every ``PlayerRegret`` and ``RegretReport`` is built in ``regret``,
     # from a game and a profile, so no other stage can hand a certificate

@@ -291,8 +291,12 @@ def _stack(
         raise GameFormatError(
             f"payoff entry at ({s!r}, {prof!r}) has {len(row)} values"
         )
-    flat = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * n)
-    table = np.ascontiguousarray(flat.reshape(len(rows), n).T)
+    count = len(rows)
+    flat = np.fromiter(itertools.chain.from_iterable(rows), float, count * n)
+    # Dropped before the transposed copy, the row list is never held
+    # alongside both arrays.
+    del rows
+    table = np.ascontiguousarray(flat.reshape(count, n).T)
     table = table.reshape((n, len(states)) + tuple(map(len, actions)))
     table.flags.writeable = False
     return table
@@ -562,17 +566,20 @@ def validate_game(game: NestedGame) -> ValidationReport:
         stray = next((s for s, _ in game.payoffs.values if s not in state_set), None)
         if stray is not None:
             v.append(Violation("payoffs", f"payoff entry for unknown state {stray!r}"))
-    else:
+    elif not (
+        table.max(initial=0.0) <= PAYOFF_CAP and table.min(initial=0.0) >= -PAYOFF_CAP
+    ):
+        # A NaN fails both comparisons.  Only an offending table pays for
+        # the per-cell mask that names its first entry.
         capped = (np.abs(table) <= PAYOFF_CAP).all(axis=0)
-        if not capped.all():
-            si, *cell = np.unravel_index(np.argmin(capped), capped.shape)
-            prof = tuple(acts[a] for acts, a in zip(game.payoffs.actions, cell))
-            at = f"at ({states[si]!r}, {prof!r})"
-            if np.isfinite(table[(slice(None), si, *cell)]).all():
-                message = f"payoff beyond the cap {PAYOFF_CAP:.4g} {at}"
-            else:
-                message = f"non-finite payoff {at}"
-            v.append(Violation("payoffs", message))
+        si, *cell = np.unravel_index(np.argmin(capped), capped.shape)
+        prof = tuple(acts[a] for acts, a in zip(game.payoffs.actions, cell))
+        at = f"at ({states[si]!r}, {prof!r})"
+        if np.isfinite(table[(slice(None), si, *cell)]).all():
+            message = f"payoff beyond the cap {PAYOFF_CAP:.4g} {at}"
+        else:
+            message = f"non-finite payoff {at}"
+        v.append(Violation("payoffs", message))
 
     # Nestedness: player i's information refines player i+1's.
     for i in range(1, game.n):

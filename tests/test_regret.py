@@ -34,7 +34,7 @@ from nestnash.regret import (
 )
 from nestnash.solver import lift_strategy
 from test_certificates import _with_player_priors
-from test_finite_fuzz import _CAPPED, game_docs
+from test_finite_fuzz import game_docs
 from test_game import mixed_profile, two_state_game
 from test_hierarchy import anchor_copies
 
@@ -297,11 +297,10 @@ _EDITS = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=game_docs(values=st.sampled_from(_CAPPED)), data=st.data())
+@given(doc=game_docs(), data=st.data())
 def test_validate_profile_flags_exactly_the_rows_certify_refuses(doc, data):
     # Every state of a drawn game has positive mass, so every atom is
-    # played: the certifier reads each atom's row.  Its payoffs are within
-    # the payoff cap, so the game is valid and ``certify`` reads the profile.
+    # played: the certifier reads each atom's row.
     game = parse_game(doc).game
     strategies = {}
     for i in (1, 2):

@@ -47,6 +47,7 @@ from .game import (
 from .gamefile import (
     SchemaError,
     _key_string,
+    _RowTable,
     load_game,
     load_profile,
     profile_to_json,
@@ -163,18 +164,25 @@ def _check_flags(args) -> None:
 REPORT_VERSION = 3
 
 
+def _keyed(states: tuple, prior: dict) -> dict:
+    """``prior`` over ``states`` keyed by ``_key_string``, in one C-level
+    pass when every state id is a ``str``."""
+    keys = states if set(map(type, states)) <= {str} else map(_key_string, states)
+    return dict(zip(keys, map(prior.__getitem__, states)))
+
+
 def _ingestion_block(game: NestedGame) -> dict:
     # ``+ 0.0`` turns -0.0 into 0.0, so the echo reads the same whatever
     # the order or the sign of the zeros in the file.
     ordered = np.sort(game.payoff_array, axis=None) + 0.0
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     block = {
-        "prior": {_key_string(s): game.space.prior[s] for s in game.space.states},
+        "prior": _keyed(game.space.states, game.space.prior),
         "payoff_values": distinct.tolist(),
     }
     if game.space.player_priors is not None:
         block["player_priors"] = {
-            str(i): {_key_string(s): p[s] for s in game.space.states}
+            str(i): _keyed(game.space.states, p)
             for i, p in sorted(game.space.player_priors.items())
         }
     return block
@@ -353,6 +361,9 @@ def _dumps(obj, depth: int) -> str:
         return _flat_encoder(depth)[0].encode(obj)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
+    if isinstance(obj, _RowTable) and _are_rows(obj.rows):
+        keys, index = zip(*sorted(obj.index.items()))
+        return _dumps_rows(keys, obj.rows, depth, index)
     encoder, inner, close = _flat_encoder(depth)
     if not _any_container(values):
         text = encoder.encode(obj)
@@ -387,10 +398,12 @@ def _are_rows(children) -> bool:
     return all(children) and not _any_container(values)
 
 
-def _dumps_rows(keys: tuple | None, rows, depth: int) -> str:
+def _dumps_rows(keys: tuple | None, rows, depth: int, index=None) -> str:
     """``_dumps`` of a container at ``depth`` whose children ``rows`` are
     all nonempty dicts of scalars, under ``keys`` for a dict and None
-    for a list, in one call of the C encoder (see ``_dumps``)."""
+    for a list, in one call of the C encoder (see ``_dumps``).  With
+    ``index``, the dict's k-th child is ``rows[index[k]]``: a report's
+    ``_RowTable``, whose distinct rows are each encoded once."""
     encoder, row_inner, row_close = _flat_encoder(depth + 1)
     _, inner, close = _flat_encoder(depth)
     text = encoder.encode(list(rows))
@@ -398,6 +411,8 @@ def _dumps_rows(keys: tuple | None, rows, depth: int) -> str:
     del text
     bodies[0] = bodies[0][2:]
     bodies[-1] = bodies[-1][:-2]
+    if index is not None:
+        bodies = list(map(bodies.__getitem__, index))
     if keys is None:
         between = row_close + "}," + inner + "{" + row_inner
         body = between.join(bodies)

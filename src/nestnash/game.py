@@ -9,7 +9,9 @@ on the order in which a file or a dict lists the entries.
 Player 1 is the most informed: validity requires each player's
 partition to refine the next player's.  Strategies are maps
 from partition atoms to mixed actions, so they are measurable with
-respect to the owning player's information by construction.
+respect to the owning player's information by construction; the solver
+and the lift hand them on as rows (``StrategyProfile.from_rows``), one
+array of distributions per player and each atom's row index into it.
 
 All container types are immutable after construction: each caches only
 what it derives from itself.  Every operation is a pure function.
@@ -31,13 +33,15 @@ the supports, the hierarchy, its audit, the quotient and the lift
 compare label arrays instead of walking dicts state by state.  Every
 per-state fact derived from a game is kept once, as such an array: the
 class ids, each support's atom index, and the hierarchy's ``signals``
-and ``beliefs``.
+and ``beliefs``.  Integer keys are grouped by ``_group`` without a
+per-key dict.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Iterable, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -109,6 +113,16 @@ class StateSpace:
             return self.player_priors[player]
         return self.prior
 
+    def prior_array(self, player: int | None = None) -> np.ndarray:
+        """``prior_for(player)``, or the common prior for None, as one
+        float array over ``states``, built once per prior."""
+        key = player if self.player_priors and player in self.player_priors else None
+        arrays = self.__dict__.setdefault("_prior_arrays", {})
+        if key not in arrays:
+            prior = self.prior_for(player)
+            arrays[key] = np.fromiter(map(prior.__getitem__, self.states), float)
+        return arrays[key]
+
     @cached_property
     def position(self) -> dict[State, int]:
         """Index of each state in ``states``."""
@@ -121,10 +135,21 @@ class InformationPartition:
 
     Stages after the load read it as integer labels: ``labels(states)``
     gives each state's index into ``ids``, the atoms in partition order.
+    A partition built by ``from_labels`` builds ``atom_of`` on first read.
     """
 
     player: int
     atom_of: dict[State, Atom]
+
+    def __getattr__(self, name: str):
+        # Called only for attributes not set: ``atom_of`` of a partition
+        # built by ``from_labels``, which is built here once.
+        if name != "atom_of" or "_labelled" not in self.__dict__:
+            raise AttributeError(name)
+        states, labels, _ = self._labelled
+        atoms = map(self.ids.__getitem__, labels.tolist())
+        self.__dict__["atom_of"] = dict(zip(states, atoms))
+        return self.atom_of
 
     @cached_property
     def atoms(self) -> dict[Atom, tuple[State, ...]]:
@@ -141,12 +166,15 @@ class InformationPartition:
         states: tuple[State, ...],
         labels: np.ndarray,
         firsts: np.ndarray,
+        ids: tuple[Atom, ...] | None = None,
     ) -> "InformationPartition":
         """The partition putting ``states[k]`` in atom ``labels[k]``, with
         atoms numbered by first appearance, atom k's first at ``firsts[k]``
-        (what ``_labelled`` would compute, so it is kept instead)."""
-        part = cls(player, dict(zip(states, labels.tolist())))
-        part.__dict__["_labelled"] = (states, labels, firsts)
+        (what ``_labelled`` would compute, so it is kept instead).  Atom k
+        is named ``ids[k]``, by default k."""
+        part = cls.__new__(cls)
+        ids = tuple(range(len(firsts))) if ids is None else ids
+        part.__dict__.update(player=player, _labelled=(states, labels, firsts), ids=ids)
         return part
 
     @cached_property
@@ -271,7 +299,8 @@ def _stack(
     profiles in ``itertools.product`` order) and writes the array
     ``PayoffTensor.array`` describes, read-only and C-ordered.  Raises
     GameFormatError naming the first key the table misses, or the first
-    entry holding a number of values other than n.
+    entry holding a number of values other than n or a value that is not
+    a real number (a bool, a string or None; numpy reals are numbers).
     """
     n = len(actions)
     profiles = tuple(itertools.product(*actions))
@@ -290,6 +319,14 @@ def _stack(
         )
         raise GameFormatError(
             f"payoff entry at ({s!r}, {prof!r}) has {len(row)} values"
+        )
+    kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    bad = {k for k in kinds if not issubclass(k, numbers.Real) or issubclass(k, bool)}
+    if bad:
+        entries = zip(itertools.product(states, profiles), rows)
+        (s, prof), x = next((k, x) for k, row in entries for x in row if type(x) in bad)
+        raise GameFormatError(
+            f"payoff entry at ({s!r}, {prof!r}) holds {x!r}, not a number"
         )
     count = len(rows)
     flat = np.fromiter(itertools.chain.from_iterable(rows), float, count * n)
@@ -358,10 +395,38 @@ class StrategyProfile:
     ``field_level`` records which partition family the atom ids refer to:
     ``"original"`` for the game's own partitions, ``"coarse"`` for the
     derived coarse partitions of a belief hierarchy.
+
+    A profile is built from its dicts or, by ``from_rows`` (the solver
+    and the lift), from ``rows``: per player, the atom ids, the action
+    labels, one (rows, actions) array of distributions and each atom's
+    row index into it, so that atoms sharing a distribution share its
+    row.  Such a profile builds ``strategies`` on first read, each atom's
+    row as a dict over every action; the certifier and the report read
+    the rows.
     """
 
     strategies: dict[int, dict[Atom, dict[Action, float]]]
     field_level: str = "original"
+    # Per player (atoms, actions, table, row_of) for a profile built by
+    # ``from_rows``, and None for one built from its dicts.
+    rows = None
+
+    @classmethod
+    def from_rows(cls, rows: dict, field_level: str) -> "StrategyProfile":
+        profile = cls.__new__(cls)
+        profile.__dict__.update(field_level=field_level, rows=rows)
+        return profile
+
+    def __getattr__(self, name: str):
+        # Called only for attributes not set: ``strategies`` of a profile
+        # built by ``from_rows``, which is built here once.
+        if name != "strategies" or self.rows is None:
+            raise AttributeError(name)
+        self.__dict__["strategies"] = {
+            j: dict(zip(atoms, [dict(zip(acts, row)) for row in table[at].tolist()]))
+            for j, (atoms, acts, table, at) in self.rows.items()
+        }
+        return self.strategies
 
     def distribution(self, player: int, atom: Atom) -> dict[Action, float]:
         try:
@@ -603,15 +668,34 @@ def payoff_bound(game: NestedGame) -> float:
     return max(1.0, float(table.max(initial=0.0)), -float(table.min(initial=0.0)))
 
 
-def _group(keys: Iterable[Hashable]) -> tuple[np.ndarray, np.ndarray]:
+# Arrays of at most this many keys are grouped through a dict, which
+# beats the fixed cost of the numpy passes below that size.
+_FEW = 64
+
+
+def _group(keys: Iterable[Hashable] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense group ids of ``keys``, numbered by first appearance, and the
-    position of each group's first key."""
-    first: dict[Hashable, int] = {}
-    rep = np.fromiter(map(first.setdefault, keys, itertools.count()), np.intp)
-    firsts = np.fromiter(first.values(), np.intp, len(first))
-    dense = np.empty(len(rep), np.intp)
-    dense[firsts] = np.arange(len(firsts))
-    return dense[rep], firsts
+    position of each group's first key.  An array of more than ``_FEW``
+    nonnegative integers is grouped without a per-key dict: through a
+    table indexed by key, once keys far beyond their count are renumbered
+    by ``np.unique``."""
+    if not isinstance(keys, np.ndarray) or len(keys) <= _FEW:
+        first: dict[Hashable, int] = {}
+        keys = keys.tolist() if isinstance(keys, np.ndarray) else keys
+        rep = np.fromiter(map(first.setdefault, keys, itertools.count()), np.intp)
+        firsts = np.fromiter(first.values(), np.intp, len(first))
+        dense = np.empty(len(rep), np.intp)
+        dense[firsts] = np.arange(len(firsts))
+        return dense[rep], firsts
+    count = len(keys)
+    if keys.max() >= 4 * count:
+        keys = np.unique(keys, return_inverse=True)[1].reshape(count)
+    first = np.full(int(keys.max()) + 1, count, np.intp)
+    np.minimum.at(first, keys, np.arange(count))
+    firsts = np.sort(first[first < count])
+    dense = np.empty(len(first), np.intp)
+    dense[keys[firsts]] = np.arange(len(firsts))
+    return dense[keys], firsts
 
 
 # A row's checksum reads evenly spaced entries of each player's part of
@@ -650,7 +734,7 @@ def payoff_classes(game: NestedGame) -> PayoffClasses:
         # Round payoffs have all-zero low bits: fold the high half down.
         bits ^= bits >> np.uint64(32)
         sums += np.einsum("isc,ic->s", bits, weights[:, c : c + step])
-    checksum, first = _group(sums.tolist())
+    checksum, first = _group(sums)
     rep = first[checksum]
     # Each state whose checksum an earlier state opened: is its row that one's?
     later = np.flatnonzero(rep != np.arange(count))
@@ -663,7 +747,7 @@ def payoff_classes(game: NestedGame) -> PayoffClasses:
     opened: dict[bytes, int] = {}
     for k in later[~same].tolist():
         rep[k] = opened.setdefault(np.add(rows[:, k], 0.0).tobytes(), k)
-    ids, openers = _group(rep.tolist())
+    ids, openers = _group(rep)
     return PayoffClasses(
         count=len(openers),
         representatives=tuple(states[k] for k in openers.tolist()),
@@ -691,14 +775,17 @@ def _strategies_at(
     ``positions``: ``(rows, row_of)``.
 
     ``rows`` is a (R, |A_j|) array of distributions distinct value by
-    value, and ``row_of[k]`` is the row played at the k-th state of the
-    state order; it is unspecified at states outside ``positions``.  A
-    missing strategy raises ``StrategyProfile.distribution``'s error for
-    the first (state, player) pair lacking one, states outermost.  A
-    distribution naming an action the game does not give the player, even
-    at zero mass, or one that is not a probability vector
-    (``_mass_fault``) raises GameFormatError, so no certificate reads such
-    play.
+    value, in order of first appearance over the atoms in partition
+    order, and ``row_of[k]`` is the row played at the k-th state of the
+    state order; it is unspecified at states outside ``positions``.  The
+    rows of a profile built from rows over the game's own atoms and
+    actions are read by atom index; any other profile's dicts are read
+    atom by atom.  A missing strategy raises
+    ``StrategyProfile.distribution``'s error for the first (state,
+    player) pair lacking one, states outermost.  A distribution naming an
+    action the game does not give the player, even at zero mass, or one
+    that is not a probability vector (``_mass_fault``) raises
+    GameFormatError, so no certificate reads such play.
     """
     players = tuple(players)
     out = {}
@@ -706,26 +793,34 @@ def _strategies_at(
         for j in players:
             atom_index = game.supports[j - 1].atom_index
             atoms = game.partitions[j - 1].ids
+            acts = game.actions_for(j)
             used = np.zeros(len(atoms), bool)
             used[atom_index[positions]] = True
-            strategy = profile.strategies[j]
-            acts = game.actions_for(j)
-            played = map(atoms.__getitem__, np.flatnonzero(used).tolist())
-            dists = list(map(strategy.__getitem__, played))
-            if not all(map(set(acts).issuperset, dists)):
-                a = next(a for dist in dists for a in dist if a not in acts)
-                raise GameFormatError(f"player {j} plays unknown action {a!r}")
-            rows: dict[tuple[float, ...], int] = {}
-            atom_row = np.zeros(len(atoms), np.intp)
-            atom_row[used] = [
-                rows.setdefault(tuple([dist.get(a, 0.0) for a in acts]), len(rows))
-                for dist in dists
-            ]
+            used = np.flatnonzero(used)
+            form = (profile.rows or {}).get(j)
+            if form is not None and form[:2] == (atoms, acts):
+                table, row_of = form[2], form[3][used]
+            else:
+                strategy = profile.strategies[j]
+                played = map(atoms.__getitem__, used.tolist())
+                dists = list(map(strategy.__getitem__, played))
+                if not all(map(set(acts).issuperset, dists)):
+                    a = next(a for dist in dists for a in dist if a not in acts)
+                    raise GameFormatError(f"player {j} plays unknown action {a!r}")
+                table = np.array([[d.get(a, 0.0) for a in acts] for d in dists], float)
+                table = table.reshape(len(dists), len(acts))
+                row_of = np.arange(len(dists))
+            # Rows equal value by value (-0.0 and 0.0 alike) share a number.
+            same = _group(map(tuple, table.tolist()))[0]
+            at, firsts = _group(same[row_of])
+            table = table[row_of[firsts]]
+            rows = table.tolist()
             faults = (_mass_fault(dict(zip(acts, row)), "action") for row in rows)
             fault = next(filter(None, faults), None)
             if fault is not None:
                 raise GameFormatError(f"player {j} plays a distribution that {fault}")
-            table = np.array(list(rows), float).reshape(len(rows), len(acts))
+            atom_row = np.zeros(len(atoms), np.intp)
+            atom_row[used] = at
             out[j] = (table, atom_row[atom_index])
     except KeyError:
         states = game.space.states
@@ -782,7 +877,7 @@ def _expectation_rows(
     """
     players = [j for j in range(1, game.n + 1) if j != keep]
     dists = list(dists)
-    table = game.payoff_array[player - 1]
+    table = game.payoff_array[player - 1][index]
     for k, j in enumerate(players):
         live = dists[k].any(axis=0)
         if not live.all():
@@ -792,7 +887,7 @@ def _expectation_rows(
     if keep is not None:
         table = np.moveaxis(table, keep, 1)
     rows = len(game.actions_for(keep)) if keep is not None else 1
-    table = table[index].reshape(len(index), rows, joint.shape[1])
+    table = table.reshape(len(index), rows, joint.shape[1])
     terms = (table * joint[:, None, :]).reshape(len(index) * rows, joint.shape[1])
     sums = [math.fsum(row) for row in terms.tolist()]
     return np.array(sums).reshape(len(index), rows)
@@ -802,16 +897,16 @@ def _support(space: StateSpace, player: int, part: InformationPartition) -> Supp
     """The player's ``Support``; callers read the cached ``game.supports``."""
     keys, codes, _ = part._labelled
     # The states atom after atom, each atom's in ``atom_of``'s order.
-    order = np.argsort(codes, kind="stable")
-    grouped, labels = list(map(keys.__getitem__, order.tolist())), codes[order]
-    prior = list(map(space.prior_for(player).__getitem__, grouped))
-    masses = np.array(_fsums(prior, np.bincount(codes).tolist()), float)
+    positions = order = np.argsort(codes, kind="stable")
+    if keys != space.states:
+        at = map(space.position.__getitem__, keys)
+        positions = np.fromiter(at, np.intp, len(keys))[order]
+    labels, weights = codes[order], space.prior_array(player)[positions]
+    masses = np.array(_fsums(weights.tolist(), np.bincount(codes).tolist()), float)
     positive = masses > 0.0
     # The weighed states: positive prior in a positive-mass atom, which
     # with nonnegative priors is positive prior alone.
-    weights = np.array(prior, float)
     weighed = (weights > 0.0) & positive[labels]
-    positions = np.fromiter(map(space.position.__getitem__, grouped), np.intp)
     return Support(
         atom_index=part.labels(space.states),
         masses=masses,

@@ -580,23 +580,36 @@ def load_profile(path: str) -> StrategyProfile:
     return _load(path, parse_profile)
 
 
+class _RowTable(dict):
+    """One player's strategies in a report, atom -> distribution, where
+    the distributions are the dicts ``rows``, one per row of the
+    profile's array, and ``index`` maps each atom to its row's position
+    in ``rows``."""
+
+    def __init__(self, keys: list[str], rows: list[dict], row_of: list[int]):
+        super().__init__(zip(keys, map(rows.__getitem__, row_of)))
+        self.rows = rows
+        self.index = dict(zip(keys, row_of))
+
+
 def profile_to_json(profile: StrategyProfile) -> dict:
     """Report-ready form with string keys and insertion order preserved.
-    A player whose ids are all ``str`` and probabilities all ``float``, as
-    the solver and the loader make them, needs no conversion: one pass over
-    the types shows it, and the strategies are copied as they are."""
+    A profile built from rows, as the solver and the lift make them,
+    writes each row's dict once and gives it to every atom that plays
+    it, in a ``_RowTable``."""
     strategies = {}
-    for player in sorted(profile.strategies):
-        table = profile.strategies[player]
-        dists = table.values()
-        ids = itertools.chain(table, itertools.chain.from_iterable(dists))
-        probs = itertools.chain.from_iterable(map(dict.values, dists))
-        if set(map(type, ids)) <= {str} and set(map(type, probs)) <= {float}:
-            strategies[str(player)] = dict(zip(table, map(dict, dists)))
+    rows = profile.rows or {}
+    for player in sorted(rows or profile.strategies):
+        if player in rows:
+            atoms, actions, table, row_of = rows[player]
+            labels = list(map(_key_string, actions))
+            dists = [dict(zip(labels, row)) for row in table.tolist()]
+            keys = list(map(_key_string, atoms))
+            strategies[str(player)] = _RowTable(keys, dists, row_of.tolist())
             continue
         strategies[str(player)] = {
             _key_string(atom): {_key_string(a): float(p) for a, p in dist.items()}
-            for atom, dist in table.items()
+            for atom, dist in profile.strategies[player].items()
         }
     return {
         "version": FORMAT_VERSION,

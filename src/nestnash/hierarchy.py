@@ -21,8 +21,10 @@ other way, from level n down: player i's key is the level-i belief
 index followed by player i + 1's key, and a player whose key merges
 none of their atoms keeps their own partition.  Beliefs come from one
 stable sort of the weighed states by (atom, signal), each bucket summed
-with ``math.fsum`` as a plain loop would; each distinct belief is
-matched to a centre once.  Each level keeps its labels as they are computed, the
+with ``math.fsum`` as a plain loop would, and are kept as CSR arrays
+(each atom's signal ids and weights); atoms with equal beliefs are found
+on those arrays, and each distinct belief is matched to a centre once.
+Each level keeps its labels as they are computed, the
 arrays ``signals`` and ``beliefs``, and the audit (``check_properties``,
 read once per hierarchy as ``Hierarchy.audit``) compares label arrays
 (``InformationPartition.labels``).
@@ -56,6 +58,7 @@ from .game import (
     _fold_atoms,
     _fsums,
     _group,
+    _FEW,
     _refinement_witness,
 )
 
@@ -63,11 +66,12 @@ from .game import (
 Belief = dict[int, float]
 
 
-def _l1(p: Belief, q: Belief) -> float:
-    """L1 distance between two sparse beliefs, summed with fsum."""
-    diffs = map(operator.sub, p.values(), map(q.get, p, itertools.repeat(0.0)))
+def _l1(signals: list[int], weights: list[float], q: Belief) -> float:
+    """L1 distance between the belief putting ``weights[k]`` on
+    ``signals[k]`` and the sparse belief ``q``, summed with fsum."""
+    diffs = map(operator.sub, weights, map(q.get, signals, itertools.repeat(0.0)))
     return math.fsum(
-        itertools.chain(map(abs, diffs), map(q.__getitem__, q.keys() - p.keys()))
+        itertools.chain(map(abs, diffs), map(q.__getitem__, q.keys() - set(signals)))
     )
 
 
@@ -118,31 +122,65 @@ class Hierarchy:
         return check_properties(self)
 
 
-def _exact_beliefs(support: Support, signals: np.ndarray, count: int) -> list[Belief]:
-    """Each atom's belief, in partition order: per signal (``signals[k]`` <
-    ``count`` is the k-th weighed member's), the fsum of its members'
-    weights over its mass, in order of first appearance; a zero-mass
-    atom's is the point mass on signal 0 (see ``build_hierarchy``)."""
-    key = support.atom_index[support.positions] * count + signals
-    # One bucket per (atom, signal): a run of the stable sort by key.
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    starts = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()]
-    sizes = list(map(operator.sub, starts[1:] + [len(key)], starts))
-    sums = _fsums(support.weights[order].tolist(), sizes)
-    masses, keys, members = support.masses.tolist(), ordered.tolist(), order.tolist()
-    first = list(map(members.__getitem__, starts))
-    # Members run atom after atom, so buckets in order of their first
-    # member run atom after atom too.  Zero-mass atoms share one point
-    # mass, which nothing fills.
-    beliefs: list[Belief] = [{0: 1.0}] * len(masses)
-    atom = -1
-    for b in sorted(range(len(starts)), key=first.__getitem__):
-        a, z = divmod(keys[starts[b]], count)
-        if a != atom:
-            atom, beliefs[a] = a, {}
-        beliefs[a][z] = sums[b] / masses[a]
-    return beliefs
+def _exact_beliefs(
+    support: Support, signals: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each atom's belief, in partition order, as the CSR arrays
+    ``(starts, ids, weights)``: atom a's entries are at ``starts[a]`` to
+    ``starts[a + 1]``, one per signal (``signals[k]`` < ``count`` is the
+    k-th weighed member's) in order of first appearance, weighing the
+    fsum of its members' weights over the atom's mass.  A zero-mass
+    atom's is the point mass on signal 0 (see ``build_hierarchy``): one
+    more member each, of weight 1.0 over the mass 1.0."""
+    null = np.flatnonzero(support.masses <= 0.0)
+    atoms = np.concatenate((support.atom_index[support.positions], null))
+    signals = np.concatenate((signals, np.zeros(len(null), np.intp)))
+    weights = np.concatenate((support.weights, np.ones(len(null))))
+    # One bucket per (atom, signal), numbered by first appearance.  The
+    # members run atom after atom, and so do the buckets, once the null
+    # atoms' point masses are moved from the end to their atoms' places.
+    bucket, heads = _group(atoms * count + signals)
+    order = np.argsort(bucket, kind="stable")
+    sums = np.array(_fsums(weights[order].tolist(), np.bincount(bucket).tolist()))
+    by_atom = np.argsort(atoms[heads], kind="stable")
+    heads = heads[by_atom]
+    masses = np.where(support.masses > 0.0, support.masses, 1.0)
+    sizes = np.bincount(atoms[heads], minlength=len(masses))
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    return starts, signals[heads], sums[by_atom] / masses[atoms[heads]]
+
+
+def _distinct_beliefs(
+    starts: np.ndarray, ids: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, list[tuple]]:
+    """Each atom's distinct belief, numbered by first appearance, and
+    each distinct belief's signal ids and weights.  Two atoms share one
+    when they have the same signals with the same weights, in the same
+    order.  More than ``_FEW`` atoms are compared as array rows, one
+    array per belief length."""
+    if len(starts) <= _FEW + 1:
+        bounds, zs, ws = starts.tolist(), ids.tolist(), weights.tolist()
+        keys = [(tuple(zs[a:b]), tuple(ws[a:b])) for a, b in zip(bounds, bounds[1:])]
+        distinct, heads = _group(keys)
+        return distinct, [keys[a] for a in heads.tolist()]
+    sizes = np.diff(starts)
+    same = np.empty(len(sizes), np.intp)
+    offset = 0
+    for size in np.unique(sizes).tolist():
+        atoms = np.flatnonzero(sizes == size)
+        cells = starts[atoms, None] + np.arange(size)
+        rows = np.hstack([ids[cells], weights[cells].view(np.int64)])
+        # Sorted, equal rows are neighbours: each row opens a number or
+        # takes the one before it.
+        order = np.lexsort(rows.T)
+        ordered = rows[order]
+        opens = np.ones(len(atoms), bool)
+        opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        same[atoms[order]] = offset + np.cumsum(opens) - 1
+        offset += len(atoms)
+    distinct, heads = _group(same)
+    spans = zip(starts[heads].tolist(), starts[heads + 1].tolist())
+    return distinct, [(ids[a:b].tolist(), weights[a:b].tolist()) for a, b in spans]
 
 
 def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
@@ -179,41 +217,42 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
 
     levels: list[HierarchyLevel] = []
     for i, support in enumerate(supports, start=1):
-        group, first = _group(observable[live].tolist())
+        group, first = _group(observable[live])
         signal = np.full(len(states), -1, np.intp)
         signal[live] = group
-        beliefs = _exact_beliefs(support, signal[support.positions], len(first))
+        starts, ids, weights = _exact_beliefs(
+            support, signal[support.positions], len(first)
+        )
 
         centres: list[Belief] = []
         # Centres by signal index: a centre sharing no signal with a
         # belief is at distance exactly 2, so below delta = 2 only these
         # need a look.
         centres_on: dict[int, list[int]] = {}
-        # Each distinct belief, in order of first appearance, and its
-        # centre.  Centres are only appended, so atoms with equal beliefs
-        # meet the same centre at the same distance (0 for one they open).
-        keys = list(map(tuple, map(dict.items, beliefs)))
-        matched = dict.fromkeys(keys)
+        # Each distinct belief, in order of first appearance over the
+        # atoms, is matched once.  Centres are only appended, so atoms
+        # with equal beliefs meet the same centre at the same distance (0
+        # for one they open).
+        distinct, beliefs = _distinct_beliefs(starts, ids, weights)
+        matched = []
         max_gap = 0.0
-        for items in matched:
-            belief = dict(items)
+        for zs, ws in beliefs:
             if delta > 2.0:
                 near = range(len(centres))
             else:
-                near = sorted({c for z in belief for c in centres_on.get(z, ())})
+                near = sorted({c for z in zs for c in centres_on.get(z, ())})
             for c in near:
-                gap = _l1(belief, centres[c])
+                gap = _l1(zs, ws, centres[c])
                 if gap < delta:
                     break
             else:
                 c, gap = len(centres), 0.0
-                centres.append(belief)
-                for z in belief:
+                centres.append(dict(zip(zs, ws)))
+                for z in zs:
                     centres_on.setdefault(z, []).append(c)
             max_gap = max(max_gap, gap)
-            matched[items] = c
-        atom_centres = np.array(list(map(matched.__getitem__, keys)), np.intp)
-        belief_ids = atom_centres[support.atom_index]
+            matched.append(c)
+        belief_ids = np.array(matched, np.intp)[distinct][support.atom_index]
         levels.append(
             HierarchyLevel(
                 player=i,
@@ -231,7 +270,7 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
         # The class stays last: z = (b_1, ..., b_i, class) at level i + 1.
         # Renumbering keeps the combined ids below S^2.
         previous = observable
-        observable, first = _group((previous * len(centres) + belief_ids).tolist())
+        observable, first = _group(previous * len(centres) + belief_ids)
         observed = [
             observed[k][:-1] + (b, observed[k][-1])
             for k, b in zip(previous[first].tolist(), belief_ids[first].tolist())
@@ -246,7 +285,7 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     coarse_parts: list[InformationPartition] = []
     key, count = np.zeros(len(states), np.intp), 1
     for level, own in zip(reversed(levels), reversed(game.partitions)):
-        key, first = _group((level.beliefs * count + key).tolist())
+        key, first = _group(level.beliefs * count + key)
         count = len(first)
         if count == len(own.ids):
             coarse_parts.append(own)
@@ -378,7 +417,7 @@ def check_properties(hierarchy: Hierarchy) -> PropertyReport:
         # Constant on coarse atoms: no coarse atom holds two belief labels.
         coarse = hierarchy.coarse_partition(i)
         beliefs = hierarchy.level(i).beliefs
-        keys = tuple(coarse.atom_of)
+        keys = coarse._labelled[0]
         if keys != states:
             at = map(game.space.position.__getitem__, keys)
             beliefs = beliefs[np.fromiter(at, np.intp, len(keys))]

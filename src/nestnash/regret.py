@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,15 +149,14 @@ def _state_values(
     for bit (see the module docstring).
     """
     others = [j for j in strategies if j != player]
-    keys = zip(
-        game.classes.ids[positions].tolist(),
-        *[strategies[j][1][positions].tolist() for j in others],
-    )
-    group, first = _group(keys)
+    # Each key is renumbered densely as a row index joins it, so it stays
+    # below the number of positions times that player's rows.
+    group = game.classes.ids[positions]
+    for j in others:
+        rows, row_of = strategies[j]
+        group, first = _group(group * len(rows) + row_of[positions])
     own_rows, own_row_of = strategies[player]
-    current, current_first = _group(
-        (group * len(own_rows) + own_row_of[positions]).tolist()
-    )
+    current, current_first = _group(group * len(own_rows) + own_row_of[positions])
 
     def rows(reps: np.ndarray, players) -> list[np.ndarray]:
         return [strategies[j][0][strategies[j][1][reps]] for j in players]
@@ -205,8 +205,11 @@ def bayesian_regret(
                 f"negative regret {float(regret[k])!r} for player {i} "
                 f"at atom {support.ids[k]!r}"
             )
-        argmax = (values >= (best - DERIVED_TOL)[:, None]).tolist()
+        # Each distinct pattern of best actions is listed once.
+        tops = (values >= (best - DERIVED_TOL)[:, None]).tolist()
+        pattern, firsts = _group(map(tuple, tops))
         actions = game.actions_for(i)
+        best_actions = [tuple(itertools.compress(actions, tops[k])) for k in firsts]
         out[i] = PlayerRegret(
             atoms=support.ids,
             mass=tuple(support.masses[support.masses > 0.0].tolist()),
@@ -214,9 +217,7 @@ def bayesian_regret(
             best_value=tuple(best.tolist()),
             current_value=tuple(current.tolist()),
             values=tuple(map(tuple, values.tolist())),
-            best_actions=tuple(
-                tuple(itertools.compress(actions, tops)) for tops in argmax
-            ),
+            best_actions=tuple(map(best_actions.__getitem__, pattern.tolist())),
         )
     return out
 
@@ -240,8 +241,11 @@ def regret_report(table: dict[int, PlayerRegret], epsilon: float) -> RegretRepor
     if not 0.0 <= epsilon < math.inf:
         raise GameFormatError("epsilon must be finite and nonnegative")
     players = dict(sorted(table.items()))
+    # Each atom's mass times ``max(0.0, regret)``, mapped at C level.
     harsanyi = {
-        i: math.fsum(m * max(0.0, r) for m, r in zip(p.mass, p.regret))
+        i: math.fsum(
+            map(operator.mul, p.mass, map(max, itertools.repeat(0.0), p.regret))
+        )
         for i, p in players.items()
     }
     max_regret = max(

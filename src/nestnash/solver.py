@@ -37,7 +37,6 @@ import numpy as np
 
 from . import regret as regret_mod
 from .game import (
-    Action,
     Atom,
     GameFormatError,
     InformationPartition,
@@ -138,32 +137,37 @@ def _quotient(hierarchy: Hierarchy) -> NestedGame:
     game = hierarchy.game
     states, classes = game.space.states, game.classes
     labels = hierarchy.coarse[0].labels(states) * classes.count + classes.ids
-    merged, first = _group(labels.tolist())
+    merged, first = _group(labels)
     if len(first) == len(states):
         return coarsen(game, hierarchy.coarse)
     reps = tuple(map(states.__getitem__, first.tolist()))
-    grouped = list(map(states.__getitem__, np.argsort(merged, kind="stable").tolist()))
+    grouped = np.argsort(merged, kind="stable")
     sizes = np.bincount(merged).tolist()
 
-    def summed(prior) -> dict[State, float]:
-        return dict(zip(reps, _fsums(list(map(prior.__getitem__, grouped)), sizes)))
+    def summed(player: int | None = None) -> dict[State, float]:
+        weights = game.space.prior_array(player)[grouped]
+        return dict(zip(reps, _fsums(weights.tolist(), sizes)))
 
     player_priors = game.space.player_priors
     space = StateSpace(
         states=reps,
-        prior=summed(game.space.prior),
+        prior=summed(),
         player_priors=None
         if player_priors is None
-        else {i: summed(p) for i, p in player_priors.items()},
+        else {i: summed(i) for i in player_priors},
     )
-    partitions = tuple(
-        InformationPartition(part.player, dict(zip(reps, map(part.atom_of.get, reps))))
-        for part in hierarchy.coarse
-    )
+    partitions = []
+    for part in hierarchy.coarse:
+        kept = part.labels(states)[first]
+        codes, firsts = _group(kept)
+        ids = tuple(map(part.ids.__getitem__, kept[firsts].tolist()))
+        partitions.append(
+            InformationPartition.from_labels(part.player, reps, codes, firsts, ids)
+        )
     # ``take`` writes a C-ordered table, which ``from_array`` keeps as is.
     table = game.payoff_array.take(first, axis=1)
     payoffs = PayoffTensor.from_array(game.payoffs.actions, reps, table)
-    return NestedGame(space=space, partitions=partitions, payoffs=payoffs)
+    return NestedGame(space=space, partitions=tuple(partitions), payoffs=payoffs)
 
 
 class AgentFormGame:
@@ -287,13 +291,15 @@ class AgentFormGame:
     # -- conversions --------------------------------------------------------
 
     def to_profile(self, strategies: list[np.ndarray]) -> StrategyProfile:
-        strat = {
-            i: {atom: dict(zip(acts, row)) for atom, row in zip(ids, x.tolist())}
+        """The coarse profile playing row g of player i's array on their
+        atom g."""
+        rows = {
+            i: (ids, acts, x, np.arange(len(ids)))
             for i, (ids, acts, x) in enumerate(
                 zip(self.atom_ids, self.game.payoffs.actions, strategies), start=1
             )
         }
-        return StrategyProfile(strategies=strat, field_level="coarse")
+        return StrategyProfile.from_rows(rows, "coarse")
 
 
 def to_agent_form(game: NestedGame) -> AgentFormGame:
@@ -449,22 +455,38 @@ def lift_strategy(
     Each original atom sits inside exactly one coarse atom (the audit's
     ``information-refines-coarse``), so the lift just copies that atom's
     distribution.  The result is measurable for the original partitions
-    by construction and preserves all payoffs.  A hierarchy whose
-    structural audit (``Hierarchy.audit``) fails is refused, as
-    ``build_auxiliary_game`` refuses it.
+    by construction and preserves all payoffs.  A profile built from
+    rows over the coarse atoms lifts to rows: each original atom's row
+    index is its coarse parent's, one fancy index by the parent labels,
+    and the array is shared.  Any other profile's dicts are copied atom
+    by atom.  A hierarchy whose structural audit (``Hierarchy.audit``)
+    fails is refused, as ``build_auxiliary_game`` refuses it.
     """
     if aux_profile.field_level != "coarse":
         raise GameFormatError("lift expects a coarse-level profile")
     _require_audit(hierarchy)
     game = hierarchy.game
     states = game.space.states
-    strategies: dict[int, dict[Atom, dict[Action, float]]] = {}
+    parents = {}
     for i in range(1, game.n + 1):
         part, coarse = game.partition_for(i), hierarchy.coarse_partition(i)
         parent = np.empty(len(part.ids), np.intp)
         parent[part.labels(states)] = coarse.labels(states)
-        strategies[i] = {
-            atom: dict(aux_profile.distribution(i, coarse.ids[p]))
-            for atom, p in zip(part.ids, parent.tolist())
+        parents[i] = part.ids, coarse.ids, parent
+    rows = aux_profile.rows
+    if rows is not None and all(
+        i in rows and rows[i][0] == ids for i, (_, ids, _) in parents.items()
+    ):
+        lifted = {
+            i: (atoms, rows[i][1], rows[i][2], rows[i][3][parent])
+            for i, (atoms, _, parent) in parents.items()
         }
+        return StrategyProfile.from_rows(lifted, "original")
+    strategies = {
+        i: {
+            atom: dict(aux_profile.distribution(i, ids[p]))
+            for atom, p in zip(atoms, parent.tolist())
+        }
+        for i, (atoms, ids, parent) in parents.items()
+    }
     return StrategyProfile(strategies=strategies, field_level="original")

@@ -271,6 +271,27 @@ class TestPayoffArray:
         with pytest.raises(GameFormatError, match="has 1 values"):
             with_values(game, values).payoff_array
 
+    @pytest.mark.parametrize("bad", ["x", "1.5", True, None])
+    def test_entry_holding_no_number_is_named(self, bad):
+        # Validation reports the entry instead of raising, or of reading a
+        # string or a bool as the number it spells.
+        game = two_state_game()
+        values = dict(game.payoffs.values)
+        values[("w2", ("A", "B"))] = (bad, 1.0)
+        assert payoff_messages(with_values(game, values)) == [
+            f"payoff entry at ('w2', ('A', 'B')) holds {bad!r}, not a number"
+        ]
+        with pytest.raises(GameFormatError, match="not a number"):
+            with_values(game, values).payoff_array
+
+    def test_numpy_reals_are_numbers(self):
+        game = two_state_game()
+        values = dict(game.payoffs.values)
+        values[("w2", ("A", "B"))] = (np.float32(1.5), np.int64(-2))
+        table = with_values(game, values).payoff_array
+        assert payoff_messages(with_values(game, values)) == []
+        assert table[:, 1, 0, 1].tolist() == [1.5, -2.0]
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_entry(self, bad):
         game = two_state_game()

@@ -1,0 +1,154 @@
+"""Profiles built from rows against the same profiles built from dicts.
+
+The solver and the lift build a profile from rows
+(``StrategyProfile.from_rows``): per player one array of distributions
+and each atom's row index into it.  The loader, the tests and the
+benchmark's recheck build profiles from dicts.  Drawn on random nested
+games, both forms of one profile must certify alike, column for column
+by ``float.hex``, be read as the distinct rows a plain walk over the
+atoms finds, fail with the same errors, lift to the same dicts and write
+the same report bytes.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from generators import random_nested_game
+from nestnash.cli import _dumps
+from nestnash.game import GameFormatError, StrategyProfile, _strategies_at
+from nestnash.gamefile import profile_to_json
+from nestnash.hierarchy import build_hierarchy
+from nestnash.regret import certify
+from nestnash.solver import lift_strategy
+
+SEEDS = st.integers(0, 2**32 - 1)
+EDITS = ("none", "signed zero", "omitted zero", "unknown action", "nan row")
+
+
+def random_rows(rng, game, partitions) -> dict:
+    """Per player: the partition's atoms, the game's actions, a table of
+    distributions whose first row is pure and whose last repeats it, and
+    a random row per atom."""
+    rows = {}
+    for i, part in enumerate(partitions, start=1):
+        acts = game.actions_for(i)
+        count = int(rng.integers(1, len(part.ids) + 1))
+        table = rng.dirichlet(np.ones(len(acts)), size=count)
+        pure = rng.random(count) < 0.4
+        pure[0] = True
+        table[pure] = np.eye(len(acts))[rng.integers(0, len(acts), int(pure.sum()))]
+        table = np.vstack([table, table[:1]])
+        rows[i] = (part.ids, acts, table, rng.integers(0, count + 1, len(part.ids)))
+    return rows
+
+
+def dicts_of(rows: dict) -> dict:
+    return {
+        i: {
+            atom: dict(zip(acts, table[r].tolist()))
+            for atom, r in zip(atoms, row_of.tolist())
+        }
+        for i, (atoms, acts, table, row_of) in rows.items()
+    }
+
+
+def hexed(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(hexed(k), hexed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+def certificate(game, profile):
+    """Every column of the certificate by ``float.hex``, or the error."""
+    try:
+        report = certify(game, profile, 0.1)
+    except GameFormatError as err:
+        return str(err)
+    players = [vars(p) for p in report.players.values()]
+    return hexed([players, report.harsanyi, report.max_regret, report.witness])
+
+
+def edited(rng, rows: dict, edit: str) -> tuple[dict, dict]:
+    """``rows`` with ``edit`` applied to player 1's table, and the dicts
+    of the edited rows; for "omitted zero" the dicts omit the actions
+    that player 1's atoms play at zero mass."""
+    atoms, acts, table, row_of = rows[1]
+    table = table.copy()
+    played = int(row_of[0])
+    if edit == "signed zero":
+        # The last row equals the first by value, not by sign.
+        table[-1][table[-1] == 0.0] = -0.0
+    elif edit == "unknown action":
+        acts = acts + ("zz",)
+        table = np.hstack([table, np.zeros((len(table), 1))])
+    elif edit == "nan row":
+        table[played, int(rng.integers(0, len(acts)))] = math.nan
+    rows = {**rows, 1: (atoms, acts, table, row_of)}
+    dicts = dicts_of(rows)
+    if edit == "omitted zero":
+        for dist in dicts[1].values():
+            for a in [a for a, p in dist.items() if p == 0.0]:
+                del dist[a]
+    return rows, dicts
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, edit=st.sampled_from(EDITS))
+def test_rows_certify_as_their_dicts(seed, edit):
+    rng = np.random.default_rng(seed)
+    game = random_nested_game(rng, max_states=40)
+    rows, dicts = edited(rng, random_rows(rng, game, game.partitions), edit)
+    from_rows = StrategyProfile.from_rows(rows, "original")
+    from_dicts = StrategyProfile(strategies=dicts, field_level="original")
+    got, want = certificate(game, from_rows), certificate(game, from_dicts)
+    assert got == want
+    if edit in ("unknown action", "nan row"):
+        assert got.startswith("player 1 plays")
+        return
+    # Both are read as the distinct rows of a plain walk over the atoms
+    # in partition order, each with the signs of its first atom's zeros.
+    positions = np.arange(len(game.space.states))
+    players = range(1, game.n + 1)
+    read = _strategies_at(game, from_rows, positions, players)
+    want = _strategies_at(game, from_dicts, positions, players)
+    for j in players:
+        acts, atoms = game.actions_for(j), game.partitions[j - 1].ids
+        walk = [tuple(dicts[j][atom].get(a, 0.0) for a in acts) for atom in atoms]
+        distinct = list(dict.fromkeys(walk))
+        for table, row_of in (read[j], want[j]):
+            assert hexed(table.tolist()) == hexed(distinct)
+            assert table[row_of].tolist() == [
+                list(walk[k]) for k in game.supports[j - 1].atom_index.tolist()
+            ]
+    if edit != "omitted zero":
+        # The dict view is the dicts the rows were written to.
+        assert hexed(from_rows.strategies) == hexed(from_dicts.strategies)
+        assert from_rows == from_dicts
+        assert _dumps(profile_to_json(from_rows), 0) == _dumps(
+            profile_to_json(from_dicts), 0
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, delta=st.floats(0.05, 1.0))
+def test_lifted_rows_are_the_lifted_dicts(seed, delta):
+    # The lift of a coarse profile built from rows takes the parents' row
+    # indices; its dict view is the lift of the same profile's dicts,
+    # atom by atom and action by action.
+    rng = np.random.default_rng(seed)
+    game = random_nested_game(rng, max_states=40)
+    h = build_hierarchy(game, delta)
+    rows = random_rows(rng, game, h.coarse)
+    lifted = lift_strategy(StrategyProfile.from_rows(rows, "coarse"), h)
+    old = lift_strategy(StrategyProfile(dicts_of(rows), field_level="coarse"), h)
+    assert lifted.rows is not None and old.rows is None
+    assert hexed(lifted.strategies) == hexed(old.strategies)
+    assert certificate(game, lifted) == certificate(game, old)
+    assert _dumps(profile_to_json(lifted), 0) == _dumps(profile_to_json(old), 0)

@@ -3,14 +3,18 @@ hooks the benchmark (``perfbench/``) takes into the library hold, and
 the package reads each tolerance only where its rule lives."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import nestnash
@@ -98,14 +102,22 @@ def test_benchmark_gets_each_grid_game(doc, epsilon, meshes, tmp_path, monkeypat
     assert built[-1].eta0 == report["discretization"]["eta0"]
 
 
-def test_benchmark_span_targets_resolve(monkeypatch):
-    # Every function the benchmark's tracer wraps is where it looks.
+def perfbench_module(name: str, monkeypatch):
+    """``perfbench/<name>.py``, loaded as ``perfbench_<name>`` without
+    writing bytecode into the benchmark's directory."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py")
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py")
     )
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    # Every function the benchmark's tracer wraps is where it looks.
+    spans = perfbench_module("spans", monkeypatch)
     assert spans.TARGETS
     for module_name, path, name in spans.TARGETS:
         owner = importlib.import_module(module_name)
@@ -113,6 +125,29 @@ def test_benchmark_span_targets_resolve(monkeypatch):
         for part in outer:
             owner = getattr(owner, part)
         assert callable(owner.__dict__.get(attr)), (module_name, path, name)
+
+
+def test_benchmark_recheck_passes_a_redundant_solve(tmp_path, monkeypatch):
+    # The benchmark rechecks each report by building its lifted profile
+    # from dicts (``_report_profile``) and certifying it with the library;
+    # a CLI solve of a ``redundant`` game, whose profile the solver and
+    # the lift hand on as rows, must pass that recheck.
+    generators = perfbench_module("generators", monkeypatch)
+    # ``workloads`` imports the benchmark's ``generators``, not the tests'.
+    monkeypatch.setitem(sys.modules, "generators", generators)
+    workloads = perfbench_module("workloads", monkeypatch)
+    with mock.patch.dict(os.environ):  # ``run`` caps thread counts on import
+        run = perfbench_module("run", monkeypatch)
+    game = generators.redundant_game(np.random.default_rng(1), 600)
+    path = write_json(tmp_path / "game.json", workloads.finite_doc(game))
+    epsilon = workloads.REDUNDANT_EPSILON
+    case = workloads.Case("redundant0", path, epsilon, 0, 600, lambda: game)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = nestnash.cli.main(["solve", "--game", path, "--epsilon", repr(epsilon)])
+    problems, counts = run.check_report(case, code, out.getvalue(), None)
+    assert (code, problems) == (0, [])
+    assert counts["atoms_coarse"] < counts["atoms_original"]
 
 
 def sites(match) -> set[tuple[str, str]]:

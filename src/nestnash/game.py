@@ -33,8 +33,7 @@ the supports, the hierarchy, its audit, the quotient and the lift
 compare label arrays instead of walking dicts state by state.  Every
 per-state fact derived from a game is kept once, as such an array: the
 class ids, each support's atom index, and the hierarchy's ``signals``
-and ``beliefs``.  Integer keys are grouped by ``_group`` without a
-per-key dict.
+and ``beliefs``.
 """
 
 from __future__ import annotations
@@ -668,34 +667,15 @@ def payoff_bound(game: NestedGame) -> float:
     return max(1.0, float(table.max(initial=0.0)), -float(table.min(initial=0.0)))
 
 
-# Arrays of at most this many keys are grouped through a dict, which
-# beats the fixed cost of the numpy passes below that size.
-_FEW = 64
-
-
-def _group(keys: Iterable[Hashable] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _group(keys: Iterable[Hashable]) -> tuple[np.ndarray, np.ndarray]:
     """Dense group ids of ``keys``, numbered by first appearance, and the
-    position of each group's first key.  An array of more than ``_FEW``
-    nonnegative integers is grouped without a per-key dict: through a
-    table indexed by key, once keys far beyond their count are renumbered
-    by ``np.unique``."""
-    if not isinstance(keys, np.ndarray) or len(keys) <= _FEW:
-        first: dict[Hashable, int] = {}
-        keys = keys.tolist() if isinstance(keys, np.ndarray) else keys
-        rep = np.fromiter(map(first.setdefault, keys, itertools.count()), np.intp)
-        firsts = np.fromiter(first.values(), np.intp, len(first))
-        dense = np.empty(len(rep), np.intp)
-        dense[firsts] = np.arange(len(firsts))
-        return dense[rep], firsts
-    count = len(keys)
-    if keys.max() >= 4 * count:
-        keys = np.unique(keys, return_inverse=True)[1].reshape(count)
-    first = np.full(int(keys.max()) + 1, count, np.intp)
-    np.minimum.at(first, keys, np.arange(count))
-    firsts = np.sort(first[first < count])
-    dense = np.empty(len(first), np.intp)
-    dense[keys[firsts]] = np.arange(len(firsts))
-    return dense[keys], firsts
+    position of each group's first key."""
+    first: dict[Hashable, int] = {}
+    rep = np.fromiter(map(first.setdefault, keys, itertools.count()), np.intp)
+    firsts = np.fromiter(first.values(), np.intp, len(first))
+    dense = np.empty(len(rep), np.intp)
+    dense[firsts] = np.arange(len(firsts))
+    return dense[rep], firsts
 
 
 # A row's checksum reads evenly spaced entries of each player's part of
@@ -734,7 +714,7 @@ def payoff_classes(game: NestedGame) -> PayoffClasses:
         # Round payoffs have all-zero low bits: fold the high half down.
         bits ^= bits >> np.uint64(32)
         sums += np.einsum("isc,ic->s", bits, weights[:, c : c + step])
-    checksum, first = _group(sums)
+    checksum, first = _group(sums.tolist())
     rep = first[checksum]
     # Each state whose checksum an earlier state opened: is its row that one's?
     later = np.flatnonzero(rep != np.arange(count))
@@ -747,7 +727,7 @@ def payoff_classes(game: NestedGame) -> PayoffClasses:
     opened: dict[bytes, int] = {}
     for k in later[~same].tolist():
         rep[k] = opened.setdefault(np.add(rows[:, k], 0.0).tobytes(), k)
-    ids, openers = _group(rep)
+    ids, openers = _group(rep.tolist())
     return PayoffClasses(
         count=len(openers),
         representatives=tuple(states[k] for k in openers.tolist()),
@@ -797,30 +777,28 @@ def _strategies_at(
             used = np.zeros(len(atoms), bool)
             used[atom_index[positions]] = True
             used = np.flatnonzero(used)
+            # Each used atom's distribution as a tuple over ``acts``.
             form = (profile.rows or {}).get(j)
             if form is not None and form[:2] == (atoms, acts):
-                table, row_of = form[2], form[3][used]
+                keys = list(map(tuple, form[2].tolist()))
+                played = map(keys.__getitem__, form[3][used].tolist())
             else:
                 strategy = profile.strategies[j]
-                played = map(atoms.__getitem__, used.tolist())
-                dists = list(map(strategy.__getitem__, played))
+                held = map(atoms.__getitem__, used.tolist())
+                dists = list(map(strategy.__getitem__, held))
                 if not all(map(set(acts).issuperset, dists)):
                     a = next(a for dist in dists for a in dist if a not in acts)
                     raise GameFormatError(f"player {j} plays unknown action {a!r}")
-                table = np.array([[d.get(a, 0.0) for a in acts] for d in dists], float)
-                table = table.reshape(len(dists), len(acts))
-                row_of = np.arange(len(dists))
+                played = (tuple([d.get(a, 0.0) for a in acts]) for d in dists)
             # Rows equal value by value (-0.0 and 0.0 alike) share a number.
-            same = _group(map(tuple, table.tolist()))[0]
-            at, firsts = _group(same[row_of])
-            table = table[row_of[firsts]]
-            rows = table.tolist()
+            rows: dict[tuple[float, ...], int] = {}
+            atom_row = np.zeros(len(atoms), np.intp)
+            atom_row[used] = [rows.setdefault(key, len(rows)) for key in played]
             faults = (_mass_fault(dict(zip(acts, row)), "action") for row in rows)
             fault = next(filter(None, faults), None)
             if fault is not None:
                 raise GameFormatError(f"player {j} plays a distribution that {fault}")
-            atom_row = np.zeros(len(atoms), np.intp)
-            atom_row[used] = at
+            table = np.array(list(rows), float).reshape(len(rows), len(acts))
             out[j] = (table, atom_row[atom_index])
     except KeyError:
         states = game.space.states

@@ -22,8 +22,8 @@ index followed by player i + 1's key, and a player whose key merges
 none of their atoms keeps their own partition.  Beliefs come from one
 stable sort of the weighed states by (atom, signal), each bucket summed
 with ``math.fsum`` as a plain loop would, and are kept as CSR arrays
-(each atom's signal ids and weights); atoms with equal beliefs are found
-on those arrays, and each distinct belief is matched to a centre once.
+(each atom's signal ids and weights); each distinct belief is matched
+to a centre once.
 Each level keeps its labels as they are computed, the
 arrays ``signals`` and ``beliefs``, and the audit (``check_properties``,
 read once per hierarchy as ``Hierarchy.audit``) compares label arrays
@@ -58,7 +58,6 @@ from .game import (
     _fold_atoms,
     _fsums,
     _group,
-    _FEW,
     _refinement_witness,
 )
 
@@ -130,57 +129,21 @@ def _exact_beliefs(
     ``starts[a + 1]``, one per signal (``signals[k]`` < ``count`` is the
     k-th weighed member's) in order of first appearance, weighing the
     fsum of its members' weights over the atom's mass.  A zero-mass
-    atom's is the point mass on signal 0 (see ``build_hierarchy``): one
-    more member each, of weight 1.0 over the mass 1.0."""
-    null = np.flatnonzero(support.masses <= 0.0)
-    atoms = np.concatenate((support.atom_index[support.positions], null))
-    signals = np.concatenate((signals, np.zeros(len(null), np.intp)))
-    weights = np.concatenate((support.weights, np.ones(len(null))))
-    # One bucket per (atom, signal), numbered by first appearance.  The
-    # members run atom after atom, and so do the buckets, once the null
-    # atoms' point masses are moved from the end to their atoms' places.
-    bucket, heads = _group(atoms * count + signals)
-    order = np.argsort(bucket, kind="stable")
-    sums = np.array(_fsums(weights[order].tolist(), np.bincount(bucket).tolist()))
-    by_atom = np.argsort(atoms[heads], kind="stable")
-    heads = heads[by_atom]
-    masses = np.where(support.masses > 0.0, support.masses, 1.0)
-    sizes = np.bincount(atoms[heads], minlength=len(masses))
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    return starts, signals[heads], sums[by_atom] / masses[atoms[heads]]
-
-
-def _distinct_beliefs(
-    starts: np.ndarray, ids: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, list[tuple]]:
-    """Each atom's distinct belief, numbered by first appearance, and
-    each distinct belief's signal ids and weights.  Two atoms share one
-    when they have the same signals with the same weights, in the same
-    order.  More than ``_FEW`` atoms are compared as array rows, one
-    array per belief length."""
-    if len(starts) <= _FEW + 1:
-        bounds, zs, ws = starts.tolist(), ids.tolist(), weights.tolist()
-        keys = [(tuple(zs[a:b]), tuple(ws[a:b])) for a, b in zip(bounds, bounds[1:])]
-        distinct, heads = _group(keys)
-        return distinct, [keys[a] for a in heads.tolist()]
-    sizes = np.diff(starts)
-    same = np.empty(len(sizes), np.intp)
-    offset = 0
-    for size in np.unique(sizes).tolist():
-        atoms = np.flatnonzero(sizes == size)
-        cells = starts[atoms, None] + np.arange(size)
-        rows = np.hstack([ids[cells], weights[cells].view(np.int64)])
-        # Sorted, equal rows are neighbours: each row opens a number or
-        # takes the one before it.
-        order = np.lexsort(rows.T)
-        ordered = rows[order]
-        opens = np.ones(len(atoms), bool)
-        opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        same[atoms[order]] = offset + np.cumsum(opens) - 1
-        offset += len(atoms)
-    distinct, heads = _group(same)
-    spans = zip(starts[heads].tolist(), starts[heads + 1].tolist())
-    return distinct, [(ids[a:b].tolist(), weights[a:b].tolist()) for a, b in spans]
+    atom weighs no member, so its entries are empty; ``build_hierarchy``
+    reads them as the point mass on signal 0."""
+    key = support.atom_index[support.positions] * count + signals
+    # One bucket per (atom, signal): a run of the stable sort by key.
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    runs = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()]
+    sizes = list(map(operator.sub, runs[1:] + [len(key)], runs))
+    sums = np.array(_fsums(support.weights[order].tolist(), sizes))
+    # The buckets run atom after atom; ``by_first`` keeps that and puts
+    # each atom's in order of their first member.
+    bucket_atoms, ids = np.divmod(ordered[runs], count)
+    by_first = (bucket_atoms * len(key) + order[runs]).argsort()
+    starts = bucket_atoms.searchsorted(np.arange(len(support.masses) + 1))
+    return starts, ids[by_first], sums[by_first] / support.masses[bucket_atoms]
 
 
 def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
@@ -217,7 +180,7 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
 
     levels: list[HierarchyLevel] = []
     for i, support in enumerate(supports, start=1):
-        group, first = _group(observable[live])
+        group, first = _group(observable[live].tolist())
         signal = np.full(len(states), -1, np.intp)
         signal[live] = group
         starts, ids, weights = _exact_beliefs(
@@ -229,14 +192,18 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
         # belief is at distance exactly 2, so below delta = 2 only these
         # need a look.
         centres_on: dict[int, list[int]] = {}
-        # Each distinct belief, in order of first appearance over the
-        # atoms, is matched once.  Centres are only appended, so atoms
-        # with equal beliefs meet the same centre at the same distance (0
-        # for one they open).
-        distinct, beliefs = _distinct_beliefs(starts, ids, weights)
-        matched = []
+        # Each distinct belief (the same signals with the same weights, in
+        # the same order), in order of first appearance, and its centre.
+        # Centres are only appended, so atoms with equal beliefs meet the
+        # same centre at the same distance (0 for one they open).
+        cuts = list(map(slice, starts.tolist(), starts[1:].tolist()))
+        ids, weights = tuple(ids.tolist()), tuple(weights.tolist())
+        keys = list(zip(map(ids.__getitem__, cuts), map(weights.__getitem__, cuts)))
+        matched = dict.fromkeys(keys)
         max_gap = 0.0
-        for zs, ws in beliefs:
+        for belief in matched:
+            # A zero-mass atom's empty belief is the point mass on signal 0.
+            zs, ws = belief if belief[0] else ((0,), (1.0,))
             if delta > 2.0:
                 near = range(len(centres))
             else:
@@ -251,8 +218,9 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
                 for z in zs:
                     centres_on.setdefault(z, []).append(c)
             max_gap = max(max_gap, gap)
-            matched.append(c)
-        belief_ids = np.array(matched, np.intp)[distinct][support.atom_index]
+            matched[belief] = c
+        atom_centres = np.array(list(map(matched.__getitem__, keys)), np.intp)
+        belief_ids = atom_centres[support.atom_index]
         levels.append(
             HierarchyLevel(
                 player=i,
@@ -270,7 +238,7 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
         # The class stays last: z = (b_1, ..., b_i, class) at level i + 1.
         # Renumbering keeps the combined ids below S^2.
         previous = observable
-        observable, first = _group(previous * len(centres) + belief_ids)
+        observable, first = _group((previous * len(centres) + belief_ids).tolist())
         observed = [
             observed[k][:-1] + (b, observed[k][-1])
             for k, b in zip(previous[first].tolist(), belief_ids[first].tolist())
@@ -285,7 +253,7 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     coarse_parts: list[InformationPartition] = []
     key, count = np.zeros(len(states), np.intp), 1
     for level, own in zip(reversed(levels), reversed(game.partitions)):
-        key, first = _group(level.beliefs * count + key)
+        key, first = _group((level.beliefs * count + key).tolist())
         count = len(first)
         if count == len(own.ids):
             coarse_parts.append(own)

@@ -154,9 +154,11 @@ def _state_values(
     group = game.classes.ids[positions]
     for j in others:
         rows, row_of = strategies[j]
-        group, first = _group(group * len(rows) + row_of[positions])
+        group, first = _group((group * len(rows) + row_of[positions]).tolist())
     own_rows, own_row_of = strategies[player]
-    current, current_first = _group(group * len(own_rows) + own_row_of[positions])
+    current, current_first = _group(
+        (group * len(own_rows) + own_row_of[positions]).tolist()
+    )
 
     def rows(reps: np.ndarray, players) -> list[np.ndarray]:
         return [strategies[j][0][strategies[j][1][reps]] for j in players]
@@ -206,10 +208,9 @@ def bayesian_regret(
                 f"at atom {support.ids[k]!r}"
             )
         # Each distinct pattern of best actions is listed once.
-        tops = (values >= (best - DERIVED_TOL)[:, None]).tolist()
-        pattern, firsts = _group(map(tuple, tops))
+        tops = list(map(tuple, (values >= (best - DERIVED_TOL)[:, None]).tolist()))
         actions = game.actions_for(i)
-        best_actions = [tuple(itertools.compress(actions, tops[k])) for k in firsts]
+        listed = {t: tuple(itertools.compress(actions, t)) for t in dict.fromkeys(tops)}
         out[i] = PlayerRegret(
             atoms=support.ids,
             mass=tuple(support.masses[support.masses > 0.0].tolist()),
@@ -217,7 +218,7 @@ def bayesian_regret(
             best_value=tuple(best.tolist()),
             current_value=tuple(current.tolist()),
             values=tuple(map(tuple, values.tolist())),
-            best_actions=tuple(map(best_actions.__getitem__, pattern.tolist())),
+            best_actions=tuple(map(listed.__getitem__, tops)),
         )
     return out
 

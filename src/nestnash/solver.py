@@ -137,7 +137,7 @@ def _quotient(hierarchy: Hierarchy) -> NestedGame:
     game = hierarchy.game
     states, classes = game.space.states, game.classes
     labels = hierarchy.coarse[0].labels(states) * classes.count + classes.ids
-    merged, first = _group(labels)
+    merged, first = _group(labels.tolist())
     if len(first) == len(states):
         return coarsen(game, hierarchy.coarse)
     reps = tuple(map(states.__getitem__, first.tolist()))
@@ -159,7 +159,7 @@ def _quotient(hierarchy: Hierarchy) -> NestedGame:
     partitions = []
     for part in hierarchy.coarse:
         kept = part.labels(states)[first]
-        codes, firsts = _group(kept)
+        codes, firsts = _group(kept.tolist())
         ids = tuple(map(part.ids.__getitem__, kept[firsts].tolist()))
         partitions.append(
             InformationPartition.from_labels(part.player, reps, codes, firsts, ids)
@@ -459,8 +459,11 @@ def lift_strategy(
     rows over the coarse atoms lifts to rows: each original atom's row
     index is its coarse parent's, one fancy index by the parent labels,
     and the array is shared.  Any other profile's dicts are copied atom
-    by atom.  A hierarchy whose structural audit (``Hierarchy.audit``)
-    fails is refused, as ``build_auxiliary_game`` refuses it.
+    by atom, not turned into rows: a row lists every action, so the
+    lift's dicts would gain the zero-mass actions a dict omits and lose
+    the unknown ones the certifier must refuse.  A hierarchy whose
+    structural audit (``Hierarchy.audit``) fails is refused, as
+    ``build_auxiliary_game`` refuses it.
     """
     if aux_profile.field_level != "coarse":
         raise GameFormatError("lift expects a coarse-level profile")

@@ -12,6 +12,8 @@ from partition atoms to mixed actions, so they are measurable with
 respect to the owning player's information by construction; the solver
 and the lift hand them on as rows (``StrategyProfile.from_rows``), one
 array of distributions per player and each atom's row index into it.
+One function, ``_played_rows``, reads a profile's play in either form,
+for the certifier and the lift alike.
 
 All container types are immutable after construction: each caches only
 what it derives from itself.  Every operation is a pure function.
@@ -300,8 +302,16 @@ def _stack(
     GameFormatError naming the first key the table misses, or the first
     entry holding a number of values other than n or a value that is not
     a real number (a bool, a string or None; numpy reals are numbers).
+    A table with fewer entries than the array has cells misses a key
+    among the first ``len(values) + 1``, so only those are listed.
     """
     n = len(actions)
+    if len(values) < len(states) * math.prod(map(len, actions)):
+        keys = itertools.product(states, *actions)
+        s, *prof = next(key for key in keys if (key[0], key[1:]) not in values)
+        raise GameFormatError(
+            f"payoff tensor misses the entry at ({s!r}, {tuple(prof)!r})"
+        )
     profiles = tuple(itertools.product(*actions))
     try:
         rows = list(map(values.__getitem__, itertools.product(states, profiles)))
@@ -400,8 +410,8 @@ class StrategyProfile:
     labels, one (rows, actions) array of distributions and each atom's
     row index into it, so that atoms sharing a distribution share its
     row.  Such a profile builds ``strategies`` on first read, each atom's
-    row as a dict over every action; the certifier and the report read
-    the rows.
+    row as a dict over every action; ``_played_rows`` (the certifier's
+    and the lift's reader) and the report read the rows.
     """
 
     strategies: dict[int, dict[Atom, dict[Action, float]]]
@@ -745,6 +755,48 @@ def payoff_classes(game: NestedGame) -> PayoffClasses:
 # terms, such as those of a zero-probability action, never change it.
 
 
+def _played_rows(
+    profile: StrategyProfile,
+    player: int,
+    atoms: tuple[Atom, ...],
+    acts: tuple[Action, ...],
+    used: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """What ``profile`` has ``player`` play at ``atoms[k]`` for each k in
+    the increasing array ``used``: ``(rows, atom_row)``.
+
+    ``rows`` is a (R, len(acts)) array of distributions distinct value by
+    value (-0.0 and 0.0 alike), in order of first appearance over
+    ``used``, and atom k plays row ``atom_row[k]`` (0 for k not in
+    ``used``).  The one reader of a profile's play: the rows of a profile
+    built from rows over ``atoms`` and ``acts`` are read by atom index,
+    any other profile's dicts atom by atom.  A missing strategy raises
+    ``StrategyProfile.distribution``'s error for the first atom lacking
+    one; a distribution naming an action outside ``acts``, even at zero
+    mass, or one that is not a probability vector (``_mass_fault``)
+    raises GameFormatError, so no certificate or lift reads such play.
+    """
+    form = (profile.rows or {}).get(player)
+    if form is not None and form[:2] == (atoms, acts):
+        keys = list(map(tuple, form[2].tolist()))
+        played = map(keys.__getitem__, form[3][used].tolist())
+    else:
+        held = map(atoms.__getitem__, used.tolist())
+        dists = list(map(profile.distribution, itertools.repeat(player), held))
+        if not all(map(set(acts).issuperset, dists)):
+            a = next(a for dist in dists for a in dist if a not in acts)
+            raise GameFormatError(f"player {player} plays unknown action {a!r}")
+        played = (tuple([d.get(a, 0.0) for a in acts]) for d in dists)
+    rows: dict[tuple[float, ...], int] = {}
+    atom_row = np.zeros(len(atoms), np.intp)
+    atom_row[used] = [rows.setdefault(key, len(rows)) for key in played]
+    faults = (_mass_fault(dict(zip(acts, row)), "action") for row in rows)
+    fault = next(filter(None, faults), None)
+    if fault is not None:
+        raise GameFormatError(f"player {player} plays a distribution that {fault}")
+    return np.array(list(rows), float).reshape(len(rows), len(acts)), atom_row
+
+
 def _strategies_at(
     game: NestedGame,
     profile: StrategyProfile,
@@ -752,60 +804,19 @@ def _strategies_at(
     players: Iterable[int],
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Per player, the distributions the profile plays at the states at
-    ``positions``: ``(rows, row_of)``.
-
-    ``rows`` is a (R, |A_j|) array of distributions distinct value by
-    value, in order of first appearance over the atoms in partition
-    order, and ``row_of[k]`` is the row played at the k-th state of the
-    state order; it is unspecified at states outside ``positions``.  The
-    rows of a profile built from rows over the game's own atoms and
-    actions are read by atom index; any other profile's dicts are read
-    atom by atom.  A missing strategy raises
-    ``StrategyProfile.distribution``'s error for the first (state,
-    player) pair lacking one, states outermost.  A distribution naming an
-    action the game does not give the player, even at zero mass, or one
-    that is not a probability vector (``_mass_fault``) raises
-    GameFormatError, so no certificate reads such play.
-    """
-    players = tuple(players)
+    ``positions``: ``(rows, row_of)``, ``rows`` as ``_played_rows`` reads
+    them over the atoms holding those states and ``row_of[k]`` the row
+    played at the k-th state of the state order (unspecified outside
+    ``positions``).  The first player whose play is refused raises."""
     out = {}
-    try:
-        for j in players:
-            atom_index = game.supports[j - 1].atom_index
-            atoms = game.partitions[j - 1].ids
-            acts = game.actions_for(j)
-            used = np.zeros(len(atoms), bool)
-            used[atom_index[positions]] = True
-            used = np.flatnonzero(used)
-            # Each used atom's distribution as a tuple over ``acts``.
-            form = (profile.rows or {}).get(j)
-            if form is not None and form[:2] == (atoms, acts):
-                keys = list(map(tuple, form[2].tolist()))
-                played = map(keys.__getitem__, form[3][used].tolist())
-            else:
-                strategy = profile.strategies[j]
-                held = map(atoms.__getitem__, used.tolist())
-                dists = list(map(strategy.__getitem__, held))
-                if not all(map(set(acts).issuperset, dists)):
-                    a = next(a for dist in dists for a in dist if a not in acts)
-                    raise GameFormatError(f"player {j} plays unknown action {a!r}")
-                played = (tuple([d.get(a, 0.0) for a in acts]) for d in dists)
-            # Rows equal value by value (-0.0 and 0.0 alike) share a number.
-            rows: dict[tuple[float, ...], int] = {}
-            atom_row = np.zeros(len(atoms), np.intp)
-            atom_row[used] = [rows.setdefault(key, len(rows)) for key in played]
-            faults = (_mass_fault(dict(zip(acts, row)), "action") for row in rows)
-            fault = next(filter(None, faults), None)
-            if fault is not None:
-                raise GameFormatError(f"player {j} plays a distribution that {fault}")
-            table = np.array(list(rows), float).reshape(len(rows), len(acts))
-            out[j] = (table, atom_row[atom_index])
-    except KeyError:
-        states = game.space.states
-        for k in positions.tolist():
-            for j in players:
-                profile.distribution(j, game.partitions[j - 1].atom_of[states[k]])
-        raise
+    for j in players:
+        atom_index = game.supports[j - 1].atom_index
+        atoms = game.partitions[j - 1].ids
+        used = np.zeros(len(atoms), bool)
+        used[atom_index[positions]] = True
+        used = np.flatnonzero(used)
+        rows, atom_row = _played_rows(profile, j, atoms, game.actions_for(j), used)
+        out[j] = (rows, atom_row[atom_index])
     return out
 
 
@@ -1046,12 +1057,17 @@ def from_type_space(
             raise GameFormatError("type labels must not contain '|'")
         labels.append(ls)
 
-    all_profiles = list(itertools.product(*labels))
-    profile_set = set(all_profiles)
+    # Each type's index in its player's set; a key is checked one type at
+    # a time, never against the listed product of the sets.
+    index = [dict(zip(ls, range(len(ls)))) for ls in labels]
+
+    def known(key: tuple, sets: Sequence) -> bool:
+        return len(key) == n and all(map(operator.contains, sets, key))
+
     norm_joint: dict[tuple[str, ...], float] = {}
     for key, mass in joint.items():
         tkey = tuple(str(t) for t in key)
-        if tkey not in profile_set:
+        if not known(tkey, index):
             raise GameFormatError(f"joint table has unknown type profile {key!r}")
         if tkey in norm_joint:
             raise GameFormatError(f"joint table repeats type profile {key!r}")
@@ -1065,7 +1081,7 @@ def from_type_space(
     norm_payoffs: dict[tuple[str, tuple], tuple[float, ...]] = {}
     for (tkey, akey), vals in payoffs.items():
         tp, akey = tuple(str(t) for t in tkey), tuple(akey)
-        if tp not in profile_set:
+        if not known(tp, index):
             raise GameFormatError(f"payoff table has unknown type profile {tp!r}")
         key = ("|".join(tp), akey)
         if key in norm_payoffs:
@@ -1084,12 +1100,14 @@ def from_type_space(
         action_sets = tuple(tuple(a) for a in actions)
     if any(len(a) == 0 for a in action_sets):
         raise GameFormatError("every player needs at least one action")
-    known = set(itertools.product(*action_sets))
+    action_index = [set(acts) for acts in action_sets]
     for _, akey in norm_payoffs:
-        if akey not in known:
+        if not known(akey, action_index):
             raise GameFormatError(f"payoff table has unknown action profile {akey!r}")
 
-    live = [tp for tp in all_profiles if norm_joint.get(tp, 0.0) > 0.0]
+    # The positive-mass type profiles in product order.
+    live = [tp for tp, mass in norm_joint.items() if mass > 0.0]
+    live.sort(key=lambda tp: tuple(map(dict.__getitem__, index, tp)))
     if not live:
         raise GameFormatError("no type profile has positive mass")
 

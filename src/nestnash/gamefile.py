@@ -91,6 +91,10 @@ def _expect_list(value: Any, where: str) -> list:
 def _expect_string(value: Any, where: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{where} must be a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{where} holds a lone surrogate, not Unicode text") from None
     return value
 
 
@@ -144,8 +148,9 @@ def _parse_states(entries: Any) -> tuple[tuple[str, ...], dict[str, float]]:
                 and set(map(type, probs)) <= {float, int}
                 and len(set(ids)) == len(ids)
             ):
+                "".join(ids).encode("utf-8")
                 return ids, dict(zip(ids, map(float, probs)))
-        except (KeyError, OverflowError):
+        except (KeyError, OverflowError, UnicodeEncodeError):
             pass
     ids: list[str] = []
     prior: dict[str, float] = {}
@@ -184,7 +189,10 @@ def _parse_partitions(
         if row.keys() != state_set:
             raise SchemaError(f"{where} must map every state id exactly once")
         atoms = list(map(row.__getitem__, states))
-        if set(map(type, atoms)) != {str}:
+        try:
+            # Raises for a value that is not a string or not Unicode text.
+            "".join(atoms).encode("utf-8")
+        except (TypeError, UnicodeEncodeError):
             for s, atom in zip(states, atoms):
                 _expect_string(atom, f"{where}.{s}")
         out.append(InformationPartition(player=i, atom_of=dict(zip(states, atoms))))
@@ -516,11 +524,12 @@ def _reject_constant(token: str) -> None:
 
 def _read_json(path: str) -> Any:
     """Parse a file as strict JSON: Python's ``NaN`` and ``Infinity``
-    extensions are rejected, naming the token."""
+    extensions are rejected, naming the token, and so are bytes that are
+    not UTF-8 and nesting deeper than the interpreter's recursion limit."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle, parse_constant=_reject_constant)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
             raise SchemaError(f"not valid JSON: {err}") from err
 
 

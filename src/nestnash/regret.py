@@ -22,9 +22,10 @@ Both guarantees come from one per-atom table of own-action values,
 which ``bayesian_regret`` builds: per player a ``PlayerRegret`` of
 columns over the atoms.  A Bayesian epsilon-equilibrium bounds every
 atom's regret (``max_regret``), a Harsanyi one the prior-weighted sum
-(``harsanyi``).  ``coarse_best_response_gap`` compares the table's
-``values`` with its reconstruction from belief centres, through the
-same kernel; the continuous probe audit
+(``harsanyi``).  ``coarse_best_response_gap`` builds its one player's
+exact own-action values itself (``_state_values``, the numbers of the
+table's ``values`` column) and compares them with their reconstruction
+from belief centres, through the same kernel; the continuous probe audit
 (``discretize.probe_harsanyi_regret``) is ``certify`` on a true-value
 grid game.  ``brute_force_check`` recomputes regrets from the payoff
 dict by plain enumeration, independently of this path.

@@ -48,6 +48,7 @@ from .game import (
     _fsums,
     _group,
     _is_integer,
+    _played_rows,
     coarsen,
 )
 from .hierarchy import Hierarchy
@@ -453,16 +454,14 @@ def lift_strategy(
     """Pull a coarse-measurable profile back to its game's information.
 
     Each original atom sits inside exactly one coarse atom (the audit's
-    ``information-refines-coarse``), so the lift just copies that atom's
-    distribution.  The result is measurable for the original partitions
-    by construction and preserves all payoffs.  A profile built from
-    rows over the coarse atoms lifts to rows: each original atom's row
-    index is its coarse parent's, one fancy index by the parent labels,
-    and the array is shared.  Any other profile's dicts are copied atom
-    by atom, not turned into rows: a row lists every action, so the
-    lift's dicts would gain the zero-mass actions a dict omits and lose
-    the unknown ones the certifier must refuse.  A hierarchy whose
-    structural audit (``Hierarchy.audit``) fails is refused, as
+    ``information-refines-coarse``), so it plays that atom's
+    distribution.  ``game._played_rows`` reads the profile over every
+    coarse atom, with the certifier's checks, and each original atom
+    takes its parent's row: one fancy index by the parent labels.  The
+    result is a profile of rows, measurable for the original partitions
+    by construction, and it preserves all payoffs.  A profile the
+    certifier would refuse is refused with its error, and a hierarchy
+    whose structural audit (``Hierarchy.audit``) fails is refused, as
     ``build_auxiliary_game`` refuses it.
     """
     if aux_profile.field_level != "coarse":
@@ -470,26 +469,12 @@ def lift_strategy(
     _require_audit(hierarchy)
     game = hierarchy.game
     states = game.space.states
-    parents = {}
+    lifted = {}
     for i in range(1, game.n + 1):
         part, coarse = game.partition_for(i), hierarchy.coarse_partition(i)
+        acts, every = game.actions_for(i), np.arange(len(coarse.ids))
+        rows, atom_row = _played_rows(aux_profile, i, coarse.ids, acts, every)
         parent = np.empty(len(part.ids), np.intp)
         parent[part.labels(states)] = coarse.labels(states)
-        parents[i] = part.ids, coarse.ids, parent
-    rows = aux_profile.rows
-    if rows is not None and all(
-        i in rows and rows[i][0] == ids for i, (_, ids, _) in parents.items()
-    ):
-        lifted = {
-            i: (atoms, rows[i][1], rows[i][2], rows[i][3][parent])
-            for i, (atoms, _, parent) in parents.items()
-        }
-        return StrategyProfile.from_rows(lifted, "original")
-    strategies = {
-        i: {
-            atom: dict(aux_profile.distribution(i, ids[p]))
-            for atom, p in zip(atoms, parent.tolist())
-        }
-        for i, (atoms, ids, parent) in parents.items()
-    }
-    return StrategyProfile(strategies=strategies, field_level="original")
+        lifted[i] = (part.ids, acts, rows, atom_row[parent])
+    return StrategyProfile.from_rows(lifted, "original")

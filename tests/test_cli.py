@@ -1118,6 +1118,83 @@ class TestInputRejection:
         assert exc.value.code == 1
 
 
+def _command(command: str, game: str, profile: str) -> list[str]:
+    """``command``'s arguments for ``game``, reading ``profile`` too for
+    ``verify``."""
+    if command == "hierarchy":
+        return ["hierarchy", "--game", game, "--delta", "0.1"]
+    argv = [command, "--game", game, "--epsilon", "0.05"]
+    return argv + ["--profile", profile] if command == "verify" else argv
+
+
+def _latin1(doc: dict, word: str) -> bytes:
+    """``doc`` as JSON with ``word`` spelled "w\xe9" in Latin-1, not UTF-8."""
+    return json.dumps(doc).replace(f'"{word}"', '"w\xe9"').encode("latin-1")
+
+
+def _deep(doc: dict, field: str) -> bytes:
+    """``doc`` as JSON with ``field`` nested 5,000 arrays deep."""
+    head = json.dumps({k: v for k, v in doc.items() if k != field})[:-1]
+    return f'{head}, "{field}": {"[" * 5000}{"]" * 5000}}}'.encode()
+
+
+class TestUnreadableText:
+    # Files that are not UTF-8, nest deeper than the recursion limit or
+    # hold a lone surrogate (valid JSON, not Unicode text) exit 1 with an
+    # error line, no traceback and nothing on stdout.
+    COMMANDS = ["solve", "verify", "hierarchy"]
+
+    def refused(self, argv, capsys, message: str) -> None:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert message in captured.err
+
+    @pytest.mark.parametrize("bad", ["not utf-8", "nested too deep"])
+    @pytest.mark.parametrize(
+        "command, file", [(c, "game") for c in COMMANDS] + [("verify", "profile")]
+    )
+    def test_unreadable_file(self, command, file, bad, tmp_path, capsys):
+        doc = ANCHOR_GAME if file == "game" else ANCHOR_EQUILIBRIUM
+        if bad == "not utf-8":
+            data = _latin1(doc, "w1" if file == "game" else "a1")
+            message = "not valid JSON: 'utf-8' codec can't decode byte 0xe9"
+        else:
+            data = _deep(doc, "states" if file == "game" else "strategies")
+            message = "not valid JSON: maximum recursion depth exceeded"
+        paths = {
+            "game": write_json(tmp_path / "game.json", ANCHOR_GAME),
+            "profile": write_json(tmp_path / "eq.json", ANCHOR_EQUILIBRIUM),
+        }
+        (tmp_path / f"bad-{file}.json").write_bytes(data)
+        paths[file] = str(tmp_path / f"bad-{file}.json")
+        self.refused(_command(command, *paths.values()), capsys, message)
+
+    @pytest.mark.parametrize("out", [False, True])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("where", ["states[0].id", "partitions.1.w2"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_lone_surrogate(self, command, where, fmt, out, tmp_path, capsys):
+        doc = json.loads(json.dumps(ANCHOR_GAME))
+        if where == "states[0].id":
+            text = json.dumps(doc).replace('"w1"', '"\\ud800"')
+        else:
+            doc["partitions"]["1"]["w2"] = "\ud800"
+            text = json.dumps(doc)
+        game = tmp_path / "game.json"
+        game.write_text(text)
+        profile = write_json(tmp_path / "eq.json", ANCHOR_EQUILIBRIUM)
+        argv = _command(command, str(game), profile) + ["--format", fmt]
+        report = tmp_path / "report.txt"
+        if out:
+            argv += ["--out", str(report)]
+        self.refused(argv, capsys, f"error: {where} holds a lone surrogate")
+        assert not report.exists()
+
+
 class TestEntryPoint:
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(

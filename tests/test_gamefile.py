@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -279,3 +280,80 @@ def test_profile_ids_become_their_key_strings(table):
     assert [list(map(type, t)) for t in got.values()] == [
         list(map(type, t)) for t in expected.values()
     ]
+
+
+def many_players(mode: str, n: int = 20) -> dict:
+    """A tiny file over ``n`` players: a finite game with two actions each
+    and one payoff entry, or a valid types game with two types and one
+    action each and one positive-mass type profile."""
+    if mode == "finite":
+        return {
+            "version": 1,
+            "mode": "finite",
+            "states": [{"id": "w", "prob": 1.0}],
+            "partitions": {str(i): {"w": "a"} for i in range(1, n + 1)},
+            "actions": {str(i): ["x", "y"] for i in range(1, n + 1)},
+            "payoffs": [{"state": "w", "profile": ["x"] * n, "values": [0.0] * n}],
+        }
+    return {
+        "version": 1,
+        "mode": "types",
+        "types": [["s", "t"]] * n,
+        "joint": [{"types": ["s"] * n, "prob": 1.0}],
+        "actions": [["x"]] * n,
+        "payoffs": [{"types": ["s"] * n, "profile": ["x"] * n, "values": [0.0] * n}],
+    }
+
+
+@pytest.mark.parametrize("mode", ["finite", "types"])
+def test_many_players_cost_what_the_file_holds(mode, tmp_path):
+    # Neither the load nor the validation lists the 2**20 action or type
+    # profiles: the missing entry is found by a scan that stops at it, and
+    # type keys are checked one type at a time.
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(many_players(mode)))
+    tracemalloc.start()
+    try:
+        game = gamefile.load_game(str(path)).game
+        report = game.validation
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    if mode == "types":
+        assert report.ok and game.space.states == ("|".join(["s"] * 20),)
+    else:
+        missing = ("w", ("x",) * 19 + ("y",))
+        assert [v.message for v in report.violations] == [
+            "payoff tensor has 1 entries, expected 1048576",
+            f"payoff tensor misses the entry at {missing!r}",
+        ]
+
+
+SURROGATE = "a\ud800"
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda d: d["states"][1].update(id=SURROGATE), "states[1].id"),
+        (lambda d: d["partitions"]["1"].update(w2=SURROGATE), "partitions.1.w2"),
+        (lambda d: d["actions"]["2"].append(SURROGATE), "actions.2[2]"),
+    ],
+    ids=["state", "atom", "action"],
+)
+def test_lone_surrogates_are_refused_where_they_are_read(edit, where):
+    # A lone surrogate is valid JSON but not Unicode text, which no report
+    # could write.
+    doc = {
+        "version": 1,
+        "mode": "finite",
+        "states": [{"id": "w1", "prob": 0.5}, {"id": "w2", "prob": 0.5}],
+        "partitions": {"1": {"w1": "a1", "w2": "a2"}, "2": {"w1": "b", "w2": "b"}},
+        "actions": {"1": ["L", "R"], "2": ["L", "R"]},
+        "payoffs": [],
+    }
+    edit(doc)
+    with pytest.raises(gamefile.SchemaError) as raised:
+        gamefile.parse_game(json.loads(json.dumps(doc)))
+    assert str(raised.value) == f"{where} holds a lone surrogate, not Unicode text"

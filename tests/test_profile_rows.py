@@ -3,22 +3,34 @@
 The solver and the lift build a profile from rows
 (``StrategyProfile.from_rows``): per player one array of distributions
 and each atom's row index into it.  The loader, the tests and the
-benchmark's recheck build profiles from dicts.  Drawn on random nested
-games, both forms of one profile must certify alike, column for column
-by ``float.hex``, be read as the distinct rows a plain walk over the
-atoms finds, fail with the same errors, lift to the same dicts and write
-the same report bytes.
+benchmark's recheck build profiles from dicts, and ``game._played_rows``
+alone reads either form.  Drawn on random nested games, both forms of
+one profile must certify alike, column for column by ``float.hex``, be
+read as the distinct rows a plain walk over the atoms finds, fail with
+the same errors and write the same report bytes.  Both lift to rows
+playing, at each original atom, its coarse parent's distribution over
+every action, and the lift refuses what the certifier refuses, with its
+error.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_nested_game
 from nestnash.cli import _dumps
-from nestnash.game import GameFormatError, StrategyProfile, _strategies_at
+from nestnash.game import (
+    GameFormatError,
+    InformationPartition,
+    NestedGame,
+    PayoffTensor,
+    StateSpace,
+    StrategyProfile,
+    _strategies_at,
+)
 from nestnash.gamefile import profile_to_json
 from nestnash.hierarchy import build_hierarchy
 from nestnash.regret import certify
@@ -136,19 +148,117 @@ def test_rows_certify_as_their_dicts(seed, edit):
         )
 
 
+def plain_lift(game, h, dicts: dict) -> dict:
+    """Per player, each original atom's coarse parent's dict, by a walk
+    over the states."""
+    lifted = {}
+    for i, part in enumerate(game.partitions, start=1):
+        parent = h.coarse_partition(i).atom_of
+        of = {atom: parent[s] for s, atom in part.atom_of.items()}
+        lifted[i] = {atom: dicts[i][of[atom]] for atom in part.ids}
+    return lifted
+
+
 @settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, delta=st.floats(0.05, 1.0))
-def test_lifted_rows_are_the_lifted_dicts(seed, delta):
-    # The lift of a coarse profile built from rows takes the parents' row
-    # indices; its dict view is the lift of the same profile's dicts,
-    # atom by atom and action by action.
+@given(
+    seed=SEEDS,
+    delta=st.floats(0.05, 1.0),
+    edit=st.sampled_from(("none", "signed zero", "omitted zero")),
+)
+def test_lifted_rows_are_the_lifted_dicts(seed, delta, edit):
+    # Both forms of a coarse profile lift to rows whose dict view plays, at
+    # each original atom, its coarse parent's distribution over every
+    # action, 0.0 where a dict omits one; with signed zeros, value by value.
     rng = np.random.default_rng(seed)
     game = random_nested_game(rng, max_states=40)
     h = build_hierarchy(game, delta)
-    rows = random_rows(rng, game, h.coarse)
+    rows, dicts = edited(rng, random_rows(rng, game, h.coarse), edit)
     lifted = lift_strategy(StrategyProfile.from_rows(rows, "coarse"), h)
-    old = lift_strategy(StrategyProfile(dicts_of(rows), field_level="coarse"), h)
-    assert lifted.rows is not None and old.rows is None
-    assert hexed(lifted.strategies) == hexed(old.strategies)
+    old = lift_strategy(StrategyProfile(dicts, field_level="coarse"), h)
+    sign = (lambda p: p + 0.0) if edit == "signed zero" else (lambda p: p)
+    want = {
+        i: {
+            atom: {a: sign(dist.get(a, 0.0)) for a in game.actions_for(i)}
+            for atom, dist in table.items()
+        }
+        for i, table in plain_lift(game, h, dicts).items()
+    }
+    for profile in (lifted, old):
+        assert profile.rows is not None
+        got = {
+            i: {atom: {a: sign(p) for a, p in d.items()} for atom, d in t.items()}
+            for i, t in profile.strategies.items()
+        }
+        assert hexed(got) == hexed(want)
     assert certificate(game, lifted) == certificate(game, old)
     assert _dumps(profile_to_json(lifted), 0) == _dumps(profile_to_json(old), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, edit=st.sampled_from(("unknown action", "nan row")))
+def test_lift_refuses_what_the_certifier_refuses(seed, edit):
+    # A coarse profile playing an action the game lacks, or a row with a
+    # NaN at every atom, is refused by the lift with the error the
+    # certifier gives for its atom-by-atom copy.
+    rng = np.random.default_rng(seed)
+    game = random_nested_game(rng, max_states=40)
+    h = build_hierarchy(game, 0.2)
+    rows = random_rows(rng, game, h.coarse)
+    atoms, acts, table, row_of = rows[1]
+    if edit == "unknown action":
+        acts, table = acts + ("zz",), np.hstack([table, np.zeros((len(table), 1))])
+    else:
+        table = table.copy()
+        table[:, int(rng.integers(0, len(acts)))] = math.nan
+    rows[1] = (atoms, acts, table, row_of)
+    copy = StrategyProfile(plain_lift(game, h, dicts_of(rows)), "original")
+    want = certificate(game, copy)
+    assert want.startswith("player 1 plays")
+    for coarse in (
+        StrategyProfile.from_rows(rows, "coarse"),
+        StrategyProfile(dicts_of(rows), field_level="coarse"),
+    ):
+        with pytest.raises(GameFormatError) as raised:
+            lift_strategy(coarse, h)
+        assert str(raised.value) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, delta=st.floats(0.05, 1.0))
+def test_missing_coarse_atoms_are_named_player_first(seed, delta):
+    # With strategies missing for players 1 and 2, the lift names player
+    # 1's first missing coarse atom in partition order.
+    rng = np.random.default_rng(seed)
+    game = random_nested_game(rng, max_states=40)
+    h = build_hierarchy(game, delta)
+    dicts = dicts_of(random_rows(rng, game, h.coarse))
+    dropped = {}
+    for i in (1, 2):
+        ids = h.coarse_partition(i).ids
+        drop = rng.choice(len(ids), int(rng.integers(1, len(ids) + 1)), False)
+        dropped[i] = [ids[k] for k in sorted(drop.tolist())]
+        for atom in dropped[i]:
+            del dicts[i][atom]
+    with pytest.raises(GameFormatError) as raised:
+        lift_strategy(StrategyProfile(dicts, field_level="coarse"), h)
+    assert str(raised.value) == f"player 1 has no strategy for atom {dropped[1][0]!r}"
+
+
+def test_certifier_names_the_first_player_lacking_a_strategy():
+    # Player 1 lacks 'a2', at the second state, and player 2 lacks 'b0',
+    # at the first: the first player's missing atom is named.
+    states = ("w0", "w1")
+    game = NestedGame(
+        space=StateSpace(states, {"w0": 0.5, "w1": 0.5}),
+        partitions=(
+            InformationPartition(1, {"w0": "a1", "w1": "a2"}),
+            InformationPartition(2, {"w0": "b0", "w1": "b0"}),
+        ),
+        payoffs=PayoffTensor.from_array(
+            (("L", "R"), ("U", "D")), states, np.zeros((2, 2, 2, 2))
+        ),
+    )
+    profile = StrategyProfile({1: {"a1": {"L": 1.0}}, 2: {}}, "original")
+    message = "^player 1 has no strategy for atom 'a2'$"
+    with pytest.raises(GameFormatError, match=message):
+        certify(game, profile, 0.1)

@@ -273,6 +273,19 @@ def test_one_function_stacks_a_keyed_table():
     }
 
 
+def test_one_reader_reads_played_rows():
+    # ``game._played_rows`` alone turns a profile's play, rows or dicts,
+    # into checked distributions: the certifier reads it through
+    # ``_strategies_at`` and the lift directly, so no other stage walks a
+    # profile's dicts atom by atom or reads its play past the checks.
+    assert readers("_played_rows") == {
+        ("game.py", "_strategies_at"),
+        ("solver.py", "<import>"),
+        ("solver.py", "lift_strategy"),
+    }
+    assert readers("distribution") == {("game.py", "_played_rows")}
+
+
 def test_certificate_records_come_from_the_certifier_alone():
     # Every ``PlayerRegret`` and ``RegretReport`` is built in ``regret``,
     # from a game and a profile, so no other stage can hand a certificate

@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from json.encoder import encode_basestring_ascii as encode_key
 
 import numpy as np
@@ -172,9 +172,12 @@ def _keyed(states: tuple, prior: dict) -> dict:
 
 
 def _ingestion_block(game: NestedGame) -> dict:
-    # ``+ 0.0`` turns -0.0 into 0.0, so the echo reads the same whatever
-    # the order or the sign of the zeros in the file.
-    ordered = np.sort(game.payoff_array, axis=None) + 0.0
+    # The distinct payoff values, read off the payoff classes' first rows:
+    # every row equals its class's first one value by value, and a valid
+    # game holds no NaN.  ``+ 0.0`` turns -0.0 into 0.0, so the echo reads
+    # the same whatever the order or the sign of the zeros in the file.
+    rows = game.payoff_array.take(game.classes.firsts, axis=1)
+    ordered = np.sort(rows, axis=None) + 0.0
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     block = {
         "prior": _keyed(game.space.states, game.space.prior),
@@ -230,20 +233,24 @@ def _solver_block(result: SolveResult) -> dict:
     }
 
 
-def _atom_table(report: RegretReport) -> Iterator[tuple]:
+def _atom_columns(report: RegretReport) -> dict[str, list]:
     """The regret block's per-atom rows, which are also the CSV report's,
-    as tuples in ``_REGRET_COLUMNS`` order, player after player."""
-    return itertools.chain.from_iterable(
-        zip(
-            itertools.repeat(i),
-            map(_key_string, p.atoms),
-            p.mass,
-            p.regret,
-            p.best_value,
-            p.current_value,
-        )
-        for i, p in report.players.items()
-    )
+    as one list per column of ``_REGRET_COLUMNS``, player after player."""
+    players = report.players.items()
+
+    def joined(field: str) -> list:
+        columns = (getattr(p, field) for _, p in players)
+        return list(itertools.chain.from_iterable(columns))
+
+    counts = (itertools.repeat(i, len(p.atoms)) for i, p in players)
+    return {
+        "player": list(itertools.chain.from_iterable(counts)),
+        "atom": list(map(_key_string, joined("atoms"))),
+        "mass": joined("mass"),
+        "regret": joined("regret"),
+        "best_value": joined("best_value"),
+        "current_value": joined("current_value"),
+    }
 
 
 def _regret_block(report: RegretReport) -> dict:
@@ -262,17 +269,7 @@ def _regret_block(report: RegretReport) -> dict:
         "passed": report.passed,
         "witness": witness,
         "harsanyi": {str(i): v for i, v in sorted(report.harsanyi.items())},
-        "atoms": [
-            {
-                "player": i,
-                "atom": atom,
-                "mass": mass,
-                "regret": regret,
-                "best_value": best,
-                "current_value": current,
-            }
-            for i, atom, mass, regret, best, current in _atom_table(report)
-        ],
+        "atoms": _Columns(_atom_columns(report)),
     }
 
 
@@ -301,7 +298,7 @@ def _csv(columns: tuple[str, ...], rows: Iterable[Iterable]) -> str:
 
 
 def _regret_csv(report: RegretReport) -> str:
-    return _csv(_REGRET_COLUMNS, _atom_table(report))
+    return _csv(_REGRET_COLUMNS, zip(*_atom_columns(report).values()))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -312,6 +309,17 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+class _Columns(dict):
+    """A list of report rows held as its columns, key -> list: the k-th
+    row is the dict of each key with the k-th entry of its list.
+    ``_dumps`` writes the list without building the rows."""
+
+
+# Writes a list of lists of scalars with every item separated by a line
+# break, which no encoded scalar holds, so the text splits back exactly.
+_LINE_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\n", ": "))
 
 
 @functools.cache
@@ -351,9 +359,12 @@ def _dumps(obj, depth: int) -> str:
     line break and indentation of depth + 2.  That split is exact: the
     sequence holds a raw newline, which no encoded string does, and
     inside a child every separator follows a scalar, never a ``}``, so
-    it occurs exactly at the boundaries between children.
+    it occurs exactly at the boundaries between children.  Rows held as
+    ``_Columns`` are written column by column (``_dumps_columns``).
     """
     if isinstance(obj, dict):
+        if isinstance(obj, _Columns):
+            return _dumps_columns(obj, depth)
         values = obj.values()
     elif isinstance(obj, (list, tuple)):
         values = obj
@@ -422,6 +433,39 @@ def _dumps_rows(keys: tuple | None, rows, depth: int, index=None) -> str:
     for k, key in enumerate(keys):
         bodies[k] = f"{encode_key(key)}: {{{row_inner}{bodies[k]}{row_close}}}"
     return "{" + inner + ("," + inner).join(bodies) + close + "}"
+
+
+def _dumps_columns(columns: _Columns, depth: int) -> str:
+    """``_dumps`` of the rows of ``columns`` as a list at ``depth``, with
+    the same bytes: the columns, in sorted key order, are encoded as a
+    list of lists in one call of the C encoder and split back into one
+    item each (between lists at ``"]\\n["``, which only ends a list of
+    scalars and starts the next, then at each line break), and each row
+    is joined from its items and the fixed text around them
+    (``_row_parts``).  A list of no rows is ``[]``."""
+    keys = tuple(sorted(columns))
+    if not columns[keys[0]]:
+        return "[]"
+    _, inner, close = _flat_encoder(depth)
+    text = _LINE_ENCODER.encode([columns[key] for key in keys])
+    cells = [column.split("\n") for column in text[2:-2].split("]\n[")]
+    heads, tail = _row_parts(keys, depth)
+    parts = []
+    for head, cell in zip(heads, cells):
+        parts += (itertools.repeat(head), cell)
+    rows = map("".join, zip(*parts, itertools.repeat(tail)))
+    return "[" + inner + ("," + inner).join(rows) + close + "]"
+
+
+@functools.cache
+def _row_parts(keys: tuple[str, ...], depth: int) -> tuple[tuple[str, ...], str]:
+    """The text before each value of a report row at ``depth`` whose
+    sorted ``keys`` are given (the brace or comma, the line break and
+    indentation, and the key), and the text that closes the row."""
+    _, inner, close = _flat_encoder(depth + 1)
+    marks = ["{"] + [","] * (len(keys) - 1)
+    heads = (f"{mark}{inner}{encode_key(key)}: " for mark, key in zip(marks, keys))
+    return tuple(heads), close + "}"
 
 
 def _emit_report(

@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -104,6 +105,21 @@ class CompactGameSpec:
     def total_dim(self) -> int:
         return sum(self.box_dims)
 
+    @cached_property
+    def fault(self) -> str | None:
+        """Why the spec cannot be discretized (``_validate_spec``'s
+        error), or None; checked once per spec."""
+        try:
+            _validate_spec(self)
+        except GameFormatError as err:
+            return str(err)
+        return None
+
+    def require_valid(self) -> None:
+        """Raise GameFormatError naming ``fault``, if any."""
+        if self.fault is not None:
+            raise GameFormatError(self.fault)
+
 
 @dataclass(frozen=True)
 class StateTruncation:
@@ -119,8 +135,8 @@ class DiscretizedGame:
 
     ``game`` is the grid game: each player's net as their actions and
     every payoff floored to the epsilon lattice, dropped states paying
-    zero.  ``true_game`` shares its space, partitions and nets (one
-    tuple, ``payoffs.actions``), and holds every state's unfloored
+    zero.  ``true_game`` shares its space, partitions, supports and nets
+    (one tuple, ``payoffs.actions``), and holds every state's unfloored
     values, dropped states included: the game the probe certifies.
     """
 
@@ -379,7 +395,7 @@ def build_hat_game(
     """
     if not 0.0 < epsilon < math.inf:
         raise GameFormatError("epsilon must be finite and positive")
-    _validate_spec(spec)
+    spec.require_valid()
     eta0 = _a_priori_mesh(spec, epsilon) if mesh is None else mesh
     nets = tuple(eta_net(d, eta0) for d in spec.box_dims)
     truncation = truncate_states(
@@ -403,6 +419,8 @@ def build_hat_game(
                 )
     tensors = (PayoffTensor.from_array(nets, states, t) for t in (table, true_table))
     game, true_game = (NestedGame(spec.space, spec.partitions, t) for t in tensors)
+    # The two games share their space and partitions, so their supports.
+    true_game.__dict__["supports"] = game.supports
     return DiscretizedGame(
         game=game,
         true_game=true_game,
@@ -436,7 +454,7 @@ def coarse_to_fine(spec: CompactGameSpec, epsilon: float) -> list[float]:
     and the last mesh is always the a-priori one."""
     if not 0.0 < epsilon < math.inf:
         raise GameFormatError("epsilon must be finite and positive")
-    _validate_spec(spec)
+    spec.require_valid()
     meshes = [f * _a_priori_mesh(spec, epsilon) for f in MESH_FACTORS]
     return [
         mesh

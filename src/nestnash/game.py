@@ -35,7 +35,12 @@ the supports, the hierarchy, its audit, the quotient and the lift
 compare label arrays instead of walking dicts state by state.  Every
 per-state fact derived from a game is kept once, as such an array: the
 class ids, each support's atom index, and the hierarchy's ``signals``
-and ``beliefs``.
+and ``beliefs``.  Every grouping of integer keys, here and in the
+hierarchy, the quotient and the certifier, goes through ``_group_ints``:
+a table indexed by key numbers the keys by first appearance, and a key
+range too wide for such a table (the payoff classes' and the beliefs'
+64-bit checksums) is grouped by a stable argsort.  The dict ``_group``
+is kept for the hashable labels read from files.
 """
 
 from __future__ import annotations
@@ -460,6 +465,12 @@ class PayoffClasses:
     representatives: tuple[State, ...]
     ids: np.ndarray = field(compare=False, repr=False)
 
+    @cached_property
+    def firsts(self) -> np.ndarray:
+        """Each class's first position in the state order, that of its
+        representative; ``payoff_classes`` hands over its own."""
+        return _group_ints(self.ids, self.count)[1]
+
 
 @dataclass(frozen=True, eq=False)
 class Support:
@@ -679,7 +690,9 @@ def payoff_bound(game: NestedGame) -> float:
 
 def _group(keys: Iterable[Hashable]) -> tuple[np.ndarray, np.ndarray]:
     """Dense group ids of ``keys``, numbered by first appearance, and the
-    position of each group's first key."""
+    position of each group's first key.  For the hashable labels read
+    from files (``InformationPartition._labelled``); integer keys go
+    through ``_group_ints``."""
     first: dict[Hashable, int] = {}
     rep = np.fromiter(map(first.setdefault, keys, itertools.count()), np.intp)
     firsts = np.fromiter(first.values(), np.intp, len(first))
@@ -688,10 +701,66 @@ def _group(keys: Iterable[Hashable]) -> tuple[np.ndarray, np.ndarray]:
     return dense[rep], firsts
 
 
+# Integer keys are grouped through a table indexed by key while their
+# range is at most this many times their count, and sorted otherwise, so
+# no temporary outgrows a small multiple of the keys.
+_TABLE_PER_KEY = 8
+
+
+def _group_ints(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_group`` of an array of nonnegative integers below ``span``: each
+    key's group id, numbered by first appearance, and the position of
+    each group's first key, in increasing order.
+
+    Within ``_TABLE_PER_KEY`` keys per key of range, a table indexed by
+    key takes each key's first position (``np.minimum.at``); the keys at
+    their own first position open the groups, in order.  A wider range,
+    such as 64-bit checksums, is grouped by a stable argsort instead:
+    each run of equal keys starts at its first position, and the runs
+    are ranked by it.  Both branches give the same arrays; the second
+    exists only to keep memory linear in the number of keys.
+    """
+    count = len(keys)
+    at = np.arange(count)
+    if span <= _TABLE_PER_KEY * count:
+        table = np.empty(span, np.intp)
+        table.fill(count)
+        np.minimum.at(table, keys, at)
+        firsts = (table[keys] == at).nonzero()[0]
+        table[keys[firsts]] = at[: len(firsts)]
+        return table[keys], firsts
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    head = np.empty(count, bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = order[head]
+    rank = starts.argsort()
+    ids = np.empty(len(rank), np.intp)
+    ids[rank] = at[: len(rank)]
+    codes = np.empty(count, np.intp)
+    codes[order] = ids[head.cumsum() - 1]
+    return codes, starts[rank]
+
+
+def _widen(
+    key: np.ndarray, span: int, digit: np.ndarray, base: int
+) -> tuple[np.ndarray, int]:
+    """The combined key ``key * base + digit`` and its span, for ``key``
+    below ``span`` and ``digit`` below ``base``.  ``key`` is first
+    renumbered densely (``_group_ints``) only when the combined span would
+    outgrow a grouping's table, so keys are folded together without a
+    grouping while they fit one."""
+    if span * base > _TABLE_PER_KEY * len(key):
+        key, first = _group_ints(key, span)
+        span = len(first)
+    return key * base + digit, span * base
+
+
 # A row's checksum reads evenly spaced entries of each player's part of
 # it: fewer than twice this many.
 _CHECKSUM_ENTRIES = 64
-# Rows are read a few columns at a time, about this many entries per
+# Rows are read a block of states at a time, about this many entries per
 # temporary array.
 _CLASS_CHUNK = 1 << 15
 
@@ -705,44 +774,51 @@ def payoff_classes(game: NestedGame) -> PayoffClasses:
     low half, times odd weights.  Equal rows have equal checksums, so
     each state is compared value by value with the first state of its
     checksum; the few states that differ from it are told apart by the
-    bytes of their rows.  Rows are read a few columns at a time, so no
-    temporary grows with the array.  Callers read ``game.classes``.
+    bytes of their rows.  Rows are read a block of states at a time, so
+    no temporary grows with the array.  Callers read ``game.classes``.
     """
     table = game.payoff_array
     states = game.space.states
     rows = table.reshape(table.shape[0], len(states), -1)
     n, count, width = rows.shape
-    step = max(1, _CLASS_CHUNK // max(1, n * count))
     sampled = np.arange(0, width, max(1, width // _CHECKSUM_ENTRIES))
     # The sampled entry k of a row (player-major) weighs 2k + 1.
     weights = np.arange(1, 2 * n * len(sampled), 2, dtype=np.uint64).reshape(n, -1)
-    sums = np.zeros(count, np.uint64)
-    for c in range(0, len(sampled), step):
-        block = rows[:, :, sampled[c : c + step]]
+    sums = np.empty(count, np.uint64)
+    step = max(1, _CLASS_CHUNK // (n * len(sampled)))
+    for c in range(0, count, step):
+        block = rows[:, c : c + step, sampled]
         block += 0.0
         bits = block.view(np.uint64)
         # Round payoffs have all-zero low bits: fold the high half down.
         bits ^= bits >> np.uint64(32)
-        sums += np.einsum("isc,ic->s", bits, weights[:, c : c + step])
-    checksum, first = _group(sums.tolist())
+        sums[c : c + step] = np.einsum("isc,ic->s", bits, weights)
+    checksum, first = _group_ints(sums, 1 << 64)
     rep = first[checksum]
     # Each state whose checksum an earlier state opened: is its row that one's?
-    later = np.flatnonzero(rep != np.arange(count))
+    later = (rep != np.arange(count)).nonzero()[0]
     same = np.ones(len(later), bool)
-    if len(later):
-        for c in range(0, width, step):
-            block = rows[:, :, c : c + step]
-            same &= (block[:, later] == block[:, rep[later]]).all(axis=(0, 2))
+    # A block of states, and of columns where one state's row alone
+    # outgrows the chunk.
+    step = max(1, _CLASS_CHUNK // (n * width))
+    cols = max(1, _CLASS_CHUNK // (n * step))
+    for c in range(0, len(later), step):
+        at, reps = later[c : c + step], rep[later[c : c + step]]
+        for d in range(0, width, cols):
+            block = rows[:, :, d : d + cols]
+            same[c : c + step] &= (block[:, at] == block[:, reps]).all(axis=(0, 2))
     # A checksum shared by unequal rows: key those states by their bytes.
     opened: dict[bytes, int] = {}
     for k in later[~same].tolist():
         rep[k] = opened.setdefault(np.add(rows[:, k], 0.0).tobytes(), k)
-    ids, openers = _group(rep.tolist())
-    return PayoffClasses(
+    ids, openers = _group_ints(rep, count) if opened else (checksum, first)
+    classes = PayoffClasses(
         count=len(openers),
-        representatives=tuple(states[k] for k in openers.tolist()),
+        representatives=tuple(map(states.__getitem__, openers.tolist())),
         ids=ids,
     )
+    classes.__dict__["firsts"] = openers
+    return classes
 
 
 # -- expected payoffs ----------------------------------------------------------

@@ -332,6 +332,7 @@ def _payoff_dict(
     """The ``payoffs`` list as a dict keyed by (state, profile), checked
     entry by entry in file order."""
     n = len(actions)
+    known = list(map(set, actions))
     values: dict = {}
     for k, entry in enumerate(entries):
         where = f"payoffs[{k}]"
@@ -340,7 +341,7 @@ def _payoff_dict(
         s = _expect_string(entry["state"], f"{where}.state")
         if s not in prior:
             raise SchemaError(f"{where}: unknown state {s!r}")
-        prof = _parse_profile(entry["profile"], n, actions, where)
+        prof = _parse_profile(entry["profile"], n, known, where)
         vals = _parse_values(entry["values"], n, f"{where}.values")
         key = (s, prof)
         if key in values:
@@ -350,17 +351,17 @@ def _payoff_dict(
 
 
 def _parse_profile(
-    row: Any, n: int, actions: Sequence[Sequence[str]] | None, where: str
+    row: Any, n: int, known: Sequence[set[str]] | None, where: str
 ) -> tuple[str, ...]:
     """Entry ``where``'s action profile: one label per player, each in that
-    player's action set when ``actions`` lists them."""
+    player's action set when ``known`` holds the sets."""
     row = _expect_list(row, f"{where}.profile")
     if len(row) != n:
         raise SchemaError(f"{where}.profile must list {n} actions")
     prof = []
     for i, label in enumerate(row, start=1):
         label = _expect_string(label, f"{where}.profile[{i - 1}]")
-        if actions is not None and label not in actions[i - 1]:
+        if known is not None and label not in known[i - 1]:
             raise SchemaError(
                 f"{where}: action {label!r} not in player {i}'s action set"
             )
@@ -383,6 +384,8 @@ def _parse_types(obj: dict) -> LoadedGame:
         _parse_labels(row, f"types[{k}]", "type") for k, row in enumerate(type_rows)
     ]
 
+    known_types = list(map(set, type_sets))
+
     def parse_type_profile(row: Any, where: str) -> tuple[str, ...]:
         row = _expect_list(row, where)
         if len(row) != n:
@@ -390,7 +393,7 @@ def _parse_types(obj: dict) -> LoadedGame:
         out = []
         for i, label in enumerate(row):
             label = _expect_string(label, f"{where}[{i}]")
-            if label not in type_sets[i]:
+            if label not in known_types[i]:
                 raise SchemaError(
                     f"{where}: type {label!r} not in player {i + 1}'s type set"
                 )
@@ -417,13 +420,14 @@ def _parse_types(obj: dict) -> LoadedGame:
             for k, row in enumerate(action_rows)
         ]
 
+    known_actions = None if actions is None else list(map(set, actions))
     payoffs = {}
     for k, entry in enumerate(_expect_list(obj["payoffs"], "payoffs")):
         where = f"payoffs[{k}]"
         entry = _expect_object(entry, where)
         _check_fields(entry, where, {"types", "profile", "values"}, set())
         tp = parse_type_profile(entry["types"], f"{where}.types")
-        prof = _parse_profile(entry["profile"], n, actions, where)
+        prof = _parse_profile(entry["profile"], n, known_actions, where)
         vals = _parse_values(entry["values"], n, f"{where}.values")
         key = (tp, prof)
         if key in payoffs:

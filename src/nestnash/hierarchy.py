@@ -13,17 +13,19 @@ what makes the induced coarse partitions well defined and finite.
 Every label is an integer array over the state order.  The payoff
 classes and each player's atoms and masses come from the game
 (``game.classes``, ``game.supports``), which the certifier reads too.
-Each state's observable is carried from level to level: level i + 1's
-is level i's with the state's level-i belief index inserted before the
-payoff class, combined as one integer and renumbered densely by first
-appearance, so ids stay below S^2.  The coarse partitions are built the
-other way, from level n down: player i's key is the level-i belief
-index followed by player i + 1's key, and a player whose key merges
-none of their atoms keeps their own partition.  Beliefs come from one
-stable sort of the weighed states by (atom, signal), each bucket summed
-with ``math.fsum`` as a plain loop would, and are kept as CSR arrays
-(each atom's signal ids and weights); each distinct belief is matched
-to a centre once.
+Each live state's observable is carried from level to level: level
+i + 1's is level i's with the state's level-i belief index inserted
+before the payoff class, combined as one integer and renumbered densely
+by first appearance over the live states (``game._group_ints``), so ids
+stay below S^2.  The coarse partitions are built the other way, from
+level n down: player i's key is the level-i belief index followed by
+player i + 1's key, and a player whose key merges none of their atoms
+keeps their own partition.  Beliefs come from one grouping of the
+weighed states by (atom, signal), each bucket summed with ``math.fsum``
+as a plain loop would, and are kept as CSR arrays (each atom's signal
+ids and weights).  The distinct beliefs are found from those arrays by
+a checksum of each atom's entries, verified entry by entry
+(``_distinct_beliefs``), and each is matched to a centre once.
 Each level keeps its labels as they are computed, the
 arrays ``signals`` and ``beliefs``, and the audit (``check_properties``,
 read once per hierarchy as ``Hierarchy.audit``) compares label arrays
@@ -57,7 +59,7 @@ from .game import (
     _check_player,
     _fold_atoms,
     _fsums,
-    _group,
+    _group_ints,
     _refinement_witness,
 )
 
@@ -132,18 +134,86 @@ def _exact_beliefs(
     atom weighs no member, so its entries are empty; ``build_hierarchy``
     reads them as the point mass on signal 0."""
     key = support.atom_index[support.positions] * count + signals
-    # One bucket per (atom, signal): a run of the stable sort by key.
-    order = key.argsort(kind="stable")
-    ordered = key[order]
-    runs = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()]
-    sizes = list(map(operator.sub, runs[1:] + [len(key)], runs))
+    # One bucket per (atom, signal), numbered by first appearance: the
+    # weighed states run atom after atom, so the buckets do too, each
+    # atom's in order of their first member.  The stable sort by bucket
+    # lines each bucket's members up for its fsum.
+    bucket, first = _group_ints(key, len(support.masses) * count)
+    order = bucket.argsort(kind="stable")
+    sizes = np.bincount(bucket).tolist()
     sums = np.array(_fsums(support.weights[order].tolist(), sizes))
-    # The buckets run atom after atom; ``by_first`` keeps that and puts
-    # each atom's in order of their first member.
-    bucket_atoms, ids = np.divmod(ordered[runs], count)
-    by_first = (bucket_atoms * len(key) + order[runs]).argsort()
-    starts = bucket_atoms.searchsorted(np.arange(len(support.masses) + 1))
-    return starts, ids[by_first], sums[by_first] / support.masses[bucket_atoms]
+    atoms = key[first] // count
+    starts = atoms.searchsorted(np.arange(len(support.masses) + 1))
+    return starts, signals[first], sums / support.masses[atoms]
+
+
+# The odd multiplier of the hash that ``_belief_checksums`` sums per atom.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions ``starts[k]`` to ``starts[k] + sizes[k] - 1`` for
+    each k in turn, as one array."""
+    return np.arange(sizes.sum()) + np.repeat(starts - (sizes.cumsum() - sizes), sizes)
+
+
+def _belief_checksums(
+    starts: np.ndarray, ids: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Each atom's checksum of its CSR belief: the wrapping sum over its
+    entries of a hash of the entry's signal and weight bits.  Equal
+    beliefs have equal checksums (so do beliefs listing the same entries
+    in another order, which the comparison tells apart)."""
+    # A weight is an fsum over a positive mass, never -0.0, so equal
+    # weights have equal bits.  The product spreads a difference in the
+    # low bits of a weight over the high bits and the shift folds them
+    # back, so weights an ulp apart get unrelated hashes, not ones whose
+    # differences can cancel.
+    mix = weights.view(np.uint64) * _MIX
+    mix += ids.astype(np.uint64)
+    mix ^= mix >> np.uint64(29)
+    sums = np.zeros(len(ids) + 1, np.uint64)
+    mix.cumsum(out=sums[1:])
+    at = sums[starts]
+    return at[1:] - at[:-1]
+
+
+def _distinct_beliefs(
+    starts: np.ndarray, ids: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the atoms of the CSR beliefs ``_exact_beliefs`` returns by
+    their belief, the same signals with the same weights in the same
+    order: each atom's group, numbered by first appearance over the
+    atoms, and each group's first atom.
+
+    Equal beliefs have equal checksums (``_belief_checksums``), so each
+    atom is compared entry by entry with the first atom of its checksum;
+    the few atoms that differ from it are told apart by their entries'
+    tuples, as ``payoff_classes`` tells rows apart.
+    """
+    checksum, first = _group_ints(_belief_checksums(starts, ids, weights), 1 << 64)
+    if len(first) == len(checksum):
+        return checksum, first
+    rep = first[checksum]
+    # Each atom whose checksum an earlier atom opened: is its belief that one's?
+    later = (rep != np.arange(len(rep))).nonzero()[0]
+    sizes = starts[1:] - starts[:-1]
+    same = sizes[later] == sizes[rep[later]]
+    paired, length = later[same], sizes[later[same]]
+    mine, theirs = _runs(starts[paired], length), _runs(starts[rep[paired]], length)
+    unequal = (ids[mine] != ids[theirs]) | (weights[mine] != weights[theirs])
+    same[same] = np.bincount(
+        np.repeat(np.arange(len(paired)), length)[unequal], minlength=len(paired)
+    ) == 0
+    if same.all():
+        return checksum, first
+    # A checksum shared by unequal beliefs: key those atoms by their entries.
+    opened: dict[tuple, int] = {}
+    for k in later[~same].tolist():
+        cut = slice(starts[k], starts[k + 1])
+        key = (tuple(ids[cut].tolist()), tuple(weights[cut].tolist()))
+        rep[k] = opened.setdefault(key, k)
+    return _group_ints(rep, len(rep))
 
 
 def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
@@ -172,38 +242,41 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     realized = np.zeros(len(states), bool)
     for support in supports:
         realized[support.positions] = True
-    live = np.flatnonzero(realized)
-    # Each state's level-i observable, as an index into ``observed``: its
-    # belief indices at levels 1..i-1, then its payoff class.
-    observable = game.classes.ids
-    observed = [(k,) for k in range(game.classes.count)]
+    live = realized.nonzero()[0]
+    # Each live state's level-i signal, numbered by first appearance over
+    # the live states, and each signal's value in ``observed``: its belief
+    # indices at levels 1..i-1, then its payoff class.
+    classes = game.classes.ids[live]
+    observable, first = _group_ints(classes, game.classes.count)
+    observed = [(k,) for k in classes[first].tolist()]
 
     levels: list[HierarchyLevel] = []
     for i, support in enumerate(supports, start=1):
-        group, first = _group(observable[live].tolist())
         signal = np.full(len(states), -1, np.intp)
-        signal[live] = group
+        signal[live] = observable
         starts, ids, weights = _exact_beliefs(
-            support, signal[support.positions], len(first)
+            support, signal[support.positions], len(observed)
         )
+        distinct, firsts = _distinct_beliefs(starts, ids, weights)
 
         centres: list[Belief] = []
         # Centres by signal index: a centre sharing no signal with a
         # belief is at distance exactly 2, so below delta = 2 only these
         # need a look.
         centres_on: dict[int, list[int]] = {}
-        # Each distinct belief (the same signals with the same weights, in
-        # the same order), in order of first appearance, and its centre.
-        # Centres are only appended, so atoms with equal beliefs meet the
-        # same centre at the same distance (0 for one they open).
-        cuts = list(map(slice, starts.tolist(), starts[1:].tolist()))
-        ids, weights = tuple(ids.tolist()), tuple(weights.tolist())
-        keys = list(zip(map(ids.__getitem__, cuts), map(weights.__getitem__, cuts)))
-        matched = dict.fromkeys(keys)
+        # Each distinct belief, in order of first appearance, meets the
+        # centres once.  Centres are only appended, so atoms with equal
+        # beliefs meet the same centre at the same distance (0 for one
+        # they open).
+        matched = []
         max_gap = 0.0
-        for belief in matched:
-            # A zero-mass atom's empty belief is the point mass on signal 0.
-            zs, ws = belief if belief[0] else ((0,), (1.0,))
+        bounds = starts.tolist()
+        for f in firsts.tolist():
+            cut = slice(bounds[f], bounds[f + 1])
+            zs, ws = ids[cut].tolist(), weights[cut].tolist()
+            if not zs:
+                # A zero-mass atom's empty belief is the point mass on signal 0.
+                zs, ws = [0], [1.0]
             if delta > 2.0:
                 near = range(len(centres))
             else:
@@ -218,15 +291,12 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
                 for z in zs:
                     centres_on.setdefault(z, []).append(c)
             max_gap = max(max_gap, gap)
-            matched[belief] = c
-        atom_centres = np.array(list(map(matched.__getitem__, keys)), np.intp)
-        belief_ids = atom_centres[support.atom_index]
+            matched.append(c)
+        belief_ids = np.array(matched, np.intp)[distinct][support.atom_index]
         levels.append(
             HierarchyLevel(
                 player=i,
-                signal_support=tuple(
-                    observed[k] for k in observable[live[first]].tolist()
-                ),
+                signal_support=tuple(observed),
                 belief_support=tuple(centres),
                 max_l1_gap=max_gap,
                 signals=signal,
@@ -236,12 +306,14 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
         if i == game.n:
             break
         # The class stays last: z = (b_1, ..., b_i, class) at level i + 1.
-        # Renumbering keeps the combined ids below S^2.
-        previous = observable
-        observable, first = _group((previous * len(centres) + belief_ids).tolist())
+        # Renumbering keeps the combined ids below the live state count.
+        previous, held = observable, belief_ids[live]
+        observable, first = _group_ints(
+            previous * len(centres) + held, len(observed) * len(centres)
+        )
         observed = [
             observed[k][:-1] + (b, observed[k][-1])
-            for k, b in zip(previous[first].tolist(), belief_ids[first].tolist())
+            for k, b in zip(previous[first].tolist(), held[first].tolist())
         ]
 
     # Coarse partition for player i: level sets of the belief tuple i..n,
@@ -253,7 +325,9 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
     coarse_parts: list[InformationPartition] = []
     key, count = np.zeros(len(states), np.intp), 1
     for level, own in zip(reversed(levels), reversed(game.partitions)):
-        key, first = _group((level.beliefs * count + key).tolist())
+        key, first = _group_ints(
+            level.beliefs * count + key, len(level.belief_support) * count
+        )
         count = len(first)
         if count == len(own.ids):
             coarse_parts.append(own)

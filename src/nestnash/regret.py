@@ -78,8 +78,9 @@ from .game import (
     _expectation_rows,
     _fold_atoms,
     _fsums,
-    _group,
+    _group_ints,
     _strategies_at,
+    _widen,
     coarsen,
 )
 from .hierarchy import Hierarchy
@@ -147,18 +148,19 @@ def _state_values(
     Each kernel runs once per distinct state key: the payoff class and
     the row each other player plays, plus, for the profile's value, the
     row the player plays.  States sharing a key share their values bit
-    for bit (see the module docstring).
+    for bit (see the module docstring).  The others' rows are folded into
+    one integer key (``_widen``), renumbered only where its range would
+    outgrow a grouping's table.
     """
     others = [j for j in strategies if j != player]
-    # Each key is renumbered densely as a row index joins it, so it stays
-    # below the number of positions times that player's rows.
-    group = game.classes.ids[positions]
+    key, span = game.classes.ids[positions], game.classes.count
     for j in others:
         rows, row_of = strategies[j]
-        group, first = _group((group * len(rows) + row_of[positions]).tolist())
+        key, span = _widen(key, span, row_of[positions], len(rows))
+    group, first = _group_ints(key, span)
     own_rows, own_row_of = strategies[player]
-    current, current_first = _group(
-        (group * len(own_rows) + own_row_of[positions]).tolist()
+    current, current_first = _group_ints(
+        group * len(own_rows) + own_row_of[positions], len(first) * len(own_rows)
     )
 
     def rows(reps: np.ndarray, players) -> list[np.ndarray]:
@@ -208,8 +210,9 @@ def bayesian_regret(
                 f"negative regret {float(regret[k])!r} for player {i} "
                 f"at atom {support.ids[k]!r}"
             )
-        # Each distinct pattern of best actions is listed once.
-        tops = list(map(tuple, (values >= (best - DERIVED_TOL)[:, None]).tolist()))
+        # Each distinct pattern of best actions is listed once.  Rows are
+        # zipped from the columns, so no per-atom list is built.
+        tops = list(zip(*(values >= (best - DERIVED_TOL)[:, None]).T.tolist()))
         actions = game.actions_for(i)
         listed = {t: tuple(itertools.compress(actions, t)) for t in dict.fromkeys(tops)}
         out[i] = PlayerRegret(
@@ -218,7 +221,7 @@ def bayesian_regret(
             regret=tuple(regret.tolist()),
             best_value=tuple(best.tolist()),
             current_value=tuple(current.tolist()),
-            values=tuple(map(tuple, values.tolist())),
+            values=tuple(zip(*values.T.tolist())),
             best_actions=tuple(map(listed.__getitem__, tops)),
         )
     return out

@@ -41,12 +41,13 @@ from .game import (
     GameFormatError,
     InformationPartition,
     NestedGame,
+    PayoffClasses,
     PayoffTensor,
     State,
     StateSpace,
     StrategyProfile,
     _fsums,
-    _group,
+    _group_ints,
     _is_integer,
     _played_rows,
     coarsen,
@@ -134,11 +135,18 @@ def _require_audit(hierarchy: Hierarchy) -> None:
 
 
 def _quotient(hierarchy: Hierarchy) -> NestedGame:
-    """The coarse game on one state per (player 1 coarse atom, payoff class)."""
+    """The coarse game on one state per (player 1 coarse atom, payoff class).
+
+    Its payoff classes are the game's, read at the kept states: a class's
+    first state opens its merged group (no earlier state has the class),
+    so it is kept, and the class ids of the kept states are already
+    numbered by first appearance among them.
+    """
     game = hierarchy.game
     states, classes = game.space.states, game.classes
-    labels = hierarchy.coarse[0].labels(states) * classes.count + classes.ids
-    merged, first = _group(labels.tolist())
+    coarse = hierarchy.coarse[0]
+    labels = coarse.labels(states) * classes.count + classes.ids
+    merged, first = _group_ints(labels, len(coarse.ids) * classes.count)
     if len(first) == len(states):
         return coarsen(game, hierarchy.coarse)
     reps = tuple(map(states.__getitem__, first.tolist()))
@@ -160,7 +168,7 @@ def _quotient(hierarchy: Hierarchy) -> NestedGame:
     partitions = []
     for part in hierarchy.coarse:
         kept = part.labels(states)[first]
-        codes, firsts = _group(kept.tolist())
+        codes, firsts = _group_ints(kept, len(part.ids))
         ids = tuple(map(part.ids.__getitem__, kept[firsts].tolist()))
         partitions.append(
             InformationPartition.from_labels(part.player, reps, codes, firsts, ids)
@@ -168,7 +176,13 @@ def _quotient(hierarchy: Hierarchy) -> NestedGame:
     # ``take`` writes a C-ordered table, which ``from_array`` keeps as is.
     table = game.payoff_array.take(first, axis=1)
     payoffs = PayoffTensor.from_array(game.payoffs.actions, reps, table)
-    return NestedGame(space=space, partitions=tuple(partitions), payoffs=payoffs)
+    quotient = NestedGame(space=space, partitions=tuple(partitions), payoffs=payoffs)
+    quotient.__dict__["classes"] = PayoffClasses(
+        count=classes.count,
+        representatives=classes.representatives,
+        ids=classes.ids[first],
+    )
+    return quotient
 
 
 class AgentFormGame:

@@ -15,6 +15,13 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
+from hypothesis import settings
+
+# Ten times hypothesis's default examples: CI runs the grouping
+# equivalence tests (tests/test_grouping.py) once more under this profile,
+# with ``--hypothesis-profile=ci``.
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
+
 from nestnash.game import (
     InformationPartition,
     NestedGame,

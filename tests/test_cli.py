@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import nestnash.cli
+import nestnash.discretize
 import nestnash.game
 import nestnash.hierarchy
 from nestnash.cli import REPORT_VERSION, main
@@ -468,6 +469,22 @@ class TestCoarseToFine:
         assert report["discretization"]["eta0"] == 8 * base
         assert report["discretization"]["net_sizes"] == [3, 3]
         assert report["probe_audit"]["ok"] is True
+
+    def test_checks_the_spec_once_and_shares_each_grids_supports(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # ``coarse_to_fine`` and every ``build_hat_game`` read the spec's
+        # one cached check, and each grid game hands its supports to its
+        # true-value game, so each player's support is built once per mesh.
+        doc = single_state_continuous(
+            [(-1.0, [2, 0]), (1.0, [1, 0]), (-0.25, [0, 0])], [(1.0, [0, 1])], 3.0
+        )
+        checks = count_calls(monkeypatch, nestnash.discretize, "_validate_spec")
+        supports = count_calls(monkeypatch, nestnash.game, "_support")
+        code, _, meshes = self.solve(doc, 0.2, tmp_path, monkeypatch, capsys)
+        assert code == 0 and len(meshes) == 2
+        assert len(checks) == 1
+        assert len(supports) == 2 * len(meshes)
 
     def test_failing_at_every_mesh_reports_the_a_priori_mesh(
         self, tmp_path, monkeypatch, capsys

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import time
 import tracemalloc
 from unittest import mock
 
@@ -357,3 +358,37 @@ def test_lone_surrogates_are_refused_where_they_are_read(edit, where):
     with pytest.raises(gamefile.SchemaError) as raised:
         gamefile.parse_game(json.loads(json.dumps(doc)))
     assert str(raised.value) == f"{where} holds a lone surrogate, not Unicode text"
+
+
+def many_types(count: int) -> dict:
+    """A types file in which player 1 has ``count`` types, each with one
+    joint entry and one payoff entry, and player 2 has one type."""
+    types = [f"t{k}" for k in range(count)]
+    return {
+        "version": 1,
+        "mode": "types",
+        "types": [types, ["s"]],
+        "joint": [{"types": [t, "s"], "prob": 1.0 / count} for t in types],
+        "actions": [["x"], ["y"]],
+        "payoffs": [
+            {"types": [t, "s"], "profile": ["x", "y"], "values": [1.0, -1.0]}
+            for t in types
+        ],
+    }
+
+
+def test_a_types_file_loads_in_linear_time():
+    # Each label is looked up in a set of the player's types, not scanned
+    # against their tuple: ten times the types cost about ten times the
+    # time (12x measured), where the scan cost about 50x.
+    def seconds(doc: dict, repeats: int) -> float:
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            gamefile.parse_game(doc)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = many_types(2_000), many_types(20_000)
+    assert gamefile.parse_game(large).game.validation.ok
+    assert seconds(large, 2) < 25 * seconds(small, 3)

@@ -273,6 +273,18 @@ def test_one_function_stacks_a_keyed_table():
     }
 
 
+def test_only_file_labels_take_the_dict_grouping():
+    # ``game._group`` keys a dict by each label a file gives; every key
+    # the package derives is an integer and goes through ``_group_ints``.
+    assert readers("_group") == {("game.py", "_labelled")}
+    assert {file for file, _ in readers("_group_ints")} == {
+        "game.py",
+        "hierarchy.py",
+        "regret.py",
+        "solver.py",
+    }
+
+
 def test_one_reader_reads_played_rows():
     # ``game._played_rows`` alone turns a profile's play, rows or dicts,
     # into checked distributions: the certifier reads it through

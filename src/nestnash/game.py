@@ -7,13 +7,17 @@ the payoff bound and classes, the agent form, the certifier) reads the
 game's one float array (``NestedGame.payoff_array``).  Nothing depends
 on the order in which a file or a dict lists the entries.
 Player 1 is the most informed: validity requires each player's
-partition to refine the next player's.  Strategies are maps
-from partition atoms to mixed actions, so they are measurable with
-respect to the owning player's information by construction; the solver
-and the lift hand them on as rows (``StrategyProfile.from_rows``), one
-array of distributions per player and each atom's row index into it.
-One function, ``_played_rows``, reads a profile's play in either form,
-for the certifier and the lift alike.
+partition to refine the next player's.
+
+Partitions and profiles intern names once, when they are built, and
+compute on integers after that.  A partition holds each state's atom
+as a label (``InformationPartition.labels``), so the nestedness check,
+the supports, the hierarchy, its audit, the quotient and the lift
+compare label arrays.  A profile holds, per player, one array of
+distributions and each atom's row index into it
+(``StrategyProfile.rows``); one function, ``_played_rows``, reads it for
+the certifier and the lift alike.  Their dicts (``atom_of``, ``atoms``,
+``strategies``) are cached views.
 
 All container types are immutable after construction: each caches only
 what it derives from itself.  Every operation is a pure function.
@@ -29,18 +33,15 @@ positive-mass atoms as the columns ``ids`` and ``sizes``, with their
 weighed states atom after atom).  Only ``coarsen`` hands a game's to the
 game it builds.  The belief hierarchy and the certifier both read them;
 each is a pure function of the game itself, so the certifier still
-trusts nothing from the solver.  After the load, partitions are read as
-integer labels (``InformationPartition.labels``): the nestedness check,
-the supports, the hierarchy, its audit, the quotient and the lift
-compare label arrays instead of walking dicts state by state.  Every
-per-state fact derived from a game is kept once, as such an array: the
-class ids, each support's atom index, and the hierarchy's ``signals``
-and ``beliefs``.  Every grouping of integer keys, here and in the
-hierarchy, the quotient and the certifier, goes through ``_group_ints``:
-a table indexed by key numbers the keys by first appearance, and a key
-range too wide for such a table (the payoff classes' and the beliefs'
-64-bit checksums) is grouped by a stable argsort.  The dict ``_group``
-is kept for the hashable labels read from files.
+trusts nothing from the solver.  Every per-state fact derived from a
+game is kept once, as an integer array: the class ids, each support's
+atom index, and the hierarchy's ``signals`` and ``beliefs``.  Every
+grouping of integer keys, here and in the hierarchy, the quotient and
+the certifier, goes through ``_group_ints``: a table indexed by key
+numbers the keys by first appearance, and a key range too wide for such
+a table (the payoff classes' and the beliefs' 64-bit checksums) is
+grouped by a stable argsort.  The dict ``_group`` runs only when a
+partition interns its atom names.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import itertools
 import math
 import numbers
 import operator
-from collections.abc import Iterable, KeysView, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable
@@ -135,35 +136,31 @@ class StateSpace:
         return dict(zip(self.states, range(len(self.states))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InformationPartition:
-    """A player's information, given as the atom containing each state.
-
-    Stages after the load read it as integer labels: ``labels(states)``
-    gives each state's index into ``ids``, the atoms in partition order.
-    A partition built by ``from_labels`` builds ``atom_of`` on first read.
+    """A player's information, held from the moment it is built as
+    ``_labelled``: the states, each one's label (its atom's index into
+    ``ids``, the atoms in order of first appearance) and each atom's
+    first position.  A dict ``atom_of`` and ``from_atoms`` intern names,
+    ``from_labels`` takes labels.  ``atom_of`` (still the dataclass field,
+    which equality and ``repr`` read) and ``atoms`` are cached views.
     """
 
     player: int
     atom_of: dict[State, Atom]
 
-    def __getattr__(self, name: str):
-        # Called only for attributes not set: ``atom_of`` of a partition
-        # built by ``from_labels``, which is built here once.
-        if name != "atom_of" or "_labelled" not in self.__dict__:
-            raise AttributeError(name)
-        states, labels, _ = self._labelled
-        atoms = map(self.ids.__getitem__, labels.tolist())
-        self.__dict__["atom_of"] = dict(zip(states, atoms))
-        return self.atom_of
+    def __init__(self, player: int, atom_of: Mapping[State, Atom]):
+        part = self.from_atoms(player, tuple(atom_of), list(atom_of.values()))
+        self.__dict__.update(part.__dict__, atom_of=atom_of)
 
-    @cached_property
-    def atoms(self) -> dict[Atom, tuple[State, ...]]:
-        """Atoms keyed by id, states in insertion order of ``atom_of``."""
-        grouped: dict[Atom, list[State]] = {}
-        for state, atom in self.atom_of.items():
-            grouped.setdefault(atom, []).append(state)
-        return {a: tuple(ss) for a, ss in grouped.items()}
+    @classmethod
+    def from_atoms(
+        cls, player: int, states: tuple[State, ...], atoms: Sequence[Atom]
+    ) -> "InformationPartition":
+        """The partition putting ``states[k]`` in atom ``atoms[k]``."""
+        labels, firsts = _group(atoms)
+        ids = tuple(map(atoms.__getitem__, firsts.tolist()))
+        return cls.from_labels(player, states, labels, firsts, ids)
 
     @classmethod
     def from_labels(
@@ -175,30 +172,30 @@ class InformationPartition:
         ids: tuple[Atom, ...] | None = None,
     ) -> "InformationPartition":
         """The partition putting ``states[k]`` in atom ``labels[k]``, with
-        atoms numbered by first appearance, atom k's first at ``firsts[k]``
-        (what ``_labelled`` would compute, so it is kept instead).  Atom k
-        is named ``ids[k]``, by default k."""
+        atoms numbered by first appearance, atom k's first at ``firsts[k]``.
+        Atom k is named ``ids[k]``, by default k."""
         part = cls.__new__(cls)
         ids = tuple(range(len(firsts))) if ids is None else ids
         part.__dict__.update(player=player, _labelled=(states, labels, firsts), ids=ids)
         return part
 
     @cached_property
-    def ids(self) -> tuple[Atom, ...]:
-        atoms = list(self.atom_of.values())
-        return tuple(map(atoms.__getitem__, self._labelled[2].tolist()))
+    def atom_of(self) -> dict[State, Atom]:
+        states, labels, _ = self._labelled
+        return dict(zip(states, map(self.ids.__getitem__, labels.tolist())))
 
     @cached_property
-    def _labelled(self) -> tuple[tuple[State, ...], np.ndarray, np.ndarray]:
-        """The states in ``atom_of``'s order, each one's label and each
-        atom's first position among them."""
-        codes, firsts = _group(self.atom_of.values())
-        return tuple(self.atom_of), codes, firsts
+    def atoms(self) -> dict[Atom, tuple[State, ...]]:
+        """Atoms keyed by id, states in the partition's state order."""
+        states, labels, _ = self._labelled
+        members = map(states.__getitem__, np.argsort(labels, kind="stable").tolist())
+        sizes = np.bincount(labels, minlength=len(self.ids)).tolist()
+        return {a: tuple(itertools.islice(members, k)) for a, k in zip(self.ids, sizes)}
 
     def labels(self, states: tuple[State, ...]) -> np.ndarray:
         """Each state's index into ``ids``, in the order of ``states``."""
         keys, codes, _ = self._labelled
-        if states == keys:
+        if states is keys or states == keys:
             return codes
         code = dict(zip(keys, codes.tolist()))
         return np.fromiter(map(code.__getitem__, states), np.intp, len(states))
@@ -294,6 +291,10 @@ class PayoffTensor:
         return _stack(self.values, states, self.actions)
 
 
+# Entries stacked at a time: no list or temporary array grows with a table.
+_STACK_BLOCK = 1 << 12
+
+
 def _stack(
     values: Mapping[tuple[State, tuple[Action, ...]], Sequence[float]],
     states: tuple[State, ...],
@@ -303,51 +304,48 @@ def _stack(
 
     Looks up every expected key in array order (``states``, each with its
     profiles in ``itertools.product`` order) and writes the array
-    ``PayoffTensor.array`` describes, read-only and C-ordered.  Raises
-    GameFormatError naming the first key the table misses, or the first
-    entry holding a number of values other than n or a value that is not
-    a real number (a bool, a string or None; numpy reals are numbers).
-    A table with fewer entries than the array has cells misses a key
-    among the first ``len(values) + 1``, so only those are listed.
+    ``PayoffTensor.array`` describes, read-only and C-ordered, a block of
+    entries at a time.  Raises GameFormatError naming the first key the
+    table misses, or else the first entry holding a number of values
+    other than n, or else the first value that is not a real number (a
+    bool, a string or None; numpy reals are numbers).  A table with
+    fewer entries than the array has cells misses a key among the first
+    ``len(values) + 1``, so only those are listed.
     """
     n = len(actions)
     if len(values) < len(states) * math.prod(map(len, actions)):
         keys = itertools.product(states, *actions)
         s, *prof = next(key for key in keys if (key[0], key[1:]) not in values)
-        raise GameFormatError(
-            f"payoff tensor misses the entry at ({s!r}, {tuple(prof)!r})"
-        )
+        raise GameFormatError(f"payoff tensor misses the entry at {(s, tuple(prof))!r}")
     profiles = tuple(itertools.product(*actions))
-    try:
-        rows = list(map(values.__getitem__, itertools.product(states, profiles)))
-    except KeyError as err:
-        s, prof = err.args[0]
-        raise GameFormatError(
-            f"payoff tensor misses the entry at ({s!r}, {prof!r})"
-        ) from None
-    if rows and set(map(len, rows)) != {n}:
-        (s, prof), row = next(
-            (key, row)
-            for key, row in zip(itertools.product(states, profiles), rows)
-            if len(row) != n
-        )
-        raise GameFormatError(
-            f"payoff entry at ({s!r}, {prof!r}) has {len(row)} values"
-        )
-    kinds = set(map(type, itertools.chain.from_iterable(rows)))
-    bad = {k for k in kinds if not issubclass(k, numbers.Real) or issubclass(k, bool)}
-    if bad:
-        entries = zip(itertools.product(states, profiles), rows)
-        (s, prof), x = next((k, x) for k, row in entries for x in row if type(x) in bad)
-        raise GameFormatError(
-            f"payoff entry at ({s!r}, {prof!r}) holds {x!r}, not a number"
-        )
-    count = len(rows)
-    flat = np.fromiter(itertools.chain.from_iterable(rows), float, count * n)
-    # Dropped before the transposed copy, the row list is never held
-    # alongside both arrays.
-    del rows
-    table = np.ascontiguousarray(flat.reshape(count, n).T)
+    table = np.empty((n, len(states) * len(profiles)))
+    keys = itertools.product(states, profiles)
+    # The first entry of the wrong length and the first value that is not
+    # a number: once either is found, blocks are only looked up.
+    wrong = bad = None
+    for start in range(0, table.shape[1], _STACK_BLOCK):
+        block = list(itertools.islice(keys, _STACK_BLOCK))
+        try:
+            rows = list(map(values.__getitem__, block))
+        except KeyError as err:
+            missing = f"payoff tensor misses the entry at {err.args[0]!r}"
+            raise GameFormatError(missing) from None
+        if wrong is None and set(map(len, rows)) != {n}:
+            k, row = next((k, row) for k, row in zip(block, rows) if len(row) != n)
+            wrong = f"payoff entry at {k!r} has {len(row)} values"
+        if wrong or bad:
+            continue
+        kinds = set(map(type, itertools.chain.from_iterable(rows)))
+        odd = {t for t in kinds if not issubclass(t, numbers.Real) or t is bool}
+        if odd:
+            values_at = ((k, x) for k, r in zip(block, rows) for x in r)
+            k, x = next((k, x) for k, x in values_at if type(x) in odd)
+            bad = f"payoff entry at {k!r} holds {x!r}, not a number"
+            continue
+        flat = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * n)
+        table[:, start : start + len(rows)] = flat.reshape(len(rows), n).T
+    if wrong or bad:
+        raise GameFormatError(wrong or bad)
     table = table.reshape((n, len(states)) + tuple(map(len, actions)))
     table.flags.writeable = False
     return table
@@ -402,7 +400,7 @@ class NestedGame:
             raise InvalidGameError(self.validation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StrategyProfile:
     """Per player: partition atom -> probability distribution over actions.
 
@@ -410,20 +408,28 @@ class StrategyProfile:
     ``"original"`` for the game's own partitions, ``"coarse"`` for the
     derived coarse partitions of a belief hierarchy.
 
-    A profile is built from its dicts or, by ``from_rows`` (the solver
-    and the lift), from ``rows``: per player, the atom ids, the action
-    labels, one (rows, actions) array of distributions and each atom's
-    row index into it, so that atoms sharing a distribution share its
-    row.  Such a profile builds ``strategies`` on first read, each atom's
-    row as a dict over every action; ``_played_rows`` (the certifier's
-    and the lift's reader) and the report read the rows.
+    A profile holds ``rows`` from the moment it is built: per player, the
+    atom ids, the actions, one (rows, actions) float array and each
+    atom's row index into it.  The solver and the lift build it by
+    ``from_rows``; ``StrategyProfile(strategies)`` interns dicts, one row
+    per atom over the actions in first-seen order, 0.0 where a dict
+    omits one.  ``row_dicts`` and ``strategies`` (still the dataclass
+    field) are cached views: each row's dict (the one given, or one over
+    every action) and each atom's row's dict.
     """
 
     strategies: dict[int, dict[Atom, dict[Action, float]]]
     field_level: str = "original"
-    # Per player (atoms, actions, table, row_of) for a profile built by
-    # ``from_rows``, and None for one built from its dicts.
-    rows = None
+
+    def __init__(self, strategies: dict, field_level: str = "original"):
+        rows = {}
+        for player, table in strategies.items():
+            acts = tuple(dict.fromkeys(itertools.chain.from_iterable(table.values())))
+            grid = [[dist.get(a, 0.0) for a in acts] for dist in table.values()]
+            grid = np.array(grid, float).reshape(len(table), len(acts))
+            rows[player] = (tuple(table), acts, grid, np.arange(len(table)))
+        dicts = {player: list(table.values()) for player, table in strategies.items()}
+        self.__dict__.update(field_level=field_level, rows=rows, row_dicts=dicts)
 
     @classmethod
     def from_rows(cls, rows: dict, field_level: str) -> "StrategyProfile":
@@ -431,16 +437,19 @@ class StrategyProfile:
         profile.__dict__.update(field_level=field_level, rows=rows)
         return profile
 
-    def __getattr__(self, name: str):
-        # Called only for attributes not set: ``strategies`` of a profile
-        # built by ``from_rows``, which is built here once.
-        if name != "strategies" or self.rows is None:
-            raise AttributeError(name)
-        self.__dict__["strategies"] = {
-            j: dict(zip(atoms, [dict(zip(acts, row)) for row in table[at].tolist()]))
-            for j, (atoms, acts, table, at) in self.rows.items()
+    @cached_property
+    def row_dicts(self) -> dict[int, list[dict[Action, float]]]:
+        return {
+            j: [dict(zip(acts, row)) for row in table.tolist()]
+            for j, (_, acts, table, _) in self.rows.items()
         }
-        return self.strategies
+
+    @cached_property
+    def strategies(self) -> dict[int, dict[Atom, dict[Action, float]]]:
+        return {
+            j: dict(zip(atoms, map(self.row_dicts[j].__getitem__, at.tolist())))
+            for j, (atoms, _, _, at) in self.rows.items()
+        }
 
     def distribution(self, player: int, atom: Atom) -> dict[Action, float]:
         try:
@@ -495,18 +504,14 @@ class Support:
 
 
 def _refinement_witness(
-    fine: InformationPartition,
-    coarse: InformationPartition | np.ndarray,
-    by_atom: bool = False,
+    fine: InformationPartition, coarse: InformationPartition, by_atom: bool = False
 ) -> tuple[State, State] | None:
     """A pair of states in one fine atom but different coarse atoms, if
     any: a fine atom's first state and the first state, in
     ``fine.atom_of``'s order, whose coarse atom is not that one's; with
-    ``by_atom``, the first such state in the first fine atom holding one.
-    ``coarse`` may also be given as one label per state, in that order."""
+    ``by_atom``, the first such state in the first fine atom holding one."""
     keys, codes, firsts = fine._labelled
-    if isinstance(coarse, InformationPartition):
-        coarse = coarse.labels(keys)
+    coarse = coarse.labels(keys)
     head = firsts[codes]
     split = coarse[head] != coarse
     if not split.any():
@@ -543,7 +548,7 @@ def _mass_fault(masses: Mapping[Hashable, float], noun: str) -> str | None:
 
 
 def _uncovered(
-    keys: KeysView[State], states: tuple[State, ...], known: set[State]
+    keys: Set[State], states: tuple[State, ...], known: set[State]
 ) -> tuple[list[State], list[State]]:
     """The first of ``states`` that ``keys`` lacks and the first of ``keys``
     outside ``known``, the set of ``states``: each a list of at most one."""
@@ -612,7 +617,8 @@ def validate_game(game: NestedGame) -> ValidationReport:
                     f"partition at position {idx} is labeled player {part.player}",
                 )
             )
-        missing, unknown = _uncovered(part.atom_of.keys(), states, state_set)
+        keys = state_set if part._labelled[0] is states else part.atom_of.keys()
+        missing, unknown = _uncovered(keys, states, state_set)
         for s in missing:
             message = f"player {idx} partition misses state {s!r}"
             v.append(Violation("partition", message))
@@ -842,35 +848,43 @@ def _played_rows(
     the increasing array ``used``: ``(rows, atom_row)``.
 
     ``rows`` is a (R, len(acts)) array of distributions distinct value by
-    value (-0.0 and 0.0 alike), in order of first appearance over
-    ``used``, and atom k plays row ``atom_row[k]`` (0 for k not in
-    ``used``).  The one reader of a profile's play: the rows of a profile
-    built from rows over ``atoms`` and ``acts`` are read by atom index,
-    any other profile's dicts atom by atom.  A missing strategy raises
-    ``StrategyProfile.distribution``'s error for the first atom lacking
-    one; a distribution naming an action outside ``acts``, even at zero
-    mass, or one that is not a probability vector (``_mass_fault``)
-    raises GameFormatError, so no certificate or lift reads such play.
+    value (-0.0 and 0.0 alike, each with the bits of its first), in order
+    of first appearance over ``used``, and atom k plays row
+    ``atom_row[k]`` (0 for k not in ``used``).  The profile's atom and
+    action names are mapped onto ``atoms`` and ``acts`` by one index each
+    (none when they are the same).  The first atom lacking a strategy
+    raises ``StrategyProfile.distribution``'s error; an action outside
+    ``acts`` that a used atom names, even at zero mass, or play that is
+    not a probability vector (``_mass_fault``) raises GameFormatError.
     """
-    form = (profile.rows or {}).get(player)
-    if form is not None and form[:2] == (atoms, acts):
-        keys = list(map(tuple, form[2].tolist()))
-        played = map(keys.__getitem__, form[3][used].tolist())
+    empty = ((), acts, np.zeros((0, len(acts))), np.zeros(0, np.intp))
+    own_atoms, own_acts, table, row_of = profile.rows.get(player, empty)
+    if own_atoms is atoms or own_atoms == atoms:
+        played = row_of[used]
     else:
-        held = map(atoms.__getitem__, used.tolist())
-        dists = list(map(profile.distribution, itertools.repeat(player), held))
-        if not all(map(set(acts).issuperset, dists)):
-            a = next(a for dist in dists for a in dist if a not in acts)
+        index = dict(zip(own_atoms, range(len(own_atoms))))
+        found = [index.get(atoms[k], -1) for k in used.tolist()]
+        if -1 in found:  # raises
+            profile.distribution(player, atoms[used[found.index(-1)]])
+        played = row_of[found]
+    if own_acts != acts:
+        dists = profile.row_dicts[player]
+        for a in (a for r in played.tolist() for a in dists[r] if a not in acts):
             raise GameFormatError(f"player {player} plays unknown action {a!r}")
-        played = (tuple([d.get(a, 0.0) for a in acts]) for d in dists)
-    rows: dict[tuple[float, ...], int] = {}
-    atom_row = np.zeros(len(atoms), np.intp)
-    atom_row[used] = [rows.setdefault(key, len(rows)) for key in played]
-    faults = (_mass_fault(dict(zip(acts, row)), "action") for row in rows)
+        cols = [own_acts.index(a) if a in own_acts else -1 for a in acts]
+        table = np.hstack([table, np.zeros((len(table), 1))])[:, cols]
+    # Each row's first equal row (-0.0 equals 0.0), then the used atoms by that.
+    seen: dict[tuple[float, ...], int] = {}
+    same = [seen.setdefault(row, r) for r, row in enumerate(map(tuple, table.tolist()))]
+    groups, firsts = _group_ints(np.array(same, np.intp)[played], len(table))
+    rows = table[played[firsts]]
+    faults = (_mass_fault(dict(zip(acts, row)), "action") for row in rows.tolist())
     fault = next(filter(None, faults), None)
     if fault is not None:
         raise GameFormatError(f"player {player} plays a distribution that {fault}")
-    return np.array(list(rows), float).reshape(len(rows), len(acts)), atom_row
+    atom_row = np.zeros(len(atoms), np.intp)
+    atom_row[used] = groups
+    return rows, atom_row
 
 
 def _strategies_at(
@@ -1190,10 +1204,10 @@ def from_type_space(
     states = tuple(map("|".join, live))
     prior = dict(zip(states, map(norm_joint.__getitem__, live)))
 
-    partitions = []
-    for i in range(1, n + 1):
-        atom_of = {s: "|".join(tp[i - 1 :]) for s, tp in zip(states, live)}
-        partitions.append(InformationPartition(player=i, atom_of=atom_of))
+    partitions = [
+        InformationPartition.from_atoms(i, states, ["|".join(t[i - 1 :]) for t in live])
+        for i in range(1, n + 1)
+    ]
 
     return NestedGame(
         space=StateSpace(states=states, prior=prior),

@@ -195,7 +195,7 @@ def _parse_partitions(
         except (TypeError, UnicodeEncodeError):
             for s, atom in zip(states, atoms):
                 _expect_string(atom, f"{where}.{s}")
-        out.append(InformationPartition(player=i, atom_of=dict(zip(states, atoms))))
+        out.append(InformationPartition.from_atoms(i, states, atoms))
     return tuple(out)
 
 
@@ -606,24 +606,15 @@ class _RowTable(dict):
 
 
 def profile_to_json(profile: StrategyProfile) -> dict:
-    """Report-ready form with string keys and insertion order preserved.
-    A profile built from rows, as the solver and the lift make them,
-    writes each row's dict once and gives it to every atom that plays
-    it, in a ``_RowTable``."""
+    """Report-ready form with string keys and insertion order preserved:
+    each row's dict is written once, in a ``_RowTable``."""
     strategies = {}
-    rows = profile.rows or {}
-    for player in sorted(rows or profile.strategies):
-        if player in rows:
-            atoms, actions, table, row_of = rows[player]
-            labels = list(map(_key_string, actions))
-            dists = [dict(zip(labels, row)) for row in table.tolist()]
-            keys = list(map(_key_string, atoms))
-            strategies[str(player)] = _RowTable(keys, dists, row_of.tolist())
-            continue
-        strategies[str(player)] = {
-            _key_string(atom): {_key_string(a): float(p) for a, p in dist.items()}
-            for atom, dist in profile.strategies[player].items()
-        }
+    for player in sorted(profile.rows):
+        atoms, _, _, row_of = profile.rows[player]
+        dicts = profile.row_dicts[player]
+        dists = [{_key_string(a): float(p) for a, p in d.items()} for d in dicts]
+        keys = list(map(_key_string, atoms))
+        strategies[str(player)] = _RowTable(keys, dists, row_of.tolist())
     return {
         "version": FORMAT_VERSION,
         "field_level": profile.field_level,

@@ -456,14 +456,13 @@ def check_properties(hierarchy: Hierarchy) -> PropertyReport:
         )
 
     for i in range(1, n + 1):
-        # Constant on coarse atoms: no coarse atom holds two belief labels.
-        coarse = hierarchy.coarse_partition(i)
+        # Constant on coarse atoms: each lies in one level set of the belief
+        # labels.  The span covers any nonnegative label, not only those the
+        # belief support numbers, since the audit does not trust them.
         beliefs = hierarchy.level(i).beliefs
-        keys = coarse._labelled[0]
-        if keys != states:
-            at = map(game.space.position.__getitem__, keys)
-            beliefs = beliefs[np.fromiter(at, np.intp, len(keys))]
-        bad = _refinement_witness(coarse, beliefs, by_atom=True)
+        labels = _group_ints(beliefs, int(beliefs.max(initial=0)) + 1)
+        sets = InformationPartition.from_labels(i, states, *labels)
+        bad = _refinement_witness(hierarchy.coarse_partition(i), sets, by_atom=True)
         checks.append(
             PropertyCheck(
                 name="belief-constant-on-atoms",

@@ -1,11 +1,17 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from generators import exact_prior, nested_partitions, random_nested_game
+from generators import (
+    exact_prior,
+    nested_partitions,
+    random_nested_game,
+    redundant_game,
+)
 from nestnash.game import (
     PAYOFF_CAP,
     GameFormatError,
@@ -17,6 +23,7 @@ from nestnash.game import (
     StateSpace,
     StrategyProfile,
     _refinement_witness,
+    _stack,
     coarsen,
     conditional_payoff,
     expected_payoff,
@@ -234,6 +241,39 @@ class TestPayoffArray:
         flipped = StateSpace(states=("w2", "w1"), prior=game.space.prior)
         table = NestedGame(flipped, game.partitions, tensor).payoff_array
         assert np.array_equal(table, game.payoff_array[:, ::-1])
+
+    def test_a_keyed_table_is_stacked_in_about_one_arrays_memory(self):
+        # The array is written a block of entries at a time: no list of
+        # every entry, no flat copy and no transposed copy beside it.
+        game = redundant_game(np.random.default_rng(1), 38400)
+        values, states = game.payoffs.values, game.space.states
+        tracemalloc.start()
+        try:
+            table = _stack(values, states, game.payoffs.actions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.tobytes() == game.payoff_array.tobytes()
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert peak <= 1.6 * table.nbytes
+
+    def test_faults_are_ranked_across_blocks(self):
+        # A missing entry is named before an entry of the wrong length and
+        # that before a value that is no number, wherever each lies.
+        game = redundant_game(np.random.default_rng(2), 1200)
+        keys = list(game.payoffs.values)
+        early, late = keys[10], keys[-10]
+        assert keys.index(late) >= 2 * 4096
+        values = dict(game.payoffs.values)
+        values[early] = ("x", 1.0)
+        values[late] = (1.0,)
+        got = payoff_messages(with_values(game, values))
+        assert got == [f"payoff entry at {late!r} has 1 values"]
+        values[("zz", late[1])] = values.pop(keys[-2])
+        assert payoff_messages(with_values(game, values)) == [
+            f"payoff tensor misses the entry at {keys[-2]!r}",
+            "payoff entry for unknown state 'zz'",
+        ]
 
     def test_missing_entry_keeps_the_count_message(self):
         game = two_state_game()

@@ -3,14 +3,16 @@
 The solver and the lift build a profile from rows
 (``StrategyProfile.from_rows``): per player one array of distributions
 and each atom's row index into it.  The loader, the tests and the
-benchmark's recheck build profiles from dicts, and ``game._played_rows``
-alone reads either form.  Drawn on random nested games, both forms of
-one profile must certify alike, column for column by ``float.hex``, be
-read as the distinct rows a plain walk over the atoms finds, fail with
-the same errors and write the same report bytes.  Both lift to rows
-playing, at each original atom, its coarse parent's distribution over
-every action, and the lift refuses what the certifier refuses, with its
-error.
+benchmark's recheck build profiles from dicts, which are interned as
+such rows, and ``game._played_rows`` alone reads them.  Drawn on random
+nested games, a profile built both ways must certify alike, column for
+column by ``float.hex``, be read as the distinct rows a plain walk over
+the atoms' dicts finds, fail with the same errors and write the same
+report bytes.  Both lift to rows playing, at each original atom, its
+coarse parent's distribution over every action, and the lift refuses
+what the certifier refuses, with its error.  The edges of reading play
+from dicts (unknown and omitted actions, signed zeros, missing
+strategies, the order in which faults are named) are pinned below.
 """
 
 import math
@@ -30,6 +32,7 @@ from nestnash.game import (
     StateSpace,
     StrategyProfile,
     _strategies_at,
+    validate_profile,
 )
 from nestnash.gamefile import profile_to_json
 from nestnash.hierarchy import build_hierarchy
@@ -260,5 +263,132 @@ def test_certifier_names_the_first_player_lacking_a_strategy():
     )
     profile = StrategyProfile({1: {"a1": {"L": 1.0}}, 2: {}}, "original")
     message = "^player 1 has no strategy for atom 'a2'$"
+    with pytest.raises(GameFormatError, match=message):
+        certify(game, profile, 0.1)
+
+
+# -- edges of reading a profile's play -----------------------------------------
+#
+# A three-state game whose third state carries no prior, so atom 'a3' of
+# player 1 is never played: what a profile says there is not read.
+
+
+def zero_mass_game():
+    states = ("w0", "w1", "w2")
+    return NestedGame(
+        space=StateSpace(states, {"w0": 0.5, "w1": 0.5, "w2": 0.0}),
+        partitions=(
+            InformationPartition(1, {"w0": "a1", "w1": "a2", "w2": "a3"}),
+            InformationPartition(2, dict.fromkeys(states, "b")),
+        ),
+        payoffs=PayoffTensor.from_array(
+            (("L", "R"), ("U", "D")), states, np.arange(24.0).reshape(2, 3, 2, 2)
+        ),
+    )
+
+
+def pure_dicts() -> dict:
+    return {
+        1: {"a1": {"L": 1.0}, "a2": {"R": 1.0}, "a3": {"L": 1.0}},
+        2: {"b": {"U": 0.25, "D": 0.75}},
+    }
+
+
+@pytest.mark.parametrize("atom, refused", [("a2", True), ("a3", False)])
+def test_an_unknown_action_at_zero_mass_is_refused_only_where_played(atom, refused):
+    game = zero_mass_game()
+    dicts = pure_dicts()
+    dicts[1][atom] = {**dicts[1][atom], "zz": 0.0}
+    profile = StrategyProfile(dicts, "original")
+    if refused:
+        message = "^player 1 plays unknown action 'zz'$"
+        with pytest.raises(GameFormatError, match=message):
+            certify(game, profile, 0.1)
+    else:
+        plain = StrategyProfile(pure_dicts(), "original")
+        assert certificate(game, profile) == certificate(game, plain)
+
+
+def test_an_omitted_action_reads_as_zero():
+    game = zero_mass_game()
+    listed = {
+        i: {
+            atom: {a: dist.get(a, 0.0) for a in game.actions_for(i)}
+            for atom, dist in table.items()
+        }
+        for i, table in pure_dicts().items()
+    }
+    omitted = StrategyProfile(pure_dicts(), "original")
+    assert certificate(game, omitted) == certificate(game, StrategyProfile(listed))
+    read = _strategies_at(game, omitted, np.arange(3), (1, 2))
+    assert hexed(read[1][0].tolist()) == hexed([[1.0, 0.0], [0.0, 1.0]])
+    assert read[1][1][:2].tolist() == [0, 1]
+    assert hexed(read[2][0].tolist()) == hexed([[0.25, 0.75]])
+
+
+@pytest.mark.parametrize("first, later", [(-0.0, 0.0), (0.0, -0.0)])
+def test_rows_equal_but_for_zero_signs_share_the_first_seen_row(first, later):
+    # By dicts and by rows alike: one row, with the bits of the row the
+    # first played atom plays, for every played atom.
+    game = zero_mass_game()
+    dicts = pure_dicts()
+    dicts[1] = {
+        "a1": {"L": 1.0, "R": first},
+        "a2": {"L": 1.0, "R": later},
+        "a3": {"L": 1.0, "R": later},
+    }
+    ids, acts = game.partitions[0].ids, game.actions_for(1)
+    table = np.array([[1.0, first], [1.0, later]])
+    rows = {1: (ids, acts, table, np.array([0, 1, 1]))}
+    rows[2] = (("b",), game.actions_for(2), np.array([[0.25, 0.75]]), np.zeros(1, int))
+    for profile in (
+        StrategyProfile(dicts, "original"),
+        StrategyProfile.from_rows(rows, "original"),
+    ):
+        played, row_of = _strategies_at(game, profile, np.arange(2), (1,))[1]
+        assert hexed(played.tolist()) == hexed([[1.0, first]])
+        assert row_of[:2].tolist() == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "strategies, atom",
+    [
+        # Player 1 has no entry: their first played atom is named.
+        ({2: {}}, "a1"),
+        # Missing atoms are named in partition order, not in the order of
+        # the profile's dict; 'a3' is never played and never named.
+        ({1: {"a3": {"L": 1.0}, "a1": {"L": 1.0}}, 2: {}}, "a2"),
+    ],
+)
+def test_the_first_player_then_their_first_missing_atom_is_named(strategies, atom):
+    message = f"^player 1 has no strategy for atom '{atom}'$"
+    with pytest.raises(GameFormatError, match=message):
+        certify(zero_mass_game(), StrategyProfile(strategies, "original"), 0.1)
+
+
+def test_bad_actions_are_named_in_each_readers_order():
+    # ``validate_profile`` walks the dicts as given, the certifier the
+    # played atoms in partition order, each atom's dict in its own order,
+    # and a mass fault names the first action in the game's order.
+    game = zero_mass_game()
+    dicts = pure_dicts()
+    dicts[1] = {
+        "a2": {"yy": 0.0, "R": 1.0},
+        "a1": {"zz": 0.0, "yy": 0.0, "L": 1.0},
+        "a3": {"L": 1.0},
+    }
+    profile = StrategyProfile(dicts, "original")
+    assert validate_profile(game, profile) == [
+        "player 1 atom 'a2' uses unknown action 'yy'",
+        "player 1 atom 'a1' uses unknown action 'zz'",
+    ]
+    with pytest.raises(GameFormatError, match="^player 1 plays unknown action 'zz'$"):
+        certify(game, profile, 0.1)
+    dicts[1] = {"a2": {"R": 1.0}, "a1": {"R": -0.5, "L": -0.25}, "a3": {"L": 1.0}}
+    profile = StrategyProfile(dicts, "original")
+    assert validate_profile(game, profile) == [
+        "player 1 atom 'a1' distribution has invalid mass -0.5 at action 'R'"
+    ]
+    message = "^player 1 plays a distribution that has invalid mass -0.25 at action 'L'"
     with pytest.raises(GameFormatError, match=message):
         certify(game, profile, 0.1)

@@ -274,9 +274,16 @@ def test_one_function_stacks_a_keyed_table():
 
 
 def test_only_file_labels_take_the_dict_grouping():
-    # ``game._group`` keys a dict by each label a file gives; every key
-    # the package derives is an integer and goes through ``_group_ints``.
-    assert readers("_group") == {("game.py", "_labelled")}
+    # ``game._group`` keys a dict by each atom name a file or a caller
+    # gives, once, when a partition is built (every other partition
+    # constructor starts from labels); every key the package derives is
+    # an integer and goes through ``_group_ints``.
+    assert readers("_group") == {("game.py", "from_atoms")}
+    assert readers("from_atoms") == {
+        ("game.py", "__init__"),
+        ("game.py", "from_type_space"),
+        ("gamefile.py", "_parse_partitions"),
+    }
     assert {file for file, _ in readers("_group_ints")} == {
         "game.py",
         "hierarchy.py",
@@ -285,9 +292,18 @@ def test_only_file_labels_take_the_dict_grouping():
     }
 
 
+def test_game_objects_hold_one_form():
+    # Partitions and profiles intern names when they are built, and their
+    # dict forms are cached views: no attribute is made up on first read.
+    def defines(node: ast.AST) -> bool:
+        return isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+
+    assert {file for file, _ in sites(defines)} == set()
+
+
 def test_one_reader_reads_played_rows():
-    # ``game._played_rows`` alone turns a profile's play, rows or dicts,
-    # into checked distributions: the certifier reads it through
+    # ``game._played_rows`` alone turns a profile's rows, however it was
+    # built, into checked distributions: the certifier reads it through
     # ``_strategies_at`` and the lift directly, so no other stage walks a
     # profile's dicts atom by atom or reads its play past the checks.
     assert readers("_played_rows") == {

@@ -6,12 +6,12 @@ given profile, and ``hierarchy`` reports the belief hierarchy and its
 structural checks without solving.
 
 Exit codes: 0 when the certificate passes, 1 for invalid input, 2 when
-the pipeline ran but the certificate fails or the solver did not
-converge, 3 for filesystem errors.  For a continuous game the
-certificate is the box certificate (regret against every action in the
-box within epsilon) together with the probe audit.  Reports are
-deterministic: same inputs and flags give byte-identical output, with
-no timestamps.  A JSON report is, byte for byte, what
+the pipeline ran but the certificate fails, 3 for filesystem errors;
+whether the solver converged does not change the code.  For a
+continuous game the certificate is the box certificate (regret against
+every action in the box within epsilon) together with the probe audit.
+Reports are deterministic: same inputs and flags give byte-identical
+output, with no timestamps.  A JSON report is, byte for byte, what
 ``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)``
 writes; ``_dumps`` produces those bytes through the C encoder.
 """
@@ -350,17 +350,9 @@ def _dumps(obj, depth: int) -> str:
     ``encode_basestring_ascii``.  Empty containers are ``{}`` and ``[]``
     in both.  The C encoder takes each nonempty container that holds
     only scalars; a container of containers is joined here, in sorted
-    key order as the stdlib does, and its keys must be strings.
-
-    A container whose children are all nonempty dicts of scalars (a
-    block of report rows) has the list of its children encoded in one
-    call, by the encoder for depth + 1, and the text split back into
-    one body per child at ``"}," + inner + "{"``, where ``inner`` is the
-    line break and indentation of depth + 2.  That split is exact: the
-    sequence holds a raw newline, which no encoded string does, and
-    inside a child every separator follows a scalar, never a ``}``, so
-    it occurs exactly at the boundaries between children.  Rows held as
-    ``_Columns`` are written column by column (``_dumps_columns``).
+    key order as the stdlib does, and its keys must be strings.  Rows
+    held as ``_Columns``, and a profile's ``_RowTable`` whose rows list
+    the same actions, are written column by column (``_dumps_columns``).
     """
     if isinstance(obj, dict):
         if isinstance(obj, _Columns):
@@ -372,23 +364,16 @@ def _dumps(obj, depth: int) -> str:
         return _flat_encoder(depth)[0].encode(obj)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
-    if isinstance(obj, _RowTable) and _are_rows(obj.rows):
-        keys, index = zip(*sorted(obj.index.items()))
-        return _dumps_rows(keys, obj.rows, depth, index)
+    if isinstance(obj, _RowTable) and obj.columns:
+        return _dumps_columns(obj.columns, depth, obj.index)
     encoder, inner, close = _flat_encoder(depth)
     if not _any_container(values):
         text = encoder.encode(obj)
         return text[0] + inner + text[1:-1] + close + text[-1]
     if isinstance(obj, dict):
-        keys, children = zip(*sorted(obj.items()))
-    else:
-        keys, children = None, obj
-    if _are_rows(children):
-        return _dumps_rows(keys, children, depth)
-    if keys is not None:
         items = [
             f"{encode_key(key)}: {_dumps(value, depth + 1)}"
-            for key, value in zip(keys, children)
+            for key, value in sorted(obj.items())
         ]
         return "{" + inner + ("," + inner).join(items) + close + "}"
     items = [_dumps(value, depth + 1) for value in obj]
@@ -401,48 +386,17 @@ def _any_container(values) -> bool:
     return any(map(isinstance, values, itertools.repeat((dict, list, tuple))))
 
 
-def _are_rows(children) -> bool:
-    """Whether every one of ``children`` is a nonempty dict of scalars."""
-    if not all(map(isinstance, children, itertools.repeat(dict))):
-        return False
-    values = itertools.chain.from_iterable(map(dict.values, children))
-    return all(children) and not _any_container(values)
-
-
-def _dumps_rows(keys: tuple | None, rows, depth: int, index=None) -> str:
-    """``_dumps`` of a container at ``depth`` whose children ``rows`` are
-    all nonempty dicts of scalars, under ``keys`` for a dict and None
-    for a list, in one call of the C encoder (see ``_dumps``).  With
-    ``index``, the dict's k-th child is ``rows[index[k]]``: a report's
-    ``_RowTable``, whose distinct rows are each encoded once."""
-    encoder, row_inner, row_close = _flat_encoder(depth + 1)
-    _, inner, close = _flat_encoder(depth)
-    text = encoder.encode(list(rows))
-    bodies = text.split("}," + row_inner + "{")
-    del text
-    bodies[0] = bodies[0][2:]
-    bodies[-1] = bodies[-1][:-2]
-    if index is not None:
-        bodies = list(map(bodies.__getitem__, index))
-    if keys is None:
-        between = row_close + "}," + inner + "{" + row_inner
-        body = between.join(bodies)
-        return f"[{inner}{{{row_inner}{body}{row_close}}}{close}]"
-    # Each body becomes its item in place, so at most one copy of the
-    # block is alive besides the result.
-    for k, key in enumerate(keys):
-        bodies[k] = f"{encode_key(key)}: {{{row_inner}{bodies[k]}{row_close}}}"
-    return "{" + inner + ("," + inner).join(bodies) + close + "}"
-
-
-def _dumps_columns(columns: _Columns, depth: int) -> str:
+def _dumps_columns(columns: dict, depth: int, index: dict | None = None) -> str:
     """``_dumps`` of the rows of ``columns`` as a list at ``depth``, with
     the same bytes: the columns, in sorted key order, are encoded as a
     list of lists in one call of the C encoder and split back into one
     item each (between lists at ``"]\\n["``, which only ends a list of
     scalars and starts the next, then at each line break), and each row
     is joined from its items and the fixed text around them
-    (``_row_parts``).  A list of no rows is ``[]``."""
+    (``_row_parts``).  A list of no rows is ``[]``.  With ``index``, the
+    rows are written as a dict at ``depth`` instead: its keys in sorted
+    order, each with the row at its position in ``index``, so a row
+    that many keys share is joined once."""
     keys = tuple(sorted(columns))
     if not columns[keys[0]]:
         return "[]"
@@ -453,8 +407,11 @@ def _dumps_columns(columns: _Columns, depth: int) -> str:
     parts = []
     for head, cell in zip(heads, cells):
         parts += (itertools.repeat(head), cell)
-    rows = map("".join, zip(*parts, itertools.repeat(tail)))
-    return "[" + inner + ("," + inner).join(rows) + close + "]"
+    rows = list(map("".join, zip(*parts, itertools.repeat(tail))))
+    if index is None:
+        return "[" + inner + ("," + inner).join(rows) + close + "]"
+    items = [f"{encode_key(key)}: {rows[k]}" for key, k in sorted(index.items())]
+    return "{" + inner + ("," + inner).join(items) + close + "}"
 
 
 @functools.cache

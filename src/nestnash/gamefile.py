@@ -597,12 +597,16 @@ class _RowTable(dict):
     """One player's strategies in a report, atom -> distribution, where
     the distributions are the dicts ``rows``, one per row of the
     profile's array, and ``index`` maps each atom to its row's position
-    in ``rows``."""
+    in ``rows``.  When every row lists the same actions, ``columns``
+    holds the rows as one list per action (action -> list); otherwise it
+    is None."""
 
     def __init__(self, keys: list[str], rows: list[dict], row_of: list[int]):
         super().__init__(zip(keys, map(rows.__getitem__, row_of)))
-        self.rows = rows
         self.index = dict(zip(keys, row_of))
+        acts = rows[0].keys() if rows else None
+        same = acts and all(row.keys() == acts for row in rows)
+        self.columns = {a: [row[a] for row in rows] for a in acts} if same else None
 
 
 def profile_to_json(profile: StrategyProfile) -> dict:

@@ -18,8 +18,9 @@ with warnings.catch_warnings():
 from hypothesis import settings
 
 # Ten times hypothesis's default examples: CI runs the grouping
-# equivalence tests (tests/test_grouping.py) once more under this profile,
-# with ``--hypothesis-profile=ci``.
+# equivalence tests (tests/test_grouping.py and the files beside it in the
+# workflow's step) once more under this profile, with
+# ``--hypothesis-profile=ci``.
 settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 
 from nestnash.game import (
@@ -29,6 +30,16 @@ from nestnash.game import (
     StateSpace,
     from_type_space,
 )
+
+
+def examples(count: int) -> int:
+    """``count`` hypothesis examples scaled by the loaded profile: ``count``
+    under the default profile, ten times ``count`` under ``ci``.  An
+    explicit ``max_examples`` overrides a profile, so a test that pins its
+    count passes it through here.  Test modules are imported after the
+    hypothesis plugin loads the profile named on the command line."""
+    default = settings.get_profile("default").max_examples
+    return count * settings().max_examples // default
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from generators import exact_prior, random_nested_game
 from nestnash.game import (
     GameFormatError,
@@ -461,7 +462,7 @@ DELTAS = st.sampled_from([1e-9, 0.3, 2.5])
 # -- the tests ------------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=SEEDS, delta=DELTAS)
 def test_hierarchy_matches_the_dict_walk(seed, delta):
     game = variant(seed)
@@ -484,7 +485,7 @@ def test_hierarchy_matches_the_dict_walk(seed, delta):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=SEEDS, delta=DELTAS, in_order=st.booleans())
 def test_a_player_whose_beliefs_merge_nothing_keeps_their_own_partition(
     seed, delta, in_order
@@ -509,7 +510,7 @@ def test_a_player_whose_beliefs_merge_nothing_keeps_their_own_partition(
     assert (build_auxiliary_game(h) is game) == (all(kept) and merges_no_state)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=SEEDS)
 def test_refinement_witness_matches_the_dict_walk(seed):
     rng = np.random.default_rng(seed)
@@ -523,7 +524,7 @@ def test_refinement_witness_matches_the_dict_walk(seed):
             assert _refinement_witness(fine, coarse) == ref_witness(fine, coarse)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=SEEDS, delta=DELTAS)
 def test_audit_matches_the_dict_walk(seed, delta):
     game = variant(seed)
@@ -537,7 +538,7 @@ def test_audit_matches_the_dict_walk(seed, delta):
         assert got == ref_checks(game, hierarchy)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=SEEDS, delta=DELTAS)
 def test_quotient_matches_the_dict_walk(seed, delta):
     game = variant(seed)
@@ -566,7 +567,7 @@ def test_quotient_matches_the_dict_walk(seed, delta):
     assert coarse.payoff_array.tobytes() == table.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=SEEDS, delta=DELTAS)
 def test_lift_matches_the_dict_walk(seed, delta):
     game = variant(seed)
@@ -596,7 +597,7 @@ def test_lift_matches_the_dict_walk(seed, delta):
         ]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=SEEDS, delta=DELTAS)
 def test_expectation_gap_matches_the_dict_walk(seed, delta):
     game = variant(seed)
@@ -609,7 +610,7 @@ def test_expectation_gap_matches_the_dict_walk(seed, delta):
         assert got.hex() == ref_expectation_gap(game, delta, i, f).hex()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(seed=SEEDS, delta=DELTAS)
 def test_coarse_gap_matches_the_dict_walk(seed, delta):
     game = variant(seed)
@@ -634,7 +635,7 @@ def hexes(values):
     return [v.hex() for v in values]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=SEEDS)
 def test_support_columns_match_the_atom_walk(seed):
     game = variant(seed)
@@ -688,7 +689,7 @@ def test_lift_refuses_a_hierarchy_failing_its_audit():
         lift_strategy(profile, h)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(seed=SEEDS, fault=st.sampled_from(range(9)))
 def test_validation_messages_match_the_dict_walk(seed, fault):
     rng = np.random.default_rng(seed)

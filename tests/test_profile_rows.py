@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from generators import random_nested_game
 from nestnash.cli import _dumps
 from nestnash.game import (
@@ -114,7 +115,7 @@ def edited(rng, rows: dict, edit: str) -> tuple[dict, dict]:
     return rows, dicts
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(seed=SEEDS, edit=st.sampled_from(EDITS))
 def test_rows_certify_as_their_dicts(seed, edit):
     rng = np.random.default_rng(seed)
@@ -162,7 +163,7 @@ def plain_lift(game, h, dicts: dict) -> dict:
     return lifted
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     seed=SEEDS,
     delta=st.floats(0.05, 1.0),
@@ -197,7 +198,7 @@ def test_lifted_rows_are_the_lifted_dicts(seed, delta, edit):
     assert _dumps(profile_to_json(lifted), 0) == _dumps(profile_to_json(old), 0)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(seed=SEEDS, edit=st.sampled_from(("unknown action", "nan row")))
 def test_lift_refuses_what_the_certifier_refuses(seed, edit):
     # A coarse profile playing an action the game lacks, or a row with a
@@ -226,7 +227,7 @@ def test_lift_refuses_what_the_certifier_refuses(seed, edit):
         assert str(raised.value) == want
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(seed=SEEDS, delta=st.floats(0.05, 1.0))
 def test_missing_coarse_atoms_are_named_player_first(seed, delta):
     # With strategies missing for players 1 and 2, the lift names player

@@ -20,8 +20,9 @@ each, in JSON and in CSV.
 The encoder test checks ``cli._dumps`` against
 ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` on
 random trees, including the strings and floats where a hand-made
-encoder would most likely differ, and on blocks of report rows, which
-it encodes one block per call; a count test checks that a large
+encoder would most likely differ, on blocks of rows, and on profiles
+as reports hold them (``profile_to_json``), whose rows the column
+writer encodes one player per call; a count test checks that a large
 report's rows reach the encoder a block at a time.
 """
 
@@ -39,9 +40,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from generators import noisy_redundant_game, random_nested_game, redundant_game
 from nestnash.cli import _dumps, main
-from nestnash.game import NestedGame, PayoffTensor
+from nestnash.game import NestedGame, PayoffTensor, StrategyProfile
+from nestnash.gamefile import profile_to_json
 from nestnash.pipeline import solve
 from nestnash.solver import build_auxiliary_game
 from test_cli import (
@@ -279,16 +282,15 @@ _TREES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(_TREES)
 def test_dumps_matches_the_stdlib(doc):
     assert _dumps(doc, 0) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
-# Blocks of rows: containers of 1-5 nonempty dicts of scalars, which
-# ``_dumps`` encodes in one call and splits at the row boundaries.  The
-# texts include the boundary itself, as it reads in a block at depth 0,
-# and without its indentation.
+# Blocks of rows: containers of 1-5 nonempty dicts of scalars.  The
+# texts include the boundary between two rows, as it reads in a block at
+# depth 0, and without its indentation.
 _ROW_TEXT = st.one_of(_TEXT, st.sampled_from(['},\n    {', '},\n']))
 _ROW_SCALARS = st.one_of(
     st.none(),
@@ -315,9 +317,70 @@ _BLOCK_TREES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(_BLOCK_TREES)
 def test_dumps_matches_the_stdlib_on_blocks_of_rows(doc):
+    assert _dumps(doc, 0) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+# Profiles as a report writes them (``profile_to_json``), built from rows
+# and from dicts.  Atom and action ids are strings (escapes included),
+# integers or tuples, so some key strings are a ``repr`` and two ids may
+# share one; several atoms may play one row; entries include -0.0.
+_IDS = st.one_of(_TEXT, st.integers(-2, 2), st.tuples(st.integers(0, 1), _TEXT))
+_LEVELS = ("original", "coarse")
+
+
+@st.composite
+def _row_profile(draw):
+    rows = {}
+    for player in range(1, draw(st.integers(1, 3)) + 1):
+        acts = tuple(draw(st.lists(_IDS, min_size=1, max_size=3, unique=True)))
+        # A player may have no atoms.
+        atoms = tuple(draw(st.lists(_IDS, max_size=5, unique=True)))
+        row = st.lists(_FLOATS, min_size=len(acts), max_size=len(acts))
+        table = draw(st.lists(row, min_size=1, max_size=3))
+        row_of = st.lists(
+            st.integers(0, len(table) - 1), min_size=len(atoms), max_size=len(atoms)
+        )
+        rows[player] = (atoms, acts, np.array(table), np.array(draw(row_of), int))
+    return StrategyProfile.from_rows(rows, draw(st.sampled_from(_LEVELS)))
+
+
+@st.composite
+def _dict_profile(draw):
+    # Dicts may list different actions of a player's, in any order, or
+    # none; atoms may share a dict.
+    strategies = {}
+    for player in range(1, draw(st.integers(1, 3)) + 1):
+        acts = st.sampled_from(draw(st.lists(_IDS, min_size=1, max_size=3)))
+        dists = draw(st.lists(st.dictionaries(acts, _FLOATS, max_size=3), min_size=1))
+        atoms = draw(st.lists(_IDS, max_size=5, unique=True))
+        which = st.integers(0, len(dists) - 1)
+        strategies[player] = {atom: dists[draw(which)] for atom in atoms}
+    return StrategyProfile(strategies, draw(st.sampled_from(_LEVELS)))
+
+
+# Profiles nested in other containers, beside scalars.
+_PROFILE_TREES = st.recursive(
+    st.one_of(_row_profile(), _dict_profile()).map(profile_to_json),
+    lambda inner: st.one_of(
+        st.lists(st.one_of(inner, _SCALARS), min_size=1, max_size=3),
+        st.dictionaries(_TEXT, st.one_of(inner, _SCALARS), min_size=1, max_size=3),
+    ),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(
+    st.one_of(
+        st.lists(_PROFILE_TREES, min_size=1, max_size=2),
+        st.dictionaries(_TEXT, _PROFILE_TREES, min_size=1, max_size=2),
+    )
+)
+def test_dumps_matches_the_stdlib_on_profiles(doc):
+    # At depth 1 or more in the document.
     assert _dumps(doc, 0) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 

@@ -301,6 +301,20 @@ def test_game_objects_hold_one_form():
     assert {file for file, _ in sites(defines)} == set()
 
 
+def test_one_function_writes_report_rows():
+    # ``cli._dumps_columns`` writes every block of report rows held as
+    # columns (the regret block's atoms and each player's strategies) and
+    # ``_dumps`` alone calls it; every other container takes ``_dumps``'
+    # generic recursion, with no second row writer beside it.
+    assert readers("_dumps_columns") == {("cli.py", "_dumps")}
+
+    def defines(node: ast.AST) -> bool:
+        names = ("_dumps_rows", "_are_rows")
+        return isinstance(node, ast.FunctionDef) and node.name in names
+
+    assert sites(defines) == set()
+
+
 def test_one_reader_reads_played_rows():
     # ``game._played_rows`` alone turns a profile's rows, however it was
     # built, into checked distributions: the certifier reads it through

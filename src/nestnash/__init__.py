@@ -40,21 +40,9 @@ from .game import (
     validate_profile,
 )
 from .gamefile import SchemaError, load_game, load_profile
-from .hierarchy import (
-    Hierarchy,
-    build_hierarchy,
-    check_properties,
-    expectation_gap,
-)
+from .hierarchy import Hierarchy, build_hierarchy, check_properties
 from .pipeline import Solution, solve
-from .regret import (
-    ConsistencyError,
-    RegretReport,
-    bayesian_regret,
-    brute_force_check,
-    certify,
-    coarse_best_response_gap,
-)
+from .regret import ConsistencyError, RegretReport, bayesian_regret, certify
 from .solver import (
     SolveResult,
     build_auxiliary_game,
@@ -85,7 +73,6 @@ __all__ = [
     "StateSpace",
     "StrategyProfile",
     "bayesian_regret",
-    "brute_force_check",
     "build_auxiliary_game",
     "build_hat_game",
     "build_hierarchy",
@@ -93,11 +80,9 @@ __all__ = [
     "certify_box",
     "certify_sup_gap",
     "check_properties",
-    "coarse_best_response_gap",
     "coarse_to_fine",
     "conditional_payoff",
     "eta_net",
-    "expectation_gap",
     "expected_payoff",
     "floor_to_multiple",
     "from_type_space",

@@ -7,7 +7,11 @@ structural checks without solving.
 
 Exit codes: 0 when the certificate passes, 1 for invalid input, 2 when
 the pipeline ran but the certificate fails, 3 for filesystem errors;
-whether the solver converged does not change the code.  For a
+whether the solver converged does not change the code.  ``hierarchy``
+exits 2 when a structural check fails, after printing its report.  Any
+command exits 2 on a ``ConsistencyError`` (a regret below -1e-9, a
+broken invariant), with one ``consistency failure:`` line on stderr and
+no report.  For a
 continuous game the certificate is the box certificate (regret against
 every action in the box within epsilon) together with the probe audit.
 Reports are deterministic: same inputs and flags give byte-identical

@@ -36,7 +36,9 @@ clustering guarantees by construction: each member atom's exact belief
 lies strictly within delta (L1) of its centre, and so does every
 mixture of member beliefs, such as the belief on a coarse atom, since
 the L1 ball is convex.  ``max_l1_gap`` records the largest member to
-centre distance per level.
+centre distance per level.  The gap this moves an expectation or an
+action value by is measured only in the tests, by plain walks over the
+per-state dicts (``tests/oracles.py``); no stage of a solve reads it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,6 @@ from .game import (
     NestedGame,
     State,
     Support,
-    _check_player,
-    _fold_atoms,
     _fsums,
     _group_ints,
     _refinement_witness,
@@ -342,48 +341,6 @@ def build_hierarchy(game: NestedGame, delta: float) -> Hierarchy:
         levels=tuple(levels),
         coarse=tuple(coarse_parts[::-1]),
     )
-
-
-def expectation_gap(
-    hierarchy: Hierarchy,
-    player: int,
-    f: Mapping[tuple[int, ...], float],
-    bound: float,
-) -> float:
-    """Max gap between exact conditional and centre expectations of f.
-
-    ``f`` must be bounded by ``bound`` in absolute value on the signal
-    support.  The result is guaranteed strictly below bound * delta (up
-    to float noise) because every belief lies within delta of its
-    centre; this function measures the realized gap over positive-mass
-    atoms of the player's information.  A player outside 1..n, or a
-    bound that is not finite and positive, or a value of f that is not
-    within it (NaN included), raises GameFormatError.
-    """
-    game = hierarchy.game
-    _check_player(game, player)
-    if not 0.0 < bound < math.inf:
-        raise GameFormatError("bound must be finite and positive")
-    level = hierarchy.level(player)
-    for z in level.signal_support:
-        if z not in f:
-            raise GameFormatError(f"functional undefined on support value {z!r}")
-        if not abs(f[z]) <= bound:
-            raise GameFormatError(
-                f"functional exceeds its stated bound at {z!r}: {f[z]!r}"
-            )
-    values = [f[z] for z in level.signal_support]
-    # f's expectation under each centre.
-    centres = [
-        math.fsum(w * values[z] for z, w in c.items()) for c in level.belief_support
-    ]
-    support = game.supports[player - 1]
-    at = support.positions
-    exact = _fold_atoms(support, np.array(values, float)[level.signals[at], None])
-    # Each positive-mass atom's centre, read at its first weighed state.
-    firsts = np.cumsum(support.sizes) - support.sizes
-    approx = np.array(centres)[level.beliefs[at[firsts]]]
-    return float(np.abs(exact[:, 0] - approx).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,10 @@ Both guarantees come from one per-atom table of own-action values,
 which ``bayesian_regret`` builds: per player a ``PlayerRegret`` of
 columns over the atoms.  A Bayesian epsilon-equilibrium bounds every
 atom's regret (``max_regret``), a Harsanyi one the prior-weighted sum
-(``harsanyi``).  ``coarse_best_response_gap`` builds its one player's
-exact own-action values itself (``_state_values``, the numbers of the
-table's ``values`` column) and compares them with their reconstruction
-from belief centres, through the same kernel; the continuous probe audit
+(``harsanyi``).  The continuous probe audit
 (``discretize.probe_harsanyi_regret``) is ``certify`` on a true-value
-grid game.  ``brute_force_check`` recomputes regrets from the payoff
-dict by plain enumeration, independently of this path.
+grid game.  The tests recompute regrets from the payoff dict by plain
+enumeration (``tests/oracles.py``), independently of this path.
 
 Every verdict in the package, finite or continuous, takes one pass
 rule, ``within_bound``, and both negative-regret checks take one floor,
@@ -72,18 +69,13 @@ from .game import (
     Atom,
     GameFormatError,
     NestedGame,
-    State,
     StrategyProfile,
-    _check_player,
     _expectation_rows,
     _fold_atoms,
-    _fsums,
     _group_ints,
     _strategies_at,
     _widen,
-    coarsen,
 )
-from .hierarchy import Hierarchy
 
 # Fixed certification slack absorbing float error in threshold comparisons.
 CERT_SLACK = 1e-9
@@ -277,192 +269,3 @@ def regret_report(table: dict[int, PlayerRegret], epsilon: float) -> RegretRepor
         witness=witness,
         passed=passed,
     )
-
-
-def _naive_conditional_value(
-    game: NestedGame,
-    strategies: dict[int, dict[Atom, dict[Action, float]]],
-    player: int,
-    members: tuple[State, ...],
-    mass: float,
-) -> float:
-    """Deliberately plain full-product evaluation, independent of the
-    factorized path used by bayesian_regret."""
-    prior = game.prior_for(player)
-    total = []
-    for s in members:
-        w = prior[s]
-        if w <= 0.0:
-            continue
-        dists = [
-            strategies[j][game.partitions[j - 1].atom_of[s]]
-            for j in range(1, game.n + 1)
-        ]
-        for prof in game.payoffs.profiles():
-            p = w
-            for j, a in enumerate(prof):
-                p *= dists[j].get(a, 0.0)
-                if p == 0.0:
-                    break
-            if p != 0.0:
-                total.append(p * game.payoffs.values[(s, prof)][player - 1])
-    return math.fsum(total) / mass
-
-
-def brute_force_check(
-    game: NestedGame,
-    profile: StrategyProfile,
-    mixed_resolution: int | None = None,
-    max_evaluations: int = 10**6,
-) -> dict[tuple[int, Atom], float]:
-    """Independent regret recomputation by enumerating deviations.
-
-    Enumerates per-atom pure deviations, which suffice because payoffs
-    are linear in each atom's own distribution.  When ``mixed_resolution``
-    is given, every mixed deviation whose probabilities are multiples of
-    1 / ``mixed_resolution`` is scanned as well, confirming the linearity
-    shortcut on small instances.  Refuses to run past ``max_evaluations``
-    deviations.
-    """
-    count = 0
-    plans: list[tuple[int, Atom, list[dict[Action, float]]]] = []
-    for i in range(1, game.n + 1):
-        prior = game.prior_for(i)
-        for atom, members in game.partition_for(i).atoms.items():
-            if math.fsum(prior[s] for s in members) <= 0.0:
-                continue
-            actions = game.actions_for(i)
-            devs: list[dict[Action, float]] = [{a: 1.0} for a in actions]
-            if mixed_resolution is not None and len(actions) > 1:
-                for nums in _compositions(mixed_resolution, len(actions)):
-                    devs.append(
-                        {
-                            a: n / mixed_resolution
-                            for a, n in zip(actions, nums)
-                            if n > 0
-                        }
-                    )
-            count += len(devs)
-            if count > max_evaluations:
-                raise GameFormatError(
-                    f"brute force would exceed {max_evaluations} evaluations"
-                )
-            plans.append((i, atom, devs))
-
-    out: dict[tuple[int, Atom], float] = {}
-    for i, atom, devs in plans:
-        prior = game.prior_for(i)
-        members = game.partition_for(i).atoms[atom]
-        mass = math.fsum(prior[s] for s in members)
-        base = _naive_conditional_value(game, profile.strategies, i, members, mass)
-        best = base
-        for dev in devs:
-            modified = {
-                j: dict(strats) for j, strats in profile.strategies.items()
-            }
-            modified[i][atom] = dev
-            best = max(
-                best, _naive_conditional_value(game, modified, i, members, mass)
-            )
-        out[(i, atom)] = best - base
-    return out
-
-
-def _compositions(total: int, parts: int):
-    """All integer compositions of ``total`` into ``parts`` nonnegative parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def coarse_best_response_gap(
-    hierarchy: Hierarchy, profile: StrategyProfile, player: int
-) -> float:
-    """Gap between true conditional action values and their reconstruction
-    from the belief centre, maximized over positive-mass atoms and own
-    actions, on the hierarchy's game (``hierarchy.game``).
-
-    The profile gives every player's play, the player's own included,
-    since the exact values are ``bayesian_regret``'s table.  Play is read
-    as rows with ``_strategies_at``, on the coarse game
-    (``coarsen(game, hierarchy.coarse)``) for a coarse-level profile and
-    on ``game`` for an original one: the other players' at every state,
-    the player's own on their support.  Each other player must play one
-    row, compared by value, throughout each of their coarse atoms.  The
-    reconstruction weighs, per signal support value, the payoff matrix
-    of that value's class against the opponents' rows on the coarse
-    atoms induced by the value combined with the player's own observed
-    belief tuple.  Signal values that never co-occur with the observed
-    tuple have no realized coarse atom; opponents are assigned uniform
-    play there, which keeps the reconstruction bounded by the payoff
-    bound and so preserves the guarantee regardless of the convention.
-    A player outside 1..n raises GameFormatError.
-    """
-    game = hierarchy.game
-    _check_player(game, player)
-    level = hierarchy.level(player)
-    n = game.n
-    others = [j for j in range(1, n + 1) if j != player]
-    states, position = game.space.states, game.space.position
-    support = game.supports[player - 1]
-    source = game
-    if profile.field_level == "coarse":
-        source = coarsen(game, hierarchy.coarse)
-    # Keyed in player order, as ``_state_values`` takes them.
-    plays = _strategies_at(source, profile, np.arange(len(states)), others)
-    plays.update(_strategies_at(source, profile, support.positions, [player]))
-    plays = dict(sorted(plays.items()))
-
-    # Per other player: their rows with a uniform one appended, and the
-    # row they play at each belief tuple (levels j..n) some state
-    # realizes.  The states realizing a tuple make up one of the player's
-    # coarse atoms, so the row must not depend on the state.
-    tables, row_at = {}, {}
-    for j in others:
-        rows, row_of = plays[j]
-        tails = zip(*(hierarchy.level(k).beliefs.tolist() for k in range(j, n + 1)))
-        pairs = set(zip(tails, row_of.tolist()))
-        row_at[j] = dict(pairs)
-        if len(row_at[j]) < len(pairs):
-            raise GameFormatError(
-                f"player {j} strategy is not constant on coarse atoms"
-            )
-        tables[j] = np.vstack([rows, np.full(rows.shape[1], 1.0 / rows.shape[1])])
-
-    # Exact conditional value of each own action, per positive-mass atom:
-    # ``bayesian_regret``'s ``values`` column, for this player alone.
-    by_state = _state_values(game, player, plays, support.positions)
-    exact = _fold_atoms(support, by_state)[:, :-1]
-    # Reconstruction from the belief centre: one row per (atom, centre
-    # signal), the signal's class representative against the others'
-    # play on the coarse atoms the signal induces.  The own belief tuple
-    # at levels player..n is constant on the atom.
-    counts, weights, index = [], [], []
-    picks: dict[int, list[int]] = {j: [] for j in others}
-    # Each atom's first weighed state.
-    starts = np.cumsum(support.sizes) - support.sizes
-    for at in support.positions[starts].tolist():
-        own_tail = tuple(
-            int(hierarchy.level(j).beliefs[at]) for j in range(player, n + 1)
-        )
-        centre = level.belief_support[own_tail[0]]
-        counts.append(len(centre))
-        for z_idx, weight in centre.items():
-            z = level.signal_support[z_idx]
-            # z = (belief indices at levels 1..player-1, payoff class).
-            weights.append(weight)
-            index.append(position[game.classes.representatives[z[-1]]])
-            full_key = z[:-1] + own_tail
-            for j in others:
-                picks[j].append(row_at[j].get(full_key[j - 1 :], len(tables[j]) - 1))
-    dists = [tables[j][np.array(picks[j], np.intp)] for j in others]
-    values = _expectation_rows(game, player, dists, index, keep=player)
-    # Each column: one own action's weighted value at every row, summed
-    # per atom over its centre's rows.
-    columns = (np.array(weights)[:, None] * values).T.tolist()
-    sums = np.array([_fsums(column, counts) for column in columns], float)
-    approx = sums.reshape(len(columns), len(counts)).T
-    return float(np.abs(exact - approx).max(initial=0.0))

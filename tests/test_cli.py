@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,9 +10,11 @@ import nestnash.cli
 import nestnash.discretize
 import nestnash.game
 import nestnash.hierarchy
+import nestnash.regret
 from nestnash.cli import REPORT_VERSION, main
 from nestnash.discretize import eta_net
-from nestnash.game import PAYOFF_CAP, PayoffTensor
+from nestnash.game import PAYOFF_CAP, InformationPartition, PayoffTensor
+from nestnash.regret import ConsistencyError
 
 MP_GAME = {
     "version": 1,
@@ -765,6 +768,45 @@ class TestHierarchy:
     def test_bad_delta_rejected(self, anchor_path, capsys):
         assert main(["hierarchy", "--game", anchor_path, "--delta", "-1"]) == 1
         assert "delta" in capsys.readouterr().err
+
+    def test_failed_audit_prints_the_report_and_exits_2(
+        self, anchor_path, capsys, monkeypatch
+    ):
+        # A coarse partition splitting player 2's one atom fails the
+        # structural audit; the report still prints, and names the failure.
+        build_hierarchy = nestnash.cli.build_hierarchy
+
+        def tampered(game, delta):
+            h = build_hierarchy(game, delta)
+            split = InformationPartition(2, {"w1": 0, "w2": 1})
+            return dataclasses.replace(h, coarse=(h.coarse[0], split))
+
+        monkeypatch.setattr(nestnash.cli, "build_hierarchy", tampered)
+        code = main(["hierarchy", "--game", anchor_path, "--delta", "0.2"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 2
+        assert captured.err == ""
+        assert doc["hierarchy"]["ok"] is False
+        checks = doc["hierarchy"]["checks"]
+        failed = [(c["name"], c["player"]) for c in checks if not c["ok"]]
+        assert ("information-refines-coarse", 2) in failed
+
+
+def test_consistency_failure_exits_2(mp_path, capsys, monkeypatch):
+    # A regret below the floor inside ``solve`` is a broken invariant: one
+    # stderr line, no report.
+    message = "negative regret -0.5 for player 1 at atom 'a'"
+
+    def broken(game, profile):
+        raise ConsistencyError(message)
+
+    monkeypatch.setattr(nestnash.regret, "bayesian_regret", broken)
+    code = main(["solve", "--game", mp_path, "--epsilon", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"consistency failure: {message}\n"
 
 
 def _entry_case(edit):

@@ -44,13 +44,13 @@ from nestnash.game import (
 )
 from nestnash.hierarchy import build_hierarchy
 from nestnash.pipeline import solve
-from nestnash.regret import brute_force_check
 from nestnash.solver import (
     build_auxiliary_game,
     lift_strategy,
     solve_nash,
     to_agent_form,
 )
+from oracles import brute_force_check
 
 
 def solve_hat(disc, target: float):

@@ -6,17 +6,14 @@ the lift read each partition as one integer label array
 nested games whose partitions list their states in shuffled order, with
 zero-prior states of both signs, an optional per-player prior and
 integer, tuple or string atom ids, and compare every result with a
-reference below that walks the per-state dicts one state at a time.
-The readers of the hierarchy's label arrays (``expectation_gap`` and
-``coarse_best_response_gap``) are compared float for float with plain
-loops over ``ref_hierarchy``'s dicts, and each player's support columns
-and their per-atom fold with a walk over the atoms.
+reference that walks the per-state dicts one state at a time (the
+hierarchy's is ``oracles.ref_hierarchy``).  Each player's support
+columns and their per-atom fold are compared with a walk over the atoms.
 Hierarchies are also tampered with, so that the audit's witnesses and
 the lift's refusal are exercised.
 """
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -37,9 +34,9 @@ from nestnash.game import (
     _refinement_witness,
     validate_game,
 )
-from nestnash.hierarchy import build_hierarchy, check_properties, expectation_gap
-from nestnash.regret import coarse_best_response_gap
+from nestnash.hierarchy import build_hierarchy, check_properties
 from nestnash.solver import _quotient, build_auxiliary_game, lift_strategy
+from oracles import ref_hierarchy
 from test_hierarchy import coarse_keys
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -64,69 +61,6 @@ def ref_first_split_by_atom(part, value_of):
             if value_of[s] != value_of[members[0]]:
                 return (members[0], s)
     return None
-
-
-def ref_l1(p, q):
-    return math.fsum(
-        [abs(w - q.get(z, 0.0)) for z, w in p.items()]
-        + [w for z, w in q.items() if z not in p]
-    )
-
-
-def ref_hierarchy(game, delta):
-    """Every field of the hierarchy, by per-state walks: per level the
-    signal support, each state's signal, the centres, each state's and
-    each atom's belief and the largest gap, then the coarse partitions
-    and keys.  Every centre is scanned, which matches the signal-sharing scan
-    for delta below 2 up to gaps near 2, and delta above 2."""
-    states = game.space.states
-    priors = [game.prior_for(i) for i in range(1, game.n + 1)]
-    live = {s for s in states if any(p[s] > 0.0 for p in priors)}
-    observable = dict(zip(states, [(k,) for k in game.classes.ids.tolist()]))
-    levels, beliefs = [], []
-    for i, prior in enumerate(priors, start=1):
-        support = list(dict.fromkeys(observable[s] for s in states if s in live))
-        index = {z: k for k, z in enumerate(support)}
-        signal_of = {s: index[observable[s]] if s in live else -1 for s in states}
-        centres, atom_belief, max_gap = [], {}, 0.0
-        for atom, members in game.partition_for(i).atoms.items():
-            mass = math.fsum(prior[s] for s in members)
-            belief = {0: 1.0}
-            if mass > 0.0:
-                buckets = {}
-                for s in members:
-                    if prior[s] > 0.0:
-                        buckets.setdefault(signal_of[s], []).append(prior[s])
-                belief = {z: math.fsum(ws) / mass for z, ws in buckets.items()}
-            for c, centre in enumerate(centres):
-                gap = ref_l1(belief, centre)
-                if gap < delta:
-                    break
-            else:
-                c, gap = len(centres), 0.0
-                centres.append(belief)
-            max_gap = max(max_gap, gap)
-            atom_belief[atom] = c
-        atom_of = game.partition_for(i).atom_of
-        belief_of = {s: atom_belief[atom_of[s]] for s in states}
-        beliefs.append(belief_of)
-        levels.append((support, signal_of, centres, belief_of, atom_belief, max_gap))
-        observable = {
-            s: observable[s][:-1] + (belief_of[s], observable[s][-1]) for s in states
-        }
-    coarse, keys = [], []
-    for i in range(1, game.n + 1):
-        tuples = {s: tuple(b[s] for b in beliefs[i - 1 :]) for s in states}
-        ids = {key: k for k, key in enumerate(dict.fromkeys(tuples.values()))}
-        own = game.partition_for(i).atom_of
-        if len(ids) == len(set(own.values())):
-            # Nothing merges: the player keeps their own partition.
-            coarse.append(dict(own))
-            keys.append({tuples[s]: own[s] for s in states})
-        else:
-            coarse.append({s: ids[tuples[s]] for s in states})
-            keys.append(ids)
-    return levels, coarse, keys
 
 
 def hierarchy_fields(h):
@@ -250,83 +184,6 @@ def ref_fold(weights, sizes, masses, by_state):
         out.append([math.fsum(col[start:stop]) / mass for col in columns])
         start = stop
     return out
-
-
-def ref_expectation_gap(game, delta, player, f):
-    """``expectation_gap`` by a walk over ``ref_hierarchy``'s dicts."""
-    levels, _, _ = ref_hierarchy(game, delta)
-    support, signal_of, centres, _, atom_belief, _ = levels[player - 1]
-    prior = game.prior_for(player)
-    worst = 0.0
-    for atom, members in game.partition_for(player).atoms.items():
-        mass = math.fsum(prior[s] for s in members)
-        if mass <= 0.0:
-            continue
-        exact = math.fsum(
-            prior[s] * f[support[signal_of[s]]] for s in members if prior[s] > 0.0
-        )
-        centre = centres[atom_belief[atom]]
-        approx = math.fsum(w * f[support[z]] for z, w in centre.items())
-        worst = max(worst, abs(exact / mass - approx))
-    return worst
-
-
-def ref_coarse_gap(game, delta, profile, player):
-    """``coarse_best_response_gap`` of a coarse-level profile by plain
-    loops over ``ref_hierarchy``'s dicts: every value is the fsum of p * u
-    over the others' joint actions, p their probabilities multiplied left
-    to right in player order."""
-    levels, coarse, keys = ref_hierarchy(game, delta)
-    states = game.space.states
-    others = [j for j in range(1, game.n + 1) if j != player]
-    support, _, centres, _, _, _ = levels[player - 1]
-    beliefs = [level[3] for level in levels]
-    reps = {}
-    for s, k in zip(states, game.classes.ids.tolist()):
-        reps.setdefault(k, s)
-
-    def value(s, a, dists):
-        terms = []
-        for prof in itertools.product(*(game.actions_for(j) for j in others)):
-            p = dists[0][prof[0]]
-            for d, b in zip(dists[1:], prof[1:]):
-                p *= d[b]
-            full = prof[: player - 1] + (a,) + prof[player - 1 :]
-            terms.append(p * game.payoffs.values[s, full][player - 1])
-        return math.fsum(terms)
-
-    def played(j, s):
-        return profile.strategies[j][coarse[j - 1][s]]
-
-    def uniform(j):
-        return dict.fromkeys(game.actions_for(j), 1.0 / len(game.actions_for(j)))
-
-    prior = game.prior_for(player)
-    worst = 0.0
-    for members in game.partition_for(player).atoms.values():
-        mass = math.fsum(prior[s] for s in members)
-        if mass <= 0.0:
-            continue
-        tail = tuple(b[members[0]] for b in beliefs[player - 1 :])
-        centre = centres[tail[0]]
-        for a in game.actions_for(player):
-            exact = math.fsum(
-                prior[s] * value(s, a, [played(j, s) for j in others])
-                for s in members
-                if prior[s] > 0.0
-            )
-            terms = []
-            for z, w in centre.items():
-                key = support[z][:-1] + tail
-                dists = []
-                for j in others:
-                    atom = keys[j - 1].get(key[j - 1 :])
-                    dists.append(
-                        uniform(j) if atom is None else profile.strategies[j][atom]
-                    )
-                terms.append(w * value(reps[support[z][-1]], a, dists))
-            worst = max(worst, abs(exact / mass - math.fsum(terms)))
-    return worst
 
 
 def ref_messages(game):
@@ -595,40 +452,6 @@ def test_lift_matches_the_dict_walk(seed, delta):
         assert [list(t.items()) for t in lifted.values()] == [
             list(t.items()) for t in expected.values()
         ]
-
-
-@settings(max_examples=examples(60), deadline=None)
-@given(seed=SEEDS, delta=DELTAS)
-def test_expectation_gap_matches_the_dict_walk(seed, delta):
-    game = variant(seed)
-    h = build_hierarchy(game, delta)
-    rng = np.random.default_rng(seed)
-    for i in range(1, game.n + 1):
-        support = h.level(i).signal_support
-        f = {z: float(rng.uniform(-2.0, 2.0)) for z in support}
-        got = expectation_gap(h, i, f, 2.0)
-        assert got.hex() == ref_expectation_gap(game, delta, i, f).hex()
-
-
-@settings(max_examples=examples(40), deadline=None)
-@given(seed=SEEDS, delta=DELTAS)
-def test_coarse_gap_matches_the_dict_walk(seed, delta):
-    game = variant(seed)
-    h = build_hierarchy(game, delta)
-    rng = np.random.default_rng(seed)
-    profile = StrategyProfile(
-        {
-            i: {
-                atom: dict(zip(acts, rng.dirichlet(np.ones(len(acts))).tolist()))
-                for atom in h.coarse_partition(i).atoms
-            }
-            for i, acts in enumerate(game.payoffs.actions, start=1)
-        },
-        field_level="coarse",
-    )
-    for i in range(1, game.n + 1):
-        got = coarse_best_response_gap(h, profile, i)
-        assert got.hex() == ref_coarse_gap(game, delta, profile, i).hex()
 
 
 def hexes(values):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nestnash.regret
 from generators import exact_prior, random_nested_game, random_profile, redundant_game
 from nestnash.game import (
     DERIVED_TOL,
@@ -22,18 +21,9 @@ from nestnash.game import (
     validate_profile,
 )
 from nestnash.gamefile import parse_game
-from nestnash.hierarchy import build_hierarchy, expectation_gap
 from nestnash.pipeline import solve
-from nestnash.regret import (
-    CERT_SLACK,
-    bayesian_regret,
-    brute_force_check,
-    certify,
-    coarse_best_response_gap,
-    regret_report,
-)
-from nestnash.solver import lift_strategy
-from test_certificates import _with_player_priors
+from nestnash.regret import CERT_SLACK, bayesian_regret, certify, regret_report
+from oracles import brute_force_check, ref_coarse_gap, ref_hierarchy
 from test_finite_fuzz import game_docs
 from test_game import mixed_profile, two_state_game
 from test_hierarchy import anchor_copies
@@ -378,9 +368,9 @@ def collapse_game() -> NestedGame:
     )
 
 
-# coarse_best_response_gap per player, as float.hex, for the seeded games
-# of ``gap_cases``.  Every reconstructed value is an fsum of p * u terms,
-# so these floats hold however the evaluator forms and orders the terms.
+# ``oracles.ref_coarse_gap`` of the solver's coarse profile per player,
+# as float.hex, for the seeded games of ``gap_cases``.  Every value is an
+# fsum of p * u terms, so these floats hold however the terms are ordered.
 GAP_HEX = {
     "nested2": ["0x1.0000000000000p-53", "0x1.0000000000000p-54"],
     "nested3": ["0x1.0000000000000p-56", "0x1.0000000000000p-52", "0x0.0p+0"],
@@ -405,90 +395,37 @@ def gap_cases():
         yield f"redundant@{delta}", game, delta
 
 
+def pure_coarse_profile(game: NestedGame, ref, action: str) -> StrategyProfile:
+    """Every player plays ``action`` on each coarse atom of ``ref``
+    (``oracles.ref_hierarchy``), listing their other actions at 0.0."""
+    strategies = {}
+    for i, coarse in enumerate(ref[1], start=1):
+        dist = {a: float(a == action) for a in game.actions_for(i)}
+        strategies[i] = {atom: dist for atom in dict.fromkeys(coarse.values())}
+    return StrategyProfile(strategies, field_level="coarse")
+
+
 class TestCoarseReconstruction:
     def test_gap_floats_are_pinned(self):
         for name, game, delta in gap_cases():
-            solution = solve(game, 0.05, delta=delta)
-            for profile in (solution.profile, solution.result.profile):
-                gaps = [
-                    coarse_best_response_gap(solution.hierarchy, profile, i)
-                    for i in range(1, game.n + 1)
-                ]
-                assert [g.hex() for g in gaps] == GAP_HEX[name], name
-
-    def test_coarse_profile_gap_is_its_lift_gap(self):
-        # The exact side lifts every player's coarse play to the original
-        # atoms, the player's own included.
-        for name, game, delta in gap_cases():
-            h = build_hierarchy(game, delta)
-            rng = np.random.default_rng(len(name))
-            strategies = {}
-            for i, acts in enumerate(game.payoffs.actions, start=1):
-                strategies[i] = {
-                    atom: dict(zip(acts, rng.dirichlet(np.ones(len(acts))).tolist()))
-                    for atom in h.coarse_partition(i).atoms
-                }
-            coarse = StrategyProfile(strategies, field_level="coarse")
-            lifted = lift_strategy(coarse, h)
-            for i in range(1, game.n + 1):
-                got = coarse_best_response_gap(h, coarse, i)
-                want = coarse_best_response_gap(h, lifted, i)
-                assert got.hex() == want.hex(), (name, i)
-
-    def test_one_player_is_evaluated(self, monkeypatch):
-        # The gap reads the profile on its player's support alone, with
-        # one ``_state_values`` call; reading it at every state some
-        # player weighs, as ``bayesian_regret`` does, gives the same gap.
-        calls = []
-        state_values = nestnash.regret._state_values
-        strategies_at = nestnash.regret._strategies_at
-
-        def counted(*args):
-            calls.append(args[1])
-            return state_values(*args)
-
-        def everywhere(game, profile, positions, players):
-            weighed = np.concatenate([s.positions for s in game.supports])
-            return strategies_at(game, profile, weighed, players)
-
-        cases = list(gap_cases())
-        rng = np.random.default_rng(23)
-        cases += [
-            (f"{name}-priors", _with_player_priors(rng, game), delta)
-            for name, game, delta in cases
-        ]
-        for name, game, delta in cases:
-            h = build_hierarchy(game, delta)
-            rng = np.random.default_rng(len(name))
-            strategies = {}
-            for i, acts in enumerate(game.payoffs.actions, start=1):
-                strategies[i] = {
-                    atom: dict(zip(acts, rng.dirichlet(np.ones(len(acts))).tolist()))
-                    for atom in h.coarse_partition(i).atoms
-                }
-            coarse = StrategyProfile(strategies, field_level="coarse")
-            for profile in (coarse, lift_strategy(coarse, h)):
-                for i in range(1, game.n + 1):
-                    with monkeypatch.context() as patch:
-                        patch.setattr(nestnash.regret, "_state_values", counted)
-                        got = coarse_best_response_gap(h, profile, i)
-                    assert calls == [i], (name, i)
-                    calls.clear()
-                    with monkeypatch.context() as patch:
-                        patch.setattr(nestnash.regret, "_strategies_at", everywhere)
-                        want = coarse_best_response_gap(h, profile, i)
-                    assert got.hex() == want.hex(), (name, i)
+            profile = solve(game, 0.05, delta=delta).result.profile
+            ref = ref_hierarchy(game, delta)
+            gaps = [ref_coarse_gap(game, ref, profile, i) for i in range(1, game.n + 1)]
+            assert [g.hex() for g in gaps] == GAP_HEX[name], name
 
     def test_exact_beliefs_reconstruct_exactly(self, informed_anchor):
-        h = build_hierarchy(informed_anchor, 0.2)
+        ref = ref_hierarchy(informed_anchor, 0.2)
+        # Nothing merges, so the coarse atoms are the game's own.
+        assert ref[1] == [part.atom_of for part in informed_anchor.partitions]
         profile = StrategyProfile(
             strategies={
-                1: {"a1": {"L": 1.0}, "a2": {"R": 1.0}},
+                1: {"a1": {"L": 1.0, "R": 0.0}, "a2": {"L": 0.0, "R": 1.0}},
                 2: {"b": {"L": 1 / 3, "R": 2 / 3}},
-            }
+            },
+            field_level="coarse",
         )
         for player in (1, 2):
-            gap = coarse_best_response_gap(h, profile, player)
+            gap = ref_coarse_gap(informed_anchor, ref, profile, player)
             assert gap <= 1e-12
 
     def test_rounded_belief_gap_hand_computed(self, informed_anchor):
@@ -496,14 +433,8 @@ class TestCoarseReconstruction:
         # the first's centre.  Against L, action L is worth -0.6 on the
         # second atom and -2/3 at the centre.
         skewed = anchor_copies(informed_anchor, 1 / 3, 0.3)
-        h = build_hierarchy(skewed, 0.2)
-        profile = StrategyProfile(
-            strategies={
-                1: {atom: {"L": 1.0} for atom in skewed.partition_for(1).atoms},
-                2: {"b.0": {"L": 1.0}, "b.1": {"L": 1.0}},
-            }
-        )
-        gap = coarse_best_response_gap(h, profile, 2)
+        ref = ref_hierarchy(skewed, 0.2)
+        gap = ref_coarse_gap(skewed, ref, pure_coarse_profile(skewed, ref, "L"), 2)
         assert gap == pytest.approx(1 / 15, abs=1e-12)
         assert gap <= payoff_bound(skewed) * 0.2
 
@@ -513,118 +444,51 @@ class TestCoarseReconstruction:
         for _ in range(20):
             game = random_nested_game(rng, max_states=20, players=(2, 3))
             delta = 0.15
-            h = build_hierarchy(game, delta)
-            # Constant play per coarse atom, copied down to original atoms.
+            ref = ref_hierarchy(game, delta)
+            # One distribution per coarse atom.
             strategies: dict[int, dict] = {}
-            for i in range(1, game.n + 1):
-                coarse = h.coarse_partition(i)
-                original = game.partition_for(i)
+            for i, coarse in enumerate(ref[1], start=1):
                 actions = game.actions_for(i)
                 table = {}
-                for members in coarse.atoms.values():
+                for atom in dict.fromkeys(coarse.values()):
                     weights = rng.dirichlet(np.ones(len(actions)))
                     head = [float(w) for w in weights[:-1]]
-                    dist = dict(zip(actions, head + [1.0 - math.fsum(head)]))
-                    for s in members:
-                        table[original.atom_of[s]] = dist
+                    table[atom] = dict(zip(actions, head + [1.0 - math.fsum(head)]))
                 strategies[i] = table
-            profile = StrategyProfile(strategies=strategies)
+            profile = StrategyProfile(strategies, field_level="coarse")
             bound = payoff_bound(game)
             for i in range(1, game.n + 1):
-                gap = coarse_best_response_gap(h, profile, i)
+                gap = ref_coarse_gap(game, ref, profile, i)
                 assert gap <= bound * delta + 1e-9
             done += 1
         assert done == 20
 
-    def test_rejects_profiles_not_constant_on_coarse_atoms(self):
-        game = collapse_game()
-        h = build_hierarchy(game, 0.25)
-        assert len(h.coarse_partition(1).atoms) == 1
-        profile = StrategyProfile(
-            strategies={
-                1: {"a1": {"L": 1.0}, "a2": {"R": 1.0}},
-                2: {"b": {"L": 1.0}},
-            }
-        )
-        with pytest.raises(GameFormatError, match="not constant"):
-            coarse_best_response_gap(h, profile, 2)
-
     def test_accepts_coarse_level_profiles(self):
+        # Payoffs never depend on the state, so every reconstruction is exact.
         game = collapse_game()
-        h = build_hierarchy(game, 0.25)
-        atom1 = next(iter(h.coarse_partition(1).atoms))
-        atom2 = next(iter(h.coarse_partition(2).atoms))
-        profile = StrategyProfile(
-            strategies={
-                1: {atom1: {"L": 1.0}},
-                2: {atom2: {"R": 1.0}},
-            },
-            field_level="coarse",
-        )
-        gap = coarse_best_response_gap(h, profile, 2)
-        assert gap <= 1e-12
-
-    def test_play_is_compared_as_rows(self):
-        # An action at probability 0 is the same play as a missing one,
-        # as the certifier reads it.
-        game = collapse_game()
-        h = build_hierarchy(game, 0.25)
-        profile = StrategyProfile(
-            strategies={
-                1: {"a1": {"L": 1.0}, "a2": {"L": 1.0, "R": 0.0}},
-                2: {"b": {"L": 1.0}},
-            }
-        )
-        assert coarse_best_response_gap(h, profile, 2).hex() == "0x0.0p+0"
-
-    def test_original_profile_lacking_an_atom_is_rejected(self):
-        game = collapse_game()
-        h = build_hierarchy(game, 0.25)
-        profile = StrategyProfile({1: {"a1": {"L": 1.0}}, 2: {"b": {"L": 1.0}}})
-        with pytest.raises(GameFormatError, match="no strategy for atom"):
-            coarse_best_response_gap(h, profile, 2)
-
-    def test_coarse_profile_lacking_an_atom_is_rejected(self):
-        game = collapse_game()
-        h = build_hierarchy(game, 0.25)
-        atom2 = next(iter(h.coarse_partition(2).atoms))
-        profile = StrategyProfile(
-            strategies={1: {}, 2: {atom2: {"L": 1.0}}}, field_level="coarse"
-        )
-        with pytest.raises(GameFormatError, match="no strategy for atom"):
-            coarse_best_response_gap(h, profile, 2)
+        ref = ref_hierarchy(game, 0.25)
+        assert len(set(ref[1][0].values())) == 1
+        profile = pure_coarse_profile(game, ref, "L")
+        assert ref_coarse_gap(game, ref, profile, 2) <= 1e-12
 
 
 @pytest.mark.parametrize("player", [0, -1, 3, 1.0, 2.0, True])
 def test_per_player_readers_refuse_a_player_the_game_lacks(player):
-    # Each reads per-player columns at index player - 1, where 0 would
-    # silently read the last player's.  A player is an integer: 1.0 used
-    # to end in a TypeError and True to read player 1.
+    # ``conditional_payoff`` reads per-player columns at index player - 1,
+    # where 0 would silently read the last player's.  A player is an
+    # integer: 1.0 used to end in a TypeError and True to read player 1.
     game = random_nested_game(np.random.default_rng(3), max_states=12, players=(2,))
     solution = solve(game, 0.05)
-    f = {z: 0.0 for z in solution.hierarchy.level(1).signal_support}
-    calls = [
-        lambda: conditional_payoff(game, solution.profile, player),
-        lambda: expectation_gap(solution.hierarchy, player, f, 1.0),
-        lambda: coarse_best_response_gap(solution.hierarchy, solution.profile, player),
-    ]
-    for call in calls:
-        with pytest.raises(GameFormatError, match=f"the game has no player {player}"):
-            call()
+    with pytest.raises(GameFormatError, match=f"the game has no player {player}"):
+        conditional_payoff(game, solution.profile, player)
 
 
 def test_per_player_readers_take_numpy_integers():
     game = random_nested_game(np.random.default_rng(3), max_states=12, players=(2,))
-    solution = solve(game, 0.05)
-    h, profile = solution.hierarchy, solution.profile
-    f = {z: 0.5 for z in h.level(2).signal_support}
+    profile = solve(game, 0.05).profile
     for i in (1, 2):
-        at = np.int64(i)
         want = conditional_payoff(game, profile, i)
-        assert conditional_payoff(game, profile, at) == want
-        want = coarse_best_response_gap(h, profile, i)
-        assert coarse_best_response_gap(h, profile, at) == want
-    assert expectation_gap(h, np.int64(2), f, 1.0) == expectation_gap(h, 2, f, 1.0)
+        assert conditional_payoff(game, profile, np.int64(i)) == want
 
 
 def oracle_game(rng, kind: str) -> NestedGame:

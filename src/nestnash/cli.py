@@ -11,11 +11,13 @@ whether the solver converged does not change the code.  ``hierarchy``
 exits 2 when a structural check fails, after printing its report.  Any
 command exits 2 on a ``ConsistencyError`` (a regret below -1e-9, a
 broken invariant), with one ``consistency failure:`` line on stderr and
-no report.  For a
-continuous game the certificate is the box certificate (regret against
-every action in the box within epsilon) together with the probe audit.
-Reports are deterministic: same inputs and flags give byte-identical
-output, with no timestamps.  A JSON report is, byte for byte, what
+no report.  For a continuous game the certificate is the box
+certificate (regret against every action in the box within epsilon).
+
+Every JSON report opens with the ``config`` and ``constants`` blocks,
+which ``_frame`` alone writes.  Reports are deterministic: same inputs
+and flags give byte-identical output, with no timestamps.  A JSON
+report is, byte for byte, what
 ``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)``
 writes; ``_dumps`` produces those bytes through the C encoder.
 """
@@ -49,6 +51,7 @@ from .game import (
     validate_profile,
 )
 from .gamefile import (
+    LoadedGame,
     SchemaError,
     _key_string,
     _RowTable,
@@ -59,7 +62,6 @@ from .gamefile import (
 from .hierarchy import Hierarchy, build_hierarchy
 from .pipeline import Solution, solve
 from .regret import ConsistencyError, RegretReport, certify, within_bound
-from .solver import SolveResult
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,11 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="regret target for the auxiliary solve (default: epsilon / 2)",
     )
     solve.add_argument("--seed", type=int, default=0, help="solver RNG seed")
-    solve.add_argument("--out", default=None, help="write the report here")
-    solve.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    solve.set_defaults(func=_cmd_solve)
+    _report_flags(solve, _cmd_solve)
 
     verify = sub.add_parser("verify", help="recompute a profile's exact regret")
     verify.add_argument("--game", required=True, help="game file (JSON)")
@@ -105,11 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--epsilon", required=True, type=float, help="regret bound to certify"
     )
-    verify.add_argument("--out", default=None, help="write the report here")
-    verify.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    verify.set_defaults(func=_cmd_verify)
+    _report_flags(verify, _cmd_verify)
 
     hierarchy = sub.add_parser(
         "hierarchy", help="report the belief hierarchy without solving"
@@ -118,13 +112,17 @@ def _build_parser() -> argparse.ArgumentParser:
     hierarchy.add_argument(
         "--delta", required=True, type=float, help="belief accuracy"
     )
-    hierarchy.add_argument("--out", default=None, help="write the report here")
-    hierarchy.add_argument(
+    _report_flags(hierarchy, _cmd_hierarchy)
+    return parser
+
+
+def _report_flags(command: argparse.ArgumentParser, func: Callable) -> None:
+    """Append the flags every subcommand ends with, and its handler."""
+    command.add_argument("--out", default=None, help="write the report here")
+    command.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
-    hierarchy.set_defaults(func=_cmd_hierarchy)
-
-    return parser
+    command.set_defaults(func=func)
 
 
 def main(argv=None) -> int:
@@ -166,6 +164,25 @@ def _check_flags(args) -> None:
 # Version of the report schema; bumped whenever a report field is added,
 # removed or changes meaning.
 REPORT_VERSION = 3
+
+
+def _frame(command: str, mode: str, game: NestedGame, **config) -> dict:
+    """The two blocks every report opens with: ``config``, the command,
+    the game's mode, the report version and the command's own settings,
+    and ``constants``, the game's payoff bound and sizes."""
+    return {
+        "config": {
+            "command": command,
+            "mode": mode,
+            "format_version": REPORT_VERSION,
+            **config,
+        },
+        "constants": {
+            "payoff_bound": payoff_bound(game),
+            "players": game.n,
+            "states": len(game.space.states),
+        },
+    }
 
 
 def _keyed(states: tuple, prior: dict) -> dict:
@@ -227,19 +244,9 @@ def _hierarchy_block(hier: Hierarchy) -> dict:
     }
 
 
-def _solver_block(result: SolveResult) -> dict:
-    return {
-        "method": result.method,
-        "iterations": result.iterations,
-        "restarts": result.restarts,
-        "converged": result.converged,
-        "coarse_regret": result.certified_regret,
-    }
-
-
 def _atom_columns(report: RegretReport) -> dict[str, list]:
     """The regret block's per-atom rows, which are also the CSV report's,
-    as one list per column of ``_REGRET_COLUMNS``, player after player."""
+    as one list per column, player after player."""
     players = report.players.items()
 
     def joined(field: str) -> list:
@@ -277,9 +284,8 @@ def _regret_block(report: RegretReport) -> dict:
     }
 
 
-# CSV report columns: the regret block's per-atom rows, and the
-# hierarchy block's levels joined with its atom counts.
-_REGRET_COLUMNS = ("player", "atom", "mass", "regret", "best_value", "current_value")
+# The hierarchy CSV report's columns: the hierarchy block's levels joined
+# with its atom counts.
 _HIERARCHY_COLUMNS = (
     "player",
     "signals",
@@ -290,7 +296,7 @@ _HIERARCHY_COLUMNS = (
 )
 
 
-def _csv(columns: tuple[str, ...], rows: Iterable[Iterable]) -> str:
+def _csv(columns: Iterable[str], rows: Iterable[Iterable]) -> str:
     """A header line of ``columns``, then one CSV line per row of values
     in that order.  ``csv`` writes a float as ``str``, which is its
     shortest round-trip ``repr``."""
@@ -302,17 +308,8 @@ def _csv(columns: tuple[str, ...], rows: Iterable[Iterable]) -> str:
 
 
 def _regret_csv(report: RegretReport) -> str:
-    return _csv(_REGRET_COLUMNS, zip(*_atom_columns(report).values()))
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    columns = _atom_columns(report)
+    return _csv(columns, zip(*columns.values()))
 
 
 class _Columns(dict):
@@ -430,15 +427,20 @@ def _row_parts(keys: tuple[str, ...], depth: int) -> tuple[tuple[str, ...], str]
 
 
 def _emit_report(
-    fmt: str, document: Callable[[], dict], csv_text: Callable[[], str], out: str | None
+    args, document: Callable[[], dict], csv_text: Callable[[], str]
 ) -> None:
     """Write the JSON report ``document()`` builds, or for ``--format csv``
-    the text ``csv_text()`` builds.  Only the chosen one is built, so
-    blocks that only the JSON report holds cost nothing under CSV."""
-    if fmt == "csv":
-        _emit(csv_text(), out)
+    the text ``csv_text()`` builds, to ``--out`` or else to stdout with a
+    final line break.  Only the chosen one is built, so blocks that only
+    the JSON report holds cost nothing under CSV."""
+    text = csv_text() if args.format == "csv" else _dumps(document(), 0)
+    if args.out is None:
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
     else:
-        _emit(_dumps(document(), 0), out)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _solve(game: NestedGame, args) -> Solution:
@@ -454,24 +456,25 @@ def _solve(game: NestedGame, args) -> Solution:
 def _solve_document(mode: str, args, sol: Solution) -> dict:
     """The report blocks that finite and continuous solves share."""
     game = sol.hierarchy.game
-    return {
-        "config": {
-            "command": "solve",
-            "mode": mode,
-            "epsilon": args.epsilon,
-            "delta": sol.hierarchy.delta,
-            "solver_target": sol.result.report.epsilon,
-            "seed": args.seed,
-            "format_version": REPORT_VERSION,
-        },
-        "constants": {
-            "payoff_bound": payoff_bound(game),
-            "action_profiles": math.prod(map(len, game.payoffs.actions)),
-            "players": game.n,
-            "states": len(game.space.states),
-        },
+    doc = _frame(
+        "solve",
+        mode,
+        game,
+        epsilon=args.epsilon,
+        delta=sol.hierarchy.delta,
+        solver_target=sol.result.report.epsilon,
+        seed=args.seed,
+    )
+    doc["constants"]["action_profiles"] = math.prod(map(len, game.payoffs.actions))
+    return doc | {
         "hierarchy": _hierarchy_block(sol.hierarchy),
-        "solver": _solver_block(sol.result),
+        "solver": {
+            "method": sol.result.method,
+            "iterations": sol.result.iterations,
+            "restarts": sol.result.restarts,
+            "converged": sol.result.converged,
+            "coarse_regret": sol.result.certified_regret,
+        },
         "profile": profile_to_json(sol.profile),
         "transfer": {
             "delta": sol.hierarchy.delta,
@@ -490,13 +493,13 @@ def _solve_finite(game: NestedGame, mode: str, args) -> int:
     sol = _solve(game, args)
 
     def document() -> dict:
-        doc = _solve_document(mode, args, sol)
-        doc["ingestion"] = _ingestion_block(game)
-        doc["coarse_profile"] = profile_to_json(sol.result.profile)
-        doc["regret"] = _regret_block(sol.report)
-        return doc
+        return _solve_document(mode, args, sol) | {
+            "ingestion": _ingestion_block(game),
+            "coarse_profile": profile_to_json(sol.result.profile),
+            "regret": _regret_block(sol.report),
+        }
 
-    _emit_report(args.format, document, lambda: _regret_csv(sol.report), args.out)
+    _emit_report(args, document, lambda: _regret_csv(sol.report))
     return 0 if sol.report.passed else 2
 
 
@@ -569,8 +572,8 @@ def _solve_continuous(compact, args) -> int:
         }
         return doc
 
-    _emit_report(args.format, document, lambda: _regret_csv(sol.report), args.out)
-    return 0 if box.ok and box.audit.ok else 2
+    _emit_report(args, document, lambda: _regret_csv(sol.report))
+    return 0 if box.ok else 2
 
 
 def _cmd_solve(args) -> int:
@@ -580,14 +583,20 @@ def _cmd_solve(args) -> int:
     return _solve_finite(loaded.game, loaded.mode, args)
 
 
-def _cmd_verify(args) -> int:
-    loaded = load_game(args.game)
+def _finite_game(path: str, command: str) -> LoadedGame:
+    """The game file at ``path`` as ``load_game`` loads it, refused when
+    it is continuous: only ``solve`` handles continuous games."""
+    loaded = load_game(path)
     if loaded.mode == "continuous":
         raise GameFormatError(
-            "verify works on finite and types games; solve handles continuous ones"
+            f"{command} works on finite and types games; solve handles continuous ones"
         )
+    return loaded
+
+
+def _cmd_verify(args) -> int:
+    loaded = _finite_game(args.game, "verify")
     game = loaded.game
-    epsilon = args.epsilon
     game.require_valid()
     profile = load_profile(args.profile)
     if profile.field_level != "original":
@@ -599,52 +608,26 @@ def _cmd_verify(args) -> int:
     problems = validate_profile(game, profile)
     if problems:
         raise GameFormatError("invalid profile: " + "; ".join(problems))
-    report = certify(game, profile, epsilon)
+    report = certify(game, profile, args.epsilon)
 
     def document() -> dict:
-        return {
-            "config": {
-                "command": "verify",
-                "mode": loaded.mode,
-                "epsilon": epsilon,
-                "format_version": REPORT_VERSION,
-            },
-            "constants": {
-                "payoff_bound": payoff_bound(game),
-                "players": game.n,
-                "states": len(game.space.states),
-            },
+        return _frame("verify", loaded.mode, game, epsilon=args.epsilon) | {
             "ingestion": _ingestion_block(game),
             "regret": _regret_block(report),
         }
 
-    _emit_report(args.format, document, lambda: _regret_csv(report), args.out)
+    _emit_report(args, document, lambda: _regret_csv(report))
     return 0 if report.passed else 2
 
 
 def _cmd_hierarchy(args) -> int:
-    loaded = load_game(args.game)
-    if loaded.mode == "continuous":
-        raise GameFormatError(
-            "hierarchy works on finite and types games; solve handles continuous ones"
-        )
+    loaded = _finite_game(args.game, "hierarchy")
     game = loaded.game
     hier = build_hierarchy(game, args.delta)
     block = _hierarchy_block(hier)
 
     def document() -> dict:
-        return {
-            "config": {
-                "command": "hierarchy",
-                "mode": loaded.mode,
-                "delta": args.delta,
-                "format_version": REPORT_VERSION,
-            },
-            "constants": {
-                "payoff_bound": payoff_bound(game),
-                "players": game.n,
-                "states": len(game.space.states),
-            },
+        return _frame("hierarchy", loaded.mode, game, delta=args.delta) | {
             "ingestion": _ingestion_block(game),
             "hierarchy": block,
         }
@@ -659,5 +642,5 @@ def _cmd_hierarchy(args) -> int:
         ]
         return _csv(_HIERARCHY_COLUMNS, rows)
 
-    _emit_report(args.format, document, csv_text, args.out)
+    _emit_report(args, document, csv_text)
     return 0 if block["ok"] else 2

@@ -753,6 +753,28 @@ def certify_box(disc: DiscretizedGame, profile: StrategyProfile) -> BoxCertifica
     r >= sup V - c >= 0, and a regret below -1e-9 signals a broken
     invariant and raises.  The Harsanyi regret is the fsum of
     m * max(0, r) over the atoms.
+
+    A box pass implies an audit pass.  Each grid action a is a box
+    action, so sup V >= V(a), and the probe's regret at g is the float
+    of v - c, with the same c and v the largest grid action's value as
+    the certifier computes it.  Each such value is off by at most
+    gamma_{3D + T + n + 4} (1 + 2**-20) B, as c is (its products hold
+    one probability fewer), and the subtraction adds at most
+    2 (1 + 2**-20) (1 + gamma_K) B u, below gamma_K B / 8 as K >= 18.
+    Its underflow-prone operations (per member state and joint profile
+    the table entry's at most 2 D per monomial, n - 1 products and a
+    weight; per atom a division per grid action) number at most Z,
+    which allows T (2D + n + 3) per member state and joint profile, so
+    they add at most Z (B + 1) eta / m.  With these two errors in place
+    of c's, the sum of the errors still stays below the allowance, so
+    r, at least max over the net of V + covering + allowance - c, is at
+    least the probe's regret; so is the cap 4 B, as |v| and |c| are at
+    most (1 + 2**-20) B.  Both Harsanyi regrets are fsums of
+    m * max(0, r) over the same masses (the two games share their
+    supports), and rounding is monotone, so each player's probe
+    Harsanyi regret is at most the box's.  The probe budget
+    5 epsilon + L eta0 / 2 is at least epsilon, so ``box.ok`` implies
+    ``box.audit.ok``.
     """
     audit = probe_harsanyi_regret(disc, profile)
     spec = disc.spec

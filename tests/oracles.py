@@ -142,9 +142,9 @@ def ref_coarse_gap(game, ref, profile, player):
     def value(s, a, dists):
         terms = []
         for prof in itertools.product(*(game.actions_for(j) for j in others)):
-            p = dists[0][prof[0]]
+            p = dists[0].get(prof[0], 0.0)
             for d, b in zip(dists[1:], prof[1:]):
-                p *= d[b]
+                p *= d.get(b, 0.0)
             full = prof[: player - 1] + (a,) + prof[player - 1 :]
             terms.append(p * game.payoffs.values[s, full][player - 1])
         return math.fsum(terms)

@@ -1482,3 +1482,57 @@ class TestCsvReports:
         # The same counters do see the JSON report build them.
         assert main(argv) == 0
         assert calls
+
+
+# Each subcommand's ``--help`` at 80 columns, as the parser formats it.
+HELP = {
+    "solve": (
+        "usage: nestnash solve [-h] --game GAME --epsilon EPSILON [--delta DELTA]\n"
+        "                      [--solver-regret SOLVER_REGRET] [--seed SEED]\n"
+        "                      [--out OUT] [--format {json,csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --game GAME           game file (JSON)\n"
+        "  --epsilon EPSILON     target regret bound\n"
+        "  --delta DELTA         belief accuracy (default: epsilon / (2 M |A|))\n"
+        "  --solver-regret SOLVER_REGRET\n"
+        "                        regret target for the auxiliary solve (default:\n"
+        "                        epsilon / 2)\n"
+        "  --seed SEED           solver RNG seed\n"
+        "  --out OUT             write the report here\n"
+        "  --format {json,csv}   report format\n"
+    ),
+    "verify": (
+        "usage: nestnash verify [-h] --game GAME --profile PROFILE --epsilon EPSILON\n"
+        "                       [--out OUT] [--format {json,csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --game GAME          game file (JSON)\n"
+        "  --profile PROFILE    profile file (JSON)\n"
+        "  --epsilon EPSILON    regret bound to certify\n"
+        "  --out OUT            write the report here\n"
+        "  --format {json,csv}  report format\n"
+    ),
+    "hierarchy": (
+        "usage: nestnash hierarchy [-h] --game GAME --delta DELTA [--out OUT]\n"
+        "                          [--format {json,csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --game GAME          game file (JSON)\n"
+        "  --delta DELTA        belief accuracy\n"
+        "  --out OUT            write the report here\n"
+        "  --format {json,csv}  report format\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_subcommand_help_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == HELP[command]

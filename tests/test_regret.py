@@ -438,6 +438,23 @@ class TestCoarseReconstruction:
         assert gap == pytest.approx(1 / 15, abs=1e-12)
         assert gap <= payoff_bound(skewed) * 0.2
 
+    def test_a_pure_profile_may_leave_out_its_unplayed_actions(self, informed_anchor):
+        # A zero-mass action that a distribution does not list is played
+        # with probability 0, as in ``brute_force_check``.
+        skewed = anchor_copies(informed_anchor, 1 / 3, 0.3)
+        ref = ref_hierarchy(skewed, 0.2)
+        listed = pure_coarse_profile(skewed, ref, "L")
+        played = StrategyProfile(
+            {
+                i: {atom: {"L": 1.0} for atom in table}
+                for i, table in listed.strategies.items()
+            },
+            field_level="coarse",
+        )
+        for player in (1, 2):
+            gap = ref_coarse_gap(skewed, ref, played, player)
+            assert gap == ref_coarse_gap(skewed, ref, listed, player)
+
     def test_gap_within_transfer_bound_on_random_games(self):
         rng = np.random.default_rng(37)
         done = 0

@@ -315,6 +315,29 @@ def test_one_function_writes_report_rows():
     assert sites(defines) == set()
 
 
+def says(text: str) -> set[tuple[str, str]]:
+    """Where the package holds a string literal containing ``text``."""
+
+    def match(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and text in str(node.value)
+
+    return sites(match)
+
+
+def test_one_function_writes_the_report_frame():
+    # ``cli._frame`` writes the ``config`` and ``constants`` blocks every
+    # report opens with, so a field of theirs is added in one place.
+    assert readers("REPORT_VERSION") == {("cli.py", "_frame")}
+    assert says("format_version") == {("cli.py", "_frame")}
+
+
+def test_one_function_refuses_continuous_games_for_finite_commands():
+    # ``verify`` and ``hierarchy`` load their game through
+    # ``cli._finite_game``, which alone refuses a continuous one.
+    refusal = "works on finite and types games"
+    assert says(refusal) == {("cli.py", "_finite_game")}
+
+
 def test_one_reader_reads_played_rows():
     # ``game._played_rows`` alone turns a profile's rows, however it was
     # built, into checked distributions: the certifier reads it through

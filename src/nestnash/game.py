@@ -30,18 +30,20 @@ payoff classes (``NestedGame.classes``, with each state's class id as an
 integer array) and each player's support (``NestedGame.supports``: the
 atom of every state, each atom's ``math.fsum`` mass, and the
 positive-mass atoms as the columns ``ids`` and ``sizes``, with their
-weighed states atom after atom).  Only ``coarsen`` hands a game's to the
-game it builds.  The belief hierarchy and the certifier both read them;
-each is a pure function of the game itself, so the certifier still
-trusts nothing from the solver.  Every per-state fact derived from a
-game is kept once, as an integer array: the class ids, each support's
-atom index, and the hierarchy's ``signals`` and ``beliefs``.  Every
-grouping of integer keys, here and in the hierarchy, the quotient and
-the certifier, goes through ``_group_ints``: a table indexed by key
-numbers the keys by first appearance, and a key range too wide for such
-a table (the payoff classes' and the beliefs' 64-bit checksums) is
-grouped by a stable argsort.  The dict ``_group`` runs only when a
-partition interns its atom names.
+weighed states atom after atom).  Each game derives its own; only the
+true-payoff grid game of ``discretize.build_hat_game`` is handed
+another's, the floored grid game's supports.  The belief hierarchy and
+the certifier both read them; each is a pure function of the game
+itself, so the certifier still trusts nothing from the solver.  Every
+per-state fact derived from a game is kept once, as an integer array:
+the class ids, each support's atom index, and the hierarchy's
+``signals`` and ``beliefs``.  Every grouping of integer keys, here and
+in the hierarchy, the quotient and the certifier, goes through
+``_group_ints``: a table indexed by key numbers the keys by first
+appearance, and a key range too wide for such a table (the payoff
+classes' and the beliefs' 64-bit checksums) is grouped by a stable
+argsort.  The dict ``_group`` runs only when a partition interns its
+atom names.
 """
 
 from __future__ import annotations
@@ -994,29 +996,6 @@ def _support(space: StateSpace, player: int, part: InformationPartition) -> Supp
         positions=positions[weighed],
         weights=weights[weighed],
     )
-
-
-def coarsen(game: NestedGame, partitions: Sequence[InformationPartition]) -> NestedGame:
-    """``game`` with each player's information replaced by their partition
-    in ``partitions``: ``game`` itself when every partition is the game's
-    own (the very object).  Otherwise it shares the game's space and
-    tensor, so it is handed the game's ``payoff_array`` and ``classes``,
-    and each player whose partition is their own keeps their ``Support``."""
-    partitions = tuple(partitions)
-    owned = list(map(operator.is_, partitions, game.partitions))
-    if all(owned):
-        return game
-    supports = tuple(
-        support if own else _support(game.space, i, part)
-        for i, (support, part, own) in enumerate(
-            zip(game.supports, partitions, owned), start=1
-        )
-    )
-    coarse = NestedGame(space=game.space, partitions=partitions, payoffs=game.payoffs)
-    coarse.__dict__.update(
-        payoff_array=game.payoff_array, classes=game.classes, supports=supports
-    )
-    return coarse
 
 
 def _fold_atoms(support: Support, by_state: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ action value as it was; the classes, the summed priors and the lift are
 read off integer label arrays.  It is solved in agent form: one agent per
 (player, positive-mass coarse atom), each choosing a mixed action.
 Each stage hands the next a plain value: ``build_auxiliary_game`` returns
-the quotient as a ``NestedGame``, ``to_agent_form`` expands any game, and
+the game itself or its quotient, ``to_agent_form`` expands any game, and
 ``solve_nash`` takes the agent form, the target regret and the seed.
 
 Every coarse game is solved by alternating predictive regret
@@ -31,6 +31,7 @@ with a non-converged result.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ from .game import (
     GameFormatError,
     InformationPartition,
     NestedGame,
-    PayoffClasses,
     PayoffTensor,
     State,
     StateSpace,
@@ -50,7 +50,6 @@ from .game import (
     _group_ints,
     _is_integer,
     _played_rows,
-    coarsen,
 )
 from .hierarchy import Hierarchy
 
@@ -88,19 +87,23 @@ class SolveResult:
 
 
 def build_auxiliary_game(hierarchy: Hierarchy) -> NestedGame:
-    """Swap each player's partition for the coarse one, and merge the states
-    no coarse strategy can tell apart.
+    """The coarse game: ``hierarchy.game`` itself, or its quotient.
 
+    The game itself is returned when no two states merge and every
+    player keeps their own partition (see ``build_hierarchy``).  In
+    every other case each player's partition is swapped for the coarse
+    one, and the states no coarse strategy can tell apart are merged.
     Two states fall in one class when they share player 1's coarse atom
     and their payoff class.  Player 1's coarse key is the whole belief
     tuple (b_1, ..., b_n), so it fixes every player's coarse atom.  The
-    coarse game keeps one state per class, named by its first member in
+    quotient keeps one state per class, named by its first member in
     state order, so coarse atoms keep their first-appearance order; its
     common prior and each player prior are summed over the class with
-    ``math.fsum``, and its payoff rows are the members' shared rows.
+    ``math.fsum``, and its payoff rows are the members' shared rows.  It
+    derives its payoff classes itself, as every game does.
 
-    Every conditional action value of the coarse game is unchanged by
-    the merge, in exact arithmetic.  Player i's value of action a on a
+    Every conditional action value of the quotient is unchanged by the
+    merge, in exact arithmetic.  Player i's value of action a on a
     coarse atom g is
 
         sum over s in g of p_i(s) * sum over a_-i of
@@ -111,44 +114,18 @@ def build_auxiliary_game(hierarchy: Hierarchy) -> NestedGame:
     sums, and so the value, as they were.  In floats the summed priors
     round once more, so values may move by a few ulps; the lifted
     profile's certificate is computed on the original game, so soundness
-    never rests on the quotient.  When no two states merge, the coarse
-    game shares the game's state space and payoff array, and when
-    moreover every player keeps their own partition (see
-    ``build_hierarchy``), it is the game itself.  The game is
-    the one the hierarchy was built from (``hierarchy.game``), and a
-    hierarchy whose structural audit (``Hierarchy.audit``) fails is
-    refused.
+    never rests on the quotient.  A hierarchy whose structural audit
+    (``Hierarchy.audit``) fails is refused.
     """
     _require_audit(hierarchy)
-    return _quotient(hierarchy)
-
-
-def _require_audit(hierarchy: Hierarchy) -> None:
-    """GameFormatError naming the first failed check of the hierarchy's
-    structural audit (``Hierarchy.audit``), if any."""
-    bad = next((c for c in hierarchy.audit.checks if not c.ok), None)
-    if bad is not None:
-        raise GameFormatError(
-            f"hierarchy failed its structural audit: {bad.name} for player "
-            f"{bad.player}"
-        )
-
-
-def _quotient(hierarchy: Hierarchy) -> NestedGame:
-    """The coarse game on one state per (player 1 coarse atom, payoff class).
-
-    Its payoff classes are the game's, read at the kept states: a class's
-    first state opens its merged group (no earlier state has the class),
-    so it is kept, and the class ids of the kept states are already
-    numbered by first appearance among them.
-    """
     game = hierarchy.game
     states, classes = game.space.states, game.classes
     coarse = hierarchy.coarse[0]
     labels = coarse.labels(states) * classes.count + classes.ids
     merged, first = _group_ints(labels, len(coarse.ids) * classes.count)
-    if len(first) == len(states):
-        return coarsen(game, hierarchy.coarse)
+    kept_all = len(first) == len(states)
+    if kept_all and all(map(operator.is_, hierarchy.coarse, game.partitions)):
+        return game
     reps = tuple(map(states.__getitem__, first.tolist()))
     grouped = np.argsort(merged, kind="stable")
     sizes = np.bincount(merged).tolist()
@@ -165,24 +142,33 @@ def _quotient(hierarchy: Hierarchy) -> NestedGame:
         if player_priors is None
         else {i: summed(i) for i in player_priors},
     )
-    partitions = []
-    for part in hierarchy.coarse:
+
+    def restricted(part: InformationPartition) -> InformationPartition:
         kept = part.labels(states)[first]
         codes, firsts = _group_ints(kept, len(part.ids))
         ids = tuple(map(part.ids.__getitem__, kept[firsts].tolist()))
-        partitions.append(
-            InformationPartition.from_labels(part.player, reps, codes, firsts, ids)
-        )
+        return InformationPartition.from_labels(part.player, reps, codes, firsts, ids)
+
+    # When every state is kept, each coarse partition serves as it is,
+    # with its atoms in their own order.
+    partitions = hierarchy.coarse
+    if not kept_all:
+        partitions = tuple(map(restricted, partitions))
     # ``take`` writes a C-ordered table, which ``from_array`` keeps as is.
     table = game.payoff_array.take(first, axis=1)
     payoffs = PayoffTensor.from_array(game.payoffs.actions, reps, table)
-    quotient = NestedGame(space=space, partitions=tuple(partitions), payoffs=payoffs)
-    quotient.__dict__["classes"] = PayoffClasses(
-        count=classes.count,
-        representatives=classes.representatives,
-        ids=classes.ids[first],
-    )
-    return quotient
+    return NestedGame(space=space, partitions=partitions, payoffs=payoffs)
+
+
+def _require_audit(hierarchy: Hierarchy) -> None:
+    """GameFormatError naming the first failed check of the hierarchy's
+    structural audit (``Hierarchy.audit``), if any."""
+    bad = next((c for c in hierarchy.audit.checks if not c.ok), None)
+    if bad is not None:
+        raise GameFormatError(
+            f"hierarchy failed its structural audit: {bad.name} for player "
+            f"{bad.player}"
+        )
 
 
 class AgentFormGame:

@@ -257,3 +257,61 @@ def noisy_redundant_game(
         partitions=game.partitions,
         payoffs=game.payoffs,
     )
+
+
+def nested_redundant_game(
+    rng: np.random.Generator, blocks: int = 6, nu: float = 0.0
+) -> NestedGame:
+    """Belief-redundant three-player game that coarsens at every level.
+
+    Each of three payoff classes has one 2x2x2 payoff table, shared by
+    every state of the class.  Each player-1 atom holds three states,
+    one per class, weighted by one of three belief types (a distribution
+    over the classes).  Each player-2 atom holds six player-1 atoms, the
+    types in one of two exact counts, and player 3 sees blocks of four
+    player-2 atoms, two of each count.  So with ``nu = 0`` player 1's
+    ``6 * 4 * blocks`` atoms hold at most three distinct beliefs, player
+    2's at most two and player 3's one, and the coarse partitions hold at
+    most six, two and one atoms.  ``nu`` multiplies each prior weight by
+    exp(nu * N(0, 1)) before the prior is normalised, so beliefs that
+    were equal differ by a relative amount of order nu.
+    """
+    classes, kinds, per_atom = 3, 3, 6
+    dims = (2, 2, 2)
+    matrices = rng.integers(-2, 3, size=(classes, len(dims)) + dims)
+    types = rng.dirichlet(np.ones(classes), size=kinds)
+    counts = rng.multinomial(per_atom, np.full(kinds, 1.0 / kinds), size=2)
+
+    states: list[str] = []
+    weights: list[float] = []
+    atoms: tuple[dict[str, str], ...] = ({}, {}, {})
+    state_class: list[int] = []
+    for block in range(blocks):
+        for b, count in enumerate(rng.permutation([0, 0, 1, 1]).tolist()):
+            second = f"b{block}x{b}"
+            kinds_here = rng.permutation(np.repeat(np.arange(kinds), counts[count]))
+            for a, kind in enumerate(kinds_here.tolist()):
+                for c in range(classes):
+                    s = f"{second}a{a}c{c}"
+                    states.append(s)
+                    weights.append(float(types[kind][c]))
+                    names = (f"{second}a{a}", second, f"d{block}")
+                    for atom_of, atom in zip(atoms, names):
+                        atom_of[s] = atom
+                    state_class.append(c)
+    state_ids = tuple(states)
+    noisy = np.array(weights) * np.exp(nu * rng.standard_normal(len(weights)))
+    prior = exact_prior(noisy / math.fsum(noisy.tolist()), state_ids)
+    table = np.moveaxis(matrices[state_class].astype(float), 1, 0)
+    return NestedGame(
+        space=StateSpace(states=state_ids, prior=prior),
+        partitions=tuple(
+            InformationPartition(player=i, atom_of=atom_of)
+            for i, atom_of in enumerate(atoms, start=1)
+        ),
+        payoffs=PayoffTensor.from_array(
+            tuple(tuple(f"p{i}a{k}" for k in range(d)) for i, d in enumerate(dims, 1)),
+            state_ids,
+            np.ascontiguousarray(table),
+        ),
+    )

@@ -24,7 +24,6 @@ from nestnash.game import (
     StrategyProfile,
     _refinement_witness,
     _stack,
-    coarsen,
     conditional_payoff,
     expected_payoff,
     from_type_space,
@@ -732,33 +731,6 @@ class TestSpaces:
         )
         assert list(part.atoms.keys()) == ["x", "y"]
         assert part.atoms["x"] == ("w3", "w1")
-
-
-class TestCoarsen:
-    def test_own_partitions_give_the_game_itself(self):
-        game = two_state_game()
-        assert coarsen(game, game.partitions) is game
-        assert coarsen(game, list(game.partitions)) is game
-
-    def test_hands_over_the_array_the_classes_and_own_supports(self):
-        # Player 1's atoms merge, so their support is built anew; player
-        # 2 keeps their own partition, and with it the game's support.  A
-        # renamed copy of a partition is not the player's own, so its
-        # support is built anew too.
-        game = two_state_game()
-        merged = InformationPartition(1, {"w1": "m", "w2": "m"})
-        renamed = InformationPartition(2, {"w1": "h", "w2": "h"})
-        own = game.partitions[1]
-        for second in (own, renamed):
-            coarse = coarsen(game, (merged, second))
-            assert coarse.payoff_array is game.payoff_array
-            assert coarse.classes is game.classes
-            assert (coarse.supports[1] is game.supports[1]) == (second is own)
-            fresh = NestedGame(game.space, (merged, second), game.payoffs).supports
-            for got, want in zip(coarse.supports, fresh):
-                assert got.ids == want.ids
-                for name in ("atom_index", "masses", "sizes", "positions", "weights"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def classes_oracle(game: NestedGame) -> PayoffClasses:

@@ -21,6 +21,7 @@ import nestnash.solver
 from generators import random_nested_game, redundant_game
 from nestnash.game import (
     NestedGame,
+    PayoffClasses,
     PayoffTensor,
     StateSpace,
     _group,
@@ -247,12 +248,15 @@ def test_payoff_classes_survive_all_checksums_colliding(seed, players, width):
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(20, 60))
 def test_the_quotient_takes_its_classes_from_the_game(seed, atoms):
-    # The kept states' class ids, count and representatives are those
-    # ``payoff_classes`` finds on the quotient's own payoff array.
+    # The classes ``payoff_classes`` finds on the quotient's own payoff
+    # array are the game's, read at the kept states: a class's first
+    # state opens its merged group, so it is kept, and the kept states'
+    # class ids are already numbered by first appearance among them.
     game = redundant_game(np.random.default_rng(seed), 3 * atoms)
-    quotient = nestnash.solver._quotient(build_hierarchy(game, 0.05))
+    quotient = nestnash.solver.build_auxiliary_game(build_hierarchy(game, 0.05))
     assume(len(quotient.space.states) < len(game.space.states))
-    assert "classes" in quotient.__dict__
-    want = payoff_classes(quotient)
+    kept = list(map(game.space.position.__getitem__, quotient.space.states))
+    classes = game.classes
+    want = PayoffClasses(classes.count, classes.representatives, classes.ids[kept])
     assert_same_classes(quotient.classes, want)
     assert quotient.classes.firsts.tolist() == want.firsts.tolist()

@@ -4,8 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from generators import noisy_redundant_game, random_nested_game, redundant_game
+from conftest import examples
+from generators import (
+    nested_redundant_game,
+    noisy_redundant_game,
+    random_nested_game,
+    redundant_game,
+)
 from nestnash import hierarchy as hierarchy_mod
 from nestnash.game import (
     GameFormatError,
@@ -14,9 +22,11 @@ from nestnash.game import (
     NestedGame,
     PayoffTensor,
     StateSpace,
+    payoff_bound,
 )
 from nestnash.hierarchy import build_hierarchy, check_properties
-from oracles import ref_expectation_gap, ref_hierarchy
+from nestnash.pipeline import solve
+from oracles import ref_coarse_gap, ref_expectation_gap, ref_hierarchy
 
 
 def anchor_with_prior(base: NestedGame, prior: dict) -> NestedGame:
@@ -345,6 +355,7 @@ def pinned_games() -> dict[str, NestedGame]:
     games["unrealized"] = partly_unrealized_game()
     games["redundant"] = redundant_game(np.random.default_rng(7), 600)
     games["noisy"] = noisy_redundant_game(np.random.default_rng(8), 600, 1e-3)
+    games["nested"] = nested_redundant_game(np.random.default_rng(9), blocks=3)
     return games
 
 
@@ -352,6 +363,11 @@ PIN_DELTAS = (1e-9, 0.15, 2.5)
 # Digests of every field, taken before the construction last changed; a
 # rewrite of ``build_hierarchy`` must reproduce them exactly.
 HIERARCHY_PINS = {
+    'nested': (
+        '5bd9c94d500b1719f1c8d074f281699a21bcbf3f9a885e5372a7a2ad38b717d5',
+        'b21072176d066bf76aa6f4b115c54d02e2a22b3f3915cf6d620ab0246b22109e',
+        '254dd54ca0206db3cb9436e5a8a0144ed5815d5f266f29f2d997cef0a7648522',
+    ),
     'noisy': (
         '1344f34bee0925dbac800a0b3309ad62a257696ad46414d64e6132e7d31b4cdf',
         'd6955fc748a14644e366dcaa9e35225d237d2694c01d660442209043486354ca',
@@ -403,3 +419,34 @@ class TestPinnedHierarchies:
             h = build_hierarchy(game, delta)
             assert h.game is game
             assert hierarchy_digest(h) == want, (name, delta)
+
+
+@settings(max_examples=examples(5), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_three_levels_coarsen_and_the_lift_certifies(seed):
+    # Every level of ``nested_redundant_game`` merges atoms, exactly
+    # redundant (nu = 0) or not (nu = 1e-4), at the default delta.  Each
+    # coarse-level action value moves by at most M * r from its
+    # reconstruction at the atom's belief centre, with r the level's
+    # realized radius (``max_l1_gap``).
+    for nu in (0.0, 1e-4):
+        game = nested_redundant_game(np.random.default_rng(seed), nu=nu)
+        solution = solve(game, 0.05)
+        h = solution.hierarchy
+        counts = [(len(c.ids), len(p.ids)) for c, p in zip(h.coarse, game.partitions)]
+        assert all(coarse < own for coarse, own in counts[1:]), (nu, counts)
+        if nu == 0.0:
+            # The caps the generator's structure sets: three belief types,
+            # two type counts and one mix of them.
+            assert all(c <= cap for (c, _), cap in zip(counts, (6, 2, 1))), counts
+        assert h.audit.ok
+        # The transfer bound holds whatever regret the coarse solve
+        # reached, so the certificate passes whenever that solve met its
+        # target; a rare seed stops at the iteration cap short of it.
+        assert solution.report.max_regret <= solution.transfer_bound
+        assert solution.report.passed or not solution.result.converged
+        ref = ref_hierarchy(game, h.delta)
+        bound = payoff_bound(game)
+        for i, level in enumerate(h.levels, start=1):
+            gap = ref_coarse_gap(game, ref, solution.result.profile, i)
+            assert gap <= bound * level.max_l1_gap + 1e-12, (nu, i)

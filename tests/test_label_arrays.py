@@ -15,6 +15,7 @@ the lift's refusal are exercised.
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from nestnash.game import (
     validate_game,
 )
 from nestnash.hierarchy import build_hierarchy, check_properties
-from nestnash.solver import _quotient, build_auxiliary_game, lift_strategy
+from nestnash.solver import build_auxiliary_game, lift_strategy
 from oracles import ref_hierarchy
 from test_hierarchy import coarse_keys
 
@@ -400,25 +401,28 @@ def test_audit_matches_the_dict_walk(seed, delta):
 def test_quotient_matches_the_dict_walk(seed, delta):
     game = variant(seed)
     h = build_hierarchy(game, delta)
-    coarse = _quotient(h)
+    coarse = build_auxiliary_game(h)
     reps, prior, player_priors, partitions = ref_quotient(game, h)
+    kept_all = reps == game.space.states
+    if kept_all and all(map(operator.is_, h.coarse, game.partitions)):
+        assert coarse is game
+        return
 
     def exact(d):
         return [(s, v.hex()) for s, v in d.items()]
 
     space = coarse.space
     assert space.states == reps
-    if reps == game.space.states:
-        assert space is game.space
-        assert coarse.partitions == h.coarse
-        return
     assert exact(space.prior) == exact(prior)
     assert {i: exact(p) for i, p in (space.player_priors or {}).items()} == {
         i: exact(p) for i, p in player_priors.items()
     }
-    assert [list(p.atom_of.items()) for p in coarse.partitions] == [
-        list(p.items()) for p in partitions
-    ]
+    # Atoms in order of first appearance among the kept states or, when
+    # every state is kept, in each coarse partition's own order.
+    for got, part, want in zip(coarse.partitions, h.coarse, partitions):
+        assert got.atom_of == want
+        order = tuple(dict.fromkeys(want.values()))
+        assert got.ids == (part.ids if kept_all else order)
     position = game.space.position
     table = game.payoff_array[:, [position[s] for s in reps]]
     assert coarse.payoff_array.tobytes() == table.tobytes()

@@ -205,7 +205,8 @@ def test_hierarchy_merging_atoms_alone_certifies_anew(regret_calls):
     # every state apart in the quotient.
     game = random_nested_game(np.random.default_rng(5))
     solution = solve(game, 0.05, delta=3.0)
-    assert build_auxiliary_game(solution.hierarchy).space is game.space
+    coarse = build_auxiliary_game(solution.hierarchy)
+    assert coarse is not game and coarse.space == game.space
     assert len(solution.hierarchy.coarse[0].atoms) < len(game.partitions[0].atoms)
     assert len(regret_calls) == 2 and regret_calls[1] is game
     assert solution.report == certify(game, solution.profile, 0.05)

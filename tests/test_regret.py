@@ -21,6 +21,7 @@ from nestnash.game import (
     validate_profile,
 )
 from nestnash.gamefile import parse_game
+from nestnash.hierarchy import build_hierarchy
 from nestnash.pipeline import solve
 from nestnash.regret import CERT_SLACK, bayesian_regret, certify, regret_report
 from oracles import brute_force_check, ref_coarse_gap, ref_hierarchy
@@ -456,29 +457,34 @@ class TestCoarseReconstruction:
             assert gap == ref_coarse_gap(skewed, ref, listed, player)
 
     def test_gap_within_transfer_bound_on_random_games(self):
+        # Each value moves by at most M * r, with r the level's realized
+        # radius (``max_l1_gap``), which lies below delta.
         rng = np.random.default_rng(37)
         done = 0
         for _ in range(20):
             game = random_nested_game(rng, max_states=20, players=(2, 3))
-            delta = 0.15
-            ref = ref_hierarchy(game, delta)
-            # One distribution per coarse atom.
-            strategies: dict[int, dict] = {}
-            for i, coarse in enumerate(ref[1], start=1):
-                actions = game.actions_for(i)
-                table = {}
-                for atom in dict.fromkeys(coarse.values()):
-                    weights = rng.dirichlet(np.ones(len(actions)))
-                    head = [float(w) for w in weights[:-1]]
-                    table[atom] = dict(zip(actions, head + [1.0 - math.fsum(head)]))
-                strategies[i] = table
-            profile = StrategyProfile(strategies, field_level="coarse")
             bound = payoff_bound(game)
-            for i in range(1, game.n + 1):
-                gap = ref_coarse_gap(game, ref, profile, i)
-                assert gap <= bound * delta + 1e-9
-            done += 1
-        assert done == 20
+            for delta in (0.05, 0.15, 0.4, 1.0):
+                ref = ref_hierarchy(game, delta)
+                levels = build_hierarchy(game, delta).levels
+                # One distribution per coarse atom.
+                strategies: dict[int, dict] = {}
+                for i, coarse in enumerate(ref[1], start=1):
+                    actions = game.actions_for(i)
+                    table = {}
+                    for atom in dict.fromkeys(coarse.values()):
+                        weights = rng.dirichlet(np.ones(len(actions)))
+                        head = [float(w) for w in weights[:-1]]
+                        last = 1.0 - math.fsum(head)
+                        table[atom] = dict(zip(actions, head + [last]))
+                    strategies[i] = table
+                profile = StrategyProfile(strategies, field_level="coarse")
+                for i, level in enumerate(levels, start=1):
+                    gap = ref_coarse_gap(game, ref, profile, i)
+                    assert gap <= bound * delta + 1e-9
+                    assert gap <= bound * level.max_l1_gap + 1e-12, (delta, i)
+                done += 1
+        assert done == 80
 
     def test_accepts_coarse_level_profiles(self):
         # Payoffs never depend on the state, so every reconstruction is exact.

@@ -150,12 +150,17 @@ def test_benchmark_recheck_passes_a_redundant_solve(tmp_path, monkeypatch):
     assert counts["atoms_coarse"] < counts["atoms_original"]
 
 
-def sites(match) -> set[tuple[str, str]]:
+def sites(match, qualified: bool = False) -> set[tuple[str, str]]:
     """(module file, innermost enclosing function, or "<module>") of each
     node of the package that ``match`` accepts; a string that ``match``
-    returns names the site in place of the function."""
+    returns names the site in place of the function.  With ``qualified``
+    the function is named with its enclosing classes and functions, as
+    in ``"StateSpace.prior_array"``."""
     package = os.path.dirname(os.path.abspath(nestnash.__file__))
     out = set()
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef)
+    if qualified:
+        scopes += (ast.ClassDef,)
 
     def walk(node: ast.AST, file: str, where: str) -> None:
         for child in ast.iter_child_nodes(node):
@@ -163,8 +168,10 @@ def sites(match) -> set[tuple[str, str]]:
             if hit:
                 out.add((file, hit if isinstance(hit, str) else where))
             inner = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, scopes):
                 inner = child.name
+                if qualified and where != "<module>":
+                    inner = f"{where}.{child.name}"
             walk(child, file, inner)
 
     for file in sorted(os.listdir(package)):
@@ -269,7 +276,7 @@ def test_one_function_stacks_a_keyed_table():
         ("game.py", "from_type_space"),
         ("gamefile.py", "_payoff_array"),
         ("discretize.py", "build_hat_game"),
-        ("solver.py", "_quotient"),
+        ("solver.py", "build_auxiliary_game"),
     }
 
 
@@ -336,6 +343,38 @@ def test_one_function_refuses_continuous_games_for_finite_commands():
     # ``cli._finite_game``, which alone refuses a continuous one.
     refusal = "works on finite and types games"
     assert says(refusal) == {("cli.py", "_finite_game")}
+
+
+def test_objects_write_only_their_own_dicts():
+    # A constructor fills its own object's ``__dict__``, and a derived
+    # value is cached on the object it is derived from.  The one hand-off
+    # between objects left is ``build_hat_game``'s: the true-payoff grid
+    # game is handed the floored grid game's supports, so that the box
+    # certificate reads one set of masses for both.  Every coarse game
+    # derives its own arrays, classes and supports.
+    def is_dict(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+    def writes(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return any(
+                isinstance(t, ast.Subscript) and is_dict(t.value) for t in targets
+            )
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            return func.attr in ("update", "setdefault") and is_dict(func.value)
+        return False
+
+    assert sites(writes, qualified=True) == {
+        ("game.py", "InformationPartition.__init__"),
+        ("game.py", "InformationPartition.from_labels"),
+        ("game.py", "StrategyProfile.__init__"),
+        ("game.py", "StrategyProfile.from_rows"),
+        ("game.py", "StateSpace.prior_array"),
+        ("game.py", "payoff_classes"),
+        ("discretize.py", "build_hat_game"),
+    }
 
 
 def test_one_reader_reads_played_rows():
